@@ -1,0 +1,25 @@
+"""Golden corpus: every scenario under tests/golden/ writes pinned bytes.
+
+Byte-identical reruns (acceptance criterion 8) compare two runs of the same
+code; this test compares a run with the bytes the corpus recorded, so a
+refactor can show that it changed nothing. See tests/golden/rehash.py.
+"""
+
+import json
+
+import pytest
+
+from golden.rehash import HASHES, SCENARIOS, output_digests
+
+EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
+
+
+def test_corpus_and_hashes_name_the_same_scenarios():
+    assert sorted(p.stem for p in SCENARIOS.glob("*.json")) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_outputs_match_the_recorded_hashes(name, tmp_path):
+    got = output_digests(SCENARIOS / f"{name}.json", tmp_path)
+    changed = [f for f in sorted(EXPECTED[name]) if got.get(f) != EXPECTED[name][f]]
+    assert not changed, f"golden scenario {name}: {', '.join(changed)} differ"

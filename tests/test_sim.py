@@ -123,6 +123,29 @@ def test_engine_completions_match_the_tick_oracle():
     assert result.deadline_misses == []
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_engine_completions_match_schedule_processor(seed):
+    # fault-free, so every (lane, proc) keeps the task set it starts with;
+    # generated task ids rise with the app id, so both tie-breaks agree
+    doc = generate_scenario(lanes=2 + seed % 3, procs=3 + seed % 3,
+                            apps=1 + seed % 4,
+                            target_utilization=(0.3, 0.45, 0.6, 0.69)[seed % 4],
+                            seed=seed)
+    sc = parse_scenario(doc)
+    result = run(sc)
+    by_proc = {}
+    for app in sc.model.applications:
+        for t in app.tasks:
+            by_proc.setdefault(t.initial_proc, []).append(t)
+    for lane in sc.model.lane_ids:
+        for proc, tasks in by_proc.items():
+            got = sorted((c.task, c.release_us, c.finish_us)
+                         for c in result.completions
+                         if (c.lane, c.proc) == (lane, proc))
+            want = schedule_processor(tasks, sc.settings.horizon_us)
+            assert got == sorted(want.completions), (lane, proc)
+
+
 def test_overload_misses_at_the_deadline_boundary():
     system = single_app_system(tasks=[
         {"task_id": 1, "wcet_ms": 15, "period_ms": 20, "deadline_ms": 20,
