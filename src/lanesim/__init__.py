@@ -3,10 +3,10 @@
 from .coverage import (CoverageLevel, CoverageSample, RiskReport,
                        functional_coverage, peripheral_coverage, time_at_risk,
                        zonal_coverage)
-from .fault import (Consensus, Detection, FaultKind, FaultSpec, FaultTarget,
-                    Granularity, InsufficientLanes, Mechanism, TargetKind,
-                    VoteOutcome, VoterConfig, bit_detects, can_identify_byzantine,
-                    classify, cross_monitor, exchange_vote)
+from .fault import (Consensus, FaultKind, FaultSpec, FaultTarget, Granularity,
+                    InsufficientLanes, TargetKind, VoteOutcome, VoterConfig,
+                    bit_detects, can_identify_byzantine, classify,
+                    cross_monitor, exchange_vote)
 from .model import (Architecture, ApplicationSpec, BusSpec, InvalidModel,
                     LaneSpec, MalformedDocument, MessageSpec, ProcessorRole,
                     ProcessorSpec, StateModel, StateStrategy, SystemModel,
@@ -20,8 +20,7 @@ from .scenario import (Scenario, generate_scenario, load_scenario,
 from .sim import (Engine, InsufficientInstances, ScenarioInvalid, SimResult,
                   TraceEvent, measure_jitter, run, schedule_processor)
 from .timing import (AdmissionDecision, BusState, NoBandwidth, ProcessorState,
-                     admit_task, assign_priorities, available_transfer_bandwidth,
-                     catchup_time, check_comms, message_demand, task_utilization,
-                     transfer_time)
+                     admit_task, available_transfer_bandwidth, catchup_time,
+                     check_comms, task_utilization, transfer_time)
 
 __version__ = "0.1.0"

@@ -101,22 +101,6 @@ class Granularity(Enum):
     SENSOR = "sensor"
 
 
-class Mechanism(Enum):
-    CROSS_MONITOR = "cross_monitor"
-    BIT = "bit"
-
-
-@dataclass(frozen=True)
-class Detection:
-    detected_at_us: int
-    granularity: Granularity
-    mechanism: Mechanism
-    lane: int | None = None
-    proc: int | None = None
-    app: int | None = None
-    task: int | None = None
-
-
 class Consensus(Enum):
     MEDIAN_OF_OTHERS = "median_of_others"
     MEAN_OF_OTHERS = "mean_of_others"
@@ -194,10 +178,6 @@ class ExchangeOutcome:
     silent: frozenset
     flagged: frozenset
     ambiguous: bool = False
-
-    @property
-    def implicated(self) -> frozenset:
-        return self.silent | self.flagged
 
 
 def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:

@@ -159,12 +159,6 @@ class SystemModel:
     def lane_ids(self) -> tuple[int, ...]:
         return tuple(l.lane_id for l in self.lanes)
 
-    def lane(self, lane_id: int) -> LaneSpec:
-        for l in self.lanes:
-            if l.lane_id == lane_id:
-                return l
-        raise KeyError(lane_id)
-
     def application(self, app_id: int) -> ApplicationSpec:
         for a in self.applications:
             if a.app_id == app_id:

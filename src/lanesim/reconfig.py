@@ -98,13 +98,6 @@ class ReconfigRecord:
         return all(a <= b for a, b in zip(stamps, stamps[1:]))
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """Fixed selection semantics, kept explicit for reports and tests."""
-
-    same_lane_first: bool = True
-
-
 @dataclass
 class FailedTask:
     app_id: int
@@ -137,9 +130,7 @@ class PlacementPlan:
     placements: list = field(default_factory=list)   # (task_id, lane, proc)
     degraded: list = field(default_factory=list)     # task_ids with no home
     decisions: list = field(default_factory=list)    # every PlacementDecision tried
-    # states after the plan's reservations, so callers can thread them on
-    spare_states: dict = field(default_factory=dict)
-    bus: BusState | None = None
+    bus: BusState | None = None                      # after the plan's reservations
 
 
 def recovery_order(apps) -> list[int]:
@@ -148,12 +139,11 @@ def recovery_order(apps) -> list[int]:
 
 
 def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
-                 bus: BusState, cfg, restricted: bool,
-                 policy: SelectionPolicy = SelectionPolicy()) -> PlacementPlan:
+                 bus: BusState, cfg, restricted: bool) -> PlacementPlan:
     """Plan placements for one application's failed tasks.
 
     Mutates nothing: reserved capacity is threaded through local copies of
-    the spare states and bus, which the plan carries back to the caller.
+    the spare states and bus; the plan carries the bus back to the caller.
     """
     if not failed:
         raise ValueError("nothing to place")
@@ -165,14 +155,14 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
     plan.bus = bus
 
     for f in sorted(failed, key=lambda f: f.task_id):
-        ranked = _ranked_candidates(f, spares, states, taken, restricted, policy)
+        ranked = _ranked_candidates(f, spares, states, taken, restricted)
         placed = False
         for lane, proc in ranked:
             state = states[(lane, proc)]
             admission = admit_task(state, f.task, cfg)
             comms = None
             if admission.accepted:
-                comms = check_comms(plan.bus, f.task.messages)
+                comms = check_comms(plan.bus, f.task.message_demand)
             chosen = admission.accepted and comms is not None and comms.accepted
             plan.decisions.append(PlacementDecision(
                 f.task_id, lane, proc, admission, comms, chosen))
@@ -187,12 +177,10 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
                 break
         if not placed:
             plan.degraded.append(f.task_id)
-
-    plan.spare_states = states
     return plan
 
 
-def _ranked_candidates(f: FailedTask, spares, states, taken, restricted, policy):
+def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
     u = task_utilization(f.task.wcet_us, f.task.period_us, f.task.deadline_us)
 
     def usable(s):
@@ -203,8 +191,7 @@ def _ranked_candidates(f: FailedTask, spares, states, taken, restricted, policy)
 
     same = sorted((s for s in spares if usable(s) and s.lane == f.home_lane), key=rank)
     other = sorted((s for s in spares if usable(s) and s.lane != f.home_lane), key=rank)
-    tiers = same + other if policy.same_lane_first else sorted(same + other, key=rank)
-    return [(s.lane, s.proc) for s in tiers]
+    return [(s.lane, s.proc) for s in same + other]
 
 
 class PoliceCounter:
@@ -217,6 +204,3 @@ class PoliceCounter:
     def update(self, matched: bool) -> bool:
         self.count = self.count + 1 if matched else 0
         return self.count >= self.required
-
-    def reset(self):
-        self.count = 0

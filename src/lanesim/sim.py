@@ -6,10 +6,10 @@ before completions before releases before votes before the recovery
 machinery), then by payload key, then by insertion order, so a scenario
 replays byte-identically on every run.
 
-Processor time is accounted lazily: the running job is charged whenever
-an event touches its processor, and completion events are validated
-against a per-processor generation counter so a preempted or killed
-job's stale completion is simply dropped.
+Each (lane, processor) slot runs the deadline-monotonic schedule of
+:mod:`lanesim.processor`: time is charged lazily whenever an event touches
+the processor, and completion events carry the processor's generation so
+a preempted or killed job's stale completion is simply dropped.
 
 The recovery pipeline is driven end to end by events: a vote round (or a
 built-in test) implicates copies, one classification per instant folds
@@ -28,18 +28,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import coverage as cov
+from . import timebase
 from .fault import (FaultKind, Granularity, ShutdownDirective, TargetKind,
                     bit_detects, classify, cross_monitor, exchange_vote,
                     police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, TaskSpec, Violation, initial_allocation)
+from .processor import Job, Processor
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
-                       select_spare)
+                       recovery_order, select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
                      transfer_time)
-
-US_PER_MS = 1000
 
 
 class ScenarioInvalid(InvalidModel):
@@ -130,38 +130,35 @@ class SimResult:
                 f"{counts[Outcome.ABANDONED]} abandoned; "
                 f"{len(self.deadline_misses)} deadline misses; "
                 f"{len(self.trace)} trace events over "
-                f"{self.horizon_us / US_PER_MS:g} ms")
+                f"{self.horizon_us / timebase.US_PER_MS:g} ms")
 
 
-@dataclass
-class _Job:
-    rt: "_CopyRt"
-    release_us: int
-    deadline_us: int
-    remaining_us: int
-    start_us: int | None = None
+class _Proc(Processor):
+    """Runtime face of one (lane, processor) slot.
 
+    Jobs are keyed (app_id, task_id) and owned by their _CopyRt; history
+    replay runs as background work keyed by copy id.
+    """
 
-class _Proc:
-    """Runtime face of one (lane, processor) slot."""
-
-    def __init__(self, lane: int, proc: int, role):
+    def __init__(self, lane: int, proc: int, push):
+        super().__init__()
         self.lane = lane
         self.proc = proc
-        self.role = role
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
         self.admitted = ProcessorState()
-        self.prios: dict = {}
-        self.jobs: dict = {}    # (app_id, task_id) -> _Job
-        self.replay: dict = {}  # copy_id -> [_CopyRt, remaining_us]
-        self.running = None     # ("job", key) | ("replay", copy_id)
-        self.since = 0
-        self.gen = 0
+        self.push = push        # the engine's event push
 
     @property
     def key(self):
         return (self.lane, self.proc)
+
+    def runnable(self) -> bool:
+        return not (self.failed or self.dead)
+
+    def wake(self, at_us: int):
+        self.push(at_us, EventKind.TASK_COMPLETE, (self.key, self.running[1]),
+                  {"proc": self.key, "what": self.running, "gen": self.gen})
 
     def refresh_priorities(self):
         self.prios = self.admitted.priorities()
@@ -181,7 +178,6 @@ class _CopyRt:
     police: PoliceCounter | None = None
     eligible_us: int | None = None
     episode: "_Episode | None" = None
-    restabilizing: bool = False
 
     @property
     def key(self):
@@ -242,7 +238,7 @@ class Engine:
 
         self.now = 0
         self._heap: list = []
-        self._seq = itertools.count()
+        self._push = _event_pusher(self._heap)
 
         self.trace: list = []
         self.records: list = []
@@ -282,7 +278,7 @@ class Engine:
         for lane in self.model.lanes:
             for p in lane.processors:
                 self.procs[(lane.lane_id, p.proc_id)] = _Proc(
-                    lane.lane_id, p.proc_id, p.role)
+                    lane.lane_id, p.proc_id, self._push)
 
         homes = initial_allocation(self.model)
         for app in sorted(self.model.applications, key=lambda a: a.app_id):
@@ -355,11 +351,6 @@ class Engine:
 
     # -- event plumbing --------------------------------------------------------
 
-    def _push(self, at_us: int, kind: EventKind, key, data: dict):
-        heapq.heappush(self._heap,
-                       (at_us, _RANK[kind], _sortable(key), next(self._seq),
-                        kind, data))
-
     def _row(self, kind: str, lane=None, proc=None, app=None, task=None,
              detail: str = ""):
         self.trace.append(TraceEvent(self.now, kind, lane, proc, app, task, detail))
@@ -413,75 +404,6 @@ class Engine:
             )
         return result
 
-    # -- processor accounting --------------------------------------------------
-
-    def _touch(self, pr: _Proc):
-        if pr.running is None:
-            pr.since = self.now
-            return
-        ran = self.now - pr.since
-        what, key = pr.running
-        if what == "job":
-            job = pr.jobs.get(key)
-            if job is not None:
-                # the first dispatch only counts once it consumed time; a
-                # zero-width dispatch preempted at the same instant did not
-                # actually start the job
-                if ran > 0 and job.start_us is None:
-                    job.start_us = pr.since
-                job.remaining_us -= ran
-        else:
-            entry = pr.replay.get(key)
-            if entry is not None:
-                entry[1] -= ran
-        pr.since = self.now
-
-    def _dispatch(self, pr: _Proc):
-        """Pick the next thing to run; assumes _touch already ran at now."""
-        chosen = None
-        if not pr.failed and not pr.dead:
-            ready = [
-                (pr.prios.get(key, len(pr.prios)), key)
-                for key, job in pr.jobs.items()
-                if job.release_us <= self.now and job.remaining_us > 0
-            ]
-            if ready:
-                chosen = ("job", min(ready)[1])
-            elif pr.replay:
-                live = [cid for cid, (rt, left) in pr.replay.items() if left > 0]
-                if live:
-                    chosen = ("replay", min(live))
-        if chosen == pr.running:
-            return
-        pr.running = chosen
-        pr.since = self.now
-        pr.gen += 1
-        if chosen is None:
-            return
-        what, key = chosen
-        if what == "job":
-            eta = self.now + pr.jobs[key].remaining_us
-        else:
-            eta = self.now + pr.replay[key][1]
-        self._push(eta, EventKind.TASK_COMPLETE, (pr.key, key),
-                   {"proc": pr.key, "what": chosen, "gen": pr.gen})
-
-    def _halt_proc(self, pr: _Proc):
-        """Drop everything the processor was doing (fault or withdrawal)."""
-        self._touch(pr)
-        pr.jobs.clear()
-        pr.running = None
-        pr.gen += 1
-        pr.since = self.now
-
-    def _kill_job(self, pr: _Proc, key):
-        self._touch(pr)
-        pr.jobs.pop(key, None)
-        if pr.running == ("job", key):
-            pr.running = None
-            pr.gen += 1
-        self._dispatch(pr)
-
     # -- releases, completions, deadlines ---------------------------------------
 
     def _on_release(self, data):
@@ -496,44 +418,29 @@ class Engine:
         if pr.failed or pr.dead or self._silenced(rt.copy):
             return
         self.counters["releases"] += 1
-        self._touch(pr)
-        pr.jobs[rt.key] = _Job(rt, self.now, self.now + rt.spec.deadline_us,
-                               rt.spec.wcet_us)
         deadline = self.now + rt.spec.deadline_us
+        pr.release(rt.key, Job(rt, self.now, deadline, rt.spec.wcet_us),
+                   self.now)
         if deadline <= self.horizon:
             self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy.copy_id,
                        {"copy": rt.copy.copy_id, "release": self.now})
-        self._dispatch(pr)
 
     def _on_complete(self, data):
         pr = self.procs[data["proc"]]
-        if data["gen"] != pr.gen or pr.running != data["what"]:
+        job = pr.finish(data["what"], data["gen"], self.now)
+        if job is None:
             return
-        self._touch(pr)
-        what, key = data["what"]
-        if what == "job":
-            job = pr.jobs.get(key)
-            if job is None or job.remaining_us > 0:
-                return
-            del pr.jobs[key]
-            rt = job.rt
+        rt = job.owner
+        if data["what"][0] == "job":
             rt.completed_ever = True
             self.counters["completions"] += 1
             self.completions.append(CompletionRecord(
                 self.now, job.start_us, job.release_us,
                 pr.lane, pr.proc, rt.copy.app_id, rt.copy.task_id))
         else:
-            entry = pr.replay.get(key)
-            if entry is None or entry[1] > 0:
-                return
-            rt = entry[0]
-            del pr.replay[key]
             rt.replay_left_us = 0
             self._row("ReplayDone", pr.lane, pr.proc, rt.copy.app_id,
                       rt.copy.task_id, "history backlog cleared")
-        pr.running = None
-        pr.gen += 1
-        self._dispatch(pr)
 
     def _on_deadline_check(self, data):
         rt = self.copies.get(data["copy"])
@@ -552,7 +459,7 @@ class Engine:
                       rt.copy.task_id,
                       f"released at {job.release_us}us, "
                       f"{job.remaining_us}us of work left")
-            self._kill_job(pr, rt.key)
+            pr.drop(rt.key, self.now)
 
     # -- faults ------------------------------------------------------------------
 
@@ -577,12 +484,11 @@ class Engine:
             and f.target.kind is not TargetKind.SENSOR
         )
         if halted and not pr.failed:
-            self._halt_proc(pr)
+            pr.halt(self.now)
             pr.failed = True
         elif not halted and pr.failed:
             pr.failed = False
-            pr.since = self.now
-            self._dispatch(pr)
+            pr.dispatch(self.now)
 
     def _on_fault_activate(self, data):
         f = data["fault"]
@@ -596,7 +502,7 @@ class Engine:
             for rt in self.copies.values():
                 if (rt.copy.lane, rt.copy.proc, rt.copy.app_id,
                         rt.copy.task_id) == (t.lane, t.proc, t.app, t.task):
-                    self._kill_job(self.procs[rt.place], rt.key)
+                    self.procs[rt.place].drop(rt.key, self.now)
             return
         for pr in self.procs.values():
             if t.hits_processor(pr.lane, pr.proc):
@@ -790,13 +696,12 @@ class Engine:
     def _exchange_matrix(self, expected, emitting):
         """Build receiver x sender claims, including per-receiver lies."""
         received: dict = {}
-        senders = [rt for rt in expected]
         receivers = [rt for rt in expected if rt.place in emitting]
         ref = self._reference_value()
         for r in receivers:
             claims: dict = {}
             r_byz = self._skew_for(r.copy)
-            for s in senders:
+            for s in expected:
                 truth = self._sent_value(s, r, ref)
                 if truth is None:
                     claims[s.place] = None
@@ -851,7 +756,7 @@ class Engine:
                 self._maybe_readmit(rt)
 
     def _maybe_readmit(self, rt: _CopyRt):
-        if rt.restabilizing and self.policies.pilot_gate:
+        if rt.copy.health is Health.RESTABILIZING and self.policies.pilot_gate:
             c = rt.copy
             at = self.policies.approval_time(lane=c.lane, proc=c.proc,
                                              app=c.app_id, task=c.task_id)
@@ -868,7 +773,7 @@ class Engine:
             return      # sensor restores are driven from the clear event
         for rt in sorted(self.copies.values(), key=lambda rt: rt.copy.copy_id):
             c = rt.copy
-            if (rt.restabilizing and rt.eligible_us is not None
+            if (rt.eligible_us is not None
                     and c.health is Health.RESTABILIZING
                     and a.matches(lane=c.lane, proc=c.proc, app=c.app_id,
                                   task=c.task_id)):
@@ -953,7 +858,6 @@ class Engine:
             for rt in victims:
                 if transient:
                     rt.copy.health = Health.RESTABILIZING
-                    rt.restabilizing = True
                     rt.police = PoliceCounter(self.cfg.police_rounds)
                     rt.eligible_us = None
                 else:
@@ -1003,16 +907,15 @@ class Engine:
                 continue
             if not pr.dead:
                 pr.dead = True
-                self._halt_proc(pr)
+                pr.halt(self.now)
 
     def _withdraw_copy(self, rt: _CopyRt):
         c = rt.copy
         c.health = Health.SHUTDOWN
         pr = self.procs[rt.place]
-        self._kill_job(pr, rt.key)
+        pr.drop(rt.key, self.now)
         pr.admitted = pr.admitted.without_task(rt.key)
         pr.refresh_priorities()
-        pr.replay.pop(c.copy_id, None)
         self.bus = self.bus.without_demand(
             ("copy", c.app_id, c.task_id, c.lane, c.proc))
 
@@ -1057,8 +960,9 @@ class Engine:
         pending = self._pending_selection
         self._pending_selection = []
         self._selection_at = None
-        crit = {a.app_id: a.criticality for a in self.model.applications}
-        pending.sort(key=lambda ep: (crit[ep.app_id], ep.app_id))
+        rank = {app_id: i for i, app_id in
+                enumerate(recovery_order(self.model.applications))}
+        pending.sort(key=lambda ep: rank[ep.app_id])
         for ep in pending:
             self._select_for(ep)
         # transfers start only after every same-instant episode has reserved
@@ -1100,7 +1004,6 @@ class Engine:
         for task_id, lane, proc in plan.placements:
             spec = app.task(task_id)
             pr = self.procs[(lane, proc)]
-            self._touch(pr)
             pr.admitted = pr.admitted.with_task(
                 (ep.app_id, task_id), spec.wcet_us, spec.period_us,
                 spec.deadline_us)
@@ -1205,12 +1108,11 @@ class Engine:
                          episode=ep)
             self.copies[copy.copy_id] = rt
             ep.copies.append(rt)
-            pr = self.procs[(lane, proc)]
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self._touch(pr)
-                pr.replay[copy.copy_id] = [rt, rt.replay_left_us]
-                self._dispatch(pr)
+                self.procs[(lane, proc)].add_background(
+                    copy.copy_id, Job(rt, self.now, None, rt.replay_left_us),
+                    self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             self._push(self.now, EventKind.TASK_RELEASE, copy.copy_id,
@@ -1240,6 +1142,21 @@ class Engine:
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
 
 
+def _event_pusher(heap: list):
+    """The engine's event push: (at, rank, key, seq, kind, data) tuples.
+
+    It closes over the heap rather than the engine, so the processors that
+    hold it keep no reference cycle (and no finished engine) alive.
+    """
+    seq = itertools.count()
+
+    def push(at_us: int, kind: EventKind, key, data: dict):
+        heapq.heappush(heap, (at_us, _RANK[kind], _sortable(key), next(seq),
+                              kind, data))
+
+    return push
+
+
 def _sortable(key):
     """Heap keys mix ints, tuples and strings; normalize for comparison."""
     if isinstance(key, tuple):
@@ -1263,79 +1180,74 @@ class ProcSchedule:
     completions: list = field(default_factory=list)   # (task_id, release, finish)
     misses: list = field(default_factory=list)        # (task_id, release, deadline)
     background_done_us: int | None = None
-    busy_us: int = 0
+
+
+class _Standalone(Processor):
+    """A processor whose finish instants go onto schedule_processor's heap."""
+
+    def __init__(self, events: list, seq):
+        super().__init__()
+        self.events = events
+        self.seq = seq
+
+    def wake(self, at_us: int):
+        heapq.heappush(self.events,
+                       (at_us, 0, next(self.seq), self.running, self.gen))
 
 
 def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSchedule:
     """Run a deadline-monotonic preemptive schedule on one processor.
 
-    ``tasks`` are TaskSpec-likes released together at time zero. Background
-    work soaks up every idle microsecond at less than any task priority;
-    the report notes when the backlog (if any) drained. An instance that
-    reaches its deadline unfinished is recorded as a miss and aborted.
+    ``tasks`` are TaskSpec-likes with distinct ids, released together at
+    time zero. Background work soaks up every idle microsecond at less than
+    any task priority; the report notes when the backlog (if any) drained.
+    An instance that reaches its deadline unfinished is recorded as a miss
+    and aborted. The processor is the engine's, so at one instant finishes
+    come before deadlines and deadlines before releases, and a deadline on
+    the window edge still counts, as the engine's horizon is inclusive.
     """
     tasks = list(tasks)
-    order = sorted(range(len(tasks)),
-                   key=lambda i: (tasks[i].deadline_us, tasks[i].task_id))
-    prio = {i: rank for rank, i in enumerate(order)}
+    specs = {t.task_id: t for t in tasks}
+    if len(specs) != len(tasks):
+        raise ValueError("task ids must be distinct")
+    # (time, rank, seq, key, arg): rank 0 finishes a wake-up (arg is its
+    # generation), 1 checks a deadline (arg is the release), 2 releases
+    events: list = []
+    seq = itertools.count()
+
+    cpu = _Standalone(events, seq)
+    cpu.prios = ProcessorState(
+        {key: (t.wcet_us, t.period_us, t.deadline_us)
+         for key, t in specs.items()}).priorities()
+    for key in specs:
+        heapq.heappush(events, (0, 2, next(seq), key, None))
+    if background_us > 0:
+        cpu.add_background(0, Job(None, 0, None, background_us), 0)
 
     report = ProcSchedule()
-    events: list = []       # (time, rank, idx, release) rank 0=deadline 1=release
-    for i, t in enumerate(tasks):
-        heapq.heappush(events, (0, 1, i, 0))
-    ready: dict = {}        # idx -> [release, deadline, remaining]
-    bg_left = background_us
-    now = 0
-
-    while now < window_us:
-        while events and events[0][0] <= now:
-            at, kind, idx, release = heapq.heappop(events)
-            if kind == 0:
-                job = ready.get(idx)
-                if job is not None and job[0] == release and job[2] > 0:
-                    report.misses.append((tasks[idx].task_id, release, at))
-                    del ready[idx]
-            else:
-                ready[idx] = [at, at + tasks[idx].deadline_us,
-                              tasks[idx].wcet_us]
-                if at + tasks[idx].deadline_us <= window_us:
-                    heapq.heappush(events,
-                                   (at + tasks[idx].deadline_us, 0, idx, at))
-                nxt = at + tasks[idx].period_us
-                if nxt < window_us:
-                    heapq.heappush(events, (nxt, 1, idx, nxt))
-
-        boundary = min(events[0][0], window_us) if events else window_us
-        runnable = [(prio[i], i) for i, job in ready.items() if job[2] > 0]
-        if runnable:
-            idx = min(runnable)[1]
-            job = ready[idx]
-            span = min(boundary - now, job[2])
-            job[2] -= span
-            now += span
-            report.busy_us += span
-            if job[2] == 0:
-                report.completions.append((tasks[idx].task_id, job[0], now))
-                del ready[idx]
-        elif bg_left > 0:
-            span = min(boundary - now, bg_left)
-            bg_left -= span
-            now += span
-            report.busy_us += span
-            if bg_left == 0:
-                report.background_done_us = now
-        else:
-            now = boundary
-
-    # deadlines landing exactly on the window edge still count, the same
-    # way the event engine treats its horizon as inclusive
     while events and events[0][0] <= window_us:
-        at, kind, idx, release = heapq.heappop(events)
-        if kind == 0:
-            job = ready.get(idx)
-            if job is not None and job[0] == release and job[2] > 0:
-                report.misses.append((tasks[idx].task_id, release, at))
-                del ready[idx]
+        now, rank, _seq, key, arg = heapq.heappop(events)
+        if rank == 0:
+            job = cpu.finish(key, arg, now)
+            if job is None:
+                continue
+            if key[0] == "job":
+                report.completions.append((key[1], job.release_us, now))
+            else:
+                report.background_done_us = now
+        elif rank == 1:
+            job = cpu.jobs.get(key)
+            if job is not None and job.release_us == arg and job.remaining_us > 0:
+                report.misses.append((key, arg, now))
+                cpu.drop(key, now)
+        else:
+            t = specs[key]
+            deadline = now + t.deadline_us
+            cpu.release(key, Job(key, now, deadline, t.wcet_us), now)
+            if deadline <= window_us:
+                heapq.heappush(events, (deadline, 1, next(seq), key, now))
+            if now + t.period_us < window_us:
+                heapq.heappush(events, (now + t.period_us, 2, next(seq), key, None))
     return report
 
 

@@ -25,10 +25,6 @@ def ms_to_us(ms) -> int:
     return int(round(frac(ms) * US_PER_MS))
 
 
-def us_to_ms(us: int) -> float:
-    return us / US_PER_MS
-
-
 def ceil_us(x) -> int:
     """Round a rational duration up to the next whole quantum."""
     return math.ceil(x)

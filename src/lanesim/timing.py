@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .model import MessageSpec, TaskSpec, TimingConfig
+from .model import TaskSpec, TimingConfig
 from .timebase import ceil_us
 
 
@@ -65,10 +65,6 @@ class ProcessorState:
         self._entries: dict = dict(entries or {})
 
     @property
-    def entries(self) -> dict:
-        return dict(self._entries)
-
-    @property
     def utilization(self) -> Fraction:
         return sum(
             (task_utilization(c, t, d) for c, t, d in self._entries.values()),
@@ -102,19 +98,9 @@ def _id_key(key):
     return key if isinstance(key, tuple) else (key,)
 
 
-def assign_priorities(tasks: Sequence[TaskSpec]) -> dict[int, int]:
-    """Deadline-monotonic priority map task_id -> rank (0 is highest)."""
-    order = sorted(tasks, key=lambda t: (t.deadline_us, t.task_id))
-    return {t.task_id: rank for rank, t in enumerate(order)}
-
-
 def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> AdmissionDecision:
-    return admit_entry(proc, task.wcet_us, task.period_us, task.deadline_us, cfg)
-
-
-def admit_entry(proc: ProcessorState, wcet_us: int, period_us: int,
-                deadline_us: int, cfg: TimingConfig) -> AdmissionDecision:
-    resulting = proc.utilization + task_utilization(wcet_us, period_us, deadline_us)
+    resulting = proc.utilization + task_utilization(
+        task.wcet_us, task.period_us, task.deadline_us)
     bound = cfg.effective_bound
     if resulting <= bound:
         return AdmissionDecision(True, resulting)
@@ -148,12 +134,9 @@ class BusState:
         return BusState(self.max_load, new)
 
 
-def message_demand(messages: Iterable[MessageSpec]) -> Fraction:
-    return sum((m.demand for m in messages), Fraction(0))
-
-
-def check_comms(bus: BusState, new_messages: Iterable[MessageSpec]) -> AdmissionDecision:
-    resulting = bus.current_load + message_demand(new_messages)
+def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:
+    """Bus admission of extra message demand (data units per ms)."""
+    resulting = bus.current_load + demand
     if resulting <= bus.max_load:
         return AdmissionDecision(True, resulting)
     return AdmissionDecision(

@@ -164,7 +164,6 @@ def test_exchange_vote_majority_silence_is_confident():
     outcome = exchange_vote(received, CFG)
     assert outcome.silent == frozenset({0})
     assert outcome.flagged == frozenset()
-    assert outcome.implicated == frozenset({0})
     assert not outcome.ambiguous
 
 

@@ -10,7 +10,6 @@ from lanesim.reconfig import (
     Outcome,
     PoliceCounter,
     ReconfigRecord,
-    SelectionPolicy,
     SpareCandidate,
     recovery_order,
     select_spare,
@@ -99,8 +98,10 @@ def test_two_tasks_of_one_app_may_share_a_spare():
         [_spare(0, 3), _spare(1, 3)],
         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == [(1, 0, 3), (2, 0, 3)]
-    placed = plan.spare_states[(0, 3)]
-    assert placed.utilization == Fraction(2, 20) + Fraction(3, 20)
+    # the second admission saw the first reservation
+    second = [d for d in plan.decisions if d.chosen][1]
+    assert second.admission.resulting_utilization == (Fraction(2, 20)
+                                                      + Fraction(3, 20))
 
 
 def test_capacity_overflow_spills_to_the_next_spare():
@@ -151,15 +152,6 @@ def test_selection_with_nothing_to_place_is_an_error():
                      restricted=True)
 
 
-def test_strict_utilization_policy_ignores_lane_affinity():
-    policy = SelectionPolicy(same_lane_first=False)
-    plan = select_spare(
-        [_failed(_task(), home_lane=0)],
-        [_spare(0, 3, util_entries=[(40, 100)]), _spare(1, 3)],
-        BusState(Fraction(10)), CFG, restricted=True, policy=policy)
-    assert plan.placements == [(1, 1, 3)]
-
-
 def test_record_ordering_check():
     rec = ReconfigRecord(
         record_id=1, app_id=1, failed_copy_ids=(1,),
@@ -188,5 +180,3 @@ def test_police_counter_requires_consecutive_matches():
     assert not counter.update(True)
     assert not counter.update(True)
     assert counter.update(True)
-    counter.reset()
-    assert counter.count == 0

@@ -9,18 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lanesim.model import MessageSpec, TaskSpec, TimingConfig, build_system
+from lanesim.model import TaskSpec, TimingConfig, build_system
 from lanesim.timing import (
     BusState,
     NoBandwidth,
     ProcessorState,
-    admit_entry,
     admit_task,
-    assign_priorities,
     available_transfer_bandwidth,
     catchup_time,
     check_comms,
-    message_demand,
     task_utilization,
     transfer_time,
 )
@@ -70,11 +67,12 @@ def test_priorities_are_deadline_monotonic():
     assert prio["fast"] < prio["mid"] < prio["slow"]
 
 
-def test_assign_priorities_breaks_ties_by_task_id():
-    tasks = [_task(task_id=7, period_us=20000),
-             _task(task_id=3, period_us=20000),
-             _task(task_id=5, period_us=10000)]
-    prio = assign_priorities(tasks)
+def test_priorities_break_ties_by_key():
+    state = (ProcessorState()
+             .with_task(7, 1000, 20000, 20000)
+             .with_task(3, 1000, 20000, 20000)
+             .with_task(5, 1000, 10000, 10000))
+    prio = state.priorities()
     assert prio[5] == 0
     assert prio[3] == 1
     assert prio[7] == 2
@@ -82,10 +80,10 @@ def test_assign_priorities_breaks_ties_by_task_id():
 
 def test_admission_accepts_exactly_at_the_bound():
     proc = ProcessorState().with_task("base", 59, 100, 100)
-    at_bound = admit_entry(proc, 10, 100, 100, CFG)     # 0.59 + 0.10 = 0.69
-    assert at_bound.accepted
+    at_bound = admit_task(proc, _task(wcet_us=10, period_us=100), CFG)
+    assert at_bound.accepted                            # 0.59 + 0.10 = 0.69
     assert at_bound.resulting_utilization == Fraction(69, 100)
-    over = admit_entry(proc, 11, 100, 100, CFG)
+    over = admit_task(proc, _task(wcet_us=11, period_us=100), CFG)
     assert not over.accepted
     assert over.resulting_utilization == Fraction(70, 100)
     assert "exceeds bound" in over.reason
@@ -96,8 +94,8 @@ def test_admission_respects_customer_cap():
                           police_rounds=3, tolerance=0.5,
                           customer_cap_mode=True)
     proc = ProcessorState().with_task("base", 45, 100, 100)
-    assert not admit_entry(proc, 10, 100, 100, capped).accepted
-    assert admit_entry(proc, 5, 100, 100, capped).accepted
+    assert not admit_task(proc, _task(wcet_us=10, period_us=100), capped).accepted
+    assert admit_task(proc, _task(wcet_us=5, period_us=100), capped).accepted
 
 
 def test_admit_task_uses_the_spec_fields():
@@ -105,12 +103,6 @@ def test_admit_task_uses_the_spec_fields():
                           CFG)
     assert decision.accepted
     assert decision.resulting_utilization == Fraction(69, 100)
-
-
-def test_message_demand_sums_per_millisecond_rates():
-    msgs = [MessageSpec(msg_id=1, size=Fraction(2), period_us=20000),
-            MessageSpec(msg_id=2, size=Fraction(1), period_us=10000)]
-    assert message_demand(msgs) == Fraction(2, 20) + Fraction(1, 10)
 
 
 def test_bus_state_tracks_demand_by_key():
@@ -124,9 +116,9 @@ def test_bus_state_tracks_demand_by_key():
 
 def test_check_comms_boundary():
     bus = BusState(Fraction(10)).with_demand("x", Fraction(9))
-    fits = check_comms(bus, [MessageSpec(1, Fraction(1), 1000)])
+    fits = check_comms(bus, Fraction(1))
     assert fits.accepted and fits.resulting_utilization == 10
-    over = check_comms(bus, [MessageSpec(1, Fraction(2), 1000)])
+    over = check_comms(bus, Fraction(2))
     assert not over.accepted
 
 
@@ -195,7 +187,7 @@ def test_admission_agrees_with_direct_fraction_sum(entries, wcet, period):
     proc = ProcessorState()
     for i, (c, t) in enumerate(entries):
         proc = proc.with_task(i, c, t, t)
-    decision = admit_entry(proc, wcet, period, period, CFG)
+    decision = admit_task(proc, _task(wcet_us=wcet, period_us=period), CFG)
     resulting = sum((Fraction(c, t) for c, t in entries), Fraction(0))
     resulting += Fraction(wcet, period)
     assert decision.resulting_utilization == resulting
