@@ -127,13 +127,18 @@ class Processor:
         return job
 
     def drop(self, key, now: int):
-        """Abort the job under key, if there is one."""
+        """Abort the job under key, if there is one.
+
+        Only dropping the running job changes what runs. Choosing again
+        otherwise would also bump the generation, and a running job that
+        finishes at this very instant would lose its (now stale) finish.
+        """
         self.charge(now)
         self.jobs.pop(key, None)
         if self.running == ("job", key):
             self.running = None
             self.gen += 1
-        self.dispatch(now)
+            self.dispatch(now)
 
     def halt(self, now: int):
         """Drop every job; background work stays for when the processor resumes."""

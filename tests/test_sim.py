@@ -146,6 +146,25 @@ def test_engine_completions_match_schedule_processor(seed):
             assert got == sorted(want.completions), (lane, proc)
 
 
+@pytest.mark.parametrize("at_ms", [2.9, 3.0, 3.1])
+def test_task_fault_keeps_a_completion_due_at_the_same_instant(at_ms):
+    # task 2 runs 2-3 ms; the fault halts task 1's copy (already done for
+    # this period), and at 3.0 ms it lands on task 2's finishing instant
+    system = single_app_system(tasks=[
+        {"task_id": 1, "wcet_ms": 2, "period_ms": 20, "deadline_ms": 20,
+         "initial_proc": 0, "code_size": 1, "messages": []},
+        {"task_id": 2, "wcet_ms": 1, "period_ms": 20, "deadline_ms": 20,
+         "initial_proc": 0, "code_size": 1, "messages": []},
+    ])
+    fault = {"at_ms": at_ms, "kind": "transient", "duration_ms": 5,
+             "target": {"kind": "task", "lane": 0, "proc": 0,
+                        "app": 1, "task": 1}}
+    result = run(scen([fault], system=system, horizon_ms=20))
+    done = [(c.release_us, c.finish_us) for c in result.completions
+            if c.lane == 0 and c.task == 2]
+    assert done == [(0, 3000)]
+
+
 def test_overload_misses_at_the_deadline_boundary():
     system = single_app_system(tasks=[
         {"task_id": 1, "wcet_ms": 15, "period_ms": 20, "deadline_ms": 20,
