@@ -140,6 +140,21 @@ class Processor:
             self.gen += 1
             self.dispatch(now)
 
+    def expire(self, key, release_us: int, now: int) -> Job | None:
+        """Abort and return the job released at release_us if it is unfinished.
+
+        Called at that job's deadline; the job is charged first, so its
+        remaining work is what was really left.
+        """
+        job = self.jobs.get(key)
+        if job is None or job.release_us != release_us:
+            return None
+        self.charge(now)
+        if job.remaining_us <= 0:
+            return None
+        self.drop(key, now)
+        return job
+
     def halt(self, now: int):
         """Drop every job; background work stays for when the processor resumes."""
         self.charge(now)

@@ -447,19 +447,17 @@ class Engine:
         if rt is None:
             return
         pr = self.procs[rt.place]
-        job = pr.jobs.get(rt.key)
-        if job is None or job.release_us != data["release"]:
+        job = pr.expire(rt.key, data["release"], self.now)
+        if job is None:
             return
-        if job.remaining_us > 0:
-            self.counters["deadline_misses"] += 1
-            self.misses.append(DeadlineMissRecord(
-                self.now, pr.lane, pr.proc, rt.copy.app_id, rt.copy.task_id,
-                job.release_us))
-            self._row("DeadlineMiss", pr.lane, pr.proc, rt.copy.app_id,
-                      rt.copy.task_id,
-                      f"released at {job.release_us}us, "
-                      f"{job.remaining_us}us of work left")
-            pr.drop(rt.key, self.now)
+        self.counters["deadline_misses"] += 1
+        self.misses.append(DeadlineMissRecord(
+            self.now, pr.lane, pr.proc, rt.copy.app_id, rt.copy.task_id,
+            job.release_us))
+        self._row("DeadlineMiss", pr.lane, pr.proc, rt.copy.app_id,
+                  rt.copy.task_id,
+                  f"released at {job.release_us}us, "
+                  f"{job.remaining_us}us of work left")
 
     # -- faults ------------------------------------------------------------------
 
@@ -1236,10 +1234,8 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
             else:
                 report.background_done_us = now
         elif rank == 1:
-            job = cpu.jobs.get(key)
-            if job is not None and job.release_us == arg and job.remaining_us > 0:
+            if cpu.expire(key, arg, now) is not None:
                 report.misses.append((key, arg, now))
-                cpu.drop(key, now)
         else:
             t = specs[key]
             deadline = now + t.deadline_us

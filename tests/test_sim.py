@@ -180,6 +180,12 @@ def test_overload_misses_at_the_deadline_boundary():
     first = [m for m in result.deadline_misses if m.time_us == 20000]
     assert sorted(m.lane for m in first) == [0, 1, 2]
     assert all(m.task == 2 and m.release_us == 0 for m in first)
+    # task 2 ran from 15 to 20 ms, so 3 of its 8 ms were left
+    rows = [e for e in result.trace
+            if e.kind == "DeadlineMiss" and e.time_us == 20000]
+    assert len(rows) == 3
+    assert all(e.detail == "released at 0us, 3000us of work left"
+               for e in rows)
 
 
 def test_initial_overload_is_rejected_up_front():
