@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .model import InvalidModel, MalformedDocument
 from .reconfig import Outcome
-from .scenario import dump_scenario, generate_scenario, load_scenario
+from .scenario import (dump_scenario, generate_scenario, load_scenario,
+                       scenario_violations)
 from .sim import SimResult, run
 from .timebase import US_PER_MS
 
@@ -150,6 +151,11 @@ def _apply_overrides(scenario, args):
         changes["seed"] = args.seed
     if changes:
         scenario.settings = dataclasses.replace(scenario.settings, **changes)
+        # an override can break what parsing checked, e.g. a horizon that
+        # is not positive or that puts a scripted fault at or after it
+        violations = scenario_violations(scenario)
+        if violations:
+            raise InvalidModel(violations)
     return scenario
 
 

@@ -316,3 +316,31 @@ def test_batch_reports_the_worst_failure(tmp_path, capsys):
 
 def test_batch_with_no_scenarios_is_an_error(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("horizon_ms,reason", [
+    ("-5", "horizon must be positive"),
+    ("50", "fault 0 fires at/after the horizon"),    # the fault is at 50 ms
+])
+def test_run_validates_its_overrides(tmp_path, capsys, horizon_ms, reason):
+    path = _write_scenario(tmp_path)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out_dir),
+                     "--horizon-ms", horizon_ms]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("horizon_ms,completed", [("-5", 0), ("40", 1)])
+def test_batch_validates_its_overrides(tmp_path, capsys, horizon_ms,
+                                       completed):
+    _write_scenario(tmp_path, name="late.json")      # fault at 50 ms
+    _write_scenario(tmp_path, name="quiet.json", faults=[])
+    out_root = tmp_path / "runs"
+    assert cli.main(["batch", str(tmp_path), "--out-dir", str(out_root),
+                     "--horizon-ms", horizon_ms]) == 1
+    out = capsys.readouterr().out
+    assert "late.json: invalid: MalformedDocument: " in out
+    assert f"batch: {completed}/2 scenarios completed" in out
+    assert (out_root / "quiet" / "metrics.json").exists() == bool(completed)
+    assert not (out_root / "late").exists()
