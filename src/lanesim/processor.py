@@ -23,7 +23,6 @@ from dataclasses import dataclass
 class Job:
     owner: object           # whatever the caller files the work under
     release_us: int
-    deadline_us: int | None
     remaining_us: int
     start_us: int | None = None
 

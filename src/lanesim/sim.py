@@ -418,9 +418,8 @@ class Engine:
         if pr.failed or pr.dead or self._silenced(rt.copy):
             return
         self.counters["releases"] += 1
+        pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
         deadline = self.now + rt.spec.deadline_us
-        pr.release(rt.key, Job(rt, self.now, deadline, rt.spec.wcet_us),
-                   self.now)
         if deadline <= self.horizon:
             self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy.copy_id,
                        {"copy": rt.copy.copy_id, "release": self.now})
@@ -1109,7 +1108,7 @@ class Engine:
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
                 self.procs[(lane, proc)].add_background(
-                    copy.copy_id, Job(rt, self.now, None, rt.replay_left_us),
+                    copy.copy_id, Job(rt, self.now, rt.replay_left_us),
                     self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
@@ -1220,7 +1219,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     for key in specs:
         heapq.heappush(events, (0, 2, next(seq), key, None))
     if background_us > 0:
-        cpu.add_background(0, Job(None, 0, None, background_us), 0)
+        cpu.add_background(0, Job(None, 0, background_us), 0)
 
     report = ProcSchedule()
     while events and events[0][0] <= window_us:
@@ -1238,10 +1237,9 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
                 report.misses.append((key, arg, now))
         else:
             t = specs[key]
-            deadline = now + t.deadline_us
-            cpu.release(key, Job(key, now, deadline, t.wcet_us), now)
-            if deadline <= window_us:
-                heapq.heappush(events, (deadline, 1, next(seq), key, now))
+            cpu.release(key, Job(key, now, t.wcet_us), now)
+            if now + t.deadline_us <= window_us:
+                heapq.heappush(events, (now + t.deadline_us, 1, next(seq), key, now))
             if now + t.period_us < window_us:
                 heapq.heappush(events, (now + t.period_us, 2, next(seq), key, None))
     return report
