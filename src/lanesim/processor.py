@@ -1,17 +1,12 @@
 """One processor's preemptive deadline-monotonic schedule.
 
-The event engine (:mod:`lanesim.sim`) and the standalone
-``schedule_processor`` both drive this class, so the simulator has a
-single scheduler. Jobs run by deadline-monotonic rank, taken from
+The event engine and ``schedule_processor`` (both in :mod:`lanesim.sim`)
+drive this one class. Jobs run by the ranks of
 :meth:`lanesim.timing.ProcessorState.priorities`; background work (a
-rebuilt copy's history replay) soaks up time no job wants, lowest key
-first.
-
-Processor time is accounted lazily: the running work is charged only when
-the caller touches the processor. Whenever the choice of what runs
-changes, the generation counter moves on and ``wake`` learns when the new
-choice will finish unless something preempts it; a finish carrying an
-older generation is stale and ignored.
+rebuilt copy's history replay) takes the time no job wants, lowest key
+first. Time is charged lazily, when the caller touches the processor.
+Each change of what runs moves the generation on and tells ``wake`` when
+the new choice will finish; a finish of an older generation is stale.
 """
 
 from __future__ import annotations
@@ -46,11 +41,7 @@ class Processor:
         return True
 
     def wake(self, at_us: int):
-        """Newly chosen work finishes at at_us unless something preempts it.
-
-        The subclass delivers that instant back to :meth:`finish` together
-        with ``running`` and ``gen`` as they are now.
-        """
+        """Deliver at_us to :meth:`finish` with ``running`` and ``gen`` as now."""
         raise NotImplementedError
 
     def charge(self, now: int):
@@ -126,12 +117,9 @@ class Processor:
         return job
 
     def drop(self, key, now: int):
-        """Abort the job under key, if there is one.
-
-        Only dropping the running job changes what runs. Choosing again
-        otherwise would also bump the generation, and a running job that
-        finishes at this very instant would lose its (now stale) finish.
-        """
+        """Abort the job under key, if there is one."""
+        # only the running job's exit changes what runs; choosing again
+        # anyway would stale the finish of a job done at this very instant
         self.charge(now)
         self.jobs.pop(key, None)
         if self.running == ("job", key):
@@ -140,10 +128,9 @@ class Processor:
             self.dispatch(now)
 
     def expire(self, key, release_us: int, now: int) -> Job | None:
-        """Abort and return the job released at release_us if it is unfinished.
+        """At its deadline, abort and return the job if it is unfinished.
 
-        Called at that job's deadline; the job is charged first, so its
-        remaining work is what was really left.
+        The job is charged first, so its remaining work is what was left.
         """
         job = self.jobs.get(key)
         if job is None or job.release_us != release_us:
@@ -160,4 +147,3 @@ class Processor:
         self.jobs.clear()
         self.running = None
         self.gen += 1
-        self.since = now

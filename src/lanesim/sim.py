@@ -1140,11 +1140,8 @@ class Engine:
 
 
 def _event_pusher(heap: list):
-    """The engine's event push: (at, rank, key, seq, kind, data) tuples.
-
-    It closes over the heap rather than the engine, so the processors that
-    hold it keep no reference cycle (and no finished engine) alive.
-    """
+    """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
+    heap, not the engine, so processors holding it form no reference cycle."""
     seq = itertools.count()
 
     def push(at_us: int, kind: EventKind, key, data: dict):
@@ -1179,19 +1176,6 @@ class ProcSchedule:
     background_done_us: int | None = None
 
 
-class _Standalone(Processor):
-    """A processor whose finish instants go onto schedule_processor's heap."""
-
-    def __init__(self, events: list, seq):
-        super().__init__()
-        self.events = events
-        self.seq = seq
-
-    def wake(self, at_us: int):
-        heapq.heappush(self.events,
-                       (at_us, 0, next(self.seq), self.running, self.gen))
-
-
 def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSchedule:
     """Run a deadline-monotonic preemptive schedule on one processor.
 
@@ -1199,49 +1183,47 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     time zero. Background work soaks up every idle microsecond at less than
     any task priority; the report notes when the backlog (if any) drained.
     An instance that reaches its deadline unfinished is recorded as a miss
-    and aborted. The processor is the engine's, so at one instant finishes
-    come before deadlines and deadlines before releases, and a deadline on
-    the window edge still counts, as the engine's horizon is inclusive.
+    and aborted. The processor and the event order are the engine's, so a
+    deadline on the window edge still counts, as on the engine's horizon.
     """
     tasks = list(tasks)
     specs = {t.task_id: t for t in tasks}
     if len(specs) != len(tasks):
         raise ValueError("task ids must be distinct")
-    # (time, rank, seq, key, arg): rank 0 finishes a wake-up (arg is its
-    # generation), 1 checks a deadline (arg is the release), 2 releases
     events: list = []
-    seq = itertools.count()
-
-    cpu = _Standalone(events, seq)
-    cpu.prios = ProcessorState(
-        {key: (t.wcet_us, t.period_us, t.deadline_us)
-         for key, t in specs.items()}).priorities()
+    push = _event_pusher(events)
+    cpu = _Proc(0, 0, push)
+    cpu.admitted = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
+                                   for key, t in specs.items()})
+    cpu.refresh_priorities()
     for key in specs:
-        heapq.heappush(events, (0, 2, next(seq), key, None))
+        push(0, EventKind.TASK_RELEASE, key, {"task": key})
     if background_us > 0:
         cpu.add_background(0, Job(None, 0, background_us), 0)
 
     report = ProcSchedule()
     while events and events[0][0] <= window_us:
-        now, rank, _seq, key, arg = heapq.heappop(events)
-        if rank == 0:
-            job = cpu.finish(key, arg, now)
+        now, _rank, _key, _seq, kind, data = heapq.heappop(events)
+        if kind is EventKind.TASK_COMPLETE:
+            job = cpu.finish(data["what"], data["gen"], now)
             if job is None:
                 continue
-            if key[0] == "job":
-                report.completions.append((key[1], job.release_us, now))
+            if data["what"][0] == "job":
+                report.completions.append((job.owner, job.release_us, now))
             else:
                 report.background_done_us = now
-        elif rank == 1:
-            if cpu.expire(key, arg, now) is not None:
-                report.misses.append((key, arg, now))
+        elif kind is EventKind.DEADLINE_CHECK:
+            if cpu.expire(data["task"], data["release"], now) is not None:
+                report.misses.append((data["task"], data["release"], now))
         else:
-            t = specs[key]
-            cpu.release(key, Job(key, now, t.wcet_us), now)
+            t = specs[data["task"]]
+            cpu.release(t.task_id, Job(t.task_id, now, t.wcet_us), now)
             if now + t.deadline_us <= window_us:
-                heapq.heappush(events, (now + t.deadline_us, 1, next(seq), key, now))
+                push(now + t.deadline_us, EventKind.DEADLINE_CHECK, t.task_id,
+                     {"task": t.task_id, "release": now})
             if now + t.period_us < window_us:
-                heapq.heappush(events, (now + t.period_us, 2, next(seq), key, None))
+                push(now + t.period_us, EventKind.TASK_RELEASE, t.task_id,
+                     {"task": t.task_id})
     return report
 
 
