@@ -118,8 +118,9 @@ class Processor:
 
     def drop(self, key, now: int):
         """Abort the job under key, if there is one."""
-        # only the running job's exit changes what runs; choosing again
-        # anyway would stale the finish of a job done at this very instant
+        # only losing the running job changes what runs; choosing again
+        # anyway would bump gen, and a job finishing at this very instant
+        # would lose its finish as stale
         self.charge(now)
         self.jobs.pop(key, None)
         if self.running == ("job", key):

@@ -136,8 +136,8 @@ class SimResult:
 class _Proc(Processor):
     """Runtime face of one (lane, processor) slot.
 
-    Jobs are keyed (app_id, task_id) and owned by their _CopyRt; history
-    replay runs as background work keyed by copy id.
+    The engine keys jobs (app_id, task_id), owned by their _CopyRt, and runs
+    history replay as background work keyed by copy id.
     """
 
     def __init__(self, lane: int, proc: int, push):
