@@ -3,7 +3,7 @@
 from .coverage import (CoverageLevel, CoverageSample, RiskReport,
                        functional_coverage, peripheral_coverage, time_at_risk,
                        zonal_coverage)
-from .fault import (Consensus, FaultKind, FaultSpec, FaultTarget, Granularity,
+from .fault import (Consensus, FaultKind, FaultSpec, FaultTarget,
                     InsufficientLanes, TargetKind, VoteOutcome, VoterConfig,
                     bit_detects, can_identify_byzantine, classify,
                     cross_monitor, exchange_vote)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .reconfig import Outcome
 from .scenario import (dump_scenario, generate_scenario, load_scenario,
                        scenario_violations)
 from .sim import SimResult, run
-from .timebase import US_PER_MS
+from .timebase import US_PER_MS, ms_to_us
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -146,7 +147,7 @@ def _resolve_out_dir(option) -> Path:
 def _apply_overrides(scenario, args):
     changes = {}
     if getattr(args, "horizon_ms", None) is not None:
-        changes["horizon_us"] = round(args.horizon_ms * US_PER_MS)
+        changes["horizon_us"] = ms_to_us(args.horizon_ms)
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
     if changes:
@@ -242,6 +243,17 @@ def _violation_text(exc: InvalidModel) -> str:
     return "; ".join(f"{v.code}: {v.message}" for v in violations)
 
 
+def _finite_ms(text: str) -> float:
+    """--horizon-ms value: any finite number (its sign is checked later)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lanesim",
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--out-dir", default=None,
                    help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p.add_argument("--horizon-ms", type=float, default=None,
+    p.add_argument("--horizon-ms", type=_finite_ms, default=None,
                    help="override the simulation horizon")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
@@ -274,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw an overloaded task set and disable admission")
     p.add_argument("--faults", type=int, default=0,
                    help="number of random fault injections to script")
-    p.add_argument("--horizon-ms", type=float, default=None)
+    p.add_argument("--horizon-ms", type=_finite_ms, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("batch", help="run every scenario in a directory")
     p.add_argument("directory")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--horizon-ms", type=float, default=None)
+    p.add_argument("--horizon-ms", type=_finite_ms, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_batch)
     return parser

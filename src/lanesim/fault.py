@@ -1,5 +1,11 @@
 """Fault model, cross-monitoring voters, and detection classification.
 
+Fault targets and shutdown scopes are one type, :class:`FaultTarget`: a
+lane, a processor, a task copy or a sensor channel. Lane, processor and
+task scopes nest, and ``FaultTarget.contains``/``overlaps`` is the one rule
+for "does this fault or shutdown cover that element". ``classify`` turns
+vote evidence into the ``FaultTarget``s to shut down.
+
 Detection has two mechanisms. Built-in test (BIT) is local health
 monitoring: it catches permanent and transient hardware faults on the
 processor it runs on, and is structurally blind to Byzantine behaviour. The
@@ -47,26 +53,37 @@ class TargetKind(Enum):
     SENSOR = "sensor"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultTarget:
+    """A scope: what a fault strikes, and what a shutdown removes.
+
+    A lane contains its processors and a processor the task copies it
+    runs; a sensor channel (app, lane) is a scope of its own.
+    """
+
     kind: TargetKind
     lane: int | None = None
     proc: int | None = None
     app: int | None = None
     task: int | None = None
 
-    def hits_processor(self, lane: int, proc: int) -> bool:
-        """Does this target silence the whole (lane, proc) element?"""
+    def contains(self, other: FaultTarget) -> bool:
+        """Is ``other`` inside this scope (or equal to it)?"""
+        if self.kind is TargetKind.SENSOR or other.kind is TargetKind.SENSOR:
+            return self == other
+        if self.lane != other.lane:
+            return False
         if self.kind is TargetKind.LANE:
-            return self.lane == lane
+            return True
+        if other.kind is TargetKind.LANE or self.proc != other.proc:
+            return False
         if self.kind is TargetKind.PROCESSOR:
-            return (self.lane, self.proc) == (lane, proc)
-        return False
+            return True
+        return (other.kind is TargetKind.TASK
+                and (self.app, self.task) == (other.app, other.task))
 
-    def hits_copy(self, lane: int, proc: int, app: int, task: int) -> bool:
-        if self.kind is TargetKind.TASK:
-            return (self.lane, self.proc, self.app, self.task) == (lane, proc, app, task)
-        return self.hits_processor(lane, proc)
+    def overlaps(self, other: FaultTarget) -> bool:
+        return self.contains(other) or other.contains(self)
 
 
 @dataclass(frozen=True)
@@ -92,13 +109,6 @@ class FaultSpec:
         if self.kind is FaultKind.TRANSIENT and self.duration_us is not None:
             return self.at_us + self.duration_us
         return None
-
-
-class Granularity(Enum):
-    LANE = "lane"
-    PROCESSOR = "processor"
-    TASK = "task"
-    SENSOR = "sensor"
 
 
 class Consensus(Enum):
@@ -248,46 +258,31 @@ def bit_detects(fault: FaultSpec, lane: int, proc: int,
     if not fault.active_at(now_us):
         return False
     t = fault.target
-    if t.kind is TargetKind.PROCESSOR:
-        return (t.lane, t.proc) == (lane, proc)
-    if t.kind is TargetKind.TASK:
-        return (t.lane, t.proc) == (lane, proc) and (t.app, t.task) in hosted_tasks
-    return False
+    if not FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc).contains(t):
+        return False
+    return t.kind is TargetKind.PROCESSOR or (t.app, t.task) in hosted_tasks
 
 
-@dataclass(frozen=True)
-class ShutdownDirective:
-    """What a detection implies should be removed from service."""
-
-    granularity: Granularity
-    lane: int
-    proc: int | None = None
-    app: int | None = None
-    task: int | None = None
-
-    def sort_key(self):
-        order = {Granularity.LANE: 0, Granularity.PROCESSOR: 1,
-                 Granularity.TASK: 2, Granularity.SENSOR: 3}
-        return (order[self.granularity], self.lane,
-                self.proc or -1, self.app or -1, self.task or -1)
-
-
-def classify(implicated, hosted) -> list[ShutdownDirective]:
-    """Fold implicated copies into lane-, processor- or task-level directives.
+def classify(implicated, hosted) -> list[FaultTarget]:
+    """Fold implicated copies into lane, processor or task shutdown scopes.
 
     ``implicated`` is a set of (lane, proc, app, task) copies that deviated
     or fell silent this round; ``hosted`` maps (lane, proc) to the set of
-    (app, task) copies the processor currently hosts. A lane directive needs
+    (app, task) copies the processor currently hosts. A lane scope needs
     every hosting processor of the lane implicated in full, and at least two
     of them (voting cannot implicate an empty spare, and single-processor
-    evidence only supports processor granularity). A processor directive
-    needs all of its hosted copies implicated; anything less is per-task.
+    evidence only supports a processor scope). A processor scope needs all
+    of its hosted copies implicated; anything less is per-task. Lane scopes
+    come first, then processor scopes, then task scopes, each in coordinate
+    order.
     """
     by_proc: dict = {}
     for (lane, proc, app, task) in implicated:
         by_proc.setdefault((lane, proc), set()).add((app, task))
 
-    directives: list[ShutdownDirective] = []
+    lane_scopes: list[FaultTarget] = []
+    proc_scopes: list[FaultTarget] = []
+    task_scopes: list[FaultTarget] = []
     consumed = set()
 
     full_procs = {
@@ -299,7 +294,7 @@ def classify(implicated, hosted) -> list[ShutdownDirective]:
         hosting = {key for key in hosted if key[0] == lane and hosted[key]}
         lane_full = {key for key in full_procs if key[0] == lane}
         if hosting and lane_full >= hosting and len(lane_full) >= 2:
-            directives.append(ShutdownDirective(Granularity.LANE, lane))
+            lane_scopes.append(FaultTarget(TargetKind.LANE, lane=lane))
             consumed.update(key for key in by_proc if key[0] == lane)
 
     for key in sorted(by_proc):
@@ -307,12 +302,12 @@ def classify(implicated, hosted) -> list[ShutdownDirective]:
             continue
         lane, proc = key
         if key in full_procs:
-            directives.append(ShutdownDirective(Granularity.PROCESSOR, lane, proc))
+            proc_scopes.append(FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc))
         else:
             for app, task in sorted(by_proc[key]):
-                directives.append(
-                    ShutdownDirective(Granularity.TASK, lane, proc, app, task))
-    return sorted(directives, key=ShutdownDirective.sort_key)
+                task_scopes.append(FaultTarget(
+                    TargetKind.TASK, lane=lane, proc=proc, app=app, task=task))
+    return lane_scopes + proc_scopes + task_scopes
 
 
 def police_matches(value: float, consensus: float, cfg: TimingConfig) -> bool:

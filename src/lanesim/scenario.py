@@ -289,6 +289,8 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("need at least one application slot")
     if not infeasible and not 0.0 <= target_utilization <= 1.0:
         raise ValueError("target utilization must be within [0, 1]")
+    if horizon_ms is not None and not (math.isfinite(horizon_ms) and horizon_ms > 0):
+        raise ValueError("horizon must be positive and finite")
 
     rng = random.Random(seed)
     allocated = list(range(procs - 1))

@@ -29,9 +29,8 @@ from enum import Enum
 
 from . import coverage as cov
 from . import timebase
-from .fault import (FaultKind, Granularity, ShutdownDirective, TargetKind,
-                    bit_detects, classify, cross_monitor, exchange_vote,
-                    police_matches)
+from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects, classify,
+                    cross_monitor, exchange_vote, police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, TaskSpec, Violation, initial_allocation)
 from .processor import Job, Processor
@@ -144,6 +143,7 @@ class _Proc(Processor):
         super().__init__()
         self.lane = lane
         self.proc = proc
+        self.scope = FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
         self.admitted = ProcessorState()
@@ -178,6 +178,12 @@ class _CopyRt:
     police: PoliceCounter | None = None
     eligible_us: int | None = None
     episode: "_Episode | None" = None
+    scope: FaultTarget = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.copy     # a copy never moves, so its scope is fixed
+        self.scope = FaultTarget(TargetKind.TASK, lane=c.lane, proc=c.proc,
+                                 app=c.app_id, task=c.task_id)
 
     @property
     def key(self):
@@ -415,7 +421,7 @@ class Engine:
             self._push(nxt, EventKind.TASK_RELEASE, rt.copy.copy_id,
                        {"copy": rt.copy.copy_id})
         pr = self.procs[rt.place]
-        if pr.failed or pr.dead or self._silenced(rt.copy):
+        if pr.failed or pr.dead or self._silenced(rt):
             return
         self.counters["releases"] += 1
         pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
@@ -460,26 +466,17 @@ class Engine:
 
     # -- faults ------------------------------------------------------------------
 
-    def _active_faults(self, at_us=None):
-        t = self.now if at_us is None else at_us
-        return [f for f in self.sc.faults if f.active_at(t)]
+    def _active_faults(self):
+        return [f for f in self.sc.faults if f.active_at(self.now)]
 
-    def _silenced(self, copy: Copy) -> bool:
+    def _silenced(self, rt: _CopyRt) -> bool:
         """Is the copy halted (not just skewed) by an active fault?"""
-        for f in self._active_faults():
-            if f.kind is FaultKind.BYZANTINE or f.target.kind is TargetKind.SENSOR:
-                continue
-            if f.target.hits_copy(copy.lane, copy.proc, copy.app_id, copy.task_id):
-                return True
-        return False
+        return any(f.kind is not FaultKind.BYZANTINE and f.target.contains(rt.scope)
+                   for f in self._active_faults())
 
     def _refresh_proc_failure(self, pr: _Proc):
-        halted = any(
-            f.target.hits_processor(pr.lane, pr.proc)
-            for f in self._active_faults()
-            if f.kind is not FaultKind.BYZANTINE
-            and f.target.kind is not TargetKind.SENSOR
-        )
+        halted = any(f.kind is not FaultKind.BYZANTINE and f.target.contains(pr.scope)
+                     for f in self._active_faults())
         if halted and not pr.failed:
             pr.halt(self.now)
             pr.failed = True
@@ -497,12 +494,11 @@ class Engine:
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self.copies.values():
-                if (rt.copy.lane, rt.copy.proc, rt.copy.app_id,
-                        rt.copy.task_id) == (t.lane, t.proc, t.app, t.task):
+                if t.contains(rt.scope):
                     self.procs[rt.place].drop(rt.key, self.now)
             return
         for pr in self.procs.values():
-            if t.hits_processor(pr.lane, pr.proc):
+            if t.contains(pr.scope):
                 self._refresh_proc_failure(pr)
 
     def _on_fault_clear(self, data):
@@ -513,9 +509,9 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        if f.kind is not FaultKind.BYZANTINE and t.kind is not TargetKind.TASK:
+        if f.kind is not FaultKind.BYZANTINE:
             for pr in self.procs.values():
-                if t.hits_processor(pr.lane, pr.proc):
+                if t.contains(pr.scope):
                     self._refresh_proc_failure(pr)
         for ep in self._episodes:
             if (not ep.closed and ep.origin == "restabilize"
@@ -568,16 +564,12 @@ class Engine:
             if p < 1.0 and self.rng.random() >= p:
                 continue
             self._bit_detected.add(f.fault_id)
-            if f.target.kind is TargetKind.PROCESSOR:
-                d = ShutdownDirective(Granularity.PROCESSOR, pr.lane, pr.proc)
-            else:
-                d = ShutdownDirective(Granularity.TASK, pr.lane, pr.proc,
-                                      f.target.app, f.target.task)
+            t = f.target    # this processor or a copy it hosts: the shutdown
             self.counters["detections"] += 1
-            self._row("Detection", pr.lane, pr.proc, f.target.app, f.target.task,
+            self._row("Detection", t.lane, t.proc, t.app, t.task,
                       f"bit caught {f.kind.value} fault {f.fault_id} "
-                      f"({d.granularity.value} granularity)")
-            self._apply_directives([d])
+                      f"({t.kind.value} granularity)")
+            self._apply_directives([t])
             return
 
     # -- voting ---------------------------------------------------------------------
@@ -585,11 +577,10 @@ class Engine:
     def _reference_value(self) -> float:
         return self.settings.reference.value(self.now)
 
-    def _skew_for(self, copy: Copy):
-        """Active byzantine fault hitting this copy, if any."""
+    def _skew_for(self, rt: _CopyRt):
+        """First active byzantine fault hitting this copy, if any."""
         for f in self._active_faults():
-            if f.kind is FaultKind.BYZANTINE and f.target.hits_copy(
-                    copy.lane, copy.proc, copy.app_id, copy.task_id):
+            if f.kind is FaultKind.BYZANTINE and f.target.contains(rt.scope):
                 return f
         return None
 
@@ -600,10 +591,10 @@ class Engine:
             return None
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        if self._silenced(rt.copy):
+        if self._silenced(rt):
             return None
         value = self._reference_value()
-        byz = self._skew_for(rt.copy)
+        byz = self._skew_for(rt)
         if byz is not None:
             value += byz.value_skew
         if rt.converge_left > 0:
@@ -652,7 +643,7 @@ class Engine:
         flagged, ambiguous = frozenset(), False
         if len(emitting) >= 2:
             per_rcv = [rt for rt in expected
-                       if (byz := self._skew_for(rt.copy)) is not None
+                       if (byz := self._skew_for(rt)) is not None
                        and byz.per_receiver]
             if per_rcv:
                 outcome = exchange_vote(
@@ -697,7 +688,7 @@ class Engine:
         ref = self._reference_value()
         for r in receivers:
             claims: dict = {}
-            r_byz = self._skew_for(r.copy)
+            r_byz = self._skew_for(r)
             for s in expected:
                 truth = self._sent_value(s, r, ref)
                 if truth is None:
@@ -715,7 +706,7 @@ class Engine:
         base = self._emitted(sender)
         if base is None:
             return None
-        byz = self._skew_for(sender.copy)
+        byz = self._skew_for(sender)
         if byz is not None and byz.per_receiver and sender is not receiver:
             sign = 1 if (receiver.copy.lane + byz.fault_id) % 2 == 0 else -1
             return ref + byz.value_skew * sign
@@ -815,26 +806,12 @@ class Engine:
         for d in directives:
             self.counters["detections"] += 1
             self._row("Detection", d.lane, d.proc, d.app, d.task,
-                      f"cross-monitor consensus ({d.granularity.value} granularity)")
+                      f"cross-monitor consensus ({d.kind.value} granularity)")
         self._apply_directives(directives)
 
-    def _directive_causes(self, d: ShutdownDirective):
-        """Active faults that explain a directive's scope."""
-        out = []
-        for f in self._active_faults():
-            t = f.target
-            if t.kind is TargetKind.SENSOR:
-                continue
-            if d.granularity is Granularity.LANE:
-                hit = t.lane == d.lane
-            elif d.granularity is Granularity.PROCESSOR:
-                hit = t.hits_processor(d.lane, d.proc) or (
-                    t.kind is TargetKind.TASK and (t.lane, t.proc) == (d.lane, d.proc))
-            else:
-                hit = t.hits_copy(d.lane, d.proc, d.app, d.task)
-            if hit:
-                out.append(f)
-        return out
+    def _directive_causes(self, d: FaultTarget):
+        """Active faults that explain a shutdown scope: inside it or around it."""
+        return [f for f in self._active_faults() if f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
         affected: dict = {}     # app_id -> {"copies": [...], "transient": bool,
@@ -847,7 +824,7 @@ class Engine:
             victims = self._directive_victims(d)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
-                      f"{d.granularity.value} shutdown, "
+                      f"{d.kind.value} shutdown, "
                       f"{'restabilize in place' if transient else 'withdrawn'}"
                       + (f", faults {list(cause_ids)}" if cause_ids else ""))
             if not transient:
@@ -877,32 +854,14 @@ class Engine:
         if self._selection_at != self.now:
             self._pump_bus()
 
-    def _directive_victims(self, d: ShutdownDirective):
-        out = []
-        for rt in sorted(self.copies.values(), key=lambda rt: rt.copy.copy_id):
-            c = rt.copy
-            if c.health is not Health.ACTIVE:
-                continue
-            if d.granularity is Granularity.LANE:
-                hit = c.lane == d.lane
-            elif d.granularity is Granularity.PROCESSOR:
-                hit = (c.lane, c.proc) == (d.lane, d.proc)
-            else:
-                hit = (c.lane, c.proc, c.app_id, c.task_id) == (
-                    d.lane, d.proc, d.app, d.task)
-            if hit:
-                out.append(rt)
-        return out
+    def _directive_victims(self, d: FaultTarget):
+        return [rt for rt in sorted(self.copies.values(),
+                                    key=lambda rt: rt.copy.copy_id)
+                if rt.copy.health is Health.ACTIVE and d.contains(rt.scope)]
 
-    def _mark_dead(self, d: ShutdownDirective):
-        if d.granularity is Granularity.TASK:
-            return
+    def _mark_dead(self, d: FaultTarget):
         for pr in self.procs.values():
-            if pr.lane != d.lane:
-                continue
-            if d.granularity is Granularity.PROCESSOR and pr.proc != d.proc:
-                continue
-            if not pr.dead:
+            if d.contains(pr.scope) and not pr.dead:
                 pr.dead = True
                 pr.halt(self.now)
 

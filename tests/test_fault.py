@@ -10,9 +10,7 @@ from lanesim.fault import (
     FaultKind,
     FaultSpec,
     FaultTarget,
-    Granularity,
     InsufficientLanes,
-    ShutdownDirective,
     TargetKind,
     VoterConfig,
     bit_detects,
@@ -223,32 +221,32 @@ def test_classify_single_copy_is_task_granularity():
     hosted = {(0, 0): {(1, 1), (2, 2)}}
     directives = classify({(0, 0, 1, 1)}, hosted)
     assert directives == [
-        ShutdownDirective(Granularity.TASK, 0, 0, 1, 1)]
+        FaultTarget(TargetKind.TASK, 0, 0, 1, 1)]
 
 
 def test_classify_full_processor():
     hosted = {(0, 0): {(1, 1), (2, 2)}, (0, 1): {(3, 3)}}
     directives = classify({(0, 0, 1, 1), (0, 0, 2, 2)}, hosted)
-    assert directives == [ShutdownDirective(Granularity.PROCESSOR, 0, 0)]
+    assert directives == [FaultTarget(TargetKind.PROCESSOR, 0, 0)]
 
 
 def test_classify_whole_lane_needs_two_full_processors():
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2)}, (1, 0): {(1, 1)}}
     directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert directives == [ShutdownDirective(Granularity.LANE, 0)]
+    assert directives == [FaultTarget(TargetKind.LANE, 0)]
 
 
 def test_classify_single_processor_lane_stays_processor_granularity():
     hosted = {(0, 0): {(1, 1)}, (1, 0): {(1, 1)}}
     directives = classify({(0, 0, 1, 1)}, hosted)
-    assert directives == [ShutdownDirective(Granularity.PROCESSOR, 0, 0)]
+    assert directives == [FaultTarget(TargetKind.PROCESSOR, 0, 0)]
 
 
 def test_classify_partial_lane_yields_mixed_directives():
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2), (3, 3)}}
     directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert ShutdownDirective(Granularity.PROCESSOR, 0, 0) in directives
-    assert ShutdownDirective(Granularity.TASK, 0, 1, 2, 2) in directives
+    assert FaultTarget(TargetKind.PROCESSOR, 0, 0) in directives
+    assert FaultTarget(TargetKind.TASK, 0, 1, 2, 2) in directives
     assert len(directives) == 2
 
 
@@ -258,7 +256,63 @@ def test_classify_empty_spares_do_not_block_lane_escalation():
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2)}, (0, 2): set(),
               (1, 0): {(1, 1)}}
     directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert directives == [ShutdownDirective(Granularity.LANE, 0)]
+    assert directives == [FaultTarget(TargetKind.LANE, 0)]
+
+
+def test_classify_orders_lane_then_processor_then_task_scopes():
+    hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2), (3, 3)},
+              (1, 0): {(1, 1)}, (1, 1): {(2, 2)}, (2, 0): {(1, 1)}}
+    implicated = {(0, 1, 3, 3), (0, 0, 1, 1), (1, 0, 1, 1), (1, 1, 2, 2),
+                  (2, 0, 1, 1)}
+    assert classify(implicated, hosted) == [
+        FaultTarget(TargetKind.LANE, lane=1),
+        FaultTarget(TargetKind.PROCESSOR, lane=0, proc=0),
+        FaultTarget(TargetKind.PROCESSOR, lane=2, proc=0),
+        FaultTarget(TargetKind.TASK, lane=0, proc=1, app=3, task=3),
+    ]
+
+
+# --- scopes ------------------------------------------------
+
+_coord = st.integers(min_value=0, max_value=1)
+scopes = st.one_of(
+    st.builds(FaultTarget, st.just(TargetKind.LANE), lane=_coord),
+    st.builds(FaultTarget, st.just(TargetKind.PROCESSOR), lane=_coord,
+              proc=_coord),
+    st.builds(FaultTarget, st.just(TargetKind.TASK), lane=_coord, proc=_coord,
+              app=_coord, task=_coord),
+    st.builds(FaultTarget, st.just(TargetKind.SENSOR), lane=_coord,
+              app=_coord),
+)
+
+
+def reference_contains(a, b):
+    """Coordinate-prefix containment; sensor channels are disjoint scopes."""
+    if TargetKind.SENSOR in (a.kind, b.kind):
+        return (a.kind, a.app, a.lane) == (b.kind, b.app, b.lane)
+    path = {TargetKind.LANE: lambda t: (t.lane,),
+            TargetKind.PROCESSOR: lambda t: (t.lane, t.proc),
+            TargetKind.TASK: lambda t: (t.lane, t.proc, t.app, t.task)}
+    outer, inner = path[a.kind](a), path[b.kind](b)
+    return inner[:len(outer)] == outer
+
+
+@given(scopes, scopes)
+def test_contains_matches_coordinate_prefix_reference(a, b):
+    assert a.contains(b) == reference_contains(a, b)
+
+
+@given(scopes, scopes, scopes)
+def test_contains_is_reflexive_and_transitive(a, b, c):
+    assert a.contains(a)
+    if a.contains(b) and b.contains(c):
+        assert a.contains(c)
+
+
+@given(scopes, scopes)
+def test_overlaps_is_symmetric(a, b):
+    assert a.overlaps(b) == b.overlaps(a)
+    assert a.overlaps(b) == (a.contains(b) or b.contains(a))
 
 
 # --- policing ------------------------------------------------

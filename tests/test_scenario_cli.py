@@ -134,6 +134,12 @@ def test_generated_documents_parse_cleanly():
         assert scenario_violations(sc) == []
 
 
+@pytest.mark.parametrize("horizon_ms", [-5, 0, float("inf"), float("nan")])
+def test_generator_rejects_a_horizon_that_is_not_positive_and_finite(horizon_ms):
+    with pytest.raises(ValueError, match="horizon"):
+        generate_scenario(seed=1, horizon_ms=horizon_ms)
+
+
 def test_generated_utilization_respects_the_target():
     doc = generate_scenario(lanes=3, procs=4, apps=3,
                             target_utilization=0.6, seed=5)
@@ -344,3 +350,30 @@ def test_batch_validates_its_overrides(tmp_path, capsys, horizon_ms,
     assert f"batch: {completed}/2 scenarios completed" in out
     assert (out_root / "quiet" / "metrics.json").exists() == bool(completed)
     assert not (out_root / "late").exists()
+
+
+@pytest.mark.parametrize("horizon_ms", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_a_non_finite_horizon_override_is_a_usage_error(tmp_path, capsys,
+                                                        command, horizon_ms):
+    path = _write_scenario(tmp_path)
+    target = str(path) if command == "run" else str(tmp_path)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, target, "--out-dir", str(out_dir),
+                  f"--horizon-ms={horizon_ms}"])
+    assert exit_info.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_horizon_override_converts_like_the_scenario_file(tmp_path):
+    # 2.0005 ms is 2000.5 us: the float product rounds up, the exact
+    # conversion the parser uses rounds half to even
+    doc = scenario_doc([], horizon_ms=2.0005)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        ["run", str(path), "--horizon-ms", "2.0005"])
+    overridden = cli._apply_overrides(load_scenario(path), args)
+    assert overridden.settings.horizon_us == load_scenario(path).settings.horizon_us
