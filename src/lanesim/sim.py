@@ -20,6 +20,7 @@ transfers, and policing at later vote rounds readmits the new copies.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -144,6 +145,7 @@ class _Proc(Processor):
         self.lane = lane
         self.proc = proc
         self.scope = FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
+        self.lane_scope = FaultTarget(TargetKind.LANE, lane=lane)
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
         self.admitted = ProcessorState()
@@ -260,6 +262,8 @@ class Engine:
         self.procs: dict = {}
         self.groups: dict = {}
         self.copies: dict = {}          # copy_id -> _CopyRt
+        self._task_copies: dict = {}    # (app, task) -> [_CopyRt] by copy id
+        self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
         self.bus = BusState(self.model.bus.max_load)
 
@@ -276,6 +280,13 @@ class Engine:
         self._bit_detected: set = set()
         self._last_cov: dict = {}
 
+        # the faults active now, kept by the activate and clear handlers;
+        # equal faults are interchangeable, so they may share a rank
+        self._fault_rank = {f: i for i, f in enumerate(scenario.faults)}
+        self._active: list = []         # in scenario order
+        self._byzantine: list = []      # the active byzantine ones, same order
+        self._halting: dict = {}        # target -> active halting faults on it
+
         self._init_topology()
 
     # -- setup ---------------------------------------------------------------
@@ -285,6 +296,7 @@ class Engine:
             for p in lane.processors:
                 self.procs[(lane.lane_id, p.proc_id)] = _Proc(
                     lane.lane_id, p.proc_id, self._push)
+                self._proc_copies[(lane.lane_id, p.proc_id)] = []
 
         homes = initial_allocation(self.model)
         for app in sorted(self.model.applications, key=lambda a: a.app_id):
@@ -299,7 +311,7 @@ class Engine:
                                 task.task_id, lane, proc)
                     group.copies.append(copy)
                     rt = _CopyRt(copy, task, app, origin_us=0)
-                    self.copies[copy.copy_id] = rt
+                    self._add_copy(rt)
                     pr = self.procs[(lane, proc)]
                     pr.admitted = pr.admitted.with_task(
                         rt.key, task.wcet_us, task.period_us, task.deadline_us)
@@ -326,6 +338,26 @@ class Engine:
 
         for pr in self.procs.values():
             pr.refresh_priorities()
+
+    def _add_copy(self, rt: _CopyRt):
+        self.copies[rt.copy.copy_id] = rt
+        self._task_copies.setdefault(rt.key, []).append(rt)
+        self._proc_copies[rt.place].append(rt)
+
+    def _copies_in(self, scope: FaultTarget) -> list:
+        """Every copy ever placed inside a lane, processor or task scope,
+        in copy id order."""
+        if scope.kind is TargetKind.LANE:
+            return sorted((rt for place, rts in self._proc_copies.items()
+                           if place[0] == scope.lane for rt in rts),
+                          key=lambda rt: rt.copy.copy_id)
+        return [rt for rt in self._proc_copies.get((scope.lane, scope.proc), ())
+                if scope.contains(rt.scope)]
+
+    def _hosted(self, place) -> set:
+        """(app, task) of the active copies on one processor."""
+        return {rt.key for rt in self._proc_copies[place]
+                if rt.copy.health is Health.ACTIVE}
 
     def _prime_events(self):
         for rt in self.copies.values():
@@ -421,7 +453,7 @@ class Engine:
             self._push(nxt, EventKind.TASK_RELEASE, rt.copy.copy_id,
                        {"copy": rt.copy.copy_id})
         pr = self.procs[rt.place]
-        if pr.failed or pr.dead or self._silenced(rt):
+        if pr.failed or pr.dead or self._silenced(rt, pr):
             return
         self.counters["releases"] += 1
         pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
@@ -466,17 +498,23 @@ class Engine:
 
     # -- faults ------------------------------------------------------------------
 
-    def _active_faults(self):
-        return [f for f in self.sc.faults if f.active_at(self.now)]
+    # A halting fault is one that is neither byzantine nor on a sensor: it
+    # stops what it targets. Lane, processor and task scopes nest, so the
+    # copy or processor is halted iff a halting fault targets its own scope
+    # or one around it.
 
-    def _silenced(self, rt: _CopyRt) -> bool:
-        """Is the copy halted (not just skewed) by an active fault?"""
-        return any(f.kind is not FaultKind.BYZANTINE and f.target.contains(rt.scope)
-                   for f in self._active_faults())
+    def _silenced(self, rt: _CopyRt, pr: _Proc) -> bool:
+        """Is the copy on pr halted (not just skewed) by an active fault?"""
+        halting = self._halting
+        return bool(halting) and (rt.scope in halting or pr.scope in halting
+                                  or pr.lane_scope in halting)
+
+    def _halted(self, pr: _Proc) -> bool:
+        halting = self._halting
+        return pr.scope in halting or pr.lane_scope in halting
 
     def _refresh_proc_failure(self, pr: _Proc):
-        halted = any(f.kind is not FaultKind.BYZANTINE and f.target.contains(pr.scope)
-                     for f in self._active_faults())
+        halted = self._halted(pr)
         if halted and not pr.failed:
             pr.halt(self.now)
             pr.failed = True
@@ -489,13 +527,18 @@ class Engine:
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
-        if t.kind is TargetKind.SENSOR or f.kind is FaultKind.BYZANTINE:
+        rank = self._fault_rank.__getitem__
+        bisect.insort(self._active, f, key=rank)
+        if t.kind is TargetKind.SENSOR:
             return
+        if f.kind is FaultKind.BYZANTINE:
+            bisect.insort(self._byzantine, f, key=rank)
+            return
+        self._halting[t] = self._halting.get(t, 0) + 1
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
-            for rt in self.copies.values():
-                if t.contains(rt.scope):
-                    self.procs[rt.place].drop(rt.key, self.now)
+            for rt in self._copies_in(t):
+                self.procs[rt.place].drop(rt.key, self.now)
             return
         for pr in self.procs.values():
             if t.contains(pr.scope):
@@ -506,10 +549,16 @@ class Engine:
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id} cleared")
+        self._active.remove(f)
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        if f.kind is not FaultKind.BYZANTINE:
+        if f.kind is FaultKind.BYZANTINE:
+            self._byzantine.remove(f)
+        else:
+            left = self._halting.pop(t) - 1
+            if left:
+                self._halting[t] = left
             for pr in self.procs.values():
                 if t.contains(pr.scope):
                     self._refresh_proc_failure(pr)
@@ -550,12 +599,10 @@ class Engine:
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
             self._push(nxt, EventKind.BIT_CHECK, key, {"proc": key})
-        hosted = {
-            (rt.copy.app_id, rt.copy.task_id)
-            for rt in self.copies.values()
-            if rt.place == key and rt.copy.health is Health.ACTIVE
-        }
-        for f in sorted(self._active_faults(), key=lambda f: f.fault_id):
+        if not self._active:
+            return
+        hosted = self._hosted(key)
+        for f in sorted(self._active, key=lambda f: f.fault_id):
             if f.fault_id in self._bit_detected:
                 continue
             if not bit_detects(f, pr.lane, pr.proc, hosted, self.now):
@@ -579,8 +626,8 @@ class Engine:
 
     def _skew_for(self, rt: _CopyRt):
         """First active byzantine fault hitting this copy, if any."""
-        for f in self._active_faults():
-            if f.kind is FaultKind.BYZANTINE and f.target.contains(rt.scope):
+        for f in self._byzantine:
+            if f.target.contains(rt.scope):
                 return f
         return None
 
@@ -591,7 +638,7 @@ class Engine:
             return None
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        if self._silenced(rt):
+        if self._silenced(rt, pr):
             return None
         value = self._reference_value()
         byz = self._skew_for(rt)
@@ -612,10 +659,13 @@ class Engine:
         for task in sorted(app.tasks, key=lambda t: t.task_id):
             self._vote_task(app, task)
 
+    def _sensor_faults(self, app_id) -> list:
+        """Active faults on the application's sensor channels, in scenario order."""
+        return [f for f in self._active
+                if f.target.kind is TargetKind.SENSOR and f.target.app == app_id]
+
     def _check_sensors(self, app):
-        for f in self._active_faults():
-            if f.target.kind is not TargetKind.SENSOR or f.target.app != app.app_id:
-                continue
+        for f in self._sensor_faults(app.app_id):
             lane = f.target.lane
             if self.channels[app.app_id][lane]:
                 self.channels[app.app_id][lane] = False
@@ -626,8 +676,7 @@ class Engine:
                 self._sample(app.app_id)
 
     def _vote_task(self, app, task):
-        rts = [rt for rt in self.copies.values()
-               if rt.copy.app_id == app.app_id and rt.copy.task_id == task.task_id]
+        rts = self._task_copies[(app.app_id, task.task_id)]
         actives = [rt for rt in rts if rt.copy.health is Health.ACTIVE]
         expected = [
             rt for rt in actives
@@ -717,11 +766,10 @@ class Engine:
                    if rt.copy.health in (Health.POLICED, Health.RESTABILIZING)]
         if not watched:
             return
-        active_values = [v for place, v in sorted(emitting.items())
-                         if any(rt.place == place and rt.copy.health is Health.ACTIVE
-                                for rt in rts)]
+        # every emitter is an active copy
+        active_values = [v for _, v in sorted(emitting.items())]
         consensus = statistics.median(active_values) if active_values else None
-        for rt in sorted(watched, key=lambda rt: rt.copy.copy_id):
+        for rt in watched:
             if rt.police is None:
                 continue
             if rt.replay_left_us > 0:
@@ -798,10 +846,7 @@ class Engine:
         self._classify_at = None
         if not implicated:
             return
-        hosted = {}
-        for rt in self.copies.values():
-            if rt.copy.health is Health.ACTIVE:
-                hosted.setdefault(rt.place, set()).add(rt.key)
+        hosted = {place: self._hosted(place) for place in self._proc_copies}
         directives = classify(implicated, hosted)
         for d in directives:
             self.counters["detections"] += 1
@@ -811,7 +856,7 @@ class Engine:
 
     def _directive_causes(self, d: FaultTarget):
         """Active faults that explain a shutdown scope: inside it or around it."""
-        return [f for f in self._active_faults() if f.target.overlaps(d)]
+        return [f for f in self._active if f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
         affected: dict = {}     # app_id -> {"copies": [...], "transient": bool,
@@ -855,9 +900,7 @@ class Engine:
             self._pump_bus()
 
     def _directive_victims(self, d: FaultTarget):
-        return [rt for rt in sorted(self.copies.values(),
-                                    key=lambda rt: rt.copy.copy_id)
-                if rt.copy.health is Health.ACTIVE and d.contains(rt.scope)]
+        return [rt for rt in self._copies_in(d) if rt.copy.health is Health.ACTIVE]
 
     def _mark_dead(self, d: FaultTarget):
         for pr in self.procs.values():
@@ -899,7 +942,7 @@ class Engine:
             for rt in ep.copies:
                 rt.episode = ep
             cleared = [f for f in self.sc.faults
-                       if f.fault_id in ep.cause_ids and not f.active_at(self.now)]
+                       if f.fault_id in ep.cause_ids and f not in self._active]
             if len(cleared) == len(ep.cause_ids):
                 ep.t_e = self.now
             return
@@ -1062,7 +1105,7 @@ class Engine:
             rt = _CopyRt(copy, spec, app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
                          episode=ep)
-            self.copies[copy.copy_id] = rt
+            self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us

@@ -56,30 +56,43 @@ class ProcessorState:
     """Value-style record of what a processor has admitted.
 
     Entries map an arbitrary hashable key (task id, or a copy id in the
-    engine) to (wcet_us, period_us, deadline_us).
+    engine) to (wcet_us, period_us, deadline_us). The utilization is an
+    exact running total, updated by ``with_task``/``without_task``.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_utilization")
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = dict(entries or {})
+        self._utilization = sum(
+            (task_utilization(*e) for e in self._entries.values()), Fraction(0))
+
+    @classmethod
+    def _of(cls, entries: dict, utilization: Fraction) -> "ProcessorState":
+        state = cls.__new__(cls)
+        state._entries = entries
+        state._utilization = utilization
+        return state
 
     @property
     def utilization(self) -> Fraction:
-        return sum(
-            (task_utilization(c, t, d) for c, t, d in self._entries.values()),
-            Fraction(0),
-        )
+        return self._utilization
 
     def with_task(self, key, wcet_us: int, period_us: int, deadline_us: int) -> "ProcessorState":
         new = dict(self._entries)
+        total = self._utilization
+        if key in new:
+            total -= task_utilization(*new[key])
         new[key] = (wcet_us, period_us, deadline_us)
-        return ProcessorState(new)
+        return ProcessorState._of(
+            new, total + task_utilization(wcet_us, period_us, deadline_us))
 
     def without_task(self, key) -> "ProcessorState":
         new = dict(self._entries)
-        new.pop(key, None)
-        return ProcessorState(new)
+        total = self._utilization
+        if key in new:
+            total -= task_utilization(*new.pop(key))
+        return ProcessorState._of(new, total)
 
     def priorities(self) -> dict:
         """Deadline-monotonic ranks over the admitted set (0 = highest)."""
@@ -111,27 +124,42 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
 
 
 class BusState:
-    """Reserved message demand on the shared bus, keyed per message owner."""
+    """Reserved message demand on the shared bus, keyed per message owner.
 
-    __slots__ = ("max_load", "_demands")
+    The load is an exact running total, updated by ``with_demand``/
+    ``without_demand``.
+    """
+
+    __slots__ = ("max_load", "_demands", "_load")
 
     def __init__(self, max_load: Fraction, demands: Mapping | None = None):
         self.max_load = Fraction(max_load)
         self._demands: dict = dict(demands or {})
+        self._load = sum(self._demands.values(), Fraction(0))
+
+    @classmethod
+    def _of(cls, max_load: Fraction, demands: dict, load: Fraction) -> "BusState":
+        state = cls.__new__(cls)
+        state.max_load = max_load
+        state._demands = demands
+        state._load = load
+        return state
 
     @property
     def current_load(self) -> Fraction:
-        return sum(self._demands.values(), Fraction(0))
+        return self._load
 
     def with_demand(self, key, demand: Fraction) -> "BusState":
         new = dict(self._demands)
         new[key] = new.get(key, Fraction(0)) + demand
-        return BusState(self.max_load, new)
+        return BusState._of(self.max_load, new, self._load + demand)
 
     def without_demand(self, key) -> "BusState":
         new = dict(self._demands)
-        new.pop(key, None)
-        return BusState(self.max_load, new)
+        load = self._load
+        if key in new:
+            load -= new.pop(key)
+        return BusState._of(self.max_load, new, load)
 
 
 def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:

@@ -1,0 +1,217 @@
+"""The engine's fault and copy indexes answer as full scans would.
+
+``CheckedEngine`` recomputes every indexed answer from scratch, by
+filtering all of ``scenario.faults`` through ``FaultSpec.active_at`` and
+``FaultTarget.contains`` and by scanning every copy ever created, and
+asserts that both agree, at every call, over the golden corpus and over
+generated scenarios with faults.
+
+Answers are compared, not the raw fault sets. Inside a fault handler the
+index may legitimately lag ``active_at``: a fault that activates later in
+the same instant is not in it yet, and one that clears later in the same
+instant is still in it. The reference accounts for those queued fault
+events and counts the answers where the plain ``active_at`` scan differs.
+"""
+
+import json
+
+import pytest
+
+from lanesim.cli import metrics_document, trace_lines
+from lanesim.fault import FaultKind, TargetKind, bit_detects
+from lanesim.reconfig import Health
+from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
+from lanesim.sim import Engine, EventKind
+
+from conftest import lane_fault, proc_fault, scenario_doc
+from golden.rehash import SCENARIOS
+
+_FAULT_EVENTS = (EventKind.FAULT_ACTIVATE, EventKind.FAULT_CLEAR)
+
+
+def _halting(faults, scope):
+    return any(f.kind is not FaultKind.BYZANTINE and f.target.contains(scope)
+               for f in faults)
+
+
+class CheckedEngine(Engine):
+    """An Engine that checks each indexed answer against a full scan."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.checks = 0
+        self.lagging = 0     # answers where the plain active_at scan differs
+
+    # -- the references -------------------------------------------------
+
+    def _scanned_faults(self):
+        return [f for f in self.sc.faults if f.active_at(self.now)]
+
+    def _settled_faults(self):
+        """The scan, less what fault events queued at this instant change."""
+        queued = {id(data["fault"]) for at, _, _, _, kind, data in self._heap
+                  if at == self.now and kind in _FAULT_EVENTS}
+        return [f for f in self.sc.faults
+                if f.active_at(self.now) != (id(f) in queued)]
+
+    def _agree(self, what, got, answer):
+        """answer(faults) computed over the settled faults must equal got."""
+        want = answer(self._settled_faults())
+        assert got == want, f"{what} at {self.now}us: index {got!r}, scan {want!r}"
+        if answer(self._scanned_faults()) != got:
+            self.lagging += 1
+        self.checks += 1
+
+    def _copies_by_id(self):
+        return sorted(self.copies.values(), key=lambda rt: rt.copy.copy_id)
+
+    # -- the indexed answers --------------------------------------------
+
+    def _silenced(self, rt, pr):
+        got = super()._silenced(rt, pr)
+        self._agree("silenced", got, lambda fs: _halting(fs, rt.scope))
+        return got
+
+    def _halted(self, pr):
+        got = super()._halted(pr)
+        self._agree("halted", got, lambda fs: _halting(fs, pr.scope))
+        return got
+
+    def _skew_for(self, rt):
+        got = super()._skew_for(rt)
+        self._agree("skew", got, lambda fs: next(
+            (f for f in fs if f.kind is FaultKind.BYZANTINE
+             and f.target.contains(rt.scope)), None))
+        return got
+
+    def _directive_causes(self, d):
+        got = super()._directive_causes(d)
+        self._agree("causes", got,
+                    lambda fs: [f for f in fs if f.target.overlaps(d)])
+        return got
+
+    def _sensor_faults(self, app_id):
+        got = super()._sensor_faults(app_id)
+        self._agree("sensor faults", got, lambda fs: [
+            f for f in fs
+            if f.target.kind is TargetKind.SENSOR and f.target.app == app_id])
+        return got
+
+    def _on_fault_activate(self, data):
+        super()._on_fault_activate(data)
+        self._sweep()
+
+    def _on_fault_clear(self, data):
+        super()._on_fault_clear(data)
+        self._sweep()
+
+    def _sweep(self):
+        # the engine asks about a copy only while its processor runs, so
+        # ask about every copy and processor here as well
+        for rt in self.copies.values():
+            self._silenced(rt, self.procs[rt.place])
+        for pr in self.procs.values():
+            assert pr.failed == self._halted(pr)
+
+    def _on_bit_check(self, data):
+        pr = self.procs[data["proc"]]
+        if not pr.dead:
+            hosted = self._hosted(pr.key)
+
+            def caught(faults, hosted):
+                return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
+                        if f.fault_id not in self._bit_detected
+                        and bit_detects(f, pr.lane, pr.proc, hosted, self.now)]
+
+            self._agree("bit candidates", caught(self._active, hosted),
+                        lambda fs: caught(fs, {
+                            rt.key for rt in self.copies.values()
+                            if rt.place == pr.key
+                            and rt.copy.health is Health.ACTIVE}))
+        super()._on_bit_check(data)
+
+    def _hosted(self, place):
+        got = super()._hosted(place)
+        assert got == {rt.key for rt in self.copies.values()
+                       if rt.place == place and rt.copy.health is Health.ACTIVE}
+        self.checks += 1
+        return got
+
+    def _vote_task(self, app, task):
+        assert self._task_copies[(app.app_id, task.task_id)] == [
+            rt for rt in self._copies_by_id()
+            if rt.key == (app.app_id, task.task_id)]
+        self.checks += 1
+        super()._vote_task(app, task)
+
+    def _police_task(self, app, task, rts, emitting):
+        assert rts == [rt for rt in self._copies_by_id()
+                       if rt.key == (app.app_id, task.task_id)]
+        # the consensus takes every emitter's value: each is an active copy
+        assert all(any(rt.place == place and rt.copy.health is Health.ACTIVE
+                       for rt in rts) for place in emitting)
+        self.checks += 1
+        super()._police_task(app, task, rts, emitting)
+
+    def _copies_in(self, scope):
+        got = super()._copies_in(scope)
+        assert got == [rt for rt in self._copies_by_id()
+                       if scope.contains(rt.scope)]
+        self.checks += 1
+        return got
+
+    def _directive_victims(self, d):
+        got = super()._directive_victims(d)
+        assert got == [rt for rt in self._copies_by_id()
+                       if rt.copy.health is Health.ACTIVE and d.contains(rt.scope)]
+        self.checks += 1
+        return got
+
+
+def _outputs(result):
+    return (json.dumps(metrics_document(result), sort_keys=True),
+            list(trace_lines(result)), result.completions)
+
+
+def _check(scenario):
+    engine = CheckedEngine(scenario)
+    checked = engine.run()
+    assert _outputs(checked) == _outputs(Engine(scenario).run())
+    return engine
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_indexes_agree_with_full_scans_on_the_golden_corpus(path):
+    engine = _check(load_scenario(path))
+    assert engine.checks > 0
+
+
+def _generated(seed):
+    horizon_ms = [3, 7.5, 40, 60][seed % 4]
+    doc = generate_scenario(lanes=2 + seed % 3, procs=3 + seed % 2, apps=2,
+                            seed=seed, faults=1 + seed % 10,
+                            horizon_ms=horizon_ms)
+    if horizon_ms < 10:
+        # generated fault times then fall in the first few milliseconds;
+        # run BIT every millisecond so it sees them
+        doc["sim"]["bit_period_ms"] = 1
+    if seed % 3 == 0:
+        doc["sim"]["bit_detect_probability"] = 0.5
+    return parse_scenario(doc)
+
+
+@pytest.mark.parametrize("first", range(0, 120, 20))
+def test_indexes_agree_with_full_scans_on_generated_faults(first):
+    for seed in range(first, first + 20):
+        _check(_generated(seed))
+
+
+def test_a_fault_clearing_later_in_the_same_instant_still_counts():
+    # the lane clears first (fault id order); the processor fault inside
+    # it clears in the same instant, but only when its own event runs
+    engine = _check(parse_scenario(scenario_doc([
+        lane_fault(at_ms=30, kind="transient", duration_ms=20),
+        proc_fault(at_ms=40, kind="transient", duration_ms=10),
+    ])))
+    assert engine.lagging > 0

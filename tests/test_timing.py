@@ -192,3 +192,57 @@ def test_admission_agrees_with_direct_fraction_sum(entries, wcet, period):
     resulting += Fraction(wcet, period)
     assert decision.resulting_utilization == resulting
     assert decision.accepted == (resulting <= Fraction(69, 100))
+
+
+# The totals are kept as running sums; after any sequence of updates they
+# must equal a fresh exact sum over what the state holds.
+
+_KEYS = st.integers(0, 4)       # few keys: replacements and misses are common
+
+
+@given(st.dictionaries(_KEYS, st.tuples(st.integers(1, 500), st.integers(1, 500),
+                                        st.integers(1, 500)), max_size=3),
+       st.lists(st.one_of(
+           st.tuples(st.just("with"), _KEYS, st.integers(1, 500),
+                     st.integers(1, 500), st.integers(1, 500)),
+           st.tuples(st.just("without"), _KEYS)), max_size=25))
+def test_utilization_total_equals_a_fresh_sum(start, ops):
+    entries = dict(start)
+    proc = ProcessorState(entries)
+    for op, key, *task in ops:
+        before, before_util = proc, proc.utilization
+        if op == "with":
+            proc = proc.with_task(key, *task)
+            entries[key] = tuple(task)
+        else:
+            proc = proc.without_task(key)
+            entries.pop(key, None)
+        assert before.utilization == before_util     # states are values
+        fresh = sum((task_utilization(*e) for e in entries.values()), Fraction(0))
+        assert proc.utilization == fresh
+        assert isinstance(proc.utilization, Fraction)
+        assert len(proc) == len(entries)
+
+
+_DEMANDS = st.fractions(min_value=0, max_value=50, max_denominator=1000)
+
+
+@given(st.dictionaries(_KEYS, _DEMANDS, max_size=3),
+       st.lists(st.one_of(st.tuples(st.just("with"), _KEYS, _DEMANDS),
+                          st.tuples(st.just("without"), _KEYS, st.none())),
+                max_size=25))
+def test_bus_load_total_equals_a_fresh_sum(start, ops):
+    demands = dict(start)
+    bus = BusState(Fraction(100), demands)
+    for op, key, demand in ops:
+        before, before_load = bus, bus.current_load
+        if op == "with":
+            bus = bus.with_demand(key, demand)
+            demands[key] = demands.get(key, Fraction(0)) + demand
+        else:
+            bus = bus.without_demand(key)
+            demands.pop(key, None)
+        assert before.current_load == before_load    # states are values
+        assert bus.current_load == sum(demands.values(), Fraction(0))
+        assert isinstance(bus.current_load, Fraction)
+        assert bus.max_load == 100
