@@ -291,6 +291,8 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("target utilization must be within [0, 1]")
     if horizon_ms is not None and not (math.isfinite(horizon_ms) and horizon_ms > 0):
         raise ValueError("horizon must be positive and finite")
+    if horizon_ms is not None and ms_to_us(horizon_ms) == 0:
+        raise ValueError("horizon must be at least 1 us")
 
     rng = random.Random(seed)
     allocated = list(range(procs - 1))
@@ -381,9 +383,15 @@ def _random_faults(rng: random.Random, doc: dict, count: int) -> list[dict]:
     lanes = [l["lane_id"] for l in doc["system"]["lanes"]]
     apps = doc["system"]["applications"]
     horizon_ms = doc["sim"]["horizon_ms"]
+    horizon_us = ms_to_us(horizon_ms)
     out = []
     for _ in range(count):
-        at_ms = round(rng.uniform(5, horizon_ms * 0.5), 1)
+        if horizon_ms >= 10:
+            # the first half of the run, after 5 ms of normal service
+            at_ms = round(rng.uniform(5, horizon_ms * 0.5), 1)
+        else:
+            # too short for that: the second quarter, in whole microseconds
+            at_ms = rng.randint(horizon_us // 4, (horizon_us - 1) // 2) / 1000
         kind = rng.choice(["permanent", "permanent", "transient", "byzantine"])
         roll = rng.random()
         app = rng.choice(apps)

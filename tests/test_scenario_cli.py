@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanesim import cli
 from lanesim.model import InvalidModel, MalformedDocument, build_system
@@ -138,6 +139,38 @@ def test_generated_documents_parse_cleanly():
 def test_generator_rejects_a_horizon_that_is_not_positive_and_finite(horizon_ms):
     with pytest.raises(ValueError, match="horizon"):
         generate_scenario(seed=1, horizon_ms=horizon_ms)
+
+
+def test_generator_rejects_a_horizon_that_rounds_to_zero_us():
+    with pytest.raises(ValueError, match="horizon"):
+        generate_scenario(seed=1, faults=2, horizon_ms=0.0004)
+
+
+@settings(max_examples=150, deadline=None)
+@given(horizon_ms=st.floats(min_value=0.001, max_value=20),
+       faults=st.integers(min_value=1, max_value=10),
+       lanes=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_generated_documents_with_faults_validate_at_any_horizon(
+        horizon_ms, faults, lanes, seed):
+    doc = generate_scenario(lanes=lanes, procs=3, apps=2, seed=seed,
+                            faults=faults, horizon_ms=horizon_ms)
+    sc = parse_scenario(doc)
+    assert len(sc.faults) == faults
+    assert all(0 <= f.at_us < sc.settings.horizon_us for f in sc.faults)
+
+
+@pytest.mark.parametrize("horizon_ms, at_ms", [
+    (10, [5.0, 5.0, 5.0, 5.0, 5.0]),
+    (12.5, [5.1, 5.7, 5.7, 5.8, 6.0]),
+    (100, [7.1, 29.6, 30.2, 33.4, 40.0]),
+    (None, [9.4, 57.0, 58.2, 64.9, 78.8]),
+])
+def test_fault_times_from_ten_ms_up_keep_their_draws(horizon_ms, at_ms):
+    # benchmark pools and generated golden documents depend on these draws
+    doc = generate_scenario(lanes=4, procs=3, apps=2, seed=7, faults=5,
+                            horizon_ms=horizon_ms)
+    assert [f["at_ms"] for f in doc["faults"]] == at_ms
 
 
 def test_generated_utilization_respects_the_target():
