@@ -505,13 +505,12 @@ class Engine:
 
     def _silenced(self, rt: _CopyRt, pr: _Proc) -> bool:
         """Is the copy on pr halted (not just skewed) by an active fault?"""
-        halting = self._halting
-        return bool(halting) and (rt.scope in halting or pr.scope in halting
-                                  or pr.lane_scope in halting)
+        return bool(self._halting) and (rt.scope in self._halting
+                                        or self._halted(pr))
 
     def _halted(self, pr: _Proc) -> bool:
-        halting = self._halting
-        return pr.scope in halting or pr.lane_scope in halting
+        """Is the processor halted by an active fault?"""
+        return pr.scope in self._halting or pr.lane_scope in self._halting
 
     def _refresh_proc_failure(self, pr: _Proc):
         halted = self._halted(pr)
