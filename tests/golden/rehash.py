@@ -8,11 +8,8 @@ A change that alters any output on purpose rewrites the hashes with
     PYTHONPATH=src python3 tests/golden/rehash.py
 
 and names every changed scenario and file, with the reason, in CHANGES.md.
-With ``--check`` it only lists what differs and exits 1 if anything does,
-leaving ``hashes.json`` as it is.
 """
 
-import argparse
 import hashlib
 import json
 import sys
@@ -34,28 +31,18 @@ def output_digests(scenario_path, out_dir) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="list differences and exit 1; write nothing")
-    check = parser.parse_args(argv).check
+def main() -> int:
     old = json.loads(HASHES.read_text(encoding="utf-8")) if HASHES.exists() else {}
     new = {}
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted(SCENARIOS.glob("*.json")):
             new[path.stem] = output_digests(path, Path(tmp) / path.stem)
-    differ = False
     for name, files in new.items():
         for file, digest in files.items():
             if old.get(name, {}).get(file) != digest:
-                differ = True
                 print(f"changed: {name} {file}")
     for name in sorted(set(old) - set(new)):
-        differ = True
         print(f"removed: {name}")
-    if check:
-        print(f"{'outputs differ from' if differ else 'outputs match'} {HASHES}")
-        return 1 if differ else 0
     HASHES.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {HASHES} ({len(new)} scenarios)")

@@ -23,25 +23,3 @@ def test_outputs_match_the_recorded_hashes(name, tmp_path):
     got = output_digests(SCENARIOS / f"{name}.json", tmp_path)
     changed = [f for f in sorted(EXPECTED[name]) if got.get(f) != EXPECTED[name][f]]
     assert not changed, f"golden scenario {name}: {', '.join(changed)} differ"
-
-
-def test_rehash_check_reports_a_difference_and_writes_nothing(
-        tmp_path, monkeypatch, capsys):
-    from golden import rehash
-    scenarios = tmp_path / "scenarios"
-    scenarios.mkdir()
-    name = "triplex_quiet"
-    (scenarios / f"{name}.json").write_bytes(
-        (SCENARIOS / f"{name}.json").read_bytes())
-    stale = dict(EXPECTED[name], **{"trace.tsv": "0" * 64})
-    hashes = tmp_path / "hashes.json"
-    hashes.write_text(json.dumps({name: stale}), encoding="utf-8")
-    monkeypatch.setattr(rehash, "SCENARIOS", scenarios)
-    monkeypatch.setattr(rehash, "HASHES", hashes)
-
-    assert rehash.main(["--check"]) == 1
-    assert f"changed: {name} trace.tsv" in capsys.readouterr().out
-    assert json.loads(hashes.read_text(encoding="utf-8")) == {name: stale}
-
-    hashes.write_text(json.dumps({name: EXPECTED[name]}), encoding="utf-8")
-    assert rehash.main(["--check"]) == 0
