@@ -53,12 +53,23 @@ class TargetKind(Enum):
     SENSOR = "sensor"
 
 
+# The coordinates each kind of scope names; a FaultTarget sets exactly these.
+TARGET_FIELDS = {
+    TargetKind.LANE: ("lane",),
+    TargetKind.PROCESSOR: ("lane", "proc"),
+    TargetKind.TASK: ("lane", "proc", "app", "task"),
+    TargetKind.SENSOR: ("app", "lane"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class FaultTarget:
     """A scope: what a fault strikes, and what a shutdown removes.
 
     A lane contains its processors and a processor the task copies it
-    runs; a sensor channel (app, lane) is a scope of its own.
+    runs; a sensor channel (app, lane) is a scope of its own. Only the
+    coordinates of ``TARGET_FIELDS[kind]`` are set, so two targets that
+    name one scope are equal and hash alike.
     """
 
     kind: TargetKind
@@ -66,6 +77,13 @@ class FaultTarget:
     proc: int | None = None
     app: int | None = None
     task: int | None = None
+
+    def __post_init__(self):
+        used = TARGET_FIELDS[self.kind]
+        for name in ("lane", "proc", "app", "task"):
+            if (getattr(self, name) is None) is (name in used):
+                raise ValueError(f"a {self.kind.value} target sets exactly "
+                                 f"{', '.join(used)}")
 
     def contains(self, other: FaultTarget) -> bool:
         """Is ``other`` inside this scope (or equal to it)?"""

@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import model as m
-from .fault import Consensus, FaultKind, FaultSpec, FaultTarget, TargetKind, VoterConfig
+from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
+                    TargetKind, VoterConfig)
 from .model import (Architecture, InvalidModel, MalformedDocument, SystemModel,
                     Violation, build_system, _enum, _optional, _require)
 from .timebase import ms_to_us
@@ -101,15 +102,8 @@ class Scenario:
 
 def _parse_target(doc: dict, where: str) -> FaultTarget:
     kind = _enum(TargetKind, _require(doc, "kind", str, where), where)
-    fields = {}
-    needed = {
-        TargetKind.LANE: ("lane",),
-        TargetKind.PROCESSOR: ("lane", "proc"),
-        TargetKind.TASK: ("lane", "proc", "app", "task"),
-        TargetKind.SENSOR: ("app", "lane"),
-    }[kind]
-    for name in needed:
-        fields[name] = _require(doc, name, int, where)
+    fields = {name: _require(doc, name, int, where)
+              for name in TARGET_FIELDS[kind]}
     return FaultTarget(kind=kind, **fields)
 
 

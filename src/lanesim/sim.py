@@ -501,7 +501,8 @@ class Engine:
     # A halting fault is one that is neither byzantine nor on a sensor: it
     # stops what it targets. Lane, processor and task scopes nest, so the
     # copy or processor is halted iff a halting fault targets its own scope
-    # or one around it.
+    # or one around it. A FaultTarget sets only its kind's coordinates, so
+    # that fault's target equals the scope it names and is a dict key for it.
 
     def _silenced(self, rt: _CopyRt, pr: _Proc) -> bool:
         """Is the copy on pr halted (not just skewed) by an active fault?"""

@@ -315,6 +315,21 @@ def test_overlaps_is_symmetric(a, b):
     assert a.overlaps(b) == (a.contains(b) or b.contains(a))
 
 
+@pytest.mark.parametrize("kind, fields", [
+    (TargetKind.LANE, {"lane": 0, "proc": 1}),
+    (TargetKind.LANE, {}),
+    (TargetKind.PROCESSOR, {"lane": 0}),
+    (TargetKind.PROCESSOR, {"lane": 0, "proc": 1, "task": 2}),
+    (TargetKind.TASK, {"lane": 0, "proc": 1, "app": 2}),
+    (TargetKind.SENSOR, {"lane": 0, "app": 1, "proc": 0}),
+])
+def test_a_target_sets_exactly_the_coordinates_of_its_kind(kind, fields):
+    # the engine finds halting faults by target equality, so a lane target
+    # carrying a stray processor would halt nothing; it cannot be built
+    with pytest.raises(ValueError):
+        FaultTarget(kind, **fields)
+
+
 # --- policing ------------------------------------------------
 
 
