@@ -4,7 +4,12 @@ The engine advances an integer microsecond clock over a heap of typed
 events. Ties at one instant resolve by a fixed kind order (activations
 before completions before releases before votes before the recovery
 machinery), then by payload key, then by insertion order, so a scenario
-replays byte-identically on every run.
+replays byte-identically on every run. Within one kind every key is an
+int or a tuple of ints, comparable as pushed. ``Readmit`` is keyed
+``(0, copy_id)`` for a copy and ``(1, app, lane)`` for a sensor channel,
+so copies go first; ``TaskComplete`` is keyed by ``(lane, proc)``, since
+at one instant only the wake-up of the processor's current generation
+acts and stale ones return before charging anything.
 
 Each (lane, processor) slot runs the deadline-monotonic schedule of
 :mod:`lanesim.processor`: time is charged lazily whenever an event touches
@@ -159,18 +164,17 @@ class _Proc(Processor):
         return not (self.failed or self.dead)
 
     def wake(self, at_us: int):
-        self.push(at_us, EventKind.TASK_COMPLETE, (self.key, self.running[1]),
+        self.push(at_us, EventKind.TASK_COMPLETE, self.key,
                   {"proc": self.key, "what": self.running, "gen": self.gen})
 
     def refresh_priorities(self):
         self.prios = self.admitted.priorities()
 
 
-@dataclass
-class _CopyRt:
-    """Engine-side state of one task copy."""
+@dataclass(eq=False, kw_only=True)
+class _CopyRt(Copy):
+    """A task copy together with the engine's run-time state of it."""
 
-    copy: Copy
     spec: TaskSpec
     app: ApplicationSpec
     origin_us: int
@@ -180,57 +184,34 @@ class _CopyRt:
     police: PoliceCounter | None = None
     eligible_us: int | None = None
     episode: "_Episode | None" = None
-    scope: FaultTarget = field(init=False, repr=False, compare=False)
+    scope: FaultTarget = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = self.copy     # a copy never moves, so its scope is fixed
-        self.scope = FaultTarget(TargetKind.TASK, lane=c.lane, proc=c.proc,
-                                 app=c.app_id, task=c.task_id)
+        # a copy never moves, so its scope is fixed
+        self.scope = FaultTarget(TargetKind.TASK, lane=self.lane, proc=self.proc,
+                                 app=self.app_id, task=self.task_id)
 
     @property
     def key(self):
-        return (self.copy.app_id, self.copy.task_id)
+        return (self.app_id, self.task_id)
 
     @property
     def place(self):
-        return (self.copy.lane, self.copy.proc)
+        return (self.lane, self.proc)
 
 
-@dataclass
-class _Episode:
-    """An in-flight recovery, folded into a ReconfigRecord when it closes."""
+@dataclass(eq=False, kw_only=True)
+class _Episode(ReconfigRecord):
+    """A recovery in flight; once closed it is its own record.
 
-    record_id: int
-    app_id: int
-    strategy: StateStrategy
-    failed_copy_ids: tuple
+    ``outcome`` stays None until the episode closes.
+    """
+
     origin: str                       # "reconfig" | "restabilize"
     cause_ids: tuple = ()
-    t_f: int | None = None
-    t_r: int | None = None
-    t_i: int | None = None
-    t_s: int | None = None
-    t_e: int | None = None
-    t_a: int | None = None
-    placements: dict = field(default_factory=dict)
-    degraded: list = field(default_factory=list)
     copies: list = field(default_factory=list)    # _CopyRt awaiting readmission
     lost: list = field(default_factory=list)      # _CopyRt withdrawn at t_f
-    outcome: Outcome | None = None
     closed: bool = False
-
-    def to_record(self) -> ReconfigRecord:
-        return ReconfigRecord(
-            record_id=self.record_id,
-            app_id=self.app_id,
-            failed_copy_ids=self.failed_copy_ids,
-            strategy=self.strategy,
-            outcome=self.outcome if self.outcome is not None else Outcome.ABANDONED,
-            t_f_us=self.t_f, t_r_us=self.t_r, t_i_us=self.t_i,
-            t_s_us=self.t_s, t_e_us=self.t_e, t_a_us=self.t_a,
-            placements=dict(self.placements),
-            degraded_tasks=tuple(sorted(self.degraded)),
-        )
 
 
 class Engine:
@@ -307,10 +288,10 @@ class Engine:
             for task in sorted(app.tasks, key=lambda t: t.task_id):
                 for lane_id in sorted(self.model.lane_ids):
                     lane, proc = homes[(app.app_id, task.task_id, lane_id)]
-                    copy = Copy(next(self._copy_ids), app.app_id,
-                                task.task_id, lane, proc)
-                    group.copies.append(copy)
-                    rt = _CopyRt(copy, task, app, origin_us=0)
+                    rt = _CopyRt(next(self._copy_ids), app.app_id,
+                                 task.task_id, lane, proc,
+                                 spec=task, app=app, origin_us=0)
+                    group.copies.append(rt)
                     self._add_copy(rt)
                     pr = self.procs[(lane, proc)]
                     pr.admitted = pr.admitted.with_task(
@@ -340,7 +321,7 @@ class Engine:
             pr.refresh_priorities()
 
     def _add_copy(self, rt: _CopyRt):
-        self.copies[rt.copy.copy_id] = rt
+        self.copies[rt.copy_id] = rt
         self._task_copies.setdefault(rt.key, []).append(rt)
         self._proc_copies[rt.place].append(rt)
 
@@ -350,19 +331,19 @@ class Engine:
         if scope.kind is TargetKind.LANE:
             return sorted((rt for place, rts in self._proc_copies.items()
                            if place[0] == scope.lane for rt in rts),
-                          key=lambda rt: rt.copy.copy_id)
+                          key=lambda rt: rt.copy_id)
         return [rt for rt in self._proc_copies.get((scope.lane, scope.proc), ())
                 if scope.contains(rt.scope)]
 
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
         return {rt.key for rt in self._proc_copies[place]
-                if rt.copy.health is Health.ACTIVE}
+                if rt.health is Health.ACTIVE}
 
     def _prime_events(self):
         for rt in self.copies.values():
-            self._push(0, EventKind.TASK_RELEASE, rt.copy.copy_id,
-                       {"copy": rt.copy.copy_id})
+            self._push(0, EventKind.TASK_RELEASE, rt.copy_id,
+                       {"copy": rt.copy_id})
         for app in self.model.applications:
             period = app.shortest_period_us
             if period <= self.horizon:
@@ -446,12 +427,12 @@ class Engine:
 
     def _on_release(self, data):
         rt = self.copies.get(data["copy"])
-        if rt is None or rt.copy.health is Health.SHUTDOWN:
+        if rt is None or rt.health is Health.SHUTDOWN:
             return
         nxt = self.now + rt.spec.period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.TASK_RELEASE, rt.copy.copy_id,
-                       {"copy": rt.copy.copy_id})
+            self._push(nxt, EventKind.TASK_RELEASE, rt.copy_id,
+                       {"copy": rt.copy_id})
         pr = self.procs[rt.place]
         if pr.failed or pr.dead or self._silenced(rt, pr):
             return
@@ -459,8 +440,8 @@ class Engine:
         pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
         deadline = self.now + rt.spec.deadline_us
         if deadline <= self.horizon:
-            self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy.copy_id,
-                       {"copy": rt.copy.copy_id, "release": self.now})
+            self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy_id,
+                       {"copy": rt.copy_id, "release": self.now})
 
     def _on_complete(self, data):
         pr = self.procs[data["proc"]]
@@ -473,11 +454,11 @@ class Engine:
             self.counters["completions"] += 1
             self.completions.append(CompletionRecord(
                 self.now, job.start_us, job.release_us,
-                pr.lane, pr.proc, rt.copy.app_id, rt.copy.task_id))
+                pr.lane, pr.proc, rt.app_id, rt.task_id))
         else:
             rt.replay_left_us = 0
-            self._row("ReplayDone", pr.lane, pr.proc, rt.copy.app_id,
-                      rt.copy.task_id, "history backlog cleared")
+            self._row("ReplayDone", pr.lane, pr.proc, rt.app_id, rt.task_id,
+                      "history backlog cleared")
 
     def _on_deadline_check(self, data):
         rt = self.copies.get(data["copy"])
@@ -489,10 +470,9 @@ class Engine:
             return
         self.counters["deadline_misses"] += 1
         self.misses.append(DeadlineMissRecord(
-            self.now, pr.lane, pr.proc, rt.copy.app_id, rt.copy.task_id,
+            self.now, pr.lane, pr.proc, rt.app_id, rt.task_id,
             job.release_us))
-        self._row("DeadlineMiss", pr.lane, pr.proc, rt.copy.app_id,
-                  rt.copy.task_id,
+        self._row("DeadlineMiss", pr.lane, pr.proc, rt.app_id, rt.task_id,
                   f"released at {job.release_us}us, "
                   f"{job.remaining_us}us of work left")
 
@@ -564,8 +544,8 @@ class Engine:
                     self._refresh_proc_failure(pr)
         for ep in self._episodes:
             if (not ep.closed and ep.origin == "restabilize"
-                    and f.fault_id in ep.cause_ids and ep.t_e is None):
-                ep.t_e = self.now
+                    and f.fault_id in ep.cause_ids and ep.t_e_us is None):
+                ep.t_e_us = self.now
 
     def _restore_channel(self, fault):
         app_id, lane = fault.target.app, fault.target.lane
@@ -576,7 +556,7 @@ class Engine:
             if at is None:
                 return      # never approved; channel stays out
             if at > self.now:
-                self._push(at, EventKind.READMIT, ("sensor", app_id, lane),
+                self._push(at, EventKind.READMIT, (1, app_id, lane),
                            {"sensor": (app_id, lane)})
                 return
         self._readmit_channel(app_id, lane)
@@ -677,7 +657,7 @@ class Engine:
 
     def _vote_task(self, app, task):
         rts = self._task_copies[(app.app_id, task.task_id)]
-        actives = [rt for rt in rts if rt.copy.health is Health.ACTIVE]
+        actives = [rt for rt in rts if rt.health is Health.ACTIVE]
         expected = [
             rt for rt in actives
             if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us
@@ -744,7 +724,7 @@ class Engine:
                     claims[s.place] = None
                 elif r_byz is not None and r_byz.per_receiver and s is not r:
                     # a two-faced relay also lies about what it heard
-                    sign = 1 if (s.copy.lane + r_byz.fault_id) % 2 == 0 else -1
+                    sign = 1 if (s.lane + r_byz.fault_id) % 2 == 0 else -1
                     claims[s.place] = truth + 1.5 * r_byz.value_skew * sign
                 else:
                     claims[s.place] = truth
@@ -757,13 +737,13 @@ class Engine:
             return None
         byz = self._skew_for(sender)
         if byz is not None and byz.per_receiver and sender is not receiver:
-            sign = 1 if (receiver.copy.lane + byz.fault_id) % 2 == 0 else -1
+            sign = 1 if (receiver.lane + byz.fault_id) % 2 == 0 else -1
             return ref + byz.value_skew * sign
         return base
 
     def _police_task(self, app, task, rts, emitting):
         watched = [rt for rt in rts
-                   if rt.copy.health in (Health.POLICED, Health.RESTABILIZING)]
+                   if rt.health in (Health.POLICED, Health.RESTABILIZING)]
         if not watched:
             return
         # every emitter is an active copy
@@ -773,7 +753,7 @@ class Engine:
             if rt.police is None:
                 continue
             if rt.replay_left_us > 0:
-                self._row("PoliceRound", rt.copy.lane, rt.copy.proc,
+                self._row("PoliceRound", rt.lane, rt.proc,
                           app.app_id, task.task_id, "replay outstanding")
                 continue
             value = self._emitted(rt)
@@ -783,7 +763,7 @@ class Engine:
             if rt.converge_left > 0:
                 rt.converge_left -= 1
             done = rt.police.update(matched)
-            self._row("PoliceRound", rt.copy.lane, rt.copy.proc,
+            self._row("PoliceRound", rt.lane, rt.proc,
                       app.app_id, task.task_id,
                       f"{'match' if matched else 'deviation'} "
                       f"{min(rt.police.count, rt.police.required)}/{rt.police.required}")
@@ -792,14 +772,13 @@ class Engine:
                 self._maybe_readmit(rt)
 
     def _maybe_readmit(self, rt: _CopyRt):
-        if rt.copy.health is Health.RESTABILIZING and self.policies.pilot_gate:
-            c = rt.copy
-            at = self.policies.approval_time(lane=c.lane, proc=c.proc,
-                                             app=c.app_id, task=c.task_id)
+        if rt.health is Health.RESTABILIZING and self.policies.pilot_gate:
+            at = self.policies.approval_time(lane=rt.lane, proc=rt.proc,
+                                             app=rt.app_id, task=rt.task_id)
             if at is None or at > self.now:
                 return      # waits for the pilot (or forever)
-        self._push(self.now, EventKind.READMIT, rt.copy.copy_id,
-                   {"copy": rt.copy.copy_id})
+        self._push(self.now, EventKind.READMIT, (0, rt.copy_id),
+                   {"copy": rt.copy_id})
 
     def _on_pilot_approval(self, data):
         a = data["approval"]
@@ -807,34 +786,32 @@ class Engine:
                   "sensor scope" if a.sensor else "")
         if a.sensor:
             return      # sensor restores are driven from the clear event
-        for rt in sorted(self.copies.values(), key=lambda rt: rt.copy.copy_id):
-            c = rt.copy
+        for rt in sorted(self.copies.values(), key=lambda rt: rt.copy_id):
             if (rt.eligible_us is not None
-                    and c.health is Health.RESTABILIZING
-                    and a.matches(lane=c.lane, proc=c.proc, app=c.app_id,
-                                  task=c.task_id)):
-                self._push(self.now, EventKind.READMIT, c.copy_id,
-                           {"copy": c.copy_id})
+                    and rt.health is Health.RESTABILIZING
+                    and a.matches(lane=rt.lane, proc=rt.proc, app=rt.app_id,
+                                  task=rt.task_id)):
+                self._push(self.now, EventKind.READMIT, (0, rt.copy_id),
+                           {"copy": rt.copy_id})
 
     def _on_readmit(self, data):
         if "sensor" in data:
             self._readmit_channel(*data["sensor"])
             return
         rt = self.copies[data["copy"]]
-        if rt.copy.health not in (Health.POLICED, Health.RESTABILIZING):
+        if rt.health not in (Health.POLICED, Health.RESTABILIZING):
             return
-        rt.copy.health = Health.ACTIVE
+        rt.health = Health.ACTIVE
         rt.eligible_us = None
         self.counters["readmissions"] += 1
-        self._row("Readmit", rt.copy.lane, rt.copy.proc,
-                  rt.copy.app_id, rt.copy.task_id,
+        self._row("Readmit", rt.lane, rt.proc, rt.app_id, rt.task_id,
                   "copy readmitted to the active set")
-        self._sample(rt.copy.app_id)
+        self._sample(rt.app_id)
         ep = rt.episode
         if ep is not None and not ep.closed:
-            if all(c.copy.health is Health.ACTIVE for c in ep.copies):
-                ep.t_a = self.now
-                ep.outcome = (Outcome.DEGRADED_DUPLEX if ep.degraded
+            if all(c.health is Health.ACTIVE for c in ep.copies):
+                ep.t_a_us = self.now
+                ep.outcome = (Outcome.DEGRADED_DUPLEX if ep.degraded_tasks
                               else Outcome.READMITTED)
                 self._close_episode(ep)
 
@@ -876,14 +853,14 @@ class Engine:
                 self._mark_dead(d)
             for rt in victims:
                 if transient:
-                    rt.copy.health = Health.RESTABILIZING
+                    rt.health = Health.RESTABILIZING
                     rt.police = PoliceCounter(self.cfg.police_rounds)
                     rt.eligible_us = None
                 else:
                     self._withdraw_copy(rt)
             for rt in victims:
                 entry = affected.setdefault(
-                    rt.copy.app_id,
+                    rt.app_id,
                     {"copies": [], "transient": transient, "causes": set()})
                 entry["copies"].append(rt)
                 entry["transient"] = entry["transient"] and transient
@@ -900,7 +877,7 @@ class Engine:
             self._pump_bus()
 
     def _directive_victims(self, d: FaultTarget):
-        return [rt for rt in self._copies_in(d) if rt.copy.health is Health.ACTIVE]
+        return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
 
     def _mark_dead(self, d: FaultTarget):
         for pr in self.procs.values():
@@ -909,14 +886,13 @@ class Engine:
                 pr.halt(self.now)
 
     def _withdraw_copy(self, rt: _CopyRt):
-        c = rt.copy
-        c.health = Health.SHUTDOWN
+        rt.health = Health.SHUTDOWN
         pr = self.procs[rt.place]
         pr.drop(rt.key, self.now)
         pr.admitted = pr.admitted.without_task(rt.key)
         pr.refresh_priorities()
         self.bus = self.bus.without_demand(
-            ("copy", c.app_id, c.task_id, c.lane, c.proc))
+            ("copy", rt.app_id, rt.task_id, rt.lane, rt.proc))
 
     def _open_episode(self, app_id, entry):
         app = self.model.application(app_id)
@@ -928,25 +904,24 @@ class Engine:
         ep = _Episode(
             record_id=next(self._record_ids),
             app_id=app_id,
+            failed_copy_ids=tuple(sorted(rt.copy_id for rt in entry["copies"])),
             strategy=app.state_model.strategy,
-            failed_copy_ids=tuple(sorted(rt.copy.copy_id
-                                         for rt in entry["copies"])),
+            outcome=None,
+            t_f_us=self.now,
             origin="restabilize" if entry["transient"] else "reconfig",
             cause_ids=tuple(sorted(entry["causes"])),
-            t_f=self.now,
         )
         self._episodes.append(ep)
         if entry["transient"]:
-            ep.t_r = ep.t_i = ep.t_s = self.now
+            ep.t_r_us = ep.t_i_us = ep.t_s_us = self.now
             ep.copies = list(entry["copies"])
             for rt in ep.copies:
                 rt.episode = ep
             cleared = [f for f in self.sc.faults
                        if f.fault_id in ep.cause_ids and f not in self._active]
             if len(cleared) == len(ep.cause_ids):
-                ep.t_e = self.now
+                ep.t_e_us = self.now
             return
-        ep.copies = []
         ep.lost = entry["copies"]
         self._pending_selection.append(ep)
         if self._selection_at != self.now:
@@ -973,11 +948,11 @@ class Engine:
         group = self.groups[ep.app_id]
         lost = {}
         for rt in ep.lost:
-            lost.setdefault(rt.copy.task_id, rt)
+            lost.setdefault(rt.task_id, rt)
 
         for task_id in sorted(lost):
             if not group.active(task_id):
-                ep.t_r = self.now
+                ep.t_r_us = self.now
                 ep.outcome = Outcome.ABANDONED
                 self._row("Abandoned", app=ep.app_id, task=task_id,
                           detail="no surviving active copy to recover from")
@@ -986,7 +961,7 @@ class Engine:
 
         failed = [
             FailedTask(ep.app_id, task_id, app.task(task_id),
-                       home_lane=lost[task_id].copy.lane)
+                       home_lane=lost[task_id].lane)
             for task_id in sorted(lost)
         ]
         spares = [
@@ -999,7 +974,7 @@ class Engine:
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 
-        ep.t_r = self.now
+        ep.t_r_us = self.now
         for task_id, lane, proc in plan.placements:
             spec = app.task(task_id)
             pr = self.procs[(lane, proc)]
@@ -1013,8 +988,8 @@ class Engine:
             self._row("SpareSelected", lane, proc, ep.app_id, task_id,
                       f"resulting utilization "
                       f"{float(pr.admitted.utilization):.4f}")
+        ep.degraded_tasks = tuple(plan.degraded)
         for task_id in plan.degraded:
-            ep.degraded.append(task_id)
             self._row("DegradeToDuplex", app=ep.app_id, task=task_id,
                       detail="no spare could admit the copy")
 
@@ -1053,7 +1028,7 @@ class Engine:
                 return
             self._stall_noted.discard((ep.record_id, phase))
             if phase == "install":
-                ep.t_i = self.now
+                ep.t_i_us = self.now
                 kind = EventKind.INSTALL_DONE
             else:
                 kind = EventKind.STATE_TRANSFER_DONE
@@ -1066,12 +1041,12 @@ class Engine:
 
     def _finish_phase(self, ep: _Episode, phase: str):
         if phase == "install":
-            if ep.t_i is None:
-                ep.t_i = self.now
-            ep.t_s = self.now
+            if ep.t_i_us is None:
+                ep.t_i_us = self.now
+            ep.t_s_us = self.now
             self._bus_queue[0][1] = "state"
         else:
-            ep.t_e = self.now
+            ep.t_e_us = self.now
             self._bus_queue.pop(0)
             self._spawn_copies(ep)
 
@@ -1099,31 +1074,28 @@ class Engine:
         for task_id in sorted(ep.placements):
             lane, proc = ep.placements[task_id]
             spec = app.task(task_id)
-            copy = Copy(next(self._copy_ids), ep.app_id, task_id, lane, proc,
-                        health=Health.POLICED)
-            group.copies.append(copy)
-            rt = _CopyRt(copy, spec, app, origin_us=self.now,
+            rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
+                         Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
                          episode=ep)
+            group.copies.append(rt)
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
                 self.procs[(lane, proc)].add_background(
-                    copy.copy_id, Job(rt, self.now, rt.replay_left_us),
-                    self.now)
+                    rt.copy_id, Job(rt, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
-            self._push(self.now, EventKind.TASK_RELEASE, copy.copy_id,
-                       {"copy": copy.copy_id})
+            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id,
+                       {"copy": rt.copy_id})
 
     def _close_episode(self, ep: _Episode, at_horizon: bool = False):
         ep.closed = True
-        rec = ep.to_record()
-        self.records.append(rec)
+        self.records.append(ep)
         if not at_horizon:
             self._row("RecoveryClosed", app=ep.app_id,
-                      detail=f"record {rec.record_id}: {rec.outcome.value}")
+                      detail=f"record {ep.record_id}: {ep.outcome.value}")
         self._sample(ep.app_id)
 
     # -- coverage sampling ------------------------------------------------------------
@@ -1143,23 +1115,17 @@ class Engine:
 
 def _event_pusher(heap: list):
     """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
-    heap, not the engine, so processors holding it form no reference cycle."""
+    heap, not the engine, so processors holding it form no reference cycle.
+
+    Within one kind every key is an int or a tuple of ints, so keys compare
+    as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
+    channel, TaskComplete (lane, proc)."""
     seq = itertools.count()
 
     def push(at_us: int, kind: EventKind, key, data: dict):
-        heapq.heappush(heap, (at_us, _RANK[kind], _sortable(key), next(seq),
-                              kind, data))
+        heapq.heappush(heap, (at_us, _RANK[kind], key, next(seq), kind, data))
 
     return push
-
-
-def _sortable(key):
-    """Heap keys mix ints, tuples and strings; normalize for comparison."""
-    if isinstance(key, tuple):
-        return (1, tuple(_sortable(k) for k in key))
-    if isinstance(key, str):
-        return (2, key)
-    return (0, key)
 
 
 def run(scenario) -> SimResult:

@@ -1,8 +1,10 @@
 """The benchmark's tracer must find every name it patches in lanesim.
 
 ``perfbench/tracer.py`` wraps functions by module attribute and path, e.g.
-``lanesim.sim.classify``. A refactor that moves such a name breaks the
-traced benchmark run, so this check keeps that failure in the test suite.
+``lanesim.sim.classify``, and reads the kind of each popped event from the
+engine's heap entries. A refactor that moves such a name or reorders the
+entry breaks the traced benchmark run, so these checks keep that failure
+in the test suite.
 """
 
 import heapq
@@ -11,21 +13,24 @@ import importlib.util
 from pathlib import Path
 
 import lanesim.sim
+from lanesim.sim import EventKind, run
+
+from conftest import proc_fault, scen
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _bench_targets(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))      # tracer imports its siblings
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer._TARGETS
+    return tracer
 
 
 def test_every_benchmark_probe_resolves_on_lanesim(monkeypatch):
-    targets = _bench_targets(monkeypatch)
+    targets = _tracer(monkeypatch)._TARGETS
     assert targets
     for module, path, name, _keep in targets:
         owner = importlib.import_module(f"lanesim.{module}")
@@ -39,3 +44,12 @@ def test_every_benchmark_probe_resolves_on_lanesim(monkeypatch):
 def test_the_event_heap_is_reachable_as_lanesim_sim_heapq():
     # the tracer swaps this module attribute for a pop-counting shim
     assert vars(lanesim.sim)["heapq"] is heapq
+
+
+def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
+    # the pop shim takes the kind from index 4 of every heap entry
+    with _tracer(monkeypatch).counting_pops(lanesim.sim) as pops:
+        result = run(scen([proc_fault(kind="transient", duration_ms=40)]))
+    assert pops.counts
+    assert all(isinstance(kind, EventKind) for kind in pops.counts)
+    assert pops.counts[EventKind.TASK_RELEASE] >= result.counters["releases"]

@@ -63,7 +63,7 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _copies_by_id(self):
-        return sorted(self.copies.values(), key=lambda rt: rt.copy.copy_id)
+        return sorted(self.copies.values(), key=lambda rt: rt.copy_id)
 
     # -- the indexed answers --------------------------------------------
 
@@ -127,13 +127,13 @@ class CheckedEngine(Engine):
                         lambda fs: caught(fs, {
                             rt.key for rt in self.copies.values()
                             if rt.place == pr.key
-                            and rt.copy.health is Health.ACTIVE}))
+                            and rt.health is Health.ACTIVE}))
         super()._on_bit_check(data)
 
     def _hosted(self, place):
         got = super()._hosted(place)
         assert got == {rt.key for rt in self.copies.values()
-                       if rt.place == place and rt.copy.health is Health.ACTIVE}
+                       if rt.place == place and rt.health is Health.ACTIVE}
         self.checks += 1
         return got
 
@@ -148,7 +148,7 @@ class CheckedEngine(Engine):
         assert rts == [rt for rt in self._copies_by_id()
                        if rt.key == (app.app_id, task.task_id)]
         # the consensus takes every emitter's value: each is an active copy
-        assert all(any(rt.place == place and rt.copy.health is Health.ACTIVE
+        assert all(any(rt.place == place and rt.health is Health.ACTIVE
                        for rt in rts) for place in emitting)
         self.checks += 1
         super()._police_task(app, task, rts, emitting)
@@ -163,7 +163,7 @@ class CheckedEngine(Engine):
     def _directive_victims(self, d):
         got = super()._directive_victims(d)
         assert got == [rt for rt in self._copies_by_id()
-                       if rt.copy.health is Health.ACTIVE and d.contains(rt.scope)]
+                       if rt.health is Health.ACTIVE and d.contains(rt.scope)]
         self.checks += 1
         return got
 
