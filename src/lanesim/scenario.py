@@ -62,10 +62,9 @@ class Policies:
     approvals: tuple[Approval, ...] = ()
 
     def approval_time(self, **component) -> int | None:
-        for a in self.approvals:
-            if a.matches(**component):
-                return a.at_us
-        return None
+        """When the earliest approval matching the component comes, if any."""
+        return min((a.at_us for a in self.approvals if a.matches(**component)),
+                   default=None)
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,13 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
         bad(Violation("MalformedDocument", "horizon must be positive"))
     lanes = set(sc.model.lane_ids)
     apps = {a.app_id: a for a in sc.model.applications}
+    fault_ids = set()
     for f in sc.faults:
         name = f"fault {f.fault_id}"
+        if f.fault_id in fault_ids:
+            # BIT records what it caught by fault id
+            bad(Violation("DuplicateId", f"duplicate fault id {f.fault_id}"))
+        fault_ids.add(f.fault_id)
         if f.at_us >= sc.settings.horizon_us:
             bad(Violation("MalformedDocument", f"{name} fires at/after the horizon"))
         if f.kind is FaultKind.TRANSIENT and (f.duration_us is None or f.duration_us <= 0):

@@ -19,10 +19,14 @@ from lanesim.timing import ProcessorState
 from conftest import proc_fault, scenario_doc, triplex_system
 
 
-def _messages(doc):
+def _violations(doc):
     with pytest.raises(InvalidModel) as err:
         parse_scenario(doc)
-    return [v.message for v in err.value.violations]
+    return [(v.code, v.message) for v in err.value.violations]
+
+
+def _messages(doc):
+    return [message for _code, message in _violations(doc)]
 
 
 def test_parse_scenario_happy_path():
@@ -93,6 +97,16 @@ def test_fault_references_must_resolve():
                          "target": {"kind": "task", "lane": 0, "proc": 0,
                                     "app": 9, "task": 1}}])
     assert any("unknown app" in m for m in _messages(doc))
+
+
+def test_fault_ids_must_be_unique():
+    # explicit ids, and an explicit id equal to another fault's list index
+    doc = scenario_doc([proc_fault(at_ms=30, fault_id=7),
+                        proc_fault(at_ms=60, lane=1, proc=1, fault_id=7)])
+    assert _violations(doc) == [("DuplicateId", "duplicate fault id 7")]
+    doc = scenario_doc([proc_fault(at_ms=30),
+                        proc_fault(at_ms=60, lane=1, proc=1, fault_id=0)])
+    assert _violations(doc) == [("DuplicateId", "duplicate fault id 0")]
 
 
 def test_approval_references_must_resolve():

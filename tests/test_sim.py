@@ -463,6 +463,30 @@ def test_sensor_restore_waits_for_pilot_approval():
                for at, level in steps if 60000 <= at < 150000)
 
 
+def _trace_with_approvals(sensor_ms, copy_ms):
+    """A sensor and a processor fault, both transient, approved as listed."""
+    faults = [{"at_ms": 30, "kind": "transient", "duration_ms": 20,
+               "value_skew": 3.0,
+               "target": {"kind": "sensor", "app": 1, "lane": 1}},
+              proc_fault(at_ms=30, lane=0, proc=1, kind="transient",
+                         duration_ms=25, bit_detectable=True)]
+    approvals = ([{"at_ms": at, "sensor": True, "app": 1, "lane": 1}
+                  for at in sensor_ms]
+                 + [{"at_ms": at, "lane": 0, "proc": 1} for at in copy_ms])
+    doc = scenario_doc(faults, policies={"pilot_gate": True,
+                                         "pilot_approvals": approvals})
+    return list(trace_lines(run(parse_scenario(doc))))
+
+
+def test_the_earliest_matching_approval_counts_in_any_order():
+    trace = _trace_with_approvals(sensor_ms=(180, 120), copy_ms=(180, 60))
+    assert trace == _trace_with_approvals(sensor_ms=(120, 180),
+                                          copy_ms=(60, 180))
+    readmits = [line.split("\t")[:2] for line in trace if "\tReadmit\t" in line]
+    # the copy passes policing at 100 ms, after its 60 ms approval
+    assert readmits == [["100000", "Readmit"], ["120000", "Readmit"]]
+
+
 # --- state strategies ------------------------------------------------
 
 
