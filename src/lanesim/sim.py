@@ -11,6 +11,19 @@ so copies go first; ``TaskComplete`` is keyed by ``(lane, proc)``, since
 at one instant only the wake-up of the processor's current generation
 acts and stale ones return before charging anything.
 
+Each event carries the object its handler acts on:
+
+    FaultActivate, FaultClear     the FaultSpec
+    TaskComplete                  (processor, what, generation)
+    DeadlineCheck                 (copy, release_us)
+    BITCheck                      the processor
+    TaskRelease                   the copy
+    VoteRound                     the ApplicationSpec
+    Classify, SelectionDone       None: the work is the pending list
+    InstallDone, StateTransferDone  the recovery episode
+    PilotApproval                 the Approval
+    Readmit                       the copy, or the (app, lane) sensor channel
+
 Each (lane, processor) slot runs the deadline-monotonic schedule of
 :mod:`lanesim.processor`: time is charged lazily whenever an event touches
 the processor, and completion events carry the processor's generation so
@@ -155,17 +168,14 @@ class _Proc(Processor):
         self.dead = False       # permanently withdrawn from service
         self.admitted = ProcessorState()
         self.push = push        # the engine's event push
-
-    @property
-    def key(self):
-        return (self.lane, self.proc)
+        self.key = (lane, proc)
 
     def runnable(self) -> bool:
         return not (self.failed or self.dead)
 
     def wake(self, at_us: int):
         self.push(at_us, EventKind.TASK_COMPLETE, self.key,
-                  {"proc": self.key, "what": self.running, "gen": self.gen})
+                  (self, self.running, self.gen))
 
     def refresh_priorities(self):
         self.prios = self.admitted.priorities()
@@ -211,7 +221,6 @@ class _Episode(ReconfigRecord):
     cause_ids: tuple = ()
     copies: list = field(default_factory=list)    # _CopyRt awaiting readmission
     lost: list = field(default_factory=list)      # _CopyRt withdrawn at t_f
-    closed: bool = False
 
 
 class Engine:
@@ -230,7 +239,6 @@ class Engine:
         self._push = _event_pusher(self._heap)
 
         self.trace: list = []
-        self.records: list = []
         self.samples: list = []
         self.misses: list = []
         self.completions: list = []
@@ -241,6 +249,7 @@ class Engine:
         }
 
         self.procs: dict = {}
+        self._lane_procs: dict = {}     # lane -> [_Proc] in spec order
         self.groups: dict = {}
         self.copies: dict = {}          # copy_id -> _CopyRt
         self._task_copies: dict = {}    # (app, task) -> [_CopyRt] by copy id
@@ -250,14 +259,12 @@ class Engine:
 
         self._copy_ids = itertools.count(1)
         self._record_ids = itertools.count(1)
-        self._episodes: list = []
+        self._episodes: list = []       # by record id; they are the records
         self._pending_implicated: set = set()
-        self._classify_at: int | None = None
         self._pending_selection: list = []
-        self._selection_at: int | None = None
         self._bus_queue: list = []      # [episode, phase] FIFO
-        self._bus_active = None
-        self._stall_noted: set = set()
+        self._bus_busy = False
+        self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
         self._last_cov: dict = {}
 
@@ -274,10 +281,12 @@ class Engine:
 
     def _init_topology(self):
         for lane in self.model.lanes:
-            for p in lane.processors:
-                self.procs[(lane.lane_id, p.proc_id)] = _Proc(
-                    lane.lane_id, p.proc_id, self._push)
-                self._proc_copies[(lane.lane_id, p.proc_id)] = []
+            procs = self._lane_procs[lane.lane_id] = [
+                _Proc(lane.lane_id, p.proc_id, self._push)
+                for p in lane.processors]
+            for pr in procs:
+                self.procs[pr.key] = pr
+                self._proc_copies[pr.key] = []
 
         homes = initial_allocation(self.model)
         for app in sorted(self.model.applications, key=lambda a: a.app_id):
@@ -335,6 +344,14 @@ class Engine:
         return [rt for rt in self._proc_copies.get((scope.lane, scope.proc), ())
                 if scope.contains(rt.scope)]
 
+    def _procs_in(self, scope: FaultTarget) -> list:
+        """The processors inside a lane or processor scope, in spec order."""
+        if scope.kind is TargetKind.LANE:
+            return self._lane_procs[scope.lane]
+        if scope.kind is TargetKind.PROCESSOR:
+            return [self.procs[(scope.lane, scope.proc)]]
+        return []
+
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
         return {rt.key for rt in self._proc_copies[place]
@@ -342,29 +359,24 @@ class Engine:
 
     def _prime_events(self):
         for rt in self.copies.values():
-            self._push(0, EventKind.TASK_RELEASE, rt.copy_id,
-                       {"copy": rt.copy_id})
+            self._push(0, EventKind.TASK_RELEASE, rt.copy_id, rt)
         for app in self.model.applications:
             period = app.shortest_period_us
             if period <= self.horizon:
-                self._push(period, EventKind.VOTE_ROUND, app.app_id,
-                           {"app": app.app_id, "period": period})
+                self._push(period, EventKind.VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
-        for key in sorted(self.procs):
-            if bitp <= self.horizon:
-                self._push(bitp, EventKind.BIT_CHECK, key, {"proc": key})
+        if bitp <= self.horizon:
+            for pr in self.procs.values():
+                self._push(bitp, EventKind.BIT_CHECK, pr.key, pr)
         for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
-            self._push(f.at_us, EventKind.FAULT_ACTIVATE, f.fault_id,
-                       {"fault": f})
+            self._push(f.at_us, EventKind.FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
             if clears is not None and clears <= self.horizon:
-                self._push(clears, EventKind.FAULT_CLEAR, f.fault_id,
-                           {"fault": f})
+                self._push(clears, EventKind.FAULT_CLEAR, f.fault_id, f)
         if self.policies.pilot_gate:
             for i, a in enumerate(self.policies.approvals):
                 if a.at_us <= self.horizon:
-                    self._push(a.at_us, EventKind.PILOT_APPROVAL, i,
-                               {"approval": a})
+                    self._push(a.at_us, EventKind.PILOT_APPROVAL, i, a)
         for app_id in self.groups:
             self._sample(app_id)
 
@@ -400,17 +412,16 @@ class Engine:
 
     def _wrap_up(self) -> SimResult:
         for ep in self._episodes:
-            if not ep.closed:
+            if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
-                self._close_episode(ep, at_horizon=True)
-        self.records.sort(key=lambda r: r.record_id)
+                self._sample(ep.app_id)
         result = SimResult(
             seed=self.settings.seed,
             horizon_us=self.horizon,
-            records=self.records,
+            records=self._episodes,
             trace=self.trace,
             samples=self.samples,
-            risk=cov.time_at_risk(self.records, self.horizon),
+            risk=cov.time_at_risk(self._episodes, self.horizon),
             deadline_misses=self.misses,
             completions=self.completions,
             counters=dict(self.counters),
@@ -425,31 +436,29 @@ class Engine:
 
     # -- releases, completions, deadlines ---------------------------------------
 
-    def _on_release(self, data):
-        rt = self.copies.get(data["copy"])
-        if rt is None or rt.health is Health.SHUTDOWN:
+    def _on_release(self, rt: _CopyRt):
+        if rt.health is Health.SHUTDOWN:
             return
         nxt = self.now + rt.spec.period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.TASK_RELEASE, rt.copy_id,
-                       {"copy": rt.copy_id})
+            self._push(nxt, EventKind.TASK_RELEASE, rt.copy_id, rt)
         pr = self.procs[rt.place]
-        if pr.failed or pr.dead or self._silenced(rt, pr):
+        if pr.dead or self._silenced(rt, pr):
             return
         self.counters["releases"] += 1
         pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
         deadline = self.now + rt.spec.deadline_us
         if deadline <= self.horizon:
             self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy_id,
-                       {"copy": rt.copy_id, "release": self.now})
+                       (rt, self.now))
 
     def _on_complete(self, data):
-        pr = self.procs[data["proc"]]
-        job = pr.finish(data["what"], data["gen"], self.now)
+        pr, what, gen = data
+        job = pr.finish(what, gen, self.now)
         if job is None:
             return
         rt = job.owner
-        if data["what"][0] == "job":
+        if what[0] == "job":
             rt.completed_ever = True
             self.counters["completions"] += 1
             self.completions.append(CompletionRecord(
@@ -461,11 +470,9 @@ class Engine:
                       "history backlog cleared")
 
     def _on_deadline_check(self, data):
-        rt = self.copies.get(data["copy"])
-        if rt is None:
-            return
+        rt, release_us = data
         pr = self.procs[rt.place]
-        job = pr.expire(rt.key, data["release"], self.now)
+        job = pr.expire(rt.key, release_us, self.now)
         if job is None:
             return
         self.counters["deadline_misses"] += 1
@@ -485,9 +492,9 @@ class Engine:
     # that fault's target equals the scope it names and is a dict key for it.
 
     def _silenced(self, rt: _CopyRt, pr: _Proc) -> bool:
-        """Is the copy on pr halted (not just skewed) by an active fault?"""
-        return bool(self._halting) and (rt.scope in self._halting
-                                        or self._halted(pr))
+        """Is the copy on pr halted (not just skewed) by an active fault?
+        pr.failed is kept equal to _halted(pr) by the fault handlers."""
+        return pr.failed or bool(self._halting) and rt.scope in self._halting
 
     def _halted(self, pr: _Proc) -> bool:
         """Is the processor halted by an active fault?"""
@@ -502,8 +509,7 @@ class Engine:
             pr.failed = False
             pr.dispatch(self.now)
 
-    def _on_fault_activate(self, data):
-        f = data["fault"]
+    def _on_fault_activate(self, f):
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
@@ -520,12 +526,10 @@ class Engine:
             for rt in self._copies_in(t):
                 self.procs[rt.place].drop(rt.key, self.now)
             return
-        for pr in self.procs.values():
-            if t.contains(pr.scope):
-                self._refresh_proc_failure(pr)
+        for pr in self._procs_in(t):
+            self._refresh_proc_failure(pr)
 
-    def _on_fault_clear(self, data):
-        f = data["fault"]
+    def _on_fault_clear(self, f):
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id} cleared")
@@ -539,11 +543,10 @@ class Engine:
             left = self._halting.pop(t) - 1
             if left:
                 self._halting[t] = left
-            for pr in self.procs.values():
-                if t.contains(pr.scope):
-                    self._refresh_proc_failure(pr)
+            for pr in self._procs_in(t):
+                self._refresh_proc_failure(pr)
         for ep in self._episodes:
-            if (not ep.closed and ep.origin == "restabilize"
+            if (ep.outcome is None and ep.origin == "restabilize"
                     and f.fault_id in ep.cause_ids and ep.t_e_us is None):
                 ep.t_e_us = self.now
 
@@ -557,7 +560,7 @@ class Engine:
                 return      # never approved; channel stays out
             if at > self.now:
                 self._push(at, EventKind.READMIT, (1, app_id, lane),
-                           {"sensor": (app_id, lane)})
+                           (app_id, lane))
                 return
         self._readmit_channel(app_id, lane)
 
@@ -571,17 +574,15 @@ class Engine:
 
     # -- built-in test -------------------------------------------------------------
 
-    def _on_bit_check(self, data):
-        key = data["proc"]
-        pr = self.procs[key]
+    def _on_bit_check(self, pr: _Proc):
         if pr.dead:
             return
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.BIT_CHECK, key, {"proc": key})
+            self._push(nxt, EventKind.BIT_CHECK, pr.key, pr)
         if not self._active:
             return
-        hosted = self._hosted(key)
+        hosted = self._hosted(pr.key)
         for f in sorted(self._active, key=lambda f: f.fault_id):
             if f.fault_id in self._bit_detected:
                 continue
@@ -614,11 +615,9 @@ class Engine:
     def _emitted(self, rt: _CopyRt) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent."""
         pr = self.procs[rt.place]
-        if pr.failed or pr.dead:
-            return None
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        if self._silenced(rt, pr):
+        if pr.dead or self._silenced(rt, pr):
             return None
         value = self._reference_value()
         byz = self._skew_for(rt)
@@ -628,12 +627,11 @@ class Engine:
             value += 2.0 * self.voter.tolerance * rt.converge_left
         return value
 
-    def _on_vote_round(self, data):
-        app = self.model.application(data["app"])
+    def _on_vote_round(self, app: ApplicationSpec):
         self.counters["vote_rounds"] += 1
-        nxt = self.now + data["period"]
+        nxt = self.now + app.shortest_period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.VOTE_ROUND, app.app_id, data)
+            self._push(nxt, EventKind.VOTE_ROUND, app.app_id, app)
 
         self._check_sensors(app)
         for task in sorted(app.tasks, key=lambda t: t.task_id):
@@ -671,16 +669,13 @@ class Engine:
         }
         flagged, ambiguous = frozenset(), False
         if len(emitting) >= 2:
-            per_rcv = [rt for rt in expected
-                       if (byz := self._skew_for(rt)) is not None
-                       and byz.per_receiver]
-            if per_rcv:
-                outcome = exchange_vote(
-                    self._exchange_matrix(expected, emitting), self.voter)
-                flagged, ambiguous = outcome.flagged, outcome.ambiguous
+            if any((byz := self._skew_for(rt)) is not None and byz.per_receiver
+                   for rt in expected):
+                outcome = exchange_vote(self._exchange_matrix(
+                    expected, emissions, emitting), self.voter)
             else:
                 outcome = cross_monitor(emitting, self.voter)
-                flagged, ambiguous = outcome.flagged, outcome.ambiguous
+            flagged, ambiguous = outcome.flagged, outcome.ambiguous
             if not ambiguous:
                 implicated.update(
                     (place[0], place[1], app.app_id, task.task_id)
@@ -690,10 +685,9 @@ class Engine:
             self._row("VoteRound", app=app.app_id, task=task.task_id,
                       detail=self._vote_detail(silent, flagged, ambiguous))
         if implicated:
+            if not self._pending_implicated:
+                self._push(self.now, EventKind.CLASSIFY, app.app_id, None)
             self._pending_implicated.update(implicated)
-            if self._classify_at != self.now:
-                self._classify_at = self.now
-                self._push(self.now, EventKind.CLASSIFY, app.app_id, {})
 
         self._police_task(app, task, rts, emitting)
 
@@ -710,36 +704,27 @@ class Engine:
             parts.append("ambiguous")
         return " ".join(parts)
 
-    def _exchange_matrix(self, expected, emitting):
-        """Build receiver x sender claims, including per-receiver lies."""
+    def _exchange_matrix(self, expected, emissions, emitting):
+        """Build receiver x sender claims from this round's emitted values,
+        including what two-faced senders and relays tell each receiver."""
         received: dict = {}
-        receivers = [rt for rt in expected if rt.place in emitting]
         ref = self._reference_value()
-        for r in receivers:
-            claims: dict = {}
+        for r in expected:
+            if r.place not in emitting:
+                continue
             r_byz = self._skew_for(r)
-            for s in expected:
-                truth = self._sent_value(s, r, ref)
-                if truth is None:
-                    claims[s.place] = None
-                elif r_byz is not None and r_byz.per_receiver and s is not r:
-                    # a two-faced relay also lies about what it heard
-                    sign = 1 if (s.lane + r_byz.fault_id) % 2 == 0 else -1
-                    claims[s.place] = truth + 1.5 * r_byz.value_skew * sign
-                else:
-                    claims[s.place] = truth
+            claims: dict = {}
+            for s, value in emissions.values():
+                if value is not None and s is not r:
+                    s_byz = self._skew_for(s)
+                    if s_byz is not None and s_byz.per_receiver:
+                        value = ref + s_byz.value_skew * _two_faced_sign(r, s_byz)
+                    if r_byz is not None and r_byz.per_receiver:
+                        # a two-faced relay also lies about what it heard
+                        value += 1.5 * r_byz.value_skew * _two_faced_sign(s, r_byz)
+                claims[s.place] = value
             received[r.place] = claims
         return received
-
-    def _sent_value(self, sender: _CopyRt, receiver: _CopyRt, ref: float):
-        base = self._emitted(sender)
-        if base is None:
-            return None
-        byz = self._skew_for(sender)
-        if byz is not None and byz.per_receiver and sender is not receiver:
-            sign = 1 if (receiver.lane + byz.fault_id) % 2 == 0 else -1
-            return ref + byz.value_skew * sign
-        return base
 
     def _police_task(self, app, task, rts, emitting):
         watched = [rt for rt in rts
@@ -777,28 +762,24 @@ class Engine:
                                              app=rt.app_id, task=rt.task_id)
             if at is None or at > self.now:
                 return      # waits for the pilot (or forever)
-        self._push(self.now, EventKind.READMIT, (0, rt.copy_id),
-                   {"copy": rt.copy_id})
+        self._push(self.now, EventKind.READMIT, (0, rt.copy_id), rt)
 
-    def _on_pilot_approval(self, data):
-        a = data["approval"]
+    def _on_pilot_approval(self, a):
         self._row("PilotApproval", a.lane, a.proc, a.app, a.task,
                   "sensor scope" if a.sensor else "")
         if a.sensor:
             return      # sensor restores are driven from the clear event
-        for rt in sorted(self.copies.values(), key=lambda rt: rt.copy_id):
+        for rt in self.copies.values():     # in copy id order
             if (rt.eligible_us is not None
                     and rt.health is Health.RESTABILIZING
                     and a.matches(lane=rt.lane, proc=rt.proc, app=rt.app_id,
                                   task=rt.task_id)):
-                self._push(self.now, EventKind.READMIT, (0, rt.copy_id),
-                           {"copy": rt.copy_id})
+                self._push(self.now, EventKind.READMIT, (0, rt.copy_id), rt)
 
-    def _on_readmit(self, data):
-        if "sensor" in data:
-            self._readmit_channel(*data["sensor"])
+    def _on_readmit(self, rt):
+        if isinstance(rt, tuple):
+            self._readmit_channel(*rt)     # an (app, lane) sensor channel
             return
-        rt = self.copies[data["copy"]]
         if rt.health not in (Health.POLICED, Health.RESTABILIZING):
             return
         rt.health = Health.ACTIVE
@@ -808,21 +789,17 @@ class Engine:
                   "copy readmitted to the active set")
         self._sample(rt.app_id)
         ep = rt.episode
-        if ep is not None and not ep.closed:
+        if ep is not None and ep.outcome is None:
             if all(c.health is Health.ACTIVE for c in ep.copies):
                 ep.t_a_us = self.now
-                ep.outcome = (Outcome.DEGRADED_DUPLEX if ep.degraded_tasks
-                              else Outcome.READMITTED)
-                self._close_episode(ep)
+                self._close_episode(ep, Outcome.DEGRADED_DUPLEX
+                                    if ep.degraded_tasks else Outcome.READMITTED)
 
     # -- classification and shutdown ---------------------------------------------
 
-    def _on_classify(self, data):
+    def _on_classify(self, _):
         implicated = self._pending_implicated
         self._pending_implicated = set()
-        self._classify_at = None
-        if not implicated:
-            return
         hosted = {place: self._hosted(place) for place in self._proc_copies}
         directives = classify(implicated, hosted)
         for d in directives:
@@ -873,15 +850,15 @@ class Engine:
         # withdrawals may have freed bandwidth a stalled transfer was waiting
         # for; when a selection event is pending at this same instant, its own
         # pump runs after the new reservations instead
-        if self._selection_at != self.now:
+        if not self._pending_selection:
             self._pump_bus()
 
     def _directive_victims(self, d: FaultTarget):
         return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
 
     def _mark_dead(self, d: FaultTarget):
-        for pr in self.procs.values():
-            if d.contains(pr.scope) and not pr.dead:
+        for pr in self._procs_in(d):
+            if not pr.dead:
                 pr.dead = True
                 pr.halt(self.now)
 
@@ -923,17 +900,15 @@ class Engine:
                 ep.t_e_us = self.now
             return
         ep.lost = entry["copies"]
+        if not self._pending_selection:
+            self._push(self.now, EventKind.SELECTION, app_id, None)
         self._pending_selection.append(ep)
-        if self._selection_at != self.now:
-            self._selection_at = self.now
-            self._push(self.now, EventKind.SELECTION, app_id, {})
 
     # -- selection and the transfer bus ---------------------------------------------
 
-    def _on_selection(self, data):
+    def _on_selection(self, _):
         pending = self._pending_selection
         self._pending_selection = []
-        self._selection_at = None
         rank = {app_id: i for i, app_id in
                 enumerate(recovery_order(self.model.applications))}
         pending.sort(key=lambda ep: rank[ep.app_id])
@@ -953,10 +928,9 @@ class Engine:
         for task_id in sorted(lost):
             if not group.active(task_id):
                 ep.t_r_us = self.now
-                ep.outcome = Outcome.ABANDONED
                 self._row("Abandoned", app=ep.app_id, task=task_id,
                           detail="no surviving active copy to recover from")
-                self._close_episode(ep)
+                self._close_episode(ep, Outcome.ABANDONED)
                 return
 
         failed = [
@@ -996,8 +970,7 @@ class Engine:
         if ep.placements:
             self._bus_queue.append([ep, "install"])
         else:
-            ep.outcome = Outcome.DEGRADED_DUPLEX
-            self._close_episode(ep)
+            self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
     def _phase_payload(self, ep: _Episode, phase: str):
         app = self.model.application(ep.app_id)
@@ -1012,7 +985,7 @@ class Engine:
         return 0
 
     def _pump_bus(self):
-        while self._bus_queue and self._bus_active is None:
+        while self._bus_queue and not self._bus_busy:
             ep, phase = self._bus_queue[0]
             payload = self._phase_payload(ep, phase)
             if payload == 0:
@@ -1020,13 +993,13 @@ class Engine:
                 continue
             avail = available_transfer_bandwidth(self.bus)
             if avail <= 0:
-                if (ep.record_id, phase) not in self._stall_noted:
-                    self._stall_noted.add((ep.record_id, phase))
+                if not self._stall_traced:
+                    self._stall_traced = True
                     self._row("TransferStall", app=ep.app_id,
                               detail=f"{phase} transfer of {payload} units waits "
                                      f"for bus bandwidth")
                 return
-            self._stall_noted.discard((ep.record_id, phase))
+            self._stall_traced = False
             if phase == "install":
                 ep.t_i_us = self.now
                 kind = EventKind.INSTALL_DONE
@@ -1034,9 +1007,8 @@ class Engine:
                 kind = EventKind.STATE_TRANSFER_DONE
             duration = transfer_time(payload, avail)
             self.counters["transfers"] += 1
-            self._bus_active = (ep, phase)
-            self._push(self.now + duration, kind, ep.record_id,
-                       {"episode": ep})
+            self._bus_busy = True
+            self._push(self.now + duration, kind, ep.record_id, ep)
             return
 
     def _finish_phase(self, ep: _Episode, phase: str):
@@ -1050,18 +1022,16 @@ class Engine:
             self._bus_queue.pop(0)
             self._spawn_copies(ep)
 
-    def _on_install_done(self, data):
-        ep = data["episode"]
-        self._bus_active = None
+    def _on_install_done(self, ep: _Episode):
+        self._bus_busy = False
         self._row("InstallDone", app=ep.app_id,
                   detail=f"code image installed for tasks "
                          f"{sorted(ep.placements)}")
         self._finish_phase(ep, "install")
         self._pump_bus()
 
-    def _on_state_done(self, data):
-        ep = data["episode"]
-        self._bus_active = None
+    def _on_state_done(self, ep: _Episode):
+        self._bus_busy = False
         self._finish_phase(ep, "state")
         self._pump_bus()
 
@@ -1087,15 +1057,12 @@ class Engine:
                     rt.copy_id, Job(rt, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
-            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id,
-                       {"copy": rt.copy_id})
+            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, rt)
 
-    def _close_episode(self, ep: _Episode, at_horizon: bool = False):
-        ep.closed = True
-        self.records.append(ep)
-        if not at_horizon:
-            self._row("RecoveryClosed", app=ep.app_id,
-                      detail=f"record {ep.record_id}: {ep.outcome.value}")
+    def _close_episode(self, ep: _Episode, outcome: Outcome):
+        ep.outcome = outcome
+        self._row("RecoveryClosed", app=ep.app_id,
+                  detail=f"record {ep.record_id}: {outcome.value}")
         self._sample(ep.app_id)
 
     # -- coverage sampling ------------------------------------------------------------
@@ -1113,16 +1080,28 @@ class Engine:
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
 
 
+def _two_faced_sign(toward: _CopyRt, fault) -> int:
+    """Which way a two-faced fault bends what it tells the copy ``toward``."""
+    return 1 if (toward.lane + fault.fault_id) % 2 == 0 else -1
+
+
 def _event_pusher(heap: list):
     """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
     heap, not the engine, so processors holding it form no reference cycle.
 
     Within one kind every key is an int or a tuple of ints, so keys compare
     as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
-    channel, TaskComplete (lane, proc)."""
+    channel, TaskComplete (lane, proc). ``data`` is the object the handler
+    acts on: the FaultSpec for FaultActivate and FaultClear; (processor,
+    what, generation) for TaskComplete; (copy, release_us) for
+    DeadlineCheck; the processor for BITCheck; the copy for TaskRelease (the
+    TaskSpec in schedule_processor); the ApplicationSpec for VoteRound; None
+    for Classify and SelectionDone; the episode for InstallDone and
+    StateTransferDone; the Approval for PilotApproval; and for Readmit the
+    copy or the (app, lane) sensor channel."""
     seq = itertools.count()
 
-    def push(at_us: int, kind: EventKind, key, data: dict):
+    def push(at_us: int, kind: EventKind, key, data):
         heapq.heappush(heap, (at_us, _RANK[kind], key, next(seq), kind, data))
 
     return push
@@ -1164,8 +1143,8 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     cpu.admitted = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
                                    for key, t in specs.items()})
     cpu.refresh_priorities()
-    for key in specs:
-        push(0, EventKind.TASK_RELEASE, key, {"task": key})
+    for t in tasks:
+        push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:
         cpu.add_background(0, Job(None, 0, background_us), 0)
 
@@ -1173,25 +1152,26 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     while events and events[0][0] <= window_us:
         now, _rank, _key, _seq, kind, data = heapq.heappop(events)
         if kind is EventKind.TASK_COMPLETE:
-            job = cpu.finish(data["what"], data["gen"], now)
+            _cpu, what, gen = data
+            job = cpu.finish(what, gen, now)
             if job is None:
                 continue
-            if data["what"][0] == "job":
+            if what[0] == "job":
                 report.completions.append((job.owner, job.release_us, now))
             else:
                 report.background_done_us = now
         elif kind is EventKind.DEADLINE_CHECK:
-            if cpu.expire(data["task"], data["release"], now) is not None:
-                report.misses.append((data["task"], data["release"], now))
+            t, release = data
+            if cpu.expire(t.task_id, release, now) is not None:
+                report.misses.append((t.task_id, release, now))
         else:
-            t = specs[data["task"]]
+            t = data
             cpu.release(t.task_id, Job(t.task_id, now, t.wcet_us), now)
             if now + t.deadline_us <= window_us:
                 push(now + t.deadline_us, EventKind.DEADLINE_CHECK, t.task_id,
-                     {"task": t.task_id, "release": now})
+                     (t, now))
             if now + t.period_us < window_us:
-                push(now + t.period_us, EventKind.TASK_RELEASE, t.task_id,
-                     {"task": t.task_id})
+                push(now + t.period_us, EventKind.TASK_RELEASE, t.task_id, t)
     return report
 
 

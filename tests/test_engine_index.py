@@ -49,7 +49,7 @@ class CheckedEngine(Engine):
 
     def _settled_faults(self):
         """The scan, less what fault events queued at this instant change."""
-        queued = {id(data["fault"]) for at, _, _, _, kind, data in self._heap
+        queued = {id(data) for at, _, _, _, kind, data in self._heap
                   if at == self.now and kind in _FAULT_EVENTS}
         return [f for f in self.sc.faults
                 if f.active_at(self.now) != (id(f) in queued)]
@@ -113,8 +113,7 @@ class CheckedEngine(Engine):
         for pr in self.procs.values():
             assert pr.failed == self._halted(pr)
 
-    def _on_bit_check(self, data):
-        pr = self.procs[data["proc"]]
+    def _on_bit_check(self, pr):
         if not pr.dead:
             hosted = self._hosted(pr.key)
 
@@ -128,7 +127,7 @@ class CheckedEngine(Engine):
                             rt.key for rt in self.copies.values()
                             if rt.place == pr.key
                             and rt.health is Health.ACTIVE}))
-        super()._on_bit_check(data)
+        super()._on_bit_check(pr)
 
     def _hosted(self, place):
         got = super()._hosted(place)
