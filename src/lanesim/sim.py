@@ -820,6 +820,9 @@ class Engine:
             transient = bool(causes) and all(
                 f.kind is FaultKind.TRANSIENT for f in causes)
             cause_ids = tuple(sorted(f.fault_id for f in causes))
+            # a fault inside the scope is handled; one around it is not
+            self._bit_detected.update(
+                f.fault_id for f in causes if d.contains(f.target))
             victims = self._directive_victims(d)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,

@@ -369,6 +369,20 @@ def test_bit_probability_zero_leaves_detection_to_voting():
     assert rec.t_f_us == 60000
 
 
+def test_bit_leaves_alone_a_fault_that_voting_already_shut_down():
+    # BIT runs at 25, 50 and 75 ms. The 60 ms vote round shuts both halted
+    # processors down to restabilize; at 75 ms both faults are still
+    # active inside those scopes, and BIT must not catch them again.
+    result = run(scen([
+        proc_fault(at_ms=51, kind="transient", duration_ms=40,
+                   bit_detectable=True),
+        proc_fault(at_ms=51, lane=1, proc=1, kind="transient",
+                   duration_ms=40, bit_detectable=True)]))
+    assert result.counters["detections"] == 2
+    assert result.counters["shutdowns"] == 2
+    assert not any("bit caught" in e.detail for e in result.trace)
+
+
 def test_symmetric_byzantine_is_outvoted_in_triplex():
     fault = {"at_ms": 50, "kind": "byzantine", "value_skew": 5.0,
              "target": {"kind": "task", "lane": 0, "proc": 0,
