@@ -408,6 +408,7 @@ class Engine:
             self.now = at
             handlers[kind](data)
         self.now = self.horizon
+        self._heap.clear()      # see _event_pusher
         return self._wrap_up()
 
     def _wrap_up(self) -> SimResult:
@@ -1090,7 +1091,9 @@ def _two_faced_sign(toward: _CopyRt, fault) -> int:
 
 def _event_pusher(heap: list):
     """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
-    heap, not the engine, so processors holding it form no reference cycle.
+    heap, not the engine. A TaskComplete entry holds its processor, which
+    holds this push, so a heap left with entries is a reference cycle that
+    only the garbage collector frees: clear the heap when the run ends.
 
     Within one kind every key is an int or a tuple of ints, so keys compare
     as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
@@ -1175,6 +1178,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
                      (t, now))
             if now + t.period_us < window_us:
                 push(now + t.period_us, EventKind.TASK_RELEASE, t.task_id, t)
+    events.clear()
     return report
 
 
