@@ -15,7 +15,8 @@ Spare selection prefers the failed copy's own lane, then other lanes;
 within a tier candidates are ranked by lowest resulting utilization with
 ties broken by (lane id, proc id). Every placement must pass both the
 processor admission test and the bus comms test at the moment of
-selection, and in the restricted architecture a spare accepts at most one
+selection. A spare never takes a second copy of a task it already holds,
+and in the restricted architecture a spare accepts at most one
 application. When nothing fits the task degrades: the application simply
 continues one level weaker.
 
@@ -184,6 +185,9 @@ def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
     u = task_utilization(f.task.wcet_us, f.task.period_us, f.task.deadline_us)
 
     def usable(s):
+        # a spare never takes a second copy of a task it already runs
+        if (f.app_id, f.task_id) in s.state:
+            return False
         return not (restricted and (s.lane, s.proc) in taken)
 
     def rank(s):

@@ -91,6 +91,21 @@ def test_occupied_spares_are_skipped_only_in_restricted_mode():
     assert integ.placements == [(1, 0, 3)]
 
 
+def test_a_spare_never_takes_a_second_copy_of_a_task_it_holds():
+    # fully integrated: an occupied spare is usable, but not for a task
+    # whose copy it already runs; the next spare takes it instead
+    holder = _spare(0, 3)
+    holder.state = holder.state.with_task((1, 1), 2000, 20000, 20000)
+    failed = [_failed(_task(), home_lane=0)]
+    plan = select_spare(failed, [holder], BusState(Fraction(10)), CFG,
+                        restricted=False)
+    assert plan.placements == [] and plan.degraded == [1]
+    assert plan.decisions == []
+    plan = select_spare(failed, [holder, _spare(1, 3)], BusState(Fraction(10)),
+                        CFG, restricted=False)
+    assert plan.placements == [(1, 1, 3)]
+
+
 def test_two_tasks_of_one_app_may_share_a_spare():
     tasks = [_task(task_id=1, wcet_ms=2), _task(task_id=2, wcet_ms=3)]
     plan = select_spare(
