@@ -41,24 +41,15 @@ def _level(count: int) -> CoverageLevel:
 
 def functional_coverage(group: ReplicaGroup) -> CoverageLevel:
     """Minimum over the application's tasks of its active copy count."""
-    counts = []
-    for task_id in group.task_ids:
-        counts.append(sum(
-            1 for c in group.copies
-            if c.task_id == task_id and c.health is Health.ACTIVE
-        ))
+    counts = [sum(1 for c in copies if c.health is Health.ACTIVE)
+              for copies in group.copies.values()]
     return _level(min(counts)) if counts else CoverageLevel.NONE
 
 
 def zonal_coverage(group: ReplicaGroup) -> CoverageLevel:
     """Minimum over tasks of distinct lanes holding an active copy."""
-    counts = []
-    for task_id in group.task_ids:
-        lanes = {
-            c.lane for c in group.copies
-            if c.task_id == task_id and c.health is Health.ACTIVE
-        }
-        counts.append(len(lanes))
+    counts = [len({c.lane for c in copies if c.health is Health.ACTIVE})
+              for copies in group.copies.values()]
     return _level(min(counts)) if counts else CoverageLevel.NONE
 
 

@@ -5,8 +5,9 @@ drive this one class. Jobs run by the ranks of
 :meth:`lanesim.timing.ProcessorState.priorities`; background work (a
 rebuilt copy's history replay) takes the time no job wants, lowest key
 first. Time is charged lazily, when the caller touches the processor.
-Each change of what runs moves the generation on and tells ``wake`` when
-the new choice will finish; a finish of an older generation is stale.
+Each change of what runs moves the generation on and tells ``wake`` which
+``Job`` now runs and when it will finish; a finish of an older generation,
+or of a job that no longer runs, is stale.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    owner: object           # whatever the caller files the work under
+    owner: object           # whatever the caller runs the work for
+    key: object             # the job's slot: one job per key and kind
     release_us: int
     remaining_us: int
+    background: bool = False
     start_us: int | None = None
 
 
@@ -32,7 +35,7 @@ class Processor:
         self.prios: dict = {}       # job key -> DM rank, 0 highest
         self.jobs: dict = {}        # job key -> Job
         self.background: dict = {}  # key -> Job, runs only when no job is ready
-        self.running = None         # ("job", key) | ("background", key)
+        self.running: Job | None = None
         self.since = 0
         self.gen = 0
 
@@ -46,13 +49,9 @@ class Processor:
 
     def charge(self, now: int):
         """Charge the running work for the time since it was last charged."""
-        if self.running is None:
-            self.since = now
-            return
-        ran = now - self.since
-        what, key = self.running
-        job = (self.jobs if what == "job" else self.background).get(key)
+        job = self.running
         if job is not None:
+            ran = now - self.since
             # the first dispatch only counts once it consumed time; a
             # zero-width dispatch preempted at the same instant did not
             # actually start the job
@@ -69,52 +68,47 @@ class Processor:
             ready = [(prios.get(key, last), key)
                      for key, job in self.jobs.items() if job.remaining_us > 0]
             if ready:
-                chosen = ("job", min(ready)[1])
+                chosen = self.jobs[min(ready)[1]]
             else:
                 live = [key for key, job in self.background.items()
                         if job.remaining_us > 0]
                 if live:
-                    chosen = ("background", min(live))
-        if chosen == self.running:
+                    chosen = self.background[min(live)]
+        if chosen is self.running:
             return
         self.running = chosen
         self.since = now
         self.gen += 1
         if chosen is not None:
-            what, key = chosen
-            job = (self.jobs if what == "job" else self.background)[key]
-            self.wake(now + job.remaining_us)
+            self.wake(now + chosen.remaining_us)
 
-    def release(self, key, job: Job, now: int):
-        """Make a job ready, replacing any earlier job under the same key."""
+    def release(self, job: Job, now: int):
+        """Make a job ready, replacing any earlier job under its key."""
         self.charge(now)
-        self.jobs[key] = job
+        self.jobs[job.key] = job
         self.dispatch(now)
 
-    def add_background(self, key, job: Job, now: int):
+    def add_background(self, job: Job, now: int):
         self.charge(now)
-        self.background[key] = job
+        self.background[job.key] = job
         self.dispatch(now)
 
-    def finish(self, what, gen: int, now: int) -> Job | None:
-        """The job or background work that a wake-up for ``what`` finished.
+    def finish(self, job: Job, gen: int, now: int) -> bool:
+        """Did the wake-up for ``job`` finish it? Removes it if so.
 
-        None when the wake-up is stale: the choice changed since, or the
-        work is gone or not yet done.
+        False when the wake-up is stale: another choice ran since, or the
+        job is not yet done.
         """
-        if gen != self.gen or what != self.running:
-            return None
+        if gen != self.gen or job is not self.running:
+            return False
         self.charge(now)
-        kind, key = what
-        pool = self.jobs if kind == "job" else self.background
-        job = pool.get(key)
-        if job is None or job.remaining_us > 0:
-            return None
-        del pool[key]
+        if job.remaining_us > 0:
+            return False
+        del (self.background if job.background else self.jobs)[job.key]
         self.running = None
         self.gen += 1
         self.dispatch(now)
-        return job
+        return True
 
     def drop(self, key, now: int):
         """Abort the job under key, if there is one."""
@@ -122,8 +116,8 @@ class Processor:
         # anyway would bump gen, and a job finishing at this very instant
         # would lose its finish as stale
         self.charge(now)
-        self.jobs.pop(key, None)
-        if self.running == ("job", key):
+        job = self.jobs.pop(key, None)
+        if job is not None and job is self.running:
             self.running = None
             self.gen += 1
             self.dispatch(now)

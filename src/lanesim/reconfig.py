@@ -55,16 +55,17 @@ class Copy:
 
 @dataclass
 class ReplicaGroup:
-    """All copies of one application, plus its task universe."""
+    """All copies of one application: task id -> its copies by copy id.
+
+    Every task of the application has an entry, so the keys are its task
+    universe.
+    """
 
     app_id: int
-    task_ids: tuple[int, ...]
-    copies: list[Copy] = field(default_factory=list)
+    copies: dict[int, list[Copy]] = field(default_factory=dict)
 
-    def active(self, task_id: int | None = None) -> list[Copy]:
-        return [c for c in self.copies
-                if c.health is Health.ACTIVE
-                and (task_id is None or c.task_id == task_id)]
+    def active(self, task_id: int) -> list[Copy]:
+        return [c for c in self.copies[task_id] if c.health is Health.ACTIVE]
 
 
 class Outcome(Enum):
@@ -111,8 +112,7 @@ class FailedTask:
 class SpareCandidate:
     lane: int
     proc: int
-    state: ProcessorState
-    occupied: bool = False   # hosts (or is reserved for) any application
+    state: ProcessorState    # what it admitted; occupied when not empty
 
 
 @dataclass
@@ -132,6 +132,7 @@ class PlacementPlan:
     degraded: list = field(default_factory=list)     # task_ids with no home
     decisions: list = field(default_factory=list)    # every PlacementDecision tried
     bus: BusState | None = None                      # after the plan's reservations
+    states: dict = field(default_factory=dict)       # (lane, proc) -> spare state after them
 
 
 def recovery_order(apps) -> list[int]:
@@ -143,17 +144,17 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
                  bus: BusState, cfg, restricted: bool) -> PlacementPlan:
     """Plan placements for one application's failed tasks.
 
-    Mutates nothing: reserved capacity is threaded through local copies of
-    the spare states and bus; the plan carries the bus back to the caller.
+    Mutates nothing: capacity is reserved under the (app, task) key in new
+    spare states and a new bus, which the plan carries back to the caller.
     """
     if not failed:
         raise ValueError("nothing to place")
-    plan = PlacementPlan(app_id=failed[0].app_id)
-    states = {(s.lane, s.proc): s.state for s in spares}
+    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus)
+    states = plan.states
+    states.update(((s.lane, s.proc), s.state) for s in spares)
     # spares another application already claimed; our own reservations do
     # not count, since restriction is one application per processor
-    taken = {(s.lane, s.proc) for s in spares if s.occupied}
-    plan.bus = bus
+    taken = {(s.lane, s.proc) for s in spares if len(s.state) > 0}
 
     for f in sorted(failed, key=lambda f: f.task_id):
         ranked = _ranked_candidates(f, spares, states, taken, restricted)
@@ -169,10 +170,9 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
                 f.task_id, lane, proc, admission, comms, chosen))
             if chosen:
                 states[(lane, proc)] = state.with_task(
-                    ("plan", f.app_id, f.task_id),
+                    (f.app_id, f.task_id),
                     f.task.wcet_us, f.task.period_us, f.task.deadline_us)
-                plan.bus = plan.bus.with_demand(
-                    ("plan", f.app_id, f.task_id), f.task.message_demand)
+                plan.bus = plan.bus.with_demand(f.task.message_demand)
                 plan.placements.append((f.task_id, lane, proc))
                 placed = True
                 break

@@ -14,7 +14,7 @@ acts and stale ones return before charging anything.
 Each event carries the object its handler acts on:
 
     FaultActivate, FaultClear     the FaultSpec
-    TaskComplete                  (processor, what, generation)
+    TaskComplete                  (processor, job, generation)
     DeadlineCheck                 (copy, release_us)
     BITCheck                      the processor
     TaskRelease                   the copy
@@ -155,7 +155,8 @@ class _Proc(Processor):
     """Runtime face of one (lane, processor) slot.
 
     The engine keys jobs (app_id, task_id), owned by their _CopyRt, and runs
-    history replay as background work keyed by copy id.
+    history replay as background work keyed by copy id. A processor holds
+    at most one copy of a task, so the key names the copy.
     """
 
     def __init__(self, lane: int, proc: int, push):
@@ -194,20 +195,16 @@ class _CopyRt(Copy):
     police: PoliceCounter | None = None
     eligible_us: int | None = None
     episode: "_Episode | None" = None
+    key: tuple = field(init=False, repr=False)      # (app, task)
+    place: tuple = field(init=False, repr=False)    # (lane, proc)
     scope: FaultTarget = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a copy never moves, so its scope is fixed
+        # a copy never moves, so where it runs is fixed
+        self.key = (self.app_id, self.task_id)
+        self.place = (self.lane, self.proc)
         self.scope = FaultTarget(TargetKind.TASK, lane=self.lane, proc=self.proc,
                                  app=self.app_id, task=self.task_id)
-
-    @property
-    def key(self):
-        return (self.app_id, self.task_id)
-
-    @property
-    def place(self):
-        return (self.lane, self.proc)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -250,9 +247,7 @@ class Engine:
 
         self.procs: dict = {}
         self._lane_procs: dict = {}     # lane -> [_Proc] in spec order
-        self.groups: dict = {}
-        self.copies: dict = {}          # copy_id -> _CopyRt
-        self._task_copies: dict = {}    # (app, task) -> [_CopyRt] by copy id
+        self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
         self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
         self.bus = BusState(self.model.bus.max_load)
@@ -290,24 +285,21 @@ class Engine:
 
         homes = initial_allocation(self.model)
         for app in sorted(self.model.applications, key=lambda a: a.app_id):
-            group = ReplicaGroup(app.app_id,
-                                 tuple(sorted(t.task_id for t in app.tasks)))
-            self.groups[app.app_id] = group
+            tasks = sorted(app.tasks, key=lambda t: t.task_id)
+            self.groups[app.app_id] = ReplicaGroup(
+                app.app_id, {t.task_id: [] for t in tasks})
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
-            for task in sorted(app.tasks, key=lambda t: t.task_id):
+            for task in tasks:
                 for lane_id in sorted(self.model.lane_ids):
                     lane, proc = homes[(app.app_id, task.task_id, lane_id)]
                     rt = _CopyRt(next(self._copy_ids), app.app_id,
                                  task.task_id, lane, proc,
                                  spec=task, app=app, origin_us=0)
-                    group.copies.append(rt)
                     self._add_copy(rt)
-                    pr = self.procs[(lane, proc)]
+                    pr = self.procs[rt.place]
                     pr.admitted = pr.admitted.with_task(
                         rt.key, task.wcet_us, task.period_us, task.deadline_us)
-                    self.bus = self.bus.with_demand(
-                        ("copy", app.app_id, task.task_id, lane, proc),
-                        task.message_demand)
+                    self.bus = self.bus.with_demand(task.message_demand)
 
         violations = []
         if self.settings.enforce_admission:
@@ -330,8 +322,7 @@ class Engine:
             pr.refresh_priorities()
 
     def _add_copy(self, rt: _CopyRt):
-        self.copies[rt.copy_id] = rt
-        self._task_copies.setdefault(rt.key, []).append(rt)
+        self.groups[rt.app_id].copies[rt.task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
 
     def _copies_in(self, scope: FaultTarget) -> list:
@@ -358,8 +349,10 @@ class Engine:
                 if rt.health is Health.ACTIVE}
 
     def _prime_events(self):
-        for rt in self.copies.values():
-            self._push(0, EventKind.TASK_RELEASE, rt.copy_id, rt)
+        for group in self.groups.values():
+            for rts in group.copies.values():
+                for rt in rts:
+                    self._push(0, EventKind.TASK_RELEASE, rt.copy_id, rt)
         for app in self.model.applications:
             period = app.shortest_period_us
             if period <= self.horizon:
@@ -447,19 +440,18 @@ class Engine:
         if pr.dead or self._silenced(rt, pr):
             return
         self.counters["releases"] += 1
-        pr.release(rt.key, Job(rt, self.now, rt.spec.wcet_us), self.now)
+        pr.release(Job(rt, rt.key, self.now, rt.spec.wcet_us), self.now)
         deadline = self.now + rt.spec.deadline_us
         if deadline <= self.horizon:
             self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy_id,
                        (rt, self.now))
 
     def _on_complete(self, data):
-        pr, what, gen = data
-        job = pr.finish(what, gen, self.now)
-        if job is None:
+        pr, job, gen = data
+        if not pr.finish(job, gen, self.now):
             return
         rt = job.owner
-        if what[0] == "job":
+        if not job.background:
             rt.completed_ever = True
             self.counters["completions"] += 1
             self.completions.append(CompletionRecord(
@@ -655,7 +647,7 @@ class Engine:
                 self._sample(app.app_id)
 
     def _vote_task(self, app, task):
-        rts = self._task_copies[(app.app_id, task.task_id)]
+        rts = self.groups[app.app_id].copies[task.task_id]
         actives = [rt for rt in rts if rt.health is Health.ACTIVE]
         expected = [
             rt for rt in actives
@@ -770,12 +762,16 @@ class Engine:
                   "sensor scope" if a.sensor else "")
         if a.sensor:
             return      # sensor restores are driven from the clear event
-        for rt in self.copies.values():     # in copy id order
-            if (rt.eligible_us is not None
-                    and rt.health is Health.RESTABILIZING
-                    and a.matches(lane=rt.lane, proc=rt.proc, app=rt.app_id,
-                                  task=rt.task_id)):
-                self._push(self.now, EventKind.READMIT, (0, rt.copy_id), rt)
+        # Readmit keys (0, copy_id) are distinct, so push order is free
+        for group in self.groups.values():
+            for rts in group.copies.values():
+                for rt in rts:
+                    if (rt.eligible_us is not None
+                            and rt.health is Health.RESTABILIZING
+                            and a.matches(lane=rt.lane, proc=rt.proc,
+                                          app=rt.app_id, task=rt.task_id)):
+                        self._push(self.now, EventKind.READMIT,
+                                   (0, rt.copy_id), rt)
 
     def _on_readmit(self, rt):
         if isinstance(rt, tuple):
@@ -872,8 +868,7 @@ class Engine:
         pr.drop(rt.key, self.now)
         pr.admitted = pr.admitted.without_task(rt.key)
         pr.refresh_priorities()
-        self.bus = self.bus.without_demand(
-            ("copy", rt.app_id, rt.task_id, rt.lane, rt.proc))
+        self.bus = self.bus.without_demand(rt.spec.message_demand)
 
     def _open_episode(self, app_id, entry):
         app = self.model.application(app_id)
@@ -943,29 +938,27 @@ class Engine:
             for task_id in sorted(lost)
         ]
         spares = [
-            SpareCandidate(lane, proc, self.procs[(lane, proc)].admitted,
-                           occupied=len(self.procs[(lane, proc)].admitted) > 0)
-            for lane, proc in sorted(self.model.spare_positions())
-            if not self.procs[(lane, proc)].dead
-            and not self.procs[(lane, proc)].failed
+            SpareCandidate(pr.lane, pr.proc, pr.admitted)
+            for pr in (self.procs[place]
+                       for place in sorted(self.model.spare_positions()))
+            if not (pr.dead or pr.failed)
         ]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 
+        # the plan already holds the reservations: adopt them
         ep.t_r_us = self.now
-        for task_id, lane, proc in plan.placements:
-            spec = app.task(task_id)
-            pr = self.procs[(lane, proc)]
-            pr.admitted = pr.admitted.with_task(
-                (ep.app_id, task_id), spec.wcet_us, spec.period_us,
-                spec.deadline_us)
+        self.bus = plan.bus
+        for d in plan.decisions:
+            if not d.chosen:
+                continue
+            pr = self.procs[(d.lane, d.proc)]
+            pr.admitted = plan.states[pr.key]
             pr.refresh_priorities()
-            self.bus = self.bus.with_demand(
-                ("copy", ep.app_id, task_id, lane, proc), spec.message_demand)
-            ep.placements[task_id] = (lane, proc)
-            self._row("SpareSelected", lane, proc, ep.app_id, task_id,
+            ep.placements[d.task_id] = pr.key
+            self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
                       f"resulting utilization "
-                      f"{float(pr.admitted.utilization):.4f}")
+                      f"{float(d.admission.resulting_utilization):.4f}")
         ep.degraded_tasks = tuple(plan.degraded)
         for task_id in plan.degraded:
             self._row("DegradeToDuplex", app=ep.app_id, task=task_id,
@@ -1042,7 +1035,6 @@ class Engine:
     def _spawn_copies(self, ep: _Episode):
         app = self.model.application(ep.app_id)
         sm = app.state_model
-        group = self.groups[ep.app_id]
         self._row("StateTransferDone", app=ep.app_id,
                   detail=f"{sm.strategy.value} state ready; policing starts")
         for task_id in sorted(ep.placements):
@@ -1052,13 +1044,13 @@ class Engine:
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
                          episode=ep)
-            group.copies.append(rt)
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self.procs[(lane, proc)].add_background(
-                    rt.copy_id, Job(rt, self.now, rt.replay_left_us), self.now)
+                self.procs[rt.place].add_background(
+                    Job(rt, rt.copy_id, self.now, rt.replay_left_us,
+                        background=True), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, rt)
@@ -1099,7 +1091,7 @@ def _event_pusher(heap: list):
     as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
     channel, TaskComplete (lane, proc). ``data`` is the object the handler
     acts on: the FaultSpec for FaultActivate and FaultClear; (processor,
-    what, generation) for TaskComplete; (copy, release_us) for
+    job, generation) for TaskComplete; (copy, release_us) for
     DeadlineCheck; the processor for BITCheck; the copy for TaskRelease (the
     TaskSpec in schedule_processor); the ApplicationSpec for VoteRound; None
     for Classify and SelectionDone; the episode for InstallDone and
@@ -1152,27 +1144,26 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:
-        cpu.add_background(0, Job(None, 0, background_us), 0)
+        cpu.add_background(Job(None, 0, 0, background_us, background=True), 0)
 
     report = ProcSchedule()
     while events and events[0][0] <= window_us:
         now, _rank, _key, _seq, kind, data = heapq.heappop(events)
         if kind is EventKind.TASK_COMPLETE:
-            _cpu, what, gen = data
-            job = cpu.finish(what, gen, now)
-            if job is None:
+            _cpu, job, gen = data
+            if not cpu.finish(job, gen, now):
                 continue
-            if what[0] == "job":
-                report.completions.append((job.owner, job.release_us, now))
-            else:
+            if job.background:
                 report.background_done_us = now
+            else:
+                report.completions.append((job.key, job.release_us, now))
         elif kind is EventKind.DEADLINE_CHECK:
             t, release = data
             if cpu.expire(t.task_id, release, now) is not None:
                 report.misses.append((t.task_id, release, now))
         else:
             t = data
-            cpu.release(t.task_id, Job(t.task_id, now, t.wcet_us), now)
+            cpu.release(Job(t, t.task_id, now, t.wcet_us), now)
             if now + t.deadline_us <= window_us:
                 push(now + t.deadline_us, EventKind.DEADLINE_CHECK, t.task_id,
                      (t, now))

@@ -55,7 +55,7 @@ class AdmissionDecision:
 class ProcessorState:
     """Value-style record of what a processor has admitted.
 
-    Entries map an arbitrary hashable key (task id, or a copy id in the
+    Entries map an arbitrary hashable key (a task id, or (app, task) in the
     engine) to (wcet_us, period_us, deadline_us). The utilization is an
     exact running total, updated by ``with_task``/``without_task``.
     """
@@ -124,42 +124,24 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
 
 
 class BusState:
-    """Reserved message demand on the shared bus, keyed per message owner.
+    """Reserved message demand on the shared bus: one exact running load,
+    updated by ``with_demand``/``without_demand``."""
 
-    The load is an exact running total, updated by ``with_demand``/
-    ``without_demand``.
-    """
+    __slots__ = ("max_load", "_load")
 
-    __slots__ = ("max_load", "_demands", "_load")
-
-    def __init__(self, max_load: Fraction, demands: Mapping | None = None):
+    def __init__(self, max_load: Fraction, load: Fraction = Fraction(0)):
         self.max_load = Fraction(max_load)
-        self._demands: dict = dict(demands or {})
-        self._load = sum(self._demands.values(), Fraction(0))
-
-    @classmethod
-    def _of(cls, max_load: Fraction, demands: dict, load: Fraction) -> "BusState":
-        state = cls.__new__(cls)
-        state.max_load = max_load
-        state._demands = demands
-        state._load = load
-        return state
+        self._load = load
 
     @property
     def current_load(self) -> Fraction:
         return self._load
 
-    def with_demand(self, key, demand: Fraction) -> "BusState":
-        new = dict(self._demands)
-        new[key] = new.get(key, Fraction(0)) + demand
-        return BusState._of(self.max_load, new, self._load + demand)
+    def with_demand(self, demand: Fraction) -> "BusState":
+        return BusState(self.max_load, self._load + demand)
 
-    def without_demand(self, key) -> "BusState":
-        new = dict(self._demands)
-        load = self._load
-        if key in new:
-            load -= new.pop(key)
-        return BusState._of(self.max_load, new, load)
+    def without_demand(self, demand: Fraction) -> "BusState":
+        return BusState(self.max_load, self._load - demand)
 
 
 def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:

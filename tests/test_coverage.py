@@ -13,12 +13,11 @@ from lanesim.reconfig import Copy, Health, Outcome, ReconfigRecord, ReplicaGroup
 
 def _group(placements, task_ids=(1,)):
     """placements: iterable of (task_id, lane, proc, health)."""
-    copies = [
-        Copy(copy_id=i, app_id=1, task_id=t, lane=lane, proc=proc,
-             health=health)
-        for i, (t, lane, proc, health) in enumerate(placements, start=1)
-    ]
-    return ReplicaGroup(app_id=1, task_ids=tuple(task_ids), copies=copies)
+    copies = {task_id: [] for task_id in task_ids}
+    for i, (t, lane, proc, health) in enumerate(placements, start=1):
+        copies[t].append(Copy(copy_id=i, app_id=1, task_id=t, lane=lane,
+                              proc=proc, health=health))
+    return ReplicaGroup(app_id=1, copies=copies)
 
 
 def _record(record_id, app_id, outcome, t_f, t_a=None):

@@ -4,7 +4,10 @@
 filtering all of ``scenario.faults`` through ``FaultSpec.active_at`` and
 ``FaultTarget.contains`` and by scanning every copy ever created, and
 asserts that both agree, at every call, over the golden corpus and over
-generated scenarios with faults.
+generated scenarios with faults. After each shutdown, selection and state
+transfer it also recounts the capacity the engine keeps: the bus load and
+every processor's admitted set must be exactly those of the copies still
+in service and the placements not yet spawned.
 
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
@@ -14,6 +17,7 @@ events and counts the answers where the plain ``active_at`` scan differs.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -62,8 +66,36 @@ class CheckedEngine(Engine):
             self.lagging += 1
         self.checks += 1
 
+    def _all_copies(self):
+        return [rt for group in self.groups.values()
+                for rts in group.copies.values() for rt in rts]
+
     def _copies_by_id(self):
-        return sorted(self.copies.values(), key=lambda rt: rt.copy_id)
+        return sorted(self._all_copies(), key=lambda rt: rt.copy_id)
+
+    def _check_capacity(self):
+        """Bus load and admitted sets equal a recount of what holds them."""
+        holders = {place: [] for place in self.procs}   # place -> [(app, task)]
+        load = Fraction(0)
+        for rt in self._all_copies():
+            if rt.health is not Health.SHUTDOWN:
+                holders[rt.place].append(rt.key)
+                load += rt.spec.message_demand
+        for ep, _phase in self._bus_queue:      # placed, not yet spawned
+            app = self.model.application(ep.app_id)
+            for task_id, place in ep.placements.items():
+                holders[place].append((ep.app_id, task_id))
+                load += app.task(task_id).message_demand
+        assert self.bus.current_load == load, (
+            f"bus load at {self.now}us: kept {self.bus.current_load}, "
+            f"recounted {load}")
+        for place, keys in holders.items():
+            admitted = self.procs[place].admitted
+            assert len(set(keys)) == len(keys), (
+                f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
+            assert len(admitted) == len(keys) and all(k in admitted for k in keys), (
+                f"{place} at {self.now}us: admitted set differs from {sorted(keys)}")
+        self.checks += 1
 
     # -- the indexed answers --------------------------------------------
 
@@ -108,7 +140,7 @@ class CheckedEngine(Engine):
     def _sweep(self):
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
-        for rt in self.copies.values():
+        for rt in self._all_copies():
             self._silenced(rt, self.procs[rt.place])
         for pr in self.procs.values():
             assert pr.failed == self._halted(pr)
@@ -124,20 +156,20 @@ class CheckedEngine(Engine):
 
             self._agree("bit candidates", caught(self._active, hosted),
                         lambda fs: caught(fs, {
-                            rt.key for rt in self.copies.values()
+                            rt.key for rt in self._all_copies()
                             if rt.place == pr.key
                             and rt.health is Health.ACTIVE}))
         super()._on_bit_check(pr)
 
     def _hosted(self, place):
         got = super()._hosted(place)
-        assert got == {rt.key for rt in self.copies.values()
+        assert got == {rt.key for rt in self._all_copies()
                        if rt.place == place and rt.health is Health.ACTIVE}
         self.checks += 1
         return got
 
     def _vote_task(self, app, task):
-        assert self._task_copies[(app.app_id, task.task_id)] == [
+        assert self.groups[app.app_id].copies[task.task_id] == [
             rt for rt in self._copies_by_id()
             if rt.key == (app.app_id, task.task_id)]
         self.checks += 1
@@ -165,6 +197,20 @@ class CheckedEngine(Engine):
                        if rt.health is Health.ACTIVE and d.contains(rt.scope)]
         self.checks += 1
         return got
+
+    # -- the capacity kept ----------------------------------------------
+
+    def _apply_directives(self, directives):
+        super()._apply_directives(directives)
+        self._check_capacity()
+
+    def _select_for(self, ep):
+        super()._select_for(ep)
+        self._check_capacity()
+
+    def _spawn_copies(self, ep):
+        super()._spawn_copies(ep)
+        self._check_capacity()
 
 
 def _outputs(result):

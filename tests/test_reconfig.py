@@ -45,8 +45,10 @@ def _spare(lane, proc, util_entries=(), occupied=False):
     state = ProcessorState()
     for i, (wcet, period) in enumerate(util_entries):
         state = state.with_task(("bg", i), wcet, period, period)
-    return SpareCandidate(lane=lane, proc=proc, state=state,
-                          occupied=occupied)
+    if occupied:
+        # another application's task: a spare with anything admitted is taken
+        state = state.with_task((9, 9), 1000, 100000, 100000)
+    return SpareCandidate(lane=lane, proc=proc, state=state)
 
 
 def test_recovery_order_is_criticality_then_id():
@@ -143,7 +145,7 @@ def test_admission_rejection_degrades_the_task():
 
 def test_bus_rejection_degrades_the_task():
     chatty = _task(size=100)  # 5 units/ms against a nearly full bus
-    bus = BusState(Fraction(10)).with_demand("base", Fraction(8))
+    bus = BusState(Fraction(10)).with_demand(Fraction(8))
     plan = select_spare([_failed(chatty)], [_spare(0, 3)], bus, CFG,
                         restricted=True)
     assert plan.degraded == [1]

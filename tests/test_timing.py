@@ -105,17 +105,18 @@ def test_admit_task_uses_the_spec_fields():
     assert decision.resulting_utilization == Fraction(69, 100)
 
 
-def test_bus_state_tracks_demand_by_key():
+def test_bus_state_keeps_one_load():
     bus = BusState(Fraction(10))
-    bus = bus.with_demand("a", Fraction(3))
-    bus = bus.with_demand("b", Fraction(4))
+    bus = bus.with_demand(Fraction(3))
+    bus = bus.with_demand(Fraction(4))
     assert bus.current_load == 7
-    assert bus.without_demand("a").current_load == 4
+    assert bus.without_demand(Fraction(3)).current_load == 4
+    assert bus.current_load == 7      # a state is a value
     assert available_transfer_bandwidth(bus) == 3
 
 
 def test_check_comms_boundary():
-    bus = BusState(Fraction(10)).with_demand("x", Fraction(9))
+    bus = BusState(Fraction(10)).with_demand(Fraction(9))
     fits = check_comms(bus, Fraction(1))
     assert fits.accepted and fits.resulting_utilization == 10
     over = check_comms(bus, Fraction(2))
@@ -227,22 +228,24 @@ def test_utilization_total_equals_a_fresh_sum(start, ops):
 _DEMANDS = st.fractions(min_value=0, max_value=50, max_denominator=1000)
 
 
-@given(st.dictionaries(_KEYS, _DEMANDS, max_size=3),
-       st.lists(st.one_of(st.tuples(st.just("with"), _KEYS, _DEMANDS),
-                          st.tuples(st.just("without"), _KEYS, st.none())),
+@given(st.lists(_DEMANDS, max_size=3),
+       st.lists(st.one_of(st.tuples(st.just("with"), _DEMANDS),
+                          st.tuples(st.just("without"), st.integers(0, 30))),
                 max_size=25))
 def test_bus_load_total_equals_a_fresh_sum(start, ops):
-    demands = dict(start)
-    bus = BusState(Fraction(100), demands)
-    for op, key, demand in ops:
+    # withdraw only demands actually held, as the engine does
+    held = list(start)
+    bus = BusState(Fraction(100))
+    for demand in held:
+        bus = bus.with_demand(demand)
+    for op, arg in ops:
         before, before_load = bus, bus.current_load
         if op == "with":
-            bus = bus.with_demand(key, demand)
-            demands[key] = demands.get(key, Fraction(0)) + demand
-        else:
-            bus = bus.without_demand(key)
-            demands.pop(key, None)
+            bus = bus.with_demand(arg)
+            held.append(arg)
+        elif held:
+            bus = bus.without_demand(held.pop(arg % len(held)))
         assert before.current_load == before_load    # states are values
-        assert bus.current_load == sum(demands.values(), Fraction(0))
+        assert bus.current_load == sum(held, Fraction(0))
         assert isinstance(bus.current_load, Fraction)
         assert bus.max_load == 100
