@@ -810,8 +810,9 @@ class Engine:
         return [f for f in self._active if f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
-        affected: dict = {}     # app_id -> {"copies": [...], "transient": bool,
-                                #            "causes": set}
+        # one episode per application and origin: a copy restabilized in
+        # place is not also replaced by a spare
+        affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
         for d in directives:
             causes = self._directive_causes(d)
             transient = bool(causes) and all(
@@ -836,17 +837,16 @@ class Engine:
                 else:
                     self._withdraw_copy(rt)
             for rt in victims:
-                entry = affected.setdefault(
-                    rt.app_id,
-                    {"copies": [], "transient": transient, "causes": set()})
-                entry["copies"].append(rt)
-                entry["transient"] = entry["transient"] and transient
-                entry["causes"].update(cause_ids)
+                copies, causes = affected.setdefault(
+                    (rt.app_id, transient), ([], set()))
+                copies.append(rt)
+                causes.update(cause_ids)
 
-        for app_id in sorted(affected):
-            entry = affected[app_id]
+        # by application, the reconfiguration before the restabilization
+        for app_id, transient in sorted(affected):
             self._sample(app_id)
-            self._open_episode(app_id, entry)
+            self._open_episode(app_id, transient,
+                               *affected[(app_id, transient)])
         # withdrawals may have freed bandwidth a stalled transfer was waiting
         # for; when a selection event is pending at this same instant, its own
         # pump runs after the new reservations instead
@@ -870,27 +870,27 @@ class Engine:
         pr.refresh_priorities()
         self.bus = self.bus.without_demand(rt.spec.message_demand)
 
-    def _open_episode(self, app_id, entry):
+    def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
         app = self.model.application(app_id)
         if (self.model.architecture is Architecture.FEDERATED_QUADRUPLEX
-                and not entry["transient"]):
+                and not transient):
             # a federated lane set has nowhere to move work: the loss simply
             # stands, and only the coverage timeline records it
             return
         ep = _Episode(
             record_id=next(self._record_ids),
             app_id=app_id,
-            failed_copy_ids=tuple(sorted(rt.copy_id for rt in entry["copies"])),
+            failed_copy_ids=tuple(sorted(rt.copy_id for rt in copies)),
             strategy=app.state_model.strategy,
             outcome=None,
             t_f_us=self.now,
-            origin="restabilize" if entry["transient"] else "reconfig",
-            cause_ids=tuple(sorted(entry["causes"])),
+            origin="restabilize" if transient else "reconfig",
+            cause_ids=tuple(sorted(causes)),
         )
         self._episodes.append(ep)
-        if entry["transient"]:
+        if transient:
             ep.t_r_us = ep.t_i_us = ep.t_s_us = self.now
-            ep.copies = list(entry["copies"])
+            ep.copies = copies
             for rt in ep.copies:
                 rt.episode = ep
             cleared = [f for f in self.sc.faults
@@ -898,7 +898,7 @@ class Engine:
             if len(cleared) == len(ep.cause_ids):
                 ep.t_e_us = self.now
             return
-        ep.lost = entry["copies"]
+        ep.lost = copies
         if not self._pending_selection:
             self._push(self.now, EventKind.SELECTION, app_id, None)
         self._pending_selection.append(ep)

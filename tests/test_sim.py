@@ -320,6 +320,24 @@ def test_transient_fault_restabilizes_in_place():
     assert "SpareSelected" not in kinds
 
 
+def test_same_instant_transient_and_permanent_shutdowns_open_two_episodes():
+    # one vote round shuts down application 1's lane-0 copy for a transient
+    # fault and its lane-1 copy for a permanent one: the lane-0 copy
+    # restabilizes in place and only the lane-1 copy is replaced
+    result = run(scen([proc_fault(at_ms=50, lane=0, kind="transient",
+                                  duration_ms=30),
+                       proc_fault(at_ms=50, lane=1)]))
+    recs = [r for r in result.records if r.app_id == 1]
+    assert [(r.record_id, r.origin, r.t_f_us) for r in recs] == [
+        (1, "reconfig", 60000), (2, "restabilize", 60000)]
+    reconfig, restabilize = recs
+    assert reconfig.failed_copy_ids == (2,) and restabilize.failed_copy_ids == (1,)
+    assert reconfig.placements == {1: (1, 3)}
+    assert {r.outcome for r in recs} == {Outcome.READMITTED}
+    final = result.final_coverage[1]
+    assert final[:2] == (CoverageLevel.TRIPLEX, CoverageLevel.TRIPLEX)
+
+
 def test_pilot_gate_delays_restabilized_readmission():
     doc = scenario_doc([proc_fault(kind="transient", duration_ms=40)],
                        policies={"pilot_gate": True,
