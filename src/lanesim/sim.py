@@ -558,6 +558,8 @@ class Engine:
         self._readmit_channel(app_id, lane)
 
     def _readmit_channel(self, app_id, lane):
+        if any(f.target.lane == lane for f in self._sensor_faults(app_id)):
+            return      # still faulty; the last fault's clear restores it
         self.channels[app_id][lane] = True
         self._row("Readmit", lane=lane, app=app_id, detail="sensor channel restored")
         self._sample(app_id)

@@ -495,6 +495,31 @@ def test_sensor_restore_waits_for_pilot_approval():
                for at, level in steps if 60000 <= at < 150000)
 
 
+def _sensor_fault(at_ms, kind, duration_ms=None, lane=0):
+    fault = {"at_ms": at_ms, "kind": kind, "value_skew": 3.0,
+             "target": {"kind": "sensor", "app": 1, "lane": lane}}
+    if duration_ms is not None:
+        fault["duration_ms"] = duration_ms
+    return fault
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_a_sensor_channel_stays_out_while_another_fault_targets_it(gated):
+    # the transient fault clears at 30 ms, but the permanent one from 15 ms
+    # still targets the channel
+    faults = [_sensor_fault(10, "transient", 20), _sensor_fault(15, "permanent")]
+    policies = None
+    if gated:
+        policies = {"pilot_gate": True, "pilot_approvals": [
+            {"at_ms": 35, "sensor": True, "app": 1, "lane": 0}]}
+    result = run(scen(faults, policies=policies))
+    steps = [(s.time_us, s.peripheral) for s in result.samples
+             if s.app_id == 1]
+    assert steps == [(0, CoverageLevel.TRIPLEX), (20000, CoverageLevel.DUPLEX)]
+    assert result.counters["detections"] == 1
+    assert not any(e.kind == "Readmit" for e in result.trace)
+
+
 def _trace_with_approvals(sensor_ms, copy_ms):
     """A sensor and a processor fault, both transient, approved as listed."""
     faults = [{"at_ms": 30, "kind": "transient", "duration_ms": 20,
