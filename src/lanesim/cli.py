@@ -27,7 +27,7 @@ from .model import InvalidModel, MalformedDocument
 from .reconfig import Outcome
 from .scenario import (dump_scenario, generate_scenario, load_scenario,
                        scenario_violations)
-from .sim import SimResult, run
+from .sim import Engine, SimResult, run
 from .timebase import US_PER_MS, ms_to_us
 
 EXIT_OK = 0
@@ -162,6 +162,7 @@ def _apply_overrides(scenario, args):
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
+    Engine(scenario)    # the start-up admission and bus checks, not run
     model = scenario.model
     print(f"{args.scenario}: OK "
           f"({len(model.lanes)} lanes, {len(model.applications)} applications, "

@@ -281,6 +281,23 @@ def test_validate_rejects_invalid_model(tmp_path, capsys):
     assert "unknown lane" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, code", [
+    (lambda system: system["applications"][0]["tasks"][0].update(wcet_ms=15),
+     "AdmissionExceeded"),                   # 0.75 > 0.69 from the start
+    (lambda system: system["bus"].update(max_load=0.4),
+     "BusOverload"),                         # nine copies demand 0.45
+], ids=["admission", "bus"])
+def test_validate_runs_the_start_up_checks(tmp_path, capsys, change, code):
+    system = triplex_system()
+    change(system)
+    path = tmp_path / "overloaded.json"
+    path.write_text(json.dumps(scenario_doc([], system=system)), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    assert code in capsys.readouterr().err
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert code in capsys.readouterr().err
+
+
 def test_missing_file_is_a_parse_error(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "absent.json")]) == 2
 
