@@ -23,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import model as m
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (Architecture, InvalidModel, MalformedDocument, SystemModel,
