@@ -149,9 +149,9 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
     """
     if not failed:
         raise ValueError("nothing to place")
-    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus)
+    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus,
+                         states={(s.lane, s.proc): s.state for s in spares})
     states = plan.states
-    states.update(((s.lane, s.proc), s.state) for s in spares)
     # spares another application already claimed; our own reservations do
     # not count, since restriction is one application per processor
     taken = {(s.lane, s.proc) for s in spares if len(s.state) > 0}
