@@ -41,7 +41,7 @@ class Health(Enum):
     SHUTDOWN = "shutdown"
 
 
-@dataclass
+@dataclass(slots=True)
 class Copy:
     """One replica of one task, living on (lane, proc)."""
 

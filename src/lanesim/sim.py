@@ -182,9 +182,13 @@ class _Proc(Processor):
         self.prios = self.admitted.priorities()
 
 
-@dataclass(eq=False, kw_only=True)
+@dataclass(eq=False, kw_only=True, slots=True)
 class _CopyRt(Copy):
-    """A task copy together with the engine's run-time state of it."""
+    """A task copy together with the engine's run-time state of it.
+
+    Recovery records keep their lost and rebuilt copies through report
+    writing, so a copy keeps its fields in slots.
+    """
 
     spec: TaskSpec
     app: ApplicationSpec
