@@ -12,7 +12,7 @@ or of a job that no longer runs, is stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(eq=False)
@@ -21,7 +21,7 @@ class Job:
     key: object             # the job's slot: one job per key and kind
     release_us: int
     remaining_us: int
-    background: bool = False
+    background: bool = field(default=False, init=False)  # set by add_background
     start_us: int | None = None
 
 
@@ -90,6 +90,7 @@ class Processor:
 
     def add_background(self, job: Job, now: int):
         self.charge(now)
+        job.background = True
         self.background[job.key] = job
         self.dispatch(now)
 

@@ -1055,8 +1055,7 @@ class Engine:
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
                 self.procs[rt.place].add_background(
-                    Job(rt, rt.copy_id, self.now, rt.replay_left_us,
-                        background=True), self.now)
+                    Job(rt, rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, rt)
@@ -1150,7 +1149,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:
-        cpu.add_background(Job(None, 0, 0, background_us, background=True), 0)
+        cpu.add_background(Job(None, 0, 0, background_us), 0)
 
     report = ProcSchedule()
     while events and events[0][0] <= window_us:
