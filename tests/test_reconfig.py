@@ -74,12 +74,23 @@ def test_selection_falls_back_across_lanes():
 
 
 def test_selection_ranks_by_resulting_utilization():
-    # both foreign spares fit; the emptier wins even with a higher lane id
+    # fully integrated, so both loaded spares are usable and both fit; the
+    # emptier is tried first even with a higher lane id
+    failed = [_failed(_task(), home_lane=9)]
     plan = select_spare(
-        [_failed(_task(), home_lane=9)],
-        [_spare(1, 3, util_entries=[(40, 100)]), _spare(2, 3)],
-        BusState(Fraction(10)), CFG, restricted=True)
+        failed,
+        [_spare(1, 3, util_entries=[(40, 100)]),
+         _spare(2, 3, util_entries=[(20, 100)])],
+        BusState(Fraction(10)), CFG, restricted=False)
+    assert [(d.lane, d.proc) for d in plan.decisions] == [(2, 3)]
     assert plan.placements == [(1, 2, 3)]
+    # swap the loads and the lower lane is the emptier one
+    plan = select_spare(
+        failed,
+        [_spare(1, 3, util_entries=[(20, 100)]),
+         _spare(2, 3, util_entries=[(40, 100)])],
+        BusState(Fraction(10)), CFG, restricted=False)
+    assert plan.placements == [(1, 1, 3)]
 
 
 def test_occupied_spares_are_skipped_only_in_restricted_mode():
