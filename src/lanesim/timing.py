@@ -131,17 +131,24 @@ class BusState:
 
     def __init__(self, max_load: Fraction, load: Fraction = Fraction(0)):
         self.max_load = Fraction(max_load)
-        self._load = load
+        self._load = Fraction(load)
 
     @property
     def current_load(self) -> Fraction:
         return self._load
 
     def with_demand(self, demand: Fraction) -> "BusState":
-        return BusState(self.max_load, self._load + demand)
+        return self._at(self._load + demand)
 
     def without_demand(self, demand: Fraction) -> "BusState":
-        return BusState(self.max_load, self._load - demand)
+        return self._at(self._load - demand)
+
+    def _at(self, load: Fraction) -> "BusState":
+        # a derived state: both values are Fractions already
+        bus = object.__new__(BusState)
+        bus.max_load = self.max_load
+        bus._load = load
+        return bus
 
 
 def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:
