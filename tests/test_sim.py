@@ -8,9 +8,11 @@ paths can be checked against it on small task sets.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanesim.cli import metrics_document, trace_lines
 from lanesim.coverage import CoverageLevel
+from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec
 from lanesim.reconfig import Outcome
 from lanesim.scenario import generate_scenario, parse_scenario
@@ -437,6 +439,47 @@ def test_per_receiver_byzantine_is_isolated_with_four_lanes():
     detections = [e for e in result.trace if e.kind == "Detection"]
     assert len(detections) == 1
     assert detections[0].lane == 2
+
+
+def _row_scope(e) -> FaultTarget:
+    if e.task is not None:
+        return FaultTarget(TargetKind.TASK, lane=e.lane, proc=e.proc,
+                           app=e.app, task=e.task)
+    if e.proc is not None:
+        return FaultTarget(TargetKind.PROCESSOR, lane=e.lane, proc=e.proc)
+    return FaultTarget(TargetKind.LANE, lane=e.lane)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.sampled_from([3, 4]), seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["lane", "processor", "task"]),
+       pick=st.integers(0, 1_000),
+       skew=st.floats(0.05, 9.0), negative=st.booleans(),
+       at_ms=st.integers(5, 30))
+def test_one_two_faced_fault_never_shuts_down_a_healthy_place(
+        lanes, seed, kind, pick, skew, negative, at_ms):
+    # Lamport, Shostak & Pease: one two-faced sender among four lanes is
+    # outvoted; among three the vote may come out ambiguous, but an
+    # ambiguous vote implicates nobody, so no healthy lane is shut down
+    doc = generate_scenario(lanes=lanes, procs=3, apps=2, seed=seed,
+                            horizon_ms=120)
+    app = doc["system"]["applications"][pick % len(doc["system"]["applications"])]
+    task = app["tasks"][pick % len(app["tasks"])]
+    target = {"kind": kind, "lane": pick % lanes}
+    if kind != "lane":
+        target["proc"] = task["initial_proc"]
+    if kind == "task":
+        target.update(app=app["app_id"], task=task["task_id"])
+    doc["faults"] = [{"at_ms": at_ms, "kind": "byzantine", "per_receiver": True,
+                      "value_skew": -skew if negative else skew,
+                      "target": target}]
+    sc = parse_scenario(doc)
+    scope = sc.faults[0].target
+    for e in run(sc).trace:
+        if e.kind in ("Detection", "ShutdownApplied"):
+            assert scope.contains(_row_scope(e)), (
+                f"{e.kind} at {e.time_us}us names {_row_scope(e)} "
+                f"outside the fault's {scope}")
 
 
 def test_federated_loss_stands_without_reconfiguration():
