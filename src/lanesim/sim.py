@@ -601,9 +601,6 @@ class Engine:
 
     # -- voting ---------------------------------------------------------------------
 
-    def _reference_value(self) -> float:
-        return self.settings.reference.value(self.now)
-
     def _skew_for(self, rt: _CopyRt):
         """First active byzantine fault hitting this copy, if any."""
         for f in self._byzantine:
@@ -611,15 +608,15 @@ class Engine:
                 return f
         return None
 
-    def _emitted(self, rt: _CopyRt) -> float | None:
-        """Value the copy puts on the exchange this round, or None if silent."""
-        pr = self.procs[rt.place]
+    def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
+        """Value the copy puts on the exchange this round, or None if silent.
+        ``byz`` is the copy's byzantine fault and ``ref`` the reference value."""
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
+        pr = self.procs[rt.place]
         if pr.dead or self._silenced(rt, pr):
             return None
-        value = self._reference_value()
-        byz = self._skew_for(rt)
+        value = ref
         if byz is not None:
             value += byz.value_skew
         if rt.converge_left > 0:
@@ -633,8 +630,10 @@ class Engine:
             self._push(nxt, EventKind.VOTE_ROUND, app.app_id, app)
 
         self._check_sensors(app)
-        for task in sorted(app.tasks, key=lambda t: t.task_id):
-            self._vote_task(app, task)
+        ref = self.settings.reference.value(self.now)
+        # the group holds its tasks in task id order
+        for task_id, rts in self.groups[app.app_id].copies.items():
+            self._vote_task(app.app_id, task_id, rts, ref)
 
     def _sensor_faults(self, app_id) -> list:
         """Active faults on the application's sensor channels, in scenario order."""
@@ -652,43 +651,43 @@ class Engine:
                                  f"(fault {f.fault_id}, sensor granularity)")
                 self._sample(app.app_id)
 
-    def _vote_task(self, app, task):
-        rts = self.groups[app.app_id].copies[task.task_id]
-        actives = [rt for rt in rts if rt.health is Health.ACTIVE]
-        expected = [
-            rt for rt in actives
-            if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us
-        ]
-        emissions = {rt.place: (rt, self._emitted(rt)) for rt in expected}
-        emitting = {place: v for place, (rt, v) in emissions.items() if v is not None}
-        silent = {place for place, (rt, v) in emissions.items() if v is None}
+    def _vote_task(self, app_id, task_id, rts, ref: float):
+        expected = []       # (copy, byzantine fault, value or None if silent)
+        watched = []        # rebuilt copies policed against the consensus
+        for rt in rts:
+            if rt.health is Health.ACTIVE:
+                if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us:
+                    byz = self._skew_for(rt)
+                    expected.append((rt, byz, self._emitted(rt, byz, ref)))
+            elif rt.health is not Health.SHUTDOWN:
+                watched.append(rt)
+        emitting = {rt.place: v for rt, _, v in expected if v is not None}
+        silent = [rt.place for rt, _, v in expected if v is None]
+        implicated = set(silent)
 
-        implicated = {
-            (place[0], place[1], app.app_id, task.task_id) for place in silent
-        }
         flagged, ambiguous = frozenset(), False
         if len(emitting) >= 2:
-            if any((byz := self._skew_for(rt)) is not None and byz.per_receiver
-                   for rt in expected):
-                outcome = exchange_vote(self._exchange_matrix(
-                    expected, emissions, emitting), self.voter)
+            if any(byz is not None and byz.per_receiver for _, byz, _ in expected):
+                outcome = exchange_vote(self._exchange_matrix(expected, ref),
+                                        self.voter)
             else:
                 outcome = cross_monitor(emitting, self.voter)
             flagged, ambiguous = outcome.flagged, outcome.ambiguous
             if not ambiguous:
-                implicated.update(
-                    (place[0], place[1], app.app_id, task.task_id)
-                    for place in flagged if place in emitting)
+                implicated.update(place for place in flagged if place in emitting)
 
         if implicated or flagged or ambiguous:
-            self._row("VoteRound", app=app.app_id, task=task.task_id,
+            self._row("VoteRound", app=app_id, task=task_id,
                       detail=self._vote_detail(silent, flagged, ambiguous))
         if implicated:
             if not self._pending_implicated:
-                self._push(self.now, EventKind.CLASSIFY, app.app_id, None)
-            self._pending_implicated.update(implicated)
+                self._push(self.now, EventKind.CLASSIFY, app_id, None)
+            self._pending_implicated.update(
+                (lane, proc, app_id, task_id) for lane, proc in implicated)
 
-        self._police_task(app, task, rts, emitting)
+        if watched:
+            self._police(watched, statistics.median(emitting.values())
+                         if emitting else None, ref)
 
     @staticmethod
     def _vote_detail(silent, flagged, ambiguous) -> str:
@@ -703,52 +702,43 @@ class Engine:
             parts.append("ambiguous")
         return " ".join(parts)
 
-    def _exchange_matrix(self, expected, emissions, emitting):
+    def _exchange_matrix(self, expected, ref: float):
         """Build receiver x sender claims from this round's emitted values,
         including what two-faced senders and relays tell each receiver."""
         received: dict = {}
-        ref = self._reference_value()
-        for r in expected:
-            if r.place not in emitting:
+        for r, r_byz, r_value in expected:
+            if r_value is None:
                 continue
-            r_byz = self._skew_for(r)
+            relay_lies = r_byz is not None and r_byz.per_receiver
             claims: dict = {}
-            for s, value in emissions.values():
+            for s, s_byz, value in expected:
                 if value is not None and s is not r:
-                    s_byz = self._skew_for(s)
                     if s_byz is not None and s_byz.per_receiver:
                         value = ref + s_byz.value_skew * _two_faced_sign(r, s_byz)
-                    if r_byz is not None and r_byz.per_receiver:
+                    if relay_lies:
                         # a two-faced relay also lies about what it heard
                         value += 1.5 * r_byz.value_skew * _two_faced_sign(s, r_byz)
                 claims[s.place] = value
             received[r.place] = claims
         return received
 
-    def _police_task(self, app, task, rts, emitting):
-        watched = [rt for rt in rts
-                   if rt.health in (Health.POLICED, Health.RESTABILIZING)]
-        if not watched:
-            return
-        # every emitter is an active copy
-        active_values = [v for _, v in sorted(emitting.items())]
-        consensus = statistics.median(active_values) if active_values else None
+    def _police(self, watched, consensus: float | None, ref: float):
+        """Compare each watched copy's value with the active consensus."""
         for rt in watched:
-            if rt.police is None:
-                continue
             if rt.replay_left_us > 0:
-                self._row("PoliceRound", rt.lane, rt.proc,
-                          app.app_id, task.task_id, "replay outstanding")
+                self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
+                          "replay outstanding")
                 continue
-            value = self._emitted(rt)
-            if value is None or consensus is None:
+            if consensus is None:
+                continue
+            value = self._emitted(rt, self._skew_for(rt), ref)
+            if value is None:
                 continue
             matched = police_matches(value, consensus, self.cfg)
             if rt.converge_left > 0:
                 rt.converge_left -= 1
             done = rt.police.update(matched)
-            self._row("PoliceRound", rt.lane, rt.proc,
-                      app.app_id, task.task_id,
+            self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
                       f"{'match' if matched else 'deviation'} "
                       f"{min(rt.police.count, rt.police.required)}/{rt.police.required}")
             if done and rt.eligible_us is None:

@@ -17,6 +17,7 @@ events and counts the answers where the plain ``active_at`` scan differs.
 """
 
 import json
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,11 @@ class CheckedEngine(Engine):
         super().__init__(scenario)
         self.checks = 0
         self.lagging = 0     # answers where the plain active_at scan differs
+        self._skews, self._emissions = set(), {}
+        # a vote round walks the groups' tasks as kept: in task id order
+        for app in self.model.applications:
+            assert list(self.groups[app.app_id].copies) == sorted(
+                t.task_id for t in app.tasks)
 
     # -- the references -------------------------------------------------
 
@@ -110,6 +116,9 @@ class CheckedEngine(Engine):
         return got
 
     def _skew_for(self, rt):
+        assert rt.copy_id not in self._skews, (
+            f"copy {rt.copy_id} asked for its skew twice at {self.now}us")
+        self._skews.add(rt.copy_id)
         got = super()._skew_for(rt)
         self._agree("skew", got, lambda fs: next(
             (f for f in fs if f.kind is FaultKind.BYZANTINE
@@ -168,21 +177,33 @@ class CheckedEngine(Engine):
         self.checks += 1
         return got
 
-    def _vote_task(self, app, task):
-        assert self.groups[app.app_id].copies[task.task_id] == [
-            rt for rt in self._copies_by_id()
-            if rt.key == (app.app_id, task.task_id)]
-        self.checks += 1
-        super()._vote_task(app, task)
-
-    def _police_task(self, app, task, rts, emitting):
+    def _vote_task(self, app_id, task_id, rts, ref):
+        assert rts is self.groups[app_id].copies[task_id]
         assert rts == [rt for rt in self._copies_by_id()
-                       if rt.key == (app.app_id, task.task_id)]
-        # the consensus takes every emitter's value: each is an active copy
-        assert all(any(rt.place == place and rt.health is Health.ACTIVE
-                       for rt in rts) for place in emitting)
+                       if rt.key == (app_id, task_id)]
+        assert ref == self.settings.reference.value(self.now)
+        # what this task's copies asked and emitted, each at most once
+        self._skews, self._emissions = set(), {}
         self.checks += 1
-        super()._police_task(app, task, rts, emitting)
+        super()._vote_task(app_id, task_id, rts, ref)
+
+    def _emitted(self, rt, byz, ref):
+        assert rt.copy_id not in self._emissions, (
+            f"copy {rt.copy_id} emitted twice at {self.now}us")
+        got = super()._emitted(rt, byz, ref)
+        self._emissions[rt.copy_id] = (rt, got)
+        return got
+
+    def _police(self, watched, consensus, ref):
+        key = watched[0].key
+        assert watched == [rt for rt in self._copies_by_id() if rt.key == key
+                           and rt.health in (Health.POLICED, Health.RESTABILIZING)]
+        # the consensus takes every emitter's value: each is an active copy
+        values = [v for rt, v in self._emissions.values()
+                  if rt.health is Health.ACTIVE and v is not None]
+        assert consensus == (statistics.median(values) if values else None)
+        self.checks += 1
+        super()._police(watched, consensus, ref)
 
     def _copies_in(self, scope):
         got = super()._copies_in(scope)
