@@ -889,11 +889,7 @@ class Engine:
             ep.copies = copies
             for rt in ep.copies:
                 rt.episode = ep
-            cleared = [f for f in self.sc.faults
-                       if f.fault_id in ep.cause_ids and f not in self._active]
-            if len(cleared) == len(ep.cause_ids):
-                ep.t_e_us = self.now
-            return
+            return      # its causes are all active; _on_fault_clear sets t_e
         ep.lost = copies
         if not self._pending_selection:
             self._push(self.now, EventKind.SELECTION, app_id, None)
