@@ -809,6 +809,7 @@ class Engine:
         # one episode per application and origin: a copy restabilized in
         # place is not also replaced by a spare
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
+        abandoned: dict = {}    # record id -> open episode that lost a copy
         for d in directives:
             causes = self._directive_causes(d)
             transient = bool(causes) and all(
@@ -817,7 +818,7 @@ class Engine:
             # a fault inside the scope is handled; one around it is not
             self._bit_detected.update(
                 f.fault_id for f in causes if d.contains(f.target))
-            victims = self._directive_victims(d)
+            victims = self._directive_victims(d, transient)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
                       f"{d.kind.value} shutdown, "
@@ -831,6 +832,10 @@ class Engine:
                     rt.police = PoliceCounter(self.cfg.police_rounds)
                     rt.eligible_us = None
                 else:
+                    ep = rt.episode
+                    if (rt.health is not Health.ACTIVE
+                            and ep is not None and ep.outcome is None):
+                        abandoned[ep.record_id] = ep
                     self._withdraw_copy(rt)
             for rt in victims:
                 copies, causes = affected.setdefault(
@@ -838,6 +843,10 @@ class Engine:
                 copies.append(rt)
                 causes.update(cause_ids)
 
+        # a recovery that loses a copy it was rebuilding ends here; the
+        # copy's replacement belongs to the new reconfiguration
+        for record_id in sorted(abandoned):
+            self._close_episode(abandoned[record_id], Outcome.ABANDONED)
         # by application, the reconfiguration before the restabilization
         for app_id, transient in sorted(affected):
             self._sample(app_id)
@@ -849,8 +858,13 @@ class Engine:
         if not self._pending_selection:
             self._pump_bus()
 
-    def _directive_victims(self, d: FaultTarget):
-        return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
+    def _directive_victims(self, d: FaultTarget, transient: bool):
+        """The copies a shutdown acts on: a transient one restabilizes the
+        active copies in scope, a permanent one withdraws every copy still
+        in service there, rebuilt or restabilizing ones too."""
+        if transient:
+            return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
+        return [rt for rt in self._copies_in(d) if rt.health is not Health.SHUTDOWN]
 
     def _mark_dead(self, d: FaultTarget):
         for pr in self._procs_in(d):

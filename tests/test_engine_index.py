@@ -212,10 +212,13 @@ class CheckedEngine(Engine):
         self.checks += 1
         return got
 
-    def _directive_victims(self, d):
-        got = super()._directive_victims(d)
-        assert got == [rt for rt in self._copies_by_id()
-                       if rt.health is Health.ACTIVE and d.contains(rt.scope)]
+    def _directive_victims(self, d, transient):
+        got = super()._directive_victims(d, transient)
+        # a transient shutdown restabilizes the active copies; a permanent
+        # one withdraws every copy still in service
+        assert got == [rt for rt in self._copies_by_id() if d.contains(rt.scope)
+                       and (rt.health is Health.ACTIVE if transient
+                            else rt.health is not Health.SHUTDOWN)]
         self.checks += 1
         return got
 

@@ -340,6 +340,28 @@ def test_same_instant_transient_and_permanent_shutdowns_open_two_episodes():
     assert final[:2] == (CoverageLevel.TRIPLEX, CoverageLevel.TRIPLEX)
 
 
+def test_a_permanent_shutdown_withdraws_a_restabilizing_copy():
+    # copy 1 restabilizes in place from 40 ms; at 70 ms BIT catches a
+    # permanent fault on its processor: the restabilization ends there and
+    # a reconfiguration replaces the copy on the lane's spare
+    result = run(scen([proc_fault(at_ms=30, kind="transient", duration_ms=60),
+                       proc_fault(at_ms=70, kind="permanent",
+                                  bit_detectable=True)],
+                      sim={"bit_period_ms": 5}))
+    closed = [(e.time_us, e.detail) for e in result.trace
+              if e.kind == "RecoveryClosed"]
+    assert closed == [(70000, "record 1: abandoned"),
+                      (140000, "record 2: readmitted")]
+    restabilize, reconfig = result.records
+    assert (restabilize.origin, restabilize.failed_copy_ids) == ("restabilize", (1,))
+    assert restabilize.outcome is Outcome.ABANDONED
+    assert (reconfig.origin, reconfig.failed_copy_ids) == ("reconfig", (1,))
+    assert reconfig.t_f_us == 70000
+    assert reconfig.placements == {1: (0, 3)}
+    assert reconfig.outcome is Outcome.READMITTED
+    assert reconfig.t_a_us == 140000
+
+
 def test_pilot_gate_delays_restabilized_readmission():
     doc = scenario_doc([proc_fault(kind="transient", duration_ms=40)],
                        policies={"pilot_gate": True,
