@@ -1046,6 +1046,18 @@ class Engine:
         for task_id in sorted(ep.placements):
             lane, proc = ep.placements[task_id]
             spec = app.task(task_id)
+            pr = self.procs[(lane, proc)]
+            if pr.dead:
+                # the spare was shut down while its copy was in transfer:
+                # give back what the placement reserved
+                del ep.placements[task_id]
+                pr.admitted = pr.admitted.without_task((ep.app_id, task_id))
+                pr.refresh_priorities()
+                self.bus = self.bus.without_demand(spec.message_demand)
+                ep.degraded_tasks += (task_id,)
+                self._row("DegradeToDuplex", lane, proc, ep.app_id, task_id,
+                          "spare shut down before the copy started")
+                continue
             rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
@@ -1054,11 +1066,13 @@ class Engine:
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self.procs[rt.place].add_background(
+                pr.add_background(
                     Job(rt, rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, rt)
+        if not ep.copies:
+            self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
     def _close_episode(self, ep: _Episode, outcome: Outcome):
         ep.outcome = outcome

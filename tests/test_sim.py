@@ -14,9 +14,10 @@ from lanesim.cli import metrics_document, trace_lines
 from lanesim.coverage import CoverageLevel
 from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec
-from lanesim.reconfig import Outcome
+from lanesim.reconfig import Health, Outcome
 from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.sim import (
+    Engine,
     InsufficientInstances,
     ScenarioInvalid,
     measure_jitter,
@@ -360,6 +361,31 @@ def test_a_permanent_shutdown_withdraws_a_restabilizing_copy():
     assert reconfig.placements == {1: (0, 3)}
     assert reconfig.outcome is Outcome.READMITTED
     assert reconfig.t_a_us == 140000
+
+
+def test_a_spare_shut_down_during_transfer_gets_no_copy():
+    # the spare (0, 3) is chosen at 40 ms and shut down at 42 ms, while the
+    # code and state are still in transfer: nothing is spawned on it, and
+    # its admission entry and bus demand are given back
+    engine = Engine(scen([proc_fault(at_ms=30),
+                          proc_fault(at_ms=42, proc=3, bit_detectable=True)],
+                         sim={"bit_period_ms": 1}))
+    result = engine.run()
+    [rec] = result.records
+    assert rec.outcome is Outcome.DEGRADED_DUPLEX
+    assert rec.placements == {} and rec.degraded_tasks == (1,)
+    assert rec.t_e_us == 52566 and rec.t_a_us is None
+    assert [(e.time_us, e.lane, e.proc) for e in result.trace
+            if e.kind == "DegradeToDuplex"] == [(52566, 0, 3)]
+    in_service = [rt for rts in engine.groups[1].copies.values() for rt in rts
+                  if rt.health is not Health.SHUTDOWN]
+    assert sorted(rt.place for rt in in_service) == [(1, 0), (2, 0)]
+    assert len(engine.procs[(0, 3)].admitted) == 0
+    assert engine.bus.current_load == sum(
+        rt.spec.message_demand for group in engine.groups.values()
+        for rts in group.copies.values() for rt in rts
+        if rt.health is not Health.SHUTDOWN)
+    assert result.final_coverage[1][0] is CoverageLevel.DUPLEX
 
 
 def test_pilot_gate_delays_restabilized_readmission():
