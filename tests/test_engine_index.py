@@ -7,7 +7,8 @@ asserts that both agree, at every call, over the golden corpus and over
 generated scenarios with faults. After each shutdown, selection and state
 transfer it also recounts the capacity the engine keeps: the bus load and
 every processor's admitted set must be exactly those of the copies still
-in service and the placements not yet spawned.
+in service and the placements not yet spawned. After each shutdown, spawn
+and readmission no copy in service may sit on a dead processor.
 
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
@@ -101,6 +102,14 @@ class CheckedEngine(Engine):
                 f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
             assert len(admitted) == len(keys) and all(k in admitted for k in keys), (
                 f"{place} at {self.now}us: admitted set differs from {sorted(keys)}")
+        self.checks += 1
+
+    def _check_service(self):
+        """No copy in service sits on a dead processor."""
+        for rt in self._all_copies():
+            assert rt.health is Health.SHUTDOWN or not self.procs[rt.place].dead, (
+                f"copy {rt.copy_id} is {rt.health.value} on dead processor "
+                f"{rt.place} at {self.now}us")
         self.checks += 1
 
     # -- the indexed answers --------------------------------------------
@@ -227,6 +236,7 @@ class CheckedEngine(Engine):
     def _apply_directives(self, directives):
         super()._apply_directives(directives)
         self._check_capacity()
+        self._check_service()
 
     def _select_for(self, ep):
         super()._select_for(ep)
@@ -235,6 +245,11 @@ class CheckedEngine(Engine):
     def _spawn_copies(self, ep):
         super()._spawn_copies(ep)
         self._check_capacity()
+        self._check_service()
+
+    def _on_readmit(self, rt):
+        super()._on_readmit(rt)
+        self._check_service()
 
 
 def _outputs(result):
