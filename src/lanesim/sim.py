@@ -876,9 +876,14 @@ class Engine:
         rt.health = Health.SHUTDOWN
         pr = self.procs[rt.place]
         pr.drop(rt.key, self.now)
-        pr.admitted = pr.admitted.without_task(rt.key)
+        self._give_back(pr, rt.key, rt.spec.message_demand)
+
+    def _give_back(self, pr: _Proc, key, demand):
+        """Return what a copy or a placement held: its admission entry on
+        pr and its bus demand."""
+        pr.admitted = pr.admitted.without_task(key)
         pr.refresh_priorities()
-        self.bus = self.bus.without_demand(rt.spec.message_demand)
+        self.bus = self.bus.without_demand(demand)
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
         app = self.model.application(app_id)
@@ -1048,12 +1053,9 @@ class Engine:
             spec = app.task(task_id)
             pr = self.procs[(lane, proc)]
             if pr.dead:
-                # the spare was shut down while its copy was in transfer:
-                # give back what the placement reserved
+                # the spare was shut down while its copy was in transfer
                 del ep.placements[task_id]
-                pr.admitted = pr.admitted.without_task((ep.app_id, task_id))
-                pr.refresh_priorities()
-                self.bus = self.bus.without_demand(spec.message_demand)
+                self._give_back(pr, (ep.app_id, task_id), spec.message_demand)
                 ep.degraded_tasks += (task_id,)
                 self._row("DegradeToDuplex", lane, proc, ep.app_id, task_id,
                           "spare shut down before the copy started")
