@@ -832,10 +832,9 @@ class Engine:
                     rt.police = PoliceCounter(self.cfg.police_rounds)
                     rt.eligible_us = None
                 else:
-                    ep = rt.episode
-                    if (rt.health is not Health.ACTIVE
-                            and ep is not None and ep.outcome is None):
-                        abandoned[ep.record_id] = ep
+                    # a restabilizing or policed copy belongs to an episode
+                    if rt.health is not Health.ACTIVE and rt.episode.outcome is None:
+                        abandoned[rt.episode.record_id] = rt.episode
                     self._withdraw_copy(rt)
             for rt in victims:
                 copies, causes = affected.setdefault(

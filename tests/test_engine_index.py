@@ -8,7 +8,8 @@ generated scenarios with faults. After each shutdown, selection and state
 transfer it also recounts the capacity the engine keeps: the bus load and
 every processor's admitted set must be exactly those of the copies still
 in service and the placements not yet spawned. After each shutdown, spawn
-and readmission no copy in service may sit on a dead processor.
+and readmission no copy in service may sit on a dead processor. A vote
+round may look up each copy's byzantine fault and emitted value only once.
 
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
