@@ -32,6 +32,7 @@ Two voters are provided:
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -184,10 +185,17 @@ def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
             return VoteOutcome(frozenset())
         return VoteOutcome(frozenset({a, b}), ambiguous=True)
 
-    clique = _largest_clique(items, tol)
-    if 2 * len(clique) <= len(items):
-        return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
-    consensus = _consensus_value([v for _, v in clique], cfg)
+    vals = [v for _, v in items]
+    # In a quiet round every pair agrees, so the search's first anchor
+    # already takes every item (float subtraction is monotone) and no later
+    # anchor takes more: the clique is all of them. The argument needs
+    # finite values; a NaN or an infinity makes the sum not finite.
+    if not (max(vals) - min(vals) <= tol and math.isfinite(sum(vals))):
+        clique = _largest_clique(items, tol)
+        if 2 * len(clique) <= len(items):
+            return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
+        vals = [v for _, v in clique]
+    consensus = _consensus_value(vals, cfg)
     flagged = frozenset(k for k, v in items if abs(v - consensus) > tol)
     return VoteOutcome(flagged)
 

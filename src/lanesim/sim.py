@@ -45,6 +45,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from . import coverage as cov
 from . import timebase
@@ -85,7 +86,10 @@ class EventKind(Enum):
     READMIT = "Readmit"
 
 
-_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
+# Each kind carries its rank, so pushing an event hashes no Enum.
+for _rank, _kind in enumerate(EventKind):
+    _kind.rank = _rank
+del _rank, _kind
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ class Engine:
         self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
         self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
-        self.bus = BusState(self.model.bus.max_load)
+        self.bus = None                 # BusState, set by _init_topology
 
         self._copy_ids = itertools.count(1)
         self._record_ids = itertools.count(1)
@@ -287,23 +291,31 @@ class Engine:
                 self.procs[pr.key] = pr
                 self._proc_copies[pr.key] = []
 
+        # each processor's admitted set and the bus load are built once
+        # from every initial copy; Fraction sums are exact, so they equal
+        # the totals of admitting the copies one at a time
         homes = initial_allocation(self.model)
+        lane_ids = sorted(self.model.lane_ids)
+        entries = {place: {} for place in self.procs}
+        demands = []
         for app in sorted(self.model.applications, key=lambda a: a.app_id):
             tasks = sorted(app.tasks, key=lambda t: t.task_id)
             self.groups[app.app_id] = ReplicaGroup(
                 app.app_id, {t.task_id: [] for t in tasks})
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
             for task in tasks:
-                for lane_id in sorted(self.model.lane_ids):
+                limits = (task.wcet_us, task.period_us, task.deadline_us)
+                demands.append(task.message_demand * len(lane_ids))
+                for lane_id in lane_ids:
                     lane, proc = homes[(app.app_id, task.task_id, lane_id)]
                     rt = _CopyRt(next(self._copy_ids), app.app_id,
                                  task.task_id, lane, proc,
                                  spec=task, app=app, origin_us=0)
                     self._add_copy(rt)
-                    pr = self.procs[rt.place]
-                    pr.admitted = pr.admitted.with_task(
-                        rt.key, task.wcet_us, task.period_us, task.deadline_us)
-                    self.bus = self.bus.with_demand(task.message_demand)
+                    entries[rt.place][rt.key] = limits
+        for place, pr in self.procs.items():
+            pr.admitted = ProcessorState(entries[place])
+        self.bus = BusState(self.model.bus.max_load, sum(demands, Fraction(0)))
 
         violations = []
         if self.settings.enforce_admission:
@@ -383,27 +395,33 @@ class Engine:
              detail: str = ""):
         self.trace.append(TraceEvent(self.now, kind, lane, proc, app, task, detail))
 
+    def _handlers(self) -> tuple:
+        """One bound handler per EventKind, in rank order: run dispatches
+        an event by the rank its heap entry carries."""
+        return (
+            self._on_fault_activate,    # FaultActivate
+            self._on_fault_clear,       # FaultClear
+            self._on_complete,          # TaskComplete
+            self._on_deadline_check,    # DeadlineCheck
+            self._on_bit_check,         # BITCheck
+            self._on_release,           # TaskRelease
+            self._on_vote_round,        # VoteRound
+            self._on_classify,          # Classify
+            self._on_selection,         # SelectionDone
+            self._on_install_done,      # InstallDone
+            self._on_state_done,        # StateTransferDone
+            self._on_pilot_approval,    # PilotApproval
+            self._on_readmit,           # Readmit
+        )
+
     def run(self) -> SimResult:
         self._prime_events()
-        handlers = {
-            EventKind.FAULT_ACTIVATE: self._on_fault_activate,
-            EventKind.FAULT_CLEAR: self._on_fault_clear,
-            EventKind.TASK_COMPLETE: self._on_complete,
-            EventKind.DEADLINE_CHECK: self._on_deadline_check,
-            EventKind.BIT_CHECK: self._on_bit_check,
-            EventKind.TASK_RELEASE: self._on_release,
-            EventKind.VOTE_ROUND: self._on_vote_round,
-            EventKind.CLASSIFY: self._on_classify,
-            EventKind.SELECTION: self._on_selection,
-            EventKind.INSTALL_DONE: self._on_install_done,
-            EventKind.STATE_TRANSFER_DONE: self._on_state_done,
-            EventKind.PILOT_APPROVAL: self._on_pilot_approval,
-            EventKind.READMIT: self._on_readmit,
-        }
-        while self._heap and self._heap[0][0] <= self.horizon:
-            at, _rank, _key, _seq, kind, data = heapq.heappop(self._heap)
+        handlers = self._handlers()
+        heap, horizon, pop = self._heap, self.horizon, heapq.heappop
+        while heap and heap[0][0] <= horizon:
+            at, rank, _key, _seq, _kind, data = pop(heap)
             self.now = at
-            handlers[kind](data)
+            handlers[rank](data)
         self.now = self.horizon
         self._heap.clear()      # see _event_pusher
         return self._wrap_up()
@@ -1120,7 +1138,7 @@ def _event_pusher(heap: list):
     seq = itertools.count()
 
     def push(at_us: int, kind: EventKind, key, data):
-        heapq.heappush(heap, (at_us, _RANK[kind], key, next(seq), kind, data))
+        heapq.heappush(heap, (at_us, kind.rank, key, next(seq), kind, data))
 
     return push
 

@@ -4,10 +4,11 @@
 filtering all of ``scenario.faults`` through ``FaultSpec.active_at`` and
 ``FaultTarget.contains`` and by scanning every copy ever created, and
 asserts that both agree, at every call, over the golden corpus and over
-generated scenarios with faults. After each shutdown, selection and state
-transfer it also recounts the capacity the engine keeps: the bus load and
-every processor's admitted set must be exactly those of the copies still
-in service and the placements not yet spawned. After each shutdown, spawn
+generated scenarios with faults. After set-up and after each shutdown,
+selection and state transfer it also recounts the capacity the engine
+keeps: the bus load and every processor's admitted set and utilization
+must be exactly those of the copies still in service and the placements
+not yet spawned. After each shutdown, spawn
 and readmission no copy in service may sit on a dead processor. A vote
 round may look up each copy's byzantine fault and emitted value only once.
 
@@ -29,6 +30,7 @@ from lanesim.fault import FaultKind, TargetKind, bit_detects
 from lanesim.reconfig import Health
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
+from lanesim.timing import task_utilization
 
 from conftest import lane_fault, proc_fault, scenario_doc
 from golden.rehash import SCENARIOS
@@ -53,6 +55,8 @@ class CheckedEngine(Engine):
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
                 t.task_id for t in app.tasks)
+        # set-up builds the admitted sets and the bus load in one pass
+        self._check_capacity()
 
     # -- the references -------------------------------------------------
 
@@ -83,26 +87,32 @@ class CheckedEngine(Engine):
 
     def _check_capacity(self):
         """Bus load and admitted sets equal a recount of what holds them."""
-        holders = {place: [] for place in self.procs}   # place -> [(app, task)]
+        holders = {place: [] for place in self.procs}   # place -> [(key, spec)]
         load = Fraction(0)
         for rt in self._all_copies():
             if rt.health is not Health.SHUTDOWN:
-                holders[rt.place].append(rt.key)
+                holders[rt.place].append((rt.key, rt.spec))
                 load += rt.spec.message_demand
         for ep, _phase in self._bus_queue:      # placed, not yet spawned
             app = self.model.application(ep.app_id)
             for task_id, place in ep.placements.items():
-                holders[place].append((ep.app_id, task_id))
-                load += app.task(task_id).message_demand
+                spec = app.task(task_id)
+                holders[place].append(((ep.app_id, task_id), spec))
+                load += spec.message_demand
         assert self.bus.current_load == load, (
             f"bus load at {self.now}us: kept {self.bus.current_load}, "
             f"recounted {load}")
-        for place, keys in holders.items():
+        for place, held in holders.items():
             admitted = self.procs[place].admitted
+            keys = [key for key, _ in held]
             assert len(set(keys)) == len(keys), (
                 f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
             assert len(admitted) == len(keys) and all(k in admitted for k in keys), (
                 f"{place} at {self.now}us: admitted set differs from {sorted(keys)}")
+            assert admitted.utilization == sum(
+                (task_utilization(t.wcet_us, t.period_us, t.deadline_us)
+                 for _, t in held), Fraction(0)), (
+                f"{place} at {self.now}us: utilization differs from a recount")
         self.checks += 1
 
     def _check_service(self):

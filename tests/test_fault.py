@@ -1,5 +1,6 @@
 """Voting, fault classification, and built-in-test visibility."""
 
+import math
 import statistics
 
 import pytest
@@ -12,6 +13,7 @@ from lanesim.fault import (
     FaultTarget,
     InsufficientLanes,
     TargetKind,
+    VoteOutcome,
     VoterConfig,
     bit_detects,
     can_identify_byzantine,
@@ -117,6 +119,88 @@ def test_single_far_outlier_is_always_isolated(n, outlier_seed, base):
     outcome = cross_monitor(values, CFG)
     assert outcome.flagged == frozenset({outlier})
     assert not outcome.ambiguous
+
+
+def _full_search_cross_monitor(values, cfg):
+    """cross_monitor as it reads with the clique search run in every round."""
+    items = sorted(values.items())
+    tol = cfg.tolerance
+    if len(items) == 2:
+        (a, va), (b, vb) = items
+        if abs(va - vb) <= tol:
+            return VoteOutcome(frozenset())
+        return VoteOutcome(frozenset({a, b}), ambiguous=True)
+    best = []
+    for _, anchor in items:
+        clique = [(k, v) for k, v in items if abs(v - anchor) <= tol]
+        vals = [v for _, v in clique]
+        if max(vals) - min(vals) <= tol and len(clique) > len(best):
+            best = clique
+    if 2 * len(best) <= len(items):
+        return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
+    vals = [v for _, v in best]
+    if cfg.consensus is Consensus.MEAN_OF_OTHERS:
+        consensus = sum(vals) / len(vals)
+    else:
+        consensus = statistics.median(vals)
+    return VoteOutcome(frozenset(k for k, v in items if abs(v - consensus) > tol))
+
+
+def _verdict(voter, values, cfg):
+    """The voter's outcome, or the type of what it raised."""
+    try:
+        return voter(values, cfg)
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def _rounds_at_the_tolerance_edge(draw):
+    """Values whose spread is the tolerance, or one ulp either side of it."""
+    lo = draw(st.floats(min_value=-1e6, max_value=1e6))
+    tol = draw(st.one_of(st.floats(min_value=1e-6, max_value=1e3),
+                         st.integers(1, 4).map(lambda k: k * math.ulp(lo))))
+    hi = lo + tol
+    step = draw(st.sampled_from([-1, 0, 1]))
+    if step:
+        hi = math.nextafter(hi, step * math.inf)
+    n = draw(st.integers(2, 6))
+    inner = st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi),
+                      st.floats(-1e6, 1e6))
+    vals = [lo, hi] + [draw(inner) for _ in range(n - 2)]
+    lanes = draw(st.permutations(range(n)))
+    consensus = draw(st.sampled_from(list(Consensus)))
+    return ({lane: v for lane, v in zip(lanes, vals)},
+            VoterConfig(tolerance=tol, consensus=consensus))
+
+
+@given(_rounds_at_the_tolerance_edge())
+def test_cross_monitor_equals_the_full_clique_search(round_):
+    values, cfg = round_
+    assert (_verdict(cross_monitor, values, cfg)
+            == _verdict(_full_search_cross_monitor, values, cfg))
+
+
+def test_a_quiet_round_can_still_flag_by_its_mean():
+    # the spread is the tolerance, yet the float mean falls below the
+    # minimum, and lane 1 sits more than the tolerance from it
+    lo, hi = -411.83191171340616, -411.8319117134061
+    values = {0: lo, 1: hi, 2: lo}
+    cfg = VoterConfig(tolerance=hi - lo, consensus=Consensus.MEAN_OF_OTHERS)
+    assert sum(values.values()) / 3 < lo
+    assert cross_monitor(values, cfg) == VoteOutcome(frozenset({1}))
+
+
+@given(st.dictionaries(st.integers(0, 5), st.floats(), min_size=2, max_size=6),
+       st.one_of(st.floats(min_value=1e-9), st.just(math.nan)),
+       st.sampled_from(list(Consensus)))
+def test_cross_monitor_equals_the_full_clique_search_on_any_floats(values, tol,
+                                                                   consensus):
+    # NaN and infinities included: there the full search decides, and a
+    # NaN makes both raise alike
+    cfg = VoterConfig(tolerance=tol, consensus=consensus)
+    assert (_verdict(cross_monitor, values, cfg)
+            == _verdict(_full_search_cross_monitor, values, cfg))
 
 
 # --- exchange (interactive) voting ------------------------------------------------

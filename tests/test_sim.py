@@ -18,6 +18,7 @@ from lanesim.reconfig import Health, Outcome
 from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.sim import (
     Engine,
+    EventKind,
     InsufficientInstances,
     ScenarioInvalid,
     measure_jitter,
@@ -106,6 +107,29 @@ def test_completion_on_the_deadline_is_not_a_miss():
 
 
 # --- the engine against the same oracle ------------------------------------------
+
+
+def test_each_event_kind_is_dispatched_to_its_handler_by_rank():
+    # run indexes the handler tuple by the rank each heap entry carries
+    engine = Engine(scen([]))
+    handler = {
+        EventKind.FAULT_ACTIVATE: engine._on_fault_activate,
+        EventKind.FAULT_CLEAR: engine._on_fault_clear,
+        EventKind.TASK_COMPLETE: engine._on_complete,
+        EventKind.DEADLINE_CHECK: engine._on_deadline_check,
+        EventKind.BIT_CHECK: engine._on_bit_check,
+        EventKind.TASK_RELEASE: engine._on_release,
+        EventKind.VOTE_ROUND: engine._on_vote_round,
+        EventKind.CLASSIFY: engine._on_classify,
+        EventKind.SELECTION: engine._on_selection,
+        EventKind.INSTALL_DONE: engine._on_install_done,
+        EventKind.STATE_TRANSFER_DONE: engine._on_state_done,
+        EventKind.PILOT_APPROVAL: engine._on_pilot_approval,
+        EventKind.READMIT: engine._on_readmit,
+    }
+    assert list(handler) == list(EventKind)
+    assert [kind.rank for kind in EventKind] == list(range(len(EventKind)))
+    assert engine._handlers() == tuple(handler[kind] for kind in EventKind)
 
 
 def test_engine_completions_match_the_tick_oracle():
