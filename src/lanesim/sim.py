@@ -92,7 +92,7 @@ for _rank, _kind in enumerate(EventKind):
 del _rank, _kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One row of the run trace; None fields render as '-'."""
 
@@ -105,7 +105,7 @@ class TraceEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeadlineMissRecord:
     time_us: int
     lane: int
@@ -115,7 +115,7 @@ class DeadlineMissRecord:
     release_us: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRecord:
     finish_us: int
     start_us: int
