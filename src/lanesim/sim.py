@@ -560,9 +560,11 @@ class Engine:
                 self._halting[t] = left
             for pr in self._procs_in(t):
                 self._refresh_proc_failure(pr)
+        # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
             if (ep.outcome is None and ep.origin == "restabilize"
-                    and f.fault_id in ep.cause_ids and ep.t_e_us is None):
+                    and f.fault_id in ep.cause_ids and ep.t_e_us is None
+                    and not any(g.fault_id in ep.cause_ids for g in self._active)):
                 ep.t_e_us = self.now
 
     def _restore_channel(self, fault):
@@ -925,7 +927,7 @@ class Engine:
             ep.copies = copies
             for rt in ep.copies:
                 rt.episode = ep
-            return      # its causes are all active; _on_fault_clear sets t_e
+            return      # its causes are all active; the last to clear sets t_e
         ep.lost = copies
         if not self._pending_selection:
             self._push(self.now, EventKind.SELECTION, app_id, None)

@@ -347,6 +347,17 @@ def test_transient_fault_restabilizes_in_place():
     assert "SpareSelected" not in kinds
 
 
+def test_a_restabilization_ends_when_its_last_cause_clears():
+    # two transient faults halt processor (0, 0) from 50 ms, one for 20 ms
+    # and one for 60 ms: its copy runs again only when the second clears
+    result = run(scen([proc_fault(kind="transient", duration_ms=20),
+                       proc_fault(kind="transient", duration_ms=60)]))
+    rec = result.records[0]
+    assert (rec.record_id, rec.origin, rec.cause_ids) == (1, "restabilize", (0, 1))
+    assert rec.t_e_us == 110000
+    assert rec.outcome is Outcome.READMITTED and rec.t_a_us > rec.t_e_us
+
+
 def test_same_instant_transient_and_permanent_shutdowns_open_two_episodes():
     # one vote round shuts down application 1's lane-0 copy for a transient
     # fault and its lane-1 copy for a permanent one: the lane-0 copy
