@@ -1065,20 +1065,25 @@ class Engine:
     def _spawn_copies(self, ep: _Episode):
         app = self.model.application(ep.app_id)
         sm = app.state_model
+        # a spare shut down while its copy was in transfer gets no copy; no
+        # spare dies in here, so the row can say whether any copy starts
+        dead = [task_id for task_id, place in sorted(ep.placements.items())
+                if self.procs[place].dead]
         self._row("StateTransferDone", app=ep.app_id,
-                  detail=f"{sm.strategy.value} state ready; policing starts")
+                  detail=f"{sm.strategy.value} state ready; "
+                  + ("policing starts" if len(dead) < len(ep.placements)
+                     else "no copy starts, every chosen spare is shut down"))
+        for task_id in dead:
+            pr = self.procs[ep.placements.pop(task_id)]
+            self._give_back(pr, (ep.app_id, task_id),
+                            app.task(task_id).message_demand)
+            ep.degraded_tasks += (task_id,)
+            self._row("DegradeToDuplex", pr.lane, pr.proc, ep.app_id, task_id,
+                      "spare shut down before the copy started")
         for task_id in sorted(ep.placements):
             lane, proc = ep.placements[task_id]
             spec = app.task(task_id)
             pr = self.procs[(lane, proc)]
-            if pr.dead:
-                # the spare was shut down while its copy was in transfer
-                del ep.placements[task_id]
-                self._give_back(pr, (ep.app_id, task_id), spec.message_demand)
-                ep.degraded_tasks += (task_id,)
-                self._row("DegradeToDuplex", lane, proc, ep.app_id, task_id,
-                          "spare shut down before the copy started")
-                continue
             rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),

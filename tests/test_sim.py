@@ -410,8 +410,12 @@ def test_a_spare_shut_down_during_transfer_gets_no_copy():
     assert rec.outcome is Outcome.DEGRADED_DUPLEX
     assert rec.placements == {} and rec.degraded_tasks == (1,)
     assert rec.t_e_us == 52566 and rec.t_a_us is None
-    assert [(e.time_us, e.lane, e.proc) for e in result.trace
-            if e.kind == "DegradeToDuplex"] == [(52566, 0, 3)]
+    assert [(e.time_us, e.kind, e.lane, e.proc, e.detail) for e in result.trace
+            if e.time_us == 52566] == [
+        (52566, "StateTransferDone", None, None,
+         "transfer state ready; no copy starts, every chosen spare is shut down"),
+        (52566, "DegradeToDuplex", 0, 3, "spare shut down before the copy started"),
+        (52566, "RecoveryClosed", None, None, "record 1: degraded_duplex")]
     in_service = [rt for rts in engine.groups[1].copies.values() for rt in rts
                   if rt.health is not Health.SHUTDOWN]
     assert sorted(rt.place for rt in in_service) == [(1, 0), (2, 0)]
