@@ -8,9 +8,9 @@ generated scenarios with faults. After set-up and after each shutdown,
 selection and state transfer it also recounts the capacity the engine
 keeps: the bus load and every processor's admitted set and utilization
 must be exactly those of the copies still in service and the placements
-not yet spawned. After each shutdown, spawn
-and readmission no copy in service may sit on a dead processor. A vote
-round may look up each copy's byzantine fault and emitted value only once.
+not yet spawned. After each shutdown, spawn and readmission no copy in
+service may sit on a dead processor. A vote round may look up each copy's
+byzantine fault and emitted value only once.
 
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
