@@ -11,13 +11,21 @@ so copies go first; ``TaskComplete`` is keyed by ``(lane, proc)``, since
 at one instant only the wake-up of the processor's current generation
 acts and stale ones return before charging anything.
 
+``TaskRelease`` and ``DeadlineCheck`` act on a release group: the initial
+copies of one ``(app, task)``, which share one spec and have consecutive
+copy ids, or one rebuilt copy alone, since it has a phase of its own. The
+event is keyed by the group's first copy id and handles the copies in copy
+id order. No two groups' id ranges overlap and a rebuilt copy's id is
+above every initial one, so the copies are handled in the order one event
+per copy would give.
+
 Each event carries the object its handler acts on:
 
     FaultActivate, FaultClear     the FaultSpec
     TaskComplete                  (processor, job, generation)
-    DeadlineCheck                 (copy, release_us)
+    DeadlineCheck                 (copies released, release_us)
     BITCheck                      the processor
-    TaskRelease                   the copy
+    TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
     InstallDone, StateTransferDone  the recovery episode
@@ -367,8 +375,8 @@ class Engine:
     def _prime_events(self):
         for group in self.groups.values():
             for rts in group.copies.values():
-                for rt in rts:
-                    self._push(0, EventKind.TASK_RELEASE, rt.copy_id, rt)
+                copies = tuple(rts)
+                self._push(0, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
         for app in self.model.applications:
             period = app.shortest_period_us
             if period <= self.horizon:
@@ -452,21 +460,32 @@ class Engine:
 
     # -- releases, completions, deadlines ---------------------------------------
 
-    def _on_release(self, rt: _CopyRt):
-        if rt.health is Health.SHUTDOWN:
-            return
-        nxt = self.now + rt.spec.period_us
+    def _on_release(self, copies: tuple):
+        # a withdrawn copy never serves again; the group's tuple is kept
+        # while none is, so a release allocates no new group
+        if any(rt.health is Health.SHUTDOWN for rt in copies):
+            copies = tuple(rt for rt in copies if rt.health is not Health.SHUTDOWN)
+            if not copies:
+                return
+        now, spec = self.now, copies[0].spec
+        nxt = now + spec.period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.TASK_RELEASE, rt.copy_id, rt)
-        pr = self.procs[rt.place]
-        if pr.dead or self._silenced(rt, pr):
+            self._push(nxt, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
+        released = []
+        for rt in copies:
+            pr = self.procs[rt.place]
+            if pr.dead or self._silenced(rt, pr):
+                continue
+            pr.release(Job(rt, rt.key, now, spec.wcet_us), now)
+            released.append(rt)
+        if not released:
             return
-        self.counters["releases"] += 1
-        pr.release(Job(rt, rt.key, self.now, rt.spec.wcet_us), self.now)
-        deadline = self.now + rt.spec.deadline_us
+        self.counters["releases"] += len(released)
+        deadline = now + spec.deadline_us
         if deadline <= self.horizon:
-            self._push(deadline, EventKind.DEADLINE_CHECK, rt.copy_id,
-                       (rt, self.now))
+            group = copies if len(released) == len(copies) else tuple(released)
+            self._push(deadline, EventKind.DEADLINE_CHECK, group[0].copy_id,
+                       (group, now))
 
     def _on_complete(self, data):
         pr, job, gen = data
@@ -485,18 +504,19 @@ class Engine:
                       "history backlog cleared")
 
     def _on_deadline_check(self, data):
-        rt, release_us = data
-        pr = self.procs[rt.place]
-        job = pr.expire(rt.key, release_us, self.now)
-        if job is None:
-            return
-        self.counters["deadline_misses"] += 1
-        self.misses.append(DeadlineMissRecord(
-            self.now, pr.lane, pr.proc, rt.app_id, rt.task_id,
-            job.release_us))
-        self._row("DeadlineMiss", pr.lane, pr.proc, rt.app_id, rt.task_id,
-                  f"released at {job.release_us}us, "
-                  f"{job.remaining_us}us of work left")
+        copies, release_us = data
+        for rt in copies:
+            pr = self.procs[rt.place]
+            job = pr.expire(rt.key, release_us, self.now)
+            if job is None:
+                continue
+            self.counters["deadline_misses"] += 1
+            self.misses.append(DeadlineMissRecord(
+                self.now, pr.lane, pr.proc, rt.app_id, rt.task_id,
+                job.release_us))
+            self._row("DeadlineMiss", pr.lane, pr.proc, rt.app_id, rt.task_id,
+                      f"released at {job.release_us}us, "
+                      f"{job.remaining_us}us of work left")
 
     # -- faults ------------------------------------------------------------------
 
@@ -1096,7 +1116,8 @@ class Engine:
                     Job(rt, rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
-            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, rt)
+            # its own phase: a release group of one
+            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, (rt,))
         if not ep.copies:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
@@ -1136,9 +1157,11 @@ def _event_pusher(heap: list):
     as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
     channel, TaskComplete (lane, proc). ``data`` is the object the handler
     acts on: the FaultSpec for FaultActivate and FaultClear; (processor,
-    job, generation) for TaskComplete; (copy, release_us) for
-    DeadlineCheck; the processor for BITCheck; the copy for TaskRelease (the
-    TaskSpec in schedule_processor); the ApplicationSpec for VoteRound; None
+    job, generation) for TaskComplete; (copies released, release_us) for
+    DeadlineCheck ((TaskSpec, release_us) in schedule_processor); the
+    processor for BITCheck; for TaskRelease the tuple of a release group's
+    copies in service, keyed by its first copy id (the TaskSpec in
+    schedule_processor); the ApplicationSpec for VoteRound; None
     for Classify and SelectionDone; the episode for InstallDone and
     StateTransferDone; the Approval for PilotApproval; and for Readmit the
     copy or the (app, lane) sensor channel."""

@@ -48,8 +48,13 @@ def test_the_event_heap_is_reachable_as_lanesim_sim_heapq():
 
 def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
     # the pop shim takes the kind from index 4 of every heap entry
-    with _tracer(monkeypatch).counting_pops(lanesim.sim) as pops:
-        result = run(scen([proc_fault(kind="transient", duration_ms=40)]))
+    tracer = _tracer(monkeypatch)
+    with tracer.counting_pops(lanesim.sim) as pops:
+        run(scen([proc_fault(kind="transient", duration_ms=40)]))
     assert pops.counts
     assert all(isinstance(kind, EventKind) for kind in pops.counts)
-    assert pops.counts[EventKind.TASK_RELEASE] >= result.counters["releases"]
+    # fault-free, one TaskRelease releases a task's copy on each of the
+    # three lanes
+    with tracer.counting_pops(lanesim.sim) as pops:
+        result = run(scen([]))
+    assert pops.counts[EventKind.TASK_RELEASE] * 3 == result.counters["releases"]
