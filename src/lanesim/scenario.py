@@ -208,6 +208,9 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             bad(Violation("MalformedDocument", f"{name}: transient faults need duration_ms > 0"))
         if f.kind is not FaultKind.TRANSIENT and f.duration_us is not None:
             bad(Violation("MalformedDocument", f"{name}: only transient faults have a duration"))
+        if not math.isfinite(f.value_skew):
+            # JSON NaN and Infinity load as floats
+            bad(Violation("MalformedDocument", f"{name}: value_skew must be finite"))
         if f.kind is FaultKind.BYZANTINE and f.value_skew == 0.0:
             bad(Violation("MalformedDocument", f"{name}: byzantine faults need value_skew"))
         t = f.target
@@ -234,8 +237,15 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             bad(Violation("MalformedDocument", f"approval at {a.at_us}us: unknown lane {a.lane}"))
         if a.app is not None and a.app not in apps:
             bad(Violation("MalformedDocument", f"approval at {a.at_us}us: unknown app {a.app}"))
-    if sc.voter.tolerance <= 0:
+    if not math.isfinite(sc.voter.tolerance):
+        bad(Violation("MalformedDocument", "voter tolerance must be finite"))
+    elif sc.voter.tolerance <= 0:
         bad(Violation("MalformedDocument", "voter tolerance must be positive"))
+    ref = sc.settings.reference
+    for field_name, value in (("value", ref.base), ("slope_per_ms", ref.slope_per_ms)):
+        if not math.isfinite(value):
+            bad(Violation("MalformedDocument",
+                          f"sim.reference.{field_name} must be finite"))
     if not 0.0 <= sc.settings.bit_detect_probability <= 1.0:
         bad(Violation("MalformedDocument", "bit_detect_probability must be in [0, 1]"))
     if sc.settings.bit_period_us <= 0:

@@ -125,6 +125,46 @@ def test_settings_bounds():
     assert any("horizon" in m for m in _messages(doc))
 
 
+def _byzantine_skew(value):
+    return [{"at_ms": 10, "kind": "byzantine", "value_skew": value,
+             "target": {"kind": "task", "lane": 0, "proc": 0,
+                        "app": 1, "task": 1}}]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("place,message", [
+    ("voter", "voter tolerance must be finite"),
+    ("fault", "fault 0: value_skew must be finite"),
+    ("reference", "sim.reference.value must be finite"),
+    ("slope", "sim.reference.slope_per_ms must be finite"),
+])
+def test_non_finite_numbers_are_malformed(place, message, value):
+    # json reads NaN and Infinity as floats, so a file can hold them
+    number = json.loads(value)
+    doc = scenario_doc(_byzantine_skew(number) if place == "fault" else [])
+    if place == "voter":
+        doc["voter"] = {"tolerance": number}
+    elif place == "reference":
+        doc["sim"]["reference"] = {"value": number}
+    elif place == "slope":
+        doc["sim"]["reference"] = {"slope_per_ms": number}
+    assert _violations(doc) == [("MalformedDocument", message)]
+
+
+def test_a_nan_tolerance_is_refused_before_the_run(tmp_path, capsys):
+    # it used to validate clean, then the first vote round of three copies
+    # died in the clique search with "max() arg is an empty sequence"
+    doc = scenario_doc([])
+    doc["voter"] = {"tolerance": float("nan")}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out_dir)]) == 1
+    assert "voter tolerance must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_violations_list_is_empty_for_a_clean_scenario():
     sc = parse_scenario(scenario_doc([proc_fault()]))
     assert scenario_violations(sc) == []
