@@ -12,6 +12,12 @@ not yet spawned. After each shutdown, spawn and readmission no copy in
 service may sit on a dead processor. A vote round may look up each copy's
 byzantine fault and emitted value only once.
 
+Release and deadline events act on release groups. Each group pushed
+holds copies of one task in ascending copy id and is keyed by the first;
+a copy made after set-up is alone in its group, and a release group
+holds no withdrawn copy. A release must start a job for exactly the
+group's copies in service on a processor that no fault halts.
+
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
 the same instant is not in it yet, and one that clears later in the same
@@ -57,6 +63,20 @@ class CheckedEngine(Engine):
                 t.task_id for t in app.tasks)
         # set-up builds the admitted sets and the bus load in one pass
         self._check_capacity()
+        # the copies set-up made; a later one is a rebuilt copy
+        self._last_initial_id = max(rt.copy_id for rt in self._all_copies())
+        push = self._push
+
+        def push_checked(at_us, kind, key, data):
+            if kind is EventKind.TASK_RELEASE:
+                self._check_group(key, data)
+                assert all(rt.health is not Health.SHUTDOWN for rt in data), (
+                    f"release group {key} holds a withdrawn copy at {self.now}us")
+            elif kind is EventKind.DEADLINE_CHECK:
+                self._check_group(key, data[0])
+            push(at_us, kind, key, data)
+
+        self._push = push_checked
 
     # -- the references -------------------------------------------------
 
@@ -113,6 +133,18 @@ class CheckedEngine(Engine):
                 (task_utilization(t.wcet_us, t.period_us, t.deadline_us)
                  for _, t in held), Fraction(0)), (
                 f"{place} at {self.now}us: utilization differs from a recount")
+        self.checks += 1
+
+    def _check_group(self, key, copies):
+        """One task's copies in ascending copy id, keyed by the first; a
+        rebuilt copy alone."""
+        ids = [rt.copy_id for rt in copies]
+        assert ids and key == ids[0] and ids == sorted(set(ids)), (
+            f"group {ids} keyed {key} at {self.now}us")
+        assert len({rt.key for rt in copies}) == 1, (
+            f"group {ids} mixes tasks at {self.now}us")
+        assert len(ids) == 1 or ids[-1] <= self._last_initial_id, (
+            f"rebuilt copy grouped with others: {ids} at {self.now}us")
         self.checks += 1
 
     def _check_service(self):
@@ -241,6 +273,22 @@ class CheckedEngine(Engine):
                             else rt.health is not Health.SHUTDOWN)]
         self.checks += 1
         return got
+
+    # -- release groups -------------------------------------------------
+
+    def _on_release(self, copies):
+        self._check_group(copies[0].copy_id, copies)
+        due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
+               and not self.procs[rt.place].dead
+               and not _halting(self._settled_faults(), rt.scope)]
+        before = self.counters["releases"]
+        super()._on_release(copies)
+        assert self.counters["releases"] - before == len(due)
+        for rt in due:
+            job = self.procs[rt.place].jobs.get(rt.key)
+            assert job is not None and job.owner is rt and job.release_us == self.now, (
+                f"copy {rt.copy_id} not released at {self.now}us")
+        self.checks += 1
 
     # -- the capacity kept ----------------------------------------------
 

@@ -783,6 +783,55 @@ def test_generated_feasible_scenario_never_misses():
     assert result.counters["completions"] > 0
 
 
+def _response_time(task, higher) -> int:
+    """Joseph & Pandya 1986: the least fixed point of
+    R = C + sum over the higher-priority tasks j of ceil(R / T_j) * C_j."""
+    r = task.wcet_us
+    while True:
+        nxt = task.wcet_us + sum(-(-r // t.period_us) * t.wcet_us for t in higher)
+        if nxt == r:
+            return r
+        r = nxt
+
+
+def test_first_jobs_finish_at_the_response_time_fixed_point():
+    # every task is released at t=0, the critical instant: each copy's first
+    # job finishes exactly at its deadline-monotonic response time, and no
+    # later job of a fault-free admitted run takes longer
+    processors = 0
+    for seed in range(8):
+        doc = generate_scenario(lanes=2 + seed % 3, procs=4 + seed % 4, apps=3,
+                                target_utilization=(0.3, 0.5, 0.69)[seed % 3],
+                                seed=seed)
+        sc = parse_scenario(doc)
+        assert sc.settings.enforce_admission
+        result = run(sc)
+        assert result.deadline_misses == []
+        hosted = {}                 # (lane, proc) -> [(app, TaskSpec)]
+        for app in sc.model.applications:
+            for task in app.tasks:
+                for lane in sc.model.lane_ids:
+                    hosted.setdefault((lane, task.initial_proc), []).append(
+                        (app.app_id, task))
+        worst = {}                  # (lane, proc, app, task) -> response time
+        for (lane, proc), copies in hosted.items():
+            # deadline-monotonic, ties by (app, task)
+            copies.sort(key=lambda c: (c[1].deadline_us, c[0], c[1].task_id))
+            for rank, (app_id, task) in enumerate(copies):
+                r = _response_time(task, [t for _, t in copies[:rank]])
+                assert r <= task.deadline_us
+                worst[(lane, proc, app_id, task.task_id)] = r
+        processors += len(hosted)
+        first = {}
+        for c in result.completions:
+            copy = (c.lane, c.proc, c.app, c.task)
+            assert c.finish_us - c.release_us <= worst[copy], (seed, copy)
+            if c.release_us == 0:
+                first[copy] = c.finish_us
+        assert first == worst, seed
+    assert processors >= 100
+
+
 def test_counters_agree_with_the_result_lists():
     result = run(scen([lane_fault()]))
     assert result.counters["deadline_misses"] == len(result.deadline_misses)
