@@ -246,6 +246,11 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
         if not math.isfinite(value):
             bad(Violation("MalformedDocument",
                           f"sim.reference.{field_name} must be finite"))
+    # the ramp is linear, so finite at both ends means finite throughout
+    if (math.isfinite(ref.base) and math.isfinite(ref.slope_per_ms)
+            and not math.isfinite(ref.value(sc.settings.horizon_us))):
+        bad(Violation("MalformedDocument",
+                      "sim.reference overflows before the horizon"))
     if not 0.0 <= sc.settings.bit_detect_probability <= 1.0:
         bad(Violation("MalformedDocument", "bit_detect_probability must be in [0, 1]"))
     if sc.settings.bit_period_us <= 0:

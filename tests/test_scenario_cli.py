@@ -151,6 +151,15 @@ def test_non_finite_numbers_are_malformed(place, message, value):
     assert _violations(doc) == [("MalformedDocument", message)]
 
 
+def test_a_reference_that_overflows_before_the_horizon_is_malformed():
+    # finite in the file, infinite by 200 ms: the vote would crash as on NaN
+    doc = scenario_doc([], sim={"reference": {"slope_per_ms": 1e308}})
+    assert _violations(doc) == [
+        ("MalformedDocument", "sim.reference overflows before the horizon")]
+    doc = scenario_doc([], sim={"reference": {"slope_per_ms": 1e305}})
+    assert scenario_violations(parse_scenario(doc)) == []
+
+
 def test_a_nan_tolerance_is_refused_before_the_run(tmp_path, capsys):
     # it used to validate clean, then the first vote round of three copies
     # died in the clique search with "max() arg is an empty sequence"
