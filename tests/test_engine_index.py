@@ -277,7 +277,7 @@ class CheckedEngine(Engine):
     # -- release groups -------------------------------------------------
 
     def _on_release(self, copies):
-        self._check_group(copies[0].copy_id, copies)
+        # the group itself was checked when it was pushed
         due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
                and not self.procs[rt.place].dead
                and not _halting(self._settled_faults(), rt.scope)]
