@@ -9,9 +9,12 @@ import json
 
 import pytest
 
-from golden.rehash import HASHES, SCENARIOS, output_digests
+from golden.generated import SEEDS, generated_scenario
+from golden.rehash import (GENERATED_HASHES, HASHES, SCENARIOS, output_digests,
+                           scenario_digests)
 
 EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
+GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
 
 
 def test_corpus_and_hashes_name_the_same_scenarios():
@@ -23,3 +26,17 @@ def test_outputs_match_the_recorded_hashes(name, tmp_path):
     got = output_digests(SCENARIOS / f"{name}.json", tmp_path)
     changed = [f for f in sorted(EXPECTED[name]) if got.get(f) != EXPECTED[name][f]]
     assert not changed, f"golden scenario {name}: {', '.join(changed)} differ"
+
+
+def test_every_generated_seed_is_hashed():
+    assert sorted(GENERATED, key=int) == [str(seed) for seed in SEEDS]
+
+
+@pytest.mark.parametrize("first", range(SEEDS.start, SEEDS.stop, 20))
+def test_generated_outputs_match_the_recorded_hashes(first, tmp_path):
+    changed = []
+    for seed in range(first, min(first + 20, SEEDS.stop)):
+        got = scenario_digests(generated_scenario(seed), tmp_path / str(seed))
+        want = GENERATED[str(seed)]
+        changed += [f"{seed} {f}" for f in sorted(want) if got.get(f) != want[f]]
+    assert not changed, f"generated seeds differ: {', '.join(changed)}"
