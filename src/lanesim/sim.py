@@ -28,7 +28,7 @@ Each event carries the object its handler acts on:
     TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
-    InstallDone, StateTransferDone  the recovery episode
+    InstallDone, StateTransferDone  the recovery episode (one handler for both)
     PilotApproval                 the Approval
     Readmit                       the copy, or the (app, lane) sensor channel
 
@@ -42,6 +42,10 @@ built-in test) implicates copies, one classification per instant folds
 the evidence into shutdown directives, selection plans spare placements
 the same instant, the bus serializes code install and state snapshot
 transfers, and policing at later vote rounds readmits the new copies.
+The bus queue holds episodes: the head is installing until its ``t_s_us``
+is set, then moves its state. Under the pilot gate a restabilized copy or
+sensor channel is readmitted at its earliest matching approval, never
+before it is ready.
 """
 
 from __future__ import annotations
@@ -190,8 +194,10 @@ class _Proc(Processor):
         self.push(at_us, EventKind.TASK_COMPLETE, self.key,
                   (self, self.running, self.gen))
 
-    def refresh_priorities(self):
-        self.prios = self.admitted.priorities()
+    def admit(self, state: ProcessorState):
+        """Take state as the admitted set, with its deadline-monotonic ranks."""
+        self.admitted = state
+        self.prios = state.priorities()
 
 
 @dataclass(eq=False, kw_only=True, slots=True)
@@ -273,7 +279,7 @@ class Engine:
         self._episodes: list = []       # by record id; they are the records
         self._pending_implicated: set = set()
         self._pending_selection: list = []
-        self._bus_queue: list = []      # [episode, phase] FIFO
+        self._bus_queue: list = []      # episodes, FIFO
         self._bus_busy = False
         self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
@@ -322,7 +328,7 @@ class Engine:
                     self._add_copy(rt)
                     entries[rt.place][rt.key] = limits
         for place, pr in self.procs.items():
-            pr.admitted = ProcessorState(entries[place])
+            pr.admit(ProcessorState(entries[place]))
         self.bus = BusState(self.model.bus.max_load, sum(demands, Fraction(0)))
 
         violations = []
@@ -341,9 +347,6 @@ class Engine:
                 f"bus capacity {float(self.bus.max_load):.4f}"))
         if violations:
             raise ScenarioInvalid(violations)
-
-        for pr in self.procs.values():
-            pr.refresh_priorities()
 
     def _add_copy(self, rt: _CopyRt):
         self.groups[rt.app_id].copies[rt.task_id].append(rt)
@@ -416,8 +419,8 @@ class Engine:
             self._on_vote_round,        # VoteRound
             self._on_classify,          # Classify
             self._on_selection,         # SelectionDone
-            self._on_install_done,      # InstallDone
-            self._on_state_done,        # StateTransferDone
+            self._on_transfer_done,     # InstallDone
+            self._on_transfer_done,     # StateTransferDone
             self._on_pilot_approval,    # PilotApproval
             self._on_readmit,           # Readmit
         )
@@ -439,6 +442,8 @@ class Engine:
             if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
                 self._sample(ep.app_id)
+        self.counters["completions"] = len(self.completions)
+        self.counters["deadline_misses"] = len(self.misses)
         result = SimResult(
             seed=self.settings.seed,
             horizon_us=self.horizon,
@@ -450,12 +455,8 @@ class Engine:
             completions=self.completions,
             counters=dict(self.counters),
         )
-        for app_id, group in sorted(self.groups.items()):
-            result.final_coverage[app_id] = (
-                cov.functional_coverage(group),
-                cov.zonal_coverage(group),
-                cov.peripheral_coverage(self._healthy_channels(app_id)),
-            )
+        for app_id in sorted(self.groups):
+            result.final_coverage[app_id] = self._coverage(app_id)
         return result
 
     # -- releases, completions, deadlines ---------------------------------------
@@ -494,7 +495,6 @@ class Engine:
         rt = job.owner
         if not job.background:
             rt.completed_ever = True
-            self.counters["completions"] += 1
             self.completions.append(CompletionRecord(
                 self.now, job.start_us, job.release_us,
                 pr.lane, pr.proc, rt.app_id, rt.task_id))
@@ -510,7 +510,6 @@ class Engine:
             job = pr.expire(rt.key, release_us, self.now)
             if job is None:
                 continue
-            self.counters["deadline_misses"] += 1
             self.misses.append(DeadlineMissRecord(
                 self.now, pr.lane, pr.proc, rt.app_id, rt.task_id,
                 job.release_us))
@@ -591,15 +590,20 @@ class Engine:
         app_id, lane = fault.target.app, fault.target.lane
         if self.channels[app_id][lane]:
             return
-        if self.policies.pilot_gate:
-            at = self.policies.approval_time(lane=lane, app=app_id, sensor=True)
-            if at is None:
-                return      # never approved; channel stays out
-            if at > self.now:
-                self._push(at, EventKind.READMIT, (1, app_id, lane),
-                           (app_id, lane))
-                return
-        self._readmit_channel(app_id, lane)
+        at = self._approved_at(lane=lane, app=app_id, sensor=True)
+        if at == self.now:
+            self._readmit_channel(app_id, lane)
+        elif at is not None:    # else never approved; the channel stays out
+            self._push(at, EventKind.READMIT, (1, app_id, lane), (app_id, lane))
+
+    def _approved_at(self, **component) -> int | None:
+        """When the pilot lets a restabilized component back in: now with
+        the gate off, else at its earliest matching approval but not before
+        now, or never (None)."""
+        if not self.policies.pilot_gate:
+            return self.now
+        at = self.policies.approval_time(**component)
+        return None if at is None else max(at, self.now)
 
     def _readmit_channel(self, app_id, lane):
         if any(f.target.lane == lane for f in self._sensor_faults(app_id)):
@@ -786,28 +790,18 @@ class Engine:
                 self._maybe_readmit(rt)
 
     def _maybe_readmit(self, rt: _CopyRt):
-        if rt.health is Health.RESTABILIZING and self.policies.pilot_gate:
-            at = self.policies.approval_time(lane=rt.lane, proc=rt.proc,
-                                             app=rt.app_id, task=rt.task_id)
-            if at is None or at > self.now:
-                return      # waits for the pilot (or forever)
-        self._push(self.now, EventKind.READMIT, (0, rt.copy_id), rt)
+        # the pilot gates a copy restabilized in place, not a rebuilt one;
+        # a copy withdrawn before its approval comes is not readmitted
+        at = (self._approved_at(lane=rt.lane, proc=rt.proc, app=rt.app_id,
+                                task=rt.task_id)
+              if rt.health is Health.RESTABILIZING else self.now)
+        if at is not None:      # else it waits forever
+            self._push(at, EventKind.READMIT, (0, rt.copy_id), rt)
 
     def _on_pilot_approval(self, a):
+        # each readmission it gates was queued at its earliest approval
         self._row("PilotApproval", a.lane, a.proc, a.app, a.task,
                   "sensor scope" if a.sensor else "")
-        if a.sensor:
-            return      # sensor restores are driven from the clear event
-        # Readmit keys (0, copy_id) are distinct, so push order is free
-        for group in self.groups.values():
-            for rts in group.copies.values():
-                for rt in rts:
-                    if (rt.eligible_us is not None
-                            and rt.health is Health.RESTABILIZING
-                            and a.matches(lane=rt.lane, proc=rt.proc,
-                                          app=rt.app_id, task=rt.task_id)):
-                        self._push(self.now, EventKind.READMIT,
-                                   (0, rt.copy_id), rt)
 
     def _on_readmit(self, rt):
         if isinstance(rt, tuple):
@@ -920,8 +914,7 @@ class Engine:
     def _give_back(self, pr: _Proc, key, demand):
         """Return what a copy or a placement held: its admission entry on
         pr and its bus demand."""
-        pr.admitted = pr.admitted.without_task(key)
-        pr.refresh_priorities()
+        pr.admit(pr.admitted.without_task(key))
         self.bus = self.bus.without_demand(demand)
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
@@ -1003,8 +996,7 @@ class Engine:
             if not d.chosen:
                 continue
             pr = self.procs[(d.lane, d.proc)]
-            pr.admitted = plan.states[pr.key]
-            pr.refresh_priorities()
+            pr.admit(plan.states[pr.key])
             ep.placements[d.task_id] = pr.key
             self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
                       f"resulting utilization "
@@ -1015,13 +1007,15 @@ class Engine:
                       detail="no spare could admit the copy")
 
         if ep.placements:
-            self._bus_queue.append([ep, "install"])
+            self._bus_queue.append(ep)
         else:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
-    def _phase_payload(self, ep: _Episode, phase: str):
+    def _transfer_payload(self, ep: _Episode):
+        """What the episode moves next: its code images while it installs,
+        then its state."""
         app = self.model.application(ep.app_id)
-        if phase == "install":
+        if ep.t_s_us is None:
             return sum((app.task(t).code_size for t in sorted(ep.placements)),
                        start=0)
         sm = app.state_model
@@ -1033,21 +1027,23 @@ class Engine:
 
     def _pump_bus(self):
         while self._bus_queue and not self._bus_busy:
-            ep, phase = self._bus_queue[0]
-            payload = self._phase_payload(ep, phase)
+            ep = self._bus_queue[0]
+            installing = ep.t_s_us is None
+            payload = self._transfer_payload(ep)
             if payload == 0:
-                self._finish_phase(ep, phase)
+                self._finish_transfer(ep)
                 continue
             avail = available_transfer_bandwidth(self.bus)
             if avail <= 0:
                 if not self._stall_traced:
                     self._stall_traced = True
                     self._row("TransferStall", app=ep.app_id,
-                              detail=f"{phase} transfer of {payload} units waits "
+                              detail=f"{'install' if installing else 'state'} "
+                                     f"transfer of {payload} units waits "
                                      f"for bus bandwidth")
                 return
             self._stall_traced = False
-            if phase == "install":
+            if installing:
                 ep.t_i_us = self.now
                 kind = EventKind.INSTALL_DONE
             else:
@@ -1058,28 +1054,24 @@ class Engine:
             self._push(self.now + duration, kind, ep.record_id, ep)
             return
 
-    def _finish_phase(self, ep: _Episode, phase: str):
-        if phase == "install":
+    def _finish_transfer(self, ep: _Episode):
+        """The queue head's install or state transfer is done."""
+        if ep.t_s_us is None:
             if ep.t_i_us is None:
                 ep.t_i_us = self.now
             ep.t_s_us = self.now
-            self._bus_queue[0][1] = "state"
         else:
             ep.t_e_us = self.now
             self._bus_queue.pop(0)
             self._spawn_copies(ep)
 
-    def _on_install_done(self, ep: _Episode):
+    def _on_transfer_done(self, ep: _Episode):
         self._bus_busy = False
-        self._row("InstallDone", app=ep.app_id,
-                  detail=f"code image installed for tasks "
-                         f"{sorted(ep.placements)}")
-        self._finish_phase(ep, "install")
-        self._pump_bus()
-
-    def _on_state_done(self, ep: _Episode):
-        self._bus_busy = False
-        self._finish_phase(ep, "state")
+        if ep.t_s_us is None:
+            self._row("InstallDone", app=ep.app_id,
+                      detail=f"code image installed for tasks "
+                             f"{sorted(ep.placements)}")
+        self._finish_transfer(ep)
         self._pump_bus()
 
     def _spawn_copies(self, ep: _Episode):
@@ -1129,13 +1121,15 @@ class Engine:
 
     # -- coverage sampling ------------------------------------------------------------
 
-    def _sample(self, app_id):
+    def _coverage(self, app_id) -> tuple:
+        """The application's functional, zonal and peripheral coverage now."""
         group = self.groups[app_id]
-        snap = (
-            cov.functional_coverage(group),
-            cov.zonal_coverage(group),
-            cov.peripheral_coverage(self._healthy_channels(app_id)),
-        )
+        return (cov.functional_coverage(group),
+                cov.zonal_coverage(group),
+                cov.peripheral_coverage(self._healthy_channels(app_id)))
+
+    def _sample(self, app_id):
+        snap = self._coverage(app_id)
         if self._last_cov.get(app_id) == snap:
             return
         self._last_cov[app_id] = snap
@@ -1163,8 +1157,9 @@ def _event_pusher(heap: list):
     copies in service, keyed by its first copy id (the TaskSpec in
     schedule_processor); the ApplicationSpec for VoteRound; None
     for Classify and SelectionDone; the episode for InstallDone and
-    StateTransferDone; the Approval for PilotApproval; and for Readmit the
-    copy or the (app, lane) sensor channel."""
+    StateTransferDone, which one handler serves; the Approval for
+    PilotApproval; and for Readmit the copy or the (app, lane) sensor
+    channel."""
     seq = itertools.count()
 
     def push(at_us: int, kind: EventKind, key, data):
@@ -1206,9 +1201,8 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     events: list = []
     push = _event_pusher(events)
     cpu = _Proc(0, 0, push)
-    cpu.admitted = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
-                                   for key, t in specs.items()})
-    cpu.refresh_priorities()
+    cpu.admit(ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
+                              for key, t in specs.items()}))
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:

@@ -113,7 +113,7 @@ class CheckedEngine(Engine):
             if rt.health is not Health.SHUTDOWN:
                 holders[rt.place].append((rt.key, rt.spec))
                 load += rt.spec.message_demand
-        for ep, _phase in self._bus_queue:      # placed, not yet spawned
+        for ep in self._bus_queue:      # placed, not yet spawned
             app = self.model.application(ep.app_id)
             for task_id, place in ep.placements.items():
                 spec = app.task(task_id)

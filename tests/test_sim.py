@@ -122,8 +122,8 @@ def test_each_event_kind_is_dispatched_to_its_handler_by_rank():
         EventKind.VOTE_ROUND: engine._on_vote_round,
         EventKind.CLASSIFY: engine._on_classify,
         EventKind.SELECTION: engine._on_selection,
-        EventKind.INSTALL_DONE: engine._on_install_done,
-        EventKind.STATE_TRANSFER_DONE: engine._on_state_done,
+        EventKind.INSTALL_DONE: engine._on_transfer_done,
+        EventKind.STATE_TRANSFER_DONE: engine._on_transfer_done,
         EventKind.PILOT_APPROVAL: engine._on_pilot_approval,
         EventKind.READMIT: engine._on_readmit,
     }
