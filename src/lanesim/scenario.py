@@ -251,11 +251,33 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             and not math.isfinite(ref.value(sc.settings.horizon_us))):
         bad(Violation("MalformedDocument",
                       "sim.reference overflows before the horizon"))
+    elif (all(map(math.isfinite, (sc.voter.tolerance, ref.base, ref.slope_per_ms,
+                                  *(f.value_skew for f in sc.faults))))
+            and not math.isfinite(_emission_bound(sc))):
+        bad(Violation("MalformedDocument",
+                      "emitted values can overflow: reference, skews and "
+                      "convergence drift add up past the largest float"))
     if not 0.0 <= sc.settings.bit_detect_probability <= 1.0:
         bad(Violation("MalformedDocument", "bit_detect_probability must be in [0, 1]"))
     if sc.settings.bit_period_us <= 0:
         bad(Violation("MalformedDocument", "bit_period_ms must be positive"))
     return out
+
+
+def _emission_bound(sc: Scenario) -> float:
+    """The largest |value| a copy can put on the exchange over the run:
+    the reference at either end of its ramp, plus the largest byzantine
+    skew, plus 1.5 x the largest two-faced skew (what a relay adds), plus
+    a converging copy's drift of 2 x tolerance per round left."""
+    ref = sc.settings.reference
+    skews = [abs(f.value_skew) for f in sc.faults if f.kind is FaultKind.BYZANTINE]
+    relayed = [abs(f.value_skew) for f in sc.faults
+               if f.kind is FaultKind.BYZANTINE and f.per_receiver]
+    rounds = max((a.state_model.convergence_rounds for a in sc.model.applications),
+                 default=0)
+    return (max(abs(ref.base), abs(ref.value(sc.settings.horizon_us)))
+            + max(skews, default=0.0) + 1.5 * max(relayed, default=0.0)
+            + 2.0 * sc.voter.tolerance * rounds)
 
 
 def load_scenario(path) -> Scenario:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lanesim import cli
 from lanesim.model import InvalidModel, MalformedDocument, build_system
 from lanesim.scenario import (
+    _emission_bound,
     dump_scenario,
     generate_scenario,
     load_scenario,
@@ -16,7 +17,10 @@ from lanesim.scenario import (
 )
 from lanesim.timing import ProcessorState
 
-from conftest import proc_fault, scenario_doc, triplex_system
+from lanesim.sim import run
+
+from conftest import (lane_fault, proc_fault, scenario_doc, single_app_system,
+                      triplex_system)
 
 
 def _violations(doc):
@@ -158,6 +162,49 @@ def test_a_reference_that_overflows_before_the_horizon_is_malformed():
         ("MalformedDocument", "sim.reference overflows before the horizon")]
     doc = scenario_doc([], sim={"reference": {"slope_per_ms": 1e305}})
     assert scenario_violations(parse_scenario(doc)) == []
+
+
+def _lane_skew(lane, skew, **extra):
+    return lane_fault(at_ms=30, lane=lane, kind="byzantine", value_skew=skew,
+                      **extra)
+
+
+def _overflow_case(name, scale):
+    """Each case validated clean at full scale, then crashed the run with
+    "max() arg is an empty sequence" once a copy emitted inf."""
+    if name == "one lane":
+        return scenario_doc([_lane_skew(0, 1.7e308 * scale)],
+                            sim={"reference": {"value": 1.7e308 * scale}})
+    if name == "two lanes":
+        return scenario_doc([_lane_skew(0, 1e308 * scale),
+                             _lane_skew(1, 1e308 * scale)],
+                            sim={"reference": {"value": 1e308 * scale}})
+    # a two-faced relay adds 1.5 x its skew to what it passes on
+    return scenario_doc([_lane_skew(0, 1.2e308 * scale, per_receiver=True)],
+                        system=single_app_system(lanes=4))
+
+
+_OVERFLOW = "emitted values can overflow: reference, skews and " \
+            "convergence drift add up past the largest float"
+
+
+@pytest.mark.parametrize("name", ["one lane", "two lanes", "relay"])
+def test_finite_inputs_whose_sum_overflows_are_malformed(name):
+    assert _violations(_overflow_case(name, 1.0)) == [
+        ("MalformedDocument", _OVERFLOW)]
+    # at half the size the sums stay finite: the run votes them out
+    sc = parse_scenario(_overflow_case(name, 0.5))
+    assert _emission_bound(sc) < 1.8e308
+    assert run(sc).counters["detections"] >= 1
+
+
+def test_the_emission_bound_counts_convergence_drift():
+    doc = scenario_doc([proc_fault()], system=single_app_system(
+        state_model={"strategy": "convergence", "convergence_rounds": 2}))
+    doc["voter"] = {"tolerance": 4e307}
+    assert _emission_bound(parse_scenario(doc)) == 2 * 4e307 * 2
+    doc["voter"] = {"tolerance": 1e308}
+    assert _violations(doc) == [("MalformedDocument", _OVERFLOW)]
 
 
 def test_a_nan_tolerance_is_refused_before_the_run(tmp_path, capsys):
