@@ -222,7 +222,7 @@ def cmd_batch(args) -> int:
             worst = max(worst, EXIT_PARSE)
             continue
         except InvalidModel as exc:
-            print(f"{path.name}: invalid: {_violation_text(exc)}")
+            print(f"{path.name}: invalid: {exc}")
             worst = max(worst, EXIT_INVALID)
             continue
         try:
@@ -235,13 +235,6 @@ def cmd_batch(args) -> int:
         print(f"{path.name}: {result.summary()}")
     print(f"batch: {ran}/{len(paths)} scenarios completed")
     return worst
-
-
-def _violation_text(exc: InvalidModel) -> str:
-    violations = getattr(exc, "violations", None)
-    if not violations:
-        return str(exc)
-    return "; ".join(f"{v.code}: {v.message}" for v in violations)
 
 
 def _finite_ms(text: str) -> float:
@@ -311,7 +304,7 @@ def main(argv=None) -> int:
         print(f"error: cannot parse scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidModel as exc:
-        print(f"error: invalid scenario: {_violation_text(exc)}", file=sys.stderr)
+        print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,7 +179,7 @@ class Violation:
     code: str
     message: str
 
-    def __str__(self):  # pragma: no cover - cosmetic
+    def __str__(self):
         return f"{self.code}: {self.message}"
 
 

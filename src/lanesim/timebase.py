@@ -5,7 +5,6 @@ files and reports speak milliseconds. Conversions round to the nearest
 quantum so values expressed in whole microseconds survive a round trip.
 """
 
-import math
 from fractions import Fraction
 
 US_PER_MS = 1000
@@ -23,8 +22,3 @@ def frac(value) -> Fraction:
 def ms_to_us(ms) -> int:
     """Milliseconds (int/float/Fraction) to integer microseconds."""
     return int(round(frac(ms) * US_PER_MS))
-
-
-def ceil_us(x) -> int:
-    """Round a rational duration up to the next whole quantum."""
-    return math.ceil(x)

@@ -21,12 +21,12 @@ and transfer times are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .model import TaskSpec, TimingConfig
-from .timebase import ceil_us
 
 
 class NoBandwidth(Exception):
@@ -182,7 +182,7 @@ def transfer_time(payload, bandwidth) -> int:
     bandwidth = Fraction(bandwidth)
     if bandwidth <= 0:
         raise NoBandwidth(f"no residual bus bandwidth for payload {payload}")
-    return ceil_us(payload / bandwidth * 1000)
+    return math.ceil(payload / bandwidth * 1000)
 
 
 def catchup_time(history_len: int, task: TaskSpec, proc: ProcessorState,
@@ -200,4 +200,4 @@ def catchup_time(history_len: int, task: TaskSpec, proc: ProcessorState,
     spare = 1 - proc.utilization
     if spare <= 0:
         raise ValueError("no spare capacity to replay history")
-    return ceil_us(Fraction(history_len * task.wcet_us) / spare)
+    return math.ceil(Fraction(history_len * task.wcet_us) / spare)
