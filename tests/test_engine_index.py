@@ -10,7 +10,9 @@ keeps: the bus load and every processor's admitted set and utilization
 must be exactly those of the copies still in service and the placements
 not yet spawned. After each shutdown, spawn and readmission no copy in
 service may sit on a dead processor. A vote round may look up each copy's
-byzantine fault and emitted value only once.
+byzantine fault and emitted value only once. After every event each
+recovery record's timestamps are in order and no application's coverage
+level exceeds the lane count.
 
 Release and deadline events act on release groups. Each group pushed
 holds copies of one task in ascending copy id and is keyed by the first;
@@ -39,6 +41,7 @@ from lanesim.sim import Engine, EventKind
 from lanesim.timing import task_utilization
 
 from conftest import lane_fault, proc_fault, scenario_doc
+from golden.generated import SEEDS, generated_scenario
 from golden.rehash import SCENARIOS
 
 _FAULT_EVENTS = (EventKind.FAULT_ACTIVATE, EventKind.FAULT_CLEAR)
@@ -145,6 +148,27 @@ class CheckedEngine(Engine):
             f"group {ids} mixes tasks at {self.now}us")
         assert len(ids) == 1 or ids[-1] <= self._last_initial_id, (
             f"rebuilt copy grouped with others: {ids} at {self.now}us")
+        self.checks += 1
+
+    def _handlers(self):
+        def checked(handler):
+            def handle(data):
+                handler(data)
+                self._check_records()
+            return handle
+        return tuple(checked(handler) for handler in super()._handlers())
+
+    def _check_records(self):
+        """Every record's timestamps are in order; coverage fits the lanes."""
+        for ep in self._episodes:
+            assert ep.ordering_ok(), (
+                f"record {ep.record_id} out of order at {self.now}us: "
+                f"{ep.timestamps()}")
+        lanes = len(self.model.lanes)
+        for app_id in self.groups:
+            levels = self._coverage(app_id)
+            assert all(level <= lanes for level in levels), (
+                f"app {app_id} coverage {levels} over {lanes} lanes at {self.now}us")
         self.checks += 1
 
     def _check_service(self):
@@ -348,6 +372,13 @@ def _generated(seed):
 def test_indexes_agree_with_full_scans_on_generated_faults(first):
     for seed in range(first, first + 20):
         _check(_generated(seed))
+
+
+@pytest.mark.parametrize("first", [0, 30])
+def test_indexes_agree_with_full_scans_on_the_generated_golden_seeds(first):
+    # these add state models, bus capacities, the mean voter and the gate
+    for seed in SEEDS[first:first + 30]:
+        _check(generated_scenario(seed))
 
 
 def test_a_fault_clearing_later_in_the_same_instant_still_counts():

@@ -15,7 +15,7 @@ from lanesim.coverage import CoverageLevel
 from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec
 from lanesim.reconfig import Health, Outcome
-from lanesim.scenario import generate_scenario, parse_scenario
+from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import (
     Engine,
     EventKind,
@@ -34,6 +34,8 @@ from conftest import (
     single_app_system,
     triplex_system,
 )
+from golden.generated import SEEDS, generated_scenario
+from golden.rehash import SCENARIOS
 
 
 def _spec(task_id, wcet_us, period_us, deadline_us=None):
@@ -838,3 +840,14 @@ def test_counters_agree_with_the_result_lists():
     assert result.counters["completions"] == len(result.completions)
     assert result.counters["detections"] >= 1
     assert result.counters["shutdowns"] >= 1
+
+
+def test_completions_are_in_finish_lane_proc_order():
+    # TaskComplete is keyed (lane, proc) and every wcet is positive, so the
+    # records come out sorted; mirrored lanes must keep that order
+    scenarios = [load_scenario(p) for p in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += [generated_scenario(seed) for seed in SEEDS]
+    for sc in scenarios:
+        got = run(sc).completions
+        assert got, sc
+        assert got == sorted(got, key=lambda c: (c.finish_us, c.lane, c.proc))
