@@ -3,7 +3,8 @@
 ``tests/test_golden.py`` runs every document under ``scenarios/`` through
 parse, ``Engine`` and ``write_outputs`` and compares the digests of
 ``metrics.json``, ``trace.tsv`` and ``coverage.csv`` with ``hashes.json``,
-and every seed of ``generated.py`` with ``generated_hashes.json``. A change that alters any output on purpose rewrites the hashes with
+and every seed of ``generated.py`` with ``generated_hashes.json``. A change
+that alters any output on purpose rewrites the hashes with
 
     PYTHONPATH=src python3 tests/golden/rehash.py
 
