@@ -62,6 +62,10 @@ TARGET_FIELDS = {
     TargetKind.SENSOR: ("app", "lane"),
 }
 
+# Per kind, which of (lane, proc, app, task) a target leaves unset (None).
+_UNSET = {kind: tuple(name not in used for name in ("lane", "proc", "app", "task"))
+          for kind, used in TARGET_FIELDS.items()}
+
 
 @dataclass(frozen=True, slots=True)
 class FaultTarget:
@@ -80,11 +84,10 @@ class FaultTarget:
     task: int | None = None
 
     def __post_init__(self):
-        used = TARGET_FIELDS[self.kind]
-        for name in ("lane", "proc", "app", "task"):
-            if (getattr(self, name) is None) is (name in used):
-                raise ValueError(f"a {self.kind.value} target sets exactly "
-                                 f"{', '.join(used)}")
+        if (self.lane is None, self.proc is None, self.app is None,
+                self.task is None) != _UNSET[self.kind]:
+            raise ValueError(f"a {self.kind.value} target sets exactly "
+                             f"{', '.join(TARGET_FIELDS[self.kind])}")
 
     def contains(self, other: FaultTarget) -> bool:
         """Is ``other`` inside this scope (or equal to it)?"""

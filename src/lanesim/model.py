@@ -15,6 +15,7 @@ caller sees the full list of violations at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -53,11 +54,15 @@ class MessageSpec:
     @property
     def demand(self) -> Fraction:
         # data units per millisecond
-        return self.size * 1000 / self.period_us
+        return Fraction(self.size.numerator * 1000,
+                        self.size.denominator * self.period_us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
+    """One task of an application; ``message_demand``, the bus demand of
+    all its messages, is fixed when the spec is built."""
+
     task_id: int
     wcet_us: int
     period_us: int
@@ -65,10 +70,11 @@ class TaskSpec:
     initial_proc: int
     code_size: Fraction = Fraction(0)
     messages: tuple[MessageSpec, ...] = ()
+    message_demand: Fraction = field(init=False, compare=False, repr=False)
 
-    @property
-    def message_demand(self) -> Fraction:
-        return sum((m.demand for m in self.messages), Fraction(0))
+    def __post_init__(self):
+        object.__setattr__(self, "message_demand", sum(
+            (m.demand for m in self.messages), Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -215,6 +221,21 @@ def _optional(doc: dict, key: str, kinds, default, where: str):
     return value
 
 
+_REQUIRED = object()
+
+
+def _number(doc: dict, key: str, where: str, default=_REQUIRED):
+    """A finite JSON number; required unless a default is given."""
+    if default is _REQUIRED:
+        value = _require(doc, key, (int, float), where)
+    else:
+        value = _optional(doc, key, (int, float), default, where)
+    if isinstance(value, float) and not math.isfinite(value):
+        # JSON NaN and Infinity load as floats
+        raise MalformedDocument(f"{where}: field '{key}' must be finite")
+    return value
+
+
 def _enum(cls, text, where: str):
     try:
         return cls(text)
@@ -226,8 +247,7 @@ def _enum(cls, text, where: str):
 def _duration_us(doc, key, where, default=None) -> int:
     if default is not None and key not in doc:
         return default
-    raw = _require(doc, key, (int, float), where)
-    return ms_to_us(raw)
+    return ms_to_us(_number(doc, key, where))
 
 
 # -- document -> model -------------------------------------------------------
@@ -235,7 +255,7 @@ def _duration_us(doc, key, where, default=None) -> int:
 def _parse_message(doc: dict, task_period_us: int, where: str) -> MessageSpec:
     return MessageSpec(
         msg_id=_require(doc, "msg_id", int, where),
-        size=frac(_require(doc, "size", (int, float), where)),
+        size=frac(_number(doc, "size", where)),
         period_us=_duration_us(doc, "period_ms", where, default=task_period_us),
     )
 
@@ -247,7 +267,7 @@ def _parse_task(doc: dict, lane_count: int, where: str):
         wcet_us=_duration_us(doc, "wcet_ms", where),
         period_us=period,
         deadline_us=_duration_us(doc, "deadline_ms", where, default=period),
-        code_size=frac(_optional(doc, "code_size", (int, float), 0, where)),
+        code_size=frac(_number(doc, "code_size", where, 0)),
     )
     raw_proc = _require(doc, "initial_proc", (int, list), where)
     if isinstance(raw_proc, list):
@@ -266,13 +286,12 @@ def _parse_task(doc: dict, lane_count: int, where: str):
 
 
 def _parse_state_model(doc: dict, where: str) -> StateModel:
+    min_state = _number(doc, "min_state_size", where, None)
     return StateModel(
         strategy=_enum(StateStrategy, _optional(doc, "strategy", str, "transfer", where), where),
-        snapshot_size=frac(_optional(doc, "snapshot_size", (int, float), 0, where)),
+        snapshot_size=frac(_number(doc, "snapshot_size", where, 0)),
         history_len=_optional(doc, "history_len", int, 0, where),
-        min_state_size=(
-            frac(doc["min_state_size"]) if doc.get("min_state_size") is not None else None
-        ),
+        min_state_size=frac(min_state) if min_state is not None else None,
         convergence_rounds=_optional(doc, "convergence_rounds", int, 0, where),
     )
 
@@ -280,7 +299,7 @@ def _parse_state_model(doc: dict, where: str) -> StateModel:
 def _parse_timing(doc: dict) -> TimingConfig:
     where = "system.timing"
     return TimingConfig(
-        utilization_bound=frac(_optional(doc, "utilization_bound", (int, float), 0.69, where)),
+        utilization_bound=frac(_number(doc, "utilization_bound", where, 0.69)),
         customer_cap_mode=bool(doc.get("customer_cap_mode", False)),
         police_rounds=_optional(doc, "police_rounds", int, 3, where),
         tolerance=float(_optional(doc, "tolerance", (int, float), 0.5, where)),
@@ -301,7 +320,7 @@ def build_system(doc: dict) -> SystemModel:
     bus_doc = _optional(doc, "bus", dict, {"max_load": 1000}, "system")
     apps_doc = _optional(doc, "applications", list, [], "system")
     timing = _parse_timing(_optional(doc, "timing", dict, {}, "system"))
-    bus = BusSpec(max_load=frac(_require(bus_doc, "max_load", (int, float), "system.bus")))
+    bus = BusSpec(max_load=frac(_number(bus_doc, "max_load", "system.bus")))
 
     violations: list[Violation] = []
     bad = violations.append
@@ -340,6 +359,9 @@ def build_system(doc: dict) -> SystemModel:
                     f"lane {l.lane_id} does not mirror lane {lanes[0].lane_id}'s processors",
                 ))
 
+    # each lane's processor roles by id, first listed wins, as in LaneSpec.processor
+    lane_roles = [(l.lane_id, {p.proc_id: p.role for p in reversed(l.processors)})
+                  for l in lanes]
     apps = []
     app_ids = set()
     for i, ad in enumerate(apps_doc):
@@ -369,17 +391,15 @@ def build_system(doc: dict) -> SystemModel:
                 bad(Violation("AsymmetricLanes",
                               f"{tw}: initial_proc differs between lanes {procs}"))
             proc_id = procs[0]
-            for l in lanes:
-                try:
-                    pspec = l.processor(proc_id)
-                except KeyError:
+            for lane_id, roles in lane_roles:
+                role = roles.get(proc_id)
+                if role is None:
                     bad(Violation("MalformedDocument",
-                                  f"{tw}: initial_proc {proc_id} not in lane {l.lane_id}"))
-                    continue
-                if pspec.role is ProcessorRole.SPARE:
+                                  f"{tw}: initial_proc {proc_id} not in lane {lane_id}"))
+                elif role is ProcessorRole.SPARE:
                     bad(Violation("SpareHasTasks",
                                   f"app {app_id} task {fields['task_id']} allocated to spare "
-                                  f"processor {proc_id} (lane {l.lane_id})"))
+                                  f"processor {proc_id} (lane {lane_id})"))
             tasks.append(TaskSpec(initial_proc=proc_id, **fields))
         if not tasks:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (Architecture, InvalidModel, MalformedDocument, SystemModel,
-                    Violation, build_system, _enum, _optional, _require)
+                    Violation, build_system, _enum, _number, _optional, _require)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -108,10 +108,10 @@ def _parse_target(doc: dict, where: str) -> FaultTarget:
 def _parse_fault(doc: dict, index: int) -> FaultSpec:
     where = f"faults[{index}]"
     kind = _enum(FaultKind, _require(doc, "kind", str, where), where)
-    duration = doc.get("duration_ms")
+    duration = _number(doc, "duration_ms", where, None)
     return FaultSpec(
         fault_id=_optional(doc, "fault_id", int, index, where),
-        at_us=ms_to_us(_require(doc, "at_ms", (int, float), where)),
+        at_us=ms_to_us(_number(doc, "at_ms", where)),
         kind=kind,
         target=_parse_target(_require(doc, "target", dict, where), f"{where}.target"),
         duration_us=ms_to_us(duration) if duration is not None else None,
@@ -127,7 +127,7 @@ def _parse_policies(doc: dict) -> Policies:
     for i, ad in enumerate(_optional(doc, "pilot_approvals", list, [], "policies")):
         where = f"policies.pilot_approvals[{i}]"
         approvals.append(Approval(
-            at_us=ms_to_us(_require(ad, "at_ms", (int, float), where)),
+            at_us=ms_to_us(_number(ad, "at_ms", where)),
             lane=_optional(ad, "lane", int, None, where),
             proc=_optional(ad, "proc", int, None, where),
             app=_optional(ad, "app", int, None, where),
@@ -152,8 +152,8 @@ def _parse_settings(doc: dict) -> SimSettings:
     ref_doc = _optional(doc, "reference", dict, {}, where)
     return SimSettings(
         seed=_optional(doc, "seed", int, 0, where),
-        horizon_us=ms_to_us(_optional(doc, "horizon_ms", (int, float), 500, where)),
-        bit_period_us=ms_to_us(_optional(doc, "bit_period_ms", (int, float), 25, where)),
+        horizon_us=ms_to_us(_number(doc, "horizon_ms", where, 500)),
+        bit_period_us=ms_to_us(_number(doc, "bit_period_ms", where, 25)),
         reference=ReferenceSignal(
             base=float(_optional(ref_doc, "value", (int, float), 0.0, "sim.reference")),
             slope_per_ms=float(_optional(ref_doc, "slope_per_ms", (int, float), 0.0,
@@ -251,12 +251,19 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             and not math.isfinite(ref.value(sc.settings.horizon_us))):
         bad(Violation("MalformedDocument",
                       "sim.reference overflows before the horizon"))
-    elif (all(map(math.isfinite, (sc.voter.tolerance, ref.base, ref.slope_per_ms,
-                                  *(f.value_skew for f in sc.faults))))
-            and not math.isfinite(_emission_bound(sc))):
-        bad(Violation("MalformedDocument",
-                      "emitted values can overflow: reference, skews and "
-                      "convergence drift add up past the largest float"))
+    elif all(map(math.isfinite, (sc.voter.tolerance, ref.base, ref.slope_per_ms,
+                                 *(f.value_skew for f in sc.faults)))):
+        bound = _emission_bound(sc)
+        if not math.isfinite(bound):
+            bad(Violation("MalformedDocument",
+                          "emitted values can overflow: reference, skews and "
+                          "convergence drift add up past the largest float"))
+        elif not math.isfinite(len(sc.model.lanes) * bound):
+            # a mean of the others, or a median of an even count, sums
+            # what the lanes emit before it divides
+            bad(Violation("MalformedDocument",
+                          "a vote can overflow: the lane count times the "
+                          "largest emitted value passes the largest float"))
     if not 0.0 <= sc.settings.bit_detect_probability <= 1.0:
         bad(Violation("MalformedDocument", "bit_detect_probability must be in [0, 1]"))
     if sc.settings.bit_period_us <= 0:

@@ -57,20 +57,19 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from . import coverage as cov
 from . import timebase
 from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects, classify,
                     cross_monitor, exchange_vote, police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
-                    SystemModel, TaskSpec, Violation, initial_allocation)
+                    SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
                        recovery_order, select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
-                     transfer_time)
+                     exact_sum, transfer_time)
 
 
 class ScenarioInvalid(InvalidModel):
@@ -173,9 +172,14 @@ class _Proc(Processor):
     The engine keys jobs (app_id, task_id), owned by their _CopyRt, and runs
     history replay as background work keyed by copy id. A processor holds
     at most one copy of a task, so the key names the copy.
+
+    The start-up admitted set and its ranks may be shared with the same
+    processor of the other lanes: both are values, which ``admit``
+    replaces and nothing changes in place.
     """
 
-    def __init__(self, lane: int, proc: int, push):
+    def __init__(self, lane: int, proc: int, push,
+                 admitted: ProcessorState, prios: dict):
         super().__init__()
         self.lane = lane
         self.proc = proc
@@ -183,7 +187,8 @@ class _Proc(Processor):
         self.lane_scope = FaultTarget(TargetKind.LANE, lane=lane)
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
-        self.admitted = ProcessorState()
+        self.admitted = admitted
+        self.prios = prios
         self.push = push        # the engine's event push
         self.key = (lane, proc)
 
@@ -297,39 +302,42 @@ class Engine:
     # -- setup ---------------------------------------------------------------
 
     def _init_topology(self):
+        # initial_allocation mirrors every lane: each task's copies share
+        # one processor id, so each processor id has one start-up admitted
+        # set and one ranking, built once and shared by its lanes' slots.
+        # Fraction sums are exact, so the admitted sets and the bus load
+        # equal the totals of admitting the copies one at a time.
+        apps = [(app, sorted(app.tasks, key=lambda t: t.task_id))
+                for app in sorted(self.model.applications, key=lambda a: a.app_id)]
+        entries = {p.proc_id: {} for p in self.model.lanes[0].processors}
+        for app, tasks in apps:
+            for task in tasks:
+                entries[task.initial_proc][(app.app_id, task.task_id)] = (
+                    task.wcet_us, task.period_us, task.deadline_us)
+        states = {proc: ProcessorState(held) for proc, held in entries.items()}
+        prios = {proc: state.priorities() for proc, state in states.items()}
         for lane in self.model.lanes:
             procs = self._lane_procs[lane.lane_id] = [
-                _Proc(lane.lane_id, p.proc_id, self._push)
+                _Proc(lane.lane_id, p.proc_id, self._push,
+                      states[p.proc_id], prios[p.proc_id])
                 for p in lane.processors]
             for pr in procs:
                 self.procs[pr.key] = pr
                 self._proc_copies[pr.key] = []
 
-        # each processor's admitted set and the bus load are built once
-        # from every initial copy; Fraction sums are exact, so they equal
-        # the totals of admitting the copies one at a time
-        homes = initial_allocation(self.model)
         lane_ids = sorted(self.model.lane_ids)
-        entries = {place: {} for place in self.procs}
-        demands = []
-        for app in sorted(self.model.applications, key=lambda a: a.app_id):
-            tasks = sorted(app.tasks, key=lambda t: t.task_id)
+        for app, tasks in apps:
             self.groups[app.app_id] = ReplicaGroup(
                 app.app_id, {t.task_id: [] for t in tasks})
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
             for task in tasks:
-                limits = (task.wcet_us, task.period_us, task.deadline_us)
-                demands.append(task.message_demand * len(lane_ids))
                 for lane_id in lane_ids:
-                    lane, proc = homes[(app.app_id, task.task_id, lane_id)]
-                    rt = _CopyRt(next(self._copy_ids), app.app_id,
-                                 task.task_id, lane, proc,
-                                 spec=task, app=app, origin_us=0)
-                    self._add_copy(rt)
-                    entries[rt.place][rt.key] = limits
-        for place, pr in self.procs.items():
-            pr.admit(ProcessorState(entries[place]))
-        self.bus = BusState(self.model.bus.max_load, sum(demands, Fraction(0)))
+                    self._add_copy(_CopyRt(
+                        next(self._copy_ids), app.app_id, task.task_id,
+                        lane_id, task.initial_proc,
+                        spec=task, app=app, origin_us=0))
+        demand = exact_sum(t.message_demand for _, tasks in apps for t in tasks)
+        self.bus = BusState(self.model.bus.max_load, demand * len(lane_ids))
 
         violations = []
         if self.settings.enforce_admission:
@@ -1200,9 +1208,9 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
         raise ValueError("task ids must be distinct")
     events: list = []
     push = _event_pusher(events)
-    cpu = _Proc(0, 0, push)
-    cpu.admit(ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
-                              for key, t in specs.items()}))
+    state = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
+                            for key, t in specs.items()})
+    cpu = _Proc(0, 0, push, state, state.priorities())
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:

@@ -38,6 +38,14 @@ def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = Non
     return Fraction(wcet_us, window)
 
 
+def exact_sum(values) -> Fraction:
+    """The exact sum of Fractions (or ints): one common denominator, one
+    integer sum, one Fraction, instead of a Fraction per partial sum."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
 @dataclass(frozen=True)
 class AdmissionDecision:
     """Outcome of an admission test.
@@ -64,8 +72,8 @@ class ProcessorState:
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = dict(entries or {})
-        self._utilization = sum(
-            (task_utilization(*e) for e in self._entries.values()), Fraction(0))
+        self._utilization = exact_sum(
+            task_utilization(*e) for e in self._entries.values())
 
     @classmethod
     def _of(cls, entries: dict, utilization: Fraction) -> "ProcessorState":

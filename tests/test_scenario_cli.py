@@ -1,6 +1,7 @@
 """Scenario documents, the generator, and the command-line front end."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,23 +189,49 @@ _OVERFLOW = "emitted values can overflow: reference, skews and " \
             "convergence drift add up past the largest float"
 
 
+_VOTE_OVERFLOW = "a vote can overflow: the lane count times the largest " \
+                 "emitted value passes the largest float"
+
+
 @pytest.mark.parametrize("name", ["one lane", "two lanes", "relay"])
 def test_finite_inputs_whose_sum_overflows_are_malformed(name):
     assert _violations(_overflow_case(name, 1.0)) == [
         ("MalformedDocument", _OVERFLOW)]
-    # at half the size the sums stay finite: the run votes them out
-    sc = parse_scenario(_overflow_case(name, 0.5))
-    assert _emission_bound(sc) < 1.8e308
+    # at half the size each value is finite, but a vote's sum of them is not
+    assert _violations(_overflow_case(name, 0.5)) == [
+        ("MalformedDocument", _VOTE_OVERFLOW)]
+    # at a tenth every vote's sum stays finite: the run votes them out
+    sc = parse_scenario(_overflow_case(name, 0.1))
+    assert len(sc.model.lanes) * _emission_bound(sc) < 1.8e308
     assert run(sc).counters["detections"] >= 1
 
 
 def test_the_emission_bound_counts_convergence_drift():
     doc = scenario_doc([proc_fault()], system=single_app_system(
         state_model={"strategy": "convergence", "convergence_rounds": 2}))
+    doc["voter"] = {"tolerance": 1e307}
+    assert _emission_bound(parse_scenario(doc)) == 2 * 1e307 * 2
     doc["voter"] = {"tolerance": 4e307}
-    assert _emission_bound(parse_scenario(doc)) == 2 * 4e307 * 2
+    assert _violations(doc) == [("MalformedDocument", _VOTE_OVERFLOW)]
     doc["voter"] = {"tolerance": 1e308}
     assert _violations(doc) == [("MalformedDocument", _OVERFLOW)]
+
+
+@pytest.mark.parametrize("lanes,consensus", [(3, "mean_of_others"),
+                                              (4, "median_of_others")])
+def test_a_vote_whose_sum_overflows_is_malformed(lanes, consensus):
+    # each copy emits a finite 1e308, but the fault-free runs summed them to
+    # inf: 15 (3 lanes, mean) and 20 (4 lanes, median of an even count)
+    # detections, as many shutdowns and 2 records
+    doc = generate_scenario(lanes=lanes, procs=3, apps=2, seed=1, horizon_ms=60)
+    doc["voter"]["consensus"] = consensus
+    doc["sim"]["reference"]["value"] = 1e308
+    assert _violations(doc) == [("MalformedDocument", _VOTE_OVERFLOW)]
+    # at a tenth the votes stay finite and find nothing
+    doc["sim"]["reference"]["value"] = 1e307
+    result = run(parse_scenario(doc))
+    assert result.counters["detections"] == result.counters["shutdowns"] == 0
+    assert result.records == []
 
 
 def test_a_nan_tolerance_is_refused_before_the_run(tmp_path, capsys):
@@ -478,6 +505,92 @@ def test_batch_reports_the_worst_failure(tmp_path, capsys):
     assert "parse error" in out
     assert "batch: 1/2 scenarios completed" in out
     assert (out_root / "good" / "metrics.json").exists()
+
+
+def test_batch_goes_on_past_a_non_finite_number(tmp_path, capsys):
+    # a NaN wcet used to escape the batch as a bare ValueError ("Invalid
+    # literal for Fraction: 'nan'"), so the next file never ran
+    doc = scenario_doc([proc_fault()])
+    doc["system"]["applications"][0]["tasks"][0]["wcet_ms"] = math.nan
+    (tmp_path / "a.json").write_text(json.dumps(doc), encoding="utf-8")
+    _write_scenario(tmp_path, name="b.json")
+    out_root = tmp_path / "runs"
+    assert cli.main(["batch", str(tmp_path), "--out-dir",
+                     str(out_root)]) == 2
+    out = capsys.readouterr().out
+    assert ("a.json: parse error: system.applications[0].tasks[0]: "
+            "field 'wcet_ms' must be finite") in out
+    assert "batch: 1/2 scenarios completed" in out
+    assert (out_root / "b" / "metrics.json").exists()
+
+
+def _every_number_doc():
+    """A valid scenario naming every number read as a duration or a size."""
+    doc = scenario_doc([proc_fault(kind="transient", duration_ms=10)],
+                       policies={"pilot_gate": True,
+                                 "pilot_approvals": [{"at_ms": 60, "lane": 0}]},
+                       sim={"bit_period_ms": 25})
+    doc["system"]["applications"][0]["state_model"] = {
+        "strategy": "hybrid", "snapshot_size": 80, "min_state_size": 20,
+        "convergence_rounds": 2}
+    return doc
+
+
+_TASK = ("system", "applications", 0, "tasks", 0)
+_NUMBERS = {
+    "task period_ms": (_TASK, "period_ms"),
+    "message period_ms": (_TASK + ("messages", 0), "period_ms"),
+    "wcet_ms": (_TASK, "wcet_ms"),
+    "deadline_ms": (_TASK, "deadline_ms"),
+    "size": (_TASK + ("messages", 0), "size"),
+    "code_size": (_TASK, "code_size"),
+    "snapshot_size": (("system", "applications", 0, "state_model"), "snapshot_size"),
+    "min_state_size": (("system", "applications", 0, "state_model"), "min_state_size"),
+    "utilization_bound": (("system", "timing"), "utilization_bound"),
+    "max_load": (("system", "bus"), "max_load"),
+    "fault at_ms": (("faults", 0), "at_ms"),
+    "duration_ms": (("faults", 0), "duration_ms"),
+    "approval at_ms": (("policies", "pilot_approvals", 0), "at_ms"),
+    "horizon_ms": (("sim",), "horizon_ms"),
+    "bit_period_ms": (("sim",), "bit_period_ms"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _NUMBERS)
+def test_a_non_finite_duration_or_size_is_malformed(name, value):
+    doc = _every_number_doc()
+    parse_scenario(doc)             # valid as written
+    path, key = _NUMBERS[name]
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    assert key in owner
+    owner[key] = value
+    with pytest.raises(MalformedDocument, match=f"field '{key}' must be finite"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("value", [True, [1], "1/2"])
+def test_min_state_size_must_be_a_number(tmp_path, capsys, value):
+    # true and [1] crashed `lanesim validate` with a TypeError, and "1/2"
+    # validated as a half
+    doc = scenario_doc([], system=single_app_system(state_model={
+        "strategy": "hybrid", "snapshot_size": 80, "min_state_size": value,
+        "convergence_rounds": 2}))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert ("field 'min_state_size' has the wrong type"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", [True, "10"])
+def test_a_fault_duration_must_be_a_number(value):
+    doc = scenario_doc([proc_fault(kind="transient", duration_ms=value)])
+    with pytest.raises(MalformedDocument,
+                       match="field 'duration_ms' has the wrong type"):
+        parse_scenario(doc)
 
 
 def test_batch_with_no_scenarios_is_an_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ paths can be checked against it on small task sets.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from lanesim.cli import metrics_document, trace_lines
 from lanesim.coverage import CoverageLevel
 from lanesim.fault import FaultTarget, TargetKind
-from lanesim.model import TaskSpec
+from lanesim.model import TaskSpec, TimingConfig
 from lanesim.reconfig import Health, Outcome
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
+from lanesim.timing import ProcessorState, admit_task
 from lanesim.sim import (
     Engine,
     EventKind,
@@ -832,6 +834,48 @@ def test_first_jobs_finish_at_the_response_time_fixed_point():
                 first[copy] = c.finish_us
         assert first == worst, seed
     assert processors >= 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(10, 2000), st.integers(10, 100),
+                          st.integers(1, 30)), min_size=1, max_size=12),
+       st.booleans())
+def test_admitted_sets_meet_every_deadline(draws, customer_cap):
+    # Liu & Layland 1973: a set whose density sum(C / min(D, T)) is at most
+    # n(2^(1/n) - 1) >= ln 2 meets every deadline under rate (here deadline)
+    # monotonic priorities, so both admission bounds admit no set that the
+    # response-time analysis rejects
+    cfg = TimingConfig(customer_cap_mode=customer_cap)
+    assert cfg.effective_bound <= math.log(2)
+    state = ProcessorState()
+    admitted = []
+    for task_id, (period, deadline_pct, wcet_pct) in enumerate(draws):
+        deadline = max(1, period * deadline_pct // 100)
+        task = TaskSpec(task_id, max(1, deadline * wcet_pct // 100), period,
+                        deadline, 0)
+        if admit_task(state, task, cfg).accepted:
+            state = state.with_task(task_id, task.wcet_us, period, deadline)
+            admitted.append(task)
+    admitted.sort(key=lambda t: (t.deadline_us, t.task_id))
+    for rank, task in enumerate(admitted):
+        assert _response_time(task, admitted[:rank]) <= task.deadline_us
+
+
+def test_start_up_admitted_sets_are_shared_values():
+    # initial_allocation mirrors every lane, so one processor id's slots
+    # start from one admitted set and one ranking; admitting on one lane
+    # replaces that lane's values and leaves the other lanes' alone
+    engine = Engine(scen([]))
+    slots = [engine.procs[(lane, 0)] for lane in engine.model.lane_ids]
+    first = slots[0]
+    assert all(pr.admitted is first.admitted and pr.prios is first.prios
+               for pr in slots)
+    before = (len(first.admitted), first.admitted.utilization, dict(first.prios))
+    first.admit(first.admitted.with_task((9, 9), 1000, 20000, 5000))
+    assert (9, 9) in first.admitted and first.prios[(9, 9)] == 0
+    for pr in slots[1:]:
+        assert (9, 9) not in pr.admitted and (9, 9) not in pr.prios
+        assert (len(pr.admitted), pr.admitted.utilization, pr.prios) == before
 
 
 def test_counters_agree_with_the_result_lists():

@@ -7,7 +7,7 @@ Fractions, not floats.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lanesim.model import TaskSpec, TimingConfig, build_system
 from lanesim.timing import (
@@ -18,6 +18,7 @@ from lanesim.timing import (
     available_transfer_bandwidth,
     catchup_time,
     check_comms,
+    exact_sum,
     task_utilization,
     transfer_time,
 )
@@ -249,3 +250,13 @@ def test_bus_load_total_equals_a_fresh_sum(start, ops):
         assert bus.current_load == sum(held, Fraction(0))
         assert isinstance(bus.current_load, Fraction)
         assert bus.max_load == 100
+
+
+@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-10**9, 10**9),
+                max_size=12))
+@example([])
+def test_exact_sum_equals_the_running_fraction_sum(values):
+    got = exact_sum(values)
+    assert got == sum(values, Fraction(0))
+    assert isinstance(got, Fraction)
+    assert exact_sum(iter(values)) == got
