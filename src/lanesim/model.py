@@ -236,6 +236,17 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED):
     return value
 
 
+def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean; absent or null gives the default. A string such as
+    "false" or a number is the wrong type, not a truth value."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
+    return value
+
+
 def _enum(cls, text, where: str):
     try:
         return cls(text)
@@ -300,9 +311,9 @@ def _parse_timing(doc: dict) -> TimingConfig:
     where = "system.timing"
     return TimingConfig(
         utilization_bound=frac(_number(doc, "utilization_bound", where, 0.69)),
-        customer_cap_mode=bool(doc.get("customer_cap_mode", False)),
+        customer_cap_mode=_flag(doc, "customer_cap_mode", False, where),
         police_rounds=_optional(doc, "police_rounds", int, 3, where),
-        tolerance=float(_optional(doc, "tolerance", (int, float), 0.5, where)),
+        tolerance=float(_number(doc, "tolerance", where, 0.5)),
     )
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (Architecture, InvalidModel, MalformedDocument, SystemModel,
-                    Violation, build_system, _enum, _number, _optional, _require)
+                    Violation, build_system, _enum, _flag, _number, _optional,
+                    _require)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -116,9 +117,9 @@ def _parse_fault(doc: dict, index: int) -> FaultSpec:
         target=_parse_target(_require(doc, "target", dict, where), f"{where}.target"),
         duration_us=ms_to_us(duration) if duration is not None else None,
         value_skew=float(_optional(doc, "value_skew", (int, float), 0.0, where)),
-        per_receiver=bool(doc.get("per_receiver", False)),
-        bit_detectable=bool(doc.get("bit_detectable",
-                                    kind is not FaultKind.BYZANTINE)),
+        per_receiver=_flag(doc, "per_receiver", False, where),
+        bit_detectable=_flag(doc, "bit_detectable",
+                             kind is not FaultKind.BYZANTINE, where),
     )
 
 
@@ -132,9 +133,9 @@ def _parse_policies(doc: dict) -> Policies:
             proc=_optional(ad, "proc", int, None, where),
             app=_optional(ad, "app", int, None, where),
             task=_optional(ad, "task", int, None, where),
-            sensor=bool(ad.get("sensor", False)),
+            sensor=_flag(ad, "sensor", False, where),
         ))
-    return Policies(pilot_gate=bool(doc.get("pilot_gate", False)),
+    return Policies(pilot_gate=_flag(doc, "pilot_gate", False, "policies"),
                     approvals=tuple(approvals))
 
 
@@ -159,7 +160,7 @@ def _parse_settings(doc: dict) -> SimSettings:
             slope_per_ms=float(_optional(ref_doc, "slope_per_ms", (int, float), 0.0,
                                          "sim.reference")),
         ),
-        enforce_admission=bool(doc.get("enforce_admission", True)),
+        enforce_admission=_flag(doc, "enforce_admission", True, where),
         bit_detect_probability=float(_optional(doc, "bit_detect_probability",
                                                (int, float), 1.0, where)),
     )

@@ -37,6 +37,14 @@ Each (lane, processor) slot runs the deadline-monotonic schedule of
 the processor, and completion events carry the processor's generation so
 a preempted or killed job's stale completion is simply dropped.
 
+A full vote that finds every copy active or withdrawn, every active one
+completed and unskewed, and nothing silent, flagged or ambiguous marks its
+task with the number of copies that emitted. Until a fault activates or
+clears, a shutdown applies or rebuilt copies spawn, a marked task's vote
+would read the same copies with only the reference moved, so a vote round
+skips it, unless the voter takes the float mean of three or more copies
+and that mean misses the reference by more than the tolerance.
+
 The recovery pipeline is driven end to end by events: a vote round (or a
 built-in test) implicates copies, one classification per instant folds
 the evidence into shutdown directives, selection plans spare placements
@@ -60,8 +68,8 @@ from enum import Enum
 
 from . import coverage as cov
 from . import timebase
-from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects, classify,
-                    cross_monitor, exchange_vote, police_matches)
+from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
+                    classify, cross_monitor, exchange_vote, police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
@@ -289,6 +297,9 @@ class Engine:
         self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
         self._last_cov: dict = {}
+        # (app, task) -> copies that emitted in its last full vote, when that
+        # vote was quiet; a vote round skips a marked task (_on_vote_round)
+        self._quiet: dict = {}
 
         # the faults active now, kept by the activate and clear handlers;
         # equal faults are interchangeable, so they may share a rank
@@ -552,6 +563,7 @@ class Engine:
             pr.dispatch(self.now)
 
     def _on_fault_activate(self, f):
+        self._quiet.clear()
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
@@ -572,6 +584,7 @@ class Engine:
             self._refresh_proc_failure(pr)
 
     def _on_fault_clear(self, f):
+        self._quiet.clear()
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id} cleared")
@@ -683,9 +696,23 @@ class Engine:
 
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
+        # A marked task's vote would read what its last one read: only the
+        # reference moves. Equal values never flag, except that the float
+        # mean of n >= 3 of them can miss them (cross_monitor's comparison).
+        mean = self.voter.consensus is Consensus.MEAN_OF_OTHERS
+        tol, quiet, app_id = self.voter.tolerance, self._quiet, app.app_id
         # the group holds its tasks in task id order
-        for task_id, rts in self.groups[app.app_id].copies.items():
-            self._vote_task(app.app_id, task_id, rts, ref)
+        for task_id, rts in self.groups[app_id].copies.items():
+            key = (app_id, task_id)
+            n = quiet.get(key)
+            if n is not None and not (
+                    mean and n >= 3 and abs(ref - sum([ref] * n) / n) > tol):
+                continue
+            n = self._vote_task(app_id, task_id, rts, ref)
+            if n is None:
+                quiet.pop(key, None)
+            else:
+                quiet[key] = n
 
     def _sensor_faults(self, app_id) -> list:
         """Active faults on the application's sensor channels, in scenario order."""
@@ -703,14 +730,22 @@ class Engine:
                                  f"(fault {f.fault_id}, sensor granularity)")
                 self._sample(app.app_id)
 
-    def _vote_task(self, app_id, task_id, rts, ref: float):
+    def _vote_task(self, app_id, task_id, rts, ref: float) -> int | None:
+        """Vote one task's copies. Return how many emitted if the vote was
+        quiet and no event-free change can make the next one differ, else
+        None."""
         expected = []       # (copy, byzantine fault, value or None if silent)
         watched = []        # rebuilt copies policed against the consensus
+        settled = True      # every active copy is due, unskewed, converged
         for rt in rts:
             if rt.health is Health.ACTIVE:
                 if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us:
                     byz = self._skew_for(rt)
                     expected.append((rt, byz, self._emitted(rt, byz, ref)))
+                    if byz is not None or rt.converge_left > 0:
+                        settled = False
+                else:
+                    settled = False     # expected from its first deadline on
             elif rt.health is not Health.SHUTDOWN:
                 watched.append(rt)
         emitting = {rt.place: v for rt, _, v in expected if v is not None}
@@ -728,7 +763,8 @@ class Engine:
             if not ambiguous:
                 implicated.update(place for place in flagged if place in emitting)
 
-        if implicated or flagged or ambiguous:
+        noisy = bool(implicated or flagged or ambiguous)
+        if noisy:
             self._row("VoteRound", app=app_id, task=task_id,
                       detail=self._vote_detail(silent, flagged, ambiguous))
         if implicated:
@@ -740,6 +776,9 @@ class Engine:
         if watched:
             self._police(watched, statistics.median(emitting.values())
                          if emitting else None, ref)
+        elif settled and not noisy:
+            return len(emitting)
+        return None
 
     @staticmethod
     def _vote_detail(silent, flagged, ambiguous) -> str:
@@ -848,6 +887,7 @@ class Engine:
         return [f for f in self._active if f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
+        self._quiet.clear()
         # one episode per application and origin: a copy restabilized in
         # place is not also replaced by a spare
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
@@ -1083,6 +1123,7 @@ class Engine:
         self._pump_bus()
 
     def _spawn_copies(self, ep: _Episode):
+        self._quiet.clear()
         app = self.model.application(ep.app_id)
         sm = app.state_model
         # a spare shut down while its copy was in transfer gets no copy; no

@@ -14,6 +14,16 @@ byzantine fault and emitted value only once. After every event each
 recovery record's timestamps are in order and no application's coverage
 level exceeds the lane count.
 
+A vote round skips a task whose last full vote was quiet until an event
+drops the marks. Each task vote that returns a mark is checked against
+the copies themselves: none watched, every active one completed and
+unskewed, and each emitted the reference. Beside every skip the full vote
+runs and must return the mark's emitter count and change nothing: no
+trace row, no implicated copy, no event, no policing. The reference for
+which marked tasks the engine skips is ``cross_monitor`` itself: a task
+is skipped unless ``cross_monitor`` flags its count of equal copies of
+the reference.
+
 Release and deadline events act on release groups. Each group pushed
 holds copies of one task in ascending copy id and is keyed by the first;
 a copy made after set-up is alone in its group, and a release group
@@ -28,19 +38,22 @@ events and counts the answers where the plain ``active_at`` scan differs.
 """
 
 import json
+import math
 import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanesim.cli import metrics_document, trace_lines
-from lanesim.fault import FaultKind, TargetKind, bit_detects
+from lanesim.fault import (Consensus, FaultKind, TargetKind, bit_detects,
+                           cross_monitor)
 from lanesim.reconfig import Health
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
 from lanesim.timing import task_utilization
 
-from conftest import lane_fault, proc_fault, scenario_doc
+from conftest import lane_fault, proc_fault, scenario_doc, single_app_system
 from golden.generated import SEEDS, generated_scenario
 from golden.rehash import SCENARIOS
 
@@ -59,7 +72,10 @@ class CheckedEngine(Engine):
         super().__init__(scenario)
         self.checks = 0
         self.lagging = 0     # answers where the plain active_at scan differs
+        self.skips = 0       # task votes skipped, each checked by a full vote
+        self.unskipped = 0   # marked task votes run in full: the mean flags
         self._skews, self._emissions = set(), {}
+        self._voted, self._policed = [], 0
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
@@ -260,8 +276,64 @@ class CheckedEngine(Engine):
         assert ref == self.settings.reference.value(self.now)
         # what this task's copies asked and emitted, each at most once
         self._skews, self._emissions = set(), {}
+        self._voted.append(task_id)
+        before = self._effects()
+        got = super()._vote_task(app_id, task_id, rts, ref)
+        # a mark needs a quiet vote that no event-free change can upset
+        active = [rt for rt in rts if rt.health is Health.ACTIVE]
+        byzantine = [f for f in self._settled_faults()
+                     if f.kind is FaultKind.BYZANTINE]
+        markable = (self._effects() == before
+                    and all(rt.health in (Health.ACTIVE, Health.SHUTDOWN)
+                            for rt in rts)
+                    and all(rt.completed_ever and rt.converge_left == 0
+                            and not any(f.target.contains(rt.scope)
+                                        for f in byzantine)
+                            for rt in active))
+        assert (got is not None) == markable, (
+            f"task {(app_id, task_id)} at {self.now}us: mark {got!r}")
+        if got is not None:
+            emitted = [v for _, v in self._emissions.values()]
+            assert got == len(active) == len(emitted) and all(
+                v == ref for v in emitted), (
+                f"task {(app_id, task_id)} at {self.now}us: mark {got}, "
+                f"emitted {emitted}")
         self.checks += 1
-        super()._vote_task(app_id, task_id, rts, ref)
+        return got
+
+    def _effects(self):
+        """What a vote can write: rows, implicated copies, events, policing."""
+        return (len(self.trace), frozenset(self._pending_implicated),
+                len(self._heap), self._policed)
+
+    def _on_vote_round(self, app):
+        # the engine skips a marked task unless cross_monitor would flag its
+        # count of equal copies of the reference; beside each skip the full
+        # vote must come out quiet with the same count and change nothing
+        ref = self.settings.reference.value(self.now)
+        tasks = list(self.groups[app.app_id].copies)
+        skipped = []
+        self._voted = []
+        for task_id in tasks:
+            n = self._quiet.get((app.app_id, task_id))
+            if n is None:
+                continue
+            if n >= 2 and cross_monitor(dict.fromkeys(range(n), ref),
+                                        self.voter).flagged:
+                self.unskipped += 1
+                continue
+            skipped.append(task_id)
+            before = self._effects()
+            got = self._vote_task(app.app_id, task_id,
+                                  self.groups[app.app_id].copies[task_id], ref)
+            assert got == n and self._effects() == before, (
+                f"task {(app.app_id, task_id)} skipped at {self.now}us with "
+                f"mark {n}, but its full vote returns {got!r}")
+        super()._on_vote_round(app)
+        assert self._voted == skipped + [t for t in tasks if t not in skipped], (
+            f"app {app.app_id} at {self.now}us: skipped {skipped}, "
+            f"voted {self._voted}")
+        self.skips += len(skipped)
 
     def _emitted(self, rt, byz, ref):
         assert rt.copy_id not in self._emissions, (
@@ -278,6 +350,7 @@ class CheckedEngine(Engine):
         values = [v for rt, v in self._emissions.values()
                   if rt.health is Health.ACTIVE and v is not None]
         assert consensus == (statistics.median(values) if values else None)
+        self._policed += 1
         self.checks += 1
         super()._police(watched, consensus, ref)
 
@@ -389,3 +462,89 @@ def test_a_fault_clearing_later_in_the_same_instant_still_counts():
         proc_fault(at_ms=40, kind="transient", duration_ms=10),
     ])))
     assert engine.lagging > 0
+
+
+def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
+    # quiet from the first round; a byzantine fault and a transient one
+    # drop the marks; at 280 ms the float mean of three equal copies misses
+    # them by more than the tolerance, so the marked tasks vote in full
+    engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
+    assert engine.skips > 0 and engine.unskipped == 3
+
+
+def _two_task_system(lanes):
+    """One application of two tasks on worker 0 of each lane."""
+    return single_app_system(lanes=lanes, tasks=[
+        {"task_id": t, "wcet_ms": 2, "period_ms": 20, "deadline_ms": 20,
+         "initial_proc": 0, "code_size": 40,
+         "messages": [{"msg_id": 1, "size": 1, "period_ms": 20}]}
+        for t in (1, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lanes=st.integers(2, 4),
+       base=st.floats(-1e6, 1e6, allow_nan=False),
+       slope=st.floats(-50, 50, allow_nan=False),
+       ulps=st.sampled_from((0.5, 0.75, 1.0)) | st.floats(1.0, 2.0 ** 60),
+       consensus=st.sampled_from(list(Consensus)),
+       faults=st.booleans())
+def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
+                                                        ulps, consensus,
+                                                        faults):
+    # tolerances from under one ulp of the reference up: the float mean of
+    # three equal values can then miss them and flag a marked task (near
+    # zero, half an ulp could round to a tolerance of 0)
+    horizon_ms = 200
+    tolerance = math.ulp(max(abs(base), 1.0)) * ulps
+    doc = scenario_doc([
+        {"at_ms": 70, "kind": "byzantine", "value_skew": 1.0,
+         "target": {"kind": "processor", "lane": 0, "proc": 0}},
+        proc_fault(at_ms=85, lane=lanes - 1, proc=0, kind="transient",
+                   duration_ms=20),
+    ] if faults else [], system=_two_task_system(lanes), horizon_ms=horizon_ms,
+        sim={"reference": {"value": base, "slope_per_ms": slope}})
+    doc["voter"] = {"consensus": consensus.value, "tolerance": tolerance}
+    engine = _check(parse_scenario(doc))
+    assert engine.skips + engine.unskipped > 0
+
+
+_APPROVAL_SCOPES = ("lane", "processor", "app", "task", "sensor")
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """generate_scenario with faults, BIT that may miss, and the gate."""
+    horizon_ms = draw(st.sampled_from((20, 60, 120)))
+    lanes, procs = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+    doc = generate_scenario(lanes=lanes, procs=procs, apps=draw(st.integers(1, 3)),
+                            seed=draw(st.integers(0, 2**32 - 1)),
+                            faults=draw(st.integers(1, 12)), horizon_ms=horizon_ms)
+    doc["sim"]["bit_period_ms"] = draw(st.integers(1, 30))
+    doc["sim"]["bit_detect_probability"] = draw(st.sampled_from((0.25, 0.5, 0.9)))
+    if draw(st.booleans()):
+        approvals = []
+        for _ in range(draw(st.integers(0, 4))):
+            app = draw(st.sampled_from(doc["system"]["applications"]))
+            approval = {"at_ms": draw(st.integers(1, horizon_ms)),
+                        "lane": draw(st.integers(0, lanes - 1))}
+            scope = draw(st.sampled_from(_APPROVAL_SCOPES))
+            if scope == "processor":
+                approval["proc"] = draw(st.integers(0, procs - 1))
+            elif scope == "app":
+                approval["app"] = app["app_id"]
+            elif scope == "task":
+                task = draw(st.sampled_from(app["tasks"]))
+                approval.update(proc=task["initial_proc"], app=app["app_id"],
+                                task=task["task_id"])
+            elif scope == "sensor":
+                approval.update(app=app["app_id"], sensor=True)
+            approvals.append(approval)
+        doc["policies"] = {"pilot_gate": True, "pilot_approvals": approvals}
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fuzzed_documents())
+def test_indexes_and_skips_agree_with_full_scans_on_fuzzed_scenarios(doc):
+    # faults set and drop the vote marks in the middle of a run
+    _check(parse_scenario(doc))

@@ -536,6 +536,12 @@ def _every_number_doc():
     return doc
 
 
+def _owner(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 _TASK = ("system", "applications", 0, "tasks", 0)
 _NUMBERS = {
     "task period_ms": (_TASK, "period_ms"),
@@ -562,13 +568,63 @@ def test_a_non_finite_duration_or_size_is_malformed(name, value):
     doc = _every_number_doc()
     parse_scenario(doc)             # valid as written
     path, key = _NUMBERS[name]
-    owner = doc
-    for step in path:
-        owner = owner[step]
+    owner = _owner(doc, path)
     assert key in owner
     owner[key] = value
     with pytest.raises(MalformedDocument, match=f"field '{key}' must be finite"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_policing_tolerance_is_malformed(tmp_path, capsys, value):
+    # NaN passed the `tolerance <= 0` check, and then no rebuilt copy ever
+    # passed policing: a readmitted record read abandoned
+    doc = scenario_doc([], system=triplex_system(timing={
+        "utilization_bound": 0.69, "police_rounds": 3, "tolerance": value}))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert ("system.timing: field 'tolerance' must be finite"
+            in capsys.readouterr().err)
+
+
+_FLAGS = {
+    "customer_cap_mode": ("system", "timing"),
+    "enforce_admission": ("sim",),
+    "pilot_gate": ("policies",),
+    "per_receiver": ("faults", 0),
+    "bit_detectable": ("faults", 0),
+    "sensor": ("policies", "pilot_approvals", 0),
+}
+
+
+@pytest.mark.parametrize("value", ["false", 0])
+@pytest.mark.parametrize("key", _FLAGS)
+def test_a_flag_must_be_a_json_boolean(key, value):
+    # read with bool(), "false" counted as true: "customer_cap_mode":
+    # "false" halved the admission bound and "enforce_admission": "false"
+    # left admission on
+    doc = _every_number_doc()
+    _owner(doc, _FLAGS[key])[key] = value
+    with pytest.raises(MalformedDocument, match=f"field '{key}' has the wrong type"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", _FLAGS)
+def test_a_flag_reads_a_json_boolean_and_null_as_its_default(key):
+    def read(value):
+        doc = _every_number_doc()
+        _owner(doc, _FLAGS[key])[key] = value
+        sc = parse_scenario(doc)
+        return {"customer_cap_mode": sc.model.timing.customer_cap_mode,
+                "enforce_admission": sc.settings.enforce_admission,
+                "pilot_gate": sc.policies.pilot_gate,
+                "per_receiver": sc.faults[0].per_receiver,
+                "bit_detectable": sc.faults[0].bit_detectable,
+                "sensor": sc.policies.approvals[0].sensor}[key]
+
+    default = {"enforce_admission": True, "bit_detectable": True}.get(key, False)
+    assert (read(True), read(False), read(None)) == (True, False, default)
 
 
 @pytest.mark.parametrize("value", [True, [1], "1/2"])
