@@ -38,6 +38,21 @@ EXIT_IO = 3
 OUT_DIR_ENV = "LANESIM_OUT_DIR"
 TRACE_HEADER = "# format_version=1"
 
+# A scenario that cannot be read, checked or run: its exit code, and what
+# `main` and `batch` call the failure. InvalidModel includes ScenarioInvalid,
+# and ValueError JSONDecodeError, UnicodeDecodeError and json's digit limit.
+# An OSError comes from reading: a failed write exits 3 where it happens.
+_FAILURES = {
+    InvalidModel: (EXIT_INVALID, "invalid scenario", "invalid"),
+    MalformedDocument: (EXIT_PARSE, "cannot parse scenario", "parse error"),
+    ValueError: (EXIT_PARSE, "cannot parse scenario", "parse error"),
+    OSError: (EXIT_PARSE, "cannot read scenario", "parse error"),
+}
+
+
+def _failure(exc: Exception) -> tuple[int, str, str]:
+    return next(row for kind, row in _FAILURES.items() if isinstance(exc, kind))
+
 
 def _ms(us: int | None):
     return None if us is None else us / US_PER_MS
@@ -160,6 +175,11 @@ def _apply_overrides(scenario, args):
     return scenario
 
 
+def _simulate(path, args) -> SimResult:
+    """Read, check and run one scenario file with the overrides applied."""
+    return run(_apply_overrides(load_scenario(path), args))
+
+
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     Engine(scenario)    # the start-up admission and bus checks, not run
@@ -171,8 +191,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    result = run(scenario)
+    result = _simulate(args.scenario, args)
     out_dir = _resolve_out_dir(args.out_dir)
     try:
         written = write_outputs(result, out_dir)
@@ -186,11 +205,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    doc = generate_scenario(
-        lanes=args.lanes, procs=args.procs, apps=args.apps,
-        target_utilization=args.util, seed=args.seed,
-        infeasible=args.infeasible, faults=args.faults,
-        horizon_ms=args.horizon_ms)
+    try:
+        doc = generate_scenario(
+            lanes=args.lanes, procs=args.procs, apps=args.apps,
+            target_utilization=args.util, seed=args.seed,
+            infeasible=args.infeasible, faults=args.faults,
+            horizon_ms=args.horizon_ms)
+    except ValueError as exc:       # an argument out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     text = dump_scenario(doc)
     if args.output:
         try:
@@ -215,15 +238,11 @@ def cmd_batch(args) -> int:
     ran = 0
     for path in paths:
         try:
-            scenario = _apply_overrides(load_scenario(path), args)
-            result = run(scenario)
-        except (json.JSONDecodeError, MalformedDocument) as exc:
-            print(f"{path.name}: parse error: {exc}")
-            worst = max(worst, EXIT_PARSE)
-            continue
-        except InvalidModel as exc:
-            print(f"{path.name}: invalid: {exc}")
-            worst = max(worst, EXIT_INVALID)
+            result = _simulate(path, args)
+        except tuple(_FAILURES) as exc:
+            code, _, what = _failure(exc)
+            print(f"{path.name}: {what}: {exc}")
+            worst = max(worst, code)
             continue
         try:
             write_outputs(result, out_root / path.stem)
@@ -297,18 +316,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, MalformedDocument) as exc:
-        print(f"error: cannot parse scenario: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidModel as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(_FAILURES) as exc:
+        code, what, _ = _failure(exc)
+        print(f"error: {what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -120,11 +120,8 @@ class FaultSpec:
     bit_detectable: bool = True
 
     def active_at(self, t_us: int) -> bool:
-        if t_us < self.at_us:
-            return False
-        if self.kind is FaultKind.TRANSIENT and self.duration_us is not None:
-            return t_us < self.at_us + self.duration_us
-        return True
+        clears = self.clears_at_us
+        return self.at_us <= t_us and (clears is None or t_us < clears)
 
     @property
     def clears_at_us(self) -> int | None:

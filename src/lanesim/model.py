@@ -8,19 +8,22 @@ and exist to receive recovered task copies.
 
 ``build_system`` turns a plain scenario ``system`` dictionary into a
 validated :class:`SystemModel`. Structural problems (missing keys, wrong
-types, unknown enum strings) raise :class:`MalformedDocument`; semantic
+types, numbers that are not finite or pass float range, unknown enum
+strings) raise :class:`MalformedDocument`; semantic
 problems are collected and raised together as :class:`InvalidModel` so a
 caller sees the full list of violations at once.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .timebase import frac, ms_to_us
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class Architecture(Enum):
@@ -203,48 +206,37 @@ class InvalidModel(Exception):
 
 # -- parsing helpers ---------------------------------------------------------
 
+def _typed(value, key: str, kinds, where: str):
+    """The value, if it is one of the kinds. A bool is no number, nor is a
+    number or a string such as "false" a bool. A number must be finite and
+    inside float range: JSON reads NaN and Infinity as floats, an int can
+    pass the largest float, and NaN fails every comparison."""
+    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
+        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
+    if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise MalformedDocument(f"{where}: field '{key}' must be finite")
+    return value
+
+
 def _require(doc: dict, key: str, kinds, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"{where}: missing required field '{key}'")
-    value = doc[key]
-    if kinds is not None and (not isinstance(value, kinds) or isinstance(value, bool)):
-        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
-    return value
+    return _typed(doc[key], key, kinds, where)
 
 
 def _optional(doc: dict, key: str, kinds, default, where: str):
-    if key not in doc or doc[key] is None:
-        return default
-    value = doc[key]
-    if kinds is not None and (not isinstance(value, kinds) or isinstance(value, bool)):
-        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
-    return value
+    value = doc.get(key)
+    return default if value is None else _typed(value, key, kinds, where)
 
 
 _REQUIRED = object()
 
 
 def _number(doc: dict, key: str, where: str, default=_REQUIRED):
-    """A finite JSON number; required unless a default is given."""
+    """A JSON number; required unless a default is given."""
     if default is _REQUIRED:
-        value = _require(doc, key, (int, float), where)
-    else:
-        value = _optional(doc, key, (int, float), default, where)
-    if isinstance(value, float) and not math.isfinite(value):
-        # JSON NaN and Infinity load as floats
-        raise MalformedDocument(f"{where}: field '{key}' must be finite")
-    return value
-
-
-def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
-    """A JSON boolean; absent or null gives the default. A string such as
-    "false" or a number is the wrong type, not a truth value."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
-    return value
+        return _require(doc, key, (int, float), where)
+    return _optional(doc, key, (int, float), default, where)
 
 
 def _enum(cls, text, where: str):
@@ -282,11 +274,9 @@ def _parse_task(doc: dict, lane_count: int, where: str):
     )
     raw_proc = _require(doc, "initial_proc", (int, list), where)
     if isinstance(raw_proc, list):
-        if len(raw_proc) != lane_count or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in raw_proc
-        ):
+        if len(raw_proc) != lane_count:
             raise MalformedDocument(f"{where}: per-lane initial_proc must list one int per lane")
-        procs = tuple(raw_proc)
+        procs = tuple(_typed(p, "initial_proc", int, where) for p in raw_proc)
     else:
         procs = (raw_proc,) * lane_count
     msgs = _optional(doc, "messages", list, [], where)
@@ -311,7 +301,7 @@ def _parse_timing(doc: dict) -> TimingConfig:
     where = "system.timing"
     return TimingConfig(
         utilization_bound=frac(_number(doc, "utilization_bound", where, 0.69)),
-        customer_cap_mode=_flag(doc, "customer_cap_mode", False, where),
+        customer_cap_mode=_optional(doc, "customer_cap_mode", bool, False, where),
         police_rounds=_optional(doc, "police_rounds", int, 3, where),
         tolerance=float(_number(doc, "tolerance", where, 0.5)),
     )
@@ -383,15 +373,16 @@ def build_system(doc: dict) -> SystemModel:
         app_ids.add(app_id)
         tasks = []
         task_ids = set()
-        for j, td in enumerate(_require(ad, "tasks", list, where)):
+        task_docs = _require(ad, "tasks", list, where)
+        for j, td in enumerate(task_docs):
             tw = f"{where}.tasks[{j}]"
             fields, procs = _parse_task(td, max(len(lanes), 1), tw)
             if fields["task_id"] in task_ids:
                 bad(Violation("DuplicateId",
                               f"duplicate task id {fields['task_id']} in app {app_id}"))
             task_ids.add(fields["task_id"])
-            msg_ids = [m.msg_id for m in fields["messages"]]
-            if len(set(msg_ids)) != len(msg_ids):
+            msgs = fields["messages"]
+            if len({m.msg_id for m in msgs}) != len(msgs):
                 bad(Violation("DuplicateId", f"duplicate message ids in {tw}"))
             if not 0 < fields["wcet_us"] <= fields["deadline_us"] <= fields["period_us"]:
                 bad(Violation("MalformedDocument",
@@ -411,8 +402,12 @@ def build_system(doc: dict) -> SystemModel:
                     bad(Violation("SpareHasTasks",
                                   f"app {app_id} task {fields['task_id']} allocated to spare "
                                   f"processor {proc_id} (lane {lane_id})"))
+            if any(m.period_us <= 0 for m in msgs):
+                # a message's bus demand divides by its period
+                bad(Violation("MalformedDocument", f"{tw}: message period must be positive"))
+                continue
             tasks.append(TaskSpec(initial_proc=proc_id, **fields))
-        if not tasks:
+        if not task_docs:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))
         sm = _parse_state_model(_optional(ad, "state_model", dict, {}, where), f"{where}.state_model")
         if sm.strategy is StateStrategy.CONVERGENCE and sm.snapshot_size != 0:

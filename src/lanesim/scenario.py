@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
-from .model import (Architecture, InvalidModel, MalformedDocument, SystemModel,
-                    Violation, build_system, _enum, _flag, _number, _optional,
-                    _require)
+from .model import (_FLOAT_MAX, Architecture, InvalidModel, MalformedDocument,
+                    SystemModel, Violation, build_system, _enum, _number,
+                    _optional, _require)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -116,10 +116,10 @@ def _parse_fault(doc: dict, index: int) -> FaultSpec:
         kind=kind,
         target=_parse_target(_require(doc, "target", dict, where), f"{where}.target"),
         duration_us=ms_to_us(duration) if duration is not None else None,
-        value_skew=float(_optional(doc, "value_skew", (int, float), 0.0, where)),
-        per_receiver=_flag(doc, "per_receiver", False, where),
-        bit_detectable=_flag(doc, "bit_detectable",
-                             kind is not FaultKind.BYZANTINE, where),
+        value_skew=float(_number(doc, "value_skew", where, 0.0)),
+        per_receiver=_optional(doc, "per_receiver", bool, False, where),
+        bit_detectable=_optional(doc, "bit_detectable", bool,
+                                 kind is not FaultKind.BYZANTINE, where),
     )
 
 
@@ -133,15 +133,15 @@ def _parse_policies(doc: dict) -> Policies:
             proc=_optional(ad, "proc", int, None, where),
             app=_optional(ad, "app", int, None, where),
             task=_optional(ad, "task", int, None, where),
-            sensor=_flag(ad, "sensor", False, where),
+            sensor=_optional(ad, "sensor", bool, False, where),
         ))
-    return Policies(pilot_gate=_flag(doc, "pilot_gate", False, "policies"),
+    return Policies(pilot_gate=_optional(doc, "pilot_gate", bool, False, "policies"),
                     approvals=tuple(approvals))
 
 
 def _parse_voter(doc: dict) -> VoterConfig:
     return VoterConfig(
-        tolerance=float(_optional(doc, "tolerance", (int, float), 0.5, "voter")),
+        tolerance=float(_number(doc, "tolerance", "voter", 0.5)),
         consensus=_enum(Consensus,
                         _optional(doc, "consensus", str, "median_of_others", "voter"),
                         "voter.consensus"),
@@ -156,13 +156,11 @@ def _parse_settings(doc: dict) -> SimSettings:
         horizon_us=ms_to_us(_number(doc, "horizon_ms", where, 500)),
         bit_period_us=ms_to_us(_number(doc, "bit_period_ms", where, 25)),
         reference=ReferenceSignal(
-            base=float(_optional(ref_doc, "value", (int, float), 0.0, "sim.reference")),
-            slope_per_ms=float(_optional(ref_doc, "slope_per_ms", (int, float), 0.0,
-                                         "sim.reference")),
+            base=float(_number(ref_doc, "value", "sim.reference", 0.0)),
+            slope_per_ms=float(_number(ref_doc, "slope_per_ms", "sim.reference", 0.0)),
         ),
-        enforce_admission=_flag(doc, "enforce_admission", True, where),
-        bit_detect_probability=float(_optional(doc, "bit_detect_probability",
-                                               (int, float), 1.0, where)),
+        enforce_admission=_optional(doc, "enforce_admission", bool, True, where),
+        bit_detect_probability=float(_number(doc, "bit_detect_probability", where, 1.0)),
     )
 
 
@@ -192,10 +190,14 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
     """Cross-reference checks that need the whole scenario in hand."""
     out = []
     bad = out.append
-    if sc.settings.horizon_us <= 0:
+    horizon = sc.settings.horizon_us
+    if horizon <= 0:
         bad(Violation("MalformedDocument", "horizon must be positive"))
-    lanes = set(sc.model.lane_ids)
-    apps = {a.app_id: a for a in sc.model.applications}
+    elif horizon > _FLOAT_MAX:
+        # ReferenceSignal.value reads the microsecond count as a float
+        bad(Violation("MalformedDocument",
+                      "horizon too large: its microsecond count passes the "
+                      "largest float"))
     fault_ids = set()
     for f in sc.faults:
         name = f"fault {f.fault_id}"
@@ -203,15 +205,12 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             # BIT records what it caught by fault id
             bad(Violation("DuplicateId", f"duplicate fault id {f.fault_id}"))
         fault_ids.add(f.fault_id)
-        if f.at_us >= sc.settings.horizon_us:
+        if f.at_us >= horizon:
             bad(Violation("MalformedDocument", f"{name} fires at/after the horizon"))
         if f.kind is FaultKind.TRANSIENT and (f.duration_us is None or f.duration_us <= 0):
             bad(Violation("MalformedDocument", f"{name}: transient faults need duration_ms > 0"))
         if f.kind is not FaultKind.TRANSIENT and f.duration_us is not None:
             bad(Violation("MalformedDocument", f"{name}: only transient faults have a duration"))
-        if not math.isfinite(f.value_skew):
-            # JSON NaN and Infinity load as floats
-            bad(Violation("MalformedDocument", f"{name}: value_skew must be finite"))
         if f.kind is FaultKind.BYZANTINE and f.value_skew == 0.0:
             bad(Violation("MalformedDocument", f"{name}: byzantine faults need value_skew"))
         t = f.target
@@ -220,42 +219,21 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
                 bad(Violation("MalformedDocument", f"{name}: sensor faults are not byzantine"))
             if f.value_skew == 0.0:
                 bad(Violation("MalformedDocument", f"{name}: sensor faults need value_skew"))
-        if t.lane is not None and t.lane not in lanes:
-            bad(Violation("MalformedDocument", f"{name}: unknown lane {t.lane}"))
-        if t.proc is not None and sc.model.lanes:
-            try:
-                sc.model.lanes[0].processor(t.proc)
-            except KeyError:
-                bad(Violation("MalformedDocument", f"{name}: unknown processor {t.proc}"))
-        if t.app is not None:
-            if t.app not in apps:
-                bad(Violation("MalformedDocument", f"{name}: unknown app {t.app}"))
-            elif t.task is not None and all(
-                    x.task_id != t.task for x in apps[t.app].tasks):
-                bad(Violation("MalformedDocument", f"{name}: unknown task {t.task}"))
+        for problem in _unknown_places(sc.model, t.lane, t.proc, t.app, t.task):
+            bad(Violation("MalformedDocument", f"{name}: {problem}"))
     for a in sc.policies.approvals:
-        if a.lane is not None and a.lane not in lanes:
-            bad(Violation("MalformedDocument", f"approval at {a.at_us}us: unknown lane {a.lane}"))
-        if a.app is not None and a.app not in apps:
-            bad(Violation("MalformedDocument", f"approval at {a.at_us}us: unknown app {a.app}"))
-    if not math.isfinite(sc.voter.tolerance):
-        bad(Violation("MalformedDocument", "voter tolerance must be finite"))
-    elif sc.voter.tolerance <= 0:
+        for problem in _unknown_places(sc.model, a.lane, a.proc, a.app, a.task):
+            bad(Violation("MalformedDocument", f"approval at {a.at_us}us: {problem}"))
+    if sc.voter.tolerance <= 0:
         bad(Violation("MalformedDocument", "voter tolerance must be positive"))
-    ref = sc.settings.reference
-    for field_name, value in (("value", ref.base), ("slope_per_ms", ref.slope_per_ms)):
-        if not math.isfinite(value):
+    # the readers refuse non-finite numbers, so only sums can overflow; a
+    # horizon past float range is refused above and has no reference value
+    if abs(horizon) <= _FLOAT_MAX:
+        if not math.isfinite(sc.settings.reference.value(horizon)):
+            # the ramp is linear, so finite at both ends means finite throughout
             bad(Violation("MalformedDocument",
-                          f"sim.reference.{field_name} must be finite"))
-    # the ramp is linear, so finite at both ends means finite throughout
-    if (math.isfinite(ref.base) and math.isfinite(ref.slope_per_ms)
-            and not math.isfinite(ref.value(sc.settings.horizon_us))):
-        bad(Violation("MalformedDocument",
-                      "sim.reference overflows before the horizon"))
-    elif all(map(math.isfinite, (sc.voter.tolerance, ref.base, ref.slope_per_ms,
-                                 *(f.value_skew for f in sc.faults)))):
-        bound = _emission_bound(sc)
-        if not math.isfinite(bound):
+                          "sim.reference overflows before the horizon"))
+        elif not math.isfinite(bound := _emission_bound(sc)):
             bad(Violation("MalformedDocument",
                           "emitted values can overflow: reference, skews and "
                           "convergence drift add up past the largest float"))
@@ -270,6 +248,20 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
     if sc.settings.bit_period_us <= 0:
         bad(Violation("MalformedDocument", "bit_period_ms must be positive"))
     return out
+
+
+def _unknown_places(model: SystemModel, lane, proc, app, task):
+    """What a fault target or an approval names (None: not named) that the
+    system lacks. An approval may name a task without its application."""
+    if lane is not None and lane not in model.lane_ids:
+        yield f"unknown lane {lane}"
+    if proc is not None and all(p.proc_id != proc for p in model.lanes[0].processors):
+        yield f"unknown processor {proc}"
+    apps = [a for a in model.applications if app in (None, a.app_id)]
+    if app is not None and not apps:
+        yield f"unknown app {app}"
+    elif task is not None and all(t.task_id != task for a in apps for t in a.tasks):
+        yield f"unknown task {task}"
 
 
 def _emission_bound(sc: Scenario) -> float:
@@ -290,7 +282,11 @@ def _emission_bound(sc: Scenario) -> float:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedDocument("scenario nests too deeply to read") from None
+    return parse_scenario(doc)
 
 
 # -- generation --------------------------------------------------------------
@@ -331,10 +327,9 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("need at least one application slot")
     if not infeasible and not 0.0 <= target_utilization <= 1.0:
         raise ValueError("target utilization must be within [0, 1]")
-    if horizon_ms is not None and not (math.isfinite(horizon_ms) and horizon_ms > 0):
-        raise ValueError("horizon must be positive and finite")
-    if horizon_ms is not None and ms_to_us(horizon_ms) == 0:
-        raise ValueError("horizon must be at least 1 us")
+    if horizon_ms is not None and not (math.isfinite(horizon_ms)
+                                       and 0 < ms_to_us(horizon_ms) <= _FLOAT_MAX):
+        raise ValueError("horizon must be finite and from 1 us up to the largest float in us")
 
     rng = random.Random(seed)
     allocated = list(range(procs - 1))

@@ -305,7 +305,8 @@ class Engine:
         # equal faults are interchangeable, so they may share a rank
         self._fault_rank = {f: i for i, f in enumerate(scenario.faults)}
         self._active: list = []         # in scenario order
-        self._byzantine: list = []      # the active byzantine ones, same order
+        self._byzantine: list = []      # the active byzantine ones, same order;
+                                        # a byzantine fault never clears
         self._halting: dict = {}        # target -> active halting faults on it
 
         self._init_topology()
@@ -592,14 +593,12 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        if f.kind is FaultKind.BYZANTINE:
-            self._byzantine.remove(f)
-        else:
-            left = self._halting.pop(t) - 1
-            if left:
-                self._halting[t] = left
-            for pr in self._procs_in(t):
-                self._refresh_proc_failure(pr)
+        # only a transient fault clears, and a transient fault halts
+        left = self._halting.pop(t) - 1
+        if left:
+            self._halting[t] = left
+        for pr in self._procs_in(t):
+            self._refresh_proc_failure(pr)
         # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
             if (ep.outcome is None and ep.origin == "restabilize"
@@ -1032,7 +1031,7 @@ class Engine:
             SpareCandidate(pr.lane, pr.proc, pr.admitted)
             for pr in (self.procs[place]
                        for place in sorted(self.model.spare_positions()))
-            if not (pr.dead or pr.failed)
+            if pr.runnable()
         ]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)

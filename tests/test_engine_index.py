@@ -8,7 +8,8 @@ generated scenarios with faults. After set-up and after each shutdown,
 selection and state transfer it also recounts the capacity the engine
 keeps: the bus load and every processor's admitted set and utilization
 must be exactly those of the copies still in service and the placements
-not yet spawned. After each shutdown, spawn and readmission no copy in
+not yet spawned, and the bus load never rises above its start-up
+baseline. After each shutdown, spawn and readmission no copy in
 service may sit on a dead processor. A vote round may look up each copy's
 byzantine fault and emitted value only once. After every event each
 recovery record's timestamps are in order and no application's coverage
@@ -81,6 +82,7 @@ class CheckedEngine(Engine):
             assert list(self.groups[app.app_id].copies) == sorted(
                 t.task_id for t in app.tasks)
         # set-up builds the admitted sets and the bus load in one pass
+        self._baseline_load = self.bus.current_load
         self._check_capacity()
         # the copies set-up made; a later one is a rebuilt copy
         self._last_initial_id = max(rt.copy_id for rt in self._all_copies())
@@ -141,6 +143,10 @@ class CheckedEngine(Engine):
         assert self.bus.current_load == load, (
             f"bus load at {self.now}us: kept {self.bus.current_load}, "
             f"recounted {load}")
+        # each placement's demand follows the withdrawal of a copy of the
+        # same task, so the comms check in select_spare never refuses here
+        assert load <= self._baseline_load, (
+            f"bus load at {self.now}us: {load} over the start-up {self._baseline_load}")
         for place, held in holders.items():
             admitted = self.procs[place].admitted
             keys = [key for key, _ in held]

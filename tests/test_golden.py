@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+from lanesim.scenario import parse_scenario
+
 from golden.generated import SEEDS, generated_scenario
 from golden.rehash import (GENERATED_HASHES, HASHES, SCENARIOS, output_digests,
                            scenario_digests)
@@ -40,3 +42,16 @@ def test_generated_outputs_match_the_recorded_hashes(first, tmp_path):
         want = GENERATED[str(seed)]
         changed += [f"{seed} {f}" for f in sorted(want) if got.get(f) != want[f]]
     assert not changed, f"generated seeds differ: {', '.join(changed)}"
+
+
+def test_the_customer_cap_refuses_a_spare_the_plain_bound_admits(tmp_path):
+    # two 0.3-utilization tasks lose their lane with one spare left: under
+    # the 0.69 bound it takes both, under the cap of 1/2 only the first
+    doc = json.loads((SCENARIOS / "customer_cap_refuses_spare.json")
+                     .read_text(encoding="utf-8"))
+    assert doc["system"]["timing"]["customer_cap_mode"] is True
+    capped = scenario_digests(parse_scenario(doc), tmp_path / "capped")
+    doc["system"]["timing"]["customer_cap_mode"] = False
+    plain = scenario_digests(parse_scenario(doc), tmp_path / "plain")
+    assert capped == EXPECTED["customer_cap_refuses_spare"]
+    assert all(capped[name] != plain[name] for name in capped)

@@ -199,3 +199,22 @@ def test_initial_allocation_mirrors_copies_across_lanes():
         assert lane == lane_id
         assert proc == app_id - 1
         assert task_id == app_id
+
+
+@pytest.mark.parametrize("where", ["message", "task"])
+def test_a_message_period_must_be_positive(where):
+    # a zero message period, its own or its task's, died with a
+    # ZeroDivisionError while the task's bus demand was summed
+    doc = triplex_system()
+    task = doc["applications"][0]["tasks"][0]
+    if where == "message":
+        task["messages"][0]["period_ms"] = 0
+    else:
+        del task["messages"][0]["period_ms"]
+        task["period_ms"] = 0
+    with pytest.raises(InvalidModel) as err:
+        build_system(doc)
+    messages = [v.message for v in err.value.violations]
+    assert ("system.applications[0].tasks[0]: message period must be positive"
+            in messages)
+    assert not any("has no tasks" in m for m in messages)

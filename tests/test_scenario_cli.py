@@ -121,6 +121,35 @@ def test_approval_references_must_resolve():
     assert any("unknown lane" in m for m in _messages(doc))
 
 
+@pytest.mark.parametrize("names, problem", [
+    ({"lane": 9}, "unknown lane 9"),
+    ({"lane": 0, "proc": 99}, "unknown processor 99"),
+    ({"app": 9}, "unknown app 9"),
+    ({"app": 1, "task": 999}, "unknown task 999"),
+    ({"app": 1, "task": 2}, "unknown task 2"),      # task 2 is app 2's
+    ({"task": 999}, "unknown task 999"),
+])
+def test_an_approval_names_only_places_the_system_has(names, problem):
+    # an unknown processor or task used to validate clean, and the
+    # approval then matched nothing
+    doc = scenario_doc([], policies={"pilot_gate": True,
+                                     "pilot_approvals": [{"at_ms": 10, **names}]})
+    assert _violations(doc) == [("MalformedDocument",
+                                 f"approval at 10000us: {problem}")]
+    doc["policies"]["pilot_approvals"][0].update(lane=0, proc=0, app=1, task=1)
+    assert scenario_violations(parse_scenario(doc)) == []
+
+
+@pytest.mark.parametrize("target, problem", [
+    ({"kind": "processor", "lane": 0, "proc": 99}, "unknown processor 99"),
+    ({"kind": "task", "lane": 0, "proc": 0, "app": 1, "task": 999},
+     "unknown task 999"),
+])
+def test_a_fault_target_names_only_places_the_system_has(target, problem):
+    doc = scenario_doc([{"at_ms": 10, "kind": "permanent", "target": target}])
+    assert _violations(doc) == [("MalformedDocument", f"fault 0: {problem}")]
+
+
 def test_settings_bounds():
     doc = scenario_doc([])
     doc["sim"]["bit_detect_probability"] = 1.5
@@ -128,32 +157,6 @@ def test_settings_bounds():
     doc = scenario_doc([])
     doc["sim"]["horizon_ms"] = 0
     assert any("horizon" in m for m in _messages(doc))
-
-
-def _byzantine_skew(value):
-    return [{"at_ms": 10, "kind": "byzantine", "value_skew": value,
-             "target": {"kind": "task", "lane": 0, "proc": 0,
-                        "app": 1, "task": 1}}]
-
-
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("place,message", [
-    ("voter", "voter tolerance must be finite"),
-    ("fault", "fault 0: value_skew must be finite"),
-    ("reference", "sim.reference.value must be finite"),
-    ("slope", "sim.reference.slope_per_ms must be finite"),
-])
-def test_non_finite_numbers_are_malformed(place, message, value):
-    # json reads NaN and Infinity as floats, so a file can hold them
-    number = json.loads(value)
-    doc = scenario_doc(_byzantine_skew(number) if place == "fault" else [])
-    if place == "voter":
-        doc["voter"] = {"tolerance": number}
-    elif place == "reference":
-        doc["sim"]["reference"] = {"value": number}
-    elif place == "slope":
-        doc["sim"]["reference"] = {"slope_per_ms": number}
-    assert _violations(doc) == [("MalformedDocument", message)]
 
 
 def test_a_reference_that_overflows_before_the_horizon_is_malformed():
@@ -243,8 +246,8 @@ def test_a_nan_tolerance_is_refused_before_the_run(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert "NaN" in path.read_text(encoding="utf-8")
     out_dir = tmp_path / "out"
-    assert cli.main(["run", str(path), "--out-dir", str(out_dir)]) == 1
-    assert "voter tolerance must be finite" in capsys.readouterr().err
+    assert cli.main(["run", str(path), "--out-dir", str(out_dir)]) == 2
+    assert "voter: field 'tolerance' must be finite" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -525,14 +528,17 @@ def test_batch_goes_on_past_a_non_finite_number(tmp_path, capsys):
 
 
 def _every_number_doc():
-    """A valid scenario naming every number read as a duration or a size."""
-    doc = scenario_doc([proc_fault(kind="transient", duration_ms=10)],
+    """A valid scenario naming every number the parser reads."""
+    doc = scenario_doc([proc_fault(kind="transient", duration_ms=10,
+                                   value_skew=0.5)],
                        policies={"pilot_gate": True,
                                  "pilot_approvals": [{"at_ms": 60, "lane": 0}]},
-                       sim={"bit_period_ms": 25})
+                       sim={"bit_period_ms": 25, "bit_detect_probability": 0.5,
+                            "reference": {"value": 2.0, "slope_per_ms": 0.01}})
     doc["system"]["applications"][0]["state_model"] = {
         "strategy": "hybrid", "snapshot_size": 80, "min_state_size": 20,
         "convergence_rounds": 2}
+    doc["voter"] = {"tolerance": 0.5}
     return doc
 
 
@@ -559,6 +565,11 @@ _NUMBERS = {
     "approval at_ms": (("policies", "pilot_approvals", 0), "at_ms"),
     "horizon_ms": (("sim",), "horizon_ms"),
     "bit_period_ms": (("sim",), "bit_period_ms"),
+    "voter tolerance": (("voter",), "tolerance"),
+    "value_skew": (("faults", 0), "value_skew"),
+    "reference value": (("sim", "reference"), "value"),
+    "slope_per_ms": (("sim", "reference"), "slope_per_ms"),
+    "bit_detect_probability": (("sim",), "bit_detect_probability"),
 }
 
 
@@ -647,6 +658,99 @@ def test_a_fault_duration_must_be_a_number(value):
     with pytest.raises(MalformedDocument,
                        match="field 'duration_ms' has the wrong type"):
         parse_scenario(doc)
+
+
+_HOSTILE_PLACES = dict(_NUMBERS, convergence_rounds=(
+    ("system", "applications", 0, "state_model"), "convergence_rounds"))
+_HOSTILE_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                   "huge": 10**400, "-huge": -10**400, "true": True, "str": "1"}
+
+
+def _refusals(tmp_path, capsys, bad_name):
+    """Run validate, run and batch on one bad file beside a good one; each
+    must refuse the bad file with one message and no traceback, and batch
+    must still run the good file. Returns the exit code and the message."""
+    good = scenario_doc([], horizon_ms=20)
+    (tmp_path / "good.json").write_text(json.dumps(good), encoding="utf-8")
+    bad = str(tmp_path / bad_name)
+    out_dir = tmp_path / "out"
+    code = cli.main(["validate", bad])
+    assert code in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert cli.main(["run", bad, "--out-dir", str(out_dir)]) == code
+    assert capsys.readouterr().err == err
+    assert not out_dir.exists()
+    assert cli.main(["batch", str(tmp_path), "--out-dir", str(out_dir)]) == code
+    out = capsys.readouterr().out
+    assert f"{bad_name}: {'invalid' if code == 1 else 'parse error'}: " in out
+    assert "batch: 1/2 scenarios completed" in out
+    assert (out_dir / "good" / "metrics.json").exists()
+    return code, err
+
+
+@pytest.mark.parametrize("value", _HOSTILE_VALUES)
+@pytest.mark.parametrize("name", _HOSTILE_PLACES)
+def test_a_hostile_number_is_refused_not_a_crash(tmp_path, capsys, name, value):
+    # 10**400 died with an OverflowError traceback in the fields read as
+    # plain floats, in convergence_rounds and in horizon_ms
+    doc = _every_number_doc()
+    path, key = _HOSTILE_PLACES[name]
+    owner = _owner(doc, path)
+    assert key in owner
+    owner[key] = _HOSTILE_VALUES[value]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _refusals(tmp_path, capsys, "bad.json")
+    assert code == 2 and f"field '{key}'" in err
+
+
+_HOSTILE_FILES = {
+    "bad json": "{!",
+    "not utf-8": b'{"format_version": 1, "x": "\xff"}',
+    "5000 digits": "9" * 5000,
+    "nested 100k deep": "[" * 100_000 + "]" * 100_000,
+    "a directory": None,
+}
+
+
+@pytest.mark.parametrize("case", _HOSTILE_FILES)
+def test_a_hostile_file_is_refused_not_a_crash(tmp_path, capsys, case):
+    # the deep array and the directory died with a traceback; the bytes
+    # and the digits stopped batch before its next file
+    path = tmp_path / "x.json"
+    content = _HOSTILE_FILES[case]
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    assert _refusals(tmp_path, capsys, "x.json")[0] == 2
+
+
+def test_a_horizon_past_float_range_is_invalid(tmp_path, capsys):
+    # 1e306 ms is finite, but ReferenceSignal.value raised OverflowError
+    # on its microsecond count
+    message = ("horizon too large: its microsecond count passes the "
+               "largest float")
+    doc = scenario_doc([], horizon_ms=1e306)
+    assert _violations(doc) == [("MalformedDocument", message)]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _refusals(tmp_path, capsys, "bad.json")
+    assert code == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_a_horizon_override_past_float_range_is_invalid(tmp_path, capsys,
+                                                        command):
+    path = _write_scenario(tmp_path, faults=[])
+    target = str(path) if command == "run" else str(tmp_path)
+    out_dir = tmp_path / "out"
+    assert cli.main([command, target, "--out-dir", str(out_dir),
+                     "--horizon-ms", "1e306"]) == 1
+    captured = capsys.readouterr()
+    assert "horizon too large" in captured.err + captured.out
+    assert not out_dir.exists()
 
 
 def test_batch_with_no_scenarios_is_an_error(tmp_path, capsys):
