@@ -206,37 +206,35 @@ class InvalidModel(Exception):
 
 # -- parsing helpers ---------------------------------------------------------
 
-def _typed(value, key: str, kinds, where: str):
-    """The value, if it is one of the kinds. A bool is no number, nor is a
-    number or a string such as "false" a bool. A number must be finite and
-    inside float range: JSON reads NaN and Infinity as floats, an int can
-    pass the largest float, and NaN fails every comparison."""
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
+_REQUIRED = object()
+_NUMBERS = frozenset({int, float})
+
+
+def _field(doc: dict, key: str, kinds, where: str, default=_REQUIRED):
+    """doc[key], which must be one of the kinds; an absent or null field
+    gives the default, and with no default it is required. A bool is no
+    number, nor is a number or a string such as "false" a bool. A number
+    must be finite and inside float range: JSON reads NaN and Infinity as
+    floats, an int can pass the largest float, and NaN fails every
+    comparison."""
+    if default is _REQUIRED:
+        if not isinstance(doc, dict) or key not in doc:
+            raise MalformedDocument(f"{where}: missing required field '{key}'")
+        value = doc[key]
+    else:
+        value = doc.get(key)
+        if value is None:
+            return default
+    if not isinstance(value, kinds) or value.__class__ is bool and kinds is not bool:
         raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
-    if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    if value.__class__ in _NUMBERS and not abs(value) <= _FLOAT_MAX:
         raise MalformedDocument(f"{where}: field '{key}' must be finite")
     return value
 
 
-def _require(doc: dict, key: str, kinds, where: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise MalformedDocument(f"{where}: missing required field '{key}'")
-    return _typed(doc[key], key, kinds, where)
-
-
-def _optional(doc: dict, key: str, kinds, default, where: str):
-    value = doc.get(key)
-    return default if value is None else _typed(value, key, kinds, where)
-
-
-_REQUIRED = object()
-
-
 def _number(doc: dict, key: str, where: str, default=_REQUIRED):
     """A JSON number; required unless a default is given."""
-    if default is _REQUIRED:
-        return _require(doc, key, (int, float), where)
-    return _optional(doc, key, (int, float), default, where)
+    return _field(doc, key, (int, float), where, default)
 
 
 def _enum(cls, text, where: str):
@@ -257,7 +255,7 @@ def _duration_us(doc, key, where, default=None) -> int:
 
 def _parse_message(doc: dict, task_period_us: int, where: str) -> MessageSpec:
     return MessageSpec(
-        msg_id=_require(doc, "msg_id", int, where),
+        msg_id=_field(doc, "msg_id", int, where),
         size=frac(_number(doc, "size", where)),
         period_us=_duration_us(doc, "period_ms", where, default=task_period_us),
     )
@@ -266,20 +264,22 @@ def _parse_message(doc: dict, task_period_us: int, where: str) -> MessageSpec:
 def _parse_task(doc: dict, lane_count: int, where: str):
     period = _duration_us(doc, "period_ms", where)
     task = dict(
-        task_id=_require(doc, "task_id", int, where),
+        task_id=_field(doc, "task_id", int, where),
         wcet_us=_duration_us(doc, "wcet_ms", where),
         period_us=period,
         deadline_us=_duration_us(doc, "deadline_ms", where, default=period),
         code_size=frac(_number(doc, "code_size", where, 0)),
     )
-    raw_proc = _require(doc, "initial_proc", (int, list), where)
+    raw_proc = _field(doc, "initial_proc", (int, list), where)
     if isinstance(raw_proc, list):
-        if len(raw_proc) != lane_count:
+        if len(raw_proc) != lane_count or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in raw_proc
+        ):
             raise MalformedDocument(f"{where}: per-lane initial_proc must list one int per lane")
-        procs = tuple(_typed(p, "initial_proc", int, where) for p in raw_proc)
+        procs = tuple(raw_proc)
     else:
         procs = (raw_proc,) * lane_count
-    msgs = _optional(doc, "messages", list, [], where)
+    msgs = _field(doc, "messages", list, where, [])
     task["messages"] = tuple(
         _parse_message(m, period, f"{where}.messages[{i}]") for i, m in enumerate(msgs)
     )
@@ -289,11 +289,11 @@ def _parse_task(doc: dict, lane_count: int, where: str):
 def _parse_state_model(doc: dict, where: str) -> StateModel:
     min_state = _number(doc, "min_state_size", where, None)
     return StateModel(
-        strategy=_enum(StateStrategy, _optional(doc, "strategy", str, "transfer", where), where),
+        strategy=_enum(StateStrategy, _field(doc, "strategy", str, where, "transfer"), where),
         snapshot_size=frac(_number(doc, "snapshot_size", where, 0)),
-        history_len=_optional(doc, "history_len", int, 0, where),
+        history_len=_field(doc, "history_len", int, where, 0),
         min_state_size=frac(min_state) if min_state is not None else None,
-        convergence_rounds=_optional(doc, "convergence_rounds", int, 0, where),
+        convergence_rounds=_field(doc, "convergence_rounds", int, where, 0),
     )
 
 
@@ -301,8 +301,8 @@ def _parse_timing(doc: dict) -> TimingConfig:
     where = "system.timing"
     return TimingConfig(
         utilization_bound=frac(_number(doc, "utilization_bound", where, 0.69)),
-        customer_cap_mode=_optional(doc, "customer_cap_mode", bool, False, where),
-        police_rounds=_optional(doc, "police_rounds", int, 3, where),
+        customer_cap_mode=_field(doc, "customer_cap_mode", bool, where, False),
+        police_rounds=_field(doc, "police_rounds", int, where, 3),
         tolerance=float(_number(doc, "tolerance", where, 0.5)),
     )
 
@@ -316,11 +316,11 @@ def build_system(doc: dict) -> SystemModel:
     if not isinstance(doc, dict):
         raise MalformedDocument("system section must be an object")
 
-    arch = _enum(Architecture, _require(doc, "architecture", str, "system"), "system.architecture")
-    lanes_doc = _require(doc, "lanes", list, "system")
-    bus_doc = _optional(doc, "bus", dict, {"max_load": 1000}, "system")
-    apps_doc = _optional(doc, "applications", list, [], "system")
-    timing = _parse_timing(_optional(doc, "timing", dict, {}, "system"))
+    arch = _enum(Architecture, _field(doc, "architecture", str, "system"), "system.architecture")
+    lanes_doc = _field(doc, "lanes", list, "system")
+    bus_doc = _field(doc, "bus", dict, "system", {"max_load": 1000})
+    apps_doc = _field(doc, "applications", list, "system", [])
+    timing = _parse_timing(_field(doc, "timing", dict, "system", {}))
     bus = BusSpec(max_load=frac(_number(bus_doc, "max_load", "system.bus")))
 
     violations: list[Violation] = []
@@ -329,13 +329,13 @@ def build_system(doc: dict) -> SystemModel:
     lanes = []
     for i, ld in enumerate(lanes_doc):
         where = f"system.lanes[{i}]"
-        lane_id = _require(ld, "lane_id", int, where)
+        lane_id = _field(ld, "lane_id", int, where)
         procs = []
-        for j, pd in enumerate(_require(ld, "processors", list, where)):
+        for j, pd in enumerate(_field(ld, "processors", list, where)):
             pw = f"{where}.processors[{j}]"
             procs.append(ProcessorSpec(
-                proc_id=_require(pd, "proc_id", int, pw),
-                role=_enum(ProcessorRole, _optional(pd, "role", str, "allocated", pw), pw),
+                proc_id=_field(pd, "proc_id", int, pw),
+                role=_enum(ProcessorRole, _field(pd, "role", str, pw, "allocated"), pw),
             ))
         lanes.append(LaneSpec(lane_id=lane_id, processors=tuple(procs)))
 
@@ -367,13 +367,13 @@ def build_system(doc: dict) -> SystemModel:
     app_ids = set()
     for i, ad in enumerate(apps_doc):
         where = f"system.applications[{i}]"
-        app_id = _require(ad, "app_id", int, where)
+        app_id = _field(ad, "app_id", int, where)
         if app_id in app_ids:
             bad(Violation("DuplicateId", f"duplicate application id {app_id}"))
         app_ids.add(app_id)
         tasks = []
         task_ids = set()
-        task_docs = _require(ad, "tasks", list, where)
+        task_docs = _field(ad, "tasks", list, where)
         for j, td in enumerate(task_docs):
             tw = f"{where}.tasks[{j}]"
             fields, procs = _parse_task(td, max(len(lanes), 1), tw)
@@ -409,7 +409,7 @@ def build_system(doc: dict) -> SystemModel:
             tasks.append(TaskSpec(initial_proc=proc_id, **fields))
         if not task_docs:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))
-        sm = _parse_state_model(_optional(ad, "state_model", dict, {}, where), f"{where}.state_model")
+        sm = _parse_state_model(_field(ad, "state_model", dict, where, {}), f"{where}.state_model")
         if sm.strategy is StateStrategy.CONVERGENCE and sm.snapshot_size != 0:
             bad(Violation("MalformedDocument",
                           f"app {app_id}: convergence strategy ships no snapshot"))
@@ -422,7 +422,7 @@ def build_system(doc: dict) -> SystemModel:
             bad(Violation("MalformedDocument", f"app {app_id}: negative state-model value"))
         apps.append(ApplicationSpec(
             app_id=app_id,
-            criticality=_optional(ad, "criticality", int, i, where),
+            criticality=_field(ad, "criticality", int, where, i),
             tasks=tuple(tasks),
             state_model=sm,
         ))

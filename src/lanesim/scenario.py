@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (_FLOAT_MAX, Architecture, InvalidModel, MalformedDocument,
-                    SystemModel, Violation, build_system, _enum, _number,
-                    _optional, _require)
+                    SystemModel, Violation, build_system, _enum, _field,
+                    _number)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -100,42 +100,42 @@ class Scenario:
 # -- parsing -----------------------------------------------------------------
 
 def _parse_target(doc: dict, where: str) -> FaultTarget:
-    kind = _enum(TargetKind, _require(doc, "kind", str, where), where)
-    fields = {name: _require(doc, name, int, where)
+    kind = _enum(TargetKind, _field(doc, "kind", str, where), where)
+    fields = {name: _field(doc, name, int, where)
               for name in TARGET_FIELDS[kind]}
     return FaultTarget(kind=kind, **fields)
 
 
 def _parse_fault(doc: dict, index: int) -> FaultSpec:
     where = f"faults[{index}]"
-    kind = _enum(FaultKind, _require(doc, "kind", str, where), where)
+    kind = _enum(FaultKind, _field(doc, "kind", str, where), where)
     duration = _number(doc, "duration_ms", where, None)
     return FaultSpec(
-        fault_id=_optional(doc, "fault_id", int, index, where),
+        fault_id=_field(doc, "fault_id", int, where, index),
         at_us=ms_to_us(_number(doc, "at_ms", where)),
         kind=kind,
-        target=_parse_target(_require(doc, "target", dict, where), f"{where}.target"),
+        target=_parse_target(_field(doc, "target", dict, where), f"{where}.target"),
         duration_us=ms_to_us(duration) if duration is not None else None,
         value_skew=float(_number(doc, "value_skew", where, 0.0)),
-        per_receiver=_optional(doc, "per_receiver", bool, False, where),
-        bit_detectable=_optional(doc, "bit_detectable", bool,
-                                 kind is not FaultKind.BYZANTINE, where),
+        per_receiver=_field(doc, "per_receiver", bool, where, False),
+        bit_detectable=_field(doc, "bit_detectable", bool, where,
+                              kind is not FaultKind.BYZANTINE),
     )
 
 
 def _parse_policies(doc: dict) -> Policies:
     approvals = []
-    for i, ad in enumerate(_optional(doc, "pilot_approvals", list, [], "policies")):
+    for i, ad in enumerate(_field(doc, "pilot_approvals", list, "policies", [])):
         where = f"policies.pilot_approvals[{i}]"
         approvals.append(Approval(
             at_us=ms_to_us(_number(ad, "at_ms", where)),
-            lane=_optional(ad, "lane", int, None, where),
-            proc=_optional(ad, "proc", int, None, where),
-            app=_optional(ad, "app", int, None, where),
-            task=_optional(ad, "task", int, None, where),
-            sensor=_optional(ad, "sensor", bool, False, where),
+            lane=_field(ad, "lane", int, where, None),
+            proc=_field(ad, "proc", int, where, None),
+            app=_field(ad, "app", int, where, None),
+            task=_field(ad, "task", int, where, None),
+            sensor=_field(ad, "sensor", bool, where, False),
         ))
-    return Policies(pilot_gate=_optional(doc, "pilot_gate", bool, False, "policies"),
+    return Policies(pilot_gate=_field(doc, "pilot_gate", bool, "policies", False),
                     approvals=tuple(approvals))
 
 
@@ -143,23 +143,23 @@ def _parse_voter(doc: dict) -> VoterConfig:
     return VoterConfig(
         tolerance=float(_number(doc, "tolerance", "voter", 0.5)),
         consensus=_enum(Consensus,
-                        _optional(doc, "consensus", str, "median_of_others", "voter"),
+                        _field(doc, "consensus", str, "voter", "median_of_others"),
                         "voter.consensus"),
     )
 
 
 def _parse_settings(doc: dict) -> SimSettings:
     where = "sim"
-    ref_doc = _optional(doc, "reference", dict, {}, where)
+    ref_doc = _field(doc, "reference", dict, where, {})
     return SimSettings(
-        seed=_optional(doc, "seed", int, 0, where),
+        seed=_field(doc, "seed", int, where, 0),
         horizon_us=ms_to_us(_number(doc, "horizon_ms", where, 500)),
         bit_period_us=ms_to_us(_number(doc, "bit_period_ms", where, 25)),
         reference=ReferenceSignal(
             base=float(_number(ref_doc, "value", "sim.reference", 0.0)),
             slope_per_ms=float(_number(ref_doc, "slope_per_ms", "sim.reference", 0.0)),
         ),
-        enforce_admission=_optional(doc, "enforce_admission", bool, True, where),
+        enforce_admission=_field(doc, "enforce_admission", bool, where, True),
         bit_detect_probability=float(_number(doc, "bit_detect_probability", where, 1.0)),
     )
 
@@ -168,17 +168,17 @@ def parse_scenario(doc: dict) -> Scenario:
     """Build a validated Scenario; raises MalformedDocument / InvalidModel."""
     if not isinstance(doc, dict):
         raise MalformedDocument("scenario must be a JSON object")
-    version = _require(doc, "format_version", int, "scenario")
+    version = _field(doc, "format_version", int, "scenario")
     if version != FORMAT_VERSION:
         raise MalformedDocument(f"unsupported format_version {version!r}")
-    system = build_system(_require(doc, "system", dict, "scenario"))
+    system = build_system(_field(doc, "system", dict, "scenario"))
     sc = Scenario(
         model=system,
         faults=[_parse_fault(fd, i)
-                for i, fd in enumerate(_optional(doc, "faults", list, [], "scenario"))],
-        policies=_parse_policies(_optional(doc, "policies", dict, {}, "scenario")),
-        voter=_parse_voter(_optional(doc, "voter", dict, {}, "scenario")),
-        settings=_parse_settings(_optional(doc, "sim", dict, {}, "scenario")),
+                for i, fd in enumerate(_field(doc, "faults", list, "scenario", []))],
+        policies=_parse_policies(_field(doc, "policies", dict, "scenario", {})),
+        voter=_parse_voter(_field(doc, "voter", dict, "scenario", {})),
+        settings=_parse_settings(_field(doc, "sim", dict, "scenario", {})),
     )
     violations = scenario_violations(sc)
     if violations:
