@@ -12,8 +12,8 @@ import pytest
 from lanesim.scenario import parse_scenario
 
 from golden.generated import SEEDS, generated_scenario
-from golden.rehash import (GENERATED_HASHES, HASHES, SCENARIOS, output_digests,
-                           scenario_digests)
+from golden.rehash import (GENERATED_HASHES, HASHES, RESULTS, SCENARIOS,
+                           output_digests, scenario_digests)
 
 EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
 GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
@@ -28,6 +28,14 @@ def test_outputs_match_the_recorded_hashes(name, tmp_path):
     got = output_digests(SCENARIOS / f"{name}.json", tmp_path)
     changed = [f for f in sorted(EXPECTED[name]) if got.get(f) != EXPECTED[name][f]]
     assert not changed, f"golden scenario {name}: {', '.join(changed)} differ"
+
+
+def test_every_entry_pins_the_three_files_and_the_results():
+    # the results digest pins SimResult.completions, deadline_misses and
+    # counters element by element, which the files do not write out in full
+    files = {"coverage.csv", "metrics.json", "trace.tsv", RESULTS}
+    for name, digests in [*EXPECTED.items(), *GENERATED.items()]:
+        assert set(digests) == files, name
 
 
 def test_every_generated_seed_is_hashed():
