@@ -271,9 +271,10 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:
     return ExchangeOutcome(silent, frozenset(flagged))
 
 
-def bit_detects(fault: FaultSpec, lane: int, proc: int,
+def bit_detects(fault: FaultSpec, scope: FaultTarget,
                 hosted_tasks, now_us: int) -> bool:
-    """Would this processor's built-in test catch the fault right now?
+    """Would the built-in test of the processor ``scope`` names catch the
+    fault right now?
 
     BIT sees local permanent/transient hardware faults on the processor or
     on a task copy it hosts. A lane-level fault takes the monitor down with
@@ -284,7 +285,7 @@ def bit_detects(fault: FaultSpec, lane: int, proc: int,
     if not fault.active_at(now_us):
         return False
     t = fault.target
-    if not FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc).contains(t):
+    if not scope.contains(t):
         return False
     return t.kind is TargetKind.PROCESSOR or (t.app, t.task) in hosted_tasks
 

@@ -7,9 +7,10 @@ machinery), then by payload key, then by insertion order, so a scenario
 replays byte-identically on every run. Within one kind every key is an
 int or a tuple of ints, comparable as pushed. ``Readmit`` is keyed
 ``(0, copy_id)`` for a copy and ``(1, app, lane)`` for a sensor channel,
-so copies go first; ``TaskComplete`` is keyed by ``(lane, proc)``, since
-at one instant only the wake-up of the processor's current generation
-acts and stale ones return before charging anything.
+so copies go first; ``TaskComplete`` is keyed by the ``(lane, proc)`` of
+its set's first member (below), since at one instant only the wake-up of
+the set's current generation acts and stale ones return before charging
+anything.
 
 ``TaskRelease`` and ``DeadlineCheck`` act on a release group: the initial
 copies of one ``(app, task)``, which share one spec and have consecutive
@@ -22,9 +23,9 @@ per copy would give.
 Each event carries the object its handler acts on:
 
     FaultActivate, FaultClear     the FaultSpec
-    TaskComplete                  (processor, job, generation)
+    TaskComplete                  (set, job, generation)
     DeadlineCheck                 (copies released, release_us)
-    BITCheck                      the processor
+    BITCheck                      the slot
     TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
@@ -32,10 +33,30 @@ Each event carries the object its handler acts on:
     PilotApproval                 the Approval
     Readmit                       the copy, or the (app, lane) sensor channel
 
-Each (lane, processor) slot runs the deadline-monotonic schedule of
-:mod:`lanesim.processor`: time is charged lazily whenever an event touches
-the processor, and completion events carry the processor's generation so
-a preempted or killed job's stale completion is simply dropped.
+Each (lane, processor) place is a slot: its coordinates, its scopes and
+its copies. Its schedule is its set's: the one deadline-monotonic
+:class:`lanesim.processor.Processor` state (admitted set and ranks, jobs,
+background work, what runs, failed and dead) that the set's members share.
+Time is charged lazily whenever an event touches the set, and completion
+events carry the set's generation so a preempted or killed job's stale
+completion is simply dropped. ``initial_allocation`` mirrors every lane,
+so each processor index starts as one set of all its lanes' slots, and a
+lane set in lockstep costs one lane's schedule. A set's release,
+completion and deadline act once and record once per member: a job is
+owned by the tuple of its members' copies, and each copy gets its own
+completion record and deadline miss, misses in copy id order.
+
+The first event that would treat a member differently splits it out into
+a set of its own, which gets a clone of every job (remaining work, start,
+release time, its own copy as owner) and runs on from there. These split
+a slot: a non-sensor fault activating over it (its clear finds the slot
+split already), a shutdown that withdraws a copy from it or kills it, a
+spare admission on it, and a spawn or history replay on it. Sets never
+merge again, so the members of a set of more than one are slots no fault
+or recovery has touched. The completion records of one instant are
+contiguous, since every wake-up of the instant pops before anything of a
+later rank; a block that more than one set wrote is put in ``(lane,
+proc)`` order when it closes, the order one schedule per slot gives.
 
 A full vote that finds every copy active or withdrawn, every active one
 completed and unskewed, and nothing silent, flagged or ambiguous marks its
@@ -174,31 +195,59 @@ class SimResult:
                 f"{self.horizon_us / timebase.US_PER_MS:g} ms")
 
 
-class _Proc(Processor):
-    """Runtime face of one (lane, processor) slot.
+class _Slot:
+    """One (lane, processor) place: what is its own, its coordinates and
+    scopes. Its schedule is its set's, and its copies are the engine's
+    ``_proc_copies[key]``."""
 
-    The engine keys jobs (app_id, task_id), owned by their _CopyRt, and runs
-    history replay as background work keyed by copy id. A processor holds
-    at most one copy of a task, so the key names the copy.
+    __slots__ = ("lane", "proc", "key", "scope", "lane_scope", "set")
 
-    The start-up admitted set and its ranks may be shared with the same
-    processor of the other lanes: both are values, which ``admit``
-    replaces and nothing changes in place.
-    """
-
-    def __init__(self, lane: int, proc: int, push,
-                 admitted: ProcessorState, prios: dict):
-        super().__init__()
+    def __init__(self, lane: int, proc: int):
         self.lane = lane
         self.proc = proc
+        self.key = (lane, proc)
         self.scope = FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
         self.lane_scope = FaultTarget(TargetKind.LANE, lane=lane)
+        self.set: _ProcSet | None = None
+
+    # read-only views of the set's state
+    @property
+    def admitted(self) -> ProcessorState:
+        return self.set.admitted
+
+    @property
+    def failed(self) -> bool:
+        return self.set.failed
+
+    @property
+    def dead(self) -> bool:
+        return self.set.dead
+
+
+class _ProcSet(Processor):
+    """The one schedule that a set of slots with one processor index share.
+
+    The engine keys jobs (app_id, task_id) and runs history replay as
+    background work keyed by copy id. A job's owner is the tuple of its
+    copies, one per member, in lane order. A processor holds at most one
+    copy of a task, so the key names each member's copy.
+
+    Every member hosts the same tasks, and no fault or recovery has touched
+    any of them, unless the set has one member. A set wakes under its first
+    member's key.
+    """
+
+    def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
+        super().__init__()
+        self.members = members      # _Slot, in lane order
+        for slot in members:
+            slot.set = self
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
         self.admitted = admitted
         self.prios = prios
         self.push = push        # the engine's event push
-        self.key = (lane, proc)
+        self.key = members[0].key
 
     def runnable(self) -> bool:
         return not (self.failed or self.dead)
@@ -211,6 +260,32 @@ class _Proc(Processor):
         """Take state as the admitted set, with its deadline-monotonic ranks."""
         self.admitted = state
         self.prios = state.priorities()
+
+    def split(self, slot: _Slot, now: int) -> _ProcSet:
+        """Give slot a set of its own, with a clone of every job (remaining
+        work, start, release time) owned by slot's copy alone, and return
+        it; the jobs left here lose that copy. What runs here runs there,
+        woken at the same instant."""
+        if len(self.members) == 1:
+            return self
+        self.charge(now)
+        self.members.remove(slot)
+        self.key = self.members[0].key
+        own = _ProcSet([slot], self.push, self.admitted, self.prios)
+        own.failed, own.dead, own.since, own.gen = self.failed, self.dead, now, self.gen
+        for mine, jobs in ((own.jobs, self.jobs),
+                           (own.background, self.background)):
+            for key, job in jobs.items():
+                clone = Job(tuple(rt for rt in job.owner if rt.slot is slot),
+                            key, job.release_us, job.remaining_us)
+                clone.background, clone.start_us = job.background, job.start_us
+                job.owner = tuple(rt for rt in job.owner if rt.slot is not slot)
+                mine[key] = clone
+                if job is self.running:
+                    own.running = clone
+        if own.running is not None:
+            own.wake(now + own.running.remaining_us)
+        return own
 
 
 @dataclass(eq=False, kw_only=True, slots=True)
@@ -233,6 +308,7 @@ class _CopyRt(Copy):
     key: tuple = field(init=False, repr=False)      # (app, task)
     place: tuple = field(init=False, repr=False)    # (lane, proc)
     scope: FaultTarget = field(init=False, repr=False)
+    slot: _Slot = field(init=False, repr=False)     # set by Engine._add_copy
 
     def __post_init__(self):
         # a copy never moves, so where it runs is fixed
@@ -274,14 +350,17 @@ class Engine:
         self.samples: list = []
         self.misses: list = []
         self.completions: list = []
+        # the block of completions of one instant: its time and first index,
+        # and whether more than one set wrote it (_on_complete)
+        self._block_at, self._block_start, self._block_mixed = None, 0, False
         self.counters: dict = {
             "releases": 0, "completions": 0, "deadline_misses": 0,
             "vote_rounds": 0, "detections": 0, "shutdowns": 0,
             "transfers": 0, "readmissions": 0,
         }
 
-        self.procs: dict = {}
-        self._lane_procs: dict = {}     # lane -> [_Proc] in spec order
+        self.procs: dict = {}           # (lane, proc) -> _Slot
+        self._lane_procs: dict = {}     # lane -> [_Slot] in spec order
         self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
         self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
@@ -315,8 +394,8 @@ class Engine:
 
     def _init_topology(self):
         # initial_allocation mirrors every lane: each task's copies share
-        # one processor id, so each processor id has one start-up admitted
-        # set and one ranking, built once and shared by its lanes' slots.
+        # one processor id, so each processor id starts as one set of its
+        # lanes' slots, with one admitted set, one ranking and one schedule.
         # Fraction sums are exact, so the admitted sets and the bus load
         # equal the totals of admitting the copies one at a time.
         apps = [(app, sorted(app.tasks, key=lambda t: t.task_id))
@@ -326,16 +405,18 @@ class Engine:
             for task in tasks:
                 entries[task.initial_proc][(app.app_id, task.task_id)] = (
                     task.wcet_us, task.period_us, task.deadline_us)
-        states = {proc: ProcessorState(held) for proc, held in entries.items()}
-        prios = {proc: state.priorities() for proc, state in states.items()}
+        members = {proc: [] for proc in entries}
         for lane in self.model.lanes:
-            procs = self._lane_procs[lane.lane_id] = [
-                _Proc(lane.lane_id, p.proc_id, self._push,
-                      states[p.proc_id], prios[p.proc_id])
-                for p in lane.processors]
-            for pr in procs:
-                self.procs[pr.key] = pr
-                self._proc_copies[pr.key] = []
+            slots = self._lane_procs[lane.lane_id] = [
+                _Slot(lane.lane_id, p.proc_id) for p in lane.processors]
+            for slot in slots:
+                self.procs[slot.key] = slot
+                self._proc_copies[slot.key] = []
+                members[slot.proc].append(slot)
+        for proc, held in entries.items():
+            members[proc].sort(key=lambda slot: slot.lane)
+            state = ProcessorState(held)
+            _ProcSet(members[proc], self._push, state, state.priorities())
 
         lane_ids = sorted(self.model.lane_ids)
         for app, tasks in apps:
@@ -353,12 +434,12 @@ class Engine:
 
         violations = []
         if self.settings.enforce_admission:
-            for pr in self.procs.values():
-                if pr.admitted.utilization > self.cfg.effective_bound:
+            for slot in self.procs.values():
+                if slot.admitted.utilization > self.cfg.effective_bound:
                     violations.append(Violation(
                         "AdmissionExceeded",
-                        f"lane {pr.lane} processor {pr.proc} starts at utilization "
-                        f"{float(pr.admitted.utilization):.4f} over the bound "
+                        f"lane {slot.lane} processor {slot.proc} starts at utilization "
+                        f"{float(slot.admitted.utilization):.4f} over the bound "
                         f"{float(self.cfg.effective_bound):.2f}"))
         if self.bus.current_load > self.bus.max_load:
             violations.append(Violation(
@@ -369,8 +450,13 @@ class Engine:
             raise ScenarioInvalid(violations)
 
     def _add_copy(self, rt: _CopyRt):
+        rt.slot = self.procs[rt.place]
         self.groups[rt.app_id].copies[rt.task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
+
+    def _split(self, slot: _Slot) -> _ProcSet:
+        """Slot's own set, split out of its shared one first if need be."""
+        return slot.set.split(slot, self.now)
 
     def _copies_in(self, scope: FaultTarget) -> list:
         """Every copy ever placed inside a lane, processor or task scope,
@@ -406,8 +492,8 @@ class Engine:
                 self._push(period, EventKind.VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
         if bitp <= self.horizon:
-            for pr in self.procs.values():
-                self._push(bitp, EventKind.BIT_CHECK, pr.key, pr)
+            for slot in self.procs.values():
+                self._push(bitp, EventKind.BIT_CHECK, slot.key, slot)
         for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
             self._push(f.at_us, EventKind.FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
@@ -462,6 +548,7 @@ class Engine:
             if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
                 self._sample(ep.app_id)
+        self._close_block()
         self.counters["completions"] = len(self.completions)
         self.counters["deadline_misses"] = len(self.misses)
         result = SimResult(
@@ -492,48 +579,77 @@ class Engine:
         nxt = now + spec.period_us
         if nxt <= self.horizon:
             self._push(nxt, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
-        released = []
-        for rt in copies:
-            pr = self.procs[rt.place]
-            if pr.dead or self._silenced(rt, pr):
-                continue
-            pr.release(Job(rt, rt.key, now, spec.wcet_us), now)
-            released.append(rt)
-        if not released:
+        # one job per set, owned by the set's copies; the members of a set
+        # of more than one are untouched by faults, so one copy answers
+        # whether all of them run
+        owners = _by_set(copies)
+        stopped = [ps for ps, mine in owners.items()
+                   if ps.dead or self._silenced(mine[0], ps)]
+        for ps in stopped:
+            del owners[ps]
+        if not owners:
             return
+        for ps, mine in owners.items():
+            ps.release(Job(tuple(mine), mine[0].key, now, spec.wcet_us), now)
+        released = copies if not stopped else tuple(
+            rt for rt in copies if rt.slot.set in owners)
         self.counters["releases"] += len(released)
         deadline = now + spec.deadline_us
         if deadline <= self.horizon:
-            group = copies if len(released) == len(copies) else tuple(released)
-            self._push(deadline, EventKind.DEADLINE_CHECK, group[0].copy_id,
-                       (group, now))
+            self._push(deadline, EventKind.DEADLINE_CHECK, released[0].copy_id,
+                       (released, now))
 
     def _on_complete(self, data):
-        pr, job, gen = data
-        if not pr.finish(job, gen, self.now):
+        ps, job, gen = data
+        now = self.now
+        if not ps.finish(job, gen, now):
             return
-        rt = job.owner
-        if not job.background:
-            rt.completed_ever = True
-            self.completions.append(CompletionRecord(
-                self.now, job.start_us, job.release_us,
-                pr.lane, pr.proc, rt.app_id, rt.task_id))
+        if job.background:
+            for rt in job.owner:
+                rt.replay_left_us = 0
+                self._row("ReplayDone", rt.lane, rt.proc, rt.app_id, rt.task_id,
+                          "history backlog cleared")
+            return
+        # the records of one instant are contiguous, since every wake-up of
+        # the instant pops before anything of a later rank; a block that
+        # more than one set wrote is put in (lane, proc) order when it closes
+        if now != self._block_at:
+            self._close_block()
+            self._block_at, self._block_start = now, len(self.completions)
         else:
-            rt.replay_left_us = 0
-            self._row("ReplayDone", pr.lane, pr.proc, rt.app_id, rt.task_id,
-                      "history backlog cleared")
+            self._block_mixed = True
+        start, release = job.start_us, job.release_us
+        add = self.completions.append
+        for rt in job.owner:
+            rt.completed_ever = True
+            add(CompletionRecord(now, start, release, rt.lane, rt.proc,
+                                 rt.app_id, rt.task_id))
+
+    def _close_block(self):
+        if self._block_mixed:
+            self._block_mixed = False
+            recs, start = self.completions, self._block_start
+            recs[start:] = sorted(recs[start:], key=_lane_proc)
 
     def _on_deadline_check(self, data):
         copies, release_us = data
+        now, key = self.now, copies[0].key
+        # each set aborts its job once; the misses are written per copy, in
+        # copy id order
+        missed = {}
+        for ps in _by_set(copies):
+            job = ps.expire(key, release_us, now)
+            if job is not None:
+                missed[ps] = job
+        if not missed:
+            return
         for rt in copies:
-            pr = self.procs[rt.place]
-            job = pr.expire(rt.key, release_us, self.now)
+            job = missed.get(rt.slot.set)
             if job is None:
                 continue
             self.misses.append(DeadlineMissRecord(
-                self.now, pr.lane, pr.proc, rt.app_id, rt.task_id,
-                job.release_us))
-            self._row("DeadlineMiss", pr.lane, pr.proc, rt.app_id, rt.task_id,
+                now, rt.lane, rt.proc, rt.app_id, rt.task_id, job.release_us))
+            self._row("DeadlineMiss", rt.lane, rt.proc, rt.app_id, rt.task_id,
                       f"released at {job.release_us}us, "
                       f"{job.remaining_us}us of work left")
 
@@ -545,23 +661,33 @@ class Engine:
     # or one around it. A FaultTarget sets only its kind's coordinates, so
     # that fault's target equals the scope it names and is a dict key for it.
 
-    def _silenced(self, rt: _CopyRt, pr: _Proc) -> bool:
-        """Is the copy on pr halted (not just skewed) by an active fault?
-        pr.failed is kept equal to _halted(pr) by the fault handlers."""
-        return pr.failed or bool(self._halting) and rt.scope in self._halting
+    def _silenced(self, rt: _CopyRt, ps: _ProcSet) -> bool:
+        """Is the copy, run by ps, halted (not just skewed) by an active
+        fault? The fault handlers keep ps.failed equal to _halted of each
+        member."""
+        return ps.failed or bool(self._halting) and rt.scope in self._halting
 
-    def _halted(self, pr: _Proc) -> bool:
+    def _halted(self, slot: _Slot) -> bool:
         """Is the processor halted by an active fault?"""
-        return pr.scope in self._halting or pr.lane_scope in self._halting
+        return slot.scope in self._halting or slot.lane_scope in self._halting
 
-    def _refresh_proc_failure(self, pr: _Proc):
-        halted = self._halted(pr)
-        if halted and not pr.failed:
-            pr.halt(self.now)
-            pr.failed = True
-        elif not halted and pr.failed:
-            pr.failed = False
-            pr.dispatch(self.now)
+    def _refresh_proc_failure(self, slot: _Slot):
+        ps = slot.set
+        halted = self._halted(slot)
+        if halted and not ps.failed:
+            ps.halt(self.now)
+            ps.failed = True
+        elif not halted and ps.failed:
+            ps.failed = False
+            ps.dispatch(self.now)
+
+    def _split_covered(self, t: FaultTarget):
+        """Split out each slot a lane, processor or task scope covers."""
+        if t.kind is TargetKind.TASK:
+            self._split(self.procs[(t.lane, t.proc)])
+        else:
+            for slot in self._procs_in(t):
+                self._split(slot)
 
     def _on_fault_activate(self, f):
         self._quiet.clear()
@@ -572,6 +698,7 @@ class Engine:
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             return
+        self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
             bisect.insort(self._byzantine, f, key=rank)
             return
@@ -579,10 +706,10 @@ class Engine:
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(t):
-                self.procs[rt.place].drop(rt.key, self.now)
+                rt.slot.set.drop(rt.key, self.now)
             return
-        for pr in self._procs_in(t):
-            self._refresh_proc_failure(pr)
+        for slot in self._procs_in(t):
+            self._refresh_proc_failure(slot)
 
     def _on_fault_clear(self, f):
         self._quiet.clear()
@@ -593,12 +720,13 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        # only a transient fault clears, and a transient fault halts
+        # only a transient fault clears, and a transient fault halts; its
+        # activation split out every slot it covers
         left = self._halting.pop(t) - 1
         if left:
             self._halting[t] = left
-        for pr in self._procs_in(t):
-            self._refresh_proc_failure(pr)
+        for slot in self._procs_in(t):
+            self._refresh_proc_failure(slot)
         # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
             if (ep.outcome is None and ep.origin == "restabilize"
@@ -637,19 +765,19 @@ class Engine:
 
     # -- built-in test -------------------------------------------------------------
 
-    def _on_bit_check(self, pr: _Proc):
-        if pr.dead:
+    def _on_bit_check(self, slot: _Slot):
+        if slot.set.dead:
             return
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.BIT_CHECK, pr.key, pr)
+            self._push(nxt, EventKind.BIT_CHECK, slot.key, slot)
         if not self._active:
             return
-        hosted = self._hosted(pr.key)
+        hosted = self._hosted(slot.key)
         for f in sorted(self._active, key=lambda f: f.fault_id):
             if f.fault_id in self._bit_detected:
                 continue
-            if not bit_detects(f, pr.lane, pr.proc, hosted, self.now):
+            if not bit_detects(f, slot.scope, hosted, self.now):
                 continue
             p = self.settings.bit_detect_probability
             if p < 1.0 and self.rng.random() >= p:
@@ -677,8 +805,8 @@ class Engine:
         ``byz`` is the copy's byzantine fault and ``ref`` the reference value."""
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        pr = self.procs[rt.place]
-        if pr.dead or self._silenced(rt, pr):
+        ps = rt.slot.set
+        if ps.dead or self._silenced(rt, ps):
             return None
         value = ref
         if byz is not None:
@@ -882,8 +1010,11 @@ class Engine:
         self._apply_directives(directives)
 
     def _directive_causes(self, d: FaultTarget):
-        """Active faults that explain a shutdown scope: inside it or around it."""
-        return [f for f in self._active if f.target.overlaps(d)]
+        """Active faults that explain a shutdown scope: inside it or around it.
+        Two scopes overlap only within one lane."""
+        lane = d.lane
+        return [f for f in self._active
+                if f.target.lane == lane and f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
         self._quiet.clear()
@@ -947,21 +1078,22 @@ class Engine:
         return [rt for rt in self._copies_in(d) if rt.health is not Health.SHUTDOWN]
 
     def _mark_dead(self, d: FaultTarget):
-        for pr in self._procs_in(d):
-            if not pr.dead:
-                pr.dead = True
-                pr.halt(self.now)
+        for slot in self._procs_in(d):
+            ps = self._split(slot)
+            if not ps.dead:
+                ps.dead = True
+                ps.halt(self.now)
 
     def _withdraw_copy(self, rt: _CopyRt):
         rt.health = Health.SHUTDOWN
-        pr = self.procs[rt.place]
-        pr.drop(rt.key, self.now)
-        self._give_back(pr, rt.key, rt.spec.message_demand)
+        ps = self._split(rt.slot)
+        ps.drop(rt.key, self.now)
+        self._give_back(ps, rt.key, rt.spec.message_demand)
 
-    def _give_back(self, pr: _Proc, key, demand):
+    def _give_back(self, ps: _ProcSet, key, demand):
         """Return what a copy or a placement held: its admission entry on
-        pr and its bus demand."""
-        pr.admit(pr.admitted.without_task(key))
+        its slot's set, which has that one member, and its bus demand."""
+        ps.admit(ps.admitted.without_task(key))
         self.bus = self.bus.without_demand(demand)
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
@@ -1028,10 +1160,10 @@ class Engine:
             for task_id in sorted(lost)
         ]
         spares = [
-            SpareCandidate(pr.lane, pr.proc, pr.admitted)
-            for pr in (self.procs[place]
-                       for place in sorted(self.model.spare_positions()))
-            if pr.runnable()
+            SpareCandidate(slot.lane, slot.proc, slot.set.admitted)
+            for slot in (self.procs[place]
+                         for place in sorted(self.model.spare_positions()))
+            if slot.set.runnable()
         ]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
@@ -1042,9 +1174,9 @@ class Engine:
         for d in plan.decisions:
             if not d.chosen:
                 continue
-            pr = self.procs[(d.lane, d.proc)]
-            pr.admit(plan.states[pr.key])
-            ep.placements[d.task_id] = pr.key
+            slot = self.procs[(d.lane, d.proc)]
+            self._split(slot).admit(plan.states[slot.key])
+            ep.placements[d.task_id] = slot.key
             self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
                       f"resulting utilization "
                       f"{float(d.admission.resulting_utilization):.4f}")
@@ -1128,22 +1260,21 @@ class Engine:
         # a spare shut down while its copy was in transfer gets no copy; no
         # spare dies in here, so the row can say whether any copy starts
         dead = [task_id for task_id, place in sorted(ep.placements.items())
-                if self.procs[place].dead]
+                if self.procs[place].set.dead]
         self._row("StateTransferDone", app=ep.app_id,
                   detail=f"{sm.strategy.value} state ready; "
                   + ("policing starts" if len(dead) < len(ep.placements)
                      else "no copy starts, every chosen spare is shut down"))
         for task_id in dead:
-            pr = self.procs[ep.placements.pop(task_id)]
-            self._give_back(pr, (ep.app_id, task_id),
+            slot = self.procs[ep.placements.pop(task_id)]
+            self._give_back(self._split(slot), (ep.app_id, task_id),
                             app.task(task_id).message_demand)
             ep.degraded_tasks += (task_id,)
-            self._row("DegradeToDuplex", pr.lane, pr.proc, ep.app_id, task_id,
+            self._row("DegradeToDuplex", slot.lane, slot.proc, ep.app_id, task_id,
                       "spare shut down before the copy started")
         for task_id in sorted(ep.placements):
             lane, proc = ep.placements[task_id]
             spec = app.task(task_id)
-            pr = self.procs[(lane, proc)]
             rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
@@ -1152,8 +1283,8 @@ class Engine:
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                pr.add_background(
-                    Job(rt, rt.copy_id, self.now, rt.replay_left_us), self.now)
+                self._split(rt.slot).add_background(
+                    Job((rt,), rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             # its own phase: a release group of one
@@ -1184,6 +1315,25 @@ class Engine:
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
 
 
+def _by_set(copies: tuple) -> dict:
+    """A release group's copies by the set that runs them, in copy id order.
+
+    Every member of a set holds one copy of the group: a member that lost
+    its copy was split out by the shutdown that withdrew it. So a set with
+    as many members as the group has copies runs them all."""
+    ps = copies[0].slot.set
+    if len(ps.members) == len(copies):
+        return {ps: copies}
+    owners: dict = {}
+    for rt in copies:
+        owners.setdefault(rt.slot.set, []).append(rt)
+    return owners
+
+
+def _lane_proc(rec: CompletionRecord) -> tuple:
+    return rec.lane, rec.proc
+
+
 def _two_faced_sign(toward: _CopyRt, fault) -> int:
     """Which way a two-faced fault bends what it tells the copy ``toward``."""
     return 1 if (toward.lane + fault.fault_id) % 2 == 0 else -1
@@ -1191,17 +1341,17 @@ def _two_faced_sign(toward: _CopyRt, fault) -> int:
 
 def _event_pusher(heap: list):
     """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
-    heap, not the engine. A TaskComplete entry holds its processor, which
+    heap, not the engine. A TaskComplete entry holds its set, which
     holds this push, so a heap left with entries is a reference cycle that
     only the garbage collector frees: clear the heap when the run ends.
 
     Within one kind every key is an int or a tuple of ints, so keys compare
     as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
-    channel, TaskComplete (lane, proc). ``data`` is the object the handler
-    acts on: the FaultSpec for FaultActivate and FaultClear; (processor,
-    job, generation) for TaskComplete; (copies released, release_us) for
-    DeadlineCheck ((TaskSpec, release_us) in schedule_processor); the
-    processor for BITCheck; for TaskRelease the tuple of a release group's
+    channel, TaskComplete (lane, proc) of the set's first member. ``data``
+    is the object the handler acts on: the FaultSpec for FaultActivate and
+    FaultClear; (set, job, generation) for TaskComplete; (copies released,
+    release_us) for DeadlineCheck ((TaskSpec, release_us) in
+    schedule_processor); the slot for BITCheck; for TaskRelease the tuple of a release group's
     copies in service, keyed by its first copy id (the TaskSpec in
     schedule_processor); the ApplicationSpec for VoteRound; None
     for Classify and SelectionDone; the episode for InstallDone and
@@ -1250,7 +1400,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     push = _event_pusher(events)
     state = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
                             for key, t in specs.items()})
-    cpu = _Proc(0, 0, push, state, state.priorities())
+    cpu = _ProcSet([_Slot(0, 0)], push, state, state.priorities())
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:

@@ -15,6 +15,13 @@ byzantine fault and emitted value only once. After every event each
 recovery record's timestamps are in order and no application's coverage
 level exceeds the lane count.
 
+Slots with one processor index share one schedule, their set, until an
+event treats them differently. After every event each set's members must
+agree, by full scans of the copies, jobs and faults, on the admitted set,
+the jobs their copies own, the running job, failed and dead, and the
+faults that ever covered them; each of a set's jobs is owned by one copy on
+each member.
+
 A vote round skips a task whose last full vote was quiet until an event
 drops the marks. Each task vote that returns a mark is checked against
 the copies themselves: none watched, every active one completed and
@@ -77,6 +84,8 @@ class CheckedEngine(Engine):
         self.unskipped = 0   # marked task votes run in full: the mean flags
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
+        self._activated = []     # the faults whose activation has run
+        self._killed = []        # the scopes of the permanent shutdowns
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
@@ -177,6 +186,7 @@ class CheckedEngine(Engine):
             def handle(data):
                 handler(data)
                 self._check_records()
+                self._check_sets()
             return handle
         return tuple(checked(handler) for handler in super()._handlers())
 
@@ -192,6 +202,68 @@ class CheckedEngine(Engine):
             assert all(level <= lanes for level in levels), (
                 f"app {app_id} coverage {levels} over {lanes} lanes at {self.now}us")
         self.checks += 1
+
+    def _check_sets(self):
+        """The slots that share a set see one schedule, as full scans find
+        it: each member's in-service copies and pending placements recount
+        the admitted set, the permanent shutdowns so far recount dead, each
+        job of the set is owned by one copy on each member, and the members
+        agree on the jobs their copies own (key, release, remaining, start),
+        the running job, failed and dead, and the faults that ever covered
+        them."""
+        sets = {}
+        for slot in self.procs.values():
+            sets.setdefault(id(slot.set), (slot.set, []))[1].append(slot)
+        owned = {slot: {} for slot in self.procs.values()}
+        for ps, _ in sets.values():
+            for job in [*ps.jobs.values(), *ps.background.values()]:
+                # one copy of each member, in lane order, owns the job
+                assert [rt.slot for rt in job.owner] == ps.members, (
+                    f"job {job.key} of {[s.key for s in ps.members]} owned by "
+                    f"{[rt.copy_id for rt in job.owner]} at {self.now}us")
+                for rt in job.owner:
+                    assert (rt.copy_id if job.background else rt.key) == job.key, (
+                        f"job {job.key} owned by copy {rt.copy_id}")
+                    owned[rt.slot][job.key] = job
+        held = {slot: set() for slot in self.procs.values()}
+        for rt in self._all_copies():
+            if rt.health is not Health.SHUTDOWN:
+                held[rt.slot].add(rt.key)
+        for ep in self._bus_queue:
+            for task_id, place in ep.placements.items():
+                held[self.procs[place]].add((ep.app_id, task_id))
+        for ps, slots in sets.values():
+            assert sorted(ps.members, key=lambda s: s.lane) == slots == ps.members, (
+                f"set of {[s.key for s in ps.members]} at {self.now}us")
+            views = [self._member_view(ps, slot, held[slot], owned[slot])
+                     for slot in slots]
+            assert all(view == views[0] for view in views), (
+                f"set of {[s.key for s in slots]} at {self.now}us: {views}")
+        self.checks += 1
+
+    def _member_view(self, ps, slot, held, owned):
+        """What one member's own copies, jobs and faults say of its set."""
+        assert len(ps.admitted) == len(held) and all(k in ps.admitted for k in held), (
+            f"{slot.key} at {self.now}us: admitted set differs from {sorted(held)}")
+        jobs = {**ps.jobs, **ps.background}
+        assert owned == {job.key: job for job in jobs.values()}, (
+            f"{slot.key} at {self.now}us owns jobs {sorted(owned)}, "
+            f"its set runs {sorted(jobs)}")
+        running = ps.running
+        assert running is None or running in jobs.values()
+        assert ps.dead == any(d.contains(slot.scope) for d in self._killed), (
+            f"{slot.key} at {self.now}us: dead {ps.dead}")
+        # failed is recounted from the faults by _sweep after every fault
+        # event, the only events that change it
+        exposure = None if len(ps.members) == 1 else [
+            f.fault_id for f in self._activated
+            if f.target.kind is not TargetKind.SENSOR
+            and f.target.overlaps(slot.scope)]
+        return (frozenset(held),
+                sorted((job.background, job.key, job.release_us,
+                        job.remaining_us, job.start_us) for job in owned.values()),
+                None if running is None else (running.background, running.key),
+                ps.failed, ps.dead, exposure)
 
     def _check_service(self):
         """No copy in service sits on a dead processor."""
@@ -238,6 +310,7 @@ class CheckedEngine(Engine):
 
     def _on_fault_activate(self, data):
         super()._on_fault_activate(data)
+        self._activated.append(data)
         self._sweep()
 
     def _on_fault_clear(self, data):
@@ -259,7 +332,7 @@ class CheckedEngine(Engine):
             def caught(faults, hosted):
                 return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
                         if f.fault_id not in self._bit_detected
-                        and bit_detects(f, pr.lane, pr.proc, hosted, self.now)]
+                        and bit_detects(f, pr.scope, hosted, self.now)]
 
             self._agree("bit candidates", caught(self._active, hosted),
                         lambda fs: caught(fs, {
@@ -367,6 +440,10 @@ class CheckedEngine(Engine):
         self.checks += 1
         return got
 
+    def _mark_dead(self, d):
+        self._killed.append(d)
+        super()._mark_dead(d)
+
     def _directive_victims(self, d, transient):
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
@@ -388,8 +465,10 @@ class CheckedEngine(Engine):
         super()._on_release(copies)
         assert self.counters["releases"] - before == len(due)
         for rt in due:
-            job = self.procs[rt.place].jobs.get(rt.key)
-            assert job is not None and job.owner is rt and job.release_us == self.now, (
+            # the copy's job is its set's job for its key, which it owns
+            job = rt.slot.set.jobs.get(rt.key)
+            assert (job is not None and job.release_us == self.now
+                    and [o for o in job.owner if o.slot is rt.slot] == [rt]), (
                 f"copy {rt.copy_id} not released at {self.now}us")
         self.checks += 1
 
@@ -476,6 +555,19 @@ def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
     # them by more than the tolerance, so the marked tasks vote in full
     engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     assert engine.skips > 0 and engine.unskipped == 3
+
+
+def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
+    # permanent faults on the three workers of lane 0 implicate the whole
+    # lane, and its shutdown kills lane 0's spare too; the spares of lanes
+    # 1 and 2 shared one schedule with it and must stay alive to take two
+    # of the lost copies
+    engine = _check(parse_scenario(scenario_doc([
+        proc_fault(at_ms=50, proc=proc) for proc in range(3)])))
+    assert [(key, slot.dead) for key, slot in engine.procs.items()
+            if key[1] == 3] == [((0, 3), True), ((1, 3), False), ((2, 3), False)]
+    assert sorted(place for ep in engine._episodes
+                  for place in ep.placements.values()) == [(1, 3), (2, 3)]
 
 
 def _two_task_system(lanes):

@@ -863,19 +863,23 @@ def test_admitted_sets_meet_every_deadline(draws, customer_cap):
 
 def test_start_up_admitted_sets_are_shared_values():
     # initial_allocation mirrors every lane, so one processor id's slots
-    # start from one admitted set and one ranking; admitting on one lane
-    # replaces that lane's values and leaves the other lanes' alone
+    # start as one set with one admitted set and one ranking; admitting on
+    # one slot splits that slot out and leaves the other lanes' set alone
     engine = Engine(scen([]))
     slots = [engine.procs[(lane, 0)] for lane in engine.model.lane_ids]
-    first = slots[0]
-    assert all(pr.admitted is first.admitted and pr.prios is first.prios
-               for pr in slots)
-    before = (len(first.admitted), first.admitted.utilization, dict(first.prios))
-    first.admit(first.admitted.with_task((9, 9), 1000, 20000, 5000))
-    assert (9, 9) in first.admitted and first.prios[(9, 9)] == 0
+    shared = slots[0].set
+    assert shared.members == slots and all(pr.set is shared for pr in slots)
+    before = (shared.admitted, len(shared.admitted),
+              shared.admitted.utilization, dict(shared.prios))
+    own = engine._split(slots[0])
+    own.admit(own.admitted.with_task((9, 9), 1000, 20000, 5000))
+    assert own is not shared and own.members == [slots[0]]
+    assert slots[0].set is own and shared.members == slots[1:]
+    assert (9, 9) in slots[0].admitted and own.prios[(9, 9)] == 0
     for pr in slots[1:]:
-        assert (9, 9) not in pr.admitted and (9, 9) not in pr.prios
-        assert (len(pr.admitted), pr.admitted.utilization, pr.prios) == before
+        assert pr.set is shared and (9, 9) not in pr.admitted
+        assert (pr.admitted, len(pr.admitted), pr.admitted.utilization,
+                shared.prios) == before
 
 
 def test_counters_agree_with_the_result_lists():
