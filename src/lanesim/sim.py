@@ -210,19 +210,6 @@ class _Slot:
         self.lane_scope = FaultTarget(TargetKind.LANE, lane=lane)
         self.set: _ProcSet | None = None
 
-    # read-only views of the set's state
-    @property
-    def admitted(self) -> ProcessorState:
-        return self.set.admitted
-
-    @property
-    def failed(self) -> bool:
-        return self.set.failed
-
-    @property
-    def dead(self) -> bool:
-        return self.set.dead
-
 
 class _ProcSet(Processor):
     """The one schedule that a set of slots with one processor index share.
@@ -435,11 +422,11 @@ class Engine:
         violations = []
         if self.settings.enforce_admission:
             for slot in self.procs.values():
-                if slot.admitted.utilization > self.cfg.effective_bound:
+                if slot.set.admitted.utilization > self.cfg.effective_bound:
                     violations.append(Violation(
                         "AdmissionExceeded",
                         f"lane {slot.lane} processor {slot.proc} starts at utilization "
-                        f"{float(slot.admitted.utilization):.4f} over the bound "
+                        f"{float(slot.set.admitted.utilization):.4f} over the bound "
                         f"{float(self.cfg.effective_bound):.2f}"))
         if self.bus.current_load > self.bus.max_load:
             violations.append(Violation(

@@ -157,7 +157,7 @@ class CheckedEngine(Engine):
         assert load <= self._baseline_load, (
             f"bus load at {self.now}us: {load} over the start-up {self._baseline_load}")
         for place, held in holders.items():
-            admitted = self.procs[place].admitted
+            admitted = self.procs[place].set.admitted
             keys = [key for key, _ in held]
             assert len(set(keys)) == len(keys), (
                 f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
@@ -268,7 +268,7 @@ class CheckedEngine(Engine):
     def _check_service(self):
         """No copy in service sits on a dead processor."""
         for rt in self._all_copies():
-            assert rt.health is Health.SHUTDOWN or not self.procs[rt.place].dead, (
+            assert rt.health is Health.SHUTDOWN or not rt.slot.set.dead, (
                 f"copy {rt.copy_id} is {rt.health.value} on dead processor "
                 f"{rt.place} at {self.now}us")
         self.checks += 1
@@ -321,12 +321,12 @@ class CheckedEngine(Engine):
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
         for rt in self._all_copies():
-            self._silenced(rt, self.procs[rt.place])
-        for pr in self.procs.values():
-            assert pr.failed == self._halted(pr)
+            self._silenced(rt, rt.slot.set)
+        for slot in self.procs.values():
+            assert slot.set.failed == self._halted(slot)
 
     def _on_bit_check(self, pr):
-        if not pr.dead:
+        if not pr.set.dead:
             hosted = self._hosted(pr.key)
 
             def caught(faults, hosted):
@@ -459,7 +459,7 @@ class CheckedEngine(Engine):
     def _on_release(self, copies):
         # the group itself was checked when it was pushed
         due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
-               and not self.procs[rt.place].dead
+               and not rt.slot.set.dead
                and not _halting(self._settled_faults(), rt.scope)]
         before = self.counters["releases"]
         super()._on_release(copies)
@@ -564,7 +564,7 @@ def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
     # of the lost copies
     engine = _check(parse_scenario(scenario_doc([
         proc_fault(at_ms=50, proc=proc) for proc in range(3)])))
-    assert [(key, slot.dead) for key, slot in engine.procs.items()
+    assert [(key, slot.set.dead) for key, slot in engine.procs.items()
             if key[1] == 3] == [((0, 3), True), ((1, 3), False), ((2, 3), False)]
     assert sorted(place for ep in engine._episodes
                   for place in ep.placements.values()) == [(1, 3), (2, 3)]
