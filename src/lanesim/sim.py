@@ -198,7 +198,8 @@ class SimResult:
 class _Slot:
     """One (lane, processor) place: what is its own, its coordinates and
     scopes. Its schedule is its set's, and its copies are the engine's
-    ``_proc_copies[key]``."""
+    ``_proc_copies[key]``. Nothing of a set or a copy refers back to a
+    slot, so a finished run leaves no reference cycle through them."""
 
     __slots__ = ("lane", "proc", "key", "scope", "lane_scope", "set")
 
@@ -214,10 +215,11 @@ class _Slot:
 class _ProcSet(Processor):
     """The one schedule that a set of slots with one processor index share.
 
-    The engine keys jobs (app_id, task_id) and runs history replay as
-    background work keyed by copy id. A job's owner is the tuple of its
-    copies, one per member, in lane order. A processor holds at most one
-    copy of a task, so the key names each member's copy.
+    The members are the slots' (lane, proc) keys, in lane order. The engine
+    keys jobs (app_id, task_id) and runs history replay as background work
+    keyed by copy id. A job's owner is the tuple of its copies, one per
+    member, in lane order. A processor holds at most one copy of a task,
+    so the key names each member's copy.
 
     Every member hosts the same tasks, and no fault or recovery has touched
     any of them, unless the set has one member. A set wakes under its first
@@ -226,15 +228,13 @@ class _ProcSet(Processor):
 
     def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
         super().__init__()
-        self.members = members      # _Slot, in lane order
-        for slot in members:
-            slot.set = self
+        self.members = members
         self.failed = False     # halted by an active fault
         self.dead = False       # permanently withdrawn from service
         self.admitted = admitted
         self.prios = prios
         self.push = push        # the engine's event push
-        self.key = members[0].key
+        self.key = members[0]
 
     def runnable(self) -> bool:
         return not (self.failed or self.dead)
@@ -256,17 +256,17 @@ class _ProcSet(Processor):
         if len(self.members) == 1:
             return self
         self.charge(now)
-        self.members.remove(slot)
-        self.key = self.members[0].key
-        own = _ProcSet([slot], self.push, self.admitted, self.prios)
+        self.members.remove(slot.key)
+        self.key = self.members[0]
+        own = slot.set = _ProcSet([slot.key], self.push, self.admitted, self.prios)
         own.failed, own.dead, own.since, own.gen = self.failed, self.dead, now, self.gen
         for mine, jobs in ((own.jobs, self.jobs),
                            (own.background, self.background)):
             for key, job in jobs.items():
-                clone = Job(tuple(rt for rt in job.owner if rt.slot is slot),
+                clone = Job(tuple(rt for rt in job.owner if rt.place == slot.key),
                             key, job.release_us, job.remaining_us)
                 clone.background, clone.start_us = job.background, job.start_us
-                job.owner = tuple(rt for rt in job.owner if rt.slot is not slot)
+                job.owner = tuple(rt for rt in job.owner if rt.place != slot.key)
                 mine[key] = clone
                 if job is self.running:
                     own.running = clone
@@ -295,7 +295,6 @@ class _CopyRt(Copy):
     key: tuple = field(init=False, repr=False)      # (app, task)
     place: tuple = field(init=False, repr=False)    # (lane, proc)
     scope: FaultTarget = field(init=False, repr=False)
-    slot: _Slot = field(init=False, repr=False)     # set by Engine._add_copy
 
     def __post_init__(self):
         # a copy never moves, so where it runs is fixed
@@ -401,9 +400,12 @@ class Engine:
                 self._proc_copies[slot.key] = []
                 members[slot.proc].append(slot)
         for proc, held in entries.items():
-            members[proc].sort(key=lambda slot: slot.lane)
+            slots = sorted(members[proc], key=lambda slot: slot.lane)
             state = ProcessorState(held)
-            _ProcSet(members[proc], self._push, state, state.priorities())
+            ps = _ProcSet([slot.key for slot in slots], self._push, state,
+                          state.priorities())
+            for slot in slots:
+                slot.set = ps
 
         lane_ids = sorted(self.model.lane_ids)
         for app, tasks in apps:
@@ -437,13 +439,28 @@ class Engine:
             raise ScenarioInvalid(violations)
 
     def _add_copy(self, rt: _CopyRt):
-        rt.slot = self.procs[rt.place]
         self.groups[rt.app_id].copies[rt.task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
 
     def _split(self, slot: _Slot) -> _ProcSet:
         """Slot's own set, split out of its shared one first if need be."""
         return slot.set.split(slot, self.now)
+
+    def _by_set(self, copies: tuple) -> dict:
+        """A release group's copies by the set that runs them, in copy id
+        order.
+
+        Every member of a set holds one copy of the group: a member that
+        lost its copy was split out by the shutdown that withdrew it. So a
+        set with as many members as the group has copies runs them all."""
+        procs = self.procs
+        ps = procs[copies[0].place].set
+        if len(ps.members) == len(copies):
+            return {ps: copies}
+        owners: dict = {}
+        for rt in copies:
+            owners.setdefault(procs[rt.place].set, []).append(rt)
+        return owners
 
     def _copies_in(self, scope: FaultTarget) -> list:
         """Every copy ever placed inside a lane, processor or task scope,
@@ -569,7 +586,7 @@ class Engine:
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
         # whether all of them run
-        owners = _by_set(copies)
+        owners = self._by_set(copies)
         stopped = [ps for ps, mine in owners.items()
                    if ps.dead or self._silenced(mine[0], ps)]
         for ps in stopped:
@@ -579,7 +596,7 @@ class Engine:
         for ps, mine in owners.items():
             ps.release(Job(tuple(mine), mine[0].key, now, spec.wcet_us), now)
         released = copies if not stopped else tuple(
-            rt for rt in copies if rt.slot.set in owners)
+            rt for rt in copies if self.procs[rt.place].set in owners)
         self.counters["releases"] += len(released)
         deadline = now + spec.deadline_us
         if deadline <= self.horizon:
@@ -624,14 +641,14 @@ class Engine:
         # each set aborts its job once; the misses are written per copy, in
         # copy id order
         missed = {}
-        for ps in _by_set(copies):
+        for ps in self._by_set(copies):
             job = ps.expire(key, release_us, now)
             if job is not None:
                 missed[ps] = job
         if not missed:
             return
         for rt in copies:
-            job = missed.get(rt.slot.set)
+            job = missed.get(self.procs[rt.place].set)
             if job is None:
                 continue
             self.misses.append(DeadlineMissRecord(
@@ -693,7 +710,7 @@ class Engine:
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(t):
-                rt.slot.set.drop(rt.key, self.now)
+                self.procs[rt.place].set.drop(rt.key, self.now)
             return
         for slot in self._procs_in(t):
             self._refresh_proc_failure(slot)
@@ -792,7 +809,7 @@ class Engine:
         ``byz`` is the copy's byzantine fault and ``ref`` the reference value."""
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        ps = rt.slot.set
+        ps = self.procs[rt.place].set
         if ps.dead or self._silenced(rt, ps):
             return None
         value = ref
@@ -1073,7 +1090,7 @@ class Engine:
 
     def _withdraw_copy(self, rt: _CopyRt):
         rt.health = Health.SHUTDOWN
-        ps = self._split(rt.slot)
+        ps = self._split(self.procs[rt.place])
         ps.drop(rt.key, self.now)
         self._give_back(ps, rt.key, rt.spec.message_demand)
 
@@ -1270,7 +1287,7 @@ class Engine:
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self._split(rt.slot).add_background(
+                self._split(self.procs[rt.place]).add_background(
                     Job((rt,), rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
@@ -1300,21 +1317,6 @@ class Engine:
             return
         self._last_cov[app_id] = snap
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
-
-
-def _by_set(copies: tuple) -> dict:
-    """A release group's copies by the set that runs them, in copy id order.
-
-    Every member of a set holds one copy of the group: a member that lost
-    its copy was split out by the shutdown that withdrew it. So a set with
-    as many members as the group has copies runs them all."""
-    ps = copies[0].slot.set
-    if len(ps.members) == len(copies):
-        return {ps: copies}
-    owners: dict = {}
-    for rt in copies:
-        owners.setdefault(rt.slot.set, []).append(rt)
-    return owners
 
 
 def _lane_proc(rec: CompletionRecord) -> tuple:
@@ -1387,7 +1389,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     push = _event_pusher(events)
     state = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
                             for key, t in specs.items()})
-    cpu = _ProcSet([_Slot(0, 0)], push, state, state.priorities())
+    cpu = _ProcSet([(0, 0)], push, state, state.priorities())
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:

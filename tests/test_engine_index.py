@@ -214,28 +214,28 @@ class CheckedEngine(Engine):
         sets = {}
         for slot in self.procs.values():
             sets.setdefault(id(slot.set), (slot.set, []))[1].append(slot)
-        owned = {slot: {} for slot in self.procs.values()}
+        owned = {place: {} for place in self.procs}
         for ps, _ in sets.values():
             for job in [*ps.jobs.values(), *ps.background.values()]:
                 # one copy of each member, in lane order, owns the job
-                assert [rt.slot for rt in job.owner] == ps.members, (
-                    f"job {job.key} of {[s.key for s in ps.members]} owned by "
+                assert [rt.place for rt in job.owner] == ps.members, (
+                    f"job {job.key} of {ps.members} owned by "
                     f"{[rt.copy_id for rt in job.owner]} at {self.now}us")
                 for rt in job.owner:
                     assert (rt.copy_id if job.background else rt.key) == job.key, (
                         f"job {job.key} owned by copy {rt.copy_id}")
-                    owned[rt.slot][job.key] = job
-        held = {slot: set() for slot in self.procs.values()}
+                    owned[rt.place][job.key] = job
+        held = {place: set() for place in self.procs}
         for rt in self._all_copies():
             if rt.health is not Health.SHUTDOWN:
-                held[rt.slot].add(rt.key)
+                held[rt.place].add(rt.key)
         for ep in self._bus_queue:
             for task_id, place in ep.placements.items():
-                held[self.procs[place]].add((ep.app_id, task_id))
+                held[place].add((ep.app_id, task_id))
         for ps, slots in sets.values():
-            assert sorted(ps.members, key=lambda s: s.lane) == slots == ps.members, (
-                f"set of {[s.key for s in ps.members]} at {self.now}us")
-            views = [self._member_view(ps, slot, held[slot], owned[slot])
+            assert sorted(ps.members) == [s.key for s in slots] == ps.members, (
+                f"set of {ps.members} at {self.now}us")
+            views = [self._member_view(ps, slot, held[slot.key], owned[slot.key])
                      for slot in slots]
             assert all(view == views[0] for view in views), (
                 f"set of {[s.key for s in slots]} at {self.now}us: {views}")
@@ -268,7 +268,7 @@ class CheckedEngine(Engine):
     def _check_service(self):
         """No copy in service sits on a dead processor."""
         for rt in self._all_copies():
-            assert rt.health is Health.SHUTDOWN or not rt.slot.set.dead, (
+            assert rt.health is Health.SHUTDOWN or not self.procs[rt.place].set.dead, (
                 f"copy {rt.copy_id} is {rt.health.value} on dead processor "
                 f"{rt.place} at {self.now}us")
         self.checks += 1
@@ -321,7 +321,7 @@ class CheckedEngine(Engine):
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
         for rt in self._all_copies():
-            self._silenced(rt, rt.slot.set)
+            self._silenced(rt, self.procs[rt.place].set)
         for slot in self.procs.values():
             assert slot.set.failed == self._halted(slot)
 
@@ -459,16 +459,16 @@ class CheckedEngine(Engine):
     def _on_release(self, copies):
         # the group itself was checked when it was pushed
         due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
-               and not rt.slot.set.dead
+               and not self.procs[rt.place].set.dead
                and not _halting(self._settled_faults(), rt.scope)]
         before = self.counters["releases"]
         super()._on_release(copies)
         assert self.counters["releases"] - before == len(due)
         for rt in due:
             # the copy's job is its set's job for its key, which it owns
-            job = rt.slot.set.jobs.get(rt.key)
+            job = self.procs[rt.place].set.jobs.get(rt.key)
             assert (job is not None and job.release_us == self.now
-                    and [o for o in job.owner if o.slot is rt.slot] == [rt]), (
+                    and [o for o in job.owner if o.place == rt.place] == [rt]), (
                 f"copy {rt.copy_id} not released at {self.now}us")
         self.checks += 1
 

@@ -868,13 +868,14 @@ def test_start_up_admitted_sets_are_shared_values():
     engine = Engine(scen([]))
     slots = [engine.procs[(lane, 0)] for lane in engine.model.lane_ids]
     shared = slots[0].set
-    assert shared.members == slots and all(pr.set is shared for pr in slots)
+    assert shared.members == [pr.key for pr in slots]
+    assert all(pr.set is shared for pr in slots)
     before = (shared.admitted, len(shared.admitted),
               shared.admitted.utilization, dict(shared.prios))
     own = engine._split(slots[0])
     own.admit(own.admitted.with_task((9, 9), 1000, 20000, 5000))
-    assert own is not shared and own.members == [slots[0]]
-    assert slots[0].set is own and shared.members == slots[1:]
+    assert own is not shared and own.members == [slots[0].key]
+    assert slots[0].set is own and shared.members == [pr.key for pr in slots[1:]]
     assert (9, 9) in own.admitted and own.prios[(9, 9)] == 0
     assert all(pr.set is shared for pr in slots[1:])
     assert (shared.admitted, len(shared.admitted), shared.admitted.utilization,
