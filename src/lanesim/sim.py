@@ -223,7 +223,9 @@ class _ProcSet(Processor):
 
     Every member hosts the same tasks, and no fault or recovery has touched
     any of them, unless the set has one member. A set wakes under its first
-    member's key.
+    member's key. A split-out set starts from the admitted set and ranks of
+    the set it left: both are values, which ``admit`` replaces and nothing
+    changes in place.
     """
 
     def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
