@@ -254,7 +254,9 @@ class _ProcSet(Processor):
         """Give slot a set of its own, with a clone of every job (remaining
         work, start, release time) owned by slot's copy alone, and return
         it; the jobs left here lose that copy. What runs here runs there,
-        woken at the same instant."""
+        woken at the same instant. A set of more than one member has no
+        background work: replay runs on a spare, which its admission split
+        out."""
         if len(self.members) == 1:
             return self
         self.charge(now)
@@ -262,16 +264,13 @@ class _ProcSet(Processor):
         self.key = self.members[0]
         own = slot.set = _ProcSet([slot.key], self.push, self.admitted, self.prios)
         own.failed, own.dead, own.since, own.gen = self.failed, self.dead, now, self.gen
-        for mine, jobs in ((own.jobs, self.jobs),
-                           (own.background, self.background)):
-            for key, job in jobs.items():
-                clone = Job(tuple(rt for rt in job.owner if rt.place == slot.key),
-                            key, job.release_us, job.remaining_us)
-                clone.background, clone.start_us = job.background, job.start_us
-                job.owner = tuple(rt for rt in job.owner if rt.place != slot.key)
-                mine[key] = clone
-                if job is self.running:
-                    own.running = clone
+        for key, job in self.jobs.items():
+            clone = own.jobs[key] = Job(
+                tuple(rt for rt in job.owner if rt.place == slot.key),
+                key, job.release_us, job.remaining_us, job.start_us)
+            job.owner = tuple(rt for rt in job.owner if rt.place != slot.key)
+            if job is self.running:
+                own.running = clone
         if own.running is not None:
             own.wake(now + own.running.remaining_us)
         return own
@@ -595,8 +594,9 @@ class Engine:
             del owners[ps]
         if not owners:
             return
+        key = copies[0].key
         for ps, mine in owners.items():
-            ps.release(Job(tuple(mine), mine[0].key, now, spec.wcet_us), now)
+            ps.release(Job(tuple(mine), key, now, spec.wcet_us), now)
         released = copies if not stopped else tuple(
             rt for rt in copies if self.procs[rt.place].set in owners)
         self.counters["releases"] += len(released)
