@@ -1,10 +1,12 @@
 """Fault model, cross-monitoring voters, and detection classification.
 
 Fault targets and shutdown scopes are one type, :class:`FaultTarget`: a
-lane, a processor, a task copy or a sensor channel. Lane, processor and
-task scopes nest, and ``FaultTarget.contains``/``overlaps`` is the one rule
-for "does this fault or shutdown cover that element". ``classify`` turns
-vote evidence into the ``FaultTarget``s to shut down.
+lane, a processor, a task copy or a sensor channel. A scope is its
+coordinate prefix ``key``: ``(lane,)``, ``(lane, proc)`` or ``(lane, proc,
+app, task)``; a sensor channel's key prefixes no other. Scopes nest as
+keys do, and ``contains``/``overlaps`` is the one rule for "does this fault
+or shutdown cover that element". ``classify`` turns vote evidence into the
+``FaultTarget``s to shut down.
 
 Detection has two mechanisms. Built-in test (BIT) is local health
 monitoring: it catches permanent and transient hardware faults on the
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -62,11 +64,6 @@ TARGET_FIELDS = {
     TargetKind.SENSOR: ("app", "lane"),
 }
 
-# Per kind, which of (lane, proc, app, task) a target leaves unset (None).
-_UNSET = {kind: tuple(name not in used for name in ("lane", "proc", "app", "task"))
-          for kind, used in TARGET_FIELDS.items()}
-
-
 @dataclass(frozen=True, slots=True)
 class FaultTarget:
     """A scope: what a fault strikes, and what a shutdown removes.
@@ -74,7 +71,7 @@ class FaultTarget:
     A lane contains its processors and a processor the task copies it
     runs; a sensor channel (app, lane) is a scope of its own. Only the
     coordinates of ``TARGET_FIELDS[kind]`` are set, so two targets that
-    name one scope are equal and hash alike.
+    name one scope are equal and hash alike, and so are their keys.
     """
 
     kind: TargetKind
@@ -82,27 +79,23 @@ class FaultTarget:
     proc: int | None = None
     app: int | None = None
     task: int | None = None
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.lane is None, self.proc is None, self.app is None,
-                self.task is None) != _UNSET[self.kind]:
+        key = tuple(getattr(self, name) for name in TARGET_FIELDS[self.kind])
+        coords = (self.lane, self.proc, self.app, self.task)
+        if None in key or len(key) != len(coords) - coords.count(None):
             raise ValueError(f"a {self.kind.value} target sets exactly "
                              f"{', '.join(TARGET_FIELDS[self.kind])}")
+        # a sensor key starts with its kind, not a lane: no key prefixes it
+        # and it prefixes no other
+        if self.kind is TargetKind.SENSOR:
+            key = (self.kind, *key)
+        object.__setattr__(self, "key", key)
 
     def contains(self, other: FaultTarget) -> bool:
         """Is ``other`` inside this scope (or equal to it)?"""
-        if self.kind is TargetKind.SENSOR or other.kind is TargetKind.SENSOR:
-            return self == other
-        if self.lane != other.lane:
-            return False
-        if self.kind is TargetKind.LANE:
-            return True
-        if other.kind is TargetKind.LANE or self.proc != other.proc:
-            return False
-        if self.kind is TargetKind.PROCESSOR:
-            return True
-        return (other.kind is TargetKind.TASK
-                and (self.app, self.task) == (other.app, other.task))
+        return other.key[:len(self.key)] == self.key
 
     def overlaps(self, other: FaultTarget) -> bool:
         return self.contains(other) or other.contains(self)
@@ -271,23 +264,22 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:
     return ExchangeOutcome(silent, frozenset(flagged))
 
 
-def bit_detects(fault: FaultSpec, scope: FaultTarget,
+def bit_detects(fault: FaultSpec, place: tuple,
                 hosted_tasks, now_us: int) -> bool:
-    """Would the built-in test of the processor ``scope`` names catch the
-    fault right now?
+    """Would the built-in test of the processor at ``place`` (lane, proc)
+    catch the fault right now?
 
-    BIT sees local permanent/transient hardware faults on the processor or
-    on a task copy it hosts. A lane-level fault takes the monitor down with
-    everything else, and Byzantine behaviour passes every local check.
+    BIT sees local permanent/transient hardware faults, whose target key is
+    ``place`` or ``place`` plus an (app, task) in ``hosted_tasks``. A lane
+    fault takes the monitor down with everything else, and Byzantine
+    behaviour passes every local check.
     """
     if not fault.bit_detectable or fault.kind is FaultKind.BYZANTINE:
         return False
     if not fault.active_at(now_us):
         return False
-    t = fault.target
-    if not scope.contains(t):
-        return False
-    return t.kind is TargetKind.PROCESSOR or (t.app, t.task) in hosted_tasks
+    key = fault.target.key
+    return key[:2] == place and (len(key) == 2 or key[2:] in hosted_tasks)
 
 
 def classify(implicated, hosted) -> list[FaultTarget]:

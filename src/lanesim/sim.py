@@ -33,8 +33,8 @@ Each event carries the object its handler acts on:
     PilotApproval                 the Approval
     Readmit                       the copy, or the (app, lane) sensor channel
 
-Each (lane, processor) place is a slot: its coordinates, its scopes and
-its copies. Its schedule is its set's: the one deadline-monotonic
+Each (lane, processor) place is a slot: its coordinates and its copies.
+Its schedule is its set's: the one deadline-monotonic
 :class:`lanesim.processor.Processor` state (admitted set and ranks, jobs,
 background work, what runs, failed and dead) that the set's members share.
 Time is charged lazily whenever an event touches the set, and completion
@@ -196,19 +196,18 @@ class SimResult:
 
 
 class _Slot:
-    """One (lane, processor) place: what is its own, its coordinates and
-    scopes. Its schedule is its set's, and its copies are the engine's
-    ``_proc_copies[key]``. Nothing of a set or a copy refers back to a
-    slot, so a finished run leaves no reference cycle through them."""
+    """One (lane, processor) place: its coordinates and its key, which is
+    its processor scope's. Its schedule is its set's, and its copies are
+    the engine's ``_proc_copies[key]``. Nothing of a set or a copy refers
+    back to a slot, so a finished run leaves no reference cycle through
+    them."""
 
-    __slots__ = ("lane", "proc", "key", "scope", "lane_scope", "set")
+    __slots__ = ("lane", "proc", "key", "set")
 
     def __init__(self, lane: int, proc: int):
         self.lane = lane
         self.proc = proc
         self.key = (lane, proc)
-        self.scope = FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
-        self.lane_scope = FaultTarget(TargetKind.LANE, lane=lane)
         self.set: _ProcSet | None = None
 
 
@@ -281,7 +280,9 @@ class _CopyRt(Copy):
     """A task copy together with the engine's run-time state of it.
 
     Recovery records keep their lost and rebuilt copies through report
-    writing, so a copy keeps its fields in slots.
+    writing, so a copy keeps its fields in slots. It names its episode by
+    record id, so the two form no reference cycle. ``place + key`` is the
+    key of its task scope.
     """
 
     spec: TaskSpec
@@ -292,17 +293,14 @@ class _CopyRt(Copy):
     converge_left: int = 0
     police: PoliceCounter | None = None
     eligible_us: int | None = None
-    episode: "_Episode | None" = None
+    episode: int | None = None                      # its episode's record id
     key: tuple = field(init=False, repr=False)      # (app, task)
     place: tuple = field(init=False, repr=False)    # (lane, proc)
-    scope: FaultTarget = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy never moves, so where it runs is fixed
         self.key = (self.app_id, self.task_id)
         self.place = (self.lane, self.proc)
-        self.scope = FaultTarget(TargetKind.TASK, lane=self.lane, proc=self.proc,
-                                 app=self.app_id, task=self.task_id)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -371,9 +369,9 @@ class Engine:
         # equal faults are interchangeable, so they may share a rank
         self._fault_rank = {f: i for i, f in enumerate(scenario.faults)}
         self._active: list = []         # in scenario order
-        self._byzantine: list = []      # the active byzantine ones, same order;
-                                        # a byzantine fault never clears
-        self._halting: dict = {}        # target -> active halting faults on it
+        self._byzantine: dict = {}      # target key -> the first active byzantine
+                                        # fault on it in scenario order (none clears)
+        self._halting: dict = {}        # target key -> active halting faults on it
 
         self._init_topology()
 
@@ -466,20 +464,20 @@ class Engine:
     def _copies_in(self, scope: FaultTarget) -> list:
         """Every copy ever placed inside a lane, processor or task scope,
         in copy id order."""
-        if scope.kind is TargetKind.LANE:
+        key = scope.key
+        if len(key) == 1:
             return sorted((rt for place, rts in self._proc_copies.items()
-                           if place[0] == scope.lane for rt in rts),
+                           if place[0] == key[0] for rt in rts),
                           key=lambda rt: rt.copy_id)
-        return [rt for rt in self._proc_copies.get((scope.lane, scope.proc), ())
-                if scope.contains(rt.scope)]
+        return [rt for rt in self._proc_copies.get(key[:2], ())
+                if len(key) == 2 or rt.key == key[2:]]
 
     def _procs_in(self, scope: FaultTarget) -> list:
         """The processors inside a lane or processor scope, in spec order."""
-        if scope.kind is TargetKind.LANE:
-            return self._lane_procs[scope.lane]
-        if scope.kind is TargetKind.PROCESSOR:
-            return [self.procs[(scope.lane, scope.proc)]]
-        return []
+        key = scope.key
+        if len(key) == 1:
+            return self._lane_procs[key[0]]
+        return [self.procs[key]] if len(key) == 2 else []
 
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
@@ -664,18 +662,17 @@ class Engine:
     # A halting fault is one that is neither byzantine nor on a sensor: it
     # stops what it targets. Lane, processor and task scopes nest, so the
     # copy or processor is halted iff a halting fault targets its own scope
-    # or one around it. A FaultTarget sets only its kind's coordinates, so
-    # that fault's target equals the scope it names and is a dict key for it.
+    # or one around it: iff _halting holds a prefix of its key.
 
     def _silenced(self, rt: _CopyRt, ps: _ProcSet) -> bool:
         """Is the copy, run by ps, halted (not just skewed) by an active
         fault? The fault handlers keep ps.failed equal to _halted of each
         member."""
-        return ps.failed or bool(self._halting) and rt.scope in self._halting
+        return ps.failed or bool(self._halting) and rt.place + rt.key in self._halting
 
     def _halted(self, slot: _Slot) -> bool:
         """Is the processor halted by an active fault?"""
-        return slot.scope in self._halting or slot.lane_scope in self._halting
+        return slot.key in self._halting or (slot.lane,) in self._halting
 
     def _refresh_proc_failure(self, slot: _Slot):
         ps = slot.set
@@ -689,11 +686,10 @@ class Engine:
 
     def _split_covered(self, t: FaultTarget):
         """Split out each slot a lane, processor or task scope covers."""
-        if t.kind is TargetKind.TASK:
-            self._split(self.procs[(t.lane, t.proc)])
-        else:
-            for slot in self._procs_in(t):
-                self._split(slot)
+        key = t.key
+        for slot in (self._lane_procs[key[0]] if len(key) == 1
+                     else [self.procs[key[:2]]]):
+            self._split(slot)
 
     def _on_fault_activate(self, f):
         self._quiet.clear()
@@ -706,9 +702,11 @@ class Engine:
             return
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
-            bisect.insort(self._byzantine, f, key=rank)
+            first = self._byzantine.get(t.key)
+            if first is None or rank(f) < rank(first):
+                self._byzantine[t.key] = f
             return
-        self._halting[t] = self._halting.get(t, 0) + 1
+        self._halting[t.key] = self._halting.get(t.key, 0) + 1
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(t):
@@ -728,9 +726,9 @@ class Engine:
             return
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every slot it covers
-        left = self._halting.pop(t) - 1
+        left = self._halting.pop(t.key) - 1
         if left:
-            self._halting[t] = left
+            self._halting[t.key] = left
         for slot in self._procs_in(t):
             self._refresh_proc_failure(slot)
         # a restabilizing copy runs again once the last of its causes clears
@@ -783,7 +781,7 @@ class Engine:
         for f in sorted(self._active, key=lambda f: f.fault_id):
             if f.fault_id in self._bit_detected:
                 continue
-            if not bit_detects(f, slot.scope, hosted, self.now):
+            if not bit_detects(f, slot.key, hosted, self.now):
                 continue
             p = self.settings.bit_detect_probability
             if p < 1.0 and self.rng.random() >= p:
@@ -800,11 +798,14 @@ class Engine:
     # -- voting ---------------------------------------------------------------------
 
     def _skew_for(self, rt: _CopyRt):
-        """First active byzantine fault hitting this copy, if any."""
-        for f in self._byzantine:
-            if f.target.contains(rt.scope):
-                return f
-        return None
+        """First active byzantine fault hitting this copy, if any: the first
+        in scenario order of those on its lane, its processor and itself."""
+        byz = self._byzantine
+        if not byz:
+            return None
+        hits = [f for f in (byz.get((rt.lane,)), byz.get(rt.place),
+                            byz.get(rt.place + rt.key)) if f is not None]
+        return min(hits, key=self._fault_rank.__getitem__, default=None)
 
     def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent.
@@ -995,12 +996,11 @@ class Engine:
         self._row("Readmit", rt.lane, rt.proc, rt.app_id, rt.task_id,
                   "copy readmitted to the active set")
         self._sample(rt.app_id)
-        ep = rt.episode
-        if ep is not None and ep.outcome is None:
-            if all(c.health is Health.ACTIVE for c in ep.copies):
-                ep.t_a_us = self.now
-                self._close_episode(ep, Outcome.DEGRADED_DUPLEX
-                                    if ep.degraded_tasks else Outcome.READMITTED)
+        ep = self._episodes[rt.episode - 1]     # it is policed or restabilizing
+        if ep.outcome is None and all(c.health is Health.ACTIVE for c in ep.copies):
+            ep.t_a_us = self.now
+            self._close_episode(ep, Outcome.DEGRADED_DUPLEX
+                                if ep.degraded_tasks else Outcome.READMITTED)
 
     # -- classification and shutdown ---------------------------------------------
 
@@ -1016,11 +1016,8 @@ class Engine:
         self._apply_directives(directives)
 
     def _directive_causes(self, d: FaultTarget):
-        """Active faults that explain a shutdown scope: inside it or around it.
-        Two scopes overlap only within one lane."""
-        lane = d.lane
-        return [f for f in self._active
-                if f.target.lane == lane and f.target.overlaps(d)]
+        """Active faults that explain a shutdown scope: inside it or around it."""
+        return [f for f in self._active if f.target.overlaps(d)]
 
     def _apply_directives(self, directives):
         self._quiet.clear()
@@ -1051,8 +1048,10 @@ class Engine:
                     rt.eligible_us = None
                 else:
                     # a restabilizing or policed copy belongs to an episode
-                    if rt.health is not Health.ACTIVE and rt.episode.outcome is None:
-                        abandoned[rt.episode.record_id] = rt.episode
+                    if rt.health is not Health.ACTIVE:
+                        ep = self._episodes[rt.episode - 1]
+                        if ep.outcome is None:
+                            abandoned[ep.record_id] = ep
                     self._withdraw_copy(rt)
             for rt in victims:
                 copies, causes = affected.setdefault(
@@ -1124,7 +1123,7 @@ class Engine:
             ep.t_r_us = ep.t_i_us = ep.t_s_us = self.now
             ep.copies = copies
             for rt in ep.copies:
-                rt.episode = ep
+                rt.episode = ep.record_id
             return      # its causes are all active; the last to clear sets t_e
         ep.lost = copies
         if not self._pending_selection:
@@ -1284,7 +1283,7 @@ class Engine:
             rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
-                         episode=ep)
+                         episode=ep.record_id)
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:

@@ -54,8 +54,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanesim.cli import metrics_document, trace_lines
-from lanesim.fault import (Consensus, FaultKind, TargetKind, bit_detects,
-                           cross_monitor)
+from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
+                           bit_detects, cross_monitor)
 from lanesim.reconfig import Health
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
@@ -71,6 +71,17 @@ _FAULT_EVENTS = (EventKind.FAULT_ACTIVATE, EventKind.FAULT_CLEAR)
 def _halting(faults, scope):
     return any(f.kind is not FaultKind.BYZANTINE and f.target.contains(scope)
                for f in faults)
+
+
+def _copy_scope(rt):
+    """The task scope of a copy, built from its coordinates."""
+    return FaultTarget(TargetKind.TASK, lane=rt.lane, proc=rt.proc,
+                       app=rt.app_id, task=rt.task_id)
+
+
+def _slot_scope(slot):
+    """The processor scope of a slot, built from its coordinates."""
+    return FaultTarget(TargetKind.PROCESSOR, lane=slot.lane, proc=slot.proc)
 
 
 class CheckedEngine(Engine):
@@ -251,14 +262,14 @@ class CheckedEngine(Engine):
             f"its set runs {sorted(jobs)}")
         running = ps.running
         assert running is None or running in jobs.values()
-        assert ps.dead == any(d.contains(slot.scope) for d in self._killed), (
+        assert ps.dead == any(d.contains(_slot_scope(slot)) for d in self._killed), (
             f"{slot.key} at {self.now}us: dead {ps.dead}")
         # failed is recounted from the faults by _sweep after every fault
         # event, the only events that change it
         exposure = None if len(ps.members) == 1 else [
             f.fault_id for f in self._activated
             if f.target.kind is not TargetKind.SENSOR
-            and f.target.overlaps(slot.scope)]
+            and f.target.overlaps(_slot_scope(slot))]
         return (frozenset(held),
                 sorted((job.background, job.key, job.release_us,
                         job.remaining_us, job.start_us) for job in owned.values()),
@@ -277,12 +288,12 @@ class CheckedEngine(Engine):
 
     def _silenced(self, rt, pr):
         got = super()._silenced(rt, pr)
-        self._agree("silenced", got, lambda fs: _halting(fs, rt.scope))
+        self._agree("silenced", got, lambda fs: _halting(fs, _copy_scope(rt)))
         return got
 
     def _halted(self, pr):
         got = super()._halted(pr)
-        self._agree("halted", got, lambda fs: _halting(fs, pr.scope))
+        self._agree("halted", got, lambda fs: _halting(fs, _slot_scope(pr)))
         return got
 
     def _skew_for(self, rt):
@@ -292,7 +303,7 @@ class CheckedEngine(Engine):
         got = super()._skew_for(rt)
         self._agree("skew", got, lambda fs: next(
             (f for f in fs if f.kind is FaultKind.BYZANTINE
-             and f.target.contains(rt.scope)), None))
+             and f.target.contains(_copy_scope(rt))), None))
         return got
 
     def _directive_causes(self, d):
@@ -332,7 +343,7 @@ class CheckedEngine(Engine):
             def caught(faults, hosted):
                 return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
                         if f.fault_id not in self._bit_detected
-                        and bit_detects(f, pr.scope, hosted, self.now)]
+                        and bit_detects(f, pr.key, hosted, self.now)]
 
             self._agree("bit candidates", caught(self._active, hosted),
                         lambda fs: caught(fs, {
@@ -366,7 +377,7 @@ class CheckedEngine(Engine):
                     and all(rt.health in (Health.ACTIVE, Health.SHUTDOWN)
                             for rt in rts)
                     and all(rt.completed_ever and rt.converge_left == 0
-                            and not any(f.target.contains(rt.scope)
+                            and not any(f.target.contains(_copy_scope(rt))
                                         for f in byzantine)
                             for rt in active))
         assert (got is not None) == markable, (
@@ -436,7 +447,7 @@ class CheckedEngine(Engine):
     def _copies_in(self, scope):
         got = super()._copies_in(scope)
         assert got == [rt for rt in self._copies_by_id()
-                       if scope.contains(rt.scope)]
+                       if scope.contains(_copy_scope(rt))]
         self.checks += 1
         return got
 
@@ -448,7 +459,7 @@ class CheckedEngine(Engine):
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service
-        assert got == [rt for rt in self._copies_by_id() if d.contains(rt.scope)
+        assert got == [rt for rt in self._copies_by_id() if d.contains(_copy_scope(rt))
                        and (rt.health is Health.ACTIVE if transient
                             else rt.health is not Health.SHUTDOWN)]
         self.checks += 1
@@ -460,7 +471,7 @@ class CheckedEngine(Engine):
         # the group itself was checked when it was pushed
         due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
                and not self.procs[rt.place].set.dead
-               and not _halting(self._settled_faults(), rt.scope)]
+               and not _halting(self._settled_faults(), _copy_scope(rt))]
         before = self.counters["releases"]
         super()._on_release(copies)
         assert self.counters["releases"] - before == len(due)

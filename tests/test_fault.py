@@ -268,23 +268,19 @@ def _fault(kind, target, at_us=0, duration_us=None, bit=True):
                      duration_us=duration_us, bit_detectable=bit)
 
 
-def _processor(lane, proc):
-    return FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
-
-
 def test_bit_sees_local_processor_faults():
     fault = _fault(FaultKind.PERMANENT,
                    FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1))
-    assert bit_detects(fault, _processor(0, 1), set(), now_us=10)
-    assert not bit_detects(fault, _processor(0, 2), set(), now_us=10)
-    assert not bit_detects(fault, _processor(1, 1), set(), now_us=10)
+    assert bit_detects(fault, (0, 1), set(), now_us=10)
+    assert not bit_detects(fault, (0, 2), set(), now_us=10)
+    assert not bit_detects(fault, (1, 1), set(), now_us=10)
 
 
 def test_bit_sees_hosted_task_faults_only_where_hosted():
     fault = _fault(FaultKind.TRANSIENT,
                    FaultTarget(TargetKind.TASK, lane=0, proc=1, app=2, task=3),
                    at_us=100, duration_us=50)
-    here = _processor(0, 1)
+    here = (0, 1)
     assert bit_detects(fault, here, {(2, 3)}, now_us=120)
     assert not bit_detects(fault, here, {(2, 4)}, now_us=120)
     assert not bit_detects(fault, here, {(2, 3)}, now_us=10)    # not yet active
@@ -294,13 +290,13 @@ def test_bit_sees_hosted_task_faults_only_where_hosted():
 def test_bit_is_blind_to_byzantine_lane_and_masked_faults():
     byz = _fault(FaultKind.BYZANTINE,
                  FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1))
-    assert not bit_detects(byz, _processor(0, 1), set(), now_us=10)
+    assert not bit_detects(byz, (0, 1), set(), now_us=10)
     lane = _fault(FaultKind.PERMANENT, FaultTarget(TargetKind.LANE, lane=0))
-    assert not bit_detects(lane, _processor(0, 1), set(), now_us=10)
+    assert not bit_detects(lane, (0, 1), set(), now_us=10)
     hidden = _fault(FaultKind.PERMANENT,
                     FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1),
                     bit=False)
-    assert not bit_detects(hidden, _processor(0, 1), set(), now_us=10)
+    assert not bit_detects(hidden, (0, 1), set(), now_us=10)
 
 
 # --- classification ------------------------------------------------
@@ -396,6 +392,11 @@ def test_contains_is_reflexive_and_transitive(a, b, c):
     assert a.contains(a)
     if a.contains(b) and b.contains(c):
         assert a.contains(c)
+    # the engine keys its fault indexes by key: one scope, one key
+    assert (a == b) == (a.key == b.key)
+    # a sensor key is never a prefix of a lane, processor or task key
+    if a.kind is TargetKind.SENSOR and b.kind is not TargetKind.SENSOR:
+        assert b.key[:len(a.key)] != a.key
 
 
 @given(scopes, scopes)

@@ -5,6 +5,7 @@ too slow for real work but obviously correct, so the fast event-driven
 paths can be checked against it on small task sets.
 """
 
+import gc
 import json
 import math
 
@@ -899,3 +900,45 @@ def test_completions_are_in_finish_lane_proc_order():
         got = run(sc).completions
         assert got, sc
         assert got == sorted(got, key=lambda c: (c.finish_us, c.lane, c.proc))
+
+
+def _garbage_left_by(scenario) -> int:
+    """How many unreachable objects a run leaves, its result dropped, with
+    the collector off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        run(scenario)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_a_golden_run_frees_itself_without_the_collector(path):
+    assert _garbage_left_by(load_scenario(path)) == 0
+
+
+def test_a_fault_storm_run_frees_itself_without_the_collector():
+    # a copy names its episode by record id, so the episodes that forty
+    # faults open and their copies form no reference cycle
+    scenario = parse_scenario(generate_scenario(
+        lanes=4, procs=10, apps=8, seed=1003, faults=40, horizon_ms=100))
+    assert _garbage_left_by(scenario) == 0
+
+
+def test_engine_set_up_builds_no_fault_target(monkeypatch):
+    # slots and copies are looked up by their coordinate keys; scopes are
+    # the faults' and the shutdowns' own
+    scenario = load_scenario(SCENARIOS / "triplex_task_permanent.json")
+    built = []
+    post_init = FaultTarget.__post_init__
+
+    def counted(target):
+        built.append(target)
+        post_init(target)
+
+    monkeypatch.setattr(FaultTarget, "__post_init__", counted)
+    Engine(scenario)
+    assert built == []
