@@ -704,6 +704,63 @@ def test_a_hostile_number_is_refused_not_a_crash(tmp_path, capsys, name, value):
     assert code == 2 and f"field '{key}'" in err
 
 
+_TASK_AT = "system.applications[0].tasks[0]"
+_STATE_AT = "system.applications[0].state_model"
+# where each refusal of _HOSTILE_PLACES names its field
+_PLACE_AT = {
+    "task period_ms": _TASK_AT,
+    "message period_ms": f"{_TASK_AT}.messages[0]",
+    "wcet_ms": _TASK_AT,
+    "deadline_ms": _TASK_AT,
+    "size": f"{_TASK_AT}.messages[0]",
+    "code_size": _TASK_AT,
+    "snapshot_size": _STATE_AT,
+    "min_state_size": _STATE_AT,
+    "utilization_bound": "system.timing",
+    "max_load": "system.bus",
+    "fault at_ms": "faults[0]",
+    "duration_ms": "faults[0]",
+    "approval at_ms": "policies.pilot_approvals[0]",
+    "horizon_ms": "sim",
+    "bit_period_ms": "sim",
+    "voter tolerance": "voter",
+    "value_skew": "faults[0]",
+    "reference value": "sim.reference",
+    "slope_per_ms": "sim.reference",
+    "bit_detect_probability": "sim",
+    "convergence_rounds": _STATE_AT,
+}
+
+
+@pytest.mark.parametrize("value,reason", [(10**400, "must be finite"),
+                                          ("1", "has the wrong type")])
+@pytest.mark.parametrize("name", _HOSTILE_PLACES)
+def test_a_refusal_names_the_full_location_of_its_field(name, value, reason):
+    assert _PLACE_AT.keys() == _HOSTILE_PLACES.keys()
+    doc = _every_number_doc()
+    path, key = _HOSTILE_PLACES[name]
+    _owner(doc, path)[key] = value
+    with pytest.raises(MalformedDocument) as err:
+        parse_scenario(doc)
+    assert str(err.value) == f"{_PLACE_AT[name]}: field '{key}' {reason}"
+
+
+@pytest.mark.parametrize("path,key", [
+    (_TASK, "task_id"), (_TASK, "wcet_ms"), (_TASK, "period_ms"),
+    (_TASK, "initial_proc"), (_TASK + ("messages", 0), "msg_id"),
+    (_TASK + ("messages", 0), "size"),
+    (("system", "applications", 0), "tasks"),
+    (("system", "lanes", 1, "processors", 2), "proc_id")])
+def test_a_missing_field_is_refused_with_its_full_location(path, key):
+    doc = _every_number_doc()
+    del _owner(doc, path)[key]
+    where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                    for step in path)[1:]
+    with pytest.raises(MalformedDocument) as err:
+        parse_scenario(doc)
+    assert str(err.value) == f"{where}: missing required field '{key}'"
+
+
 _HOSTILE_FILES = {
     "bad json": "{!",
     "not utf-8": b'{"format_version": 1, "x": "\xff"}',
