@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .timebase import frac, ms_to_us
+from .timebase import frac, ms_to_us, ratio_sum
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -57,8 +57,13 @@ class MessageSpec:
     @property
     def demand(self) -> Fraction:
         # data units per millisecond
-        return Fraction(self.size.numerator * 1000,
-                        self.size.denominator * self.period_us)
+        return Fraction(*self.demand_ratio)
+
+    @property
+    def demand_ratio(self) -> tuple[int, int]:
+        """The demand as an integer (numerator, denominator) pair."""
+        return (self.size.numerator * 1000,
+                self.size.denominator * self.period_us)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +81,8 @@ class TaskSpec:
     message_demand: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "message_demand", sum(
-            (m.demand for m in self.messages), Fraction(0)))
+        object.__setattr__(self, "message_demand", ratio_sum(
+            [m.demand_ratio for m in self.messages]))
 
 
 @dataclass(frozen=True)
@@ -204,106 +209,138 @@ class InvalidModel(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-# -- parsing helpers ---------------------------------------------------------
+# -- reading the document ------------------------------------------------------
 
 _REQUIRED = object()
-_NUMBERS = frozenset({int, float})
+_NUMBER = (int, float)
+_NUMBERS = frozenset(_NUMBER)
+_ZERO = Fraction(0)
 
 
-def _field(doc: dict, key: str, kinds, where: str, default=_REQUIRED):
-    """doc[key], which must be one of the kinds; an absent or null field
-    gives the default, and with no default it is required. A bool is no
-    number, nor is a number or a string such as "false" a bool. A number
-    must be finite and inside float range: JSON reads NaN and Infinity as
-    floats, an int can pass the largest float, and NaN fails every
-    comparison."""
-    if default is _REQUIRED:
-        if not isinstance(doc, dict) or key not in doc:
-            raise MalformedDocument(f"{where}: missing required field '{key}'")
-        value = doc[key]
-    else:
-        value = doc.get(key)
+def _at(path: tuple) -> str:
+    """A place in the document as text, such as
+    ``system.applications[0].tasks[3]``; the document itself is
+    ``scenario``."""
+    text = "".join(f"[{step}]" if type(step) is int else f".{step}"
+                   for step in path)
+    return text[1:] or "scenario"
+
+
+def _read(doc: dict, table: tuple, path: tuple) -> list:
+    """One record's fields, in table order: the one rule for every field.
+
+    Each entry is (key, kinds, default, convert). doc[key] must be one of
+    the kinds; an absent or null field gives the default, and with no
+    default it is required. A bool is no number, nor is a number or a
+    string such as "false" a bool. A number must be finite and inside
+    float range: JSON reads NaN and Infinity as floats, an int can pass the
+    largest float, and NaN fails every comparison. ``convert``, if given,
+    maps a value the document holds; defaults are given converted. The
+    record's path becomes text only for a refusal."""
+    if not isinstance(doc, dict):
+        doc = {}        # a record that is no object lacks its first field
+    get = doc.get
+    out = []
+    for key, kinds, default, convert in table:
+        value = get(key)
         if value is None:
-            return default
-    if not isinstance(value, kinds) or value.__class__ is bool and kinds is not bool:
-        raise MalformedDocument(f"{where}: field '{key}' has the wrong type")
-    if value.__class__ in _NUMBERS and not abs(value) <= _FLOAT_MAX:
-        raise MalformedDocument(f"{where}: field '{key}' must be finite")
-    return value
+            if default is not _REQUIRED:
+                out.append(default)
+                continue
+            if key not in doc:
+                raise MalformedDocument(
+                    f"{_at(path)}: missing required field '{key}'")
+        cls = value.__class__
+        if not isinstance(value, kinds) or cls is bool and kinds is not bool:
+            raise MalformedDocument(
+                f"{_at(path)}: field '{key}' has the wrong type")
+        if cls in _NUMBERS and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise MalformedDocument(f"{_at(path)}: field '{key}' must be finite")
+        out.append(value if convert is None else convert(value))
+    return out
 
 
-def _number(doc: dict, key: str, where: str, default=_REQUIRED):
-    """A JSON number; required unless a default is given."""
-    return _field(doc, key, (int, float), where, default)
+def _field(doc: dict, key: str, kinds, path: tuple, default=_REQUIRED):
+    """doc[key] alone, by the rule of ``_read``."""
+    return _read(doc, ((key, kinds, default, None),), path)[0]
 
 
-def _enum(cls, text, where: str):
+def _enum(cls, text, path: tuple):
     try:
         return cls(text)
     except ValueError:
         names = ", ".join(e.value for e in cls)
-        raise MalformedDocument(f"{where}: expected one of [{names}], got {text!r}") from None
-
-
-def _duration_us(doc, key, where, default=None) -> int:
-    if default is not None and key not in doc:
-        return default
-    return ms_to_us(_number(doc, key, where))
+        raise MalformedDocument(
+            f"{_at(path)}: expected one of [{names}], got {text!r}") from None
 
 
 # -- document -> model -------------------------------------------------------
 
-def _parse_message(doc: dict, task_period_us: int, where: str) -> MessageSpec:
-    return MessageSpec(
-        msg_id=_field(doc, "msg_id", int, where),
-        size=frac(_number(doc, "size", where)),
-        period_us=_duration_us(doc, "period_ms", where, default=task_period_us),
-    )
-
-
-def _parse_task(doc: dict, lane_count: int, where: str):
-    period = _duration_us(doc, "period_ms", where)
-    task = dict(
-        task_id=_field(doc, "task_id", int, where),
-        wcet_us=_duration_us(doc, "wcet_ms", where),
-        period_us=period,
-        deadline_us=_duration_us(doc, "deadline_ms", where, default=period),
-        code_size=frac(_number(doc, "code_size", where, 0)),
-    )
-    raw_proc = _field(doc, "initial_proc", (int, list), where)
-    if isinstance(raw_proc, list):
+# Records read by table, in the order their refusals are checked. A task's
+# deadline and a message's period default to the task's period (None here).
+_TASK = (
+    ("period_ms", _NUMBER, _REQUIRED, ms_to_us),
+    ("task_id", int, _REQUIRED, None),
+    ("wcet_ms", _NUMBER, _REQUIRED, ms_to_us),
+    ("deadline_ms", _NUMBER, None, ms_to_us),
+    ("code_size", _NUMBER, _ZERO, frac),
+    ("initial_proc", (int, list), _REQUIRED, None),
+    ("messages", list, (), None),
+)
+_MESSAGE = (
+    ("msg_id", int, _REQUIRED, None),
+    ("size", _NUMBER, _REQUIRED, frac),
+    ("period_ms", _NUMBER, None, ms_to_us),
+)
+_PROCESSOR = (
+    ("proc_id", int, _REQUIRED, None),
+    ("role", str, ProcessorRole.ALLOCATED.value, None),
+)
+def _parse_task(doc: dict, lane_count: int, path: tuple):
+    """A task's fields, its processor per lane, and its messages."""
+    (period, task_id, wcet, deadline, code_size, raw_proc,
+     msg_docs) = _read(doc, _TASK, path)
+    if raw_proc.__class__ is list:
         if len(raw_proc) != lane_count or not all(
             isinstance(p, int) and not isinstance(p, bool) for p in raw_proc
         ):
-            raise MalformedDocument(f"{where}: per-lane initial_proc must list one int per lane")
+            raise MalformedDocument(
+                f"{_at(path)}: per-lane initial_proc must list one int per lane")
         procs = tuple(raw_proc)
     else:
-        procs = (raw_proc,) * lane_count
-    msgs = _field(doc, "messages", list, where, [])
-    task["messages"] = tuple(
-        _parse_message(m, period, f"{where}.messages[{i}]") for i, m in enumerate(msgs)
-    )
-    return task, procs
+        procs = (raw_proc,)
+    msgs = []
+    for i, md in enumerate(msg_docs):
+        msg_id, size, msg_period = _read(md, _MESSAGE, path + ("messages", i))
+        msgs.append(MessageSpec(msg_id, size,
+                                period if msg_period is None else msg_period))
+    return (task_id, wcet, period, period if deadline is None else deadline,
+            code_size, procs, tuple(msgs))
 
 
-def _parse_state_model(doc: dict, where: str) -> StateModel:
-    min_state = _number(doc, "min_state_size", where, None)
+def _number(doc: dict, key: str, path: tuple, default=_REQUIRED):
+    """A JSON number; required unless a default is given."""
+    return _field(doc, key, _NUMBER, path, default)
+
+
+def _parse_state_model(doc: dict, path: tuple) -> StateModel:
+    min_state = _number(doc, "min_state_size", path, None)
     return StateModel(
-        strategy=_enum(StateStrategy, _field(doc, "strategy", str, where, "transfer"), where),
-        snapshot_size=frac(_number(doc, "snapshot_size", where, 0)),
-        history_len=_field(doc, "history_len", int, where, 0),
+        strategy=_enum(StateStrategy, _field(doc, "strategy", str, path, "transfer"), path),
+        snapshot_size=frac(_number(doc, "snapshot_size", path, 0)),
+        history_len=_field(doc, "history_len", int, path, 0),
         min_state_size=frac(min_state) if min_state is not None else None,
-        convergence_rounds=_field(doc, "convergence_rounds", int, where, 0),
+        convergence_rounds=_field(doc, "convergence_rounds", int, path, 0),
     )
 
 
 def _parse_timing(doc: dict) -> TimingConfig:
-    where = "system.timing"
+    path = ("system", "timing")
     return TimingConfig(
-        utilization_bound=frac(_number(doc, "utilization_bound", where, 0.69)),
-        customer_cap_mode=_field(doc, "customer_cap_mode", bool, where, False),
-        police_rounds=_field(doc, "police_rounds", int, where, 3),
-        tolerance=float(_number(doc, "tolerance", where, 0.5)),
+        utilization_bound=frac(_number(doc, "utilization_bound", path, 0.69)),
+        customer_cap_mode=_field(doc, "customer_cap_mode", bool, path, False),
+        police_rounds=_field(doc, "police_rounds", int, path, 3),
+        tolerance=float(_number(doc, "tolerance", path, 0.5)),
     )
 
 
@@ -316,27 +353,32 @@ def build_system(doc: dict) -> SystemModel:
     if not isinstance(doc, dict):
         raise MalformedDocument("system section must be an object")
 
-    arch = _enum(Architecture, _field(doc, "architecture", str, "system"), "system.architecture")
-    lanes_doc = _field(doc, "lanes", list, "system")
-    bus_doc = _field(doc, "bus", dict, "system", {"max_load": 1000})
-    apps_doc = _field(doc, "applications", list, "system", [])
-    timing = _parse_timing(_field(doc, "timing", dict, "system", {}))
-    bus = BusSpec(max_load=frac(_number(bus_doc, "max_load", "system.bus")))
+    at = ("system",)
+    arch = _enum(Architecture, _field(doc, "architecture", str, at),
+                 at + ("architecture",))
+    lanes_doc = _field(doc, "lanes", list, at)
+    bus_doc = _field(doc, "bus", dict, at, {"max_load": 1000})
+    apps_doc = _field(doc, "applications", list, at, [])
+    timing = _parse_timing(_field(doc, "timing", dict, at, {}))
+    bus = BusSpec(max_load=frac(_number(bus_doc, "max_load", at + ("bus",))))
 
     violations: list[Violation] = []
     bad = violations.append
 
     lanes = []
+    specs = {}      # (proc_id, role) -> its ProcessorSpec: lanes mostly mirror
     for i, ld in enumerate(lanes_doc):
-        where = f"system.lanes[{i}]"
-        lane_id = _field(ld, "lane_id", int, where)
+        lane_at = at + ("lanes", i)
+        lane_id = _field(ld, "lane_id", int, lane_at)
         procs = []
-        for j, pd in enumerate(_field(ld, "processors", list, where)):
-            pw = f"{where}.processors[{j}]"
-            procs.append(ProcessorSpec(
-                proc_id=_field(pd, "proc_id", int, pw),
-                role=_enum(ProcessorRole, _field(pd, "role", str, pw, "allocated"), pw),
-            ))
+        for j, pd in enumerate(_field(ld, "processors", list, lane_at)):
+            proc_at = lane_at + ("processors", j)
+            proc_id, role = _read(pd, _PROCESSOR, proc_at)
+            spec = specs.get((proc_id, role))
+            if spec is None:
+                spec = specs[proc_id, role] = ProcessorSpec(
+                    proc_id, _enum(ProcessorRole, role, proc_at))
+            procs.append(spec)
         lanes.append(LaneSpec(lane_id=lane_id, processors=tuple(procs)))
 
     if not 2 <= len(lanes) <= 4:
@@ -363,53 +405,59 @@ def build_system(doc: dict) -> SystemModel:
     # each lane's processor roles by id, first listed wins, as in LaneSpec.processor
     lane_roles = [(l.lane_id, {p.proc_id: p.role for p in reversed(l.processors)})
                   for l in lanes]
+    lane_count = max(len(lanes), 1)
     apps = []
     app_ids = set()
     for i, ad in enumerate(apps_doc):
-        where = f"system.applications[{i}]"
-        app_id = _field(ad, "app_id", int, where)
+        app_at = at + ("applications", i)
+        app_id = _field(ad, "app_id", int, app_at)
         if app_id in app_ids:
             bad(Violation("DuplicateId", f"duplicate application id {app_id}"))
         app_ids.add(app_id)
         tasks = []
         task_ids = set()
-        task_docs = _field(ad, "tasks", list, where)
+        task_docs = _field(ad, "tasks", list, app_at)
         for j, td in enumerate(task_docs):
-            tw = f"{where}.tasks[{j}]"
-            fields, procs = _parse_task(td, max(len(lanes), 1), tw)
-            if fields["task_id"] in task_ids:
+            task_at = app_at + ("tasks", j)
+            (task_id, wcet, period, deadline, code_size, procs,
+             msgs) = _parse_task(td, lane_count, task_at)
+            if task_id in task_ids:
                 bad(Violation("DuplicateId",
-                              f"duplicate task id {fields['task_id']} in app {app_id}"))
-            task_ids.add(fields["task_id"])
-            msgs = fields["messages"]
-            if len({m.msg_id for m in msgs}) != len(msgs):
-                bad(Violation("DuplicateId", f"duplicate message ids in {tw}"))
-            if not 0 < fields["wcet_us"] <= fields["deadline_us"] <= fields["period_us"]:
+                              f"duplicate task id {task_id} in app {app_id}"))
+            task_ids.add(task_id)
+            if len(msgs) > 1 and len({m.msg_id for m in msgs}) != len(msgs):
+                bad(Violation("DuplicateId", f"duplicate message ids in {_at(task_at)}"))
+            if not 0 < wcet <= deadline <= period:
                 bad(Violation("MalformedDocument",
-                              f"{tw}: need 0 < wcet <= deadline <= period"))
-            if fields["code_size"] < 0:
-                bad(Violation("MalformedDocument", f"{tw}: negative code_size"))
+                              f"{_at(task_at)}: need 0 < wcet <= deadline <= period"))
+            if code_size.numerator < 0:
+                bad(Violation("MalformedDocument", f"{_at(task_at)}: negative code_size"))
             if len(set(procs)) > 1:
                 bad(Violation("AsymmetricLanes",
-                              f"{tw}: initial_proc differs between lanes {procs}"))
+                              f"{_at(task_at)}: initial_proc differs between lanes "
+                              f"{procs}"))
             proc_id = procs[0]
             for lane_id, roles in lane_roles:
                 role = roles.get(proc_id)
                 if role is None:
                     bad(Violation("MalformedDocument",
-                                  f"{tw}: initial_proc {proc_id} not in lane {lane_id}"))
+                                  f"{_at(task_at)}: initial_proc {proc_id} not in lane "
+                                  f"{lane_id}"))
                 elif role is ProcessorRole.SPARE:
                     bad(Violation("SpareHasTasks",
-                                  f"app {app_id} task {fields['task_id']} allocated to spare "
+                                  f"app {app_id} task {task_id} allocated to spare "
                                   f"processor {proc_id} (lane {lane_id})"))
             if any(m.period_us <= 0 for m in msgs):
                 # a message's bus demand divides by its period
-                bad(Violation("MalformedDocument", f"{tw}: message period must be positive"))
+                bad(Violation("MalformedDocument",
+                              f"{_at(task_at)}: message period must be positive"))
                 continue
-            tasks.append(TaskSpec(initial_proc=proc_id, **fields))
+            tasks.append(TaskSpec(task_id, wcet, period, deadline, proc_id,
+                                  code_size, msgs))
         if not task_docs:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))
-        sm = _parse_state_model(_field(ad, "state_model", dict, where, {}), f"{where}.state_model")
+        sm = _parse_state_model(_field(ad, "state_model", dict, app_at, {}),
+                                app_at + ("state_model",))
         if sm.strategy is StateStrategy.CONVERGENCE and sm.snapshot_size != 0:
             bad(Violation("MalformedDocument",
                           f"app {app_id}: convergence strategy ships no snapshot"))
@@ -422,7 +470,7 @@ def build_system(doc: dict) -> SystemModel:
             bad(Violation("MalformedDocument", f"app {app_id}: negative state-model value"))
         apps.append(ApplicationSpec(
             app_id=app_id,
-            criticality=_field(ad, "criticality", int, where, i),
+            criticality=_field(ad, "criticality", int, app_at, i),
             tasks=tuple(tasks),
             state_model=sm,
         ))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
-from .model import (_FLOAT_MAX, Architecture, InvalidModel, MalformedDocument,
-                    SystemModel, Violation, build_system, _enum, _field,
-                    _number)
+from .model import (_FLOAT_MAX, _NUMBER, _REQUIRED, Architecture, InvalidModel,
+                    MalformedDocument, SystemModel, Violation, build_system,
+                    _enum, _field, _number, _read)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -99,68 +99,86 @@ class Scenario:
 
 # -- parsing -----------------------------------------------------------------
 
-def _parse_target(doc: dict, where: str) -> FaultTarget:
-    kind = _enum(TargetKind, _field(doc, "kind", str, where), where)
-    fields = {name: _field(doc, name, int, where)
+def _parse_target(doc: dict, path: tuple) -> FaultTarget:
+    kind = _enum(TargetKind, _field(doc, "kind", str, path), path)
+    fields = {name: _field(doc, name, int, path)
               for name in TARGET_FIELDS[kind]}
     return FaultTarget(kind=kind, **fields)
 
 
+# a fault's fields, in the order their refusals are checked; the default of
+# bit_detectable depends on the kind (None here)
+_FAULT = (
+    ("kind", str, _REQUIRED, None),
+    ("duration_ms", _NUMBER, None, ms_to_us),
+    ("fault_id", int, None, None),
+    ("at_ms", _NUMBER, _REQUIRED, ms_to_us),
+    ("target", dict, _REQUIRED, None),
+    ("value_skew", _NUMBER, 0.0, float),
+    ("per_receiver", bool, False, None),
+    ("bit_detectable", bool, None, None),
+)
+
+
 def _parse_fault(doc: dict, index: int) -> FaultSpec:
-    where = f"faults[{index}]"
-    kind = _enum(FaultKind, _field(doc, "kind", str, where), where)
-    duration = _number(doc, "duration_ms", where, None)
+    path = ("faults", index)
+    (kind, duration_us, fault_id, at_us, target, value_skew, per_receiver,
+     bit_detectable) = _read(doc, _FAULT, path)
+    kind = _enum(FaultKind, kind, path)
     return FaultSpec(
-        fault_id=_field(doc, "fault_id", int, where, index),
-        at_us=ms_to_us(_number(doc, "at_ms", where)),
+        fault_id=index if fault_id is None else fault_id,
+        at_us=at_us,
         kind=kind,
-        target=_parse_target(_field(doc, "target", dict, where), f"{where}.target"),
-        duration_us=ms_to_us(duration) if duration is not None else None,
-        value_skew=float(_number(doc, "value_skew", where, 0.0)),
-        per_receiver=_field(doc, "per_receiver", bool, where, False),
-        bit_detectable=_field(doc, "bit_detectable", bool, where,
-                              kind is not FaultKind.BYZANTINE),
+        target=_parse_target(target, path + ("target",)),
+        duration_us=duration_us,
+        value_skew=value_skew,
+        per_receiver=per_receiver,
+        bit_detectable=(kind is not FaultKind.BYZANTINE
+                        if bit_detectable is None else bit_detectable),
     )
 
 
 def _parse_policies(doc: dict) -> Policies:
     approvals = []
-    for i, ad in enumerate(_field(doc, "pilot_approvals", list, "policies", [])):
-        where = f"policies.pilot_approvals[{i}]"
+    at = ("policies",)
+    for i, ad in enumerate(_field(doc, "pilot_approvals", list, at, [])):
+        path = at + ("pilot_approvals", i)
         approvals.append(Approval(
-            at_us=ms_to_us(_number(ad, "at_ms", where)),
-            lane=_field(ad, "lane", int, where, None),
-            proc=_field(ad, "proc", int, where, None),
-            app=_field(ad, "app", int, where, None),
-            task=_field(ad, "task", int, where, None),
-            sensor=_field(ad, "sensor", bool, where, False),
+            at_us=ms_to_us(_number(ad, "at_ms", path)),
+            lane=_field(ad, "lane", int, path, None),
+            proc=_field(ad, "proc", int, path, None),
+            app=_field(ad, "app", int, path, None),
+            task=_field(ad, "task", int, path, None),
+            sensor=_field(ad, "sensor", bool, path, False),
         ))
-    return Policies(pilot_gate=_field(doc, "pilot_gate", bool, "policies", False),
+    return Policies(pilot_gate=_field(doc, "pilot_gate", bool, at, False),
                     approvals=tuple(approvals))
 
 
 def _parse_voter(doc: dict) -> VoterConfig:
+    at = ("voter",)
     return VoterConfig(
-        tolerance=float(_number(doc, "tolerance", "voter", 0.5)),
+        tolerance=float(_number(doc, "tolerance", at, 0.5)),
         consensus=_enum(Consensus,
-                        _field(doc, "consensus", str, "voter", "median_of_others"),
-                        "voter.consensus"),
+                        _field(doc, "consensus", str, at, "median_of_others"),
+                        at + ("consensus",)),
     )
 
 
 def _parse_settings(doc: dict) -> SimSettings:
-    where = "sim"
-    ref_doc = _field(doc, "reference", dict, where, {})
+    at = ("sim",)
+    ref_at = at + ("reference",)
+    ref_doc = _field(doc, "reference", dict, at, {})
     return SimSettings(
-        seed=_field(doc, "seed", int, where, 0),
-        horizon_us=ms_to_us(_number(doc, "horizon_ms", where, 500)),
-        bit_period_us=ms_to_us(_number(doc, "bit_period_ms", where, 25)),
+        seed=_field(doc, "seed", int, at, 0),
+        horizon_us=ms_to_us(_number(doc, "horizon_ms", at, 500)),
+        bit_period_us=ms_to_us(_number(doc, "bit_period_ms", at, 25)),
         reference=ReferenceSignal(
-            base=float(_number(ref_doc, "value", "sim.reference", 0.0)),
-            slope_per_ms=float(_number(ref_doc, "slope_per_ms", "sim.reference", 0.0)),
+            base=float(_number(ref_doc, "value", ref_at, 0.0)),
+            slope_per_ms=float(_number(ref_doc, "slope_per_ms", ref_at, 0.0)),
         ),
-        enforce_admission=_field(doc, "enforce_admission", bool, where, True),
-        bit_detect_probability=float(_number(doc, "bit_detect_probability", where, 1.0)),
+        enforce_admission=_field(doc, "enforce_admission", bool, at, True),
+        bit_detect_probability=float(_number(doc, "bit_detect_probability", at, 1.0)),
     )
 
 
@@ -168,17 +186,17 @@ def parse_scenario(doc: dict) -> Scenario:
     """Build a validated Scenario; raises MalformedDocument / InvalidModel."""
     if not isinstance(doc, dict):
         raise MalformedDocument("scenario must be a JSON object")
-    version = _field(doc, "format_version", int, "scenario")
+    version = _field(doc, "format_version", int, ())
     if version != FORMAT_VERSION:
         raise MalformedDocument(f"unsupported format_version {version!r}")
-    system = build_system(_field(doc, "system", dict, "scenario"))
+    system = build_system(_field(doc, "system", dict, ()))
     sc = Scenario(
         model=system,
         faults=[_parse_fault(fd, i)
-                for i, fd in enumerate(_field(doc, "faults", list, "scenario", []))],
-        policies=_parse_policies(_field(doc, "policies", dict, "scenario", {})),
-        voter=_parse_voter(_field(doc, "voter", dict, "scenario", {})),
-        settings=_parse_settings(_field(doc, "sim", dict, "scenario", {})),
+                for i, fd in enumerate(_field(doc, "faults", list, (), []))],
+        policies=_parse_policies(_field(doc, "policies", dict, (), {})),
+        voter=_parse_voter(_field(doc, "voter", dict, (), {})),
+        settings=_parse_settings(_field(doc, "sim", dict, (), {})),
     )
     violations = scenario_violations(sc)
     if violations:

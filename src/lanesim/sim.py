@@ -294,13 +294,10 @@ class _CopyRt(Copy):
     police: PoliceCounter | None = None
     eligible_us: int | None = None
     episode: int | None = None                      # its episode's record id
-    key: tuple = field(init=False, repr=False)      # (app, task)
-    place: tuple = field(init=False, repr=False)    # (lane, proc)
-
-    def __post_init__(self):
-        # a copy never moves, so where it runs is fixed
-        self.key = (self.app_id, self.task_id)
-        self.place = (self.lane, self.proc)
+    # (app, task) and (lane, proc), given by the caller: the copies of a
+    # task share one key tuple, and a copy, which never moves, its slot's
+    key: tuple = field(repr=False)
+    place: tuple = field(repr=False)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -398,41 +395,51 @@ class Engine:
                 self.procs[slot.key] = slot
                 self._proc_copies[slot.key] = []
                 members[slot.proc].append(slot)
+        admitted = {}       # processor id -> the admitted set its slots share
         for proc, held in entries.items():
             slots = sorted(members[proc], key=lambda slot: slot.lane)
-            state = ProcessorState(held)
+            state = admitted[proc] = ProcessorState(held)
             ps = _ProcSet([slot.key for slot in slots], self._push, state,
                           state.priorities())
             for slot in slots:
                 slot.set = ps
 
+        # the copies of a task share its key tuple and each its slot's place
         lane_ids = sorted(self.model.lane_ids)
+        copy_ids = self._copy_ids
         for app, tasks in apps:
-            self.groups[app.app_id] = ReplicaGroup(
-                app.app_id, {t.task_id: [] for t in tasks})
+            copies = {}
+            self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
             for task in tasks:
+                key = (app.app_id, task.task_id)
+                rts = copies[task.task_id] = []
                 for lane_id in lane_ids:
-                    self._add_copy(_CopyRt(
-                        next(self._copy_ids), app.app_id, task.task_id,
-                        lane_id, task.initial_proc,
-                        spec=task, app=app, origin_us=0))
+                    place = self.procs[lane_id, task.initial_proc].key
+                    rt = _CopyRt(next(copy_ids), app.app_id, task.task_id,
+                                 lane_id, task.initial_proc, spec=task, app=app,
+                                 origin_us=0, key=key, place=place)
+                    rts.append(rt)
+                    self._proc_copies[place].append(rt)
         demand = exact_sum(t.message_demand for _, tasks in apps for t in tasks)
         self.bus = BusState(self.model.bus.max_load, demand * len(lane_ids))
 
         violations = []
         if self.settings.enforce_admission:
+            bound = self.cfg.effective_bound
+            over = {proc: float(u) for proc, state in admitted.items()
+                    if (u := state.utilization) > bound}
             for slot in self.procs.values():
-                if slot.set.admitted.utilization > self.cfg.effective_bound:
+                if slot.proc in over:
                     violations.append(Violation(
                         "AdmissionExceeded",
                         f"lane {slot.lane} processor {slot.proc} starts at utilization "
-                        f"{float(slot.set.admitted.utilization):.4f} over the bound "
-                        f"{float(self.cfg.effective_bound):.2f}"))
-        if self.bus.current_load > self.bus.max_load:
+                        f"{over[slot.proc]:.4f} over the bound {float(bound):.2f}"))
+        load = self.bus.current_load
+        if load > self.bus.max_load:
             violations.append(Violation(
                 "BusOverload",
-                f"baseline message load {float(self.bus.current_load):.4f} exceeds "
+                f"baseline message load {float(load):.4f} exceeds "
                 f"bus capacity {float(self.bus.max_load):.4f}"))
         if violations:
             raise ScenarioInvalid(violations)
@@ -1283,7 +1290,8 @@ class Engine:
             rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
                          Health.POLICED, spec=spec, app=app, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
-                         episode=ep.record_id)
+                         episode=ep.record_id, key=(ep.app_id, task_id),
+                         place=self.procs[lane, proc].key)
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:

@@ -1,4 +1,4 @@
-"""Clock units.
+"""Clock units and exact numbers.
 
 The event clock runs on integer microseconds (one quantum = 1 us). Scenario
 files and reports speak milliseconds. Conversions round to the nearest
@@ -20,6 +20,9 @@ _MS_TO_US = Context(prec=24, rounding=ROUND_HALF_EVEN, Emin=-999999,
                     Emax=999999, capitals=1, clamp=0, flags=[],
                     traps=[InvalidOperation, DivisionByZero, Overflow])
 
+# below 2**50, one ulp of a float is at most 2**-3 (ms_to_us)
+_WHOLE_US_LIMIT = 1e15
+
 
 def frac(value) -> Fraction:
     """Exact rational from a JSON number; floats are read via their decimal text."""
@@ -32,15 +35,39 @@ def frac(value) -> Fraction:
     return Fraction(str(value))
 
 
+def ratio_sum(pairs) -> Fraction:
+    """The exact sum of (numerator, denominator) integer pairs, summed
+    over their lcm into one Fraction: no Fraction per term or partial sum."""
+    num, den = 0, 1
+    for n, d in pairs:
+        lcm = den // math.gcd(den, d) * d
+        num, den = num * (lcm // den) + n * (lcm // d), lcm
+    return Fraction(num, den)
+
+
 def ms_to_us(ms) -> int:
     """Milliseconds (int/float/Fraction) to integer microseconds.
 
     A float is read via its decimal text, as ``frac`` reads it, and the
     product rounds half to even, as ``round`` rounds a Fraction.
+
+    Most floats in a scenario are whole microseconds, and those take a
+    short cut: if the float product ``n = ms * 1000.0`` is an integer with
+    ``|n| < 1e15``, the answer is ``n``. Below ``1e15 < 2**50`` one ulp of
+    ``n`` is at most 0.125, so the exact product ``ms * 1000`` lies within
+    0.0625 of ``n``. ``ms`` is below ``2**40``, where one ulp is at most
+    ``2**-13``, and its decimal text lies within half an ulp of it, so the
+    text times 1000 lies within another 0.062 of ``ms * 1000``: in all
+    within 0.125 of ``n``, far closer than the half microsecond at which
+    the rounding could go elsewhere. Every other float takes the exact
+    ``Decimal`` path.
     """
     if type(ms) is int:
         return ms * US_PER_MS
     if type(ms) is float:
+        us = ms * 1000.0
+        if us.is_integer() and -_WHOLE_US_LIMIT < us < _WHOLE_US_LIMIT:
+            return int(us)
         if not math.isfinite(ms):
             raise ValueError(f"not a finite number: {ms!r}")
         us = _MS_TO_US.multiply(Decimal(repr(ms)), US_PER_MS)

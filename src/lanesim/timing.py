@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .model import TaskSpec, TimingConfig
+from .timebase import ratio_sum
 
 
 class NoBandwidth(Exception):
@@ -39,11 +40,8 @@ def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = Non
 
 
 def exact_sum(values) -> Fraction:
-    """The exact sum of Fractions (or ints): one common denominator, one
-    integer sum, one Fraction, instead of a Fraction per partial sum."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+    """The exact sum of Fractions (or ints) as one Fraction, by ``ratio_sum``."""
+    return ratio_sum((v.numerator, v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,10 @@ class ProcessorState:
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = dict(entries or {})
-        self._utilization = exact_sum(
-            task_utilization(*e) for e in self._entries.values())
+        # each task's C/min(D, T) as an integer pair: one Fraction in all
+        self._utilization = ratio_sum(
+            (wcet, min(deadline, period))
+            for wcet, period, deadline in self._entries.values())
 
     @classmethod
     def _of(cls, entries: dict, utilization: Fraction) -> "ProcessorState":
