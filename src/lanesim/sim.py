@@ -369,6 +369,8 @@ class Engine:
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
+        self._active_in: dict = {}      # lane, processor or task key -> the active
+                                        # non-sensor faults whose target it contains
 
         self._init_topology()
 
@@ -707,6 +709,8 @@ class Engine:
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             return
+        for scope in _scopes_around(t.key):
+            self._active_in.setdefault(scope, []).append(f)
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
             first = self._byzantine.get(t.key)
@@ -731,6 +735,8 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
+        for scope in _scopes_around(t.key):
+            self._active_in[scope].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every slot it covers
         left = self._halting.pop(t.key) - 1
@@ -1023,8 +1029,15 @@ class Engine:
         self._apply_directives(directives)
 
     def _directive_causes(self, d: FaultTarget):
-        """Active faults that explain a shutdown scope: inside it or around it."""
-        return [f for f in self._active if f.target.overlaps(d)]
+        """Active faults that explain a shutdown scope: inside it or around
+        it, in scenario order. A fault around it targets a lane or processor
+        scope whose key is a shorter prefix of the scope's own."""
+        key = d.key
+        causes = list(self._active_in.get(key, ()))
+        for scope in _scopes_around(key)[:-1]:
+            causes += [f for f in self._active_in.get(scope, ())
+                       if f.target.key == scope]
+        return sorted(causes, key=self._fault_rank.__getitem__)
 
     def _apply_directives(self, directives):
         self._quiet.clear()
@@ -1037,9 +1050,10 @@ class Engine:
             transient = bool(causes) and all(
                 f.kind is FaultKind.TRANSIENT for f in causes)
             cause_ids = tuple(sorted(f.fault_id for f in causes))
-            # a fault inside the scope is handled; one around it is not
+            # a fault inside the scope is handled; one around it, whose key
+            # is shorter, is not
             self._bit_detected.update(
-                f.fault_id for f in causes if d.contains(f.target))
+                f.fault_id for f in causes if len(f.target.key) >= len(d.key))
             victims = self._directive_victims(d, transient)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
@@ -1326,6 +1340,12 @@ class Engine:
             return
         self._last_cov[app_id] = snap
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
+
+
+def _scopes_around(key: tuple) -> tuple:
+    """The lane, processor and task scope keys that prefix a lane,
+    processor or task key, outermost first; the last is the key itself."""
+    return tuple(key[:size] for size in (1, 2, 4) if size <= len(key))
 
 
 def _lane_proc(rec: CompletionRecord) -> tuple:

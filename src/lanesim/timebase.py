@@ -20,8 +20,10 @@ _MS_TO_US = Context(prec=24, rounding=ROUND_HALF_EVEN, Emin=-999999,
                     Emax=999999, capitals=1, clamp=0, flags=[],
                     traps=[InvalidOperation, DivisionByZero, Overflow])
 
-# below 2**50, one ulp of a float is at most 2**-3 (ms_to_us)
-_WHOLE_US_LIMIT = 1e15
+# the fast path of ms_to_us: products below 1e15 < 2**50 us, within a
+# quarter microsecond of a whole one
+_FAST_LIMIT = 1e15
+_FAST_SLACK = 0.25
 
 
 def frac(value) -> Fraction:
@@ -51,23 +53,25 @@ def ms_to_us(ms) -> int:
     A float is read via its decimal text, as ``frac`` reads it, and the
     product rounds half to even, as ``round`` rounds a Fraction.
 
-    Most floats in a scenario are whole microseconds, and those take a
-    short cut: if the float product ``n = ms * 1000.0`` is an integer with
-    ``|n| < 1e15``, the answer is ``n``. Below ``1e15 < 2**50`` one ulp of
-    ``n`` is at most 0.125, so the exact product ``ms * 1000`` lies within
-    0.0625 of ``n``. ``ms`` is below ``2**40``, where one ulp is at most
-    ``2**-13``, and its decimal text lies within half an ulp of it, so the
-    text times 1000 lies within another 0.062 of ``ms * 1000``: in all
-    within 0.125 of ``n``, far closer than the half microsecond at which
-    the rounding could go elsewhere. Every other float takes the exact
+    Most floats take a short cut: if the float product ``us = ms * 1000.0``
+    lies below 1e15 in size and within a quarter of an integer ``n``, the
+    answer is ``n``. Below ``1e15 < 2**50`` one ulp of ``us`` is at most
+    0.125, so the exact product ``ms * 1000`` lies within 0.0625 of ``us``.
+    Then ``ms`` is below ``2**40``, where one ulp is at most ``2**-13``, and
+    its decimal text lies within half an ulp of it, so the text times 1000
+    lies within another 0.062 of ``ms * 1000``. In all the text times 1000
+    lies within 0.375 of ``n``, so it rounds to ``n`` with no tie. Every
+    other float, such as one near a half microsecond, takes the exact
     ``Decimal`` path.
     """
     if type(ms) is int:
         return ms * US_PER_MS
     if type(ms) is float:
         us = ms * 1000.0
-        if us.is_integer() and -_WHOLE_US_LIMIT < us < _WHOLE_US_LIMIT:
-            return int(us)
+        if -_FAST_LIMIT < us < _FAST_LIMIT:
+            n = round(us)
+            if abs(us - n) <= _FAST_SLACK:
+                return n
         if not math.isfinite(ms):
             raise ValueError(f"not a finite number: {ms!r}")
         us = _MS_TO_US.multiply(Decimal(repr(ms)), US_PER_MS)

@@ -33,8 +33,8 @@ from lanesim.sim import run, schedule_processor
 from lanesim.timing import (ProcessorState, TimingConfig, catchup_time,
                             transfer_time)
 
-from conftest import (lane_fault, proc_fault, scenario_doc,
-                      single_app_system, triplex_system)
+from scenario_builders import (lane_fault, proc_fault, scenario_doc,
+                               single_app_system, triplex_system)
 
 CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
                    tolerance=0.5)

@@ -15,7 +15,7 @@ from pathlib import Path
 import lanesim.sim
 from lanesim.sim import EventKind, run
 
-from conftest import proc_fault, scen
+from scenario_builders import proc_fault, scen
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -61,7 +61,8 @@ from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
 from lanesim.timing import task_utilization
 
-from conftest import lane_fault, proc_fault, scenario_doc, single_app_system
+from scenario_builders import (lane_fault, proc_fault, scenario_doc,
+                               single_app_system)
 from golden.generated import SEEDS, generated_scenario
 from golden.rehash import SCENARIOS
 

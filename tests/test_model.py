@@ -14,7 +14,7 @@ from lanesim.model import (
     initial_allocation,
 )
 
-from conftest import triplex_system
+from scenario_builders import triplex_system
 
 
 def test_build_system_parses_reference_layout():

@@ -20,8 +20,8 @@ from lanesim.timing import ProcessorState
 
 from lanesim.sim import run
 
-from conftest import (lane_fault, proc_fault, scenario_doc, single_app_system,
-                      triplex_system)
+from scenario_builders import (lane_fault, proc_fault, scenario_doc,
+                               single_app_system, triplex_system)
 
 
 def _violations(doc):

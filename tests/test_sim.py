@@ -29,7 +29,7 @@ from lanesim.sim import (
     schedule_processor,
 )
 
-from conftest import (
+from scenario_builders import (
     lane_fault,
     proc_fault,
     scen,

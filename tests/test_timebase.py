@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import lanesim.timebase
+from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.timebase import frac, ms_to_us
 
 
@@ -37,6 +39,69 @@ def test_half_microsecond_edges_round_half_to_even(k):
 @given(st.integers(-10**7, 10**7) | st.integers(-10**300, 10**300))
 def test_an_int_converts_exactly(ms):
     assert ms_to_us(ms) == ms * 1000 == _reference_us(ms)
+
+
+# the fast path's bound on the float product, in microseconds
+_CUTOFF = 10**15
+_NEAR_CUTOFF = st.integers(_CUTOFF - 2**20, _CUTOFF + 2**20)
+_PAST_CUTOFF = st.integers(2**50 - 2**20, 2**53 + 2**20)
+
+
+@given(_NEAR_CUTOFF | _PAST_CUTOFF, st.integers(0, 7), st.booleans())
+@example(_CUTOFF - 1, 0, False)
+@example(_CUTOFF, 0, False)
+@example(_CUTOFF + 1, 0, False)
+@example(_CUTOFF - 1, 2, True)
+@example(_CUTOFF, 2, True)
+@example(_CUTOFF - 1, 4, False)
+@example(2**50, 1, False)
+@example(2**52 + 1, 4, True)
+@example(2**53, 0, True)
+def test_whole_and_eighth_microseconds_near_the_fast_path_cutoff(k, eighths,
+                                                                  negative):
+    # k/1000 ms is about k us; eighths of a microsecond sit on both sides
+    # of the quarter the fast path accepts, and past 2**50 us a float
+    # holds no fraction of a microsecond finer than its ulp
+    us = k + Fraction(eighths, 8)
+    ms = float(-us / 1000 if negative else us / 1000)
+    assert ms_to_us(ms) == _reference_us(ms)
+
+
+@given(st.floats(2**40 / 1000, 2**54 / 1000), st.booleans())
+# past the cutoff the float product can round to a whole microsecond the
+# text is not: 1.7460140871802792e16 for ...793
+@example(17460140871802.793, False)
+@example(10908844050361.045, True)
+# a product 0.4375 from a whole microsecond (...612.5625) is no short cut
+@example(559855483457.6125, False)
+def test_any_float_near_the_fast_path_cutoff_converts_exactly(ms, negative):
+    ms = -ms if negative else ms
+    assert ms_to_us(ms) == _reference_us(ms)
+
+
+@given(st.integers(-10**12, 10**12), st.integers(0, 15))
+def test_sixteenths_of_a_microsecond_convert_exactly(k, sixteenths):
+    ms = (k + sixteenths / 16) / 1000
+    assert ms_to_us(ms) == _reference_us(ms)
+
+
+def test_a_generated_scenario_parses_without_decimal(monkeypatch):
+    # generated durations and fault times are whole microseconds, so every
+    # one takes the short cut
+    made = []
+    real = lanesim.timebase.Decimal
+
+    def counted(text):
+        made.append(text)
+        return real(text)
+
+    monkeypatch.setattr(lanesim.timebase, "Decimal", counted)
+    for seed in range(4):
+        parse_scenario(generate_scenario(lanes=4, procs=6, apps=4, seed=seed,
+                                         faults=20, horizon_ms=100))
+    assert made == []
+    ms_to_us(0.0005)            # a half microsecond takes the exact path
+    assert made == ["0.0005"]
 
 
 def test_fractions_and_text_convert_exactly():

@@ -7,9 +7,11 @@ Fractions, not floats.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanesim.model import TaskSpec, TimingConfig, build_system
+from lanesim.scenario import parse_scenario
+from lanesim.sim import Engine
 from lanesim.timing import (
     BusState,
     NoBandwidth,
@@ -23,7 +25,7 @@ from lanesim.timing import (
     transfer_time,
 )
 
-from conftest import triplex_system
+from scenario_builders import scenario_doc, single_app_system, triplex_system
 
 CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
                    tolerance=0.5)
@@ -260,3 +262,54 @@ def test_exact_sum_equals_the_running_fraction_sum(values):
     assert got == sum(values, Fraction(0))
     assert isinstance(got, Fraction)
     assert exact_sum(iter(values)) == got
+
+
+# Start-up sums are one Fraction over integer pairs; each must equal a
+# Fraction sum taken term by term, and the state built one task or one
+# demand at a time.
+
+@given(st.dictionaries(st.integers(0, 30),
+                       st.tuples(st.integers(1, 10**6), st.integers(1, 10**6),
+                                 st.integers(1, 10**6)), max_size=12))
+@example({})
+def test_a_start_up_utilization_is_the_exact_sum(entries):
+    state = ProcessorState(entries)
+    want = sum((Fraction(wcet, min(deadline, period))
+                for wcet, period, deadline in entries.values()), Fraction(0))
+    chain = ProcessorState()
+    for key, task in entries.items():
+        chain = chain.with_task(key, *task)
+    assert state.utilization == want == chain.utilization
+    assert type(state.utilization) is Fraction
+
+
+_SIZES = st.integers(0, 10**6) | st.floats(0, 1e6)
+_MESSAGE_PERIODS_MS = st.sampled_from([5, 10, 12.5, 20, 25, 40, 0.125])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.tuples(_SIZES, _MESSAGE_PERIODS_MS), max_size=3),
+                min_size=1, max_size=5),
+       st.integers(2, 4))
+def test_the_bus_baseline_is_the_exact_sum(messages, lanes):
+    tasks = [{"task_id": i + 1, "wcet_ms": 1, "period_ms": 40,
+              "initial_proc": 0,
+              "messages": [{"msg_id": j + 1, "size": size, "period_ms": period}
+                           for j, (size, period) in enumerate(msgs)]}
+             for i, msgs in enumerate(messages)]
+    doc = scenario_doc([], horizon_ms=20, system=single_app_system(
+        lanes=lanes, max_load=10**9, tasks=tasks))
+    engine = Engine(parse_scenario(doc))
+    want = lanes * sum((Fraction(str(size)) / Fraction(str(period))
+                        for msgs in messages for size, period in msgs),
+                       Fraction(0))
+    chain = BusState(Fraction(10**9))
+    for task in engine.model.applications[0].tasks:
+        assert task.message_demand == sum(
+            (m.demand for m in task.messages), Fraction(0))
+        for _ in range(lanes):
+            for m in task.messages:
+                chain = chain.with_demand(m.demand)
+    load = engine.bus.current_load
+    assert load == want == chain.current_load
+    assert type(load) is Fraction
