@@ -265,6 +265,11 @@ def _field(doc: dict, key: str, kinds, path: tuple, default=_REQUIRED):
     return _read(doc, ((key, kinds, default, None),), path)[0]
 
 
+def _number(doc: dict, key: str, path: tuple, default=_REQUIRED):
+    """A JSON number; required unless a default is given."""
+    return _field(doc, key, _NUMBER, path, default)
+
+
 def _enum(cls, text, path: tuple):
     try:
         return cls(text)
@@ -292,10 +297,25 @@ _MESSAGE = (
     ("size", _NUMBER, _REQUIRED, frac),
     ("period_ms", _NUMBER, None, ms_to_us),
 )
+_APPLICATION = (
+    ("app_id", int, _REQUIRED, None),
+    ("tasks", list, _REQUIRED, None),
+    ("state_model", dict, {}, None),
+    ("criticality", int, None, None),       # by default its list index
+)
+_STATE_MODEL = (
+    ("min_state_size", _NUMBER, None, frac),
+    ("strategy", str, StateStrategy.TRANSFER.value, None),
+    ("snapshot_size", _NUMBER, _ZERO, frac),
+    ("history_len", int, 0, None),
+    ("convergence_rounds", int, 0, None),
+)
 _PROCESSOR = (
     ("proc_id", int, _REQUIRED, None),
     ("role", str, ProcessorRole.ALLOCATED.value, None),
 )
+
+
 def _parse_task(doc: dict, lane_count: int, path: tuple):
     """A task's fields, its processor per lane, and its messages."""
     (period, task_id, wcet, deadline, code_size, raw_proc,
@@ -318,20 +338,11 @@ def _parse_task(doc: dict, lane_count: int, path: tuple):
             code_size, procs, tuple(msgs))
 
 
-def _number(doc: dict, key: str, path: tuple, default=_REQUIRED):
-    """A JSON number; required unless a default is given."""
-    return _field(doc, key, _NUMBER, path, default)
-
-
 def _parse_state_model(doc: dict, path: tuple) -> StateModel:
-    min_state = _number(doc, "min_state_size", path, None)
-    return StateModel(
-        strategy=_enum(StateStrategy, _field(doc, "strategy", str, path, "transfer"), path),
-        snapshot_size=frac(_number(doc, "snapshot_size", path, 0)),
-        history_len=_field(doc, "history_len", int, path, 0),
-        min_state_size=frac(min_state) if min_state is not None else None,
-        convergence_rounds=_field(doc, "convergence_rounds", int, path, 0),
-    )
+    min_state, strategy, snapshot, history, rounds = _read(
+        doc, _STATE_MODEL, path)
+    return StateModel(_enum(StateStrategy, strategy, path), snapshot, history,
+                      min_state, rounds)
 
 
 def _parse_timing(doc: dict) -> TimingConfig:
@@ -410,13 +421,12 @@ def build_system(doc: dict) -> SystemModel:
     app_ids = set()
     for i, ad in enumerate(apps_doc):
         app_at = at + ("applications", i)
-        app_id = _field(ad, "app_id", int, app_at)
+        app_id, task_docs, sm_doc, criticality = _read(ad, _APPLICATION, app_at)
         if app_id in app_ids:
             bad(Violation("DuplicateId", f"duplicate application id {app_id}"))
         app_ids.add(app_id)
         tasks = []
         task_ids = set()
-        task_docs = _field(ad, "tasks", list, app_at)
         for j, td in enumerate(task_docs):
             task_at = app_at + ("tasks", j)
             (task_id, wcet, period, deadline, code_size, procs,
@@ -430,7 +440,7 @@ def build_system(doc: dict) -> SystemModel:
             if not 0 < wcet <= deadline <= period:
                 bad(Violation("MalformedDocument",
                               f"{_at(task_at)}: need 0 < wcet <= deadline <= period"))
-            if code_size.numerator < 0:
+            if code_size.numerator < 0:     # a Fraction has its numerator's sign
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative code_size"))
             if len(set(procs)) > 1:
                 bad(Violation("AsymmetricLanes",
@@ -456,8 +466,7 @@ def build_system(doc: dict) -> SystemModel:
                                   code_size, msgs))
         if not task_docs:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))
-        sm = _parse_state_model(_field(ad, "state_model", dict, app_at, {}),
-                                app_at + ("state_model",))
+        sm = _parse_state_model(sm_doc, app_at + ("state_model",))
         if sm.strategy is StateStrategy.CONVERGENCE and sm.snapshot_size != 0:
             bad(Violation("MalformedDocument",
                           f"app {app_id}: convergence strategy ships no snapshot"))
@@ -470,7 +479,7 @@ def build_system(doc: dict) -> SystemModel:
             bad(Violation("MalformedDocument", f"app {app_id}: negative state-model value"))
         apps.append(ApplicationSpec(
             app_id=app_id,
-            criticality=_field(ad, "criticality", int, app_at, i),
+            criticality=i if criticality is None else criticality,
             tasks=tuple(tasks),
             state_model=sm,
         ))

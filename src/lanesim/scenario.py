@@ -99,11 +99,15 @@ class Scenario:
 
 # -- parsing -----------------------------------------------------------------
 
+# the coordinates each kind of target names, read as one record
+_TARGET = {kind: tuple((name, int, _REQUIRED, None) for name in names)
+           for kind, names in TARGET_FIELDS.items()}
+
+
 def _parse_target(doc: dict, path: tuple) -> FaultTarget:
     kind = _enum(TargetKind, _field(doc, "kind", str, path), path)
-    fields = {name: _field(doc, name, int, path)
-              for name in TARGET_FIELDS[kind]}
-    return FaultTarget(kind=kind, **fields)
+    return FaultTarget(kind, **dict(zip(TARGET_FIELDS[kind],
+                                        _read(doc, _TARGET[kind], path))))
 
 
 # a fault's fields, in the order their refusals are checked; the default of
