@@ -397,17 +397,17 @@ class Engine:
                 self.procs[slot.key] = slot
                 self._proc_copies[slot.key] = []
                 members[slot.proc].append(slot)
-        admitted = {}       # processor id -> the admitted set its slots share
+        sets = {}           # processor id -> the set of its lanes' slots
         for proc, held in entries.items():
             slots = sorted(members[proc], key=lambda slot: slot.lane)
-            state = admitted[proc] = ProcessorState(held)
-            ps = _ProcSet([slot.key for slot in slots], self._push, state,
-                          state.priorities())
+            state = ProcessorState(held)
+            ps = sets[proc] = _ProcSet([slot.key for slot in slots], self._push,
+                                       state, state.priorities())
             for slot in slots:
                 slot.set = ps
 
-        # the copies of a task share its key tuple and each its slot's place
-        lane_ids = sorted(self.model.lane_ids)
+        # a task's copies, one per member of its processor's set in lane
+        # order, share its key tuple, and each takes its slot's key as place
         copy_ids = self._copy_ids
         for app, tasks in apps:
             copies = {}
@@ -416,21 +416,21 @@ class Engine:
             for task in tasks:
                 key = (app.app_id, task.task_id)
                 rts = copies[task.task_id] = []
-                for lane_id in lane_ids:
-                    place = self.procs[lane_id, task.initial_proc].key
+                for place in sets[task.initial_proc].members:
                     rt = _CopyRt(next(copy_ids), app.app_id, task.task_id,
-                                 lane_id, task.initial_proc, spec=task, app=app,
-                                 origin_us=0, key=key, place=place)
+                                 *place, spec=task, app=app, origin_us=0,
+                                 key=key, place=place)
                     rts.append(rt)
                     self._proc_copies[place].append(rt)
         demand = exact_sum(t.message_demand for _, tasks in apps for t in tasks)
-        self.bus = BusState(self.model.bus.max_load, demand * len(lane_ids))
+        self.bus = BusState(self.model.bus.max_load,
+                            demand * len(self.model.lanes))
 
         violations = []
         if self.settings.enforce_admission:
             bound = self.cfg.effective_bound
-            over = {proc: float(u) for proc, state in admitted.items()
-                    if (u := state.utilization) > bound}
+            over = {proc: float(u) for proc, ps in sets.items()
+                    if (u := ps.admitted.utilization) > bound}
             for slot in self.procs.values():
                 if slot.proc in over:
                     violations.append(Violation(
