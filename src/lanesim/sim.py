@@ -369,8 +369,8 @@ class Engine:
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
-        self._active_in: dict = {}      # lane, processor or task key -> the active
-                                        # non-sensor faults whose target it contains
+        self._active_on: dict = {}      # lane -> the active non-sensor faults in
+                                        # it, in scenario order
 
         self._init_topology()
 
@@ -709,8 +709,7 @@ class Engine:
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             return
-        for scope in _scopes_around(t.key):
-            self._active_in.setdefault(scope, []).append(f)
+        bisect.insort(self._active_on.setdefault(t.lane, []), f, key=rank)
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
             first = self._byzantine.get(t.key)
@@ -735,8 +734,7 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        for scope in _scopes_around(t.key):
-            self._active_in[scope].remove(f)
+        self._active_on[t.lane].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every slot it covers
         left = self._halting.pop(t.key) - 1
@@ -1030,14 +1028,11 @@ class Engine:
 
     def _directive_causes(self, d: FaultTarget):
         """Active faults that explain a shutdown scope: inside it or around
-        it, in scenario order. A fault around it targets a lane or processor
-        scope whose key is a shorter prefix of the scope's own."""
+        it, in scenario order. Both lie in the scope's lane, and one key
+        prefixes the other."""
         key = d.key
-        causes = list(self._active_in.get(key, ()))
-        for scope in _scopes_around(key)[:-1]:
-            causes += [f for f in self._active_in.get(scope, ())
-                       if f.target.key == scope]
-        return sorted(causes, key=self._fault_rank.__getitem__)
+        return [f for f in self._active_on.get(key[0], ())
+                if (fk := f.target.key)[:len(key)] == key or key[:len(fk)] == fk]
 
     def _apply_directives(self, directives):
         self._quiet.clear()
@@ -1340,12 +1335,6 @@ class Engine:
             return
         self._last_cov[app_id] = snap
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
-
-
-def _scopes_around(key: tuple) -> tuple:
-    """The lane, processor and task scope keys that prefix a lane,
-    processor or task key, outermost first; the last is the key itself."""
-    return tuple(key[:size] for size in (1, 2, 4) if size <= len(key))
 
 
 def _lane_proc(rec: CompletionRecord) -> tuple:

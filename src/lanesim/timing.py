@@ -35,8 +35,12 @@ class NoBandwidth(Exception):
 
 
 def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = None) -> Fraction:
-    window = period_us if deadline_us is None else min(deadline_us, period_us)
-    return Fraction(wcet_us, window)
+    return Fraction(wcet_us, _window(period_us, deadline_us))
+
+
+def _window(period_us: int, deadline_us: int | None) -> int:
+    """The C/min(D, T) test's denominator."""
+    return period_us if deadline_us is None else min(deadline_us, period_us)
 
 
 def exact_sum(values) -> Fraction:
@@ -72,7 +76,7 @@ class ProcessorState:
         self._entries: dict = dict(entries or {})
         # each task's C/min(D, T) as an integer pair: one Fraction in all
         self._utilization = ratio_sum(
-            (wcet, min(deadline, period))
+            (wcet, _window(period, deadline))
             for wcet, period, deadline in self._entries.values())
 
     @classmethod
