@@ -31,7 +31,7 @@ from enum import Enum
 
 from .model import StateStrategy, TaskSpec
 from .timing import (AdmissionDecision, BusState, ProcessorState, admit_task,
-                     check_comms, task_utilization)
+                     check_comms)
 
 
 class Health(Enum):
@@ -135,9 +135,15 @@ class PlacementPlan:
     states: dict = field(default_factory=dict)       # (lane, proc) -> spare state after them
 
 
+def recovery_rank(app) -> tuple:
+    """An application's place in the recovery order: ascending criticality
+    ordinal, then id."""
+    return (app.criticality, app.app_id)
+
+
 def recovery_order(apps) -> list[int]:
-    """App ids, most critical first (ascending criticality ordinal, then id)."""
-    return [a.app_id for a in sorted(apps, key=lambda a: (a.criticality, a.app_id))]
+    """App ids, most critical first (by ``recovery_rank``)."""
+    return [a.app_id for a in sorted(apps, key=recovery_rank)]
 
 
 def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
@@ -182,8 +188,6 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
 
 
 def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
-    u = task_utilization(f.task.wcet_us, f.task.period_us, f.task.deadline_us)
-
     def usable(s):
         # a spare never takes a second copy of a task it already runs
         if (f.app_id, f.task_id) in s.state:
@@ -191,7 +195,8 @@ def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
         return not (restricted and (s.lane, s.proc) in taken)
 
     def rank(s):
-        return (states[(s.lane, s.proc)].utilization + u, s.lane, s.proc)
+        # by the resulting utilization: the task adds the same to each
+        return (states[(s.lane, s.proc)].utilization, s.lane, s.proc)
 
     same = sorted((s for s in spares if usable(s) and s.lane == f.home_lane), key=rank)
     other = sorted((s for s in spares if usable(s) and s.lane != f.home_lane), key=rank)

@@ -220,6 +220,9 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
         bad(Violation("MalformedDocument",
                       "horizon too large: its microsecond count passes the "
                       "largest float"))
+    # what fault targets and approvals may name; a scenario with neither
+    # builds nothing
+    known = _Places(sc.model) if sc.faults or sc.policies.approvals else None
     fault_ids = set()
     for f in sc.faults:
         name = f"fault {f.fault_id}"
@@ -241,10 +244,10 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
                 bad(Violation("MalformedDocument", f"{name}: sensor faults are not byzantine"))
             if f.value_skew == 0.0:
                 bad(Violation("MalformedDocument", f"{name}: sensor faults need value_skew"))
-        for problem in _unknown_places(sc.model, t.lane, t.proc, t.app, t.task):
+        for problem in known.unknown(t.lane, t.proc, t.app, t.task):
             bad(Violation("MalformedDocument", f"{name}: {problem}"))
     for a in sc.policies.approvals:
-        for problem in _unknown_places(sc.model, a.lane, a.proc, a.app, a.task):
+        for problem in known.unknown(a.lane, a.proc, a.app, a.task):
             bad(Violation("MalformedDocument", f"approval at {a.at_us}us: {problem}"))
     if sc.voter.tolerance <= 0:
         bad(Violation("MalformedDocument", "voter tolerance must be positive"))
@@ -272,18 +275,29 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
     return out
 
 
-def _unknown_places(model: SystemModel, lane, proc, app, task):
-    """What a fault target or an approval names (None: not named) that the
-    system lacks. An approval may name a task without its application."""
-    if lane is not None and lane not in model.lane_ids:
-        yield f"unknown lane {lane}"
-    if proc is not None and all(p.proc_id != proc for p in model.lanes[0].processors):
-        yield f"unknown processor {proc}"
-    apps = [a for a in model.applications if app in (None, a.app_id)]
-    if app is not None and not apps:
-        yield f"unknown app {app}"
-    elif task is not None and all(t.task_id != task for a in apps for t in a.tasks):
-        yield f"unknown task {task}"
+class _Places:
+    """The lanes, processors and tasks of a system, as sets built once."""
+
+    def __init__(self, model: SystemModel):
+        self.lanes = set(model.lane_ids)
+        self.procs = {p.proc_id for p in model.lanes[0].processors}
+        self.tasks = {a.app_id: {t.task_id for t in a.tasks}
+                      for a in model.applications}
+        self.any_task = set().union(*self.tasks.values())
+
+    def unknown(self, lane, proc, app, task):
+        """What a fault target or an approval names (None: not named) that
+        the system lacks. An approval may name a task without its
+        application."""
+        if lane is not None and lane not in self.lanes:
+            yield f"unknown lane {lane}"
+        if proc is not None and proc not in self.procs:
+            yield f"unknown processor {proc}"
+        if app is not None and app not in self.tasks:
+            yield f"unknown app {app}"
+        elif task is not None and task not in (
+                self.any_task if app is None else self.tasks[app]):
+            yield f"unknown task {task}"
 
 
 def _emission_bound(sc: Scenario) -> float:

@@ -91,12 +91,12 @@ from . import coverage as cov
 from . import timebase
 from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
                     classify, cross_monitor, exchange_vote, police_matches)
-from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
-                    SystemModel, TaskSpec, Violation)
+from .model import (Architecture, ApplicationSpec, InvalidModel, ProcessorRole,
+                    StateStrategy, SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
-                       recovery_order, select_spare)
+                       recovery_rank, select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
                      exact_sum, transfer_time)
 
@@ -357,21 +357,34 @@ class Engine:
         self._bus_busy = False
         self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
+        # app_id -> its last coverage sample's triple, which is its coverage
+        # now unless the app is in _cov_stale: one of its copies or channels
+        # changed since (_set_health, the channel handlers). An app not
+        # sampled yet has no entry.
         self._last_cov: dict = {}
+        self._cov_stale: set = set()
         # (app, task) -> copies that emitted in its last full vote, when that
         # vote was quiet; a vote round skips a marked task (_on_vote_round)
         self._quiet: dict = {}
 
         # the faults active now, kept by the activate and clear handlers;
-        # equal faults are interchangeable, so they may share a rank
-        self._fault_rank = {f: i for i, f in enumerate(scenario.faults)}
+        # a fault's scenario rank is keyed by its id(), so that no FaultSpec
+        # is hashed
+        self._fault_rank = {id(f): i for i, f in enumerate(scenario.faults)}
         self._active: list = []         # in scenario order
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
         self._active_on: dict = {}      # lane -> the active non-sensor faults in
                                         # it, in scenario order
+        self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
+                                        # can see there, in fault id order
+        # (lane, proc) -> (app, task) of its active copies, kept by
+        # _set_health once _hosting_index builds it on first need
+        self._hosting: dict | None = None
 
+        self._apps: dict = {}           # app_id -> ApplicationSpec
+        self._spares: list = []         # the spare slots in (lane, proc) order
         self._init_topology()
 
     # -- setup ---------------------------------------------------------------
@@ -393,10 +406,13 @@ class Engine:
         for lane in self.model.lanes:
             slots = self._lane_procs[lane.lane_id] = [
                 _Slot(lane.lane_id, p.proc_id) for p in lane.processors]
-            for slot in slots:
+            for slot, p in zip(slots, lane.processors):
                 self.procs[slot.key] = slot
                 self._proc_copies[slot.key] = []
                 members[slot.proc].append(slot)
+                if p.role is ProcessorRole.SPARE:
+                    self._spares.append(slot)
+        self._spares.sort(key=lambda slot: slot.key)
         sets = {}           # processor id -> the set of its lanes' slots
         for proc, held in entries.items():
             slots = sorted(members[proc], key=lambda slot: slot.lane)
@@ -411,6 +427,7 @@ class Engine:
         copy_ids = self._copy_ids
         for app, tasks in apps:
             copies = {}
+            self._apps[app.app_id] = app
             self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
             for task in tasks:
@@ -490,8 +507,33 @@ class Engine:
 
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
-        return {rt.key for rt in self._proc_copies[place]
-                if rt.health is Health.ACTIVE}
+        return self._hosting_index()[place]
+
+    def _hosting_index(self) -> dict:
+        """(lane, proc) -> (app, task) of its active copies, for every
+        place. Built on first need, since a fault-free run never asks, then
+        kept by _set_health; callers only read it."""
+        index = self._hosting
+        if index is None:
+            index = self._hosting = {
+                place: {rt.key for rt in rts if rt.health is Health.ACTIVE}
+                for place, rts in self._proc_copies.items()}
+        return index
+
+    def _set_health(self, rt: _CopyRt, health: Health):
+        """The one place a copy's health changes (readmit, restabilize,
+        withdraw). Coverage and the hosting index count active copies
+        alone, so a change into or out of ACTIVE updates the index, once
+        built, and marks the copy's application for a coverage recount."""
+        if (health is Health.ACTIVE) != (rt.health is Health.ACTIVE):
+            index = self._hosting
+            if index is not None:
+                if health is Health.ACTIVE:
+                    index[rt.place].add(rt.key)
+                else:
+                    index[rt.place].discard(rt.key)
+            self._cov_stale.add(rt.app_id)
+        rt.health = health
 
     def _prime_events(self):
         for group in self.groups.values():
@@ -705,11 +747,14 @@ class Engine:
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
-        rank = self._fault_rank.__getitem__
+        rank = self._rank
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             return
         bisect.insort(self._active_on.setdefault(t.lane, []), f, key=rank)
+        if _bit_visible(f):
+            bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
+                          key=_fault_id)
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
             first = self._byzantine.get(t.key)
@@ -725,6 +770,10 @@ class Engine:
         for slot in self._procs_in(t):
             self._refresh_proc_failure(slot)
 
+    def _rank(self, f) -> int:
+        """The fault's position in the scenario."""
+        return self._fault_rank[id(f)]
+
     def _on_fault_clear(self, f):
         self._quiet.clear()
         t = f.target
@@ -735,6 +784,8 @@ class Engine:
             self._restore_channel(f)
             return
         self._active_on[t.lane].remove(f)
+        if _bit_visible(f):
+            self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every slot it covers
         left = self._halting.pop(t.key) - 1
@@ -772,6 +823,7 @@ class Engine:
         if any(f.target.lane == lane for f in self._sensor_faults(app_id)):
             return      # still faulty; the last fault's clear restores it
         self.channels[app_id][lane] = True
+        self._cov_stale.add(app_id)
         self._row("Readmit", lane=lane, app=app_id, detail="sensor channel restored")
         self._sample(app_id)
 
@@ -786,10 +838,13 @@ class Engine:
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
             self._push(nxt, EventKind.BIT_CHECK, slot.key, slot)
-        if not self._active:
+        # no fault off this list can pass bit_detects here, and only one
+        # that passes draws from rng
+        faults = self._bit_on.get(slot.key)
+        if not faults:
             return
         hosted = self._hosted(slot.key)
-        for f in sorted(self._active, key=lambda f: f.fault_id):
+        for f in faults:
             if f.fault_id in self._bit_detected:
                 continue
             if not bit_detects(f, slot.key, hosted, self.now):
@@ -816,7 +871,9 @@ class Engine:
             return None
         hits = [f for f in (byz.get((rt.lane,)), byz.get(rt.place),
                             byz.get(rt.place + rt.key)) if f is not None]
-        return min(hits, key=self._fault_rank.__getitem__, default=None)
+        if len(hits) > 1:
+            return min(hits, key=self._rank)
+        return hits[0] if hits else None
 
     def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent.
@@ -869,6 +926,7 @@ class Engine:
             lane = f.target.lane
             if self.channels[app.app_id][lane]:
                 self.channels[app.app_id][lane] = False
+                self._cov_stale.add(app.app_id)
                 self.counters["detections"] += 1
                 self._row("Detection", lane=lane, app=app.app_id,
                           detail=f"input voting isolated sensor channel "
@@ -1001,7 +1059,7 @@ class Engine:
             return
         if rt.health not in (Health.POLICED, Health.RESTABILIZING):
             return
-        rt.health = Health.ACTIVE
+        self._set_health(rt, Health.ACTIVE)
         rt.eligible_us = None
         self.counters["readmissions"] += 1
         self._row("Readmit", rt.lane, rt.proc, rt.app_id, rt.task_id,
@@ -1018,8 +1076,7 @@ class Engine:
     def _on_classify(self, _):
         implicated = self._pending_implicated
         self._pending_implicated = set()
-        hosted = {place: self._hosted(place) for place in self._proc_copies}
-        directives = classify(implicated, hosted)
+        directives = classify(implicated, self._hosting_index())
         for d in directives:
             self.counters["detections"] += 1
             self._row("Detection", d.lane, d.proc, d.app, d.task,
@@ -1055,20 +1112,20 @@ class Engine:
                       f"{d.kind.value} shutdown, "
                       f"{'restabilize in place' if transient else 'withdrawn'}"
                       + (f", faults {list(cause_ids)}" if cause_ids else ""))
-            if not transient:
-                self._mark_dead(d)
-            for rt in victims:
-                if transient:
-                    rt.health = Health.RESTABILIZING
+            if transient:
+                for rt in victims:
+                    self._set_health(rt, Health.RESTABILIZING)
                     rt.police = PoliceCounter(self.cfg.police_rounds)
                     rt.eligible_us = None
-                else:
+            else:
+                self._mark_dead(d)
+                for rt in victims:
                     # a restabilizing or policed copy belongs to an episode
                     if rt.health is not Health.ACTIVE:
                         ep = self._episodes[rt.episode - 1]
                         if ep.outcome is None:
                             abandoned[ep.record_id] = ep
-                    self._withdraw_copy(rt)
+                self._withdraw(victims)
             for rt in victims:
                 copies, causes = affected.setdefault(
                     (rt.app_id, transient), ([], set()))
@@ -1105,20 +1162,27 @@ class Engine:
                 ps.dead = True
                 ps.halt(self.now)
 
-    def _withdraw_copy(self, rt: _CopyRt):
-        rt.health = Health.SHUTDOWN
-        ps = self._split(self.procs[rt.place])
-        ps.drop(rt.key, self.now)
-        self._give_back(ps, rt.key, rt.spec.message_demand)
-
-    def _give_back(self, ps: _ProcSet, key, demand):
-        """Return what a copy or a placement held: its admission entry on
-        its slot's set, which has that one member, and its bus demand."""
-        ps.admit(ps.admitted.without_task(key))
-        self.bus = self.bus.without_demand(demand)
+    def _withdraw(self, copies: list):
+        """Withdraw copies from service. Each slot they sit on is split out
+        once, drops their jobs and takes one new admitted state and one
+        ranking without their entries; the bus gives back their summed
+        demand in one update. Sets run apart and the sums are exact, so
+        slot by slot equals copy by copy."""
+        if not copies:
+            return
+        by_place: dict = {}
+        for rt in copies:
+            self._set_health(rt, Health.SHUTDOWN)
+            by_place.setdefault(rt.place, []).append(rt.key)
+        for place, keys in by_place.items():
+            ps = self._split(self.procs[place])
+            for key in keys:
+                ps.drop(key, self.now)
+            ps.admit(ps.admitted.without_tasks(keys))
+        self.bus = self.bus.without_demand(
+            exact_sum(rt.spec.message_demand for rt in copies))
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
-        app = self.model.application(app_id)
         if (self.model.architecture is Architecture.FEDERATED_QUADRUPLEX
                 and not transient):
             # a federated lane set has nowhere to move work: the loss simply
@@ -1128,7 +1192,7 @@ class Engine:
             record_id=next(self._record_ids),
             app_id=app_id,
             failed_copy_ids=tuple(sorted(rt.copy_id for rt in copies)),
-            strategy=app.state_model.strategy,
+            strategy=self._apps[app_id].state_model.strategy,
             outcome=None,
             t_f_us=self.now,
             origin="restabilize" if transient else "reconfig",
@@ -1151,9 +1215,8 @@ class Engine:
     def _on_selection(self, _):
         pending = self._pending_selection
         self._pending_selection = []
-        rank = {app_id: i for i, app_id in
-                enumerate(recovery_order(self.model.applications))}
-        pending.sort(key=lambda ep: rank[ep.app_id])
+        apps = self._apps
+        pending.sort(key=lambda ep: recovery_rank(apps[ep.app_id]))
         for ep in pending:
             self._select_for(ep)
         # transfers start only after every same-instant episode has reserved
@@ -1161,7 +1224,7 @@ class Engine:
         self._pump_bus()
 
     def _select_for(self, ep: _Episode):
-        app = self.model.application(ep.app_id)
+        app = self._apps[ep.app_id]
         group = self.groups[ep.app_id]
         lost = {}
         for rt in ep.lost:
@@ -1180,12 +1243,8 @@ class Engine:
                        home_lane=lost[task_id].lane)
             for task_id in sorted(lost)
         ]
-        spares = [
-            SpareCandidate(slot.lane, slot.proc, slot.set.admitted)
-            for slot in (self.procs[place]
-                         for place in sorted(self.model.spare_positions()))
-            if slot.set.runnable()
-        ]
+        spares = [SpareCandidate(slot.lane, slot.proc, slot.set.admitted)
+                  for slot in self._spares if slot.set.runnable()]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 
@@ -1214,7 +1273,7 @@ class Engine:
     def _transfer_payload(self, ep: _Episode):
         """What the episode moves next: its code images while it installs,
         then its state."""
-        app = self.model.application(ep.app_id)
+        app = self._apps[ep.app_id]
         if ep.t_s_us is None:
             return sum((app.task(t).code_size for t in sorted(ep.placements)),
                        start=0)
@@ -1276,7 +1335,7 @@ class Engine:
 
     def _spawn_copies(self, ep: _Episode):
         self._quiet.clear()
-        app = self.model.application(ep.app_id)
+        app = self._apps[ep.app_id]
         sm = app.state_model
         # a spare shut down while its copy was in transfer gets no copy; no
         # spare dies in here, so the row can say whether any copy starts
@@ -1287,9 +1346,11 @@ class Engine:
                   + ("policing starts" if len(dead) < len(ep.placements)
                      else "no copy starts, every chosen spare is shut down"))
         for task_id in dead:
+            # give back the placement's admission entry and bus demand
             slot = self.procs[ep.placements.pop(task_id)]
-            self._give_back(self._split(slot), (ep.app_id, task_id),
-                            app.task(task_id).message_demand)
+            ps = self._split(slot)
+            ps.admit(ps.admitted.without_task((ep.app_id, task_id)))
+            self.bus = self.bus.without_demand(app.task(task_id).message_demand)
             ep.degraded_tasks += (task_id,)
             self._row("DegradeToDuplex", slot.lane, slot.proc, ep.app_id, task_id,
                       "spare shut down before the copy started")
@@ -1330,8 +1391,12 @@ class Engine:
                 cov.peripheral_coverage(self._healthy_channels(app_id)))
 
     def _sample(self, app_id):
+        stale, last = self._cov_stale, self._last_cov
+        if app_id not in stale and app_id in last:
+            return      # the last sample is its coverage still
+        stale.discard(app_id)
         snap = self._coverage(app_id)
-        if self._last_cov.get(app_id) == snap:
+        if last.get(app_id) == snap:
             return
         self._last_cov[app_id] = snap
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
@@ -1339,6 +1404,17 @@ class Engine:
 
 def _lane_proc(rec: CompletionRecord) -> tuple:
     return rec.lane, rec.proc
+
+
+def _fault_id(f) -> int:
+    return f.fault_id
+
+
+def _bit_visible(f) -> bool:
+    """Can built-in test ever see the fault: a bit-detectable, not byzantine
+    fault on a processor or a task copy? bit_detects passes no other."""
+    return (f.bit_detectable and f.kind is not FaultKind.BYZANTINE
+            and f.target.kind in (TargetKind.PROCESSOR, TargetKind.TASK))
 
 
 def _two_faced_sign(toward: _CopyRt, fault) -> int:

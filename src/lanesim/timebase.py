@@ -40,11 +40,17 @@ def frac(value) -> Fraction:
 def ratio_sum(pairs) -> Fraction:
     """The exact sum of (numerator, denominator) integer pairs, summed
     over their lcm into one Fraction: no Fraction per term or partial sum."""
+    return Fraction(*lcm_sum(pairs))
+
+
+def lcm_sum(pairs) -> tuple[int, int]:
+    """The sum of (numerator, denominator) integer pairs as one unreduced
+    pair whose denominator is the lcm of theirs (1 for no pairs)."""
     num, den = 0, 1
     for n, d in pairs:
         lcm = den // math.gcd(den, d) * d
         num, den = num * (lcm // den) + n * (lcm // d), lcm
-    return Fraction(num, den)
+    return num, den
 
 
 def ms_to_us(ms) -> int:

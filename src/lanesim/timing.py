@@ -15,8 +15,9 @@ Bus admission is the same shape: current_load plus the new messages' demand
 reserved by message traffic is the transfer bandwidth available to code
 installation and state snapshots.
 
-All arithmetic is exact (integer microseconds, Fraction loads) so decisions
-and transfer times are reproducible bit for bit.
+All arithmetic is exact (integer microseconds, processor utilization as an
+integer numerator over a common denominator, Fraction bus loads) so
+decisions and transfer times are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .model import TaskSpec, TimingConfig
-from .timebase import ratio_sum
+from .timebase import lcm_sum, ratio_sum
 
 
 class NoBandwidth(Exception):
@@ -66,45 +67,63 @@ class ProcessorState:
     """Value-style record of what a processor has admitted.
 
     Entries map an arbitrary hashable key (a task id, or (app, task) in the
-    engine) to (wcet_us, period_us, deadline_us). The utilization is an
-    exact running total, updated by ``with_task``/``without_task``.
+    engine) to (wcet_us, period_us, deadline_us). The utilization is kept as
+    an integer numerator over a common multiple of every entry's window,
+    the lcm of the windows it has seen, and updated by
+    ``with_task``/``without_task``/``without_tasks``; ``utilization`` gives
+    it as an exact Fraction.
     """
 
-    __slots__ = ("_entries", "_utilization")
+    __slots__ = ("_entries", "_num", "_den")
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = dict(entries or {})
-        # each task's C/min(D, T) as an integer pair: one Fraction in all
-        self._utilization = ratio_sum(
+        # each task's C/min(D, T) as an integer pair, over their lcm
+        self._num, self._den = lcm_sum(
             (wcet, _window(period, deadline))
             for wcet, period, deadline in self._entries.values())
 
     @classmethod
-    def _of(cls, entries: dict, utilization: Fraction) -> "ProcessorState":
+    def _of(cls, entries: dict, num: int, den: int) -> "ProcessorState":
         state = cls.__new__(cls)
         state._entries = entries
-        state._utilization = utilization
+        state._num = num
+        state._den = den
         return state
 
     @property
     def utilization(self) -> Fraction:
-        return self._utilization
+        return Fraction(self._num, self._den)
 
     def with_task(self, key, wcet_us: int, period_us: int, deadline_us: int) -> "ProcessorState":
         new = dict(self._entries)
-        total = self._utilization
+        num, den = self._num, self._den
         if key in new:
-            total -= task_utilization(*new[key])
+            num -= self._share(new[key])
         new[key] = (wcet_us, period_us, deadline_us)
+        window = _window(period_us, deadline_us)
+        lcm = den // math.gcd(den, window) * window
         return ProcessorState._of(
-            new, total + task_utilization(wcet_us, period_us, deadline_us))
+            new, num * (lcm // den) + wcet_us * (lcm // window), lcm)
 
     def without_task(self, key) -> "ProcessorState":
+        return self.without_tasks((key,))
+
+    def without_tasks(self, keys) -> "ProcessorState":
+        """The state without every entry keyed in keys (absent keys are
+        skipped): one new state for all of them."""
         new = dict(self._entries)
-        total = self._utilization
-        if key in new:
-            total -= task_utilization(*new.pop(key))
-        return ProcessorState._of(new, total)
+        num = self._num
+        for key in keys:
+            if key in new:
+                num -= self._share(new.pop(key))
+        return ProcessorState._of(new, num, self._den)
+
+    def _share(self, entry) -> int:
+        """An entry's C/min(D, T) over the state's denominator: an integer,
+        since the denominator is a multiple of the entry's window."""
+        wcet, period, deadline = entry
+        return wcet * (self._den // _window(period, deadline))
 
     def priorities(self) -> dict:
         """Deadline-monotonic ranks over the admitted set (0 = highest)."""
@@ -124,10 +143,13 @@ def _id_key(key):
 
 
 def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> AdmissionDecision:
-    resulting = proc.utilization + task_utilization(
-        task.wcet_us, task.period_us, task.deadline_us)
+    # U + C/W as num/den, compared with the bound in integers
+    window = _window(task.period_us, task.deadline_us)
+    num = proc._num * window + task.wcet_us * proc._den
+    den = proc._den * window
+    resulting = Fraction(num, den)
     bound = cfg.effective_bound
-    if resulting <= bound:
+    if num * bound.denominator <= bound.numerator * den:
         return AdmissionDecision(True, resulting)
     return AdmissionDecision(
         False, resulting,

@@ -15,6 +15,14 @@ byzantine fault and emitted value only once. After every event each
 recovery record's timestamps are in order and no application's coverage
 level exceeds the lane count.
 
+The recovery path keeps three facts where they change, and after every
+event each must equal a full scan: the faults BIT can see on each place
+(``bit_detects`` over the active faults), the (app, task) pairs of the
+active copies on each place, once the engine has built that index, and
+the coverage last sampled for each application whose copies and channels
+have not changed since (``functional_coverage``, ``zonal_coverage`` and
+``peripheral_coverage`` of it now).
+
 Slots with one processor index share one schedule, their set, until an
 event treats them differently. After every event each set's members must
 agree, by full scans of the copies, jobs and faults, on the admitted set,
@@ -53,6 +61,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lanesim import coverage as cov
 from lanesim.cli import metrics_document, trace_lines
 from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
                            bit_detects, cross_monitor)
@@ -107,6 +116,10 @@ class CheckedEngine(Engine):
         self._check_capacity()
         # the copies set-up made; a later one is a rebuilt copy
         self._last_initial_id = max(rt.copy_id for rt in self._all_copies())
+        # every (app, task): bit_detects given these as hosted sees every
+        # BIT-visible fault on a place
+        self._every_task = {(app.app_id, t.task_id)
+                            for app in self.model.applications for t in app.tasks}
         push = self._push
 
         def push_checked(at_us, kind, key, data):
@@ -199,6 +212,7 @@ class CheckedEngine(Engine):
                 handler(data)
                 self._check_records()
                 self._check_sets()
+                self._check_kept_facts()
             return handle
         return tuple(checked(handler) for handler in super()._handlers())
 
@@ -213,6 +227,36 @@ class CheckedEngine(Engine):
             levels = self._coverage(app_id)
             assert all(level <= lanes for level in levels), (
                 f"app {app_id} coverage {levels} over {lanes} lanes at {self.now}us")
+        self.checks += 1
+
+    def _check_kept_facts(self):
+        """The BIT faults per place, the hosting index and the cached
+        coverage equal full scans."""
+        for place in self.procs:
+            # at its own activation instant a fault is surely active: inside
+            # an instant the index may lag active_at, as _active does
+            want = [f for f in sorted(self._active, key=lambda f: f.fault_id)
+                    if bit_detects(f, place, self._every_task, f.at_us)]
+            assert self._bit_on.get(place, []) == want, (
+                f"BIT faults on {place} at {self.now}us: kept "
+                f"{[f.fault_id for f in self._bit_on.get(place, [])]}, "
+                f"scanned {[f.fault_id for f in want]}")
+        if self._hosting is not None:
+            hosting = {place: set() for place in self.procs}
+            for rt in self._all_copies():
+                if rt.health is Health.ACTIVE:
+                    hosting[rt.place].add(rt.key)
+            assert self._hosting == hosting, (
+                f"hosting index at {self.now}us differs from a scan")
+        for app_id, group in self.groups.items():
+            if app_id in self._cov_stale or app_id not in self._last_cov:
+                continue
+            healthy = sum(self.channels[app_id].values())
+            want = (cov.functional_coverage(group), cov.zonal_coverage(group),
+                    cov.peripheral_coverage(healthy))
+            assert self._last_cov[app_id] == want, (
+                f"app {app_id} at {self.now}us: cached coverage "
+                f"{self._last_cov[app_id]}, recounted {want}")
         self.checks += 1
 
     def _check_sets(self):
@@ -346,7 +390,9 @@ class CheckedEngine(Engine):
                         if f.fault_id not in self._bit_detected
                         and bit_detects(f, pr.key, hosted, self.now)]
 
-            self._agree("bit candidates", caught(self._active, hosted),
+            # the engine asks bit_detects of its place's BIT faults alone
+            self._agree("bit candidates",
+                        caught(self._bit_on.get(pr.key, []), hosted),
                         lambda fs: caught(fs, {
                             rt.key for rt in self._all_copies()
                             if rt.place == pr.key
@@ -567,6 +613,22 @@ def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
     # them by more than the tolerance, so the marked tasks vote in full
     engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     assert engine.skips > 0 and engine.unskipped == 3
+
+
+def test_a_fault_free_run_never_builds_the_hosting_index():
+    # the index is built on first need: a BIT check that has a fault to
+    # test or a classification; a fault-free run has neither
+    docs = [scenario_doc([]),
+            generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=40)]
+    for doc in docs:
+        engine = Engine(parse_scenario(doc))
+        engine.run()
+        assert engine._hosting is None
+    # a BIT-visible fault makes its place's next check build it
+    engine = Engine(parse_scenario(scenario_doc([
+        proc_fault(at_ms=50, bit_detectable=True)])))
+    result = engine.run()
+    assert engine._hosting is not None and result.counters["detections"] == 1
 
 
 def test_a_lane_shutdown_kills_its_own_spare_and_no_other():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lanesim.model import MessageSpec, StateStrategy, TaskSpec, TimingConfig
 from lanesim.reconfig import (
@@ -11,10 +12,11 @@ from lanesim.reconfig import (
     PoliceCounter,
     ReconfigRecord,
     SpareCandidate,
+    _ranked_candidates,
     recovery_order,
     select_spare,
 )
-from lanesim.timing import BusState, ProcessorState
+from lanesim.timing import BusState, ProcessorState, admit_task
 
 CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
                    tolerance=0.5)
@@ -91,6 +93,80 @@ def test_selection_ranks_by_resulting_utilization():
          _spare(2, 3, util_entries=[(40, 100)])],
         BusState(Fraction(10)), CFG, restricted=False)
     assert plan.placements == [(1, 1, 3)]
+
+
+# Admission and ranking work on integer numerators over a common
+# denominator; each decision and each order must be the one exact Fraction
+# sums give, under the plain bound and under the customer cap.
+
+_ENTRY = st.tuples(st.integers(1, 5000), st.integers(1, 5000), st.integers(1, 5000))
+_HELD = st.lists(st.one_of(
+    st.tuples(st.just("with"), st.integers(0, 5), _ENTRY),
+    st.tuples(st.just("without"), st.lists(st.integers(0, 5), max_size=3))),
+    max_size=8)
+
+
+def _fresh(entries) -> Fraction:
+    return sum((Fraction(c, min(t, d)) for c, t, d in entries.values()),
+               Fraction(0))
+
+
+@given(spares=st.dictionaries(
+           st.tuples(st.integers(0, 3), st.integers(0, 3)), _HELD,
+           min_size=1, max_size=6),
+       task=_ENTRY, task_id=st.integers(0, 5), home_lane=st.integers(0, 3),
+       bound=st.fractions(min_value=Fraction(1, 1000), max_value=1,
+                          max_denominator=1000),
+       capped=st.booleans(), restricted=st.booleans())
+# exactly at the bound: 0.59 + 0.10 = 0.69, and 0.45 + 0.05 at the cap
+@example(spares={(0, 3): [("with", 0, (59, 100, 100))]}, task=(10, 100, 100),
+         task_id=1, home_lane=0, bound=Fraction(69, 100), capped=False,
+         restricted=False)
+@example(spares={(0, 3): [("with", 0, (45, 100, 100))]}, task=(5, 100, 100),
+         task_id=1, home_lane=0, bound=Fraction(69, 100), capped=True,
+         restricted=False)
+def test_integer_admission_and_ranking_equal_the_fraction_reference(
+        spares, task, task_id, home_lane, bound, capped, restricted):
+    cfg = TimingConfig(utilization_bound=bound, police_rounds=3, tolerance=0.5,
+                       customer_cap_mode=capped)
+    wcet, period, deadline = task
+    spec = TaskSpec(task_id=task_id, wcet_us=wcet, period_us=period,
+                    deadline_us=deadline, initial_proc=0,
+                    code_size=Fraction(0), messages=())
+    failed = FailedTask(app_id=1, task_id=task_id, task=spec,
+                        home_lane=home_lane)
+    u = Fraction(wcet, min(period, deadline))
+    candidates, held = [], {}
+    for (lane, proc), ops in spares.items():
+        state, entries = ProcessorState(), {}
+        for op, key, *entry in ops:
+            if op == "with":
+                # the engine keys entries (app, task); app 1 is the failed one's
+                state = state.with_task((1, key), *entry[0])
+                entries[(1, key)] = entry[0]
+            else:
+                state = state.without_tasks([(1, k) for k in key])
+                for k in key:
+                    entries.pop((1, k), None)
+        candidates.append(SpareCandidate(lane, proc, state))
+        held[(lane, proc)] = entries
+
+        decision = admit_task(state, spec, cfg)
+        resulting = _fresh(entries) + u
+        assert decision.resulting_utilization == resulting
+        assert decision.accepted == (resulting <= cfg.effective_bound)
+
+    states = {(s.lane, s.proc): s.state for s in candidates}
+    taken = {(s.lane, s.proc) for s in candidates if len(s.state) > 0}
+    usable = [s for s in candidates
+              if (1, task_id) not in held[(s.lane, s.proc)]
+              and not (restricted and (s.lane, s.proc) in taken)]
+    tiers = ([s for s in usable if s.lane == home_lane],
+             [s for s in usable if s.lane != home_lane])
+    want = [(s.lane, s.proc) for tier in tiers for s in sorted(
+        tier, key=lambda s: (_fresh(held[(s.lane, s.proc)]) + u, s.lane, s.proc))]
+    assert _ranked_candidates(failed, candidates, states, taken,
+                              restricted) == want
 
 
 def test_occupied_spares_are_skipped_only_in_restricted_mode():

@@ -209,7 +209,9 @@ _KEYS = st.integers(0, 4)       # few keys: replacements and misses are common
        st.lists(st.one_of(
            st.tuples(st.just("with"), _KEYS, st.integers(1, 500),
                      st.integers(1, 500), st.integers(1, 500)),
-           st.tuples(st.just("without"), _KEYS)), max_size=25))
+           st.tuples(st.just("without"), _KEYS),
+           st.tuples(st.just("withouts"), st.lists(_KEYS, max_size=4))),
+           max_size=25))
 def test_utilization_total_equals_a_fresh_sum(start, ops):
     entries = dict(start)
     proc = ProcessorState(entries)
@@ -218,9 +220,13 @@ def test_utilization_total_equals_a_fresh_sum(start, ops):
         if op == "with":
             proc = proc.with_task(key, *task)
             entries[key] = tuple(task)
-        else:
+        elif op == "without":
             proc = proc.without_task(key)
             entries.pop(key, None)
+        else:
+            proc = proc.without_tasks(key)      # a list of keys, repeats too
+            for k in key:
+                entries.pop(k, None)
         assert before.utilization == before_util     # states are values
         fresh = sum((task_utilization(*e) for e in entries.values()), Fraction(0))
         assert proc.utilization == fresh
