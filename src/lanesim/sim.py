@@ -25,7 +25,7 @@ Each event carries the object its handler acts on:
     FaultActivate, FaultClear     the FaultSpec
     TaskComplete                  (set, job, generation)
     DeadlineCheck                 (copies released, release_us)
-    BITCheck                      the slot
+    BITCheck                      the (lane, proc) place
     TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
@@ -33,14 +33,15 @@ Each event carries the object its handler acts on:
     PilotApproval                 the Approval
     Readmit                       the copy, or the (app, lane) sensor channel
 
-Each (lane, processor) place is a slot: its coordinates and its copies.
-Its schedule is its set's: the one deadline-monotonic
-:class:`lanesim.processor.Processor` state (admitted set and ranks, jobs,
-background work, what runs, failed and dead) that the set's members share.
+A (lane, processor) place is its coordinates: the engine files its copies
+and its set under that tuple. Its schedule is its set's: the one
+deadline-monotonic :class:`lanesim.processor.Processor` state (admitted
+set and ranks, jobs, background work, what runs, failed and dead) that
+the set's members share.
 Time is charged lazily whenever an event touches the set, and completion
 events carry the set's generation so a preempted or killed job's stale
 completion is simply dropped. ``initial_allocation`` mirrors every lane,
-so each processor index starts as one set of all its lanes' slots, and a
+so each processor index starts as one set of all its lanes' places, and a
 lane set in lockstep costs one lane's schedule. A set's release,
 completion and deadline act once and record once per member: a job is
 owned by the tuple of its members' copies, and each copy gets its own
@@ -49,22 +50,22 @@ completion record and deadline miss, misses in copy id order.
 The first event that would treat a member differently splits it out into
 a set of its own, which gets a clone of every job (remaining work, start,
 release time, its own copy as owner) and runs on from there. These split
-a slot: a non-sensor fault activating over it (its clear finds the slot
+a place: a non-sensor fault activating over it (its clear finds the place
 split already), a shutdown that withdraws a copy from it or kills it, a
 spare admission on it, and a spawn or history replay on it. Sets never
-merge again, so the members of a set of more than one are slots no fault
+merge again, so the members of a set of more than one are places no fault
 or recovery has touched. The completion records of one instant are
 contiguous, since every wake-up of the instant pops before anything of a
 later rank; a block that more than one set wrote is put in ``(lane,
-proc)`` order when it closes, the order one schedule per slot gives.
+proc)`` order when it closes, the order one schedule per place gives.
 
 A full vote that finds every copy active or withdrawn, every active one
 completed and unskewed, and nothing silent, flagged or ambiguous marks its
 task with the number of copies that emitted. Until a fault activates or
-clears, a shutdown applies or rebuilt copies spawn, a marked task's vote
-would read the same copies with only the reference moved, so a vote round
-skips it, unless the voter takes the float mean of three or more copies
-and that mean misses the reference by more than the tolerance.
+rebuilt copies spawn, a marked task's vote would read the same copies
+with only the reference moved, so a vote round skips it, unless the voter
+takes the float mean of three or more copies and that mean misses the
+reference by more than the tolerance.
 
 The recovery pipeline is driven end to end by events: a vote round (or a
 built-in test) implicates copies, one classification per instant folds
@@ -195,26 +196,10 @@ class SimResult:
                 f"{self.horizon_us / timebase.US_PER_MS:g} ms")
 
 
-class _Slot:
-    """One (lane, processor) place: its coordinates and its key, which is
-    its processor scope's. Its schedule is its set's, and its copies are
-    the engine's ``_proc_copies[key]``. Nothing of a set or a copy refers
-    back to a slot, so a finished run leaves no reference cycle through
-    them."""
-
-    __slots__ = ("lane", "proc", "key", "set")
-
-    def __init__(self, lane: int, proc: int):
-        self.lane = lane
-        self.proc = proc
-        self.key = (lane, proc)
-        self.set: _ProcSet | None = None
-
-
 class _ProcSet(Processor):
-    """The one schedule that a set of slots with one processor index share.
+    """The one schedule that a set of places with one processor index share.
 
-    The members are the slots' (lane, proc) keys, in lane order. The engine
+    The members are the (lane, proc) places, in lane order. The engine
     keys jobs (app_id, task_id) and runs history replay as background work
     keyed by copy id. A job's owner is the tuple of its copies, one per
     member, in lane order. A processor holds at most one copy of a task,
@@ -249,9 +234,9 @@ class _ProcSet(Processor):
         self.admitted = state
         self.prios = state.priorities()
 
-    def split(self, slot: _Slot, now: int) -> _ProcSet:
-        """Give slot a set of its own, with a clone of every job (remaining
-        work, start, release time) owned by slot's copy alone, and return
+    def split(self, place: tuple, now: int) -> _ProcSet:
+        """Give place a set of its own, with a clone of every job (remaining
+        work, start, release time) owned by place's copy alone, and return
         it; the jobs left here lose that copy. What runs here runs there,
         woken at the same instant. A set of more than one member has no
         background work: replay runs on a spare, which its admission split
@@ -259,15 +244,15 @@ class _ProcSet(Processor):
         if len(self.members) == 1:
             return self
         self.charge(now)
-        self.members.remove(slot.key)
+        self.members.remove(place)
         self.key = self.members[0]
-        own = slot.set = _ProcSet([slot.key], self.push, self.admitted, self.prios)
+        own = _ProcSet([place], self.push, self.admitted, self.prios)
         own.failed, own.dead, own.since, own.gen = self.failed, self.dead, now, self.gen
         for key, job in self.jobs.items():
             clone = own.jobs[key] = Job(
-                tuple(rt for rt in job.owner if rt.place == slot.key),
+                tuple(rt for rt in job.owner if rt.place == place),
                 key, job.release_us, job.remaining_us, job.start_us)
-            job.owner = tuple(rt for rt in job.owner if rt.place != slot.key)
+            job.owner = tuple(rt for rt in job.owner if rt.place != place)
             if job is self.running:
                 own.running = clone
         if own.running is not None:
@@ -286,7 +271,6 @@ class _CopyRt(Copy):
     """
 
     spec: TaskSpec
-    app: ApplicationSpec
     origin_us: int
     completed_ever: bool = False
     replay_left_us: int = 0
@@ -295,7 +279,7 @@ class _CopyRt(Copy):
     eligible_us: int | None = None
     episode: int | None = None                      # its episode's record id
     # (app, task) and (lane, proc), given by the caller: the copies of a
-    # task share one key tuple, and a copy, which never moves, its slot's
+    # task share one key tuple, and a copy never moves
     key: tuple = field(repr=False)
     place: tuple = field(repr=False)
 
@@ -341,8 +325,8 @@ class Engine:
             "transfers": 0, "readmissions": 0,
         }
 
-        self.procs: dict = {}           # (lane, proc) -> _Slot
-        self._lane_procs: dict = {}     # lane -> [_Slot] in spec order
+        self.sets: dict = {}            # (lane, proc) -> the _ProcSet that runs it
+        self._lane_places: dict = {}    # lane -> [(lane, proc)] in spec order
         self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
         self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
@@ -364,7 +348,9 @@ class Engine:
         self._last_cov: dict = {}
         self._cov_stale: set = set()
         # (app, task) -> copies that emitted in its last full vote, when that
-        # vote was quiet; a vote round skips a marked task (_on_vote_round)
+        # vote was quiet; a vote round skips a marked task (_on_vote_round).
+        # Activations and spawns drop the marks; a clear or a shutdown changes
+        # only silent, skewed or watched copies, whose tasks are never marked.
         self._quiet: dict = {}
 
         # the faults active now, kept by the activate and clear handlers;
@@ -384,7 +370,7 @@ class Engine:
         self._hosting: dict | None = None
 
         self._apps: dict = {}           # app_id -> ApplicationSpec
-        self._spares: list = []         # the spare slots in (lane, proc) order
+        self._spares: list = []         # the spare places in (lane, proc) order
         self._init_topology()
 
     # -- setup ---------------------------------------------------------------
@@ -392,7 +378,7 @@ class Engine:
     def _init_topology(self):
         # initial_allocation mirrors every lane: each task's copies share
         # one processor id, so each processor id starts as one set of its
-        # lanes' slots, with one admitted set, one ranking and one schedule.
+        # lanes' places, with one admitted set, one ranking and one schedule.
         # Fraction sums are exact, so the admitted sets and the bus load
         # equal the totals of admitting the copies one at a time.
         apps = [(app, sorted(app.tasks, key=lambda t: t.task_id))
@@ -404,26 +390,23 @@ class Engine:
                     task.wcet_us, task.period_us, task.deadline_us)
         members = {proc: [] for proc in entries}
         for lane in self.model.lanes:
-            slots = self._lane_procs[lane.lane_id] = [
-                _Slot(lane.lane_id, p.proc_id) for p in lane.processors]
-            for slot, p in zip(slots, lane.processors):
-                self.procs[slot.key] = slot
-                self._proc_copies[slot.key] = []
-                members[slot.proc].append(slot)
+            places = self._lane_places[lane.lane_id] = [
+                (lane.lane_id, p.proc_id) for p in lane.processors]
+            for place, p in zip(places, lane.processors):
+                self._proc_copies[place] = []
+                members[p.proc_id].append(place)
                 if p.role is ProcessorRole.SPARE:
-                    self._spares.append(slot)
-        self._spares.sort(key=lambda slot: slot.key)
-        sets = {}           # processor id -> the set of its lanes' slots
+                    self._spares.append(place)
+        self._spares.sort()
+        sets = {}           # processor id -> the set of its lanes' places
         for proc, held in entries.items():
-            slots = sorted(members[proc], key=lambda slot: slot.lane)
             state = ProcessorState(held)
-            ps = sets[proc] = _ProcSet([slot.key for slot in slots], self._push,
-                                       state, state.priorities())
-            for slot in slots:
-                slot.set = ps
+            sets[proc] = _ProcSet(sorted(members[proc]), self._push, state,
+                                  state.priorities())
+        self.sets = {place: sets[place[1]] for place in self._proc_copies}
 
         # a task's copies, one per member of its processor's set in lane
-        # order, share its key tuple, and each takes its slot's key as place
+        # order, share its key tuple, and each takes that member as place
         copy_ids = self._copy_ids
         for app, tasks in apps:
             copies = {}
@@ -435,7 +418,7 @@ class Engine:
                 rts = copies[task.task_id] = []
                 for place in sets[task.initial_proc].members:
                     rt = _CopyRt(next(copy_ids), app.app_id, task.task_id,
-                                 *place, spec=task, app=app, origin_us=0,
+                                 *place, spec=task, origin_us=0,
                                  key=key, place=place)
                     rts.append(rt)
                     self._proc_copies[place].append(rt)
@@ -448,12 +431,12 @@ class Engine:
             bound = self.cfg.effective_bound
             over = {proc: float(u) for proc, ps in sets.items()
                     if (u := ps.admitted.utilization) > bound}
-            for slot in self.procs.values():
-                if slot.proc in over:
+            for lane, proc in self.sets:
+                if proc in over:
                     violations.append(Violation(
                         "AdmissionExceeded",
-                        f"lane {slot.lane} processor {slot.proc} starts at utilization "
-                        f"{over[slot.proc]:.4f} over the bound {float(bound):.2f}"))
+                        f"lane {lane} processor {proc} starts at utilization "
+                        f"{over[proc]:.4f} over the bound {float(bound):.2f}"))
         load = self.bus.current_load
         if load > self.bus.max_load:
             violations.append(Violation(
@@ -467,9 +450,11 @@ class Engine:
         self.groups[rt.app_id].copies[rt.task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
 
-    def _split(self, slot: _Slot) -> _ProcSet:
-        """Slot's own set, split out of its shared one first if need be."""
-        return slot.set.split(slot, self.now)
+    def _split(self, place: tuple) -> _ProcSet:
+        """The place's own set, split out of its shared one first if need
+        be: after set-up, the one site where ``sets`` changes."""
+        ps = self.sets[place] = self.sets[place].split(place, self.now)
+        return ps
 
     def _by_set(self, copies: tuple) -> dict:
         """A release group's copies by the set that runs them, in copy id
@@ -478,13 +463,13 @@ class Engine:
         Every member of a set holds one copy of the group: a member that
         lost its copy was split out by the shutdown that withdrew it. So a
         set with as many members as the group has copies runs them all."""
-        procs = self.procs
-        ps = procs[copies[0].place].set
+        sets = self.sets
+        ps = sets[copies[0].place]
         if len(ps.members) == len(copies):
             return {ps: copies}
         owners: dict = {}
         for rt in copies:
-            owners.setdefault(procs[rt.place].set, []).append(rt)
+            owners.setdefault(sets[rt.place], []).append(rt)
         return owners
 
     def _copies_in(self, scope: FaultTarget) -> list:
@@ -498,12 +483,12 @@ class Engine:
         return [rt for rt in self._proc_copies.get(key[:2], ())
                 if len(key) == 2 or rt.key == key[2:]]
 
-    def _procs_in(self, scope: FaultTarget) -> list:
-        """The processors inside a lane or processor scope, in spec order."""
+    def _places_in(self, scope: FaultTarget) -> list:
+        """The places inside a lane or processor scope, in spec order."""
         key = scope.key
         if len(key) == 1:
-            return self._lane_procs[key[0]]
-        return [self.procs[key]] if len(key) == 2 else []
+            return self._lane_places[key[0]]
+        return [key] if len(key) == 2 else []
 
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
@@ -546,8 +531,8 @@ class Engine:
                 self._push(period, EventKind.VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
         if bitp <= self.horizon:
-            for slot in self.procs.values():
-                self._push(bitp, EventKind.BIT_CHECK, slot.key, slot)
+            for place in self.sets:
+                self._push(bitp, EventKind.BIT_CHECK, place, place)
         for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
             self._push(f.at_us, EventKind.FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
@@ -647,7 +632,7 @@ class Engine:
         for ps, mine in owners.items():
             ps.release(Job(tuple(mine), key, now, spec.wcet_us), now)
         released = copies if not stopped else tuple(
-            rt for rt in copies if self.procs[rt.place].set in owners)
+            rt for rt in copies if self.sets[rt.place] in owners)
         self.counters["releases"] += len(released)
         deadline = now + spec.deadline_us
         if deadline <= self.horizon:
@@ -699,7 +684,7 @@ class Engine:
         if not missed:
             return
         for rt in copies:
-            job = missed.get(self.procs[rt.place].set)
+            job = missed.get(self.sets[rt.place])
             if job is None:
                 continue
             self.misses.append(DeadlineMissRecord(
@@ -721,13 +706,13 @@ class Engine:
         member."""
         return ps.failed or bool(self._halting) and rt.place + rt.key in self._halting
 
-    def _halted(self, slot: _Slot) -> bool:
-        """Is the processor halted by an active fault?"""
-        return slot.key in self._halting or (slot.lane,) in self._halting
+    def _halted(self, place: tuple) -> bool:
+        """Is the processor at place halted by an active fault?"""
+        return place in self._halting or place[:1] in self._halting
 
-    def _refresh_proc_failure(self, slot: _Slot):
-        ps = slot.set
-        halted = self._halted(slot)
+    def _refresh_proc_failure(self, place: tuple):
+        ps = self.sets[place]
+        halted = self._halted(place)
         if halted and not ps.failed:
             ps.halt(self.now)
             ps.failed = True
@@ -736,11 +721,10 @@ class Engine:
             ps.dispatch(self.now)
 
     def _split_covered(self, t: FaultTarget):
-        """Split out each slot a lane, processor or task scope covers."""
+        """Split out each place a lane, processor or task scope covers."""
         key = t.key
-        for slot in (self._lane_procs[key[0]] if len(key) == 1
-                     else [self.procs[key[:2]]]):
-            self._split(slot)
+        for place in self._lane_places[key[0]] if len(key) == 1 else [key[:2]]:
+            self._split(place)
 
     def _on_fault_activate(self, f):
         self._quiet.clear()
@@ -765,17 +749,16 @@ class Engine:
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(t):
-                self.procs[rt.place].set.drop(rt.key, self.now)
+                self.sets[rt.place].drop(rt.key, self.now)
             return
-        for slot in self._procs_in(t):
-            self._refresh_proc_failure(slot)
+        for place in self._places_in(t):
+            self._refresh_proc_failure(place)
 
     def _rank(self, f) -> int:
         """The fault's position in the scenario."""
         return self._fault_rank[id(f)]
 
     def _on_fault_clear(self, f):
-        self._quiet.clear()
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id} cleared")
@@ -787,12 +770,12 @@ class Engine:
         if _bit_visible(f):
             self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
-        # activation split out every slot it covers
+        # activation split out every place it covers
         left = self._halting.pop(t.key) - 1
         if left:
             self._halting[t.key] = left
-        for slot in self._procs_in(t):
-            self._refresh_proc_failure(slot)
+        for place in self._places_in(t):
+            self._refresh_proc_failure(place)
         # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
             if (ep.outcome is None and ep.origin == "restabilize"
@@ -832,22 +815,22 @@ class Engine:
 
     # -- built-in test -------------------------------------------------------------
 
-    def _on_bit_check(self, slot: _Slot):
-        if slot.set.dead:
+    def _on_bit_check(self, place: tuple):
+        if self.sets[place].dead:
             return
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.BIT_CHECK, slot.key, slot)
+            self._push(nxt, EventKind.BIT_CHECK, place, place)
         # no fault off this list can pass bit_detects here, and only one
         # that passes draws from rng
-        faults = self._bit_on.get(slot.key)
+        faults = self._bit_on.get(place)
         if not faults:
             return
-        hosted = self._hosted(slot.key)
+        hosted = self._hosted(place)
         for f in faults:
             if f.fault_id in self._bit_detected:
                 continue
-            if not bit_detects(f, slot.key, hosted, self.now):
+            if not bit_detects(f, place, hosted, self.now):
                 continue
             p = self.settings.bit_detect_probability
             if p < 1.0 and self.rng.random() >= p:
@@ -880,7 +863,7 @@ class Engine:
         ``byz`` is the copy's byzantine fault and ``ref`` the reference value."""
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        ps = self.procs[rt.place].set
+        ps = self.sets[rt.place]
         if ps.dead or self._silenced(rt, ps):
             return None
         value = ref
@@ -1092,7 +1075,6 @@ class Engine:
                 if (fk := f.target.key)[:len(key)] == key or key[:len(fk)] == fk]
 
     def _apply_directives(self, directives):
-        self._quiet.clear()
         # one episode per application and origin: a copy restabilized in
         # place is not also replaced by a spare
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
@@ -1156,18 +1138,18 @@ class Engine:
         return [rt for rt in self._copies_in(d) if rt.health is not Health.SHUTDOWN]
 
     def _mark_dead(self, d: FaultTarget):
-        for slot in self._procs_in(d):
-            ps = self._split(slot)
+        for place in self._places_in(d):
+            ps = self._split(place)
             if not ps.dead:
                 ps.dead = True
                 ps.halt(self.now)
 
     def _withdraw(self, copies: list):
-        """Withdraw copies from service. Each slot they sit on is split out
+        """Withdraw copies from service. Each place they sit on is split out
         once, drops their jobs and takes one new admitted state and one
         ranking without their entries; the bus gives back their summed
         demand in one update. Sets run apart and the sums are exact, so
-        slot by slot equals copy by copy."""
+        place by place equals copy by copy."""
         if not copies:
             return
         by_place: dict = {}
@@ -1175,7 +1157,7 @@ class Engine:
             self._set_health(rt, Health.SHUTDOWN)
             by_place.setdefault(rt.place, []).append(rt.key)
         for place, keys in by_place.items():
-            ps = self._split(self.procs[place])
+            ps = self._split(place)
             for key in keys:
                 ps.drop(key, self.now)
             ps.admit(ps.admitted.without_tasks(keys))
@@ -1243,8 +1225,8 @@ class Engine:
                        home_lane=lost[task_id].lane)
             for task_id in sorted(lost)
         ]
-        spares = [SpareCandidate(slot.lane, slot.proc, slot.set.admitted)
-                  for slot in self._spares if slot.set.runnable()]
+        spares = [SpareCandidate(*place, self.sets[place].admitted)
+                  for place in self._spares if self.sets[place].runnable()]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 
@@ -1254,9 +1236,9 @@ class Engine:
         for d in plan.decisions:
             if not d.chosen:
                 continue
-            slot = self.procs[(d.lane, d.proc)]
-            self._split(slot).admit(plan.states[slot.key])
-            ep.placements[d.task_id] = slot.key
+            place = (d.lane, d.proc)
+            self._split(place).admit(plan.states[place])
+            ep.placements[d.task_id] = place
             self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
                       f"resulting utilization "
                       f"{float(d.admission.resulting_utilization):.4f}")
@@ -1340,33 +1322,33 @@ class Engine:
         # a spare shut down while its copy was in transfer gets no copy; no
         # spare dies in here, so the row can say whether any copy starts
         dead = [task_id for task_id, place in sorted(ep.placements.items())
-                if self.procs[place].set.dead]
+                if self.sets[place].dead]
         self._row("StateTransferDone", app=ep.app_id,
                   detail=f"{sm.strategy.value} state ready; "
                   + ("policing starts" if len(dead) < len(ep.placements)
                      else "no copy starts, every chosen spare is shut down"))
         for task_id in dead:
             # give back the placement's admission entry and bus demand
-            slot = self.procs[ep.placements.pop(task_id)]
-            ps = self._split(slot)
+            place = ep.placements.pop(task_id)
+            ps = self._split(place)
             ps.admit(ps.admitted.without_task((ep.app_id, task_id)))
             self.bus = self.bus.without_demand(app.task(task_id).message_demand)
             ep.degraded_tasks += (task_id,)
-            self._row("DegradeToDuplex", slot.lane, slot.proc, ep.app_id, task_id,
+            self._row("DegradeToDuplex", *place, ep.app_id, task_id,
                       "spare shut down before the copy started")
         for task_id in sorted(ep.placements):
-            lane, proc = ep.placements[task_id]
+            place = ep.placements[task_id]
             spec = app.task(task_id)
-            rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, lane, proc,
-                         Health.POLICED, spec=spec, app=app, origin_us=self.now,
+            rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, *place,
+                         Health.POLICED, spec=spec, origin_us=self.now,
                          police=PoliceCounter(self.cfg.police_rounds),
                          episode=ep.record_id, key=(ep.app_id, task_id),
-                         place=self.procs[lane, proc].key)
+                         place=place)
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self._split(self.procs[rt.place]).add_background(
+                self._split(rt.place).add_background(
                     Job((rt,), rt.copy_id, self.now, rt.replay_left_us), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
@@ -1424,23 +1406,9 @@ def _two_faced_sign(toward: _CopyRt, fault) -> int:
 
 def _event_pusher(heap: list):
     """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
-    heap, not the engine. A TaskComplete entry holds its set, which
-    holds this push, so a heap left with entries is a reference cycle that
-    only the garbage collector frees: clear the heap when the run ends.
-
-    Within one kind every key is an int or a tuple of ints, so keys compare
-    as pushed: Readmit is keyed (0, copy_id) or (1, app, lane) for a sensor
-    channel, TaskComplete (lane, proc) of the set's first member. ``data``
-    is the object the handler acts on: the FaultSpec for FaultActivate and
-    FaultClear; (set, job, generation) for TaskComplete; (copies released,
-    release_us) for DeadlineCheck ((TaskSpec, release_us) in
-    schedule_processor); the slot for BITCheck; for TaskRelease the tuple of a release group's
-    copies in service, keyed by its first copy id (the TaskSpec in
-    schedule_processor); the ApplicationSpec for VoteRound; None
-    for Classify and SelectionDone; the episode for InstallDone and
-    StateTransferDone, which one handler serves; the Approval for
-    PilotApproval; and for Readmit the copy or the (app, lane) sensor
-    channel."""
+    heap, not the engine. A TaskComplete entry holds its set, which holds
+    this push, so a heap left with entries is a reference cycle that only
+    the garbage collector frees: clear the heap when the run ends."""
     seq = itertools.count()
 
     def push(at_us: int, kind: EventKind, key, data):

@@ -23,7 +23,7 @@ the coverage last sampled for each application whose copies and channels
 have not changed since (``functional_coverage``, ``zonal_coverage`` and
 ``peripheral_coverage`` of it now).
 
-Slots with one processor index share one schedule, their set, until an
+Places with one processor index share one schedule, their set, until an
 event treats them differently. After every event each set's members must
 agree, by full scans of the copies, jobs and faults, on the admitted set,
 the jobs their copies own, the running job, failed and dead, and the
@@ -89,9 +89,10 @@ def _copy_scope(rt):
                        app=rt.app_id, task=rt.task_id)
 
 
-def _slot_scope(slot):
-    """The processor scope of a slot, built from its coordinates."""
-    return FaultTarget(TargetKind.PROCESSOR, lane=slot.lane, proc=slot.proc)
+def _place_scope(place):
+    """The processor scope of a (lane, proc) place."""
+    lane, proc = place
+    return FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
 
 
 class CheckedEngine(Engine):
@@ -162,7 +163,7 @@ class CheckedEngine(Engine):
 
     def _check_capacity(self):
         """Bus load and admitted sets equal a recount of what holds them."""
-        holders = {place: [] for place in self.procs}   # place -> [(key, spec)]
+        holders = {place: [] for place in self.sets}   # place -> [(key, spec)]
         load = Fraction(0)
         for rt in self._all_copies():
             if rt.health is not Health.SHUTDOWN:
@@ -182,7 +183,7 @@ class CheckedEngine(Engine):
         assert load <= self._baseline_load, (
             f"bus load at {self.now}us: {load} over the start-up {self._baseline_load}")
         for place, held in holders.items():
-            admitted = self.procs[place].set.admitted
+            admitted = self.sets[place].admitted
             keys = [key for key, _ in held]
             assert len(set(keys)) == len(keys), (
                 f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
@@ -232,7 +233,7 @@ class CheckedEngine(Engine):
     def _check_kept_facts(self):
         """The BIT faults per place, the hosting index and the cached
         coverage equal full scans."""
-        for place in self.procs:
+        for place in self.sets:
             # at its own activation instant a fault is surely active: inside
             # an instant the index may lag active_at, as _active does
             want = [f for f in sorted(self._active, key=lambda f: f.fault_id)
@@ -242,7 +243,7 @@ class CheckedEngine(Engine):
                 f"{[f.fault_id for f in self._bit_on.get(place, [])]}, "
                 f"scanned {[f.fault_id for f in want]}")
         if self._hosting is not None:
-            hosting = {place: set() for place in self.procs}
+            hosting = {place: set() for place in self.sets}
             for rt in self._all_copies():
                 if rt.health is Health.ACTIVE:
                     hosting[rt.place].add(rt.key)
@@ -260,7 +261,7 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _check_sets(self):
-        """The slots that share a set see one schedule, as full scans find
+        """The places that share a set see one schedule, as full scans find
         it: each member's in-service copies and pending placements recount
         the admitted set, the permanent shutdowns so far recount dead, each
         job of the set is owned by one copy on each member, and the members
@@ -268,9 +269,9 @@ class CheckedEngine(Engine):
         the running job, failed and dead, and the faults that ever covered
         them."""
         sets = {}
-        for slot in self.procs.values():
-            sets.setdefault(id(slot.set), (slot.set, []))[1].append(slot)
-        owned = {place: {} for place in self.procs}
+        for place, ps in self.sets.items():
+            sets.setdefault(id(ps), (ps, []))[1].append(place)
+        owned = {place: {} for place in self.sets}
         for ps, _ in sets.values():
             for job in [*ps.jobs.values(), *ps.background.values()]:
                 # one copy of each member, in lane order, owns the job
@@ -281,40 +282,40 @@ class CheckedEngine(Engine):
                     assert (rt.copy_id if job.background else rt.key) == job.key, (
                         f"job {job.key} owned by copy {rt.copy_id}")
                     owned[rt.place][job.key] = job
-        held = {place: set() for place in self.procs}
+        held = {place: set() for place in self.sets}
         for rt in self._all_copies():
             if rt.health is not Health.SHUTDOWN:
                 held[rt.place].add(rt.key)
         for ep in self._bus_queue:
             for task_id, place in ep.placements.items():
                 held[place].add((ep.app_id, task_id))
-        for ps, slots in sets.values():
-            assert sorted(ps.members) == [s.key for s in slots] == ps.members, (
+        for ps, places in sets.values():
+            assert sorted(ps.members) == places == ps.members, (
                 f"set of {ps.members} at {self.now}us")
-            views = [self._member_view(ps, slot, held[slot.key], owned[slot.key])
-                     for slot in slots]
+            views = [self._member_view(ps, place, held[place], owned[place])
+                     for place in places]
             assert all(view == views[0] for view in views), (
-                f"set of {[s.key for s in slots]} at {self.now}us: {views}")
+                f"set of {places} at {self.now}us: {views}")
         self.checks += 1
 
-    def _member_view(self, ps, slot, held, owned):
+    def _member_view(self, ps, place, held, owned):
         """What one member's own copies, jobs and faults say of its set."""
         assert len(ps.admitted) == len(held) and all(k in ps.admitted for k in held), (
-            f"{slot.key} at {self.now}us: admitted set differs from {sorted(held)}")
+            f"{place} at {self.now}us: admitted set differs from {sorted(held)}")
         jobs = {**ps.jobs, **ps.background}
         assert owned == {job.key: job for job in jobs.values()}, (
-            f"{slot.key} at {self.now}us owns jobs {sorted(owned)}, "
+            f"{place} at {self.now}us owns jobs {sorted(owned)}, "
             f"its set runs {sorted(jobs)}")
         running = ps.running
         assert running is None or running in jobs.values()
-        assert ps.dead == any(d.contains(_slot_scope(slot)) for d in self._killed), (
-            f"{slot.key} at {self.now}us: dead {ps.dead}")
+        assert ps.dead == any(d.contains(_place_scope(place)) for d in self._killed), (
+            f"{place} at {self.now}us: dead {ps.dead}")
         # failed is recounted from the faults by _sweep after every fault
         # event, the only events that change it
         exposure = None if len(ps.members) == 1 else [
             f.fault_id for f in self._activated
             if f.target.kind is not TargetKind.SENSOR
-            and f.target.overlaps(_slot_scope(slot))]
+            and f.target.overlaps(_place_scope(place))]
         return (frozenset(held),
                 sorted((job.background, job.key, job.release_us,
                         job.remaining_us, job.start_us) for job in owned.values()),
@@ -324,7 +325,7 @@ class CheckedEngine(Engine):
     def _check_service(self):
         """No copy in service sits on a dead processor."""
         for rt in self._all_copies():
-            assert rt.health is Health.SHUTDOWN or not self.procs[rt.place].set.dead, (
+            assert rt.health is Health.SHUTDOWN or not self.sets[rt.place].dead, (
                 f"copy {rt.copy_id} is {rt.health.value} on dead processor "
                 f"{rt.place} at {self.now}us")
         self.checks += 1
@@ -336,9 +337,9 @@ class CheckedEngine(Engine):
         self._agree("silenced", got, lambda fs: _halting(fs, _copy_scope(rt)))
         return got
 
-    def _halted(self, pr):
-        got = super()._halted(pr)
-        self._agree("halted", got, lambda fs: _halting(fs, _slot_scope(pr)))
+    def _halted(self, place):
+        got = super()._halted(place)
+        self._agree("halted", got, lambda fs: _halting(fs, _place_scope(place)))
         return got
 
     def _skew_for(self, rt):
@@ -377,27 +378,27 @@ class CheckedEngine(Engine):
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
         for rt in self._all_copies():
-            self._silenced(rt, self.procs[rt.place].set)
-        for slot in self.procs.values():
-            assert slot.set.failed == self._halted(slot)
+            self._silenced(rt, self.sets[rt.place])
+        for place, ps in self.sets.items():
+            assert ps.failed == self._halted(place)
 
-    def _on_bit_check(self, pr):
-        if not pr.set.dead:
-            hosted = self._hosted(pr.key)
+    def _on_bit_check(self, place):
+        if not self.sets[place].dead:
+            hosted = self._hosted(place)
 
             def caught(faults, hosted):
                 return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
                         if f.fault_id not in self._bit_detected
-                        and bit_detects(f, pr.key, hosted, self.now)]
+                        and bit_detects(f, place, hosted, self.now)]
 
             # the engine asks bit_detects of its place's BIT faults alone
             self._agree("bit candidates",
-                        caught(self._bit_on.get(pr.key, []), hosted),
+                        caught(self._bit_on.get(place, []), hosted),
                         lambda fs: caught(fs, {
                             rt.key for rt in self._all_copies()
-                            if rt.place == pr.key
+                            if rt.place == place
                             and rt.health is Health.ACTIVE}))
-        super()._on_bit_check(pr)
+        super()._on_bit_check(place)
 
     def _hosted(self, place):
         got = super()._hosted(place)
@@ -517,14 +518,14 @@ class CheckedEngine(Engine):
     def _on_release(self, copies):
         # the group itself was checked when it was pushed
         due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
-               and not self.procs[rt.place].set.dead
+               and not self.sets[rt.place].dead
                and not _halting(self._settled_faults(), _copy_scope(rt))]
         before = self.counters["releases"]
         super()._on_release(copies)
         assert self.counters["releases"] - before == len(due)
         for rt in due:
             # the copy's job is its set's job for its key, which it owns
-            job = self.procs[rt.place].set.jobs.get(rt.key)
+            job = self.sets[rt.place].jobs.get(rt.key)
             assert (job is not None and job.release_us == self.now
                     and [o for o in job.owner if o.place == rt.place] == [rt]), (
                 f"copy {rt.copy_id} not released at {self.now}us")
@@ -638,8 +639,8 @@ def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
     # of the lost copies
     engine = _check(parse_scenario(scenario_doc([
         proc_fault(at_ms=50, proc=proc) for proc in range(3)])))
-    assert [(key, slot.set.dead) for key, slot in engine.procs.items()
-            if key[1] == 3] == [((0, 3), True), ((1, 3), False), ((2, 3), False)]
+    assert [(place, ps.dead) for place, ps in engine.sets.items()
+            if place[1] == 3] == [((0, 3), True), ((1, 3), False), ((2, 3), False)]
     assert sorted(place for ep in engine._episodes
                   for place in ep.placements.values()) == [(1, 3), (2, 3)]
 

@@ -233,6 +233,23 @@ def test_bus_overload_is_rejected_up_front():
         run(scen([], system=system))
 
 
+def test_start_up_violations_are_listed_by_lane_and_processor():
+    # workers 0 and 2 of every lane start over the bound and the bus over
+    # its capacity: one admission line per place in lane, then processor,
+    # order, then the bus line
+    system = triplex_system()
+    system["applications"][0]["tasks"][0]["wcet_ms"] = 15   # 0.75 on worker 0
+    system["applications"][2]["tasks"][0]["wcet_ms"] = 14   # 0.70 on worker 2
+    system["bus"] = {"max_load": 0.4}                       # nine copies demand 0.45
+    with pytest.raises(ScenarioInvalid) as caught:
+        Engine(scen([], system=system))
+    assert [(v.code, v.message) for v in caught.value.violations] == [
+        *(("AdmissionExceeded", f"lane {lane} processor {proc} starts at "
+           f"utilization {u} over the bound 0.69")
+          for lane in range(3) for proc, u in ((0, "0.7500"), (2, "0.7000"))),
+        ("BusOverload", "baseline message load 0.4500 exceeds bus capacity 0.4000")]
+
+
 # --- jitter measurement ------------------------------------------------
 
 
@@ -424,7 +441,7 @@ def test_a_spare_shut_down_during_transfer_gets_no_copy():
     in_service = [rt for rts in engine.groups[1].copies.values() for rt in rts
                   if rt.health is not Health.SHUTDOWN]
     assert sorted(rt.place for rt in in_service) == [(1, 0), (2, 0)]
-    assert len(engine.procs[(0, 3)].set.admitted) == 0
+    assert len(engine.sets[(0, 3)].admitted) == 0
     assert engine.bus.current_load == sum(
         rt.spec.message_demand for group in engine.groups.values()
         for rts in group.copies.values() for rt in rts
@@ -863,22 +880,22 @@ def test_admitted_sets_meet_every_deadline(draws, customer_cap):
 
 
 def test_start_up_admitted_sets_are_shared_values():
-    # initial_allocation mirrors every lane, so one processor id's slots
+    # initial_allocation mirrors every lane, so one processor id's places
     # start as one set with one admitted set and one ranking; admitting on
-    # one slot splits that slot out and leaves the other lanes' set alone
+    # one place splits that place out and leaves the other lanes' set alone
     engine = Engine(scen([]))
-    slots = [engine.procs[(lane, 0)] for lane in engine.model.lane_ids]
-    shared = slots[0].set
-    assert shared.members == [pr.key for pr in slots]
-    assert all(pr.set is shared for pr in slots)
+    places = [(lane, 0) for lane in engine.model.lane_ids]
+    shared = engine.sets[places[0]]
+    assert shared.members == places
+    assert all(engine.sets[place] is shared for place in places)
     before = (shared.admitted, len(shared.admitted),
               shared.admitted.utilization, dict(shared.prios))
-    own = engine._split(slots[0])
+    own = engine._split(places[0])
     own.admit(own.admitted.with_task((9, 9), 1000, 20000, 5000))
-    assert own is not shared and own.members == [slots[0].key]
-    assert slots[0].set is own and shared.members == [pr.key for pr in slots[1:]]
+    assert own is not shared and own.members == [places[0]]
+    assert engine.sets[places[0]] is own and shared.members == places[1:]
     assert (9, 9) in own.admitted and own.prios[(9, 9)] == 0
-    assert all(pr.set is shared for pr in slots[1:])
+    assert all(engine.sets[place] is shared for place in places[1:])
     assert (shared.admitted, len(shared.admitted), shared.admitted.utilization,
             shared.prios) == before
 
@@ -929,7 +946,7 @@ def test_a_fault_storm_run_frees_itself_without_the_collector():
 
 
 def test_engine_set_up_builds_no_fault_target(monkeypatch):
-    # slots and copies are looked up by their coordinate keys; scopes are
+    # places and copies are looked up by their coordinate keys; scopes are
     # the faults' and the shutdowns' own
     scenario = load_scenario(SCENARIOS / "triplex_task_permanent.json")
     built = []
