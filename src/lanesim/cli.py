@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ from pathlib import Path
 
 from .model import InvalidModel, MalformedDocument
 from .reconfig import Outcome
-from .scenario import (dump_scenario, generate_scenario, load_scenario,
+from .scenario import (dump_json, dump_scenario, generate_scenario, load_scenario,
                        scenario_violations)
 from .sim import Engine, SimResult, run
 from .timebase import US_PER_MS, ms_to_us
@@ -139,9 +138,8 @@ def write_outputs(result: SimResult, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     metrics = out / "metrics.json"
-    metrics.write_text(
-        json.dumps(metrics_document(result), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    metrics.write_text(dump_json(metrics_document(result)) + "\n",
+                       encoding="utf-8")
     written.append(metrics)
     trace = out / "trace.tsv"
     trace.write_text("\n".join(trace_lines(result)) + "\n", encoding="utf-8")

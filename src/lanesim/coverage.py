@@ -39,18 +39,33 @@ def _level(count: int) -> CoverageLevel:
     return CoverageLevel(min(count, 4))
 
 
+def coverage(group: ReplicaGroup) -> tuple[CoverageLevel, CoverageLevel]:
+    """Functional and zonal coverage from one pass over the copies: the
+    minimum over tasks of active copies and of the distinct lanes they sit
+    in. An application with no tasks has none of either."""
+    if not group.copies:
+        return CoverageLevel.NONE, CoverageLevel.NONE
+    functional = zonal = 4      # _level caps a count here anyway
+    for copies in group.copies.values():
+        lanes = [c.lane for c in copies if c.health is Health.ACTIVE]
+        count = len(lanes)
+        if count < functional:
+            functional = count
+        if count > 1:           # fewer copies than two sit in as many lanes
+            count = len(set(lanes))
+        if count < zonal:
+            zonal = count
+    return _level(functional), _level(zonal)
+
+
 def functional_coverage(group: ReplicaGroup) -> CoverageLevel:
     """Minimum over the application's tasks of its active copy count."""
-    counts = [sum(1 for c in copies if c.health is Health.ACTIVE)
-              for copies in group.copies.values()]
-    return _level(min(counts)) if counts else CoverageLevel.NONE
+    return coverage(group)[0]
 
 
 def zonal_coverage(group: ReplicaGroup) -> CoverageLevel:
     """Minimum over tasks of distinct lanes holding an active copy."""
-    counts = [len({c.lane for c in copies if c.health is Health.ACTIVE})
-              for copies in group.copies.values()]
-    return _level(min(counts)) if counts else CoverageLevel.NONE
+    return coverage(group)[1]
 
 
 def peripheral_coverage(healthy_channels: int) -> CoverageLevel:

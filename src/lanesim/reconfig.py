@@ -26,6 +26,7 @@ these phases; this module holds the pure pieces it leans on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -194,13 +195,16 @@ def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
             return False
         return not (restricted and (s.lane, s.proc) in taken)
 
-    def rank(s):
-        # by the resulting utilization: the task adds the same to each
-        return (states[(s.lane, s.proc)].utilization, s.lane, s.proc)
-
-    same = sorted((s for s in spares if usable(s) and s.lane == f.home_lane), key=rank)
-    other = sorted((s for s in spares if usable(s) and s.lane != f.home_lane), key=rank)
-    return [(s.lane, s.proc) for s in same + other]
+    # by the resulting utilization: the task adds the same to each, so rank
+    # by the utilization now, as integer numerators over one denominator
+    places = [(s.lane, s.proc) for s in spares if usable(s)]
+    ratios = [states[place].utilization_ratio for place in places]
+    common = math.lcm(*(den for _, den in ratios))
+    keys = [(num * (common // den), *place)
+            for (num, den), place in zip(ratios, places)]
+    same = sorted(k for k in keys if k[1] == f.home_lane)
+    other = sorted(k for k in keys if k[1] != f.home_lane)
+    return [(lane, proc) for _, lane, proc in same + other]
 
 
 class PoliceCounter:

@@ -495,4 +495,52 @@ def _random_faults(rng: random.Random, doc: dict, count: int) -> list[dict]:
 
 
 def dump_scenario(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def dump_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, character for
+    character, built with one ``join`` per container.
+
+    With an indent the stdlib encodes in pure Python and keeps the whole
+    document as a list of small chunks, several times the text's size;
+    here only one container's parts are alive at a time. A container that
+    holds itself ends in RecursionError, where the stdlib raises
+    ValueError.
+    """
+    return _dump(value, "")
+
+
+def _dump(value, pad: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        body = (",\n" + inner).join([_dump(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([f"{_quote(k)}: {_dump(v, inner)}"
+                                     for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    # other keys, subclasses and non-finite floats: the stdlib's text,
+    # indented to this depth (an encoded string holds no raw newline)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)

@@ -601,8 +601,10 @@ class Engine:
             completions=self.completions,
             counters=dict(self.counters),
         )
+        stale, last = self._cov_stale, self._last_cov
         for app_id in sorted(self.groups):
-            result.final_coverage[app_id] = self._coverage(app_id)
+            result.final_coverage[app_id] = (
+                self._coverage(app_id) if app_id in stale else last[app_id])
         return result
 
     # -- releases, completions, deadlines ---------------------------------------
@@ -1079,6 +1081,7 @@ class Engine:
         # place is not also replaced by a spare
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
         abandoned: dict = {}    # record id -> open episode that lost a copy
+        withdrawn: list = []    # every permanent victim, once
         for d in directives:
             causes = self._directive_causes(d)
             transient = bool(causes) and all(
@@ -1107,12 +1110,15 @@ class Engine:
                         ep = self._episodes[rt.episode - 1]
                         if ep.outcome is None:
                             abandoned[ep.record_id] = ep
-                self._withdraw(victims)
+                    # shut down now, so that no later scope takes it again
+                    self._set_health(rt, Health.SHUTDOWN)
+                withdrawn += victims
             for rt in victims:
                 copies, causes = affected.setdefault(
                     (rt.app_id, transient), ([], set()))
                 copies.append(rt)
                 causes.update(cause_ids)
+        self._withdraw(withdrawn)
 
         # a recovery that loses a copy it was rebuilding ends here; the
         # copy's replacement belongs to the new reconfiguration
@@ -1145,16 +1151,16 @@ class Engine:
                 ps.halt(self.now)
 
     def _withdraw(self, copies: list):
-        """Withdraw copies from service. Each place they sit on is split out
-        once, drops their jobs and takes one new admitted state and one
-        ranking without their entries; the bus gives back their summed
-        demand in one update. Sets run apart and the sums are exact, so
-        place by place equals copy by copy."""
+        """Take shut-down copies out of service, once for every directive
+        of one call. Each place they sit on is split out once, drops their
+        jobs and takes one new admitted state and one ranking without their
+        entries; the bus gives back their summed demand in one update. Sets
+        run apart and the sums are exact, so place by place equals copy by
+        copy."""
         if not copies:
             return
         by_place: dict = {}
         for rt in copies:
-            self._set_health(rt, Health.SHUTDOWN)
             by_place.setdefault(rt.place, []).append(rt.key)
         for place, keys in by_place.items():
             ps = self._split(place)
@@ -1367,9 +1373,7 @@ class Engine:
 
     def _coverage(self, app_id) -> tuple:
         """The application's functional, zonal and peripheral coverage now."""
-        group = self.groups[app_id]
-        return (cov.functional_coverage(group),
-                cov.zonal_coverage(group),
+        return (*cov.coverage(self.groups[app_id]),
                 cov.peripheral_coverage(self._healthy_channels(app_id)))
 
     def _sample(self, app_id):

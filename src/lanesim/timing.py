@@ -71,7 +71,7 @@ class ProcessorState:
     an integer numerator over a common multiple of every entry's window,
     the lcm of the windows it has seen, and updated by
     ``with_task``/``without_task``/``without_tasks``; ``utilization`` gives
-    it as an exact Fraction.
+    it as an exact Fraction and ``utilization_ratio`` as the integer pair.
     """
 
     __slots__ = ("_entries", "_num", "_den")
@@ -94,6 +94,12 @@ class ProcessorState:
     @property
     def utilization(self) -> Fraction:
         return Fraction(self._num, self._den)
+
+    @property
+    def utilization_ratio(self) -> tuple[int, int]:
+        """The utilization as its unreduced integer (numerator,
+        denominator) pair."""
+        return self._num, self._den
 
     def with_task(self, key, wcet_us: int, period_us: int, deadline_us: int) -> "ProcessorState":
         new = dict(self._entries)

@@ -1,7 +1,10 @@
 """Coverage levels and time-at-risk accounting."""
 
+from hypothesis import example, given, strategies as st
+
 from lanesim.coverage import (
     CoverageLevel,
+    coverage,
     functional_coverage,
     peripheral_coverage,
     time_at_risk,
@@ -75,6 +78,39 @@ def test_lost_task_floors_coverage_at_none():
     group = _group([(2, 0, 0, Health.ACTIVE)], task_ids=(1, 2))
     assert functional_coverage(group) is CoverageLevel.NONE
     assert zonal_coverage(group) is CoverageLevel.NONE
+
+
+def _two_scan_levels(group):
+    """The functional and zonal levels written as two scans of the copies."""
+    def level(counts):
+        return CoverageLevel(min(min(counts), 4)) if counts else CoverageLevel.NONE
+    return (
+        level([sum(1 for c in copies if c.health is Health.ACTIVE)
+               for copies in group.copies.values()]),
+        level([len({c.lane for c in copies if c.health is Health.ACTIVE})
+               for copies in group.copies.values()]))
+
+
+# per task, its copies as (lane, health): up to seven copies over four
+# lanes, so several share a lane and a task can have none active
+_TASKS = st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(Health)),
+                           max_size=7),
+                  max_size=4)
+
+
+@given(_TASKS)
+@example([])
+@example([[]])
+@example([[(0, Health.ACTIVE)] * 5, [(lane, Health.ACTIVE) for lane in range(4)]])
+@example([[(lane, health) for lane in range(4) for health in Health]])
+def test_one_pass_coverage_equals_the_two_scans(tasks):
+    group = _group([(t, lane, 0, health)
+                    for t, copies in enumerate(tasks, start=1)
+                    for lane, health in copies],
+                   task_ids=range(1, len(tasks) + 1))
+    want = _two_scan_levels(group)
+    assert coverage(group) == want
+    assert (functional_coverage(group), zonal_coverage(group)) == want
 
 
 def test_peripheral_coverage_caps_at_quadruplex():

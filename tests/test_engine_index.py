@@ -53,6 +53,7 @@ instant is still in it. The reference accounts for those queued fault
 events and counts the answers where the plain ``active_at`` scan differs.
 """
 
+import heapq
 import json
 import math
 import statistics
@@ -68,7 +69,7 @@ from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
 from lanesim.reconfig import Health
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
-from lanesim.timing import task_utilization
+from lanesim.timing import ProcessorState, task_utilization
 
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system)
@@ -643,6 +644,52 @@ def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
             if place[1] == 3] == [((0, 3), True), ((1, 3), False), ((2, 3), False)]
     assert sorted(place for ep in engine._episodes
                   for place in ep.placements.values()) == [(1, 3), (2, 3)]
+
+
+class _WithdrawalSpy(Engine):
+    """An Engine that records every copy list it takes out of service."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.withdrawals = []
+
+    def _withdraw(self, copies):
+        self.withdrawals.append([rt.copy_id for rt in copies])
+        super()._withdraw(copies)
+
+
+def test_overlapping_permanent_scopes_withdraw_each_copy_once():
+    # no classification or BIT check emits two scopes where one holds the
+    # other, so the two directives are applied by hand: a permanent lane
+    # fault and a permanent processor fault inside it, both active now
+    engine = _WithdrawalSpy(parse_scenario(scenario_doc([
+        lane_fault(at_ms=50), proc_fault(at_ms=50, lane=0, proc=0)])))
+    start_load = engine.bus.current_load
+    engine._prime_events()
+    handlers, heap = engine._handlers(), engine._heap
+    while heap[0][:2] <= (50_000, EventKind.FAULT_ACTIVATE.rank):
+        at, rank, _key, _seq, _kind, data = heapq.heappop(heap)
+        engine.now = at
+        handlers[rank](data)
+    assert len(engine._active) == 2
+    engine._apply_directives([f.target for f in engine._active])
+
+    lane0 = [rt for rts in engine._proc_copies.values() for rt in rts
+             if rt.lane == 0]
+    assert lane0 and all(rt.health is Health.SHUTDOWN for rt in lane0)
+    assert engine.withdrawals == [[rt.copy_id for rt in lane0]]
+    assert sorted(i for ep in engine._episodes for i in ep.failed_copy_ids) == (
+        sorted(rt.copy_id for rt in lane0))
+    for place, rts in engine._proc_copies.items():
+        left = ProcessorState({
+            rt.key: (rt.spec.wcet_us, rt.spec.period_us, rt.spec.deadline_us)
+            for rt in rts if rt.health is not Health.SHUTDOWN})
+        ps = engine.sets[place]
+        assert len(ps.admitted) == len(left)
+        assert ps.admitted.utilization == left.utilization
+        assert ps.admitted.priorities() == ps.prios == left.priorities()
+    assert engine.bus.current_load == start_load - sum(
+        rt.spec.message_demand for rt in lane0)
 
 
 def _two_task_system(lanes):

@@ -2,14 +2,17 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanesim import cli
+from lanesim.coverage import CoverageLevel
 from lanesim.model import InvalidModel, MalformedDocument, build_system
 from lanesim.scenario import (
     _emission_bound,
+    dump_json,
     dump_scenario,
     generate_scenario,
     load_scenario,
@@ -265,6 +268,51 @@ def test_generator_is_deterministic_per_seed():
     assert dump_scenario(a) == dump_scenario(b)
     c = generate_scenario(lanes=3, procs=3, apps=2, seed=43, faults=3)
     assert dump_scenario(a) != dump_scenario(c)
+
+
+# --- the JSON writer -------------------------------------------------
+
+_TRICKY_TEXT = st.sampled_from(["", "é", "☃", "\U0001f600", '"', "\\",
+                                "\n", "\x00", "\x1f", "\ud800", "a\tb"])
+_JSON_LEAVES = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 70)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+    | st.text() | _TRICKY_TEXT
+    | st.sampled_from(CoverageLevel))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": {}, "b": [], "c": [{}, [[]], ()], "d": {"e": {"f": []}}})
+@example([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, 2 ** 64 + 1,
+          -(2 ** 70), True, False, None, CoverageLevel.DUPLEX])
+@example({'"q"\n\x01é': {1: ["x"], 2: {"y": (1.5,)}}, "z": {3: None}})
+def test_dump_json_writes_the_stdlib_text(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dump_json_holds_one_container_at_a_time():
+    # a fault_storm-shape scenario's metrics: the stdlib's indented encoder
+    # keeps about seven times the text alive, one chunk list for all of it
+    doc = generate_scenario(lanes=4, procs=10, apps=8, seed=1003, faults=40,
+                            horizon_ms=100)
+    metrics = cli.metrics_document(run(parse_scenario(doc)))
+    text = json.dumps(metrics, indent=2, sort_keys=True)
+    assert dump_json(metrics) == text
+    tracemalloc.start()
+    try:
+        dump_json(metrics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), (peak, len(text))
 
 
 def test_generated_documents_parse_cleanly():
