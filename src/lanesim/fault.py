@@ -264,17 +264,26 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:
     return ExchangeOutcome(silent, frozenset(flagged))
 
 
+def bit_visible(fault: FaultSpec) -> bool:
+    """Can built-in test ever see the fault: a bit-detectable, not Byzantine
+    fault on a processor or a task copy?
+
+    A lane fault takes the monitor down with everything else, and Byzantine
+    behaviour passes every local check.
+    """
+    return (fault.bit_detectable and fault.kind is not FaultKind.BYZANTINE
+            and fault.target.kind in (TargetKind.PROCESSOR, TargetKind.TASK))
+
+
 def bit_detects(fault: FaultSpec, place: tuple,
                 hosted_tasks, now_us: int) -> bool:
     """Would the built-in test of the processor at ``place`` (lane, proc)
     catch the fault right now?
 
-    BIT sees local permanent/transient hardware faults, whose target key is
-    ``place`` or ``place`` plus an (app, task) in ``hosted_tasks``. A lane
-    fault takes the monitor down with everything else, and Byzantine
-    behaviour passes every local check.
+    BIT sees a :func:`bit_visible` fault that is active and whose target key
+    is ``place`` or ``place`` plus an (app, task) in ``hosted_tasks``.
     """
-    if not fault.bit_detectable or fault.kind is FaultKind.BYZANTINE:
+    if not bit_visible(fault):
         return False
     if not fault.active_at(now_us):
         return False

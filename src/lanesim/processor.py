@@ -1,10 +1,11 @@
 """One processor's preemptive deadline-monotonic schedule.
 
 The event engine and ``schedule_processor`` (both in :mod:`lanesim.sim`)
-drive this one class. Jobs run by the ranks of
-:meth:`lanesim.timing.ProcessorState.priorities`; background work (a
-rebuilt copy's history replay) takes the time no job wants, lowest key
-first. Time is charged lazily, when the caller touches the processor.
+drive this one class. It keeps one table of jobs, run by the ranks of
+:meth:`lanesim.timing.ProcessorState.priorities`. Background work (a
+rebuilt copy's history replay) is keyed outside those ranks, so it ranks
+below every task and takes the time no task job wants, lowest key first.
+Time is charged lazily, when the caller touches the processor.
 Each change of what runs moves the generation on and tells ``wake`` which
 ``Job`` now runs and when it will finish; a finish of an older generation,
 or of a job that no longer runs, is stale.
@@ -12,29 +13,30 @@ or of a job that no longer runs, is stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(eq=False)
 class Job:
     owner: object           # whatever the caller runs the work for
-    key: object             # the job's slot: one job per key and kind
+    key: object             # the job's slot: one job per key
     release_us: int
     remaining_us: int
-    background: bool = field(default=False, init=False)  # set by add_background
     start_us: int | None = None
+    background: bool = False  # history replay, not a task's job
 
 
 class Processor:
-    """Ready jobs and background work of one processor, and what runs now.
+    """The one job table of one processor, and what runs now.
 
-    A subclass implements :meth:`wake` and may narrow :meth:`runnable`.
+    Background work is keyed outside ``prios``, so it ranks below every
+    task and runs only when no task job is ready. A subclass implements
+    :meth:`wake` and may narrow :meth:`runnable`.
     """
 
     def __init__(self):
         self.prios: dict = {}       # job key -> DM rank, 0 highest
-        self.jobs: dict = {}        # job key -> Job
-        self.background: dict = {}  # key -> Job, runs only when no job is ready
+        self.jobs: dict = {}        # job key -> Job, background work too
         self.running: Job | None = None
         self.since = 0
         self.gen = 0
@@ -69,11 +71,6 @@ class Processor:
                      for key, job in self.jobs.items() if job.remaining_us > 0]
             if ready:
                 chosen = self.jobs[min(ready)[1]]
-            else:
-                live = [key for key, job in self.background.items()
-                        if job.remaining_us > 0]
-                if live:
-                    chosen = self.background[min(live)]
         if chosen is self.running:
             return
         self.running = chosen
@@ -88,12 +85,6 @@ class Processor:
         self.jobs[job.key] = job
         self.dispatch(now)
 
-    def add_background(self, job: Job, now: int):
-        self.charge(now)
-        job.background = True
-        self.background[job.key] = job
-        self.dispatch(now)
-
     def finish(self, job: Job, gen: int, now: int) -> bool:
         """Did the wake-up for ``job`` finish it? Removes it if so.
 
@@ -105,7 +96,7 @@ class Processor:
         self.charge(now)
         if job.remaining_us > 0:
             return False
-        del (self.background if job.background else self.jobs)[job.key]
+        del self.jobs[job.key]
         self.running = None
         self.gen += 1
         self.dispatch(now)
@@ -138,8 +129,9 @@ class Processor:
         return job
 
     def halt(self, now: int):
-        """Drop every job; background work stays for when the processor resumes."""
+        """Drop every task job; background work stays for when the processor
+        resumes."""
         self.charge(now)
-        self.jobs.clear()
+        self.jobs = {k: j for k, j in self.jobs.items() if j.background}
         self.running = None
         self.gen += 1

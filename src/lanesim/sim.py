@@ -36,8 +36,8 @@ Each event carries the object its handler acts on:
 A (lane, processor) place is its coordinates: the engine files its copies
 and its set under that tuple. Its schedule is its set's: the one
 deadline-monotonic :class:`lanesim.processor.Processor` state (admitted
-set and ranks, jobs, background work, what runs, failed and dead) that
-the set's members share.
+set and ranks, one job table with background work in it, what runs,
+failed and dead) that the set's members share.
 Time is charged lazily whenever an event touches the set, and completion
 events carry the set's generation so a preempted or killed job's stale
 completion is simply dropped. ``initial_allocation`` mirrors every lane,
@@ -91,9 +91,10 @@ from enum import Enum
 from . import coverage as cov
 from . import timebase
 from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
-                    classify, cross_monitor, exchange_vote, police_matches)
-from .model import (Architecture, ApplicationSpec, InvalidModel, ProcessorRole,
-                    StateStrategy, SystemModel, TaskSpec, Violation)
+                    bit_visible, classify, cross_monitor, exchange_vote,
+                    police_matches)
+from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
+                    SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
@@ -370,7 +371,6 @@ class Engine:
         self._hosting: dict | None = None
 
         self._apps: dict = {}           # app_id -> ApplicationSpec
-        self._spares: list = []         # the spare places in (lane, proc) order
         self._init_topology()
 
     # -- setup ---------------------------------------------------------------
@@ -395,9 +395,7 @@ class Engine:
             for place, p in zip(places, lane.processors):
                 self._proc_copies[place] = []
                 members[p.proc_id].append(place)
-                if p.role is ProcessorRole.SPARE:
-                    self._spares.append(place)
-        self._spares.sort()
+        self._spares = sorted(self.model.spare_positions())
         sets = {}           # processor id -> the set of its lanes' places
         for proc, held in entries.items():
             state = ProcessorState(held)
@@ -738,7 +736,7 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             return
         bisect.insort(self._active_on.setdefault(t.lane, []), f, key=rank)
-        if _bit_visible(f):
+        if bit_visible(f):
             bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
                           key=_fault_id)
         self._split_covered(t)
@@ -769,7 +767,7 @@ class Engine:
             self._restore_channel(f)
             return
         self._active_on[t.lane].remove(f)
-        if _bit_visible(f):
+        if bit_visible(f):
             self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every place it covers
@@ -1354,8 +1352,9 @@ class Engine:
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
                 rt.replay_left_us = sm.history_len * spec.wcet_us
-                self._split(rt.place).add_background(
-                    Job((rt,), rt.copy_id, self.now, rt.replay_left_us), self.now)
+                self._split(rt.place).release(
+                    Job((rt,), rt.copy_id, self.now, rt.replay_left_us,
+                        background=True), self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             # its own phase: a release group of one
@@ -1394,13 +1393,6 @@ def _lane_proc(rec: CompletionRecord) -> tuple:
 
 def _fault_id(f) -> int:
     return f.fault_id
-
-
-def _bit_visible(f) -> bool:
-    """Can built-in test ever see the fault: a bit-detectable, not byzantine
-    fault on a processor or a task copy? bit_detects passes no other."""
-    return (f.bit_detectable and f.kind is not FaultKind.BYZANTINE
-            and f.target.kind in (TargetKind.PROCESSOR, TargetKind.TASK))
 
 
 def _two_faced_sign(toward: _CopyRt, fault) -> int:
@@ -1459,7 +1451,7 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     for t in tasks:
         push(0, EventKind.TASK_RELEASE, t.task_id, t)
     if background_us > 0:
-        cpu.add_background(Job(None, 0, 0, background_us), 0)
+        cpu.release(Job(None, None, 0, background_us, background=True), 0)
 
     report = ProcSchedule()
     while events and events[0][0] <= window_us:

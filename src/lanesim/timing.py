@@ -107,10 +107,8 @@ class ProcessorState:
         if key in new:
             num -= self._share(new[key])
         new[key] = (wcet_us, period_us, deadline_us)
-        window = _window(period_us, deadline_us)
-        lcm = den // math.gcd(den, window) * window
-        return ProcessorState._of(
-            new, num * (lcm // den) + wcet_us * (lcm // window), lcm)
+        return ProcessorState._of(new, *lcm_sum(
+            ((num, den), (wcet_us, _window(period_us, deadline_us)))))
 
     def without_task(self, key) -> "ProcessorState":
         return self.without_tasks((key,))
@@ -133,7 +131,8 @@ class ProcessorState:
 
     def priorities(self) -> dict:
         """Deadline-monotonic ranks over the admitted set (0 = highest)."""
-        order = sorted(self._entries.items(), key=lambda kv: (kv[1][2], _id_key(kv[0])))
+        # the keys of one state share one type: task ids, or (app, task)
+        order = sorted(self._entries.items(), key=lambda kv: (kv[1][2], kv[0]))
         return {key: rank for rank, (key, _) in enumerate(order)}
 
     def __len__(self):
@@ -143,16 +142,11 @@ class ProcessorState:
         return key in self._entries
 
 
-def _id_key(key):
-    # Keys are either plain ints or tuples of ints; both sort naturally.
-    return key if isinstance(key, tuple) else (key,)
-
-
 def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> AdmissionDecision:
     # U + C/W as num/den, compared with the bound in integers
     window = _window(task.period_us, task.deadline_us)
-    num = proc._num * window + task.wcet_us * proc._den
-    den = proc._den * window
+    num, den = proc.utilization_ratio
+    num, den = num * window + task.wcet_us * den, den * window
     resulting = Fraction(num, den)
     bound = cfg.effective_bound
     if num * bound.denominator <= bound.numerator * den:

@@ -274,7 +274,7 @@ class CheckedEngine(Engine):
             sets.setdefault(id(ps), (ps, []))[1].append(place)
         owned = {place: {} for place in self.sets}
         for ps, _ in sets.values():
-            for job in [*ps.jobs.values(), *ps.background.values()]:
+            for job in ps.jobs.values():
                 # one copy of each member, in lane order, owns the job
                 assert [rt.place for rt in job.owner] == ps.members, (
                     f"job {job.key} of {ps.members} owned by "
@@ -303,7 +303,7 @@ class CheckedEngine(Engine):
         """What one member's own copies, jobs and faults say of its set."""
         assert len(ps.admitted) == len(held) and all(k in ps.admitted for k in held), (
             f"{place} at {self.now}us: admitted set differs from {sorted(held)}")
-        jobs = {**ps.jobs, **ps.background}
+        jobs = ps.jobs
         assert owned == {job.key: job for job in jobs.values()}, (
             f"{place} at {self.now}us owns jobs {sorted(owned)}, "
             f"its set runs {sorted(jobs)}")

@@ -16,6 +16,7 @@ from lanesim.fault import (
     VoteOutcome,
     VoterConfig,
     bit_detects,
+    bit_visible,
     can_identify_byzantine,
     classify,
     cross_monitor,
@@ -297,6 +298,33 @@ def test_bit_is_blind_to_byzantine_lane_and_masked_faults():
                     FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1),
                     bit=False)
     assert not bit_detects(hidden, (0, 1), set(), now_us=10)
+
+
+_TARGETS = {
+    TargetKind.LANE: FaultTarget(TargetKind.LANE, lane=0),
+    TargetKind.PROCESSOR: FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1),
+    TargetKind.TASK: FaultTarget(TargetKind.TASK, lane=0, proc=1, app=2, task=3),
+    TargetKind.SENSOR: FaultTarget(TargetKind.SENSOR, lane=0, app=2),
+}
+
+
+@pytest.mark.parametrize("bit", [True, False])
+@pytest.mark.parametrize("target_kind", list(TargetKind))
+@pytest.mark.parametrize("kind", list(FaultKind))
+def test_bit_detects_only_visible_faults_and_each_on_its_own_place(
+        kind, target_kind, bit):
+    fault = _fault(kind, _TARGETS[target_kind], at_us=100, bit=bit,
+                   duration_us=50 if kind is FaultKind.TRANSIENT else None)
+    visible = bit_visible(fault)
+    assert visible == (bit and kind is not FaultKind.BYZANTINE
+                       and target_kind in (TargetKind.PROCESSOR, TargetKind.TASK))
+    detected = any(bit_detects(fault, (lane, proc), hosted, now)
+                   for lane in range(2) for proc in range(3)
+                   for hosted in (set(), {(2, 3)}) for now in (10, 120, 200))
+    assert detected == visible
+    if visible:
+        # active, on its own place, with its task hosted
+        assert bit_detects(fault, (0, 1), {(2, 3)}, now_us=120)
 
 
 # --- classification ------------------------------------------------

@@ -100,6 +100,18 @@ def test_background_work_soaks_idle_time_exactly():
     assert want_done is not None
 
 
+def test_background_work_is_not_replaced_by_task_zero():
+    # one table holds the tasks' jobs and the background job, so the
+    # background job's key must be one no task id can take
+    def tasks(first):
+        return [_spec(first, 2, 10), _spec(first + 1, 3, 15)]
+    low = schedule_processor(tasks(0), 60, background_us=13)
+    high = schedule_processor(tasks(1), 60, background_us=13)
+    assert [(t + 1, r, f) for t, r, f in low.completions] == high.completions
+    assert low.background_done_us == high.background_done_us
+    assert high.background_done_us is not None
+
+
 def test_background_starves_behind_a_saturated_processor():
     got = schedule_processor([_spec(1, 10, 10)], 100, background_us=5)
     assert got.background_done_us is None
