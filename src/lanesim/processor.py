@@ -6,9 +6,11 @@ drive this one class. It keeps one table of jobs, run by the ranks of
 rebuilt copy's history replay) is keyed outside those ranks, so it ranks
 below every task and takes the time no task job wants, lowest key first.
 Time is charged lazily, when the caller touches the processor.
-Each change of what runs moves the generation on and tells ``wake`` which
-``Job`` now runs and when it will finish; a finish of an older generation,
-or of a job that no longer runs, is stale.
+What runs is always the best ready job, so a release chooses again only
+when the new job can win: nothing runs, it replaces the running job, or it
+outranks it. Each change of what runs moves the generation on and tells
+``wake`` which ``Job`` now runs and when it will finish; a finish of an
+older generation, or of a job that no longer runs, is stale.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ class Processor:
         """Make a job ready, replacing any earlier job under its key."""
         self.charge(now)
         self.jobs[job.key] = job
+        # what runs is the best ready job; only a job that replaces it (an
+        # equal key) or outranks it by (rank, key) changes the choice
+        running = self.running
+        if running is not None:
+            prios, last = self.prios, len(self.prios)
+            if (prios.get(running.key, last), running.key) < (
+                    prios.get(job.key, last), job.key):
+                return
         self.dispatch(now)
 
     def finish(self, job: Job, gen: int, now: int) -> bool:

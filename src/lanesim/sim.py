@@ -24,7 +24,8 @@ Each event carries the object its handler acts on:
 
     FaultActivate, FaultClear     the FaultSpec
     TaskComplete                  (set, job, generation)
-    DeadlineCheck                 (copies released, release_us)
+    DeadlineCheck                 (copies released, release_us), pushed only
+                                  where a job may miss (below)
     BITCheck                      the (lane, proc) place
     TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
@@ -58,6 +59,16 @@ or recovery has touched. The completion records of one instant are
 contiguous, since every wake-up of the instant pops before anything of a
 later rank; a block that more than one set wrote is put in ``(lane,
 proc)`` order when it closes, the order one schedule per place gives.
+
+A job on a set whose admitted set passes the response-time test
+(``ProcessorState.proven``) cannot miss its deadline, so a release pushes
+its group's ``DeadlineCheck`` only when a set it released on is unproven.
+The mode-change rule covers a set that changes: when spare selection grows
+a proven set, each task job still pending on it gets its check then, one
+per job for the copies that own it. Growth is the one change to check:
+a withdrawal only takes load away, but a withdrawal followed by a growth
+within one job's window can load it beyond what either set allows (a task
+withdrawn and placed again releases on two phases).
 
 A full vote that finds every copy active or withdrawn, every active one
 completed and unskewed, and nothing silent, flagged or ambiguous marks its
@@ -210,7 +221,7 @@ class _ProcSet(Processor):
     any of them, unless the set has one member. A set wakes under its first
     member's key. A split-out set starts from the admitted set and ranks of
     the set it left: both are values, which ``admit`` replaces and nothing
-    changes in place.
+    changes in place. ``proven`` is the admitted set's response-time test.
     """
 
     def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
@@ -220,6 +231,7 @@ class _ProcSet(Processor):
         self.dead = False       # permanently withdrawn from service
         self.admitted = admitted
         self.prios = prios
+        self.proven = admitted.proven()   # no job of the set can miss
         self.push = push        # the engine's event push
         self.key = members[0]
 
@@ -234,6 +246,7 @@ class _ProcSet(Processor):
         """Take state as the admitted set, with its deadline-monotonic ranks."""
         self.admitted = state
         self.prios = state.priorities()
+        self.proven = state.proven()
 
     def split(self, place: tuple, now: int) -> _ProcSet:
         """Give place a set of its own, with a clone of every job (remaining
@@ -342,6 +355,7 @@ class Engine:
         self._bus_busy = False
         self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
+        self._any_withdrawn = False     # has any copy been shut down for good?
         # app_id -> its last coverage sample's triple, which is its coverage
         # now unless the app is in _cov_stale: one of its copies or channels
         # changed since (_set_health, the channel handlers). An app not
@@ -609,8 +623,10 @@ class Engine:
 
     def _on_release(self, copies: tuple):
         # a withdrawn copy never serves again; the group's tuple is kept
-        # while none is, so a release allocates no new group
-        if any(rt.health is Health.SHUTDOWN for rt in copies):
+        # while none is, so a release allocates no new group, and no group
+        # is scanned before the first withdrawal
+        if self._any_withdrawn and any(
+                rt.health is Health.SHUTDOWN for rt in copies):
             copies = tuple(rt for rt in copies if rt.health is not Health.SHUTDOWN)
             if not copies:
                 return
@@ -620,24 +636,43 @@ class Engine:
             self._push(nxt, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
-        # whether all of them run
-        owners = self._by_set(copies)
-        stopped = [ps for ps, mine in owners.items()
-                   if ps.dead or self._silenced(mine[0], ps)]
-        for ps in stopped:
-            del owners[ps]
-        if not owners:
-            return
-        key = copies[0].key
-        for ps, mine in owners.items():
-            ps.release(Job(tuple(mine), key, now, spec.wcet_us), now)
+        # whether all of them run. A job on a proven set cannot miss, so
+        # the group's deadline is checked only if a set it ran on is not.
+        key, wcet = copies[0].key, spec.wcet_us
+        stopped = []
+        unproven = False
+        for ps, mine in self._by_set(copies).items():
+            if ps.dead or self._silenced(mine[0], ps):
+                stopped.append(ps)
+                continue
+            ps.release(Job(tuple(mine), key, now, wcet), now)
+            if not ps.proven:
+                unproven = True
         released = copies if not stopped else tuple(
-            rt for rt in copies if self.sets[rt.place] in owners)
+            rt for rt in copies if self.sets[rt.place] not in stopped)
+        if not released:
+            return
         self.counters["releases"] += len(released)
         deadline = now + spec.deadline_us
-        if deadline <= self.horizon:
+        if unproven and deadline <= self.horizon:
             self._push(deadline, EventKind.DEADLINE_CHECK, released[0].copy_id,
                        (released, now))
+
+    def _check_pending(self, ps: _ProcSet):
+        """Push the deadline check of each task job pending on ps, a proven
+        set about to grow: a job released while it was proven has none and
+        may miss once it has grown (one that has a check gets a second,
+        which finds nothing). One check per job, for the copies that own
+        it, keyed by the first, so misses stay in copy id order."""
+        horizon = self.horizon
+        for job in ps.jobs.values():
+            if job.background:
+                continue
+            first = job.owner[0]
+            deadline = job.release_us + first.spec.deadline_us
+            if deadline <= horizon:
+                self._push(deadline, EventKind.DEADLINE_CHECK, first.copy_id,
+                           (job.owner, job.release_us))
 
     def _on_complete(self, data):
         ps, job, gen = data
@@ -1157,6 +1192,7 @@ class Engine:
         copy."""
         if not copies:
             return
+        self._any_withdrawn = True
         by_place: dict = {}
         for rt in copies:
             by_place.setdefault(rt.place, []).append(rt.key)
@@ -1241,7 +1277,12 @@ class Engine:
             if not d.chosen:
                 continue
             place = (d.lane, d.proc)
-            self._split(place).admit(plan.states[place])
+            ps = self._split(place)
+            # the mode-change rule: a proven set that grows checks the jobs
+            # it released unchecked (see the module docstring)
+            if ps.proven:
+                self._check_pending(ps)
+            ps.admit(plan.states[place])
             ep.placements[d.task_id] = place
             self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
                       f"resulting utilization "

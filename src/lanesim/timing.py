@@ -1,4 +1,4 @@
-"""Scheduling policy and online admission arithmetic.
+"""Scheduling policy, online admission and the proof of a schedule.
 
 Priorities are deadline monotonic: strictly smaller deadline means strictly
 higher priority (rank 0 is highest), equal deadlines break by ascending id.
@@ -9,6 +9,20 @@ Admission is the additive utilization test: a task joins a processor iff
 Using C/min(D,T) keeps the test conservative when deadlines are shorter
 than periods. Because the test is a plain sum it is independent of priority
 order and of the order tasks arrive in.
+
+Admission does not prove a set schedulable; ``ProcessorState.proven`` does.
+It is the exact deadline-monotonic response-time test (Joseph & Pandya
+1986): each task's least fixed point
+
+    R = C + sum over the higher ranks j of ceil(R / T_j) * C_j
+
+must be at most its D, whatever the tasks' phasing. A set of n tasks
+whose sum of C/min(D,T) is at most n(2^(1/n) - 1) passes it (Liu & Layland
+1973, with each window min(D, T) taken as the period). That bound falls
+towards ln 2 = 0.6931... as n grows, so it is above 0.69 for every n:
+every set admitted under a bound of 0.69 or less is proven. Only a
+configured bound above 0.69, or a set taken in without admission, can be
+unproven.
 
 Bus admission is the same shape: current_load plus the new messages' demand
 (size/period each) must not exceed max_load. Whatever max_load is not
@@ -72,9 +86,10 @@ class ProcessorState:
     the lcm of the windows it has seen, and updated by
     ``with_task``/``without_task``/``without_tasks``; ``utilization`` gives
     it as an exact Fraction and ``utilization_ratio`` as the integer pair.
+    ``proven`` runs the response-time test at most once per state.
     """
 
-    __slots__ = ("_entries", "_num", "_den")
+    __slots__ = ("_entries", "_num", "_den", "_proven")
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = dict(entries or {})
@@ -82,6 +97,7 @@ class ProcessorState:
         self._num, self._den = lcm_sum(
             (wcet, _window(period, deadline))
             for wcet, period, deadline in self._entries.values())
+        self._proven = None
 
     @classmethod
     def _of(cls, entries: dict, num: int, den: int) -> "ProcessorState":
@@ -89,6 +105,7 @@ class ProcessorState:
         state._entries = entries
         state._num = num
         state._den = den
+        state._proven = None
         return state
 
     @property
@@ -131,15 +148,48 @@ class ProcessorState:
 
     def priorities(self) -> dict:
         """Deadline-monotonic ranks over the admitted set (0 = highest)."""
+        return {key: rank for rank, (key, _) in enumerate(self._ranked())}
+
+    def _ranked(self) -> list:
+        """The (key, entry) pairs, highest rank first."""
         # the keys of one state share one type: task ids, or (app, task)
-        order = sorted(self._entries.items(), key=lambda kv: (kv[1][2], kv[0]))
-        return {key: rank for rank, (key, _) in enumerate(order)}
+        return sorted(self._entries.items(), key=lambda kv: (kv[1][2], kv[0]))
+
+    def proven(self) -> bool:
+        """Does every task meet every deadline under the ranks of
+        ``priorities``, whatever the phasing of its jobs and of the others'?
+        The exact response-time test, run once per state."""
+        proven = self._proven
+        if proven is None:
+            proven = self._proven = _response_times_fit(
+                entry for _, entry in self._ranked())
+        return proven
 
     def __len__(self):
         return len(self._entries)
 
     def __contains__(self, key):
         return key in self._entries
+
+
+def _response_times_fit(ranked) -> bool:
+    """Is each task's least fixed point R = C + sum of ceil(R / T_j) * C_j
+    over the tasks ranked above it at most its deadline? ``ranked`` gives
+    (wcet, period, deadline) entries, highest rank first."""
+    higher = []         # (wcet, period) of the tasks ranked above
+    for wcet, period, deadline in ranked:
+        # R only grows from C plus one job of each higher task; stop once
+        # it is past the deadline
+        r = wcet + sum(c for c, _ in higher)
+        while r <= deadline:
+            nxt = wcet + sum(-(-r // t) * c for c, t in higher)
+            if nxt == r:
+                break
+            r = nxt
+        if r > deadline:
+            return False
+        higher.append((wcet, period))
+    return True
 
 
 def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> AdmissionDecision:

@@ -46,6 +46,14 @@ a copy made after set-up is alone in its group, and a release group
 holds no withdrawn copy. A release must start a job for exactly the
 group's copies in service on a processor that no fault halts.
 
+A release pushes its deadline check only when one of the sets it released
+on holds an admitted set that the response-time test does not prove.
+Beside every check skipped, a stand-in event runs at the check's deadline
+and rank and asserts that ``expire`` would find nothing to abort there,
+unless a check the engine pushed later (the mode-change rule) covers the
+job. After every event each set's ``proven`` flag equals the test on its
+admitted set, and every task job's key is ranked in the set's ``prios``.
+
 Answers are compared, not the raw fault sets. Inside a fault handler the
 index may legitimately lag ``active_at``: a fault that activates later in
 the same instant is not in it yet, and one that clears later in the same
@@ -57,6 +65,7 @@ import heapq
 import json
 import math
 import statistics
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -104,6 +113,9 @@ class CheckedEngine(Engine):
         self.checks = 0
         self.lagging = 0     # answers where the plain active_at scan differs
         self.skips = 0       # task votes skipped, each checked by a full vote
+        self.skipped_checks = 0  # deadline checks skipped, each checked here
+        self._pushed_checks = 0  # deadline checks the engine pushed so far
+        self._checked = set()    # (copy id, release) of every pushed check
         self.unskipped = 0   # marked task votes run in full: the mean flags
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
@@ -131,9 +143,12 @@ class CheckedEngine(Engine):
                     f"release group {key} holds a withdrawn copy at {self.now}us")
             elif kind is EventKind.DEADLINE_CHECK:
                 self._check_group(key, data[0])
+                self._pushed_checks += 1
+                self._checked.update((rt.copy_id, data[1]) for rt in data[0])
             push(at_us, kind, key, data)
 
         self._push = push_checked
+        self._push_skipped = push
 
     # -- the references -------------------------------------------------
 
@@ -268,13 +283,18 @@ class CheckedEngine(Engine):
         job of the set is owned by one copy on each member, and the members
         agree on the jobs their copies own (key, release, remaining, start),
         the running job, failed and dead, and the faults that ever covered
-        them."""
+        them. A set's proof is its admitted set's, and each task job's key
+        is ranked."""
         sets = {}
         for place, ps in self.sets.items():
             sets.setdefault(id(ps), (ps, []))[1].append(place)
         owned = {place: {} for place in self.sets}
         for ps, _ in sets.values():
+            assert ps.proven == ps.admitted.proven(), (
+                f"set of {ps.members} at {self.now}us: proven {ps.proven}")
             for job in ps.jobs.values():
+                assert job.background or job.key in ps.prios, (
+                    f"job {job.key} of {ps.members} unranked at {self.now}us")
                 # one copy of each member, in lane order, owns the job
                 assert [rt.place for rt in job.owner] == ps.members, (
                     f"job {job.key} of {ps.members} owned by "
@@ -522,6 +542,7 @@ class CheckedEngine(Engine):
                and not self.sets[rt.place].dead
                and not _halting(self._settled_faults(), _copy_scope(rt))]
         before = self.counters["releases"]
+        pushed = self._pushed_checks
         super()._on_release(copies)
         assert self.counters["releases"] - before == len(due)
         for rt in due:
@@ -530,7 +551,38 @@ class CheckedEngine(Engine):
             assert (job is not None and job.release_us == self.now
                     and [o for o in job.owner if o.place == rt.place] == [rt]), (
                 f"copy {rt.copy_id} not released at {self.now}us")
+        # the check is pushed iff a set released on is unproven
+        deadline = self.now + copies[0].spec.deadline_us
+        if due and deadline <= self.horizon:
+            proven = all(self.sets[rt.place].proven for rt in due)
+            assert self._pushed_checks - pushed == (0 if proven else 1), (
+                f"group {due[0].copy_id} at {self.now}us: proven {proven}, "
+                f"{self._pushed_checks - pushed} checks pushed")
+            if proven:
+                self._push_skipped(deadline, EventKind.DEADLINE_CHECK,
+                                   due[0].copy_id, _Skipped(tuple(due), self.now))
         self.checks += 1
+
+    def _on_deadline_check(self, data):
+        if not isinstance(data, _Skipped):
+            super()._on_deadline_check(data)
+            return
+        # at the skipped check's deadline and rank, what expire would find:
+        # no job of the release unfinished, unless a later check covers it
+        key, release = data.copies[0].key, data.release_us
+        for rt in data.copies:
+            if (rt.copy_id, release) in self._checked:
+                continue
+            ps = self.sets[rt.place]
+            job = ps.jobs.get(key)
+            if job is None or job.release_us != release:
+                continue
+            left = job.remaining_us - (
+                self.now - ps.since if job is ps.running else 0)
+            assert left <= 0, (
+                f"copy {rt.copy_id} released at {release}us misses at "
+                f"{self.now}us, {left}us left, and its check was skipped")
+        self.skipped_checks += 1
 
     # -- the capacity kept ----------------------------------------------
 
@@ -551,6 +603,14 @@ class CheckedEngine(Engine):
     def _on_readmit(self, rt):
         super()._on_readmit(rt)
         self._check_service()
+
+
+@dataclass(frozen=True)
+class _Skipped:
+    """A deadline check the engine skipped, run beside it by CheckedEngine."""
+
+    copies: tuple
+    release_us: int
 
 
 def _outputs(result):
@@ -615,6 +675,28 @@ def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
     # them by more than the tolerance, so the marked tasks vote in full
     engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     assert engine.skips > 0 and engine.unskipped == 3
+
+
+def test_an_admitted_run_pushes_no_deadline_check():
+    # admission under 0.69 proves every set, so every check is skipped and
+    # each skipped one is run beside the engine
+    engine = _check(parse_scenario(generate_scenario(
+        lanes=3, procs=4, apps=3, seed=5, faults=4, horizon_ms=60)))
+    assert engine._pushed_checks == 0 and engine.skipped_checks > 0
+
+
+@pytest.mark.parametrize("name,spare", [
+    ("mode_change_deadline_miss", (0, 2)),
+    ("withdraw_readmit_deadline_miss", (0, 3)),
+])
+def test_a_growing_spare_checks_the_jobs_it_released_unchecked(name, spare):
+    # spare selection grows the spare's proven set while a job of app 1
+    # released there without a check is pending: the job gets its check
+    # then, and misses
+    engine = _check(load_scenario(SCENARIOS / f"{name}.json"))
+    assert engine.skipped_checks > 0
+    first = engine.misses[0]
+    assert (first.lane, first.proc, first.app) == (*spare, 1)
 
 
 def test_a_fault_free_run_never_builds_the_hosting_index():

@@ -819,13 +819,16 @@ def test_generated_feasible_scenario_never_misses():
 
 def _response_time(task, higher) -> int:
     """Joseph & Pandya 1986: the least fixed point of
-    R = C + sum over the higher-priority tasks j of ceil(R / T_j) * C_j."""
+    R = C + sum over the higher-priority tasks j of ceil(R / T_j) * C_j,
+    or the first iterate past the task's deadline, since past it the fixed
+    point need not exist."""
     r = task.wcet_us
-    while True:
+    while r <= task.deadline_us:
         nxt = task.wcet_us + sum(-(-r // t.period_us) * t.wcet_us for t in higher)
         if nxt == r:
             return r
         r = nxt
+    return r
 
 
 def test_first_jobs_finish_at_the_response_time_fixed_point():
@@ -889,6 +892,31 @@ def test_admitted_sets_meet_every_deadline(draws, customer_cap):
     admitted.sort(key=lambda t: (t.deadline_us, t.task_id))
     for rank, task in enumerate(admitted):
         assert _response_time(task, admitted[:rank]) <= task.deadline_us
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 6, 8, 10, 12)),
+                          st.integers(1, 100), st.integers(1, 100)),
+                min_size=1, max_size=5))
+def test_proven_sets_never_miss_over_a_hyperperiod(draws):
+    # released together at time zero, the critical instant of constrained
+    # deadlines, a set meets every deadline of its hyperperiod iff each
+    # task's response-time fixed point is within its deadline: the proof is
+    # exact, and it agrees with the fixed point computed here
+    tasks = []
+    for task_id, (period_ms, deadline_pct, wcet_pct) in enumerate(draws):
+        period = period_ms * 1000
+        deadline = max(1, period * deadline_pct // 100)
+        tasks.append(_spec(task_id, max(1, deadline * wcet_pct // 100),
+                           period, deadline))
+    state = ProcessorState({t.task_id: (t.wcet_us, t.period_us, t.deadline_us)
+                            for t in tasks})
+    ranked = sorted(tasks, key=lambda t: (t.deadline_us, t.task_id))
+    fits = all(_response_time(t, ranked[:rank]) <= t.deadline_us
+               for rank, t in enumerate(ranked))
+    hyperperiod = math.lcm(*(t.period_us for t in tasks))
+    missed = schedule_processor(tasks, hyperperiod).misses
+    assert state.proven() == fits == (not missed), (fits, missed)
 
 
 def test_start_up_admitted_sets_are_shared_values():
