@@ -14,7 +14,9 @@ processor it runs on, and is structurally blind to Byzantine behaviour. The
 cross-monitor compares replicated output values across lanes every voting
 round; silence and wrong values both show up there.
 
-Two voters are provided:
+Two voters are provided. Both return a :class:`VoteOutcome`: the lanes
+flagged, whether the verdict is ambiguous, and the lanes established as
+silent, which only ``exchange_vote`` can find.
 
 ``cross_monitor``
     One value per lane. A lane is flagged when its value sits more than the
@@ -142,6 +144,7 @@ class InsufficientLanes(Exception):
 class VoteOutcome:
     flagged: frozenset
     ambiguous: bool = False
+    silent: frozenset = frozenset()     # exchange_vote's silent senders
 
 
 def _consensus_value(values, cfg: VoterConfig) -> float:
@@ -202,14 +205,7 @@ _EQUIVOCAL = object()
 _SILENT = object()
 
 
-@dataclass(frozen=True)
-class ExchangeOutcome:
-    silent: frozenset
-    flagged: frozenset
-    ambiguous: bool = False
-
-
-def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:
+def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
     """Vote over the full received-values matrix.
 
     ``received[r][s]`` is the value receiver r claims sender s delivered
@@ -248,20 +244,21 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> ExchangeOutcome:
     numeric = {s: established[s] for s in present if established[s] is not _EQUIVOCAL}
 
     if not numeric:
-        return ExchangeOutcome(silent, frozenset(present), ambiguous=bool(present))
+        return VoteOutcome(frozenset(present), ambiguous=bool(present),
+                           silent=silent)
 
     if len(present) == 2 and len(numeric) == 2:
         a, b = sorted(numeric)
         if abs(numeric[a] - numeric[b]) > tol:
-            return ExchangeOutcome(silent, frozenset(present), ambiguous=True)
+            return VoteOutcome(frozenset(present), ambiguous=True, silent=silent)
 
     consensus = statistics.median(numeric.values())
     flagged = {s for s in present
                if established[s] is _EQUIVOCAL or abs(numeric[s] - consensus) > tol}
     unflagged = [s for s in present if s not in flagged]
     if flagged and len(unflagged) <= len(flagged):
-        return ExchangeOutcome(silent, frozenset(flagged), ambiguous=True)
-    return ExchangeOutcome(silent, frozenset(flagged))
+        return VoteOutcome(frozenset(flagged), ambiguous=True, silent=silent)
+    return VoteOutcome(frozenset(flagged), silent=silent)
 
 
 def bit_visible(fault: FaultSpec) -> bool:

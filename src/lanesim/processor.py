@@ -1,7 +1,9 @@
 """One processor's preemptive deadline-monotonic schedule.
 
-The event engine and ``schedule_processor`` (both in :mod:`lanesim.sim`)
-drive this one class. It keeps one table of jobs, run by the ranks of
+The event engine (:mod:`lanesim.sim`) drives this one class for every set
+of its places, and ``schedule_processor`` below steps a plain one over a
+window as the reference the engine is checked against. It keeps one table
+of jobs, run by the ranks of
 :meth:`lanesim.timing.ProcessorState.priorities`. Background work (a
 rebuilt copy's history replay) is keyed outside those ranks, so it ranks
 below every task and takes the time no task job wants, lowest key first.
@@ -9,13 +11,19 @@ Time is charged lazily, when the caller touches the processor.
 What runs is always the best ready job, so a release chooses again only
 when the new job can win: nothing runs, it replaces the running job, or it
 outranks it. Each change of what runs moves the generation on and tells
-``wake`` which ``Job`` now runs and when it will finish; a finish of an
-older generation, or of a job that no longer runs, is stale.
+``wake`` when the job that now runs will finish. The base ``wake`` records
+that instant in ``wake_us``; the engine's sets push an event instead. A
+wake-up is stale when its generation is old, and ``finish`` then returns
+None: the generation alone decides, since every change of ``running``
+moves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, field
+
+from .timing import ProcessorState
 
 
 @dataclass(eq=False)
@@ -32,8 +40,8 @@ class Processor:
     """The one job table of one processor, and what runs now.
 
     Background work is keyed outside ``prios``, so it ranks below every
-    task and runs only when no task job is ready. A subclass implements
-    :meth:`wake` and may narrow :meth:`runnable`.
+    task and runs only when no task job is ready. A subclass may deliver
+    :meth:`wake` otherwise and narrow :meth:`runnable`.
     """
 
     def __init__(self):
@@ -42,14 +50,16 @@ class Processor:
         self.running: Job | None = None
         self.since = 0
         self.gen = 0
+        self.wake_us: int | None = None   # when the running job finishes
 
     def runnable(self) -> bool:
         """May the processor run anything at all right now?"""
         return True
 
     def wake(self, at_us: int):
-        """Deliver at_us to :meth:`finish` with ``running`` and ``gen`` as now."""
-        raise NotImplementedError
+        """Note that the job now running finishes at at_us, under ``gen``
+        as it is now."""
+        self.wake_us = at_us
 
     def charge(self, now: int):
         """Charge the running work for the time since it was last charged."""
@@ -95,22 +105,18 @@ class Processor:
                 return
         self.dispatch(now)
 
-    def finish(self, job: Job, gen: int, now: int) -> bool:
-        """Did the wake-up for ``job`` finish it? Removes it if so.
-
-        False when the wake-up is stale: another choice ran since, or the
-        job is not yet done.
-        """
-        if gen != self.gen or job is not self.running:
-            return False
+    def finish(self, gen: int, now: int) -> Job | None:
+        """Finish and return the job the wake-up of generation gen was for,
+        or None if the wake-up is stale."""
+        if gen != self.gen:
+            return None
         self.charge(now)
-        if job.remaining_us > 0:
-            return False
+        job = self.running
         del self.jobs[job.key]
         self.running = None
         self.gen += 1
         self.dispatch(now)
-        return True
+        return job
 
     def drop(self, key, now: int):
         """Abort the job under key, if there is one."""
@@ -145,3 +151,68 @@ class Processor:
         self.jobs = {k: j for k, j in self.jobs.items() if j.background}
         self.running = None
         self.gen += 1
+
+
+@dataclass
+class ProcSchedule:
+    """What one fixed-priority processor did over a window."""
+
+    completions: list = field(default_factory=list)   # (task_id, release, finish)
+    misses: list = field(default_factory=list)        # (task_id, release, deadline)
+    background_done_us: int | None = None
+
+
+def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSchedule:
+    """Run a deadline-monotonic preemptive schedule on one processor.
+
+    ``tasks`` are TaskSpec-likes with distinct ids, released together at
+    time zero. Background work soaks up every idle microsecond at less than
+    any task priority; the report notes when the backlog (if any) drained.
+    An instance that reaches its deadline unfinished is recorded as a miss
+    and aborted. A plain :class:`Processor` is stepped from one instant to
+    the next. At each it finishes the running job, then checks deadlines,
+    then releases, each in task-id order: the engine's order of event
+    kinds. Releases fall before the window's end, and a deadline on the
+    window's end still counts, as on the engine's horizon.
+    """
+    tasks = list(tasks)
+    specs = {t.task_id: t for t in tasks}
+    if len(specs) != len(tasks):
+        raise ValueError("task ids must be distinct")
+    cpu = Processor()
+    cpu.prios = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
+                                for key, t in specs.items()}).priorities()
+    if background_us > 0:
+        cpu.release(Job(None, None, 0, background_us, background=True), 0)
+    order = sorted(specs)
+    releases = dict.fromkeys(order, 0)  # task id -> next release, None past the window
+    checks = []                         # sorted (deadline, task id, release)
+
+    report = ProcSchedule()
+    now = 0
+    while now <= window_us:
+        if cpu.running is not None and cpu.wake_us == now:
+            job = cpu.finish(cpu.gen, now)
+            if job.background:
+                report.background_done_us = now
+            else:
+                report.completions.append((job.key, job.release_us, now))
+        while checks and checks[0][0] == now:
+            _, tid, release = checks.pop(0)
+            if cpu.expire(tid, release, now) is not None:
+                report.misses.append((tid, release, now))
+        for tid in order:
+            if releases[tid] == now:
+                t = specs[tid]
+                cpu.release(Job(t, tid, now, t.wcet_us), now)
+                if now + t.deadline_us <= window_us:
+                    bisect.insort(checks, (now + t.deadline_us, tid, now))
+                nxt = now + t.period_us
+                releases[tid] = nxt if nxt < window_us else None
+        due = [at for at in releases.values() if at is not None]
+        if checks:
+            due.append(checks[0][0])
+        if cpu.running is not None:
+            due.append(cpu.wake_us)
+        now = min(due, default=window_us + 1)
+    return report

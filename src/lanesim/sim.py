@@ -23,7 +23,7 @@ per copy would give.
 Each event carries the object its handler acts on:
 
     FaultActivate, FaultClear     the FaultSpec
-    TaskComplete                  (set, job, generation)
+    TaskComplete                  (set, generation)
     DeadlineCheck                 (copies released, release_us), pushed only
                                   where a job may miss (below)
     BITCheck                      the (lane, proc) place
@@ -107,6 +107,7 @@ from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
+from .processor import ProcSchedule, schedule_processor  # seed API, re-exported
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
                        recovery_rank, select_spare)
@@ -219,7 +220,7 @@ class _ProcSet(Processor):
 
     Every member hosts the same tasks, and no fault or recovery has touched
     any of them, unless the set has one member. A set wakes under its first
-    member's key. A split-out set starts from the admitted set and ranks of
+    member's place. A split-out set starts from the admitted set and ranks of
     the set it left: both are values, which ``admit`` replaces and nothing
     changes in place. ``proven`` is the admitted set's response-time test.
     """
@@ -233,14 +234,13 @@ class _ProcSet(Processor):
         self.prios = prios
         self.proven = admitted.proven()   # no job of the set can miss
         self.push = push        # the engine's event push
-        self.key = members[0]
 
     def runnable(self) -> bool:
         return not (self.failed or self.dead)
 
     def wake(self, at_us: int):
-        self.push(at_us, EventKind.TASK_COMPLETE, self.key,
-                  (self, self.running, self.gen))
+        self.push(at_us, EventKind.TASK_COMPLETE, self.members[0],
+                  (self, self.gen))
 
     def admit(self, state: ProcessorState):
         """Take state as the admitted set, with its deadline-monotonic ranks."""
@@ -259,7 +259,6 @@ class _ProcSet(Processor):
             return self
         self.charge(now)
         self.members.remove(place)
-        self.key = self.members[0]
         own = _ProcSet([place], self.push, self.admitted, self.prios)
         own.failed, own.dead, own.since, own.gen = self.failed, self.dead, now, self.gen
         for key, job in self.jobs.items():
@@ -675,9 +674,10 @@ class Engine:
                            (job.owner, job.release_us))
 
     def _on_complete(self, data):
-        ps, job, gen = data
+        ps, gen = data
         now = self.now
-        if not ps.finish(job, gen, now):
+        job = ps.finish(gen, now)
+        if job is None:
             return
         if job.background:
             for rt in job.owner:
@@ -1457,68 +1457,6 @@ def _event_pusher(heap: list):
 def run(scenario) -> SimResult:
     """Simulate a parsed scenario to its horizon."""
     return Engine(scenario).run()
-
-
-# -- standalone single-processor scheduler ----------------------------------------
-
-@dataclass
-class ProcSchedule:
-    """What one fixed-priority processor did over a window."""
-
-    completions: list = field(default_factory=list)   # (task_id, release, finish)
-    misses: list = field(default_factory=list)        # (task_id, release, deadline)
-    background_done_us: int | None = None
-
-
-def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSchedule:
-    """Run a deadline-monotonic preemptive schedule on one processor.
-
-    ``tasks`` are TaskSpec-likes with distinct ids, released together at
-    time zero. Background work soaks up every idle microsecond at less than
-    any task priority; the report notes when the backlog (if any) drained.
-    An instance that reaches its deadline unfinished is recorded as a miss
-    and aborted. The processor and the event order are the engine's, so a
-    deadline on the window edge still counts, as on the engine's horizon.
-    """
-    tasks = list(tasks)
-    specs = {t.task_id: t for t in tasks}
-    if len(specs) != len(tasks):
-        raise ValueError("task ids must be distinct")
-    events: list = []
-    push = _event_pusher(events)
-    state = ProcessorState({key: (t.wcet_us, t.period_us, t.deadline_us)
-                            for key, t in specs.items()})
-    cpu = _ProcSet([(0, 0)], push, state, state.priorities())
-    for t in tasks:
-        push(0, EventKind.TASK_RELEASE, t.task_id, t)
-    if background_us > 0:
-        cpu.release(Job(None, None, 0, background_us, background=True), 0)
-
-    report = ProcSchedule()
-    while events and events[0][0] <= window_us:
-        now, _rank, _key, _seq, kind, data = heapq.heappop(events)
-        if kind is EventKind.TASK_COMPLETE:
-            _cpu, job, gen = data
-            if not cpu.finish(job, gen, now):
-                continue
-            if job.background:
-                report.background_done_us = now
-            else:
-                report.completions.append((job.key, job.release_us, now))
-        elif kind is EventKind.DEADLINE_CHECK:
-            t, release = data
-            if cpu.expire(t.task_id, release, now) is not None:
-                report.misses.append((t.task_id, release, now))
-        else:
-            t = data
-            cpu.release(Job(t, t.task_id, now, t.wcet_us), now)
-            if now + t.deadline_us <= window_us:
-                push(now + t.deadline_us, EventKind.DEADLINE_CHECK, t.task_id,
-                     (t, now))
-            if now + t.period_us < window_us:
-                push(now + t.period_us, EventKind.TASK_RELEASE, t.task_id, t)
-    events.clear()
-    return report
 
 
 # -- jitter measurement --------------------------------------------------------------

@@ -7,18 +7,9 @@ round trip.
 """
 
 import math
-from decimal import (ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
-                     InvalidOperation, Overflow)
 from fractions import Fraction
 
 US_PER_MS = 1000
-
-# A float's repr has at most 17 significant digits, and times 1000 at most
-# 21, so every product below is exact. The context is the module's own:
-# decimal arithmetic would otherwise run in the caller's thread context.
-_MS_TO_US = Context(prec=24, rounding=ROUND_HALF_EVEN, Emin=-999999,
-                    Emax=999999, capitals=1, clamp=0, flags=[],
-                    traps=[InvalidOperation, DivisionByZero, Overflow])
 
 # the fast path of ms_to_us: products below 1e15 < 2**50 us, within a
 # quarter microsecond of a whole one
@@ -68,7 +59,7 @@ def ms_to_us(ms) -> int:
     lies within another 0.062 of ``ms * 1000``. In all the text times 1000
     lies within 0.375 of ``n``, so it rounds to ``n`` with no tie. Every
     other float, such as one near a half microsecond, takes the exact
-    ``Decimal`` path.
+    path that a Fraction or a text takes: ``frac``, times 1000, rounded.
     """
     if type(ms) is int:
         return ms * US_PER_MS
@@ -80,6 +71,4 @@ def ms_to_us(ms) -> int:
                 return n
         if not math.isfinite(ms):
             raise ValueError(f"not a finite number: {ms!r}")
-        us = _MS_TO_US.multiply(Decimal(repr(ms)), US_PER_MS)
-        return int(us.to_integral_value(context=_MS_TO_US))
     return int(round(frac(ms) * US_PER_MS))

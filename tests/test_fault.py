@@ -109,6 +109,7 @@ def test_agreeing_lanes_are_never_flagged(offsets, base):
     outcome = cross_monitor(values, CFG)
     assert outcome.flagged == frozenset()
     assert not outcome.ambiguous
+    assert outcome.silent == frozenset()
 
 
 @given(st.integers(min_value=3, max_value=8), st.integers(0, 7),
@@ -120,6 +121,7 @@ def test_single_far_outlier_is_always_isolated(n, outlier_seed, base):
     outcome = cross_monitor(values, CFG)
     assert outcome.flagged == frozenset({outlier})
     assert not outcome.ambiguous
+    assert outcome.silent == frozenset()
 
 
 def _full_search_cross_monitor(values, cfg):
@@ -245,6 +247,7 @@ def test_exchange_vote_majority_silence_is_confident():
         received[r][0] = None
     del received[0]  # the silent lane reports nothing
     outcome = exchange_vote(received, CFG)
+    assert outcome == VoteOutcome(frozenset(), silent=frozenset({0}))
     assert outcome.silent == frozenset({0})
     assert outcome.flagged == frozenset()
     assert not outcome.ambiguous
@@ -254,6 +257,21 @@ def test_exchange_vote_two_presents_disagreeing_is_ambiguous():
     received = {1: {1: 10.0, 2: 10.0}, 2: {1: 20.0, 2: 20.0}}
     outcome = exchange_vote(received, CFG)
     assert outcome.ambiguous
+
+
+def test_both_voters_return_a_vote_outcome():
+    # exchange_vote sets silent; cross_monitor sees only emitted values,
+    # so every outcome of it has silent empty
+    received = _honest_matrix([0, 1, 2, 3])
+    received[1][0] = 15.0
+    received[2][0] = 5.0
+    received[3][0] = 15.0
+    assert exchange_vote(received, CFG) == VoteOutcome(frozenset({0}))
+    for values in ({0: 5.0, 1: 5.1, 2: 4.9}, {0: 1.0, 1: 7.0},
+                   {0: 10.0, 1: 10.2, 2: 100.0}, {0: 1.0, 1: 5.0, 2: 9.0}):
+        outcome = cross_monitor(values, CFG)
+        assert type(outcome) is VoteOutcome
+        assert outcome.silent == frozenset()
 
 
 def test_exchange_vote_needs_two_participants():

@@ -8,7 +8,9 @@ halts and resumes, with background work and same-key replacement, on a
 ``Processor`` and on a reference whose ``release`` always dispatches, and
 compares what runs, the generation, the job table and every ``wake`` after
 each step. Wake-ups are delivered as the engine delivers them: every one
-due by an instant before anything else at that instant.
+due by an instant before anything else at that instant. Each delivery also
+checks that the generation alone tells a stale wake-up: one of the current
+generation finishes exactly the job it was made for, an older one nothing.
 """
 
 import heapq
@@ -66,7 +68,13 @@ def _deliver(cpu, until):
     while pending and pending[0][0] <= until:
         at, i = heapq.heappop(pending)
         _, gen, job = cpu.wakes[i]
-        cpu.finish(job, gen, at)    # a stale one changes nothing
+        current = gen == cpu.gen
+        finished = cpu.finish(gen, at)
+        if current:
+            assert finished is job and job.remaining_us == 0
+            assert cpu.jobs.get(job.key) is not job
+        else:
+            assert finished is None     # a stale one changes nothing
 
 
 _RELEASE = st.tuples(st.just("release"),
@@ -112,9 +120,8 @@ def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
                     cpu.expire(args[0], job.release_us, now)
             elif op == "stale":
                 # a wake-up from an earlier generation changes nothing
-                job = cpu.jobs.get(args[0])
-                if job is not None:
-                    assert not cpu.finish(job, cpu.gen - 1, now)
+                if cpu.jobs.get(args[0]) is not None:
+                    assert cpu.finish(cpu.gen - 1, now) is None
             elif op == "halt":
                 cpu.halt(now)
                 cpu.up = False

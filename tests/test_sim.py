@@ -92,6 +92,41 @@ def test_processor_schedule_matches_tick_oracle(tasks, window):
     assert sorted(got.misses) == sorted(want_miss)
 
 
+@st.composite
+def _small_task_sets(draw):
+    """One to four tasks with distinct ids and C <= D <= T <= 30 us."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    tasks = []
+    for task_id in ids:
+        period = draw(st.integers(1, 30))
+        deadline = draw(st.integers(1, period))
+        tasks.append(_spec(task_id, draw(st.integers(1, deadline)), period,
+                           deadline))
+    return tasks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_task_sets(), st.integers(1, 120), st.integers(0, 50))
+def test_processor_schedule_matches_tick_oracle_on_any_small_set(
+        tasks, window, background):
+    want_done, want_miss, want_background = tick_schedule(tasks, window,
+                                                          background)
+    got = schedule_processor(tasks, window, background_us=background)
+    assert got.completions == want_done
+    assert sorted(got.misses) == sorted(want_miss)
+    assert got.background_done_us == want_background
+
+
+def test_the_reference_scheduler_lives_beside_processor():
+    # the seed API keeps exporting it from lanesim and lanesim.sim
+    import lanesim
+    import lanesim.processor
+    import lanesim.sim
+    assert (lanesim.schedule_processor is lanesim.sim.schedule_processor
+            is lanesim.processor.schedule_processor)
+    assert lanesim.sim.ProcSchedule is lanesim.processor.ProcSchedule
+
+
 def test_background_work_soaks_idle_time_exactly():
     tasks = [_spec(1, 2, 10)]
     _, _, want_done = tick_schedule(tasks, 60, background_us=13)

@@ -87,21 +87,21 @@ def test_sixteenths_of_a_microsecond_convert_exactly(k, sixteenths):
 
 def test_a_generated_scenario_parses_without_decimal(monkeypatch):
     # generated durations and fault times are whole microseconds, so every
-    # one takes the short cut
+    # float one takes the short cut and none reaches frac
     made = []
-    real = lanesim.timebase.Decimal
+    real = lanesim.timebase.frac
 
-    def counted(text):
-        made.append(text)
-        return real(text)
+    def counted(value):
+        made.append(value)
+        return real(value)
 
-    monkeypatch.setattr(lanesim.timebase, "Decimal", counted)
+    monkeypatch.setattr(lanesim.timebase, "frac", counted)
     for seed in range(4):
         parse_scenario(generate_scenario(lanes=4, procs=6, apps=4, seed=seed,
                                          faults=20, horizon_ms=100))
     assert made == []
     ms_to_us(0.0005)            # a half microsecond takes the exact path
-    assert made == ["0.0005"]
+    assert made == [0.0005]
 
 
 def test_fractions_and_text_convert_exactly():
