@@ -12,7 +12,8 @@ functional coverage.
 
 Time at risk is the per-application sum of the detection-to-readmission
 windows; while such a window is open the application runs one level below
-strength, so a second fault inside it is flagged as a risk hit.
+strength, so a second fault inside it is flagged as a risk hit. Windows
+may overlap, so the sum can exceed their union, which is reported beside it.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def peripheral_coverage(healthy_channels: int) -> CoverageLevel:
     return _level(healthy_channels)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoverageSample:
-    """One step in the piecewise-constant coverage timeline."""
+    """One step in the piecewise-constant coverage timeline. A value row
+    like the engine's (see ``lanesim.sim.TraceEvent``): slotted, not frozen."""
 
     time_us: int
     app_id: int
@@ -85,7 +87,16 @@ class CoverageSample:
 
 @dataclass
 class RiskReport:
+    """One application's at-risk windows.
+
+    ``total_us`` is the sum of the window lengths, so time inside two
+    overlapping windows counts twice; ``metrics.json`` reports it as
+    ``total_ms``. ``exposed_us`` is the length of their union: the time
+    during which at least one window was open.
+    """
+
     total_us: int = 0
+    exposed_us: int = 0
     intervals: list = field(default_factory=list)          # (start_us, end_us, closed)
     secondary_hits: list = field(default_factory=list)     # (hit_record_id, at_us)
 
@@ -98,6 +109,16 @@ def _interval(record: ReconfigRecord, horizon_us: int):
     # Degraded or abandoned recoveries never restore strength: the window
     # stays open and is clipped at the horizon.
     return (record.t_f_us, horizon_us, False)
+
+
+def _union_us(spans) -> int:
+    covered = reach = 0
+    for start, end, _closed in sorted(spans):
+        start = max(start, reach)
+        if end > start:
+            covered += end - start
+            reach = end
+    return covered
 
 
 def time_at_risk(records: list[ReconfigRecord], horizon_us: int) -> dict[int, RiskReport]:
@@ -116,6 +137,7 @@ def time_at_risk(records: list[ReconfigRecord], horizon_us: int) -> dict[int, Ri
             spans.append((rec, span))
             report.intervals.append(span)
             report.total_us += span[1] - span[0]
+        report.exposed_us = _union_us(report.intervals)
         for rec, _ in spans:
             for other, (start, end, _closed) in spans:
                 if other is rec:

@@ -104,6 +104,7 @@ from . import timebase
 from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
                     bit_visible, classify, cross_monitor, exchange_vote,
                     police_matches)
+from .jitter import InsufficientInstances, measure_jitter  # seed API, re-exported
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, TaskSpec, Violation)
 from .processor import Job, Processor
@@ -117,10 +118,6 @@ from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
 
 class ScenarioInvalid(InvalidModel):
     """The scenario parsed but cannot be brought into initial service."""
-
-
-class InsufficientInstances(Exception):
-    """Jitter needs at least two observed instances of the selection."""
 
 
 class EventKind(Enum):
@@ -146,7 +143,12 @@ for _rank, _kind in enumerate(EventKind):
 del _rank, _kind
 
 
-@dataclass(frozen=True, slots=True)
+# The rows a SimResult lists (these three and coverage.CoverageSample) are
+# plain slotted dataclasses, not frozen ones: a frozen __init__ stores each
+# field through object.__setattr__, which made a row about four times as
+# dear to build, and a run builds one per completion and trace row. They
+# compare by value; being mutable, they are not hashable.
+@dataclass(slots=True)
 class TraceEvent:
     """One row of the run trace; None fields render as '-'."""
 
@@ -159,7 +161,7 @@ class TraceEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeadlineMissRecord:
     time_us: int
     lane: int
@@ -169,7 +171,7 @@ class DeadlineMissRecord:
     release_us: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CompletionRecord:
     finish_us: int
     start_us: int
@@ -1458,34 +1460,3 @@ def run(scenario) -> SimResult:
     """Simulate a parsed scenario to its horizon."""
     return Engine(scenario).run()
 
-
-# -- jitter measurement --------------------------------------------------------------
-
-def measure_jitter(result, *, app=None, task=None, lane=None, proc=None,
-                   kind: str = "output", period_us: int | None = None) -> int:
-    """Max-min spread of per-instance offsets for one copy selection.
-
-    kind 'output' measures completion minus release, 'input' measures first
-    dispatch minus release, and 'release' measures drift of release times
-    against the periodic grid (which needs period_us).
-    """
-    completions = result.completions if hasattr(result, "completions") else result
-    picked = [
-        c for c in completions
-        if (app is None or c.app == app) and (task is None or c.task == task)
-        and (lane is None or c.lane == lane) and (proc is None or c.proc == proc)
-    ]
-    if len(picked) < 2:
-        raise InsufficientInstances(
-            f"need at least 2 instances to measure jitter, got {len(picked)}")
-    if kind == "output":
-        offsets = [c.finish_us - c.release_us for c in picked]
-    elif kind == "input":
-        offsets = [c.start_us - c.release_us for c in picked]
-    elif kind == "release":
-        if not period_us:
-            raise ValueError("release jitter needs period_us")
-        offsets = [c.release_us % period_us for c in picked]
-    else:
-        raise ValueError(f"unknown jitter kind {kind!r}")
-    return max(offsets) - min(offsets)

@@ -161,3 +161,40 @@ def test_boundary_touch_is_not_a_secondary_hit():
                _record(2, 1, Outcome.READMITTED, 120_000, 180_000)]
     risk = time_at_risk(records, horizon_us=200_000)
     assert risk[1].secondary_hits == []
+
+
+def test_exposed_time_is_the_union_of_overlapping_windows():
+    # [60, 120) and [80, 160) ms overlap for 40 ms: the sum counts that twice
+    records = [_record(1, 1, Outcome.READMITTED, 60_000, 120_000),
+               _record(2, 1, Outcome.READMITTED, 80_000, 160_000)]
+    risk = time_at_risk(records, horizon_us=200_000)
+    assert risk[1].total_us == 60_000 + 80_000
+    assert risk[1].exposed_us == 160_000 - 60_000
+
+
+def test_exposed_time_of_disjoint_or_nested_windows():
+    records = [_record(1, 1, Outcome.READMITTED, 10_000, 20_000),
+               _record(2, 1, Outcome.READMITTED, 30_000, 90_000),
+               _record(3, 1, Outcome.READMITTED, 40_000, 50_000),
+               _record(4, 1, Outcome.DEGRADED_DUPLEX, 90_000)]
+    risk = time_at_risk(records, horizon_us=100_000)
+    assert risk[1].total_us == 10_000 + 60_000 + 10_000 + 10_000
+    # the third window lies inside the second; the fourth starts as the
+    # second closes
+    assert risk[1].exposed_us == 10_000 + 60_000 + 10_000
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 40),
+                          st.booleans()), max_size=6))
+def test_exposed_time_counts_each_microsecond_once(draws):
+    records = [_record(i, 1, Outcome.READMITTED if closed
+                       else Outcome.ABANDONED, t_f, t_f + length)
+               for i, (t_f, length, closed) in enumerate(draws, start=1)]
+    risk = time_at_risk(records, horizon_us=100)
+    if not records:
+        assert risk == {}
+        return
+    covered = set()
+    for start, end, _ in risk[1].intervals:
+        covered.update(range(start, end))
+    assert risk[1].exposed_us == len(covered) <= risk[1].total_us

@@ -8,9 +8,18 @@ start before H1, is the first part of the run to the later horizon. Up to
 and including H1 both write the same completions, deadline misses and
 trace rows. What a run computes when it wraps up (abandoned outcomes, risk
 windows, final coverage) depends on where it stops, so it is not compared.
+
+Time scaling, fault-free only: multiply every duration and every size of a
+scenario by k and keep the bus ``max_load`` (message sizes and periods
+both scale, so the bus load is unchanged). Every time stamp the run writes
+is then k times the original: completions, deadline misses, trace rows and
+the microsecond figures inside a row's detail. Faults are left out because
+``transfer_time`` rounds each transfer up to a whole microsecond, so a
+scaled transfer may end a microsecond before k times the original.
 """
 
 import copy
+import re
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,3 +54,51 @@ def test_a_shorter_horizon_is_a_prefix_of_the_longer_run(seed, faults, apps):
     # the earlier run wrote nothing past its horizon
     assert _up_to(prefix, h1_us) == (prefix.completions,
                                       prefix.deadline_misses, prefix.trace)
+
+
+_K = 2
+# the document keys that hold a duration or a size
+_SCALED_KEYS = frozenset({"wcet_ms", "period_ms", "deadline_ms", "horizon_ms",
+                          "bit_period_ms", "size", "code_size",
+                          "snapshot_size", "min_state_size"})
+_US = re.compile(r"(\d+)us")
+
+
+def _scaled(doc, k):
+    if isinstance(doc, dict):
+        return {key: value * k if key in _SCALED_KEYS else _scaled(value, k)
+                for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_scaled(value, k) for value in doc]
+    return doc
+
+
+def _stamps(result, k=1):
+    """Every row of a run with each time stamp multiplied by k."""
+    def us(text):
+        return _US.sub(lambda m: f"{k * int(m.group(1))}us", text)
+    return ([(k * c.finish_us, k * c.start_us, k * c.release_us, c.lane,
+              c.proc, c.app, c.task) for c in result.completions],
+            [(k * m.time_us, m.lane, m.proc, m.app, m.task, k * m.release_us)
+             for m in result.deadline_misses],
+            [(k * r.time_us, r.kind, r.lane, r.proc, r.app, r.task,
+              us(r.detail)) for r in result.trace])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 4),
+       st.sampled_from([0.3, 0.5, 0.69]), st.booleans())
+@example(0, 1, 0.5, True)
+@example(3, 4, 0.69, False)
+def test_scaling_every_duration_scales_every_time_stamp(seed, apps, load,
+                                                        infeasible):
+    # an infeasible scenario misses deadlines, and its skewed votes drive
+    # detection, shutdown and abandonment rows, all without a fault
+    doc = generate_scenario(lanes=4, procs=6, apps=apps, seed=seed,
+                            target_utilization=load, infeasible=infeasible,
+                            horizon_ms=_HORIZON_MS)
+    assert doc["faults"] == []
+    original = run(parse_scenario(doc))
+    scaled = run(parse_scenario(_scaled(doc, _K)))
+    assert scaled.horizon_us == _K * original.horizon_us
+    assert _stamps(scaled) == _stamps(original, _K)

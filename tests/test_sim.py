@@ -5,6 +5,7 @@ too slow for real work but obviously correct, so the fast event-driven
 paths can be checked against it on small task sets.
 """
 
+import dataclasses
 import gc
 import json
 import math
@@ -13,17 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanesim.cli import metrics_document, trace_lines
-from lanesim.coverage import CoverageLevel
+from lanesim.coverage import CoverageLevel, CoverageSample
 from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec, TimingConfig
 from lanesim.reconfig import Health, Outcome
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.timing import ProcessorState, admit_task
 from lanesim.sim import (
+    CompletionRecord,
+    DeadlineMissRecord,
     Engine,
     EventKind,
     InsufficientInstances,
     ScenarioInvalid,
+    TraceEvent,
     measure_jitter,
     run,
     schedule_processor,
@@ -334,6 +338,17 @@ def test_jitter_needs_two_instances():
     result = _jitter_result()
     with pytest.raises(InsufficientInstances):
         measure_jitter(result, app=1, task=1, lane=0, proc=9)
+
+
+def test_jitter_lives_outside_the_engine():
+    # the seed API keeps exporting it from lanesim and lanesim.sim
+    import lanesim
+    import lanesim.jitter
+    import lanesim.sim
+    assert (lanesim.measure_jitter is lanesim.sim.measure_jitter
+            is lanesim.jitter.measure_jitter)
+    assert (lanesim.InsufficientInstances is lanesim.sim.InsufficientInstances
+            is lanesim.jitter.InsufficientInstances)
 
 
 # --- recovery timelines ------------------------------------------------
@@ -1034,3 +1049,47 @@ def test_engine_set_up_builds_no_fault_target(monkeypatch):
     monkeypatch.setattr(FaultTarget, "__post_init__", counted)
     Engine(scenario)
     assert built == []
+
+
+# --- the rows a result lists -------------------------------------------
+
+_ROWS = [
+    (CompletionRecord, dict(finish_us=9, start_us=3, release_us=1, lane=0,
+                            proc=2, app=1, task=4),
+     "CompletionRecord(finish_us=9, start_us=3, release_us=1, lane=0, "
+     "proc=2, app=1, task=4)"),
+    (DeadlineMissRecord, dict(time_us=9, lane=0, proc=2, app=1, task=4,
+                              release_us=1),
+     "DeadlineMissRecord(time_us=9, lane=0, proc=2, app=1, task=4, "
+     "release_us=1)"),
+    (TraceEvent, dict(time_us=9, kind="Classify", lane=None, proc=None,
+                      app=None, task=None, detail=""),
+     "TraceEvent(time_us=9, kind='Classify', lane=None, proc=None, app=None, "
+     "task=None, detail='')"),
+    (CoverageSample, dict(time_us=9, app_id=1,
+                          functional=CoverageLevel.TRIPLEX,
+                          zonal=CoverageLevel.DUPLEX,
+                          peripheral=CoverageLevel.QUADRUPLEX),
+     "CoverageSample(time_us=9, app_id=1, "
+     "functional=<CoverageLevel.TRIPLEX: 3>, zonal=<CoverageLevel.DUPLEX: 2>, "
+     "peripheral=<CoverageLevel.QUADRUPLEX: 4>)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", _ROWS,
+                         ids=[cls.__name__ for cls, _, _ in _ROWS])
+def test_result_rows_are_slotted_value_records(cls, values, text):
+    # names and order are the positional order the engine builds rows in
+    assert [f.name for f in dataclasses.fields(cls)] == list(values)
+    row = cls(*values.values())
+    stamp = next(iter(values))
+    assert row == cls(**values)
+    assert row != cls(**{**values, stamp: values[stamp] + 1})
+    assert repr(row) == text
+    # no per-row __dict__, so a row costs its slots and nothing more
+    assert not hasattr(row, "__dict__")
+
+
+def test_a_trace_row_keeps_its_defaults():
+    assert TraceEvent(5, "Classify") == TraceEvent(5, "Classify", None, None,
+                                                   None, None, "")
