@@ -147,6 +147,9 @@ class VoteOutcome:
     silent: frozenset = frozenset()     # exchange_vote's silent senders
 
 
+_QUIET = VoteOutcome(frozenset())     # what every quiet vote returns
+
+
 def _consensus_value(values, cfg: VoterConfig) -> float:
     if cfg.consensus is Consensus.MEAN_OF_OTHERS:
         return sum(values) / len(values)
@@ -178,15 +181,20 @@ def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
     if len(items) == 2:
         (a, va), (b, vb) = items
         if abs(va - vb) <= tol:
-            return VoteOutcome(frozenset())
+            return _QUIET
         return VoteOutcome(frozenset({a, b}), ambiguous=True)
 
     vals = [v for _, v in items]
     # In a quiet round every pair agrees, so the search's first anchor
     # already takes every item (float subtraction is monotone) and no later
     # anchor takes more: the clique is all of them. The argument needs
-    # finite values; a NaN or an infinity makes the sum not finite.
-    if not (max(vals) - min(vals) <= tol and math.isfinite(sum(vals))):
+    # finite values; a NaN or an infinity makes the sum not finite. The
+    # median then lies between the extremes, so no value is further from
+    # it than the spread, and none is flagged.
+    if max(vals) - min(vals) <= tol and math.isfinite(sum(vals)):
+        if cfg.consensus is Consensus.MEDIAN_OF_OTHERS:
+            return _QUIET
+    else:
         clique = _largest_clique(items, tol)
         if 2 * len(clique) <= len(items):
             return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)

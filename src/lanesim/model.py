@@ -17,7 +17,7 @@ caller sees the full list of violations at once.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -43,7 +43,7 @@ class StateStrategy(Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageSpec:
     """A periodic message a task copy puts on the bus.
 
@@ -68,8 +68,7 @@ class MessageSpec:
 
 @dataclass(frozen=True, slots=True)
 class TaskSpec:
-    """One task of an application; ``message_demand``, the bus demand of
-    all its messages, is fixed when the spec is built."""
+    """One task of an application."""
 
     task_id: int
     wcet_us: int
@@ -78,11 +77,12 @@ class TaskSpec:
     initial_proc: int
     code_size: Fraction = Fraction(0)
     messages: tuple[MessageSpec, ...] = ()
-    message_demand: Fraction = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "message_demand", ratio_sum(
-            [m.demand_ratio for m in self.messages]))
+    @property
+    def message_demand(self) -> Fraction:
+        """The bus demand of all its messages; set-up sums the pairs of
+        every task at once instead."""
+        return ratio_sum([m.demand_ratio for m in self.messages])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ The event engine (:mod:`lanesim.sim`) drives this one class for every set
 of its places, and ``schedule_processor`` below steps a plain one over a
 window as the reference the engine is checked against. It keeps one table
 of jobs, run by the ranks of
-:meth:`lanesim.timing.ProcessorState.priorities`. Background work (a
-rebuilt copy's history replay) is keyed outside those ranks, so it ranks
-below every task and takes the time no task job wants, lowest key first.
+:meth:`lanesim.timing.ProcessorState.priorities`; assigning ``prios``
+also fixes the order in which a dispatch walks the task keys. Background
+work (a rebuilt copy's history replay) is keyed outside those ranks, so it
+ranks below every task and takes the time no task job wants, lowest key
+first.
 Time is charged lazily, when the caller touches the processor.
 What runs is always the best ready job, so a release chooses again only
 when the new job can win: nothing runs, it replaces the running job, or it
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from .timing import ProcessorState
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Job:
     owner: object           # whatever the caller runs the work for
     key: object             # the job's slot: one job per key
@@ -45,12 +47,22 @@ class Processor:
     """
 
     def __init__(self):
-        self.prios: dict = {}       # job key -> DM rank, 0 highest
+        self.prios = {}             # job key -> DM rank, 0 highest
         self.jobs: dict = {}        # job key -> Job, background work too
         self.running: Job | None = None
         self.since = 0
         self.gen = 0
         self.wake_us: int | None = None   # when the running job finishes
+
+    @property
+    def prios(self) -> dict:
+        return self._prios
+
+    @prios.setter
+    def prios(self, prios: dict):
+        self._prios = prios
+        # the task keys in the order a dispatch walks them: by (rank, key)
+        self._ranked = sorted(prios, key=lambda key: (prios[key], key))
 
     def runnable(self) -> bool:
         """May the processor run anything at all right now?"""
@@ -77,12 +89,18 @@ class Processor:
     def dispatch(self, now: int):
         """Choose what runs next; the processor must be charged up to now."""
         chosen = None
-        if self.runnable():
-            prios, last = self.prios, len(self.prios)
-            ready = [(prios.get(key, last), key)
-                     for key, job in self.jobs.items() if job.remaining_us > 0]
-            if ready:
-                chosen = self.jobs[min(ready)[1]]
+        jobs = self.jobs
+        if jobs and self.runnable():
+            for key in self._ranked:
+                job = jobs.get(key)
+                if job is not None and job.remaining_us > 0:
+                    chosen = job
+                    break
+            else:
+                # no task job is ready: background work, lowest key first
+                ready = [key for key, job in jobs.items() if job.remaining_us > 0]
+                if ready:
+                    chosen = jobs[min(ready)]
         if chosen is self.running:
             return
         self.running = chosen
@@ -99,7 +117,7 @@ class Processor:
         # equal key) or outranks it by (rank, key) changes the choice
         running = self.running
         if running is not None:
-            prios, last = self.prios, len(self.prios)
+            prios, last = self._prios, len(self._prios)
             if (prios.get(running.key, last), running.key) < (
                     prios.get(job.key, last), job.key):
                 return

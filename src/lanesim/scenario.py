@@ -361,6 +361,8 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("need at least 2 processors per lane (one spare)")
     if apps < 1:
         raise ValueError("need at least one application slot")
+    if faults < 0:
+        raise ValueError("the fault count cannot be negative")
     if not infeasible and not 0.0 <= target_utilization <= 1.0:
         raise ValueError("target utilization must be within [0, 1]")
     if horizon_ms is not None and not (math.isfinite(horizon_ms)

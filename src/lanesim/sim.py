@@ -386,6 +386,7 @@ class Engine:
         self._hosting: dict | None = None
 
         self._apps: dict = {}           # app_id -> ApplicationSpec
+        self._vote_period: dict = {}    # app_id -> its shortest task period
         self._init_topology()
 
     # -- setup ---------------------------------------------------------------
@@ -424,6 +425,7 @@ class Engine:
         for app, tasks in apps:
             copies = {}
             self._apps[app.app_id] = app
+            self._vote_period[app.app_id] = app.shortest_period_us
             self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
             for task in tasks:
@@ -435,7 +437,8 @@ class Engine:
                                  key=key, place=place)
                     rts.append(rt)
                     self._proc_copies[place].append(rt)
-        demand = exact_sum(t.message_demand for _, tasks in apps for t in tasks)
+        demand = timebase.ratio_sum(m.demand_ratio for _, tasks in apps
+                                    for t in tasks for m in t.messages)
         self.bus = BusState(self.model.bus.max_load,
                             demand * len(self.model.lanes))
 
@@ -469,9 +472,9 @@ class Engine:
         ps = self.sets[place] = self.sets[place].split(place, self.now)
         return ps
 
-    def _by_set(self, copies: tuple) -> dict:
-        """A release group's copies by the set that runs them, in copy id
-        order.
+    def _by_set(self, copies: tuple):
+        """(set, its copies) pairs for a release group's copies, by the set
+        that runs them, in copy id order.
 
         Every member of a set holds one copy of the group: a member that
         lost its copy was split out by the shutdown that withdrew it. So a
@@ -479,11 +482,11 @@ class Engine:
         sets = self.sets
         ps = sets[copies[0].place]
         if len(ps.members) == len(copies):
-            return {ps: copies}
+            return ((ps, copies),)
         owners: dict = {}
         for rt in copies:
             owners.setdefault(sets[rt.place], []).append(rt)
-        return owners
+        return owners.items()
 
     def _copies_in(self, scope: FaultTarget) -> list:
         """Every copy ever placed inside a lane, processor or task scope,
@@ -539,7 +542,7 @@ class Engine:
                 copies = tuple(rts)
                 self._push(0, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
         for app in self.model.applications:
-            period = app.shortest_period_us
+            period = self._vote_period[app.app_id]
             if period <= self.horizon:
                 self._push(period, EventKind.VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
@@ -642,7 +645,7 @@ class Engine:
         key, wcet = copies[0].key, spec.wcet_us
         stopped = []
         unproven = False
-        for ps, mine in self._by_set(copies).items():
+        for ps, mine in self._by_set(copies):
             if ps.dead or self._silenced(mine[0], ps):
                 stopped.append(ps)
                 continue
@@ -714,7 +717,7 @@ class Engine:
         # each set aborts its job once; the misses are written per copy, in
         # copy id order
         missed = {}
-        for ps in self._by_set(copies):
+        for ps, _ in self._by_set(copies):
             job = ps.expire(key, release_us, now)
             if job is not None:
                 missed[ps] = job
@@ -912,7 +915,7 @@ class Engine:
 
     def _on_vote_round(self, app: ApplicationSpec):
         self.counters["vote_rounds"] += 1
-        nxt = self.now + app.shortest_period_us
+        nxt = self.now + self._vote_period[app.app_id]
         if nxt <= self.horizon:
             self._push(nxt, EventKind.VOTE_ROUND, app.app_id, app)
 
@@ -960,10 +963,11 @@ class Engine:
         expected = []       # (copy, byzantine fault, value or None if silent)
         watched = []        # rebuilt copies policed against the consensus
         settled = True      # every active copy is due, unskewed, converged
+        byzantine = self._byzantine
         for rt in rts:
             if rt.health is Health.ACTIVE:
                 if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us:
-                    byz = self._skew_for(rt)
+                    byz = self._skew_for(rt) if byzantine else None
                     expected.append((rt, byz, self._emitted(rt, byz, ref)))
                     if byz is not None or rt.converge_left > 0:
                         settled = False

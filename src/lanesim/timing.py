@@ -20,7 +20,8 @@ must be at most its D, whatever the tasks' phasing. A set of n tasks
 whose sum of C/min(D,T) is at most n(2^(1/n) - 1) passes it (Liu & Layland
 1973, with each window min(D, T) taken as the period). That bound falls
 towards ln 2 = 0.6931... as n grows, so it is above 0.69 for every n:
-every set admitted under a bound of 0.69 or less is proven. Only a
+every set admitted under a bound of 0.69 or less is proven, and
+``proven`` tries that integer comparison before the fixed points. Only a
 configured bound above 0.69, or a set taken in without admission, can be
 unproven.
 
@@ -161,8 +162,10 @@ class ProcessorState:
         The exact response-time test, run once per state."""
         proven = self._proven
         if proven is None:
-            proven = self._proven = _response_times_fit(
-                entry for _, entry in self._ranked())
+            # Liu & Layland's sufficient test first
+            proven = self._proven = (
+                self._num * 100 <= 69 * self._den or _response_times_fit(
+                    entry for _, entry in self._ranked()))
         return proven
 
     def __len__(self):

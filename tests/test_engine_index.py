@@ -11,7 +11,9 @@ must be exactly those of the copies still in service and the placements
 not yet spawned, and the bus load never rises above its start-up
 baseline. After each shutdown, spawn and readmission no copy in
 service may sit on a dead processor. A vote round may look up each copy's
-byzantine fault and emitted value only once. After every event each
+byzantine fault and emitted value only once, and it looks up none while
+no byzantine fault is active: after each fault event the engine's index of
+them is empty exactly when none has activated. After every event each
 recovery record's timestamps are in order and no application's coverage
 level exceeds the lane count.
 
@@ -396,6 +398,11 @@ class CheckedEngine(Engine):
         self._sweep()
 
     def _sweep(self):
+        # no byzantine fault clears, and a vote asks for skews only while
+        # one is active: _byzantine must be empty until the first activates
+        assert bool(self._byzantine) == any(
+            f.kind is FaultKind.BYZANTINE for f in self._activated), (
+            f"byzantine index {self._byzantine} at {self.now}us")
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
         for rt in self._all_copies():

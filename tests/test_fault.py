@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lanesim.fault import (
     Consensus,
@@ -192,6 +192,24 @@ def test_a_quiet_round_can_still_flag_by_its_mean():
     cfg = VoterConfig(tolerance=hi - lo, consensus=Consensus.MEAN_OF_OTHERS)
     assert sum(values.values()) / 3 < lo
     assert cross_monitor(values, cfg) == VoteOutcome(frozenset({1}))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=1e-300, max_value=1e300),
+       st.lists(st.floats(0, 1), min_size=3, max_size=4),
+       st.permutations(range(4)))
+def test_a_quiet_median_round_flags_nothing(base, tol, offsets, lanes):
+    # cross_monitor returns a quiet median round without the median: it
+    # lies between the extremes, so no value is further from it than the
+    # spread, which is within the tolerance
+    values = {lane: base + off * tol for lane, off in zip(lanes, offsets)}
+    vals = list(values.values())
+    assume(max(vals) - min(vals) <= tol and math.isfinite(sum(vals)))
+    cfg = VoterConfig(tolerance=tol, consensus=Consensus.MEDIAN_OF_OTHERS)
+    median = statistics.median(vals)
+    assert not any(abs(v - median) > tol for v in vals)
+    assert (cross_monitor(values, cfg) == VoteOutcome(frozenset())
+            == _full_search_cross_monitor(values, cfg))
 
 
 @given(st.dictionaries(st.integers(0, 5), st.floats(), min_size=2, max_size=6),

@@ -8,6 +8,11 @@ start before H1, is the first part of the run to the later horizon. Up to
 and including H1 both write the same completions, deadline misses and
 trace rows. What a run computes when it wraps up (abandoned outcomes, risk
 windows, final coverage) depends on where it stops, so it is not compared.
+It is checked over generated scenarios and over the golden ones, each cut
+at three fractions of its horizon. Where a scripted fault starts at a
+golden H1, the runs are compared only before H1: no scenario may hold a
+fault at its own horizon, so the short run cannot hold the fault that the
+long one activates at H1.
 
 Time scaling, fault-free only: multiply every duration and every size of a
 scenario by k and keep the bus ``max_load`` (message sizes and periods
@@ -19,12 +24,19 @@ scaled transfer may end a microsecond before k times the original.
 """
 
 import copy
+import functools
+import json
 import re
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.sim import run
+from lanesim.timebase import ms_to_us
+
+from golden.rehash import SCENARIOS
 
 _HORIZON_MS = 100
 _H1_MS = 60
@@ -54,6 +66,32 @@ def test_a_shorter_horizon_is_a_prefix_of_the_longer_run(seed, faults, apps):
     # the earlier run wrote nothing past its horizon
     assert _up_to(prefix, h1_us) == (prefix.completions,
                                       prefix.deadline_misses, prefix.trace)
+
+
+@functools.cache
+def _golden(name):
+    """A golden scenario's document and its run to the whole horizon."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    return doc, run(parse_scenario(doc))
+
+
+@pytest.mark.parametrize("fraction", [Fraction(3, 10), Fraction(1, 2),
+                                      Fraction(4, 5)], ids=str)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_a_golden_run_cut_short_is_a_prefix_of_the_whole_run(name, fraction):
+    doc, whole = _golden(name)
+    h1_us = int(whole.horizon_us * fraction)
+    # a fault keeps the id its position gave it in the whole document
+    faults = [dict(f, fault_id=f.get("fault_id", i))
+              for i, f in enumerate(doc.get("faults", []))]
+    starts = [ms_to_us(f["at_ms"]) for f in faults]
+    short = copy.deepcopy(doc)
+    short["sim"]["horizon_ms"] = h1_us / 1000
+    short["faults"] = [f for f, at in zip(faults, starts) if at < h1_us]
+    prefix = run(parse_scenario(short))
+    assert prefix.horizon_us == h1_us
+    until = h1_us - 1 if h1_us in starts else h1_us
+    assert _up_to(whole, until) == _up_to(prefix, until)
 
 
 _K = 2

@@ -407,6 +407,8 @@ def test_generator_validates_its_arguments():
         generate_scenario(procs=1)
     with pytest.raises(ValueError):
         generate_scenario(apps=0)
+    with pytest.raises(ValueError, match="fault count"):
+        generate_scenario(faults=-1)
 
 
 def test_requested_fault_count_is_honoured():
@@ -527,6 +529,14 @@ def test_generate_round_trips_through_the_cli(tmp_path, capsys):
     sc = parse_scenario(doc)
     assert scenario_violations(sc) == []
     assert len(sc.faults) == 2
+
+
+def test_generate_refuses_a_negative_fault_count(capsys):
+    # it once wrote a fault-free scenario; now it exits 2, as --apps 0 does
+    assert cli.main(["generate", "--faults", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fault count" in captured.err
+    assert cli.main(["generate", "--apps", "0"]) == 2
 
 
 def test_generate_to_stdout(capsys):

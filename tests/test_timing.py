@@ -7,7 +7,7 @@ Fractions, not floats.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lanesim.model import TaskSpec, TimingConfig, build_system
 from lanesim.scenario import parse_scenario
@@ -16,6 +16,7 @@ from lanesim.timing import (
     BusState,
     NoBandwidth,
     ProcessorState,
+    _response_times_fit,
     admit_task,
     available_transfer_bandwidth,
     catchup_time,
@@ -287,6 +288,47 @@ def test_a_start_up_utilization_is_the_exact_sum(entries):
         chain = chain.with_task(key, *task)
     assert state.utilization == want == chain.utilization
     assert type(state.utilization) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10**5), st.integers(1, 100),
+                          st.integers(1, 100)), min_size=1, max_size=8))
+@example([(100, 100, 1)])                   # C/T = 69/100 exactly
+@example([(200, 100, 1), (200, 100, 1)])    # two at 69/200
+def test_a_set_under_the_density_bound_passes_the_response_time_test(draws):
+    # Liu & Layland 1973: the shortcut ProcessorState.proven takes before
+    # the fixed points must never prove a set the fixed points reject.
+    # C <= D <= T, as every scenario task; shares of 69/100 split the
+    # density, floored to whole microseconds
+    total = sum(share for _, _, share in draws)
+    entries = {}
+    for key, (period, deadline_pct, share) in enumerate(draws):
+        deadline = max(1, period * deadline_pct // 100)
+        wcet = max(1, deadline * share * 69 // (total * 100))
+        entries[key] = (wcet, period, deadline)
+    state = ProcessorState(entries)
+    assume(state.utilization <= Fraction(69, 100))
+    ranked = sorted(entries.items(), key=lambda kv: (kv[1][2], kv[0]))
+    assert _response_times_fit(entry for _, entry in ranked)
+    assert state.proven()
+
+
+def test_a_set_just_over_the_density_bound_can_miss():
+    # Liu & Layland's worst case: periods T_1 < ... < T_n < 2 T_1 with
+    # C_i = T_(i+1) - T_i and C_n = 2 T_1 - T_n fill [0, T_n] exactly, so
+    # one more microsecond of C_n misses. With n = 50 its density is just
+    # above 50 (2^(1/50) - 1) = 0.698: a shortcut that proved every set up
+    # to 0.70 would prove this one
+    periods = [round(10**6 * 2 ** (i / 50)) for i in range(50)]
+    wcets = [b - a for a, b in zip(periods, periods[1:])]
+    wcets.append(2 * periods[0] - periods[-1])
+    fits = ProcessorState({i: (c, t, t) for i, (c, t) in
+                           enumerate(zip(wcets, periods))})
+    wcets[-1] += 1
+    misses = ProcessorState({i: (c, t, t) for i, (c, t) in
+                             enumerate(zip(wcets, periods))})
+    assert Fraction(69, 100) < misses.utilization < Fraction(698, 1000)
+    assert fits.proven() and not misses.proven()
 
 
 _SIZES = st.integers(0, 10**6) | st.floats(0, 1e6)
