@@ -55,11 +55,6 @@ class MessageSpec:
     period_us: int
 
     @property
-    def demand(self) -> Fraction:
-        # data units per millisecond
-        return Fraction(*self.demand_ratio)
-
-    @property
     def demand_ratio(self) -> tuple[int, int]:
         """The demand as an integer (numerator, denominator) pair."""
         return (self.size.numerator * 1000,
@@ -80,8 +75,8 @@ class TaskSpec:
 
     @property
     def message_demand(self) -> Fraction:
-        """The bus demand of all its messages; set-up sums the pairs of
-        every task at once instead."""
+        """The bus demand of its messages, summed from their ``demand_ratio``
+        pairs on every read; set-up and withdrawal sum many tasks' at once."""
         return ratio_sum([m.demand_ratio for m in self.messages])
 
 
@@ -442,6 +437,8 @@ def build_system(doc: dict) -> SystemModel:
                               f"{_at(task_at)}: need 0 < wcet <= deadline <= period"))
             if code_size.numerator < 0:     # a Fraction has its numerator's sign
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative code_size"))
+            if any(m.size.numerator < 0 for m in msgs):
+                bad(Violation("MalformedDocument", f"{_at(task_at)}: negative message size"))
             if len(set(procs)) > 1:
                 bad(Violation("AsymmetricLanes",
                               f"{_at(task_at)}: initial_proc differs between lanes "
@@ -493,25 +490,23 @@ def build_system(doc: dict) -> SystemModel:
     if bus.max_load <= 0:
         bad(Violation("MalformedDocument", "bus max_load must be positive"))
 
-    violations.extend(_architecture_violations(arch, lanes, apps))
+    model = SystemModel(architecture=arch, lanes=tuple(lanes), bus=bus,
+                        applications=tuple(apps), timing=timing)
+    violations.extend(_architecture_violations(model))
 
     if violations:
         raise InvalidModel(violations)
-    return SystemModel(architecture=arch, lanes=tuple(lanes), bus=bus,
-                       applications=tuple(apps), timing=timing)
+    return model
 
 
-def _architecture_violations(arch, lanes, apps) -> list[Violation]:
+def _architecture_violations(model: SystemModel) -> list[Violation]:
     out = []
-    spares = [
-        (l.lane_id, p.proc_id) for l in lanes for p in l.processors
-        if p.role is ProcessorRole.SPARE
-    ]
+    arch, lanes, apps = model.architecture, model.lanes, model.applications
     if arch is Architecture.FEDERATED_QUADRUPLEX:
         if len(apps) != 1 or (apps and len(apps[0].tasks) != 1):
             out.append(Violation("ArchitectureMismatch",
                                  "federated lane set carries exactly one single-task application"))
-        if spares:
+        if model.spare_positions():
             out.append(Violation("ArchitectureMismatch",
                                  "federated lanes model no reconfigurable spares"))
     elif arch is Architecture.RESTRICTED_INTEGRATED:

@@ -230,7 +230,9 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
             # BIT records what it caught by fault id
             bad(Violation("DuplicateId", f"duplicate fault id {f.fault_id}"))
         fault_ids.add(f.fault_id)
-        if f.at_us >= horizon:
+        if f.at_us < 0:
+            bad(Violation("MalformedDocument", f"{name} fires before time zero"))
+        elif f.at_us >= horizon:
             bad(Violation("MalformedDocument", f"{name} fires at/after the horizon"))
         if f.kind is FaultKind.TRANSIENT and (f.duration_us is None or f.duration_us <= 0):
             bad(Violation("MalformedDocument", f"{name}: transient faults need duration_ms > 0"))
@@ -247,6 +249,9 @@ def scenario_violations(sc: Scenario) -> list[Violation]:
         for problem in known.unknown(t.lane, t.proc, t.app, t.task):
             bad(Violation("MalformedDocument", f"{name}: {problem}"))
     for a in sc.policies.approvals:
+        if a.at_us < 0:
+            bad(Violation("MalformedDocument",
+                          f"approval at {a.at_us}us: before time zero"))
         for problem in known.unknown(a.lane, a.proc, a.app, a.task):
             bad(Violation("MalformedDocument", f"approval at {a.at_us}us: {problem}"))
     if sc.voter.tolerance <= 0:

@@ -113,7 +113,7 @@ from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
                        ReconfigRecord, ReplicaGroup, SpareCandidate,
                        recovery_rank, select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
-                     exact_sum, transfer_time)
+                     transfer_time)
 
 
 class ScenarioInvalid(InvalidModel):
@@ -377,8 +377,6 @@ class Engine:
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
-        self._active_on: dict = {}      # lane -> the active non-sensor faults in
-                                        # it, in scenario order
         self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
                                         # can see there, in fault id order
         # (lane, proc) -> (app, task) of its active copies, kept by
@@ -775,7 +773,6 @@ class Engine:
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             return
-        bisect.insort(self._active_on.setdefault(t.lane, []), f, key=rank)
         if bit_visible(f):
             bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
                           key=_fault_id)
@@ -806,7 +803,6 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             self._restore_channel(f)
             return
-        self._active_on[t.lane].remove(f)
         if bit_visible(f):
             self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
@@ -1109,10 +1105,10 @@ class Engine:
 
     def _directive_causes(self, d: FaultTarget):
         """Active faults that explain a shutdown scope: inside it or around
-        it, in scenario order. Both lie in the scope's lane, and one key
-        prefixes the other."""
+        it, in scenario order. One key prefixes the other; a sensor key
+        starts with its kind, so no sensor fault is among them."""
         key = d.key
-        return [f for f in self._active_on.get(key[0], ())
+        return [f for f in self._active
                 if (fk := f.target.key)[:len(key)] == key or key[:len(fk)] == fk]
 
     def _apply_directives(self, directives):
@@ -1191,24 +1187,27 @@ class Engine:
 
     def _withdraw(self, copies: list):
         """Take shut-down copies out of service, once for every directive
-        of one call. Each place they sit on is split out once, drops their
-        jobs and takes one new admitted state and one ranking without their
-        entries; the bus gives back their summed demand in one update. Sets
-        run apart and the sums are exact, so place by place equals copy by
-        copy."""
+        of one call, and give back their capacity (``_give_back``)."""
         if not copies:
             return
         self._any_withdrawn = True
+        self._give_back([(rt.place, rt.key, rt.spec) for rt in copies])
+
+    def _give_back(self, held: list):
+        """Give back what (place, key, spec) triples hold: each place is
+        split out once, drops the keys' jobs and is admitted once without
+        them, and the bus gives back one ``ratio_sum`` of their messages'
+        demand pairs. The sums are exact, so this equals one by one."""
         by_place: dict = {}
-        for rt in copies:
-            by_place.setdefault(rt.place, []).append(rt.key)
+        for place, key, _spec in held:
+            by_place.setdefault(place, []).append(key)
         for place, keys in by_place.items():
             ps = self._split(place)
             for key in keys:
                 ps.drop(key, self.now)
             ps.admit(ps.admitted.without_tasks(keys))
-        self.bus = self.bus.without_demand(
-            exact_sum(rt.spec.message_demand for rt in copies))
+        self.bus = self.bus.without_demand(timebase.ratio_sum(
+            m.demand_ratio for _place, _key, spec in held for m in spec.messages))
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
         if (self.model.architecture is Architecture.FEDERATED_QUADRUPLEX
@@ -1378,12 +1377,11 @@ class Engine:
                   detail=f"{sm.strategy.value} state ready; "
                   + ("policing starts" if len(dead) < len(ep.placements)
                      else "no copy starts, every chosen spare is shut down"))
+        if dead:
+            self._give_back([(ep.placements[task_id], (ep.app_id, task_id),
+                              app.task(task_id)) for task_id in dead])
         for task_id in dead:
-            # give back the placement's admission entry and bus demand
             place = ep.placements.pop(task_id)
-            ps = self._split(place)
-            ps.admit(ps.admitted.without_task((ep.app_id, task_id)))
-            self.bus = self.bus.without_demand(app.task(task_id).message_demand)
             ep.degraded_tasks += (task_id,)
             self._row("DegradeToDuplex", *place, ep.app_id, task_id,
                       "spare shut down before the copy started")

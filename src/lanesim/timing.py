@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .model import TaskSpec, TimingConfig
-from .timebase import lcm_sum, ratio_sum
+from .timebase import lcm_sum
 
 
 class NoBandwidth(Exception):
@@ -57,11 +57,6 @@ def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = Non
 def _window(period_us: int, deadline_us: int | None) -> int:
     """The C/min(D, T) test's denominator."""
     return period_us if deadline_us is None else min(deadline_us, period_us)
-
-
-def exact_sum(values) -> Fraction:
-    """The exact sum of Fractions (or ints) as one Fraction, by ``ratio_sum``."""
-    return ratio_sum((v.numerator, v.denominator) for v in values)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,20 @@ import heapq
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
+import lanesim.cli
+import lanesim.coverage
+import lanesim.fault
+import lanesim.scenario
 import lanesim.sim
+import lanesim.timing
 from lanesim.sim import EventKind, run
 
 from scenario_builders import proc_fault, scen
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "scenarios"
 
 
 def _tracer(monkeypatch):
@@ -58,3 +65,45 @@ def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
     with tracer.counting_pops(lanesim.sim) as pops:
         result = run(scen([]))
     assert pops.counts[EventKind.TASK_RELEASE] * 3 == result.counters["releases"]
+
+
+# probes the engine no longer calls: the coverage levels come from one
+# pass (coverage.coverage), and withdrawal gives back admission entries
+# through without_tasks; the names stay for the library and the tracer
+_UNCALLED = {"coverage.functional_coverage", "coverage.zonal_coverage",
+             "timing.ProcessorState.without_task"}
+
+
+def test_every_traced_probe_counts_a_call(monkeypatch, tmp_path):
+    # a probe that exists but is called around the patched module attribute
+    # (fault.cross_monitor in place of lanesim.sim.cross_monitor) reads
+    # zero in the traced benchmark without failing anything else. Each
+    # target is counted under its own name here, so that a figure shared
+    # by two targets (fault.vote) cannot hide one of them
+    tracer_module = _tracer(monkeypatch)
+    figure = {f"{module}.{path}": name
+              for module, path, name, _keep in tracer_module._TARGETS}
+    tracer_module._TARGETS = tuple(
+        (module, path, f"{module}.{path}", keep)
+        for module, path, _name, keep in tracer_module._TARGETS)
+    tracer_module.NAMES = sorted(figure)
+    tracer = tracer_module.Tracer()
+    ls = SimpleNamespace(cli=lanesim.cli, coverage=lanesim.coverage,
+                         fault=lanesim.fault, scenario=lanesim.scenario,
+                         sim=lanesim.sim, timing=lanesim.timing)
+    tracer.install(ls)
+    try:
+        for name in ("triplex_bit_detection", "quadruplex_byzantine_per_receiver",
+                     "spare_dies_in_transfer", "triplex_processor_permanent"):
+            scenario = ls.scenario.load_scenario(GOLDEN / f"{name}.json")
+            result = ls.sim.Engine(scenario).run()
+            ls.cli.write_outputs(result, tmp_path / name)
+    finally:
+        tracer.remove()
+    calls = tracer.calls
+    assert _UNCALLED <= calls.keys()
+    assert [target for target, n in calls.items()
+            if not n and target not in _UNCALLED] == []
+    # so every figure the traced benchmark reports counts a call
+    assert {figure[target] for target, n in calls.items() if n} == set(
+        figure.values())

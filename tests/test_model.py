@@ -218,3 +218,19 @@ def test_a_message_period_must_be_positive(where):
     assert ("system.applications[0].tasks[0]: message period must be positive"
             in messages)
     assert not any("has no tasks" in m for m in messages)
+
+
+@pytest.mark.parametrize("field", ["code_size", "message size"])
+def test_a_negative_size_is_refused(field):
+    # a message of size -500 used to pass: the triplex's bus then started
+    # at a load of -2991/20 units/ms, and transfers got 159.55 units/ms
+    doc = triplex_system()
+    task = doc["applications"][0]["tasks"][0]
+    if field == "code_size":
+        task["code_size"] = -40
+    else:
+        task["messages"][0]["size"] = -500
+    with pytest.raises(InvalidModel) as err:
+        build_system(doc)
+    assert [v.message for v in err.value.violations] == [
+        f"system.applications[0].tasks[0]: negative {field}"]

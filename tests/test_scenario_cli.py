@@ -143,6 +143,30 @@ def test_an_approval_names_only_places_the_system_has(names, problem):
     assert scenario_violations(parse_scenario(doc)) == []
 
 
+def _negative_size_doc():
+    doc = scenario_doc([])
+    doc["system"]["applications"][0]["tasks"][0]["messages"][0]["size"] = -500
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the clock ran backwards: FaultActivate traced at -5000 us and a
+    # PilotApproval row at -7000 us, before the first releases at 0
+    (scenario_doc([proc_fault(at_ms=-5)]), "fault 0 fires before time zero"),
+    (scenario_doc([], policies={"pilot_gate": True,
+                                "pilot_approvals": [{"at_ms": -7, "lane": 0}]}),
+     "approval at -7000us: before time zero"),
+    # the baseline bus load read -2991/20 units/ms against a max_load of 10
+    (_negative_size_doc(),
+     "system.applications[0].tasks[0]: negative message size"),
+], ids=["fault", "approval", "message size"])
+def test_a_negative_time_or_size_is_refused(tmp_path, capsys, doc, message):
+    assert _violations(doc) == [("MalformedDocument", message)]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _refusals(tmp_path, capsys, "bad.json")
+    assert code == 1 and message in err
+
+
 @pytest.mark.parametrize("target, problem", [
     ({"kind": "processor", "lane": 0, "proc": 99}, "unknown processor 99"),
     ({"kind": "task", "lane": 0, "proc": 0, "app": 1, "task": 999},

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import lanesim.timebase
 from lanesim.scenario import generate_scenario, parse_scenario
-from lanesim.timebase import frac, ms_to_us
+from lanesim.timebase import frac, lcm_sum, ms_to_us, ratio_sum
 
 
 def _reference_us(ms) -> int:
@@ -136,3 +136,29 @@ def test_frac_reads_numbers_exactly():
     for bad in (True, None, [1]):
         with pytest.raises(TypeError):
             frac(bad)
+
+
+# the exact sums of (numerator, denominator) pairs: unreduced numerators,
+# positive denominators, as demand_ratio and the processor windows give them
+_PAIRS = st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+                  max_size=12)
+
+
+@given(_PAIRS)
+@example([])
+@example([(2, 4), (-3, 6)])     # unreduced terms that sum to zero
+def test_ratio_sum_equals_the_running_fraction_sum(pairs):
+    got = ratio_sum(pairs)
+    assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+    assert type(got) is Fraction
+    assert ratio_sum(iter(pairs)) == got
+
+
+@given(_PAIRS)
+@example([])
+@example([(1, 4), (1, 6), (5, 4)])
+def test_lcm_sum_keeps_the_lcm_of_the_denominators(pairs):
+    num, den = lcm_sum(pairs)
+    assert den == math.lcm(*(d for _, d in pairs))      # math.lcm() is 1
+    assert Fraction(num, den) == ratio_sum(pairs)
+    assert lcm_sum([]) == (0, 1)

@@ -21,7 +21,6 @@ from lanesim.timing import (
     available_transfer_bandwidth,
     catchup_time,
     check_comms,
-    exact_sum,
     task_utilization,
     transfer_time,
 )
@@ -261,16 +260,6 @@ def test_bus_load_total_equals_a_fresh_sum(start, ops):
         assert bus.max_load == 100
 
 
-@given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-10**9, 10**9),
-                max_size=12))
-@example([])
-def test_exact_sum_equals_the_running_fraction_sum(values):
-    got = exact_sum(values)
-    assert got == sum(values, Fraction(0))
-    assert isinstance(got, Fraction)
-    assert exact_sum(iter(values)) == got
-
-
 # Start-up sums are one Fraction over integer pairs; each must equal a
 # Fraction sum taken term by term, and the state built one task or one
 # demand at a time.
@@ -353,11 +342,11 @@ def test_the_bus_baseline_is_the_exact_sum(messages, lanes):
                        Fraction(0))
     chain = BusState(Fraction(10**9))
     for task in engine.model.applications[0].tasks:
-        assert task.message_demand == sum(
-            (m.demand for m in task.messages), Fraction(0))
+        demands = [Fraction(m.size) * 1000 / m.period_us for m in task.messages]
+        assert task.message_demand == sum(demands, Fraction(0))
         for _ in range(lanes):
-            for m in task.messages:
-                chain = chain.with_demand(m.demand)
+            for demand in demands:
+                chain = chain.with_demand(demand)
     load = engine.bus.current_load
     assert load == want == chain.current_load
     assert type(load) is Fraction
