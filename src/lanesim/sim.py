@@ -76,7 +76,10 @@ task with the number of copies that emitted. Until a fault activates or
 rebuilt copies spawn, a marked task's vote would read the same copies
 with only the reference moved, so a vote round skips it, unless the voter
 takes the float mean of three or more copies and that mean misses the
-reference by more than the tolerance.
+reference by more than the tolerance. Before any fault or shutdown, with
+every set proven, no vote can flag: every copy is active and emits the
+reference, and a proven copy completes its first job by its deadline, so a
+round votes no task at all, under the same mean exception.
 
 The recovery pipeline is driven end to end by events: a vote round (or a
 built-in test) implicates copies, one classification per instant folds
@@ -367,6 +370,7 @@ class Engine:
         # vote was quiet; a vote round skips a marked task (_on_vote_round).
         # Activations and spawns drop the marks; a clear or a shutdown changes
         # only silent, skewed or watched copies, whose tasks are never marked.
+        # While _proof holds no task is voted, so none is marked.
         self._quiet: dict = {}
 
         # the faults active now, kept by the activate and clear handlers;
@@ -386,6 +390,9 @@ class Engine:
         self._apps: dict = {}           # app_id -> ApplicationSpec
         self._vote_period: dict = {}    # app_id -> its shortest task period
         self._init_topology()
+        # every set proven and no fault or shutdown yet: no vote can flag
+        # (_on_vote_round); the first FaultActivate or ShutdownApplied ends it
+        self._proof = all(ps.proven for ps in self.sets.values())
 
     # -- setup ---------------------------------------------------------------
 
@@ -766,6 +773,7 @@ class Engine:
 
     def _on_fault_activate(self, f):
         self._quiet.clear()
+        self._proof = False
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
@@ -918,10 +926,15 @@ class Engine:
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
         # A marked task's vote would read what its last one read: only the
-        # reference moves. Equal values never flag, except that the float
-        # mean of n >= 3 of them can miss them (cross_monitor's comparison).
+        # reference moves; while _proof holds every copy emits it. Equal
+        # values never flag, except that the float mean of n >= 3 of them can
+        # miss them (cross_monitor's comparison).
         mean = self.voter.consensus is Consensus.MEAN_OF_OTHERS
         tol, quiet, app_id = self.voter.tolerance, self._quiet, app.app_id
+        if self._proof and not (mean and any(
+                abs(ref - sum([ref] * n) / n) > tol
+                for n in range(3, len(self.model.lanes) + 1))):
+            return
         # the group holds its tasks in task id order
         for task_id, rts in self.groups[app_id].copies.items():
             key = (app_id, task_id)
@@ -1128,6 +1141,7 @@ class Engine:
                 f.fault_id for f in causes if len(f.target.key) >= len(d.key))
             victims = self._directive_victims(d, transient)
             self.counters["shutdowns"] += 1
+            self._proof = False
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
                       f"{d.kind.value} shutdown, "
                       f"{'restabilize in place' if transient else 'withdrawn'}"

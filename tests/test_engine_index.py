@@ -42,6 +42,13 @@ which marked tasks the engine skips is ``cross_monitor`` itself: a task
 is skipped unless ``cross_monitor`` flags its count of equal copies of
 the reference.
 
+Before any fault activates or any shutdown applies, with every place's
+start-up set proven by a recount, a vote round skips every task, unless
+``cross_monitor`` flags some count of equal copies of the reference up to
+the lane count; then the round is voted as above. Beside
+every task the proof skips the full vote runs and must change nothing,
+and every due copy in it must emit the reference.
+
 Release and deadline events act on release groups. Each group pushed
 holds copies of one task in ascending copy id and is keyed by the first;
 a copy made after set-up is alone in its group, and a release group
@@ -119,6 +126,8 @@ class CheckedEngine(Engine):
         self._pushed_checks = 0  # deadline checks the engine pushed so far
         self._checked = set()    # (copy id, release) of every pushed check
         self.unskipped = 0   # marked task votes run in full: the mean flags
+        self.proof_skips = 0     # task votes the proof skips, each checked
+        self._shut_down = False  # has any ShutdownApplied been written?
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
         self._activated = []     # the faults whose activation has run
@@ -127,6 +136,10 @@ class CheckedEngine(Engine):
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
                 t.task_id for t in app.tasks)
+        # the start-up sets, recounted from each place's copies
+        self._proven_at_start = all(ProcessorState({
+            rt.key: (rt.spec.wcet_us, rt.spec.period_us, rt.spec.deadline_us)
+            for rt in rts}).proven() for rts in self._proc_copies.values())
         # set-up builds the admitted sets and the bus load in one pass
         self._baseline_load = self.bus.current_load
         self._check_capacity()
@@ -473,13 +486,37 @@ class CheckedEngine(Engine):
                 len(self._heap), self._policed)
 
     def _on_vote_round(self, app):
-        # the engine skips a marked task unless cross_monitor would flag its
-        # count of equal copies of the reference; beside each skip the full
-        # vote must come out quiet with the same count and change nothing
+        # before any fault or shutdown, with every start-up set proven, the
+        # engine skips every task unless cross_monitor would flag some count
+        # of equal copies of the reference; beside each skip the full vote
+        # must change nothing, and every due copy must emit the reference
         ref = self.settings.reference.value(self.now)
         tasks = list(self.groups[app.app_id].copies)
-        skipped = []
+        proof = (self._proven_at_start and not self._activated
+                 and not self._shut_down)
+        assert self._proof == proof, (
+            f"proof flag {self._proof} at {self.now}us, recounted {proof}")
         self._voted = []
+        if proof and not any(
+                cross_monitor(dict.fromkeys(range(n), ref), self.voter).flagged
+                for n in range(2, len(self.model.lanes) + 1)):
+            for task_id in tasks:
+                before = self._effects()
+                self._vote_task(app.app_id, task_id,
+                                self.groups[app.app_id].copies[task_id], ref)
+                emitted = [v for _, v in self._emissions.values()]
+                assert self._effects() == before and all(
+                    v == ref for v in emitted), (
+                    f"task {(app.app_id, task_id)} skipped by proof at "
+                    f"{self.now}us, but its full vote emitted {emitted}")
+            self._voted = []
+            super()._on_vote_round(app)
+            assert self._voted == [], (
+                f"app {app.app_id} at {self.now}us: proof holds, "
+                f"voted {self._voted}")
+            self.proof_skips += len(tasks)
+            return
+        skipped = []
         for task_id in tasks:
             n = self._quiet.get((app.app_id, task_id))
             if n is None:
@@ -594,6 +631,7 @@ class CheckedEngine(Engine):
     # -- the capacity kept ----------------------------------------------
 
     def _apply_directives(self, directives):
+        self._shut_down |= bool(directives)     # one ShutdownApplied each
         super()._apply_directives(directives)
         self._check_capacity()
         self._check_service()
@@ -682,6 +720,66 @@ def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
     # them by more than the tolerance, so the marked tasks vote in full
     engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     assert engine.skips > 0 and engine.unskipped == 3
+
+
+class _ProofLog(CheckedEngine):
+    """A CheckedEngine that records each vote round: its instant, app, the
+    proof flag it started with, and how many tasks it skipped by proof and
+    by quiet marks."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.rounds = []
+
+    def _on_vote_round(self, app):
+        proof, by_proof, by_mark = self._proof, self.proof_skips, self.skips
+        super()._on_vote_round(app)
+        self.rounds.append((self.now, app.app_id, proof,
+                            self.proof_skips - by_proof, self.skips - by_mark))
+
+
+def _logged(scenario):
+    engine = _ProofLog(scenario)
+    assert _outputs(engine.run()) == _outputs(Engine(scenario).run())
+    return engine
+
+
+def test_an_unproven_start_sets_no_proof_and_votes_every_round():
+    # the overload's sets fail the response-time test from the start, so
+    # every round votes its unmarked tasks in full
+    scenario = load_scenario(SCENARIOS / "overload_deadline_misses.json")
+    assert not Engine(scenario)._proof
+    engine = _logged(scenario)
+    assert engine.rounds and engine.proof_skips == 0
+    assert not any(proof for _, _, proof, _, _ in engine.rounds)
+
+
+def test_the_first_fault_ends_the_proof_even_on_a_sensor():
+    # a sensor fault touches no copy, yet from it on the rounds vote
+    engine = _logged(parse_scenario(scenario_doc([
+        {"at_ms": 50, "kind": "permanent", "value_skew": 2.0,
+         "target": {"kind": "sensor", "app": 1, "lane": 2}}])))
+    assert not engine._proof and engine.skips > 0
+    for at, app_id, proof, by_proof, _ in engine.rounds:
+        early = at < 50_000
+        assert (proof, by_proof) == (early, int(early)), (at, app_id)
+
+
+def test_a_shutdown_before_any_fault_ends_the_proof_for_good():
+    # fault-free: app 1 votes every 20 ms, app 2 every 50 ms. The proof
+    # skips 20, 40 and 50 ms; at 60 ms the float mean of three copies of
+    # 0.7 misses them, app 1 votes in full and its copies are shut down.
+    # At 100 ms the mean of 1.1 is exact, yet app 2 votes in full and is
+    # marked; at 150 ms the mean flags its marked task.
+    engine = _logged(load_scenario(SCENARIOS / "mean_voter_proof_exception.json"))
+    first = next(row.time_us for row in engine.trace
+                 if row.kind == "ShutdownApplied")
+    assert first == 60_000 and not engine._proof
+    assert [row for row in engine.rounds if row[2]] == [
+        (20_000, 1, True, 1, 0), (40_000, 1, True, 1, 0),
+        (50_000, 2, True, 1, 0), (60_000, 1, True, 0, 0)]
+    assert (100_000, 2, False, 0, 0) in engine.rounds
+    assert engine.unskipped == 1
 
 
 def test_an_admitted_run_pushes_no_deadline_check():
@@ -814,7 +912,7 @@ def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
         sim={"reference": {"value": base, "slope_per_ms": slope}})
     doc["voter"] = {"consensus": consensus.value, "tolerance": tolerance}
     engine = _check(parse_scenario(doc))
-    assert engine.skips + engine.unskipped > 0
+    assert engine.skips + engine.unskipped + engine.proof_skips > 0
 
 
 _APPROVAL_SCOPES = ("lane", "processor", "app", "task", "sensor")
@@ -856,4 +954,10 @@ def _fuzzed_documents(draw):
 @given(_fuzzed_documents())
 def test_indexes_and_skips_agree_with_full_scans_on_fuzzed_scenarios(doc):
     # faults set and drop the vote marks in the middle of a run
-    _check(parse_scenario(doc))
+    engine = _check(parse_scenario(doc))
+    # admitted under 0.69, every set is proven, so the proof skips each
+    # round before the first fault (one at the round's instant pops first)
+    first_round = min(app.shortest_period_us for app in engine.model.applications)
+    if first_round <= engine.horizon and first_round < min(
+            f.at_us for f in engine.sc.faults):
+        assert engine.proof_skips > 0
