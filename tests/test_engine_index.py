@@ -32,22 +32,13 @@ the jobs their copies own, the running job, failed and dead, and the
 faults that ever covered them; each of a set's jobs is owned by one copy on
 each member.
 
-A vote round skips a task whose last full vote was quiet until an event
-drops the marks. Each task vote that returns a mark is checked against
-the copies themselves: none watched, every active one completed and
-unskewed, and each emitted the reference. Beside every skip the full vote
-runs and must return the mark's emitter count and change nothing: no
-trace row, no implicated copy, no event, no policing. The reference for
-which marked tasks the engine skips is ``cross_monitor`` itself: a task
-is skipped unless ``cross_monitor`` flags its count of equal copies of
-the reference.
-
 Before any fault activates or any shutdown applies, with every place's
 start-up set proven by a recount, a vote round skips every task, unless
 ``cross_monitor`` flags some count of equal copies of the reference up to
-the lane count; then the round is voted as above. Beside
-every task the proof skips the full vote runs and must change nothing,
-and every due copy in it must emit the reference.
+the lane count. Beside every task the proof skips the full vote runs and
+must change nothing: no trace row, no implicated copy, no event, no
+policing; and every due copy in it must emit the reference. Every other
+round votes every task of its application in full, in task id order.
 
 Release and deadline events act on release groups. Each group pushed
 holds copies of one task in ascending copy id and is keyed by the first;
@@ -121,12 +112,12 @@ class CheckedEngine(Engine):
         super().__init__(scenario)
         self.checks = 0
         self.lagging = 0     # answers where the plain active_at scan differs
-        self.skips = 0       # task votes skipped, each checked by a full vote
         self.skipped_checks = 0  # deadline checks skipped, each checked here
         self._pushed_checks = 0  # deadline checks the engine pushed so far
         self._checked = set()    # (copy id, release) of every pushed check
-        self.unskipped = 0   # marked task votes run in full: the mean flags
         self.proof_skips = 0     # task votes the proof skips, each checked
+        self.mean_exceptions = 0  # proof rounds voted in full: the mean flags
+        self.full_votes = 0      # task votes run in full outside the proof
         self._shut_down = False  # has any ShutdownApplied been written?
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
@@ -456,29 +447,8 @@ class CheckedEngine(Engine):
         # what this task's copies asked and emitted, each at most once
         self._skews, self._emissions = set(), {}
         self._voted.append(task_id)
-        before = self._effects()
-        got = super()._vote_task(app_id, task_id, rts, ref)
-        # a mark needs a quiet vote that no event-free change can upset
-        active = [rt for rt in rts if rt.health is Health.ACTIVE]
-        byzantine = [f for f in self._settled_faults()
-                     if f.kind is FaultKind.BYZANTINE]
-        markable = (self._effects() == before
-                    and all(rt.health in (Health.ACTIVE, Health.SHUTDOWN)
-                            for rt in rts)
-                    and all(rt.completed_ever and rt.converge_left == 0
-                            and not any(f.target.contains(_copy_scope(rt))
-                                        for f in byzantine)
-                            for rt in active))
-        assert (got is not None) == markable, (
-            f"task {(app_id, task_id)} at {self.now}us: mark {got!r}")
-        if got is not None:
-            emitted = [v for _, v in self._emissions.values()]
-            assert got == len(active) == len(emitted) and all(
-                v == ref for v in emitted), (
-                f"task {(app_id, task_id)} at {self.now}us: mark {got}, "
-                f"emitted {emitted}")
+        assert super()._vote_task(app_id, task_id, rts, ref) is None
         self.checks += 1
-        return got
 
     def _effects(self):
         """What a vote can write: rows, implicated copies, events, policing."""
@@ -489,7 +459,8 @@ class CheckedEngine(Engine):
         # before any fault or shutdown, with every start-up set proven, the
         # engine skips every task unless cross_monitor would flag some count
         # of equal copies of the reference; beside each skip the full vote
-        # must change nothing, and every due copy must emit the reference
+        # must change nothing, and every due copy must emit the reference.
+        # Every other round votes every task in full, in task id order.
         ref = self.settings.reference.value(self.now)
         tasks = list(self.groups[app.app_id].copies)
         proof = (self._proven_at_start and not self._activated
@@ -497,9 +468,10 @@ class CheckedEngine(Engine):
         assert self._proof == proof, (
             f"proof flag {self._proof} at {self.now}us, recounted {proof}")
         self._voted = []
-        if proof and not any(
-                cross_monitor(dict.fromkeys(range(n), ref), self.voter).flagged
-                for n in range(2, len(self.model.lanes) + 1)):
+        flags = proof and any(
+            cross_monitor(dict.fromkeys(range(n), ref), self.voter).flagged
+            for n in range(2, len(self.model.lanes) + 1))
+        if proof and not flags:
             for task_id in tasks:
                 before = self._effects()
                 self._vote_task(app.app_id, task_id,
@@ -516,27 +488,12 @@ class CheckedEngine(Engine):
                 f"voted {self._voted}")
             self.proof_skips += len(tasks)
             return
-        skipped = []
-        for task_id in tasks:
-            n = self._quiet.get((app.app_id, task_id))
-            if n is None:
-                continue
-            if n >= 2 and cross_monitor(dict.fromkeys(range(n), ref),
-                                        self.voter).flagged:
-                self.unskipped += 1
-                continue
-            skipped.append(task_id)
-            before = self._effects()
-            got = self._vote_task(app.app_id, task_id,
-                                  self.groups[app.app_id].copies[task_id], ref)
-            assert got == n and self._effects() == before, (
-                f"task {(app.app_id, task_id)} skipped at {self.now}us with "
-                f"mark {n}, but its full vote returns {got!r}")
         super()._on_vote_round(app)
-        assert self._voted == skipped + [t for t in tasks if t not in skipped], (
-            f"app {app.app_id} at {self.now}us: skipped {skipped}, "
+        assert self._voted == tasks, (
+            f"app {app.app_id} at {self.now}us: tasks {tasks}, "
             f"voted {self._voted}")
-        self.skips += len(skipped)
+        self.mean_exceptions += flags
+        self.full_votes += len(tasks)
 
     def _emitted(self, rt, byz, ref):
         assert rt.copy_id not in self._emissions, (
@@ -714,28 +671,19 @@ def test_a_fault_clearing_later_in_the_same_instant_still_counts():
     assert engine.lagging > 0
 
 
-def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
-    # quiet from the first round; a byzantine fault and a transient one
-    # drop the marks; at 280 ms the float mean of three equal copies misses
-    # them by more than the tolerance, so the marked tasks vote in full
-    engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
-    assert engine.skips > 0 and engine.unskipped == 3
-
-
 class _ProofLog(CheckedEngine):
     """A CheckedEngine that records each vote round: its instant, app, the
-    proof flag it started with, and how many tasks it skipped by proof and
-    by quiet marks."""
+    proof flag it started with, and how many tasks it skipped by proof."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.rounds = []
 
     def _on_vote_round(self, app):
-        proof, by_proof, by_mark = self._proof, self.proof_skips, self.skips
+        proof, by_proof = self._proof, self.proof_skips
         super()._on_vote_round(app)
         self.rounds.append((self.now, app.app_id, proof,
-                            self.proof_skips - by_proof, self.skips - by_mark))
+                            self.proof_skips - by_proof))
 
 
 def _logged(scenario):
@@ -744,14 +692,60 @@ def _logged(scenario):
     return engine
 
 
+def _tasks_voted(engine, rounds):
+    """How many task votes the rounds' applications hold."""
+    counts = {app.app_id: len(app.tasks) for app in engine.model.applications}
+    return sum(counts[app_id] for _, app_id, _, _ in rounds)
+
+
+def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
+    # the proof skips the rounds before the byzantine fault at 70 ms; from
+    # it on, through the transient fault at 85 ms and the float mean of
+    # three equal copies that misses them at 280 ms, each round votes every
+    # task in full (CheckedEngine asserts the order)
+    engine = _logged(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
+    first = next(row.time_us for row in engine.trace
+                 if row.kind == "FaultActivate")
+    assert first == 70_000
+    early = [row for row in engine.rounds if row[0] < first]
+    late = [row for row in engine.rounds if row[0] >= first]
+    assert early and all(proof and by_proof for _, _, proof, by_proof in early)
+    assert late and not any(proof or by_proof for _, _, proof, by_proof in late)
+    assert any(at == 280_000 for at, _, _, _ in late)
+    assert engine.full_votes == _tasks_voted(engine, late)
+
+
 def test_an_unproven_start_sets_no_proof_and_votes_every_round():
     # the overload's sets fail the response-time test from the start, so
-    # every round votes its unmarked tasks in full
+    # every round votes every task in full
     scenario = load_scenario(SCENARIOS / "overload_deadline_misses.json")
     assert not Engine(scenario)._proof
     engine = _logged(scenario)
     assert engine.rounds and engine.proof_skips == 0
-    assert not any(proof for _, _, proof, _, _ in engine.rounds)
+    assert not any(proof for _, _, proof, _ in engine.rounds)
+    assert engine.full_votes == _tasks_voted(engine, engine.rounds)
+
+
+class _VoteCount(Engine):
+    """An Engine that counts its task votes."""
+
+    votes = 0
+
+    def _vote_task(self, app_id, task_id, rts, ref):
+        self.votes += 1
+        super()._vote_task(app_id, task_id, rts, ref)
+
+
+@pytest.mark.parametrize("seed,horizon_ms", [(0, 20), (1, 20), (2, 20),
+                                             (0, 100)])
+def test_fault_free_benchmark_shapes_vote_no_task(seed, horizon_ms):
+    # the fault-free benchmark workloads' shape: every set is proven, so
+    # the proof holds to the horizon and no round votes a task
+    engine = _VoteCount(parse_scenario(generate_scenario(
+        lanes=4, procs=20, apps=8, seed=seed, horizon_ms=horizon_ms)))
+    result = engine.run()
+    assert result.counters["vote_rounds"] > 0
+    assert engine._proof and engine.votes == 0
 
 
 def test_the_first_fault_ends_the_proof_even_on_a_sensor():
@@ -759,27 +753,32 @@ def test_the_first_fault_ends_the_proof_even_on_a_sensor():
     engine = _logged(parse_scenario(scenario_doc([
         {"at_ms": 50, "kind": "permanent", "value_skew": 2.0,
          "target": {"kind": "sensor", "app": 1, "lane": 2}}])))
-    assert not engine._proof and engine.skips > 0
-    for at, app_id, proof, by_proof, _ in engine.rounds:
+    assert not engine._proof
+    for at, app_id, proof, by_proof in engine.rounds:
         early = at < 50_000
         assert (proof, by_proof) == (early, int(early)), (at, app_id)
+    late = [row for row in engine.rounds if row[0] >= 50_000]
+    assert late and engine.full_votes == _tasks_voted(engine, late)
 
 
 def test_a_shutdown_before_any_fault_ends_the_proof_for_good():
     # fault-free: app 1 votes every 20 ms, app 2 every 50 ms. The proof
     # skips 20, 40 and 50 ms; at 60 ms the float mean of three copies of
     # 0.7 misses them, app 1 votes in full and its copies are shut down.
-    # At 100 ms the mean of 1.1 is exact, yet app 2 votes in full and is
-    # marked; at 150 ms the mean flags its marked task.
+    # From then on every round votes every task in full: at 100 ms the mean
+    # of 1.1 is exact, and at 150 ms the mean flags app 2's task.
     engine = _logged(load_scenario(SCENARIOS / "mean_voter_proof_exception.json"))
     first = next(row.time_us for row in engine.trace
                  if row.kind == "ShutdownApplied")
     assert first == 60_000 and not engine._proof
     assert [row for row in engine.rounds if row[2]] == [
-        (20_000, 1, True, 1, 0), (40_000, 1, True, 1, 0),
-        (50_000, 2, True, 1, 0), (60_000, 1, True, 0, 0)]
-    assert (100_000, 2, False, 0, 0) in engine.rounds
-    assert engine.unskipped == 1
+        (20_000, 1, True, 1), (40_000, 1, True, 1),
+        (50_000, 2, True, 1), (60_000, 1, True, 0)]
+    assert (100_000, 2, False, 0) in engine.rounds
+    assert (150_000, 2, False, 0) in engine.rounds
+    assert engine.mean_exceptions == 1
+    assert engine.full_votes == _tasks_voted(
+        engine, [row for row in engine.rounds if not row[3]])
 
 
 def test_an_admitted_run_pushes_no_deadline_check():
@@ -899,7 +898,7 @@ def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
                                                         ulps, consensus,
                                                         faults):
     # tolerances from under one ulp of the reference up: the float mean of
-    # three equal values can then miss them and flag a marked task (near
+    # three equal values can then miss them and flag a proof round (near
     # zero, half an ulp could round to a tolerance of 0)
     horizon_ms = 200
     tolerance = math.ulp(max(abs(base), 1.0)) * ulps
@@ -912,7 +911,7 @@ def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
         sim={"reference": {"value": base, "slope_per_ms": slope}})
     doc["voter"] = {"consensus": consensus.value, "tolerance": tolerance}
     engine = _check(parse_scenario(doc))
-    assert engine.skips + engine.unskipped + engine.proof_skips > 0
+    assert engine.proof_skips + engine.mean_exceptions > 0
 
 
 _APPROVAL_SCOPES = ("lane", "processor", "app", "task", "sensor")
@@ -953,7 +952,7 @@ def _fuzzed_documents(draw):
 @settings(max_examples=50, deadline=None)
 @given(_fuzzed_documents())
 def test_indexes_and_skips_agree_with_full_scans_on_fuzzed_scenarios(doc):
-    # faults set and drop the vote marks in the middle of a run
+    # faults end the proof in the middle of a run
     engine = _check(parse_scenario(doc))
     # admitted under 0.69, every set is proven, so the proof skips each
     # round before the first fault (one at the round's instant pops first)
