@@ -208,7 +208,6 @@ class InvalidModel(Exception):
 
 _REQUIRED = object()
 _NUMBER = (int, float)
-_NUMBERS = frozenset(_NUMBER)
 _ZERO = Fraction(0)
 
 
@@ -221,43 +220,80 @@ def _at(path: tuple) -> str:
     return text[1:] or "scenario"
 
 
-def _read(doc: dict, table: tuple, path: tuple) -> list:
-    """One record's fields, in table order: the one rule for every field.
+def _rule(doc: dict, value, kinds, key: str, path: tuple, default, convert):
+    """The one rule for every field: ``value`` is ``doc.get(key)``.
 
-    Each entry is (key, kinds, default, convert). doc[key] must be one of
-    the kinds; an absent or null field gives the default, and with no
-    default it is required. A bool is no number, nor is a number or a
-    string such as "false" a bool. A number must be finite and inside
-    float range: JSON reads NaN and Infinity as floats, an int can pass the
-    largest float, and NaN fails every comparison. ``convert``, if given,
-    maps a value the document holds; defaults are given converted. The
-    record's path becomes text only for a refusal."""
-    if not isinstance(doc, dict):
-        doc = {}        # a record that is no object lacks its first field
-    get = doc.get
-    out = []
-    for key, kinds, default, convert in table:
-        value = get(key)
-        if value is None:
-            if default is not _REQUIRED:
-                out.append(default)
-                continue
-            if key not in doc:
-                raise MalformedDocument(
-                    f"{_at(path)}: missing required field '{key}'")
-        cls = value.__class__
-        if not isinstance(value, kinds) or cls is bool and kinds is not bool:
+    It must be one of the kinds; an absent or null field gives the
+    default, and with no default (``_REQUIRED``) it is required. A bool is
+    no number, nor is a number or a string such as "false" a bool. A number
+    must be finite and inside float range: JSON reads NaN and Infinity as
+    floats, an int can pass the largest float, and NaN fails every
+    comparison. ``convert``, if given, maps a value the document holds;
+    defaults are given converted. The record's path becomes text only for a
+    refusal."""
+    if value is None:
+        if default is not _REQUIRED:
+            return default
+        if key not in doc:
             raise MalformedDocument(
-                f"{_at(path)}: field '{key}' has the wrong type")
-        if cls in _NUMBERS and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            raise MalformedDocument(f"{_at(path)}: field '{key}' must be finite")
-        out.append(value if convert is None else convert(value))
-    return out
+                f"{_at(path)}: missing required field '{key}'")
+    cls = value.__class__
+    if not isinstance(value, kinds) or cls is bool and kinds is not bool:
+        raise MalformedDocument(f"{_at(path)}: field '{key}' has the wrong type")
+    if (cls is int or cls is float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise MalformedDocument(f"{_at(path)}: field '{key}' must be finite")
+    return value if convert is None else convert(value)
+
+
+def _field_lines(n: int, key, kinds, default, convert, ns: dict) -> list:
+    """The source lines that read field ``key`` of ``doc`` into ``vn`` by
+    ``_rule``, with its kinds, default and conversion bound in ns. A value
+    whose class is one of the kinds itself, and a number inside float
+    range, which the rule takes as it is, is taken in line; any other
+    value goes to the rule."""
+    exact = kinds if type(kinds) is tuple else (kinds,)
+    ns.update((k.__name__, k) for k in exact)
+    ns[f"t{n}"], ns[f"d{n}"], ns[f"c{n}"] = kinds, default, convert
+    numbers = " or ".join(f"c is {k.__name__}" for k in exact if k in _NUMBER)
+    fast = " or ".join(
+        ([f"({numbers}) and -_FLOAT_MAX <= v{n} <= _FLOAT_MAX"] if numbers else [])
+        + [f"c is {k.__name__}" for k in exact if k not in _NUMBER])
+    rule = f"v{n} = _rule(doc, v{n}, t{n}, {key!r}, path, d{n}, c{n})"
+    lines = [f"v{n} = get({key!r})", f"c = v{n}.__class__"]
+    if convert is None:
+        return lines + [f"if not ({fast}):", f"    {rule}"]
+    return lines + [f"if {fast}:", f"    v{n} = c{n}(v{n})", "else:", f"    {rule}"]
+
+
+def _reader(table: tuple, name: str):
+    """The reader of one record table, built once: ``name(doc, path)``
+    gives the record's fields as a list in table order, or the refusal of
+    the first field that breaks ``_rule``.
+
+    Each entry is (key, kinds, default, convert). The reader's source
+    reads the fields one after another, each with its key, kinds, default
+    and conversion written in, so reading a record walks no table. A
+    record that is no object reads as an empty one: it lacks its first
+    field."""
+    ns = {"_FLOAT_MAX": _FLOAT_MAX, "_rule": _rule}
+    body = [line for n, entry in enumerate(table)
+            for line in _field_lines(n, *entry, ns)]
+    fields = ", ".join(f"v{n}" for n in range(len(table)))
+    source = "\n".join([f"def {name}(doc, path):",
+                        "    if not isinstance(doc, dict):",
+                        "        doc = {}",
+                        "    get = doc.get",
+                        *("    " + line for line in body),
+                        f"    return [{fields}]"])
+    exec(compile(source, f"<reader {name}>", "exec"), ns)
+    return ns[name]
 
 
 def _field(doc: dict, key: str, kinds, path: tuple, default=_REQUIRED):
-    """doc[key] alone, by the rule of ``_read``."""
-    return _read(doc, ((key, kinds, default, None),), path)[0]
+    """doc[key] alone, by ``_rule``."""
+    if not isinstance(doc, dict):
+        doc = {}
+    return _rule(doc, doc.get(key), kinds, key, path, default, None)
 
 
 def _number(doc: dict, key: str, path: tuple, default=_REQUIRED):
@@ -311,31 +347,15 @@ _PROCESSOR = (
 )
 
 
-def _parse_task(doc: dict, lane_count: int, path: tuple):
-    """A task's fields, its processor per lane, and its messages."""
-    (period, task_id, wcet, deadline, code_size, raw_proc,
-     msg_docs) = _read(doc, _TASK, path)
-    if raw_proc.__class__ is list:
-        if len(raw_proc) != lane_count or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in raw_proc
-        ):
-            raise MalformedDocument(
-                f"{_at(path)}: per-lane initial_proc must list one int per lane")
-        procs = tuple(raw_proc)
-    else:
-        procs = (raw_proc,)
-    msgs = []
-    for i, md in enumerate(msg_docs):
-        msg_id, size, msg_period = _read(md, _MESSAGE, path + ("messages", i))
-        msgs.append(MessageSpec(msg_id, size,
-                                period if msg_period is None else msg_period))
-    return (task_id, wcet, period, period if deadline is None else deadline,
-            code_size, procs, tuple(msgs))
+_read_task = _reader(_TASK, "read_task")
+_read_message = _reader(_MESSAGE, "read_message")
+_read_application = _reader(_APPLICATION, "read_application")
+_read_state_model = _reader(_STATE_MODEL, "read_state_model")
+_read_processor = _reader(_PROCESSOR, "read_processor")
 
 
 def _parse_state_model(doc: dict, path: tuple) -> StateModel:
-    min_state, strategy, snapshot, history, rounds = _read(
-        doc, _STATE_MODEL, path)
+    min_state, strategy, snapshot, history, rounds = _read_state_model(doc, path)
     return StateModel(_enum(StateStrategy, strategy, path), snapshot, history,
                       min_state, rounds)
 
@@ -379,7 +399,7 @@ def build_system(doc: dict) -> SystemModel:
         procs = []
         for j, pd in enumerate(_field(ld, "processors", list, lane_at)):
             proc_at = lane_at + ("processors", j)
-            proc_id, role = _read(pd, _PROCESSOR, proc_at)
+            proc_id, role = _read_processor(pd, proc_at)
             spec = specs.get((proc_id, role))
             if spec is None:
                 spec = specs[proc_id, role] = ProcessorSpec(
@@ -408,15 +428,20 @@ def build_system(doc: dict) -> SystemModel:
                     f"lane {l.lane_id} does not mirror lane {lanes[0].lane_id}'s processors",
                 ))
 
-    # each lane's processor roles by id, first listed wins, as in LaneSpec.processor
+    # each lane's processor roles by id, first listed wins, as in
+    # LaneSpec.processor; a task may start on a processor id allocated in
+    # every lane, and only a task on another id walks the lanes
     lane_roles = [(l.lane_id, {p.proc_id: p.role for p in reversed(l.processors)})
                   for l in lanes]
+    homes = set.intersection(*(
+        {p for p, role in roles.items() if role is ProcessorRole.ALLOCATED}
+        for _, roles in lane_roles)) if lane_roles else set()
     lane_count = max(len(lanes), 1)
     apps = []
     app_ids = set()
     for i, ad in enumerate(apps_doc):
         app_at = at + ("applications", i)
-        app_id, task_docs, sm_doc, criticality = _read(ad, _APPLICATION, app_at)
+        app_id, task_docs, sm_doc, criticality = _read_application(ad, app_at)
         if app_id in app_ids:
             bad(Violation("DuplicateId", f"duplicate application id {app_id}"))
         app_ids.add(app_id)
@@ -424,8 +449,33 @@ def build_system(doc: dict) -> SystemModel:
         task_ids = set()
         for j, td in enumerate(task_docs):
             task_at = app_at + ("tasks", j)
-            (task_id, wcet, period, deadline, code_size, procs,
-             msgs) = _parse_task(td, lane_count, task_at)
+            (period, task_id, wcet, deadline, code_size, procs,
+             msg_docs) = _read_task(td, task_at)
+            if deadline is None:
+                deadline = period
+            if procs.__class__ is list:
+                if len(procs) != lane_count or not all(
+                    isinstance(p, int) and not isinstance(p, bool) for p in procs
+                ):
+                    raise MalformedDocument(
+                        f"{_at(task_at)}: per-lane initial_proc must list one "
+                        f"int per lane")
+                procs = tuple(procs)
+            else:
+                procs = (procs,)
+            # the messages, their sizes and periods checked as they are read
+            msgs = []
+            negative = unpaced = False
+            for k, md in enumerate(msg_docs):
+                msg_id, size, msg_period = _read_message(
+                    md, task_at + ("messages", k))
+                if msg_period is None:
+                    msg_period = period
+                if size.numerator < 0:  # a Fraction has its numerator's sign
+                    negative = True
+                if msg_period <= 0:
+                    unpaced = True
+                msgs.append(MessageSpec(msg_id, size, msg_period))
             if task_id in task_ids:
                 bad(Violation("DuplicateId",
                               f"duplicate task id {task_id} in app {app_id}"))
@@ -435,32 +485,33 @@ def build_system(doc: dict) -> SystemModel:
             if not 0 < wcet <= deadline <= period:
                 bad(Violation("MalformedDocument",
                               f"{_at(task_at)}: need 0 < wcet <= deadline <= period"))
-            if code_size.numerator < 0:     # a Fraction has its numerator's sign
+            if code_size.numerator < 0:
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative code_size"))
-            if any(m.size.numerator < 0 for m in msgs):
+            if negative:
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative message size"))
-            if len(set(procs)) > 1:
+            if len(procs) > 1 and len(set(procs)) > 1:
                 bad(Violation("AsymmetricLanes",
                               f"{_at(task_at)}: initial_proc differs between lanes "
                               f"{procs}"))
             proc_id = procs[0]
-            for lane_id, roles in lane_roles:
-                role = roles.get(proc_id)
-                if role is None:
-                    bad(Violation("MalformedDocument",
-                                  f"{_at(task_at)}: initial_proc {proc_id} not in lane "
-                                  f"{lane_id}"))
-                elif role is ProcessorRole.SPARE:
-                    bad(Violation("SpareHasTasks",
-                                  f"app {app_id} task {task_id} allocated to spare "
-                                  f"processor {proc_id} (lane {lane_id})"))
-            if any(m.period_us <= 0 for m in msgs):
+            if proc_id not in homes:
+                for lane_id, roles in lane_roles:
+                    role = roles.get(proc_id)
+                    if role is None:
+                        bad(Violation("MalformedDocument",
+                                      f"{_at(task_at)}: initial_proc {proc_id} not in "
+                                      f"lane {lane_id}"))
+                    elif role is ProcessorRole.SPARE:
+                        bad(Violation("SpareHasTasks",
+                                      f"app {app_id} task {task_id} allocated to spare "
+                                      f"processor {proc_id} (lane {lane_id})"))
+            if unpaced:
                 # a message's bus demand divides by its period
                 bad(Violation("MalformedDocument",
                               f"{_at(task_at)}: message period must be positive"))
                 continue
             tasks.append(TaskSpec(task_id, wcet, period, deadline, proc_id,
-                                  code_size, msgs))
+                                  code_size, tuple(msgs)))
         if not task_docs:
             bad(Violation("MalformedDocument", f"app {app_id} has no tasks"))
         sm = _parse_state_model(sm_doc, app_at + ("state_model",))

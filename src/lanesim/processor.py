@@ -61,8 +61,13 @@ class Processor:
     @prios.setter
     def prios(self, prios: dict):
         self._prios = prios
-        # the task keys in the order a dispatch walks them: by (rank, key)
-        self._ranked = sorted(prios, key=lambda key: (prios[key], key))
+        # the task keys in the order a dispatch walks them: by (rank, key).
+        # ProcessorState.priorities lists its keys in rank order, ranks
+        # 0, 1, 2, ..., so its ranks are sorted once, where they are made.
+        if list(prios.values()) == list(range(len(prios))):
+            self._ranked = list(prios)
+        else:
+            self._ranked = sorted(prios, key=lambda key: (prios[key], key))
 
     def runnable(self) -> bool:
         """May the processor run anything at all right now?"""

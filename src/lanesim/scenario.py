@@ -27,7 +27,7 @@ from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (_FLOAT_MAX, _NUMBER, _REQUIRED, Architecture, InvalidModel,
                     MalformedDocument, SystemModel, Violation, build_system,
-                    _enum, _field, _number, _read)
+                    _enum, _field, _number, _reader)
 from .timebase import ms_to_us
 
 FORMAT_VERSION = 1
@@ -102,12 +102,14 @@ class Scenario:
 # the coordinates each kind of target names, read as one record
 _TARGET = {kind: tuple((name, int, _REQUIRED, None) for name in names)
            for kind, names in TARGET_FIELDS.items()}
+_READ_TARGET = {kind: _reader(table, f"read_{kind.value}_target")
+                for kind, table in _TARGET.items()}
 
 
 def _parse_target(doc: dict, path: tuple) -> FaultTarget:
     kind = _enum(TargetKind, _field(doc, "kind", str, path), path)
     return FaultTarget(kind, **dict(zip(TARGET_FIELDS[kind],
-                                        _read(doc, _TARGET[kind], path))))
+                                        _READ_TARGET[kind](doc, path))))
 
 
 # a fault's fields, in the order their refusals are checked; the default of
@@ -122,12 +124,13 @@ _FAULT = (
     ("per_receiver", bool, False, None),
     ("bit_detectable", bool, None, None),
 )
+_read_fault = _reader(_FAULT, "read_fault")
 
 
 def _parse_fault(doc: dict, index: int) -> FaultSpec:
     path = ("faults", index)
     (kind, duration_us, fault_id, at_us, target, value_skew, per_receiver,
-     bit_detectable) = _read(doc, _FAULT, path)
+     bit_detectable) = _read_fault(doc, path)
     kind = _enum(FaultKind, kind, path)
     return FaultSpec(
         fault_id=index if fault_id is None else fault_id,

@@ -142,6 +142,24 @@ for _rank, _kind in enumerate(EventKind):
     _kind.rank = _rank
 del _rank, _kind
 
+# Each member read once: reading one off its Enum class costs about ten
+# times a global's read, and a run reads a kind on every push. The same
+# holds for the health every copy starts in.
+_FAULT_ACTIVATE = EventKind.FAULT_ACTIVATE
+_FAULT_CLEAR = EventKind.FAULT_CLEAR
+_TASK_COMPLETE = EventKind.TASK_COMPLETE
+_DEADLINE_CHECK = EventKind.DEADLINE_CHECK
+_BIT_CHECK = EventKind.BIT_CHECK
+_TASK_RELEASE = EventKind.TASK_RELEASE
+_VOTE_ROUND = EventKind.VOTE_ROUND
+_CLASSIFY = EventKind.CLASSIFY
+_SELECTION = EventKind.SELECTION
+_INSTALL_DONE = EventKind.INSTALL_DONE
+_STATE_TRANSFER_DONE = EventKind.STATE_TRANSFER_DONE
+_PILOT_APPROVAL = EventKind.PILOT_APPROVAL
+_READMIT = EventKind.READMIT
+_ACTIVE = Health.ACTIVE
+
 
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
 # plain slotted dataclasses, not frozen ones: a frozen __init__ stores each
@@ -241,7 +259,7 @@ class _ProcSet(Processor):
         return not (self.failed or self.dead)
 
     def wake(self, at_us: int):
-        self.push(at_us, EventKind.TASK_COMPLETE, self.members[0],
+        self.push(at_us, _TASK_COMPLETE, self.members[0],
                   (self, self.gen))
 
     def admit(self, state: ProcessorState):
@@ -275,28 +293,45 @@ class _ProcSet(Processor):
         return own
 
 
-@dataclass(eq=False, kw_only=True, slots=True)
+@dataclass(eq=False, init=False, slots=True)
 class _CopyRt(Copy):
     """A task copy together with the engine's run-time state of it.
 
     Recovery records keep their lost and rebuilt copies through report
     writing, so a copy keeps its fields in slots. It names its episode by
     record id, so the two form no reference cycle. ``place + key`` is the
-    key of its task scope.
+    key of its task scope. Set-up builds one copy per task per lane, so a
+    copy is built through a positional ``__init__``: the dataclass's
+    keyword one cost half of ``Engine.__init__``.
     """
 
     spec: TaskSpec
     origin_us: int
-    completed_ever: bool = False
-    replay_left_us: int = 0
-    converge_left: int = 0
-    police: PoliceCounter | None = None
-    eligible_us: int | None = None
-    episode: int | None = None                      # its episode's record id
+    completed_ever: bool
+    replay_left_us: int
+    converge_left: int
+    police: PoliceCounter | None
+    eligible_us: int | None
+    episode: int | None                             # its episode's record id
     # (app, task) and (lane, proc), given by the caller: the copies of a
     # task share one key tuple, and a copy never moves
     key: tuple = field(repr=False)
     place: tuple = field(repr=False)
+
+    def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec,
+                 origin_us: int):
+        self.copy_id = copy_id
+        self.app_id, self.task_id = self.key = key
+        self.lane, self.proc = self.place = place
+        self.health = _ACTIVE
+        self.spec = spec
+        self.origin_us = origin_us
+        self.completed_ever = False
+        self.replay_left_us = 0
+        self.converge_left = 0
+        self.police = None
+        self.eligible_us = None
+        self.episode = None
 
 
 @dataclass(eq=False, kw_only=True)
@@ -428,9 +463,7 @@ class Engine:
                 key = (app.app_id, task.task_id)
                 rts = copies[task.task_id] = []
                 for place in sets[task.initial_proc].members:
-                    rt = _CopyRt(next(copy_ids), app.app_id, task.task_id,
-                                 *place, spec=task, origin_us=0,
-                                 key=key, place=place)
+                    rt = _CopyRt(next(copy_ids), key, place, task, 0)
                     rts.append(rt)
                     self._proc_copies[place].append(rt)
         demand = timebase.ratio_sum(m.demand_ratio for _, tasks in apps
@@ -536,24 +569,24 @@ class Engine:
         for group in self.groups.values():
             for rts in group.copies.values():
                 copies = tuple(rts)
-                self._push(0, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
+                self._push(0, _TASK_RELEASE, copies[0].copy_id, copies)
         for app in self.model.applications:
             period = self._vote_period[app.app_id]
             if period <= self.horizon:
-                self._push(period, EventKind.VOTE_ROUND, app.app_id, app)
+                self._push(period, _VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
         if bitp <= self.horizon:
             for place in self.sets:
-                self._push(bitp, EventKind.BIT_CHECK, place, place)
+                self._push(bitp, _BIT_CHECK, place, place)
         for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
-            self._push(f.at_us, EventKind.FAULT_ACTIVATE, f.fault_id, f)
+            self._push(f.at_us, _FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
             if clears is not None and clears <= self.horizon:
-                self._push(clears, EventKind.FAULT_CLEAR, f.fault_id, f)
+                self._push(clears, _FAULT_CLEAR, f.fault_id, f)
         if self.policies.pilot_gate:
             for i, a in enumerate(self.policies.approvals):
                 if a.at_us <= self.horizon:
-                    self._push(a.at_us, EventKind.PILOT_APPROVAL, i, a)
+                    self._push(a.at_us, _PILOT_APPROVAL, i, a)
         for app_id in self.groups:
             self._sample(app_id)
 
@@ -633,7 +666,7 @@ class Engine:
         now, spec = self.now, copies[0].spec
         nxt = now + spec.period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.TASK_RELEASE, copies[0].copy_id, copies)
+            self._push(nxt, _TASK_RELEASE, copies[0].copy_id, copies)
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
         # whether all of them run. A job on a proven set cannot miss, so
@@ -655,7 +688,7 @@ class Engine:
         self.counters["releases"] += len(released)
         deadline = now + spec.deadline_us
         if unproven and deadline <= self.horizon:
-            self._push(deadline, EventKind.DEADLINE_CHECK, released[0].copy_id,
+            self._push(deadline, _DEADLINE_CHECK, released[0].copy_id,
                        (released, now))
 
     def _check_pending(self, ps: _ProcSet):
@@ -671,7 +704,7 @@ class Engine:
             first = job.owner[0]
             deadline = job.release_us + first.spec.deadline_us
             if deadline <= horizon:
-                self._push(deadline, EventKind.DEADLINE_CHECK, first.copy_id,
+                self._push(deadline, _DEADLINE_CHECK, first.copy_id,
                            (job.owner, job.release_us))
 
     def _on_complete(self, data):
@@ -825,7 +858,7 @@ class Engine:
         if at == self.now:
             self._readmit_channel(app_id, lane)
         elif at is not None:    # else never approved; the channel stays out
-            self._push(at, EventKind.READMIT, (1, app_id, lane), (app_id, lane))
+            self._push(at, _READMIT, (1, app_id, lane), (app_id, lane))
 
     def _approved_at(self, **component) -> int | None:
         """When the pilot lets a restabilized component back in: now with
@@ -854,7 +887,7 @@ class Engine:
             return
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.BIT_CHECK, place, place)
+            self._push(nxt, _BIT_CHECK, place, place)
         # no fault off this list can pass bit_detects here, and only one
         # that passes draws from rng
         faults = self._bit_on.get(place)
@@ -911,7 +944,7 @@ class Engine:
         self.counters["vote_rounds"] += 1
         nxt = self.now + self._vote_period[app.app_id]
         if nxt <= self.horizon:
-            self._push(nxt, EventKind.VOTE_ROUND, app.app_id, app)
+            self._push(nxt, _VOTE_ROUND, app.app_id, app)
 
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
@@ -978,7 +1011,7 @@ class Engine:
                       detail=self._vote_detail(silent, flagged, ambiguous))
         if implicated:
             if not self._pending_implicated:
-                self._push(self.now, EventKind.CLASSIFY, app_id, None)
+                self._push(self.now, _CLASSIFY, app_id, None)
             self._pending_implicated.update(
                 (lane, proc, app_id, task_id) for lane, proc in implicated)
 
@@ -1049,7 +1082,7 @@ class Engine:
                                 task=rt.task_id)
               if rt.health is Health.RESTABILIZING else self.now)
         if at is not None:      # else it waits forever
-            self._push(at, EventKind.READMIT, (0, rt.copy_id), rt)
+            self._push(at, _READMIT, (0, rt.copy_id), rt)
 
     def _on_pilot_approval(self, a):
         # each readmission it gates was queued at its earliest approval
@@ -1218,7 +1251,7 @@ class Engine:
             return      # its causes are all active; the last to clear sets t_e
         ep.lost = copies
         if not self._pending_selection:
-            self._push(self.now, EventKind.SELECTION, app_id, None)
+            self._push(self.now, _SELECTION, app_id, None)
         self._pending_selection.append(ep)
 
     # -- selection and the transfer bus ---------------------------------------------
@@ -1320,9 +1353,9 @@ class Engine:
             self._stall_traced = False
             if installing:
                 ep.t_i_us = self.now
-                kind = EventKind.INSTALL_DONE
+                kind = _INSTALL_DONE
             else:
-                kind = EventKind.STATE_TRANSFER_DONE
+                kind = _STATE_TRANSFER_DONE
             duration = transfer_time(payload, avail)
             self.counters["transfers"] += 1
             self._bus_busy = True
@@ -1371,11 +1404,11 @@ class Engine:
         for task_id in sorted(ep.placements):
             place = ep.placements[task_id]
             spec = app.task(task_id)
-            rt = _CopyRt(next(self._copy_ids), ep.app_id, task_id, *place,
-                         Health.POLICED, spec=spec, origin_us=self.now,
-                         police=PoliceCounter(self.cfg.police_rounds),
-                         episode=ep.record_id, key=(ep.app_id, task_id),
-                         place=place)
+            rt = _CopyRt(next(self._copy_ids), (ep.app_id, task_id), place,
+                         spec, self.now)
+            rt.health = Health.POLICED
+            rt.police = PoliceCounter(self.cfg.police_rounds)
+            rt.episode = ep.record_id
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
@@ -1386,7 +1419,7 @@ class Engine:
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             # its own phase: a release group of one
-            self._push(self.now, EventKind.TASK_RELEASE, rt.copy_id, (rt,))
+            self._push(self.now, _TASK_RELEASE, rt.copy_id, (rt,))
         if not ep.copies:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 

@@ -143,7 +143,8 @@ class ProcessorState:
         return wcet * (self._den // _window(period, deadline))
 
     def priorities(self) -> dict:
-        """Deadline-monotonic ranks over the admitted set (0 = highest)."""
+        """Deadline-monotonic ranks over the admitted set (0 = highest),
+        keys listed in rank order."""
         return {key: rank for rank, (key, _) in enumerate(self._ranked())}
 
     def _ranked(self) -> list:

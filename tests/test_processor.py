@@ -11,6 +11,9 @@ each step. Wake-ups are delivered as the engine delivers them: every one
 due by an instant before anything else at that instant. Each delivery also
 checks that the generation alone tells a stale wake-up: one of the current
 generation finishes exactly the job it was made for, an older one nothing.
+A second property checks that an engine set, fresh, split out or grown,
+dispatches by the ranks its admitted set's ``priorities`` gives, which are
+taken in their key order with no second sort.
 """
 
 import heapq
@@ -18,6 +21,8 @@ import heapq
 from hypothesis import example, given, settings, strategies as st
 
 from lanesim.processor import Job, Processor
+from lanesim.sim import _ProcSet
+from lanesim.timing import ProcessorState
 
 _TASK_KEYS = (0, 1, 2, 3)
 _BACKGROUND_KEYS = (10, 11)     # outside the ranks, as the engine's copy ids
@@ -129,3 +134,33 @@ def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
                 cpu.up = True
                 cpu.dispatch(now)
         assert _view(cpus[0]) == _view(cpus[1]), (now, op, args)
+
+
+# (app, task) keys as the engine's, and few deadlines, so that ranks tie
+_ENTRIES = st.dictionaries(
+    st.tuples(st.integers(1, 3), st.integers(1, 6)),
+    st.tuples(st.integers(1, 5), st.sampled_from((10, 20, 40)),
+              st.sampled_from((10, 20))),
+    max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES, _ENTRIES)
+def test_a_set_takes_the_ranks_of_its_admitted_set_sorted_once(entries, grown):
+    # a set takes the ranks ProcessorState.priorities gives, whose key
+    # order is its dispatch order: by deadline, ties by key
+    def ranked_as_dm(ps, entries):
+        assert ps.prios == ProcessorState(entries).priorities()
+        assert ps._ranked == sorted(ps.prios, key=lambda k: (ps.prios[k], k))
+        assert ps._ranked == sorted(entries, key=lambda k: (entries[k][2], k))
+        assert sorted(ps.prios.values()) == list(range(len(entries)))
+
+    state = ProcessorState(entries)
+    ps = _ProcSet([(0, 1), (1, 1)], lambda *event: None, state,
+                  state.priorities())
+    ranked_as_dm(ps, entries)
+    own = ps.split((1, 1), 0)           # a split-out set keeps the ranks
+    ranked_as_dm(own, entries)
+    own.admit(ProcessorState(grown))    # and takes new ones on admission
+    ranked_as_dm(own, grown)
+    ranked_as_dm(ps, entries)
