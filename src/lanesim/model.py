@@ -248,8 +248,8 @@ def _rule(doc: dict, value, kinds, key: str, path: tuple, default, convert):
 def _field_lines(n: int, key, kinds, default, convert, ns: dict) -> list:
     """The source lines that read field ``key`` of ``doc`` into ``vn`` by
     ``_rule``, with its kinds, default and conversion bound in ns. A value
-    whose class is one of the kinds itself, and a number inside float
-    range, which the rule takes as it is, is taken in line; any other
+    whose class is one of the kinds themselves (a number only inside float
+    range) passes the rule as it is, so it is taken in line; any other
     value goes to the rule."""
     exact = kinds if type(kinds) is tuple else (kinds,)
     ns.update((k.__name__, k) for k in exact)
