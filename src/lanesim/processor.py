@@ -4,8 +4,9 @@ The event engine (:mod:`lanesim.sim`) drives this one class for every set
 of its places, and ``schedule_processor`` below steps a plain one over a
 window as the reference the engine is checked against. It keeps one table
 of jobs, run by the ranks of
-:meth:`lanesim.timing.ProcessorState.priorities`; assigning ``prios``
-also fixes the order in which a dispatch walks the task keys. Background
+:meth:`lanesim.timing.ProcessorState.priorities`, whose keys come in
+rank order: a dispatch walks the task keys in the order ``prios`` lists
+them. Background
 work (a rebuilt copy's history replay) is keyed outside those ranks, so it
 ranks below every task and takes the time no task job wants, lowest key
 first.
@@ -60,14 +61,10 @@ class Processor:
 
     @prios.setter
     def prios(self, prios: dict):
+        # the keys come in rank order, as ProcessorState.priorities lists
+        # them, and a dispatch walks them in that order
         self._prios = prios
-        # the task keys in the order a dispatch walks them: by (rank, key).
-        # ProcessorState.priorities lists its keys in rank order, ranks
-        # 0, 1, 2, ..., so its ranks are sorted once, where they are made.
-        if list(prios.values()) == list(range(len(prios))):
-            self._ranked = list(prios)
-        else:
-            self._ranked = sorted(prios, key=lambda key: (prios[key], key))
+        self._ranked = list(prios)
 
     def runnable(self) -> bool:
         """May the processor run anything at all right now?"""

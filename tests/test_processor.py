@@ -106,7 +106,8 @@ _OPS = st.one_of(
 @example([0, 1, 2, 3], [(0, ("release", 11, 5)), (1, ("release", 10, 5)),
                         (0, ("release", 1, 2))])
 def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
-    prios = {key: rank for key, rank in zip(_TASK_KEYS, ranks)}
+    # keys listed in rank order, as ProcessorState.priorities lists them
+    prios = dict(sorted(zip(_TASK_KEYS, ranks), key=lambda kr: kr[1]))
     cpus = [_Recorder(prios), _AlwaysDispatch(prios)]
     now = 0
     for dt, (op, *args) in steps:
