@@ -13,6 +13,7 @@ from lanesim.model import TaskSpec, TimingConfig, build_system
 from lanesim.scenario import parse_scenario
 from lanesim.sim import Engine
 from lanesim.timing import (
+    AdmissionDecision,
     BusState,
     NoBandwidth,
     ProcessorState,
@@ -196,6 +197,64 @@ def test_admission_agrees_with_direct_fraction_sum(entries, wcet, period):
     resulting += Fraction(wcet, period)
     assert decision.resulting_utilization == resulting
     assert decision.accepted == (resulting <= Fraction(69, 100))
+
+
+# AdmissionDecision is public API: pin what a decision reads as, its exact
+# Fraction, both refusal texts and its value equality, whatever it keeps
+_BOUNDS = st.sampled_from([CFG, TimingConfig(customer_cap_mode=True),
+                           TimingConfig(utilization_bound=Fraction(1))])
+
+
+def _pin_decision(decision, accepted, resulting, reason):
+    assert decision.accepted is accepted
+    got = decision.resulting_utilization
+    assert type(got) is Fraction and got == resulting
+    assert decision.reason == reason
+    equal = AdmissionDecision(accepted, resulting, reason)
+    assert decision == equal and equal == decision
+    assert hash(decision) == hash(equal) and len({decision, equal}) == 1
+    assert decision != AdmissionDecision(not accepted, resulting, reason)
+    assert decision != AdmissionDecision(accepted, resulting + 1, reason)
+    assert decision != AdmissionDecision(accepted, resulting, "other")
+    assert decision != (accepted, resulting, reason)
+
+
+@given(st.lists(st.tuples(st.integers(1, 1000), st.integers(1, 1000),
+                          st.integers(1, 1000)), max_size=6),
+       st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 1000),
+       _BOUNDS)
+@example([(59, 100, 100)], 10, 100, 100, CFG)      # exactly at the bound
+@example([(59, 100, 100)], 11, 100, 100, CFG)      # just over it
+def test_admission_decision_is_pinned(entries, wcet, period, deadline, cfg):
+    proc = ProcessorState({i: e for i, e in enumerate(entries)})
+    task = _task(wcet_us=wcet, period_us=period, deadline_us=deadline)
+    resulting = sum((Fraction(c, min(t, d)) for c, t, d in entries),
+                    Fraction(wcet, min(period, deadline)))
+    bound = cfg.effective_bound
+    accepted = resulting <= bound
+    reason = None if accepted else (
+        f"utilization {float(resulting):.6f} exceeds bound {float(bound):.2f}")
+    decision = admit_task(proc, task, cfg)
+    _pin_decision(decision, accepted, resulting, reason)
+    assert admit_task(proc, task, cfg) == decision
+
+
+_LOADS = st.fractions(min_value=0, max_value=50, max_denominator=10**6)
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=50,
+                    max_denominator=10**6), _LOADS, _LOADS)
+@example(Fraction(10), Fraction(9), Fraction(1))   # exactly at the cap
+def test_comms_decision_is_pinned(max_load, load, demand):
+    bus = BusState(max_load).with_demand(load)
+    resulting = load + demand
+    accepted = resulting <= max_load
+    reason = None if accepted else (
+        f"bus demand {float(resulting):.6f}/ms exceeds max load "
+        f"{float(max_load):.6f}/ms")
+    decision = check_comms(bus, demand)
+    _pin_decision(decision, accepted, resulting, reason)
+    assert check_comms(bus, demand) == decision
 
 
 # The totals are kept as running sums; after any sequence of updates they
