@@ -407,6 +407,8 @@ class Engine:
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
+        self._sensor_on: dict = {}      # app_id -> its active sensor faults,
+                                        # in scenario order
         self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
                                         # can see there, in fault id order
         # (lane, proc) -> (app, task) of its active copies, kept by
@@ -459,6 +461,7 @@ class Engine:
             self._vote_period[app.app_id] = app.shortest_period_us
             self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
+            self._sensor_on[app.app_id] = []
             for task in tasks:
                 key = (app.app_id, task.task_id)
                 rts = copies[task.task_id] = []
@@ -803,6 +806,7 @@ class Engine:
         rank = self._rank
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
+            bisect.insort(self._sensor_on[t.app], f, key=rank)
             return
         if bit_visible(f):
             bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
@@ -832,6 +836,7 @@ class Engine:
                   f"fault {f.fault_id} cleared")
         self._active.remove(f)
         if t.kind is TargetKind.SENSOR:
+            self._sensor_on[t.app].remove(f)
             self._restore_channel(f)
             return
         if bit_visible(f):
@@ -961,9 +966,9 @@ class Engine:
             self._vote_task(app.app_id, task_id, rts, ref)
 
     def _sensor_faults(self, app_id) -> list:
-        """Active faults on the application's sensor channels, in scenario order."""
-        return [f for f in self._active
-                if f.target.kind is TargetKind.SENSOR and f.target.app == app_id]
+        """Active faults on the application's sensor channels, in scenario
+        order: the list the fault handlers keep, which callers only read."""
+        return self._sensor_on[app_id]
 
     def _check_sensors(self, app):
         for f in self._sensor_faults(app.app_id):
