@@ -986,23 +986,33 @@ class Engine:
         """Vote one task's copies: trace what the vote flags, queue the
         implicated copies for classification and police the rebuilt ones."""
         expected = []       # (copy, byzantine fault, value or None if silent)
+        emitting = {}       # place -> value, of the expected copies that emit
+        silent = []         # places of the expected copies that do not
+        two_faced = False   # is a two-faced fault among the expected copies'?
         watched = []        # rebuilt copies policed against the consensus
-        byzantine = self._byzantine
+        byzantine, now = self._byzantine, self.now
         for rt in rts:
-            if rt.health is Health.ACTIVE:
+            if rt.health is _ACTIVE:
                 # expected from its first deadline on
-                if rt.completed_ever or self.now >= rt.origin_us + rt.spec.deadline_us:
-                    byz = self._skew_for(rt) if byzantine else None
-                    expected.append((rt, byz, self._emitted(rt, byz, ref)))
+                if rt.completed_ever or now >= rt.origin_us + rt.spec.deadline_us:
+                    byz = None
+                    if byzantine:
+                        byz = self._skew_for(rt)
+                        two_faced = two_faced or (
+                            byz is not None and byz.per_receiver)
+                    value = self._emitted(rt, byz, ref)
+                    expected.append((rt, byz, value))
+                    if value is None:
+                        silent.append(rt.place)
+                    else:
+                        emitting[rt.place] = value
             elif rt.health is not Health.SHUTDOWN:
                 watched.append(rt)
-        emitting = {rt.place: v for rt, _, v in expected if v is not None}
-        silent = [rt.place for rt, _, v in expected if v is None]
         implicated = set(silent)
 
         flagged, ambiguous = frozenset(), False
         if len(emitting) >= 2:
-            if any(byz is not None and byz.per_receiver for _, byz, _ in expected):
+            if two_faced:
                 outcome = exchange_vote(self._exchange_matrix(expected, ref),
                                         self.voter)
             else:
