@@ -407,6 +407,8 @@ class Engine:
         self._byzantine: dict = {}      # target key -> the first active byzantine
                                         # fault on it in scenario order (none clears)
         self._halting: dict = {}        # target key -> active halting faults on it
+        self._faults_at: dict = {}      # target key -> the active non-sensor
+                                        # faults on it, in scenario order
         self._sensor_on: dict = {}      # app_id -> its active sensor faults,
                                         # in scenario order
         self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
@@ -808,6 +810,7 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             bisect.insort(self._sensor_on[t.app], f, key=rank)
             return
+        bisect.insort(self._faults_at.setdefault(t.key, []), f, key=rank)
         if bit_visible(f):
             bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
                           key=_fault_id)
@@ -839,6 +842,10 @@ class Engine:
             self._sensor_on[t.app].remove(f)
             self._restore_channel(f)
             return
+        at = self._faults_at[t.key]
+        at.remove(f)
+        if not at:
+            del self._faults_at[t.key]
         if bit_visible(f):
             self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
@@ -1136,11 +1143,19 @@ class Engine:
 
     def _directive_causes(self, d: FaultTarget):
         """Active faults that explain a shutdown scope: inside it or around
-        it, in scenario order. One key prefixes the other; a sensor key
-        starts with its kind, so no sensor fault is among them."""
+        it, in scenario order. One key prefixes the other: a task scope's
+        are on its lane, its processor and itself; a wider scope's are on
+        the keys it prefixes or that prefix it."""
         key = d.key
-        return [f for f in self._active
-                if (fk := f.target.key)[:len(key)] == key or key[:len(fk)] == fk]
+        at = self._faults_at
+        if len(key) == 4:
+            keys = (key[:1], key[:2], key)
+        else:
+            keys = [k for k in at if k[:len(key)] == key or key[:len(k)] == k]
+        causes = [f for k in keys for f in at.get(k, ())]
+        if len(causes) > 1:
+            causes.sort(key=self._rank)
+        return causes
 
     def _apply_directives(self, directives):
         # one episode per application and origin: a copy restabilized in
