@@ -38,7 +38,6 @@ decisions and transfer times are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -59,18 +58,64 @@ def _window(period_us: int, deadline_us: int | None) -> int:
     return period_us if deadline_us is None else min(deadline_us, period_us)
 
 
-@dataclass(frozen=True)
 class AdmissionDecision:
-    """Outcome of an admission test.
+    """Outcome of an admission test, a read-only value.
 
     For processor admission ``resulting_utilization`` is the utilization the
     processor would have; for bus admission it carries the resulting load in
-    data units per millisecond. ``reason`` is set on rejection.
+    data units per millisecond. ``reason`` is set on rejection. A test keeps
+    the value as an integer pair and a refusal as its text's template and
+    limit, and builds the Fraction and the text when they are read: spare
+    selection tries many candidates and reads them for the chosen ones.
+    Two decisions are equal when all three read equal.
     """
 
-    accepted: bool
-    resulting_utilization: Fraction
-    reason: str | None = None
+    __slots__ = ("_accepted", "_num", "_den", "_why")
+
+    def __init__(self, accepted: bool, resulting_utilization: Fraction,
+                 reason: str | None = None):
+        value = Fraction(resulting_utilization)
+        self._accepted, self._why = accepted, reason
+        self._num, self._den = value.numerator, value.denominator
+
+    @classmethod
+    def _of(cls, accepted: bool, num: int, den: int, why=None):
+        """A decision on num/den; ``why`` is None or (template, limit)."""
+        decision = cls.__new__(cls)
+        decision._accepted, decision._why = accepted, why
+        decision._num, decision._den = num, den
+        return decision
+
+    @property
+    def accepted(self) -> bool:
+        return self._accepted
+
+    @property
+    def resulting_utilization(self) -> Fraction:
+        return Fraction(self._num, self._den)
+
+    @property
+    def reason(self) -> str | None:
+        why = self._why
+        if why is None or type(why) is str:
+            return why
+        template, limit = why
+        return template.format(self._num / self._den, float(limit))
+
+    def _key(self) -> tuple:
+        return self._accepted, self.resulting_utilization, self.reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("AdmissionDecision(accepted={!r}, resulting_utilization={!r}, "
+                "reason={!r})".format(*self._key()))
 
 
 class ProcessorState:
@@ -196,14 +241,11 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
     window = _window(task.period_us, task.deadline_us)
     num, den = proc.utilization_ratio
     num, den = num * window + task.wcet_us * den, den * window
-    resulting = Fraction(num, den)
     bound = cfg.effective_bound
     if num * bound.denominator <= bound.numerator * den:
-        return AdmissionDecision(True, resulting)
-    return AdmissionDecision(
-        False, resulting,
-        reason=f"utilization {float(resulting):.6f} exceeds bound {float(bound):.2f}",
-    )
+        return AdmissionDecision._of(True, num, den)
+    return AdmissionDecision._of(
+        False, num, den, ("utilization {:.6f} exceeds bound {:.2f}", bound))
 
 
 class BusState:
@@ -237,13 +279,12 @@ class BusState:
 def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:
     """Bus admission of extra message demand (data units per ms)."""
     resulting = bus.current_load + demand
+    num, den = resulting.numerator, resulting.denominator
     if resulting <= bus.max_load:
-        return AdmissionDecision(True, resulting)
-    return AdmissionDecision(
-        False, resulting,
-        reason=f"bus demand {float(resulting):.6f}/ms exceeds max load "
-               f"{float(bus.max_load):.6f}/ms",
-    )
+        return AdmissionDecision._of(True, num, den)
+    return AdmissionDecision._of(
+        False, num, den,
+        ("bus demand {:.6f}/ms exceeds max load {:.6f}/ms", bus.max_load))
 
 
 def available_transfer_bandwidth(bus: BusState) -> Fraction:
