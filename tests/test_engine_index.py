@@ -960,3 +960,27 @@ def test_indexes_and_skips_agree_with_full_scans_on_fuzzed_scenarios(doc):
     if first_round <= engine.horizon and first_round < min(
             f.at_us for f in engine.sc.faults):
         assert engine.proof_skips > 0
+
+
+# fault_storm's shape: 4 lanes of 10 processors, 8 applications and 40
+# faults, each application given one of the three state paths in rotation
+_STATE_MODELS = (
+    lambda size: {"strategy": "transfer", "snapshot_size": size, "history_len": 4},
+    lambda size: {"strategy": "convergence", "convergence_rounds": 3},
+    lambda size: {"strategy": "hybrid", "snapshot_size": size,
+                  "min_state_size": max(1, size // 4), "convergence_rounds": 2},
+)
+
+
+@pytest.mark.parametrize("seed, horizon_ms", [(11, 40), (12, 30), (14, 30)])
+def test_indexes_agree_with_full_scans_at_the_fault_storm_shape(seed, horizon_ms):
+    doc = generate_scenario(lanes=4, procs=10, apps=8, seed=seed, faults=40,
+                            horizon_ms=horizon_ms)
+    for k, app in enumerate(doc["system"]["applications"]):
+        size = app["state_model"]["snapshot_size"]
+        app["state_model"] = _STATE_MODELS[(k + seed) % 3](size)
+    engine = _check(parse_scenario(doc))
+    # the run reaches every path the fault_storm workload exercises
+    assert engine.full_votes > 0 and engine._episodes
+    assert {ep.strategy.value for ep in engine._episodes} == {
+        "transfer", "convergence", "hybrid"}
