@@ -410,7 +410,7 @@ class Engine:
         self._faults_at: dict = {}      # target key -> the active non-sensor
                                         # faults on it, in scenario order
         self._sensor_on: dict = {}      # app_id -> its active sensor faults,
-                                        # in scenario order
+                                        # in scenario order (none: no entry)
         self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
                                         # can see there, in fault id order
         # (lane, proc) -> (app, task) of its active copies, kept by
@@ -463,7 +463,6 @@ class Engine:
             self._vote_period[app.app_id] = app.shortest_period_us
             self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
             self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
-            self._sensor_on[app.app_id] = []
             for task in tasks:
                 key = (app.app_id, task.task_id)
                 rts = copies[task.task_id] = []
@@ -808,7 +807,7 @@ class Engine:
         rank = self._rank
         bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
-            bisect.insort(self._sensor_on[t.app], f, key=rank)
+            bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
             return
         bisect.insort(self._faults_at.setdefault(t.key, []), f, key=rank)
         if bit_visible(f):
@@ -839,7 +838,10 @@ class Engine:
                   f"fault {f.fault_id} cleared")
         self._active.remove(f)
         if t.kind is TargetKind.SENSOR:
-            self._sensor_on[t.app].remove(f)
+            on = self._sensor_on[t.app]
+            on.remove(f)
+            if not on:
+                del self._sensor_on[t.app]
             self._restore_channel(f)
             return
         at = self._faults_at[t.key]
@@ -975,7 +977,7 @@ class Engine:
     def _sensor_faults(self, app_id) -> list:
         """Active faults on the application's sensor channels, in scenario
         order: the list the fault handlers keep, which callers only read."""
-        return self._sensor_on[app_id]
+        return self._sensor_on.get(app_id) or []
 
     def _check_sensors(self, app):
         for f in self._sensor_faults(app.app_id):
