@@ -63,11 +63,12 @@ class AdmissionDecision:
 
     For processor admission ``resulting_utilization`` is the utilization the
     processor would have; for bus admission it carries the resulting load in
-    data units per millisecond. ``reason`` is set on rejection. A test keeps
-    the value as an integer pair and a refusal as its text's template and
-    limit, and builds the Fraction and the text when they are read: spare
-    selection tries many candidates and reads them for the chosen ones.
-    Two decisions are equal when all three read equal.
+    data units per millisecond. ``reason`` is set on rejection.
+    ``admit_task`` and ``check_comms`` keep the value as an integer pair and
+    a refusal as its text's template and limit; the Fraction and the text
+    are built when read, since spare selection tries many candidates and
+    the engine reads the chosen ones alone. Two decisions are equal when
+    all three read equal.
     """
 
     __slots__ = ("_accepted", "_num", "_den", "_why")
