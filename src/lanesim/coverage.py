@@ -36,8 +36,15 @@ class CoverageLevel(IntEnum):
         return self.name.lower()
 
 
+# the levels by count: a recount looks its levels up, not through the
+# enum's constructor
+_LEVELS = tuple(CoverageLevel)
+
+
 def _level(count: int) -> CoverageLevel:
-    return CoverageLevel(min(count, 4))
+    if count < 0:
+        raise ValueError(f"{count} is not a valid CoverageLevel")
+    return _LEVELS[min(count, 4)]
 
 
 def coverage(group: ReplicaGroup) -> tuple[CoverageLevel, CoverageLevel]:

@@ -892,7 +892,7 @@ class Engine:
         self._sample(app_id)
 
     def _healthy_channels(self, app_id) -> int:
-        return sum(1 for ok in self.channels[app_id].values() if ok)
+        return sum(self.channels[app_id].values())
 
     # -- built-in test -------------------------------------------------------------
 
