@@ -343,6 +343,7 @@ class _Episode(ReconfigRecord):
 
     origin: str                       # "reconfig" | "restabilize"
     cause_ids: tuple = ()
+    uncleared: int = 0                # restabilize: causes not cleared yet
     copies: list = field(default_factory=list)    # _CopyRt awaiting readmission
     lost: list = field(default_factory=list)      # _CopyRt withdrawn at t_f
 
@@ -399,14 +400,10 @@ class Engine:
         self._last_cov: dict = {}
         self._cov_stale: set = set()
 
-        # the faults active now, kept by the activate and clear handlers;
-        # a fault's scenario rank is keyed by its id(), so that no FaultSpec
-        # is hashed
+        # the faults active now, kept by the activate and clear handlers in
+        # three indexes, each keyed by what reads it; a fault's scenario rank
+        # is keyed by its id(), so that no FaultSpec is hashed
         self._fault_rank = {id(f): i for i, f in enumerate(scenario.faults)}
-        self._active: list = []         # in scenario order
-        self._byzantine: dict = {}      # target key -> the first active byzantine
-                                        # fault on it in scenario order (none clears)
-        self._halting: dict = {}        # target key -> active halting faults on it
         self._faults_at: dict = {}      # target key -> the active non-sensor
                                         # faults on it, in scenario order
         self._sensor_on: dict = {}      # app_id -> its active sensor faults,
@@ -771,17 +768,19 @@ class Engine:
     # A halting fault is one that is neither byzantine nor on a sensor: it
     # stops what it targets. Lane, processor and task scopes nest, so the
     # copy or processor is halted iff a halting fault targets its own scope
-    # or one around it: iff _halting holds a prefix of its key.
+    # or one around it: iff _faults_at holds one on a prefix of its key.
 
     def _silenced(self, rt: _CopyRt, ps: _ProcSet) -> bool:
         """Is the copy, run by ps, halted (not just skewed) by an active
         fault? The fault handlers keep ps.failed equal to _halted of each
         member."""
-        return ps.failed or bool(self._halting) and rt.place + rt.key in self._halting
+        return ps.failed or bool(self._faults_at) and _halts(
+            self._faults_at.get(rt.place + rt.key))
 
     def _halted(self, place: tuple) -> bool:
         """Is the processor at place halted by an active fault?"""
-        return place in self._halting or place[:1] in self._halting
+        at = self._faults_at
+        return _halts(at.get(place)) or _halts(at.get(place[:1]))
 
     def _refresh_proc_failure(self, place: tuple):
         ps = self.sets[place]
@@ -805,7 +804,6 @@ class Engine:
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
         rank = self._rank
-        bisect.insort(self._active, f, key=rank)
         if t.kind is TargetKind.SENSOR:
             bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
             return
@@ -815,11 +813,7 @@ class Engine:
                           key=_fault_id)
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
-            first = self._byzantine.get(t.key)
-            if first is None or rank(f) < rank(first):
-                self._byzantine[t.key] = f
             return
-        self._halting[t.key] = self._halting.get(t.key, 0) + 1
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(t):
@@ -836,7 +830,6 @@ class Engine:
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task,
                   f"fault {f.fault_id} cleared")
-        self._active.remove(f)
         if t.kind is TargetKind.SENSOR:
             on = self._sensor_on[t.app]
             on.remove(f)
@@ -852,17 +845,14 @@ class Engine:
             self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every place it covers
-        left = self._halting.pop(t.key) - 1
-        if left:
-            self._halting[t.key] = left
         for place in self._places_in(t):
             self._refresh_proc_failure(place)
         # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
-            if (ep.outcome is None and ep.origin == "restabilize"
-                    and f.fault_id in ep.cause_ids and ep.t_e_us is None
-                    and not any(g.fault_id in ep.cause_ids for g in self._active)):
-                ep.t_e_us = self.now
+            if ep.uncleared and f.fault_id in ep.cause_ids:
+                ep.uncleared -= 1
+                if not ep.uncleared and ep.outcome is None:
+                    ep.t_e_us = self.now
 
     def _restore_channel(self, fault):
         app_id, lane = fault.target.app, fault.target.lane
@@ -930,14 +920,14 @@ class Engine:
     def _skew_for(self, rt: _CopyRt):
         """First active byzantine fault hitting this copy, if any: the first
         in scenario order of those on its lane, its processor and itself."""
-        byz = self._byzantine
-        if not byz:
-            return None
-        hits = [f for f in (byz.get((rt.lane,)), byz.get(rt.place),
-                            byz.get(rt.place + rt.key)) if f is not None]
-        if len(hits) > 1:
-            return min(hits, key=self._rank)
-        return hits[0] if hits else None
+        at, skew = self._faults_at, None
+        for key in ((rt.lane,), rt.place, rt.place + rt.key):
+            for f in at.get(key, ()):     # in scenario order
+                if f.kind is FaultKind.BYZANTINE:
+                    if skew is None or self._rank(f) < self._rank(skew):
+                        skew = f
+                    break
+        return skew
 
     def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent.
@@ -999,13 +989,13 @@ class Engine:
         silent = []         # places of the expected copies that do not
         two_faced = False   # is a two-faced fault among the expected copies'?
         watched = []        # rebuilt copies policed against the consensus
-        byzantine, now = self._byzantine, self.now
+        faults_at, now = self._faults_at, self.now
         for rt in rts:
             if rt.health is _ACTIVE:
                 # expected from its first deadline on
                 if rt.completed_ever or now >= rt.origin_us + rt.spec.deadline_us:
                     byz = None
-                    if byzantine:
+                    if faults_at:
                         byz = self._skew_for(rt)
                         two_faced = two_faced or (
                             byz is not None and byz.per_receiver)
@@ -1280,7 +1270,8 @@ class Engine:
             ep.copies = copies
             for rt in ep.copies:
                 rt.episode = ep.record_id
-            return      # its causes are all active; the last to clear sets t_e
+            ep.uncleared = len(causes)  # all active; the last to clear sets t_e
+            return
         ep.lost = copies
         if not self._pending_selection:
             self._push(self.now, _SELECTION, app_id, None)
@@ -1486,6 +1477,12 @@ def _lane_proc(rec: CompletionRecord) -> tuple:
 
 def _fault_id(f) -> int:
     return f.fault_id
+
+
+def _halts(faults) -> bool:
+    """Does any of these faults (None: no fault) halt what it targets?"""
+    return faults is not None and any(
+        f.kind is not FaultKind.BYZANTINE for f in faults)
 
 
 def _two_faced_sign(toward: _CopyRt, fault) -> int:

@@ -11,9 +11,10 @@ must be exactly those of the copies still in service and the placements
 not yet spawned, and the bus load never rises above its start-up
 baseline. After each shutdown, spawn and readmission no copy in
 service may sit on a dead processor. A vote round may look up each copy's
-byzantine fault and emitted value only once, and it looks up none while
-no byzantine fault is active: after each fault event the engine's index of
-them is empty exactly when none has activated. After every event each
+byzantine fault and emitted value only once, and it looks up none for its
+expected copies while the engine's index of active faults is empty: after
+each fault event that index is empty exactly when no non-sensor fault is
+active. After every event each
 recovery record's timestamps are in order and no application's coverage
 level exceeds the lane count.
 
@@ -255,10 +256,10 @@ class CheckedEngine(Engine):
     def _check_kept_facts(self):
         """The BIT faults per place, the hosting index and the cached
         coverage equal full scans."""
+        settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
         for place in self.sets:
-            # at its own activation instant a fault is surely active: inside
-            # an instant the index may lag active_at, as _active does
-            want = [f for f in sorted(self._active, key=lambda f: f.fault_id)
+            # at its own activation instant a fault is surely active
+            want = [f for f in settled
                     if bit_detects(f, place, self._every_task, f.at_us)]
             assert self._bit_on.get(place, []) == want, (
                 f"BIT faults on {place} at {self.now}us: kept "
@@ -402,11 +403,13 @@ class CheckedEngine(Engine):
         self._sweep()
 
     def _sweep(self):
-        # no byzantine fault clears, and a vote asks for skews only while
-        # one is active: _byzantine must be empty until the first activates
-        assert bool(self._byzantine) == any(
-            f.kind is FaultKind.BYZANTINE for f in self._activated), (
-            f"byzantine index {self._byzantine} at {self.now}us")
+        # a vote asks for its expected copies' skews only while _faults_at
+        # holds a fault: it must be empty exactly when no non-sensor fault,
+        # byzantine ones among them, is active
+        assert bool(self._faults_at) == any(
+            f.target.kind is not TargetKind.SENSOR
+            for f in self._settled_faults()), (
+            f"fault index {self._faults_at} at {self.now}us")
         # the engine asks about a copy only while its processor runs, so
         # ask about every copy and processor here as well
         for rt in self._all_copies():
@@ -447,7 +450,13 @@ class CheckedEngine(Engine):
         # what this task's copies asked and emitted, each at most once
         self._skews, self._emissions = set(), {}
         self._voted.append(task_id)
+        # while no fault is active, only policing asks for a skew
+        unasked = set() if self._faults_at else {
+            rt.copy_id for rt in rts if rt.health is Health.ACTIVE}
         assert super()._vote_task(app_id, task_id, rts, ref) is None
+        assert not unasked & self._skews, (
+            f"task {(app_id, task_id)} at {self.now}us looked up skews of "
+            f"{sorted(unasked & self._skews)} with no fault active")
         self.checks += 1
 
     def _effects(self):
@@ -627,10 +636,29 @@ def _check(scenario):
     return engine
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
-                         ids=lambda p: p.stem)
-def test_indexes_agree_with_full_scans_on_the_golden_corpus(path):
-    engine = _check(load_scenario(path))
+def _with_reversed_fault_ids(path):
+    """The document with fault ids that run against its list order."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    faults = doc.get("faults", [])
+    for i, fault in enumerate(faults):
+        fault["fault_id"] = len(faults) - 1 - i
+    return parse_scenario(doc)
+
+
+# No golden document sets a fault id, so each with two faults or more also
+# runs with its ids reversed: scenario order (the engine's rank) and id
+# order (BIT's) then part.
+_GOLDEN = sorted(SCENARIOS.glob("*.json"))
+_SEVERAL_FAULTS = [p for p in _GOLDEN if len(
+    json.loads(p.read_text(encoding="utf-8")).get("faults", [])) > 1]
+
+
+@pytest.mark.parametrize("path, reversed_ids", [
+    *(pytest.param(p, False, id=p.stem) for p in _GOLDEN),
+    *(pytest.param(p, True, id=f"{p.stem}-reversed_ids") for p in _SEVERAL_FAULTS)])
+def test_indexes_agree_with_full_scans_on_the_golden_corpus(path, reversed_ids):
+    engine = _check(_with_reversed_fault_ids(path) if reversed_ids
+                    else load_scenario(path))
     assert engine.checks > 0
 
 
@@ -857,8 +885,9 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
         at, rank, _key, _seq, _kind, data = heapq.heappop(heap)
         engine.now = at
         handlers[rank](data)
-    assert len(engine._active) == 2
-    engine._apply_directives([f.target for f in engine._active])
+    active = [f for f in engine.sc.faults if f.active_at(engine.now)]
+    assert len(active) == 2
+    engine._apply_directives([f.target for f in active])
 
     lane0 = [rt for rts in engine._proc_copies.values() for rt in rts
              if rt.lane == 0]
