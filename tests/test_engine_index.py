@@ -14,16 +14,16 @@ service may sit on a dead processor. A vote round may look up each copy's
 byzantine fault and emitted value only once, and it looks up none for its
 expected copies while the engine's index of active faults is empty: after
 each fault event that index is empty exactly when no non-sensor fault is
-active. After every event each
-recovery record's timestamps are in order and no application's coverage
-level exceeds the lane count.
+active. After every event each recovery record's timestamps are in order
+and no application's coverage level exceeds the lane count.
 
-The recovery path keeps three facts where they change, and after every
+The recovery path keeps four facts where they change, and after every
 event each must equal a full scan: the faults BIT can see on each place
-(``bit_detects`` over the active faults), the (app, task) pairs of the
-active copies on each place, once the engine has built that index, and
-the coverage last sampled for each application whose copies and channels
-have not changed since (``functional_coverage``, ``zonal_coverage`` and
+(``bit_detects`` over the active faults), the causes of each
+restabilization still active, the (app, task) pairs of the active copies
+on each place, once the engine has built that index, and the coverage
+last sampled for each application whose copies and channels have not
+changed since (``functional_coverage``, ``zonal_coverage`` and
 ``peripheral_coverage`` of it now).
 
 Places with one processor index share one schedule, their set, until an
@@ -254,8 +254,9 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _check_kept_facts(self):
-        """The BIT faults per place, the hosting index and the cached
-        coverage equal full scans."""
+        """The BIT faults per place, the uncleared causes per
+        restabilization, the hosting index and the cached coverage equal
+        full scans."""
         settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
         for place in self.sets:
             # at its own activation instant a fault is surely active
@@ -265,6 +266,11 @@ class CheckedEngine(Engine):
                 f"BIT faults on {place} at {self.now}us: kept "
                 f"{[f.fault_id for f in self._bit_on.get(place, [])]}, "
                 f"scanned {[f.fault_id for f in want]}")
+        for ep in self._episodes:
+            left = sum(f.fault_id in ep.cause_ids for f in settled)
+            assert ep.uncleared == (left if ep.origin == "restabilize" else 0), (
+                f"record {ep.record_id} at {self.now}us counts {ep.uncleared} "
+                f"causes not cleared, scanned {left}")
         if self._hosting is not None:
             hosting = {place: set() for place in self.sets}
             for rt in self._all_copies():
