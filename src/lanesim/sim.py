@@ -26,7 +26,7 @@ Each event carries the object its handler acts on:
     TaskComplete                  (set, generation)
     DeadlineCheck                 (copies released, release_us), pushed only
                                   where a job may miss (below)
-    BITCheck                      the (lane, proc) place
+    BITCheck                      None: one event a period tests every place
     TaskRelease                   the group's copies still in service
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
@@ -400,16 +400,14 @@ class Engine:
         self._last_cov: dict = {}
         self._cov_stale: set = set()
 
-        # the faults active now, kept by the activate and clear handlers in
-        # three indexes, each keyed by what reads it; a fault's scenario rank
-        # is keyed by its id(), so that no FaultSpec is hashed
+        # each fault active now, held once by the activate and clear handlers
+        # in one of two indexes, each keyed by what reads it; a fault's
+        # scenario rank is keyed by its id(), so that no FaultSpec is hashed
         self._fault_rank = {id(f): i for i, f in enumerate(scenario.faults)}
         self._faults_at: dict = {}      # target key -> the active non-sensor
                                         # faults on it, in scenario order
         self._sensor_on: dict = {}      # app_id -> its active sensor faults,
                                         # in scenario order (none: no entry)
-        self._bit_on: dict = {}         # (lane, proc) -> the active faults BIT
-                                        # can see there, in fault id order
         # (lane, proc) -> (app, task) of its active copies, kept by
         # _set_health once _hosting_index builds it on first need
         self._hosting: dict | None = None
@@ -577,8 +575,7 @@ class Engine:
                 self._push(period, _VOTE_ROUND, app.app_id, app)
         bitp = self.settings.bit_period_us
         if bitp <= self.horizon:
-            for place in self.sets:
-                self._push(bitp, _BIT_CHECK, place, place)
+            self._push(bitp, _BIT_CHECK, 0, None)
         for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
             self._push(f.at_us, _FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
@@ -808,9 +805,6 @@ class Engine:
             bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
             return
         bisect.insort(self._faults_at.setdefault(t.key, []), f, key=rank)
-        if bit_visible(f):
-            bisect.insort(self._bit_on.setdefault(t.key[:2], []), f,
-                          key=_fault_id)
         self._split_covered(t)
         if f.kind is FaultKind.BYZANTINE:
             return
@@ -841,8 +835,6 @@ class Engine:
         at.remove(f)
         if not at:
             del self._faults_at[t.key]
-        if bit_visible(f):
-            self._bit_on[t.key[:2]].remove(f)
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every place it covers
         for place in self._places_in(t):
@@ -886,17 +878,24 @@ class Engine:
 
     # -- built-in test -------------------------------------------------------------
 
-    def _on_bit_check(self, place: tuple):
-        if self.sets[place].dead:
-            return
+    def _on_bit_check(self, _):
+        """Every processor's built-in test: each live place with an active
+        BIT-visible fault, in (lane, proc) order, one place after another."""
         nxt = self.now + self.settings.bit_period_us
         if nxt <= self.horizon:
-            self._push(nxt, _BIT_CHECK, place, place)
-        # no fault off this list can pass bit_detects here, and only one
-        # that passes draws from rng
-        faults = self._bit_on.get(place)
-        if not faults:
-            return
+            self._push(nxt, _BIT_CHECK, 0, None)
+        by_place: dict = {}
+        for key, faults in self._faults_at.items():
+            for f in faults:
+                if bit_visible(f):
+                    by_place.setdefault(key[:2], []).append(f)
+        for place in sorted(by_place):
+            if not self.sets[place].dead:
+                self._bit_check(place, sorted(by_place[place], key=_fault_id))
+
+    def _bit_check(self, place: tuple, faults: list):
+        """Test one place's BIT-visible faults, in fault id order: catch at
+        most one, and draw from rng only for a fault bit_detects passes."""
         hosted = self._hosted(place)
         for f in faults:
             if f.fault_id in self._bit_detected:

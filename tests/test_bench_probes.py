@@ -4,7 +4,8 @@
 ``lanesim.sim.classify``, and reads the kind of each popped event from the
 engine's heap entries. A refactor that moves such a name or reorders the
 entry breaks the traced benchmark run, so these checks keep that failure
-in the test suite.
+in the test suite. The tracer's pop count also pins how many events of a
+kind a run pops.
 """
 
 import heapq
@@ -13,12 +14,15 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import lanesim.cli
 import lanesim.coverage
 import lanesim.fault
 import lanesim.scenario
 import lanesim.sim
 import lanesim.timing
+from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import EventKind, run
 
 from scenario_builders import proc_fault, scen
@@ -65,6 +69,27 @@ def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
     with tracer.counting_pops(lanesim.sim) as pops:
         result = run(scen([]))
     assert pops.counts[EventKind.TASK_RELEASE] * 3 == result.counters["releases"]
+
+
+def _fault_free_generated():
+    doc = generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=100)
+    doc["sim"]["bit_period_ms"] = 7     # the horizon is no multiple of it
+    return parse_scenario(doc)
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(_fault_free_generated, id="fault_free_generated"),
+    pytest.param(lambda: load_scenario(GOLDEN / "triplex_bit_detection.json"),
+                 id="triplex_bit_detection")])
+def test_bit_runs_as_one_event_per_period(monkeypatch, scenario):
+    # one BITCheck tests every place, from the first period to the
+    # horizon, whatever the places hold and whether they are dead
+    scenario = scenario()
+    with _tracer(monkeypatch).counting_pops(lanesim.sim) as pops:
+        run(scenario)
+    settings = scenario.settings
+    assert pops.counts[EventKind.BIT_CHECK] == (
+        settings.horizon_us // settings.bit_period_us)
 
 
 # probes the engine no longer calls: the coverage levels come from one

@@ -17,14 +17,15 @@ each fault event that index is empty exactly when no non-sensor fault is
 active. After every event each recovery record's timestamps are in order
 and no application's coverage level exceeds the lane count.
 
-The recovery path keeps four facts where they change, and after every
-event each must equal a full scan: the faults BIT can see on each place
-(``bit_detects`` over the active faults), the causes of each
-restabilization still active, the (app, task) pairs of the active copies
-on each place, once the engine has built that index, and the coverage
-last sampled for each application whose copies and channels have not
-changed since (``functional_coverage``, ``zonal_coverage`` and
-``peripheral_coverage`` of it now).
+The recovery path keeps three facts where they change, and after every
+event each must equal a full scan: the causes of each restabilization
+still active, the (app, task) pairs of the active copies on each place,
+once the engine has built that index, and the coverage last sampled for
+each application whose copies and channels have not changed since
+(``functional_coverage``, ``zonal_coverage`` and ``peripheral_coverage``
+of it now). Each BIT sweep must offer exactly the live places that
+``bit_detects`` over the active faults finds a fault on, in (lane, proc)
+order, each with those faults in fault id order.
 
 Places with one processor index share one schedule, their set, until an
 event treats them differently. After every event each set's members must
@@ -124,6 +125,8 @@ class CheckedEngine(Engine):
         self._voted, self._policed = [], 0
         self._activated = []     # the faults whose activation has run
         self._killed = []        # the scopes of the permanent shutdowns
+        self._bit_scan = {}      # live place -> its BIT faults, at a sweep
+        self._offered = []       # the places the sweep has offered so far
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
@@ -254,18 +257,9 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _check_kept_facts(self):
-        """The BIT faults per place, the uncleared causes per
-        restabilization, the hosting index and the cached coverage equal
-        full scans."""
-        settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
-        for place in self.sets:
-            # at its own activation instant a fault is surely active
-            want = [f for f in settled
-                    if bit_detects(f, place, self._every_task, f.at_us)]
-            assert self._bit_on.get(place, []) == want, (
-                f"BIT faults on {place} at {self.now}us: kept "
-                f"{[f.fault_id for f in self._bit_on.get(place, [])]}, "
-                f"scanned {[f.fault_id for f in want]}")
+        """The uncleared causes per restabilization, the hosting index and
+        the cached coverage equal full scans."""
+        settled = self._settled_faults()
         for ep in self._episodes:
             left = sum(f.fault_id in ep.cause_ids for f in settled)
             assert ep.uncleared == (left if ep.origin == "restabilize" else 0), (
@@ -423,23 +417,45 @@ class CheckedEngine(Engine):
         for place, ps in self.sets.items():
             assert ps.failed == self._halted(place)
 
-    def _on_bit_check(self, place):
-        if not self.sets[place].dead:
-            hosted = self._hosted(place)
+    def _on_bit_check(self, data):
+        # one sweep offers each live place that BIT can see a settled fault
+        # on, in (lane, proc) order, the faults in fault id order (at its
+        # own activation instant a fault is surely active); a catch kills
+        # no place but its own, which it was offered
+        assert data is None
+        settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
+        self._bit_scan = {}
+        for place in sorted(self.sets):
+            faults = [f for f in settled
+                      if bit_detects(f, place, self._every_task, f.at_us)]
+            if faults and not self.sets[place].dead:
+                self._bit_scan[place] = faults
+        self._offered = []
+        super()._on_bit_check(data)
+        assert self._offered == list(self._bit_scan), (
+            f"BIT sweep at {self.now}us offered {self._offered}, "
+            f"scanned {list(self._bit_scan)}")
+        self.checks += 1
 
-            def caught(faults, hosted):
-                return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
-                        if f.fault_id not in self._bit_detected
-                        and bit_detects(f, place, hosted, self.now)]
+    def _bit_check(self, place, faults):
+        self._offered.append(place)
+        want = self._bit_scan.get(place, [])
+        assert faults == want, (
+            f"BIT faults on {place} at {self.now}us: offered "
+            f"{[f.fault_id for f in faults]}, scanned {[f.fault_id for f in want]}")
+        hosted = self._hosted(place)
 
-            # the engine asks bit_detects of its place's BIT faults alone
-            self._agree("bit candidates",
-                        caught(self._bit_on.get(place, []), hosted),
-                        lambda fs: caught(fs, {
-                            rt.key for rt in self._all_copies()
-                            if rt.place == place
-                            and rt.health is Health.ACTIVE}))
-        super()._on_bit_check(place)
+        def caught(faults, hosted):
+            return [f.fault_id for f in sorted(faults, key=lambda f: f.fault_id)
+                    if f.fault_id not in self._bit_detected
+                    and bit_detects(f, place, hosted, self.now)]
+
+        # the engine asks bit_detects of its place's BIT faults alone
+        self._agree("bit candidates", caught(faults, hosted),
+                    lambda fs: caught(fs, {
+                        rt.key for rt in self._all_copies()
+                        if rt.place == place and rt.health is Health.ACTIVE}))
+        super()._bit_check(place, faults)
 
     def _hosted(self, place):
         got = super()._hosted(place)
@@ -838,15 +854,15 @@ def test_a_growing_spare_checks_the_jobs_it_released_unchecked(name, spare):
 
 
 def test_a_fault_free_run_never_builds_the_hosting_index():
-    # the index is built on first need: a BIT check that has a fault to
-    # test or a classification; a fault-free run has neither
+    # the index is built on first need: a BIT sweep that finds a fault on
+    # a live place, or a classification; a fault-free run has neither
     docs = [scenario_doc([]),
             generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=40)]
     for doc in docs:
         engine = Engine(parse_scenario(doc))
         engine.run()
         assert engine._hosting is None
-    # a BIT-visible fault makes its place's next check build it
+    # a BIT-visible fault makes the next sweep build it
     engine = Engine(parse_scenario(scenario_doc([
         proc_fault(at_ms=50, bit_detectable=True)])))
     result = engine.run()
