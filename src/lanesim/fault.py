@@ -21,9 +21,11 @@ silent, which only ``exchange_vote`` can find.
 ``cross_monitor``
     One value per lane. A lane is flagged when its value sits more than the
     tolerance away from the consensus of the agreeing majority among the
-    other lanes (median or mean per config). Two lanes that disagree cannot
-    out-vote each other, and three-plus mutually divergent values have no
-    majority; both cases come back ambiguous rather than flagged.
+    other lanes (median or mean per config). The mean is taken within the
+    range of the values it averages, where the exact mean always lies.
+    Two lanes that disagree cannot out-vote each other, and three-plus
+    mutually divergent values have no majority; both cases come back
+    ambiguous rather than flagged.
 
 ``exchange_vote``
     The full received-values matrix (what each receiver claims every sender
@@ -150,9 +152,11 @@ class VoteOutcome:
 _QUIET = VoteOutcome(frozenset())     # what every quiet vote returns
 
 
-def _consensus_value(values, cfg: VoterConfig) -> float:
+def _consensus_value(values: list, cfg: VoterConfig) -> float:
     if cfg.consensus is Consensus.MEAN_OF_OTHERS:
-        return sum(values) / len(values)
+        # the exact mean lies in [min, max]; the float one need not:
+        # (0.1 + 0.1 + 0.1) / 3 > 0.1
+        return min(max(sum(values) / len(values), min(values)), max(values))
     return statistics.median(values)
 
 
@@ -189,17 +193,14 @@ def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
     # already takes every item (float subtraction is monotone) and no later
     # anchor takes more: the clique is all of them. The argument needs
     # finite values; a NaN or an infinity makes the sum not finite. The
-    # median then lies between the extremes, so no value is further from
-    # it than the spread, and none is flagged.
+    # consensus, median or mean, then lies between the extremes, so no
+    # value is further from it than the spread, and none is flagged.
     if max(vals) - min(vals) <= tol and math.isfinite(sum(vals)):
-        if cfg.consensus is Consensus.MEDIAN_OF_OTHERS:
-            return _QUIET
-    else:
-        clique = _largest_clique(items, tol)
-        if 2 * len(clique) <= len(items):
-            return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
-        vals = [v for _, v in clique]
-    consensus = _consensus_value(vals, cfg)
+        return _QUIET
+    clique = _largest_clique(items, tol)
+    if 2 * len(clique) <= len(items):
+        return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
+    consensus = _consensus_value([v for _, v in clique], cfg)
     flagged = frozenset(k for k, v in items if abs(v - consensus) > tol)
     return VoteOutcome(flagged)
 

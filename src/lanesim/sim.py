@@ -70,11 +70,13 @@ a withdrawal only takes load away, but a withdrawal followed by a growth
 within one job's window can load it beyond what either set allows (a task
 withdrawn and placed again releases on two phases).
 
-Before any fault or shutdown, with every set proven, no vote can flag:
-every copy is active and emits the reference, and a proven copy completes
-its first job by its deadline, so a round votes no task at all, unless the
-voter takes the float mean of three or more copies and that mean misses the
-reference by more than the tolerance. Once that proof ends, every round
+Before any fault, with every set proven, no vote can flag: every copy is
+active and emits the reference, a proven copy completes its first job by
+its deadline, and ``cross_monitor`` flags no equal values under either
+consensus, so a round votes no task at all. While that proof holds nothing
+implicates a copy: no round votes and built-in test finds no fault. So no
+shutdown comes first, and the first fault is the proof's one end. From it
+on, every round
 votes every task in full: a per-task cache of quiet votes skipped only 7.7%
 of the ``fault_storm`` benchmark's task votes, for no measured gain.
 
@@ -101,7 +103,7 @@ from enum import Enum
 
 from . import coverage as cov
 from . import timebase
-from .fault import (Consensus, FaultKind, FaultTarget, TargetKind, bit_detects,
+from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects,
                     bit_visible, classify, cross_monitor, exchange_vote,
                     police_matches)
 from .jitter import InsufficientInstances, measure_jitter  # seed API, re-exported
@@ -415,8 +417,8 @@ class Engine:
         self._apps: dict = {}           # app_id -> ApplicationSpec
         self._vote_period: dict = {}    # app_id -> its shortest task period
         self._init_topology()
-        # every set proven and no fault or shutdown yet: no vote can flag
-        # (_on_vote_round); the first FaultActivate or ShutdownApplied ends it
+        # every set proven and no fault yet: no vote can flag
+        # (_on_vote_round); the first FaultActivate ends it
         self._proof = all(ps.proven for ps in self.sets.values())
 
     # -- setup ---------------------------------------------------------------
@@ -949,16 +951,12 @@ class Engine:
         if nxt <= self.horizon:
             self._push(nxt, _VOTE_ROUND, app.app_id, app)
 
+        # while _proof holds no fault is active, and every copy emits the
+        # reference: equal values, which no voter flags
+        if self._proof:
+            return
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
-        # While _proof holds every copy emits the reference. Equal values
-        # never flag, except that the float mean of n >= 3 of them can miss
-        # them (cross_monitor's comparison).
-        if self._proof and not (
-                self.voter.consensus is Consensus.MEAN_OF_OTHERS and any(
-                    abs(ref - sum([ref] * n) / n) > self.voter.tolerance
-                    for n in range(3, len(self.model.lanes) + 1))):
-            return
         # the group holds its tasks in task id order
         for task_id, rts in self.groups[app.app_id].copies.items():
             self._vote_task(app.app_id, task_id, rts, ref)
@@ -1165,7 +1163,6 @@ class Engine:
                 f.fault_id for f in causes if len(f.target.key) >= len(d.key))
             victims = self._directive_victims(d, transient)
             self.counters["shutdowns"] += 1
-            self._proof = False
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
                       f"{d.kind.value} shutdown, "
                       f"{'restabilize in place' if transient else 'withdrawn'}"

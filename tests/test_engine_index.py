@@ -34,13 +34,14 @@ the jobs their copies own, the running job, failed and dead, and the
 faults that ever covered them; each of a set's jobs is owned by one copy on
 each member.
 
-Before any fault activates or any shutdown applies, with every place's
-start-up set proven by a recount, a vote round skips every task, unless
-``cross_monitor`` flags some count of equal copies of the reference up to
-the lane count. Beside every task the proof skips the full vote runs and
-must change nothing: no trace row, no implicated copy, no event, no
-policing; and every due copy in it must emit the reference. Every other
-round votes every task of its application in full, in task id order.
+Before any fault activates, with every place's start-up set proven by a
+recount, a vote round skips every task, and ``cross_monitor`` must flag no
+count of equal copies of the reference from two to the lane count. Beside
+every task the proof skips the full vote runs and must change nothing: no
+trace row, no implicated copy, no event, no policing; and every due copy in
+it must emit the reference. Every other round votes every task of its
+application in full, in task id order. No shutdown applies while the proof
+holds.
 
 Release and deadline events act on release groups. Each group pushed
 holds copies of one task in ascending copy id and is keyed by the first;
@@ -118,9 +119,7 @@ class CheckedEngine(Engine):
         self._pushed_checks = 0  # deadline checks the engine pushed so far
         self._checked = set()    # (copy id, release) of every pushed check
         self.proof_skips = 0     # task votes the proof skips, each checked
-        self.mean_exceptions = 0  # proof rounds voted in full: the mean flags
         self.full_votes = 0      # task votes run in full outside the proof
-        self._shut_down = False  # has any ShutdownApplied been written?
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
         self._activated = []     # the faults whose activation has run
@@ -487,22 +486,23 @@ class CheckedEngine(Engine):
                 len(self._heap), self._policed)
 
     def _on_vote_round(self, app):
-        # before any fault or shutdown, with every start-up set proven, the
-        # engine skips every task unless cross_monitor would flag some count
-        # of equal copies of the reference; beside each skip the full vote
-        # must change nothing, and every due copy must emit the reference.
-        # Every other round votes every task in full, in task id order.
+        # before any fault, with every start-up set proven, the engine skips
+        # every task, and no count of equal copies of the reference may flag;
+        # beside each skip the full vote must change nothing, and every due
+        # copy must emit the reference. Every other round votes every task
+        # in full, in task id order.
         ref = self.settings.reference.value(self.now)
         tasks = list(self.groups[app.app_id].copies)
-        proof = (self._proven_at_start and not self._activated
-                 and not self._shut_down)
+        proof = self._proven_at_start and not self._activated
         assert self._proof == proof, (
             f"proof flag {self._proof} at {self.now}us, recounted {proof}")
         self._voted = []
-        flags = proof and any(
-            cross_monitor(dict.fromkeys(range(n), ref), self.voter).flagged
-            for n in range(2, len(self.model.lanes) + 1))
-        if proof and not flags:
+        if proof:
+            for n in range(2, len(self.model.lanes) + 1):
+                assert not cross_monitor(dict.fromkeys(range(n), ref),
+                                         self.voter).flagged, (
+                    f"{n} copies of the reference {ref!r} flagged at "
+                    f"{self.now}us under {self.voter}")
             for task_id in tasks:
                 before = self._effects()
                 self._vote_task(app.app_id, task_id,
@@ -523,7 +523,6 @@ class CheckedEngine(Engine):
         assert self._voted == tasks, (
             f"app {app.app_id} at {self.now}us: tasks {tasks}, "
             f"voted {self._voted}")
-        self.mean_exceptions += flags
         self.full_votes += len(tasks)
 
     def _emitted(self, rt, byz, ref):
@@ -557,6 +556,8 @@ class CheckedEngine(Engine):
         super()._mark_dead(d)
 
     def _directive_victims(self, d, transient):
+        # called once for each ShutdownApplied, before its row
+        assert not self._proof, f"{d} shut down at {self.now}us under the proof"
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service
@@ -619,7 +620,6 @@ class CheckedEngine(Engine):
     # -- the capacity kept ----------------------------------------------
 
     def _apply_directives(self, directives):
-        self._shut_down |= bool(directives)     # one ShutdownApplied each
         super()._apply_directives(directives)
         self._check_capacity()
         self._check_service()
@@ -748,11 +748,11 @@ def _tasks_voted(engine, rounds):
     return sum(counts[app_id] for _, app_id, _, _ in rounds)
 
 
-def test_skipped_votes_and_their_exception_on_the_mean_voter_scenario():
+def test_skipped_votes_on_the_mean_voter_scenario():
     # the proof skips the rounds before the byzantine fault at 70 ms; from
-    # it on, through the transient fault at 85 ms and the float mean of
-    # three equal copies that misses them at 280 ms, each round votes every
-    # task in full (CheckedEngine asserts the order)
+    # it on, through the transient fault at 85 ms and the agreeing copies
+    # at 280 ms whose float mean misses them, each round votes every task
+    # in full (CheckedEngine asserts the order)
     engine = _logged(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     first = next(row.time_us for row in engine.trace
                  if row.kind == "FaultActivate")
@@ -811,24 +811,24 @@ def test_the_first_fault_ends_the_proof_even_on_a_sensor():
     assert late and engine.full_votes == _tasks_voted(engine, late)
 
 
-def test_a_shutdown_before_any_fault_ends_the_proof_for_good():
-    # fault-free: app 1 votes every 20 ms, app 2 every 50 ms. The proof
-    # skips 20, 40 and 50 ms; at 60 ms the float mean of three copies of
-    # 0.7 misses them, app 1 votes in full and its copies are shut down.
-    # From then on every round votes every task in full: at 100 ms the mean
-    # of 1.1 is exact, and at 150 ms the mean flags app 2's task.
+def test_the_mean_voter_keeps_the_proof_to_the_horizon():
+    # fault-free under the mean voter: app 1 votes every 20 ms, app 2 every
+    # 50 ms. At 60 and 150 ms the float mean of three copies of the
+    # reference misses it by more than the tolerance, but the consensus
+    # stays inside the values it averages, so every round is skipped by
+    # proof and nothing is shut down
     engine = _logged(load_scenario(SCENARIOS / "mean_voter_proof_exception.json"))
-    first = next(row.time_us for row in engine.trace
-                 if row.kind == "ShutdownApplied")
-    assert first == 60_000 and not engine._proof
-    assert [row for row in engine.rounds if row[2]] == [
-        (20_000, 1, True, 1), (40_000, 1, True, 1),
-        (50_000, 2, True, 1), (60_000, 1, True, 0)]
-    assert (100_000, 2, False, 0) in engine.rounds
-    assert (150_000, 2, False, 0) in engine.rounds
-    assert engine.mean_exceptions == 1
-    assert engine.full_votes == _tasks_voted(
-        engine, [row for row in engine.rounds if not row[3]])
+    assert not engine.sc.faults and engine._proof
+    for at in (60_000, 150_000):
+        ref = engine.settings.reference.value(at)
+        assert abs(sum([ref] * 3) / 3 - ref) > engine.voter.tolerance
+    assert engine.rounds and all(
+        proof and by_proof == 1 for _, _, proof, by_proof in engine.rounds)
+    assert {at for at, _, _, _ in engine.rounds} >= {60_000, 150_000}
+    assert engine.full_votes == 0
+    assert not [row for row in engine.trace
+                if row.kind in ("Detection", "ShutdownApplied")]
+    assert engine._episodes == []
 
 
 def test_an_admitted_run_pushes_no_deadline_check():
@@ -962,7 +962,9 @@ def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
         sim={"reference": {"value": base, "slope_per_ms": slope}})
     doc["voter"] = {"consensus": consensus.value, "tolerance": tolerance}
     engine = _check(parse_scenario(doc))
-    assert engine.proof_skips + engine.mean_exceptions > 0
+    assert engine.proof_skips > 0
+    if not faults:
+        assert not [row for row in engine.trace if row.kind == "Detection"]
 
 
 _APPROVAL_SCOPES = ("lane", "processor", "app", "task", "sensor")

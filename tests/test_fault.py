@@ -143,7 +143,7 @@ def _full_search_cross_monitor(values, cfg):
         return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
     vals = [v for _, v in best]
     if cfg.consensus is Consensus.MEAN_OF_OTHERS:
-        consensus = sum(vals) / len(vals)
+        consensus = min(max(sum(vals) / len(vals), min(vals)), max(vals))
     else:
         consensus = statistics.median(vals)
     return VoteOutcome(frozenset(k for k, v in items if abs(v - consensus) > tol))
@@ -184,30 +184,41 @@ def test_cross_monitor_equals_the_full_clique_search(round_):
             == _verdict(_full_search_cross_monitor, values, cfg))
 
 
-def test_a_quiet_round_can_still_flag_by_its_mean():
-    # the spread is the tolerance, yet the float mean falls below the
-    # minimum, and lane 1 sits more than the tolerance from it
-    lo, hi = -411.83191171340616, -411.8319117134061
-    values = {0: lo, 1: hi, 2: lo}
-    cfg = VoterConfig(tolerance=hi - lo, consensus=Consensus.MEAN_OF_OTHERS)
-    assert sum(values.values()) / 3 < lo
-    assert cross_monitor(values, cfg) == VoteOutcome(frozenset({1}))
+# the spread is the tolerance, yet the float mean of lo, hi, lo falls below
+# lo, and hi sits more than the tolerance from it
+_LO, _HI = -411.83191171340616, -411.8319117134061
+_MEAN_AT_THE_EDGE = VoterConfig(tolerance=_HI - _LO,
+                                consensus=Consensus.MEAN_OF_OTHERS)
+
+
+def test_a_quiet_round_flags_nothing_under_the_mean():
+    values = {0: _LO, 1: _HI, 2: _LO}
+    assert sum(values.values()) / 3 < _LO
+    assert cross_monitor(values, _MEAN_AT_THE_EDGE) == VoteOutcome(frozenset())
+
+
+def test_the_agreeing_clique_keeps_its_mean_inside_its_values():
+    # lane 3 is the outlier; the clique {lo, hi, lo} is found by search,
+    # and its mean, taken within [lo, hi], leaves hi within the tolerance
+    values = {0: _LO, 1: _HI, 2: _LO, 3: _LO + 1000.0}
+    assert (cross_monitor(values, _MEAN_AT_THE_EDGE)
+            == VoteOutcome(frozenset({3})))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False),
        st.floats(min_value=1e-300, max_value=1e300),
        st.lists(st.floats(0, 1), min_size=3, max_size=4),
-       st.permutations(range(4)))
-def test_a_quiet_median_round_flags_nothing(base, tol, offsets, lanes):
-    # cross_monitor returns a quiet median round without the median: it
-    # lies between the extremes, so no value is further from it than the
-    # spread, which is within the tolerance
+       st.permutations(range(4)),
+       st.sampled_from(list(Consensus)))
+def test_a_quiet_round_flags_nothing(base, tol, offsets, lanes, consensus):
+    # cross_monitor returns a quiet round without its consensus: the median,
+    # and the mean taken within the values' range, lie between the
+    # extremes, so no value is further from either than the spread, which
+    # is within the tolerance
     values = {lane: base + off * tol for lane, off in zip(lanes, offsets)}
     vals = list(values.values())
     assume(max(vals) - min(vals) <= tol and math.isfinite(sum(vals)))
-    cfg = VoterConfig(tolerance=tol, consensus=Consensus.MEDIAN_OF_OTHERS)
-    median = statistics.median(vals)
-    assert not any(abs(v - median) > tol for v in vals)
+    cfg = VoterConfig(tolerance=tol, consensus=consensus)
     assert (cross_monitor(values, cfg) == VoteOutcome(frozenset())
             == _full_search_cross_monitor(values, cfg))
 
