@@ -13,7 +13,9 @@ functional coverage.
 Time at risk is the per-application sum of the detection-to-readmission
 windows; while such a window is open the application runs one level below
 strength, so a second fault inside it is flagged as a risk hit. Windows
-may overlap, so the sum can exceed their union, which is reported beside it.
+may overlap, so the sum can exceed their union. The union is
+``RiskReport.exposed_us`` and is library-only: ``metrics.json`` writes the
+sum (``total_ms``), the windows and the secondary hits, not the union.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ of its places, and ``schedule_processor`` below steps a plain one over a
 window as the reference the engine is checked against. It keeps one table
 of jobs, run by the ranks of
 :meth:`lanesim.timing.ProcessorState.priorities`, whose keys come in
-rank order: a dispatch walks the task keys in the order ``prios`` lists
-them. Background
-work (a rebuilt copy's history replay) is keyed outside those ranks, so it
-ranks below every task and takes the time no task job wants, lowest key
-first.
+rank order, since the admitted set is held in that order: a dispatch walks
+``prios`` as it is, making no order of its own. Background work (a rebuilt
+copy's history replay) is keyed outside those ranks, so it ranks below
+every task and takes the time no task job wants, lowest key first.
 Time is charged lazily, when the caller touches the processor.
 What runs is always the best ready job, so a release chooses again only
 when the new job can win: nothing runs, it replaces the running job, or it
@@ -48,23 +47,12 @@ class Processor:
     """
 
     def __init__(self):
-        self.prios = {}             # job key -> DM rank, 0 highest
+        self.prios = {}             # job key -> DM rank, keys in rank order
         self.jobs: dict = {}        # job key -> Job, background work too
         self.running: Job | None = None
         self.since = 0
         self.gen = 0
         self.wake_us: int | None = None   # when the running job finishes
-
-    @property
-    def prios(self) -> dict:
-        return self._prios
-
-    @prios.setter
-    def prios(self, prios: dict):
-        # the keys come in rank order, as ProcessorState.priorities lists
-        # them, and a dispatch walks them in that order
-        self._prios = prios
-        self._ranked = list(prios)
 
     def runnable(self) -> bool:
         """May the processor run anything at all right now?"""
@@ -93,7 +81,7 @@ class Processor:
         chosen = None
         jobs = self.jobs
         if jobs and self.runnable():
-            for key in self._ranked:
+            for key in self.prios:
                 job = jobs.get(key)
                 if job is not None and job.remaining_us > 0:
                     chosen = job
@@ -119,7 +107,7 @@ class Processor:
         # equal key) or outranks it by (rank, key) changes the choice
         running = self.running
         if running is not None:
-            prios, last = self._prios, len(self._prios)
+            prios, last = self.prios, len(self.prios)
             if (prios.get(running.key, last), running.key) < (
                     prios.get(job.key, last), job.key):
                 return

@@ -519,13 +519,13 @@ class Engine:
         return owners.items()
 
     def _copies_in(self, scope: FaultTarget) -> list:
-        """Every copy ever placed inside a lane, processor or task scope,
-        in copy id order."""
+        """Every copy ever placed inside a lane, processor or task scope:
+        place by place in the lane's spec order, in copy id order within
+        a place."""
         key = scope.key
         if len(key) == 1:
-            return sorted((rt for place, rts in self._proc_copies.items()
-                           if place[0] == key[0] for rt in rts),
-                          key=lambda rt: rt.copy_id)
+            return [rt for place in self._lane_places[key[0]]
+                    for rt in self._proc_copies[place]]
         return [rt for rt in self._proc_copies.get(key[:2], ())
                 if len(key) == 2 or rt.key == key[2:]]
 
@@ -578,7 +578,8 @@ class Engine:
         bitp = self.settings.bit_period_us
         if bitp <= self.horizon:
             self._push(bitp, _BIT_CHECK, 0, None)
-        for f in sorted(self.sc.faults, key=lambda f: (f.at_us, f.fault_id)):
+        # fault ids are distinct, so pop order does not depend on push order
+        for f in self.sc.faults:
             self._push(f.at_us, _FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
             if clears is not None and clears <= self.horizon:
@@ -1132,19 +1133,16 @@ class Engine:
 
     def _directive_causes(self, d: FaultTarget):
         """Active faults that explain a shutdown scope: inside it or around
-        it, in scenario order. One key prefixes the other: a task scope's
-        are on its lane, its processor and itself; a wider scope's are on
-        the keys it prefixes or that prefix it."""
+        it, in an order no caller reads. One key prefixes the other: a task
+        scope's are on its lane, its processor and itself; a wider scope's
+        are on the keys it prefixes or that prefix it."""
         key = d.key
         at = self._faults_at
         if len(key) == 4:
             keys = (key[:1], key[:2], key)
         else:
             keys = [k for k in at if k[:len(key)] == key or key[:len(k)] == k]
-        causes = [f for k in keys for f in at.get(k, ())]
-        if len(causes) > 1:
-            causes.sort(key=self._rank)
-        return causes
+        return [f for k in keys for f in at.get(k, ())]
 
     def _apply_directives(self, directives):
         # one episode per application and origin: a copy restabilized in
@@ -1343,8 +1341,7 @@ class Engine:
         then its state."""
         app = self._apps[ep.app_id]
         if ep.t_s_us is None:
-            return sum((app.task(t).code_size for t in sorted(ep.placements)),
-                       start=0)
+            return sum((app.task(t).code_size for t in ep.placements), start=0)
         sm = app.state_model
         if sm.strategy is StateStrategy.TRANSFER:
             return sm.snapshot_size

@@ -123,18 +123,21 @@ class ProcessorState:
     """Value-style record of what a processor has admitted.
 
     Entries map an arbitrary hashable key (a task id, or (app, task) in the
-    engine) to (wcet_us, period_us, deadline_us). The utilization is kept as
-    an integer numerator over a common multiple of every entry's window,
-    the lcm of the windows it has seen, and updated by
-    ``with_task``/``without_task``/``without_tasks``; ``utilization`` gives
-    it as an exact Fraction and ``utilization_ratio`` as the integer pair.
+    engine) to (wcet_us, period_us, deadline_us), held in deadline-monotonic
+    order. The order is made where an entry comes in, by construction and
+    by ``with_task``; a withdrawal keeps the others in order and sorts
+    nothing. The utilization is kept as an integer numerator over a common
+    multiple of every entry's window, the lcm of the windows it has seen,
+    and updated by ``with_task``/``without_task``/``without_tasks``;
+    ``utilization`` gives it as an exact Fraction and
+    ``utilization_ratio`` as the integer pair.
     ``proven`` runs the response-time test at most once per state.
     """
 
     __slots__ = ("_entries", "_num", "_den", "_proven")
 
     def __init__(self, entries: Mapping | None = None):
-        self._entries: dict = dict(entries or {})
+        self._entries: dict = _dm_ordered(entries or {})
         # each task's C/min(D, T) as an integer pair, over their lcm
         self._num, self._den = lcm_sum(
             (wcet, _window(period, deadline))
@@ -161,11 +164,11 @@ class ProcessorState:
         return self._num, self._den
 
     def with_task(self, key, wcet_us: int, period_us: int, deadline_us: int) -> "ProcessorState":
-        new = dict(self._entries)
+        entries = self._entries
         num, den = self._num, self._den
-        if key in new:
-            num -= self._share(new[key])
-        new[key] = (wcet_us, period_us, deadline_us)
+        if key in entries:
+            num -= self._share(entries[key])
+        new = _dm_ordered({**entries, key: (wcet_us, period_us, deadline_us)})
         return ProcessorState._of(new, *lcm_sum(
             ((num, den), (wcet_us, _window(period_us, deadline_us)))))
 
@@ -174,7 +177,8 @@ class ProcessorState:
 
     def without_tasks(self, keys) -> "ProcessorState":
         """The state without every entry keyed in keys (absent keys are
-        skipped): one new state for all of them."""
+        skipped): one new state for all of them, the rest still in rank
+        order."""
         new = dict(self._entries)
         num = self._num
         for key in keys:
@@ -190,13 +194,8 @@ class ProcessorState:
 
     def priorities(self) -> dict:
         """Deadline-monotonic ranks over the admitted set (0 = highest),
-        keys listed in rank order."""
-        return {key: rank for rank, (key, _) in enumerate(self._ranked())}
-
-    def _ranked(self) -> list:
-        """The (key, entry) pairs, highest rank first."""
-        # the keys of one state share one type: task ids, or (app, task)
-        return sorted(self._entries.items(), key=lambda kv: (kv[1][2], kv[0]))
+        keys listed in rank order: the order the entries are held in."""
+        return {key: rank for rank, key in enumerate(self._entries)}
 
     def proven(self) -> bool:
         """Does every task meet every deadline under the ranks of
@@ -207,7 +206,7 @@ class ProcessorState:
             # Liu & Layland's sufficient test first
             proven = self._proven = (
                 self._num * 100 <= 69 * self._den or _response_times_fit(
-                    entry for _, entry in self._ranked()))
+                    self._entries.values()))
         return proven
 
     def __len__(self):
@@ -215,6 +214,12 @@ class ProcessorState:
 
     def __contains__(self, key):
         return key in self._entries
+
+
+def _dm_ordered(entries: Mapping) -> dict:
+    """The entries in deadline-monotonic order: by deadline, ties by key."""
+    # the keys of one state share one type: task ids, or (app, task)
+    return dict(sorted(entries.items(), key=lambda kv: (kv[1][2], kv[0])))
 
 
 def _response_times_fit(ranked) -> bool:

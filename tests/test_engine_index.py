@@ -4,7 +4,10 @@
 filtering all of ``scenario.faults`` through ``FaultSpec.active_at`` and
 ``FaultTarget.contains`` and by scanning every copy ever created, and
 asserts that both agree, at every call, over the golden corpus and over
-generated scenarios with faults. After set-up and after each shutdown,
+generated scenarios with faults. A scope's copies must come place by
+place, in the lanes' spec order and in copy id order within a place; a
+shutdown's causes are compared in fault id order, since the engine
+promises no order there. After set-up and after each shutdown,
 selection and state transfer it also recounts the capacity the engine
 keeps: the bus load and every processor's admitted set and utilization
 must be exactly those of the copies still in service and the placements
@@ -185,6 +188,14 @@ class CheckedEngine(Engine):
 
     def _copies_by_id(self):
         return sorted(self._all_copies(), key=lambda rt: rt.copy_id)
+
+    def _copies_by_place(self):
+        """Every copy, place by place in the lanes' spec order, in copy id
+        order within a place: the order a scope's copies come in."""
+        order = {(lane.lane_id, p.proc_id): i for i, (lane, p) in enumerate(
+            (lane, p) for lane in self.model.lanes for p in lane.processors)}
+        return sorted(self._all_copies(),
+                      key=lambda rt: (order[rt.place], rt.copy_id))
 
     def _check_capacity(self):
         """Bus load and admitted sets equal a recount of what holds them."""
@@ -380,9 +391,11 @@ class CheckedEngine(Engine):
         return got
 
     def _directive_causes(self, d):
+        # the engine promises no order here: compare in fault id order
         got = super()._directive_causes(d)
-        self._agree("causes", got,
-                    lambda fs: [f for f in fs if f.target.overlaps(d)])
+        self._agree("causes", sorted(got, key=lambda f: f.fault_id),
+                    lambda fs: sorted((f for f in fs if f.target.overlaps(d)),
+                                      key=lambda f: f.fault_id))
         return got
 
     def _sensor_faults(self, app_id):
@@ -546,7 +559,7 @@ class CheckedEngine(Engine):
 
     def _copies_in(self, scope):
         got = super()._copies_in(scope)
-        assert got == [rt for rt in self._copies_by_id()
+        assert got == [rt for rt in self._copies_by_place()
                        if scope.contains(_copy_scope(rt))]
         self.checks += 1
         return got
@@ -561,7 +574,7 @@ class CheckedEngine(Engine):
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service
-        assert got == [rt for rt in self._copies_by_id() if d.contains(_copy_scope(rt))
+        assert got == [rt for rt in self._copies_by_place() if d.contains(_copy_scope(rt))
                        and (rt.health is Health.ACTIVE if transient
                             else rt.health is not Health.SHUTDOWN)]
         self.checks += 1

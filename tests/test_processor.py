@@ -152,8 +152,8 @@ def test_a_set_takes_the_ranks_of_its_admitted_set_sorted_once(entries, grown):
     # order is its dispatch order: by deadline, ties by key
     def ranked_as_dm(ps, entries):
         assert ps.prios == ProcessorState(entries).priorities()
-        assert ps._ranked == sorted(ps.prios, key=lambda k: (ps.prios[k], k))
-        assert ps._ranked == sorted(entries, key=lambda k: (entries[k][2], k))
+        assert list(ps.prios) == sorted(ps.prios, key=lambda k: (ps.prios[k], k))
+        assert list(ps.prios) == sorted(entries, key=lambda k: (entries[k][2], k))
         assert sorted(ps.prios.values()) == list(range(len(entries)))
 
     state = ProcessorState(entries)

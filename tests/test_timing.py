@@ -257,8 +257,9 @@ def test_comms_decision_is_pinned(max_load, load, demand):
     assert check_comms(bus, demand) == decision
 
 
-# The totals are kept as running sums; after any sequence of updates they
-# must equal a fresh exact sum over what the state holds.
+# The totals are kept as running sums, and the rank order as the entries'
+# order; after any sequence of updates they must equal a fresh exact sum
+# and a fresh sort over what the state holds.
 
 _KEYS = st.integers(0, 4)       # few keys: replacements and misses are common
 
@@ -291,6 +292,11 @@ def test_utilization_total_equals_a_fresh_sum(start, ops):
         assert proc.utilization == fresh
         assert isinstance(proc.utilization, Fraction)
         assert len(proc) == len(entries)
+        ranked = sorted(entries, key=lambda k: (entries[k][2], k))
+        assert list(proc.priorities()) == ranked
+        assert list(proc.priorities().values()) == list(range(len(ranked)))
+        assert proc.proven() == (fresh <= Fraction(69, 100) or _response_times_fit(
+            entries[k] for k in ranked))
 
 
 _DEMANDS = st.fractions(min_value=0, max_value=50, max_denominator=1000)
