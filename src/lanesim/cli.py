@@ -74,11 +74,11 @@ def metrics_document(result: SimResult) -> dict:
             "t_e_ms": _ms(rec.t_e_us),
             "t_a_ms": _ms(rec.t_a_us),
             "placements": {str(t): [lane, proc]
-                           for t, (lane, proc) in sorted(rec.placements.items())},
+                           for t, (lane, proc) in rec.placements.items()},
             "degraded_tasks": list(rec.degraded_tasks),
         })
     risk = {}
-    for app_id, report in sorted(result.risk.items()):
+    for app_id, report in result.risk.items():
         risk[str(app_id)] = {
             "total_ms": _ms(report.total_us),
             "intervals": [
@@ -92,7 +92,7 @@ def metrics_document(result: SimResult) -> dict:
         }
     coverage_final = {
         str(app_id): {"functional": f.label, "zonal": z.label, "peripheral": p.label}
-        for app_id, (f, z, p) in sorted(result.final_coverage.items())
+        for app_id, (f, z, p) in result.final_coverage.items()
     }
     return {
         "format_version": 1,
@@ -108,7 +108,7 @@ def metrics_document(result: SimResult) -> dict:
         "records": records,
         "risk": risk,
         "coverage_final": coverage_final,
-        "counters": dict(sorted(result.counters.items())),
+        "counters": dict(result.counters),
     }
 
 

@@ -257,7 +257,7 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
                            silent=silent)
 
     if len(present) == 2 and len(numeric) == 2:
-        a, b = sorted(numeric)
+        a, b = numeric
         if abs(numeric[a] - numeric[b]) > tol:
             return VoteOutcome(frozenset(present), ambiguous=True, silent=silent)
 

@@ -65,9 +65,6 @@ class ReplicaGroup:
     app_id: int
     copies: dict[int, list[Copy]] = field(default_factory=dict)
 
-    def active(self, task_id: int) -> list[Copy]:
-        return [c for c in self.copies[task_id] if c.health is Health.ACTIVE]
-
 
 class Outcome(Enum):
     READMITTED = "readmitted"
@@ -149,7 +146,8 @@ def recovery_order(apps) -> list[int]:
 
 def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
                  bus: BusState, cfg, restricted: bool) -> PlacementPlan:
-    """Plan placements for one application's failed tasks.
+    """Plan placements for one application's failed tasks, in the order
+    given: an earlier task's reservation is what a later one sees.
 
     Mutates nothing: capacity is reserved under the (app, task) key in new
     spare states and a new bus, which the plan carries back to the caller.
@@ -163,7 +161,7 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
     # not count, since restriction is one application per processor
     taken = {(s.lane, s.proc) for s in spares if len(s.state) > 0}
 
-    for f in sorted(failed, key=lambda f: f.task_id):
+    for f in failed:
         ranked = _ranked_candidates(f, spares, states, taken, restricted)
         placed = False
         for lane, proc in ranked:

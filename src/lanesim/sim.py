@@ -443,7 +443,7 @@ class Engine:
             for place, p in zip(places, lane.processors):
                 self._proc_copies[place] = []
                 members[p.proc_id].append(place)
-        self._spares = sorted(self.model.spare_positions())
+        self._spares = self.model.spare_positions()
         sets = {}           # processor id -> the set of its lanes' places
         for proc, held in entries.items():
             state = ProcessorState(held)
@@ -648,7 +648,7 @@ class Engine:
             counters=dict(self.counters),
         )
         stale, last = self._cov_stale, self._last_cov
-        for app_id in sorted(self.groups):
+        for app_id in self.groups:
             result.final_coverage[app_id] = (
                 self._coverage(app_id) if app_id in stale else last[app_id])
         return result
@@ -1285,25 +1285,23 @@ class Engine:
         self._pump_bus()
 
     def _select_for(self, ep: _Episode):
-        app = self._apps[ep.app_id]
-        group = self.groups[ep.app_id]
         lost = {}
         for rt in ep.lost:
             lost.setdefault(rt.task_id, rt)
+        # task id order, the one order select_spare plans in and
+        # ep.placements keeps
+        failed = [FailedTask(ep.app_id, task_id, rt.spec, home_lane=rt.lane)
+                  for task_id, rt in sorted(lost.items())]
 
-        for task_id in sorted(lost):
-            if not group.active(task_id):
+        copies = self.groups[ep.app_id].copies
+        for f in failed:
+            if not any(rt.health is _ACTIVE for rt in copies[f.task_id]):
                 ep.t_r_us = self.now
-                self._row("Abandoned", app=ep.app_id, task=task_id,
+                self._row("Abandoned", app=ep.app_id, task=f.task_id,
                           detail="no surviving active copy to recover from")
                 self._close_episode(ep, Outcome.ABANDONED)
                 return
 
-        failed = [
-            FailedTask(ep.app_id, task_id, app.task(task_id),
-                       home_lane=lost[task_id].lane)
-            for task_id in sorted(lost)
-        ]
         spares = [SpareCandidate(*place, self.sets[place].admitted)
                   for place in self._spares if self.sets[place].runnable()]
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
@@ -1394,7 +1392,7 @@ class Engine:
         if ep.t_s_us is None:
             self._row("InstallDone", app=ep.app_id,
                       detail=f"code image installed for tasks "
-                             f"{sorted(ep.placements)}")
+                             f"{list(ep.placements)}")
         self._finish_transfer(ep)
         self._pump_bus()
 
@@ -1403,7 +1401,7 @@ class Engine:
         sm = app.state_model
         # a spare shut down while its copy was in transfer gets no copy; no
         # spare dies in here, so the row can say whether any copy starts
-        dead = [task_id for task_id, place in sorted(ep.placements.items())
+        dead = [task_id for task_id, place in ep.placements.items()
                 if self.sets[place].dead]
         self._row("StateTransferDone", app=ep.app_id,
                   detail=f"{sm.strategy.value} state ready; "
@@ -1417,8 +1415,7 @@ class Engine:
             ep.degraded_tasks += (task_id,)
             self._row("DegradeToDuplex", *place, ep.app_id, task_id,
                       "spare shut down before the copy started")
-        for task_id in sorted(ep.placements):
-            place = ep.placements[task_id]
+        for task_id, place in ep.placements.items():
             spec = app.task(task_id)
             rt = _CopyRt(next(self._copy_ids), (ep.app_id, task_id), place,
                          spec, self.now)

@@ -30,6 +30,14 @@ of it now). Each BIT sweep must offer exactly the live places that
 ``bit_detects`` over the active faults finds a fault on, in (lane, proc)
 order, each with those faults in fault id order.
 
+Spare selection plans an episode's failed tasks in task id order, and
+its placements keep that order when the transfer and the spawn read
+them. Planned again with the spares offered in reverse, each selection
+must give an equal plan: the same decisions, placements, degraded tasks
+and bus load, and each spare the same entries and utilization. Ranking
+by (utilization, lane, proc) is a total order, so the order in which the
+engine offers its spares must never show.
+
 Places with one processor index share one schedule, their set, until an
 event treats them differently. After every event each set's members must
 agree, by full scans of the copies, jobs and faults, on the admitted set,
@@ -77,7 +85,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lanesim import coverage as cov
+from lanesim import coverage as cov, sim
 from lanesim.cli import metrics_document, trace_lines
 from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
                            bit_detects, cross_monitor)
@@ -638,10 +646,39 @@ class CheckedEngine(Engine):
         self._check_service()
 
     def _select_for(self, ep):
-        super()._select_for(ep)
+        select_spare = sim.select_spare
+
+        def checked(failed, spares, *args):
+            ids = [f.task_id for f in failed]
+            assert ids == sorted(set(ids)), (
+                f"record {ep.record_id} plans tasks {ids} at {self.now}us")
+            plan = select_spare(failed, spares, *args)
+            again = select_spare(failed, spares[::-1], *args)
+            assert _plan_view(again) == _plan_view(plan), (
+                f"record {ep.record_id} at {self.now}us: the plan depends on "
+                f"the order of the spares")
+            self.checks += 1
+            return plan
+
+        sim.select_spare = checked
+        try:
+            super()._select_for(ep)
+        finally:
+            sim.select_spare = select_spare
         self._check_capacity()
 
+    def _check_placement_order(self, ep):
+        assert list(ep.placements) == sorted(ep.placements), (
+            f"record {ep.record_id} at {self.now}us: placements "
+            f"{list(ep.placements)} out of task id order")
+        self.checks += 1
+
+    def _transfer_payload(self, ep):
+        self._check_placement_order(ep)
+        return super()._transfer_payload(ep)
+
     def _spawn_copies(self, ep):
+        self._check_placement_order(ep)
         super()._spawn_copies(ep)
         self._check_capacity()
         self._check_service()
@@ -649,6 +686,16 @@ class CheckedEngine(Engine):
     def _on_readmit(self, rt):
         super()._on_readmit(rt)
         self._check_service()
+
+
+def _plan_view(plan):
+    """What a spare selection decides: every decision tried, the
+    placements, the degraded tasks, the bus load, and each spare's admitted
+    entries and utilization after the plan's reservations."""
+    return (plan.decisions, plan.placements, plan.degraded,
+            plan.bus.current_load,
+            {place: (list(state._entries.items()), state.utilization)
+             for place, state in plan.states.items()})
 
 
 @dataclass(frozen=True)

@@ -208,14 +208,19 @@ def test_two_tasks_of_one_app_may_share_a_spare():
                                                       + Fraction(3, 20))
 
 
-def test_capacity_overflow_spills_to_the_next_spare():
+@pytest.mark.parametrize("order, placements", [
+    pytest.param([1, 2], [(1, 0, 3), (2, 1, 3)], id="by_id"),
+    # tasks are planned in the order given, not re-sorted by id
+    pytest.param([2, 1], [(2, 0, 3), (1, 1, 3)], id="reversed"),
+])
+def test_capacity_overflow_spills_to_the_next_spare(order, placements):
     # 12 ms + 3 ms of 20 ms would pass 0.69; the second task spills over
-    tasks = [_task(task_id=1, wcet_ms=12), _task(task_id=2, wcet_ms=3)]
+    tasks = {1: _task(task_id=1, wcet_ms=12), 2: _task(task_id=2, wcet_ms=3)}
     plan = select_spare(
-        [_failed(t, home_lane=0) for t in tasks],
+        [_failed(tasks[t], home_lane=0) for t in order],
         [_spare(0, 3), _spare(1, 3)],
         BusState(Fraction(10)), CFG, restricted=True)
-    assert plan.placements == [(1, 0, 3), (2, 1, 3)]
+    assert plan.placements == placements
 
 
 def test_admission_rejection_degrades_the_task():

@@ -25,6 +25,7 @@ from lanesim.sim import run
 
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system, triplex_system)
+from golden.rehash import SCENARIOS
 
 
 def _violations(doc):
@@ -337,6 +338,22 @@ def test_dump_json_holds_one_container_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_metrics_json_does_not_depend_on_dict_insertion_order(tmp_path):
+    # dump_json alone orders metrics.json's keys: the same result with its
+    # dicts filled in reverse writes the same bytes
+    result = run(load_scenario(SCENARIOS / "generated_s23_f10.json"))
+    assert max(len(rec.placements) for rec in result.records) >= 2
+    assert len(result.risk) >= 2
+    [before, *_] = cli.write_outputs(result, tmp_path / "before")
+    result.risk = dict(reversed(result.risk.items()))
+    result.final_coverage = dict(reversed(result.final_coverage.items()))
+    result.counters = dict(reversed(result.counters.items()))
+    for rec in result.records:
+        rec.placements = dict(reversed(rec.placements.items()))
+    [after, *_] = cli.write_outputs(result, tmp_path / "after")
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_generated_documents_parse_cleanly():
