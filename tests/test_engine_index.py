@@ -1,85 +1,120 @@
-"""The engine's fault and copy indexes answer as full scans would.
+"""The engine's state and answers, checked against full scans.
 
-``CheckedEngine`` recomputes every indexed answer from scratch, by
-filtering all of ``scenario.faults`` through ``FaultSpec.active_at`` and
-``FaultTarget.contains`` and by scanning every copy ever created, and
-asserts that both agree, at every call, over the golden corpus and over
-generated scenarios with faults. A scope's copies must come place by
-place, in the lanes' spec order and in copy id order within a place; a
-shutdown's causes are compared in fault id order, since the engine
-promises no order there. After set-up and after each shutdown,
-selection and state transfer it also recounts the capacity the engine
-keeps: the bus load and every processor's admitted set and utilization
-must be exactly those of the copies still in service and the placements
-not yet spawned, and the bus load never rises above its start-up
-baseline. After each shutdown, spawn and readmission no copy in
-service may sit on a dead processor. A vote round may look up each copy's
-byzantine fault and emitted value only once, and it looks up none for its
-expected copies while the engine's index of active faults is empty: after
-each fault event that index is empty exactly when no non-sensor fault is
-active. After every event each recovery record's timestamps are in order
-and no application's coverage level exceeds the lane count.
+``CheckedEngine`` runs the engine as it is, over the golden corpus (each
+document with two faults or more also with fault ids reversed against its
+list order), generated scenarios with faults and fuzzed documents, and
+checks it against full scans: of every fault in ``scenario.faults``,
+through ``FaultSpec.active_at`` and ``FaultTarget.contains``, and of every
+copy ever made. It reads what the engine holds and the events as they
+run. No check reads a heap entry or a release's payload, and none names a
+handler.
 
-The recovery path keeps three facts where they change, and after every
-event each must equal a full scan: the causes of each restabilization
-still active, the (app, task) pairs of the active copies on each place,
-once the engine has built that index, and the coverage last sampled for
-each application whose copies and channels have not changed since
-(``functional_coverage``, ``zonal_coverage`` and ``peripheral_coverage``
-of it now). Each BIT sweep must offer exactly the live places that
-``bit_detects`` over the active faults finds a fault on, in (lane, proc)
-order, each with those faults in fault id order.
+Faults are compared through the answers they give, against the settled
+scan: the faults ``active_at`` the current instant, less what the fault
+events of this instant that have not run yet change. Inside a fault
+handler the engine's index may lag ``active_at`` so: a fault that
+activates later in the same instant is not in it yet, and one that clears
+later in the same instant still is. The fault events the wrap has run
+tell which; the answers where the plain ``active_at`` scan differs are
+counted.
 
-Spare selection plans an episode's failed tasks in task id order, and
-its placements keep that order when the transfer and the spawn read
-them. Planned again with the spares offered in reverse, each selection
-must give an equal plan: the same decisions, placements, degraded tasks
-and bus load, and each spare the same entries and utilization. Ranking
-by (utilization, lane, proc) is a total order, so the order in which the
-engine offers its spares must never show.
+Invariants around every event. ``_handlers`` wraps each handler the
+engine dispatches and picks its checks by the handler's position in the
+tuple, the event's ``EventKind`` rank, never by its name. After every
+event:
 
-Places with one processor index share one schedule, their set, until an
-event treats them differently. After every event each set's members must
-agree, by full scans of the copies, jobs and faults, on the admitted set,
-the jobs their copies own, the running job, failed and dead, and the
-faults that ever covered them; each of a set's jobs is owned by one copy on
-each member.
+- capacity: the bus load and each place's admitted set and utilization
+  equal a recount of the copies in service and the placements not yet
+  spawned, and the bus load stays at or below its start-up baseline;
+- service: no copy in service sits on a dead processor;
+- placement order: every recovery's placements are in task id order;
+- records: each recovery record's timestamps are in order, and no
+  application's coverage level exceeds the lane count;
+- kept facts: the causes of each restabilization not cleared yet, the
+  (app, task) pairs of the active copies on each place once the engine
+  has built that index, and the coverage last sampled for each
+  application whose copies and channels have not changed since
+  (``functional_coverage``, ``zonal_coverage`` and
+  ``peripheral_coverage`` of it now);
+- sets: places with one processor index share one schedule, their set,
+  until an event treats them differently. Its members agree, by full
+  scans of the copies, jobs and faults, on the admitted set, the jobs
+  their copies own, the running job, failed and dead, and the faults that
+  ever covered them, and each of its jobs is owned by one copy on each
+  member. Its ``proven`` flag is the response-time test of its admitted
+  set, and each task job's key is ranked in its ``prios``;
+- the proof: it holds exactly while every start-up set is proven, by a
+  recount, and no fault has activated.
 
-Before any fault activates, with every place's start-up set proven by a
-recount, a vote round skips every task, and ``cross_monitor`` must flag no
-count of equal copies of the reference from two to the lane count. Beside
-every task the proof skips the full vote runs and must change nothing: no
-trace row, no implicated copy, no event, no policing; and every due copy in
-it must emit the reference. Every other round votes every task of its
-application in full, in task id order. No shutdown applies while the proof
-holds.
+By rank:
 
-Release and deadline events act on release groups. Each group pushed
-holds copies of one task in ascending copy id and is keyed by the first;
-a copy made after set-up is alone in its group, and a release group
-holds no withdrawn copy. A release must start a job for exactly the
-group's copies in service on a processor that no fault halts.
+- deadlines, before every event: no task job is left in a set past the
+  ``DeadlineCheck`` rank of its deadline. This stands in for each check
+  the engine skips: a job on a proven set finishes by its deadline, and
+  one on an unproven set finishes or its check aborts it. A
+  ``DeadlineCheck`` event runs at the deadline of every job released on
+  an unproven set, and at no other instant but the deadlines of the jobs
+  pending on a proven set that spare selection grew (the mode-change
+  rule);
+- releases, after each ``TaskRelease`` and once an instant's release rank
+  is passed: every copy in service whose phase ``origin_us + k·period_us``
+  falls on the instant, on a live processor that no fault halts, has
+  exactly one job released there, owned by it on its place, and no other
+  copy has one. The releases counter rises by the copies released, and
+  across the instant's events their copy ids rise;
+- fault events, after each: the index of active faults is empty exactly
+  when no non-sensor fault is active, and every copy's ``_silenced``,
+  every place's ``_halted`` and each set's failed flag answer as the scan
+  does;
+- built-in test, around each ``BITCheck``: the sweep offers exactly the
+  live places that ``bit_detects`` finds an active fault on, in (lane,
+  proc) order, each with those faults in fault id order;
+- vote rounds, around each ``VoteRound``: an instant holds one round of
+  each application whose vote period divides it, in app id order. While
+  the proof holds, ``cross_monitor`` flags no count of equal copies of the
+  reference from two to the lane count, the full vote of every task of
+  the instant's rounds, run beside them, changes nothing (no trace row, no
+  implicated copy, no event, no policing) and has every due copy emit the
+  reference, and no task is voted. Otherwise each round votes every task
+  of its application in full, in task id order.
 
-A release pushes its deadline check only when one of the sets it released
-on holds an admitted set that the response-time test does not prove.
-Beside every check skipped, a stand-in event runs at the check's deadline
-and rank and asserts that ``expire`` would find nothing to abort there,
-unless a check the engine pushed later (the mode-change rule) covers the
-job. After every event each set's ``proven`` flag equals the test on its
-admitted set, and every task job's key is ranked in the set's ``prios``.
+Per-call contracts, one override each:
 
-Answers are compared, not the raw fault sets. Inside a fault handler the
-index may legitimately lag ``active_at``: a fault that activates later in
-the same instant is not in it yet, and one that clears later in the same
-instant is still in it. The reference accounts for those queued fault
-events and counts the answers where the plain ``active_at`` scan differs.
+- ``__init__``: capacity after set-up; each group holds its tasks in task
+  id order; the start-up sets' proof, recounted.
+- ``_handlers``: the wrap above.
+- ``run``: the checks due by the horizon, and as many rounds as the vote
+  periods give.
+- ``_silenced``, ``_halted``, ``_skew_for``, ``_directive_causes``,
+  ``_sensor_faults``: each answer is the settled scan's. A shutdown's
+  causes are compared in fault id order, since the engine promises no
+  order there, and a copy asks for its skew at most once a task vote.
+- ``_hosted``, ``_copies_in``: each answer is a full scan of the copies. A
+  scope's copies come place by place, in the lanes' spec order, and in
+  copy id order within a place.
+- ``_directive_victims``: a transient shutdown restabilizes the active
+  copies in scope, a permanent one withdraws every copy still in service
+  there, and none applies while the proof holds.
+- ``_bit_check``: a place is offered the faults the sweep's scan found,
+  and the engine asks ``bit_detects`` of those alone.
+- ``_vote_task``: the task's copies in copy id order and the reference
+  now; with no fault active, only policing looks up a skew.
+- ``_emitted``: a copy emits at most once a task vote.
+- ``_police``: the watched copies are the task's policed and restabilizing
+  ones, and the consensus is the median of the active copies' values.
+- ``_select_for``: the failed tasks reach ``select_spare`` in task id
+  order, and a plan made again with the spares offered reversed is equal:
+  the same decisions, placements, degraded tasks and bus load, and each
+  spare the same entries and utilization. Ranking by (utilization, lane,
+  proc) is a total order, so the order of the spares must never show. It
+  notes the jobs pending on each proven set, for the mode-change rule.
 """
 
-import heapq
+import functools
 import json
 import math
+import re
 import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -99,7 +134,16 @@ from scenario_builders import (lane_fault, proc_fault, scenario_doc,
 from golden.generated import SEEDS, generated_scenario
 from golden.rehash import SCENARIOS
 
-_FAULT_EVENTS = (EventKind.FAULT_ACTIVATE, EventKind.FAULT_CLEAR)
+# an event's rank is its kind's place in declaration order, and the
+# position of its handler in Engine._handlers()
+_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
+_ACTIVATE = _RANK[EventKind.FAULT_ACTIVATE]
+_CLEAR = _RANK[EventKind.FAULT_CLEAR]
+_DEADLINE = _RANK[EventKind.DEADLINE_CHECK]
+_BIT = _RANK[EventKind.BIT_CHECK]
+_RELEASE = _RANK[EventKind.TASK_RELEASE]
+_VOTE = _RANK[EventKind.VOTE_ROUND]
+_PAST_ALL = len(_RANK)      # after every rank of an instant
 
 
 def _halting(faults, scope):
@@ -109,66 +153,87 @@ def _halting(faults, scope):
 
 def _copy_scope(rt):
     """The task scope of a copy, built from its coordinates."""
-    return FaultTarget(TargetKind.TASK, lane=rt.lane, proc=rt.proc,
-                       app=rt.app_id, task=rt.task_id)
+    return _task_scope(rt.lane, rt.proc, rt.app_id, rt.task_id)
 
 
+@functools.cache
+def _task_scope(lane, proc, app, task):
+    return FaultTarget(TargetKind.TASK, lane=lane, proc=proc, app=app, task=task)
+
+
+@functools.cache
 def _place_scope(place):
     """The processor scope of a (lane, proc) place."""
     lane, proc = place
     return FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc)
 
 
+def _exact_sum(values):
+    """The sum of Fractions, taken over one common denominator."""
+    num, den = 0, 1
+    for value in values:
+        d = value.denominator
+        lcm = den // math.gcd(den, d) * d
+        num, den = num * (lcm // den) + value.numerator * (lcm // d), lcm
+    return Fraction(num, den)
+
+
+def _due(rt, at):
+    """Does the copy's phase fall on instant at?"""
+    return at >= rt.origin_us and (at - rt.origin_us) % rt.spec.period_us == 0
+
+
 class CheckedEngine(Engine):
-    """An Engine that checks each indexed answer against a full scan."""
+    """An Engine that checks its state around each event and its answers
+    at each call against full scans, as the module docstring lists."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.checks = 0
-        self.lagging = 0     # answers where the plain active_at scan differs
-        self.skipped_checks = 0  # deadline checks skipped, each checked here
-        self._pushed_checks = 0  # deadline checks the engine pushed so far
-        self._checked = set()    # (copy id, release) of every pushed check
+        self.lagging = 0         # answers where the plain active_at scan differs
+        self.skipped_checks = 0  # releases on proven sets, deadline in the run
+        self.deadline_checks = 0   # DeadlineCheck events run
         self.proof_skips = 0     # task votes the proof skips, each checked
         self.full_votes = 0      # task votes run in full outside the proof
+        self.rounds = []         # (instant, app, proof, tasks it skipped)
         self._skews, self._emissions = set(), {}
         self._voted, self._policed = [], 0
+        self._fault_events = set()   # (id(fault), rank) of each fault event run
         self._activated = []     # the faults whose activation has run
         self._killed = []        # the scopes of the permanent shutdowns
         self._bit_scan = {}      # live place -> its BIT faults, at a sweep
         self._offered = []       # the places the sweep has offered so far
+        self._figures = {}       # id(spec) -> (bus demand, utilization)
+        # the instant of the last event, and the copies it released so far
+        self._instant, self._released, self._last_released = None, set(), 0
+        self._release_open = None    # an instant whose releases are unchecked
+        self._releases_before = 0
+        # instants a DeadlineCheck must still run at, and where one may
+        self._checks_due, self._check_instants = set(), set()
+        self._earliest_deadline = None   # (deadline, job) over every task job
+        # the applications due to vote at the instant, and how many have
+        self._app_order = sorted(self.model.applications, key=lambda a: a.app_id)
+        self._due_apps, self._served, self._rounds_before = [], 0, 0
+        self._vote_open = None       # an instant whose rounds are unchecked
+        self._voted_beside = False
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
             assert list(self.groups[app.app_id].copies) == sorted(
                 t.task_id for t in app.tasks)
         # the start-up sets, recounted from each place's copies
+        by_place = {}
+        for rt in self._all_copies():
+            by_place.setdefault(rt.place, []).append(rt)
         self._proven_at_start = all(ProcessorState({
             rt.key: (rt.spec.wcet_us, rt.spec.period_us, rt.spec.deadline_us)
-            for rt in rts}).proven() for rts in self._proc_copies.values())
+            for rt in rts}).proven() for rts in by_place.values())
         # set-up builds the admitted sets and the bus load in one pass
         self._baseline_load = self.bus.current_load
-        self._check_capacity()
-        # the copies set-up made; a later one is a rebuilt copy
-        self._last_initial_id = max(rt.copy_id for rt in self._all_copies())
+        self._check_capacity(self._holders())
         # every (app, task): bit_detects given these as hosted sees every
         # BIT-visible fault on a place
         self._every_task = {(app.app_id, t.task_id)
                             for app in self.model.applications for t in app.tasks}
-        push = self._push
-
-        def push_checked(at_us, kind, key, data):
-            if kind is EventKind.TASK_RELEASE:
-                self._check_group(key, data)
-                assert all(rt.health is not Health.SHUTDOWN for rt in data), (
-                    f"release group {key} holds a withdrawn copy at {self.now}us")
-            elif kind is EventKind.DEADLINE_CHECK:
-                self._check_group(key, data[0])
-                self._pushed_checks += 1
-                self._checked.update((rt.copy_id, data[1]) for rt in data[0])
-            push(at_us, kind, key, data)
-
-        self._push = push_checked
-        self._push_skipped = push
 
     # -- the references -------------------------------------------------
 
@@ -176,11 +241,12 @@ class CheckedEngine(Engine):
         return [f for f in self.sc.faults if f.active_at(self.now)]
 
     def _settled_faults(self):
-        """The scan, less what fault events queued at this instant change."""
-        queued = {id(data) for at, _, _, _, kind, data in self._heap
-                  if at == self.now and kind in _FAULT_EVENTS}
-        return [f for f in self.sc.faults
-                if f.active_at(self.now) != (id(f) in queued)]
+        """The scan, less what the fault events of this instant that have
+        not run yet change."""
+        now, ran = self.now, self._fault_events
+        return [f for f in self.sc.faults if f.active_at(now) != (
+            (f.at_us == now and (id(f), _ACTIVATE) not in ran)
+            or (f.clears_at_us == now and (id(f), _CLEAR) not in ran))]
 
     def _agree(self, what, got, answer):
         """answer(faults) computed over the settled faults must equal got."""
@@ -205,20 +271,255 @@ class CheckedEngine(Engine):
         return sorted(self._all_copies(),
                       key=lambda rt: (order[rt.place], rt.copy_id))
 
-    def _check_capacity(self):
-        """Bus load and admitted sets equal a recount of what holds them."""
-        holders = {place: [] for place in self.sets}   # place -> [(key, spec)]
-        load = Fraction(0)
+    def _figures_of(self, spec):
+        """A task's bus demand and utilization, each summed once: its spec
+        is the model's, which outlives the run."""
+        got = self._figures.get(id(spec))
+        if got is None:
+            got = self._figures[id(spec)] = (spec.message_demand, task_utilization(
+                spec.wcet_us, spec.period_us, spec.deadline_us))
+        return got
+
+    # -- around every event ---------------------------------------------
+
+    def _handlers(self):
+        # each handler runs between the checks of its position in the
+        # tuple, the rank of the events it handles
+        def checked(rank, handler):
+            def handle(data):
+                self._before(rank, data)
+                handler(data)
+                self._after(rank)
+            return handle
+        return tuple(checked(rank, handler)
+                     for rank, handler in enumerate(super()._handlers()))
+
+    def _before(self, rank, data):
+        now = self.now
+        self._pass(now, rank)
+        if now != self._instant:
+            self._arrive(now)
+        if rank in (_ACTIVATE, _CLEAR):
+            # a fault event's payload is its fault
+            self._fault_events.add((id(data), rank))
+            if rank == _ACTIVATE:
+                self._activated.append(data)
+        elif rank == _DEADLINE:
+            assert now in self._check_instants, (
+                f"a DeadlineCheck runs at {now}us, the deadline of no job "
+                f"released on an unproven set or pending on a grown one")
+            self._checks_due.discard(now)
+            self.deadline_checks += 1
+        elif rank == _BIT:
+            self._scan_bit()
+        elif rank == _RELEASE:
+            self._releases_before = self.counters["releases"]
+        elif rank == _VOTE and not self._voted_beside:
+            self._voted_beside = True
+            if self._proven_at_start and not self._activated:
+                self._vote_beside()
+
+    def _after(self, rank):
+        if rank in (_ACTIVATE, _CLEAR):
+            self._sweep()
+        elif rank == _BIT:
+            assert self._offered == list(self._bit_scan), (
+                f"BIT sweep at {self.now}us offered {self._offered}, "
+                f"scanned {list(self._bit_scan)}")
+            self.checks += 1
+        elif rank == _RELEASE:
+            self._note_releases()
+        elif rank == _VOTE:
+            self._check_rounds()
+        holders = self._holders()
+        self._check_capacity(holders)
+        self._check_sets(holders)
+        self._check_records()
+        self._check_kept_facts()
+        self._check_service()
+        self._check_placements()
+        proof = self._proven_at_start and not self._activated
+        assert self._proof == proof, (
+            f"proof flag {self._proof} at {self.now}us, recounted {proof}")
+
+    def _arrive(self, now):
+        """The first event of an instant: what it must release and vote."""
+        self._instant = now
+        self._released, self._last_released = set(), 0
+        self._release_open = now
+        self._due_apps = [app for app in self._app_order
+                          if now and now % app.shortest_period_us == 0]
+        self._vote_open = now
+        self._served, self._rounds_before = 0, self.counters["vote_rounds"]
+        self._voted, self._voted_beside = [], False
+
+    def _pass(self, at, rank):
+        """What must be done before an event at (at, rank) runs: the
+        releases and rounds of an instant whose rank is passed, the
+        DeadlineChecks due, and every task job up to its deadline."""
+        here = (at, rank)
+        if self._release_open is not None and (self._release_open, _RELEASE) < here:
+            self._check_released(self._release_open)
+            self._release_open = None
+        if self._vote_open is not None and (self._vote_open, _VOTE) < here:
+            due = [app.app_id for app in self._due_apps]
+            rounds = self.counters["vote_rounds"] - self._rounds_before
+            assert self._served == rounds == len(due), (
+                f"{rounds} vote rounds at {self._vote_open}us, apps {due} due")
+            self._vote_open = None
+        late = sorted(t for t in self._checks_due if (t, _DEADLINE) < here)
+        assert not late, (
+            f"no DeadlineCheck ran at {late}us, where jobs released on "
+            f"unproven sets reach their deadlines")
+        if self._earliest_deadline is not None:
+            deadline, job = self._earliest_deadline
+            assert (deadline, _DEADLINE) >= here, (
+                f"job {job.key} released at {job.release_us}us is pending at "
+                f"{at}us, past its deadline {deadline}us")
+
+    def run(self):
+        result = super().run()
+        self._pass(self.horizon, _PAST_ALL)
+        rounds = sum(self.horizon // app.shortest_period_us for app in self._app_order)
+        assert result.counters["vote_rounds"] == rounds, (
+            f"{result.counters['vote_rounds']} vote rounds, the periods give {rounds}")
+        return result
+
+    # -- releases -------------------------------------------------------
+
+    def _note_releases(self):
+        """The copies a release event released: each is due, in service on
+        a live processor that no fault halts, and owns its new job alone on
+        its place; the counter rises by them, and their ids rise past the
+        instant's earlier releases. A deadline check must run at the
+        deadline of each one released on an unproven set."""
+        now = self.now
+        new = []
+        for rt in self._all_copies():
+            if rt.health is Health.SHUTDOWN or rt.copy_id in self._released:
+                continue
+            job = self.sets[rt.place].jobs.get(rt.key)
+            if job is not None and job.release_us == now and rt in job.owner:
+                new.append((rt, job))
+        counted = self.counters["releases"] - self._releases_before
+        ids = [rt.copy_id for rt, _ in new]
+        assert counted == len(new), (
+            f"{counted} releases counted at {now}us, new jobs for copies {ids}")
+        assert not ids or min(ids) > self._last_released, (
+            f"copies {ids} released at {now}us after copy {self._last_released}")
+        settled = self._settled_faults()
+        for rt, job in new:
+            ps = self.sets[rt.place]
+            assert (_due(rt, now) and not ps.dead
+                    and not _halting(settled, _copy_scope(rt))), (
+                f"copy {rt.copy_id} released at {now}us: phase "
+                f"{rt.origin_us}+k*{rt.spec.period_us}us, dead {ps.dead}")
+            assert [o for o in job.owner if o.place == rt.place] == [rt], (
+                f"copy {rt.copy_id}'s job at {now}us owned by "
+                f"{[o.copy_id for o in job.owner]}")
+            deadline = now + rt.spec.deadline_us
+            if deadline > self.horizon:
+                continue
+            if ps.proven:
+                self.skipped_checks += 1
+            else:
+                self._checks_due.add(deadline)
+                self._check_instants.add(deadline)
+        self._released.update(ids)
+        self._last_released = max(ids, default=self._last_released)
+        # a copy spawned later in the instant releases after its rank
+        self._release_open = now
+        self.checks += 1
+
+    def _check_released(self, at):
+        """Every copy due at the instant, in service on a live processor
+        that no fault halts, was released there."""
+        settled = None
+        missed = []
+        for rt in self._all_copies():
+            if (rt.health is Health.SHUTDOWN or rt.copy_id in self._released
+                    or not _due(rt, at) or self.sets[rt.place].dead):
+                continue
+            if settled is None:
+                settled = self._settled_faults()
+            if not _halting(settled, _copy_scope(rt)):
+                missed.append(rt.copy_id)
+        assert not missed, f"copies {missed} due at {at}us were not released"
+        self.checks += 1
+
+    # -- vote rounds ----------------------------------------------------
+
+    def _vote_beside(self):
+        """Under the proof, before the instant's rounds: no count of equal
+        copies of the reference may flag, and beside each task of the
+        due applications the full vote changes nothing and every due copy
+        emits the reference."""
+        ref = self.settings.reference.value(self.now)
+        for n in range(2, len(self.model.lanes) + 1):
+            assert not cross_monitor(dict.fromkeys(range(n), ref),
+                                     self.voter).flagged, (
+                f"{n} copies of the reference {ref!r} flagged at "
+                f"{self.now}us under {self.voter}")
+        for app in self._due_apps:
+            for task_id, rts in self.groups[app.app_id].copies.items():
+                before = self._effects()
+                self._vote_task(app.app_id, task_id, rts, ref)
+                emitted = [v for _, v in self._emissions.values()]
+                assert self._effects() == before and all(
+                    v == ref for v in emitted), (
+                    f"task {(app.app_id, task_id)} skipped by proof at "
+                    f"{self.now}us, but its full vote emitted {emitted}")
+        self._voted = []
+
+    def _effects(self):
+        """What a vote can write: rows, implicated copies, events, policing."""
+        return (len(self.trace), frozenset(self._pending_implicated),
+                len(self._heap), self._policed)
+
+    def _check_rounds(self):
+        """The rounds run so far this instant are the first due ones, in
+        app id order: under the proof they vote nothing, else every task
+        of each, in task id order."""
+        rounds = self.counters["vote_rounds"] - self._rounds_before
+        due = self._due_apps
+        assert self._served < rounds <= len(due), (
+            f"{rounds} vote rounds at {self.now}us, apps "
+            f"{[app.app_id for app in due]} due")
+        proof = self._proven_at_start and not self._activated
+        for app in due[self._served:rounds]:
+            tasks = len(app.tasks)
+            if proof:
+                self.proof_skips += tasks
+            else:
+                self.full_votes += tasks
+            self.rounds.append((self.now, app.app_id, proof, tasks if proof else 0))
+        want = [] if proof else [(app.app_id, t.task_id) for app in due[:rounds]
+                                 for t in sorted(app.tasks, key=lambda t: t.task_id)]
+        assert self._voted == want, (
+            f"apps {[app.app_id for app in due[:rounds]]} at {self.now}us: "
+            f"proof {proof}, voted {self._voted}")
+        self._served = rounds
+        self.checks += 1
+
+    # -- after every event ----------------------------------------------
+
+    def _holders(self):
+        """place -> the (key, spec) of each copy in service there and each
+        placement there not yet spawned."""
+        holders = {place: [] for place in self.sets}
         for rt in self._all_copies():
             if rt.health is not Health.SHUTDOWN:
                 holders[rt.place].append((rt.key, rt.spec))
-                load += rt.spec.message_demand
         for ep in self._bus_queue:      # placed, not yet spawned
             app = self.model.application(ep.app_id)
             for task_id, place in ep.placements.items():
-                spec = app.task(task_id)
-                holders[place].append(((ep.app_id, task_id), spec))
-                load += spec.message_demand
+                holders[place].append(((ep.app_id, task_id), app.task(task_id)))
+        return holders
+
+    def _check_capacity(self, holders):
+        """Bus load and admitted sets equal a recount of what holds them."""
+        load = _exact_sum(self._figures_of(spec)[0]
+                          for held in holders.values() for _, spec in held)
         assert self.bus.current_load == load, (
             f"bus load at {self.now}us: kept {self.bus.current_load}, "
             f"recounted {load}")
@@ -226,6 +527,7 @@ class CheckedEngine(Engine):
         # same task, so the comms check in select_spare never refuses here
         assert load <= self._baseline_load, (
             f"bus load at {self.now}us: {load} over the start-up {self._baseline_load}")
+        recounted = set()   # id() of each admitted set recounted
         for place, held in holders.items():
             admitted = self.sets[place].admitted
             keys = [key for key, _ in held]
@@ -233,33 +535,29 @@ class CheckedEngine(Engine):
                 f"{place} at {self.now}us holds a task twice: {sorted(keys)}")
             assert len(admitted) == len(keys) and all(k in admitted for k in keys), (
                 f"{place} at {self.now}us: admitted set differs from {sorted(keys)}")
-            assert admitted.utilization == sum(
-                (task_utilization(t.wcet_us, t.period_us, t.deadline_us)
-                 for _, t in held), Fraction(0)), (
-                f"{place} at {self.now}us: utilization differs from a recount")
+            # the members of a set hold one admitted set, of equal keys
+            if id(admitted) not in recounted:
+                recounted.add(id(admitted))
+                assert admitted.utilization == _exact_sum(
+                    self._figures_of(spec)[1] for _, spec in held), (
+                    f"{place} at {self.now}us: utilization differs from a recount")
         self.checks += 1
 
-    def _check_group(self, key, copies):
-        """One task's copies in ascending copy id, keyed by the first; a
-        rebuilt copy alone."""
-        ids = [rt.copy_id for rt in copies]
-        assert ids and key == ids[0] and ids == sorted(set(ids)), (
-            f"group {ids} keyed {key} at {self.now}us")
-        assert len({rt.key for rt in copies}) == 1, (
-            f"group {ids} mixes tasks at {self.now}us")
-        assert len(ids) == 1 or ids[-1] <= self._last_initial_id, (
-            f"rebuilt copy grouped with others: {ids} at {self.now}us")
+    def _check_service(self):
+        """No copy in service sits on a dead processor."""
+        for rt in self._all_copies():
+            assert rt.health is Health.SHUTDOWN or not self.sets[rt.place].dead, (
+                f"copy {rt.copy_id} is {rt.health.value} on dead processor "
+                f"{rt.place} at {self.now}us")
         self.checks += 1
 
-    def _handlers(self):
-        def checked(handler):
-            def handle(data):
-                handler(data)
-                self._check_records()
-                self._check_sets()
-                self._check_kept_facts()
-            return handle
-        return tuple(checked(handler) for handler in super()._handlers())
+    def _check_placements(self):
+        """Each recovery keeps its placements in task id order."""
+        for ep in self._episodes:
+            assert list(ep.placements) == sorted(ep.placements), (
+                f"record {ep.record_id} at {self.now}us: placements "
+                f"{list(ep.placements)} out of task id order")
+        self.checks += 1
 
     def _check_records(self):
         """Every record's timestamps are in order; coverage fits the lanes."""
@@ -301,19 +599,21 @@ class CheckedEngine(Engine):
                 f"{self._last_cov[app_id]}, recounted {want}")
         self.checks += 1
 
-    def _check_sets(self):
+    def _check_sets(self, holders):
         """The places that share a set see one schedule, as full scans find
-        it: each member's in-service copies and pending placements recount
-        the admitted set, the permanent shutdowns so far recount dead, each
+        it: each member holds its set's admitted tasks (_check_capacity
+        recounts them), the permanent shutdowns so far recount dead, each
         job of the set is owned by one copy on each member, and the members
         agree on the jobs their copies own (key, release, remaining, start),
         the running job, failed and dead, and the faults that ever covered
         them. A set's proof is its admitted set's, and each task job's key
-        is ranked."""
+        is ranked. It notes the earliest deadline of a task job, which the
+        next event must not pass."""
         sets = {}
         for place, ps in self.sets.items():
             sets.setdefault(id(ps), (ps, []))[1].append(place)
         owned = {place: {} for place in self.sets}
+        earliest = None
         for ps, _ in sets.values():
             assert ps.proven == ps.admitted.proven(), (
                 f"set of {ps.members} at {self.now}us: proven {ps.proven}")
@@ -328,17 +628,15 @@ class CheckedEngine(Engine):
                     assert (rt.copy_id if job.background else rt.key) == job.key, (
                         f"job {job.key} owned by copy {rt.copy_id}")
                     owned[rt.place][job.key] = job
-        held = {place: set() for place in self.sets}
-        for rt in self._all_copies():
-            if rt.health is not Health.SHUTDOWN:
-                held[rt.place].add(rt.key)
-        for ep in self._bus_queue:
-            for task_id, place in ep.placements.items():
-                held[place].add((ep.app_id, task_id))
+                if not job.background:
+                    deadline = job.release_us + job.owner[0].spec.deadline_us
+                    if earliest is None or deadline < earliest[0]:
+                        earliest = (deadline, job)
+        self._earliest_deadline = earliest
         for ps, places in sets.values():
             assert sorted(ps.members) == places == ps.members, (
                 f"set of {ps.members} at {self.now}us")
-            views = [self._member_view(ps, place, held[place], owned[place])
+            views = [self._member_view(ps, place, holders[place], owned[place])
                      for place in places]
             assert all(view == views[0] for view in views), (
                 f"set of {places} at {self.now}us: {views}")
@@ -346,8 +644,6 @@ class CheckedEngine(Engine):
 
     def _member_view(self, ps, place, held, owned):
         """What one member's own copies, jobs and faults say of its set."""
-        assert len(ps.admitted) == len(held) and all(k in ps.admitted for k in held), (
-            f"{place} at {self.now}us: admitted set differs from {sorted(held)}")
         jobs = ps.jobs
         assert owned == {job.key: job for job in jobs.values()}, (
             f"{place} at {self.now}us owns jobs {sorted(owned)}, "
@@ -362,19 +658,40 @@ class CheckedEngine(Engine):
             f.fault_id for f in self._activated
             if f.target.kind is not TargetKind.SENSOR
             and f.target.overlaps(_place_scope(place))]
-        return (frozenset(held),
+        return (frozenset(key for key, _ in held),
                 sorted((job.background, job.key, job.release_us,
                         job.remaining_us, job.start_us) for job in owned.values()),
                 None if running is None else (running.background, running.key),
                 ps.failed, ps.dead, exposure)
 
-    def _check_service(self):
-        """No copy in service sits on a dead processor."""
+    def _sweep(self):
+        # a vote asks for its expected copies' skews only while _faults_at
+        # holds a fault: it must be empty exactly when no non-sensor fault,
+        # byzantine ones among them, is active
+        assert bool(self._faults_at) == any(
+            f.target.kind is not TargetKind.SENSOR
+            for f in self._settled_faults()), (
+            f"fault index {self._faults_at} at {self.now}us")
+        # the engine asks about a copy only while its processor runs, so
+        # ask about every copy and processor here as well
         for rt in self._all_copies():
-            assert rt.health is Health.SHUTDOWN or not self.sets[rt.place].dead, (
-                f"copy {rt.copy_id} is {rt.health.value} on dead processor "
-                f"{rt.place} at {self.now}us")
-        self.checks += 1
+            self._silenced(rt, self.sets[rt.place])
+        for place, ps in self.sets.items():
+            assert ps.failed == self._halted(place)
+
+    def _scan_bit(self):
+        # one sweep offers each live place that BIT can see a settled fault
+        # on, in (lane, proc) order, the faults in fault id order (at its
+        # own activation instant a fault is surely active); a catch kills
+        # no place but its own, which it was offered
+        settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
+        self._bit_scan = {}
+        for place in sorted(self.sets):
+            faults = [f for f in settled
+                      if bit_detects(f, place, self._every_task, f.at_us)]
+            if faults and not self.sets[place].dead:
+                self._bit_scan[place] = faults
+        self._offered = []
 
     # -- the indexed answers --------------------------------------------
 
@@ -413,50 +730,6 @@ class CheckedEngine(Engine):
             if f.target.kind is TargetKind.SENSOR and f.target.app == app_id])
         return got
 
-    def _on_fault_activate(self, data):
-        super()._on_fault_activate(data)
-        self._activated.append(data)
-        self._sweep()
-
-    def _on_fault_clear(self, data):
-        super()._on_fault_clear(data)
-        self._sweep()
-
-    def _sweep(self):
-        # a vote asks for its expected copies' skews only while _faults_at
-        # holds a fault: it must be empty exactly when no non-sensor fault,
-        # byzantine ones among them, is active
-        assert bool(self._faults_at) == any(
-            f.target.kind is not TargetKind.SENSOR
-            for f in self._settled_faults()), (
-            f"fault index {self._faults_at} at {self.now}us")
-        # the engine asks about a copy only while its processor runs, so
-        # ask about every copy and processor here as well
-        for rt in self._all_copies():
-            self._silenced(rt, self.sets[rt.place])
-        for place, ps in self.sets.items():
-            assert ps.failed == self._halted(place)
-
-    def _on_bit_check(self, data):
-        # one sweep offers each live place that BIT can see a settled fault
-        # on, in (lane, proc) order, the faults in fault id order (at its
-        # own activation instant a fault is surely active); a catch kills
-        # no place but its own, which it was offered
-        assert data is None
-        settled = sorted(self._settled_faults(), key=lambda f: f.fault_id)
-        self._bit_scan = {}
-        for place in sorted(self.sets):
-            faults = [f for f in settled
-                      if bit_detects(f, place, self._every_task, f.at_us)]
-            if faults and not self.sets[place].dead:
-                self._bit_scan[place] = faults
-        self._offered = []
-        super()._on_bit_check(data)
-        assert self._offered == list(self._bit_scan), (
-            f"BIT sweep at {self.now}us offered {self._offered}, "
-            f"scanned {list(self._bit_scan)}")
-        self.checks += 1
-
     def _bit_check(self, place, faults):
         self._offered.append(place)
         want = self._bit_scan.get(place, [])
@@ -491,7 +764,7 @@ class CheckedEngine(Engine):
         assert ref == self.settings.reference.value(self.now)
         # what this task's copies asked and emitted, each at most once
         self._skews, self._emissions = set(), {}
-        self._voted.append(task_id)
+        self._voted.append((app_id, task_id))
         # while no fault is active, only policing asks for a skew
         unasked = set() if self._faults_at else {
             rt.copy_id for rt in rts if rt.health is Health.ACTIVE}
@@ -500,51 +773,6 @@ class CheckedEngine(Engine):
             f"task {(app_id, task_id)} at {self.now}us looked up skews of "
             f"{sorted(unasked & self._skews)} with no fault active")
         self.checks += 1
-
-    def _effects(self):
-        """What a vote can write: rows, implicated copies, events, policing."""
-        return (len(self.trace), frozenset(self._pending_implicated),
-                len(self._heap), self._policed)
-
-    def _on_vote_round(self, app):
-        # before any fault, with every start-up set proven, the engine skips
-        # every task, and no count of equal copies of the reference may flag;
-        # beside each skip the full vote must change nothing, and every due
-        # copy must emit the reference. Every other round votes every task
-        # in full, in task id order.
-        ref = self.settings.reference.value(self.now)
-        tasks = list(self.groups[app.app_id].copies)
-        proof = self._proven_at_start and not self._activated
-        assert self._proof == proof, (
-            f"proof flag {self._proof} at {self.now}us, recounted {proof}")
-        self._voted = []
-        if proof:
-            for n in range(2, len(self.model.lanes) + 1):
-                assert not cross_monitor(dict.fromkeys(range(n), ref),
-                                         self.voter).flagged, (
-                    f"{n} copies of the reference {ref!r} flagged at "
-                    f"{self.now}us under {self.voter}")
-            for task_id in tasks:
-                before = self._effects()
-                self._vote_task(app.app_id, task_id,
-                                self.groups[app.app_id].copies[task_id], ref)
-                emitted = [v for _, v in self._emissions.values()]
-                assert self._effects() == before and all(
-                    v == ref for v in emitted), (
-                    f"task {(app.app_id, task_id)} skipped by proof at "
-                    f"{self.now}us, but its full vote emitted {emitted}")
-            self._voted = []
-            super()._on_vote_round(app)
-            assert self._voted == [], (
-                f"app {app.app_id} at {self.now}us: proof holds, "
-                f"voted {self._voted}")
-            self.proof_skips += len(tasks)
-            return
-        super()._on_vote_round(app)
-        assert self._voted == tasks, (
-            f"app {app.app_id} at {self.now}us: tasks {tasks}, "
-            f"voted {self._voted}")
-        self.full_votes += len(tasks)
 
     def _emitted(self, rt, byz, ref):
         assert rt.copy_id not in self._emissions, (
@@ -572,80 +800,28 @@ class CheckedEngine(Engine):
         self.checks += 1
         return got
 
-    def _mark_dead(self, d):
-        self._killed.append(d)
-        super()._mark_dead(d)
-
     def _directive_victims(self, d, transient):
         # called once for each ShutdownApplied, before its row
         assert not self._proof, f"{d} shut down at {self.now}us under the proof"
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
-        # one withdraws every copy still in service
+        # one withdraws every copy still in service, and kills its places
         assert got == [rt for rt in self._copies_by_place() if d.contains(_copy_scope(rt))
                        and (rt.health is Health.ACTIVE if transient
                             else rt.health is not Health.SHUTDOWN)]
+        if not transient:
+            self._killed.append(d)
         self.checks += 1
         return got
 
-    # -- release groups -------------------------------------------------
-
-    def _on_release(self, copies):
-        # the group itself was checked when it was pushed
-        due = [rt for rt in copies if rt.health is not Health.SHUTDOWN
-               and not self.sets[rt.place].dead
-               and not _halting(self._settled_faults(), _copy_scope(rt))]
-        before = self.counters["releases"]
-        pushed = self._pushed_checks
-        super()._on_release(copies)
-        assert self.counters["releases"] - before == len(due)
-        for rt in due:
-            # the copy's job is its set's job for its key, which it owns
-            job = self.sets[rt.place].jobs.get(rt.key)
-            assert (job is not None and job.release_us == self.now
-                    and [o for o in job.owner if o.place == rt.place] == [rt]), (
-                f"copy {rt.copy_id} not released at {self.now}us")
-        # the check is pushed iff a set released on is unproven
-        deadline = self.now + copies[0].spec.deadline_us
-        if due and deadline <= self.horizon:
-            proven = all(self.sets[rt.place].proven for rt in due)
-            assert self._pushed_checks - pushed == (0 if proven else 1), (
-                f"group {due[0].copy_id} at {self.now}us: proven {proven}, "
-                f"{self._pushed_checks - pushed} checks pushed")
-            if proven:
-                self._push_skipped(deadline, EventKind.DEADLINE_CHECK,
-                                   due[0].copy_id, _Skipped(tuple(due), self.now))
-        self.checks += 1
-
-    def _on_deadline_check(self, data):
-        if not isinstance(data, _Skipped):
-            super()._on_deadline_check(data)
-            return
-        # at the skipped check's deadline and rank, what expire would find:
-        # no job of the release unfinished, unless a later check covers it
-        key, release = data.copies[0].key, data.release_us
-        for rt in data.copies:
-            if (rt.copy_id, release) in self._checked:
-                continue
-            ps = self.sets[rt.place]
-            job = ps.jobs.get(key)
-            if job is None or job.release_us != release:
-                continue
-            left = job.remaining_us - (
-                self.now - ps.since if job is ps.running else 0)
-            assert left <= 0, (
-                f"copy {rt.copy_id} released at {release}us misses at "
-                f"{self.now}us, {left}us left, and its check was skipped")
-        self.skipped_checks += 1
-
-    # -- the capacity kept ----------------------------------------------
-
-    def _apply_directives(self, directives):
-        super()._apply_directives(directives)
-        self._check_capacity()
-        self._check_service()
+    # -- spare selection ------------------------------------------------
 
     def _select_for(self, ep):
+        # the mode-change rule may check each task job pending on a proven
+        # set that this selection grows, at its deadline
+        pending = {place: [job.release_us + job.owner[0].spec.deadline_us
+                           for job in ps.jobs.values() if not job.background]
+                   for place, ps in self.sets.items() if ps.proven}
         select_spare = sim.select_spare
 
         def checked(failed, spares, *args):
@@ -665,27 +841,8 @@ class CheckedEngine(Engine):
             super()._select_for(ep)
         finally:
             sim.select_spare = select_spare
-        self._check_capacity()
-
-    def _check_placement_order(self, ep):
-        assert list(ep.placements) == sorted(ep.placements), (
-            f"record {ep.record_id} at {self.now}us: placements "
-            f"{list(ep.placements)} out of task id order")
-        self.checks += 1
-
-    def _transfer_payload(self, ep):
-        self._check_placement_order(ep)
-        return super()._transfer_payload(ep)
-
-    def _spawn_copies(self, ep):
-        self._check_placement_order(ep)
-        super()._spawn_copies(ep)
-        self._check_capacity()
-        self._check_service()
-
-    def _on_readmit(self, rt):
-        super()._on_readmit(rt)
-        self._check_service()
+        for place in ep.placements.values():
+            self._check_instants.update(pending.get(place, ()))
 
 
 def _plan_view(plan):
@@ -698,12 +855,20 @@ def _plan_view(plan):
              for place, state in plan.states.items()})
 
 
-@dataclass(frozen=True)
-class _Skipped:
-    """A deadline check the engine skipped, run beside it by CheckedEngine."""
-
-    copies: tuple
-    release_us: int
+def test_the_checker_overrides_only_the_seams_its_docstring_names():
+    # no class here handles an event by its handler's name, and each Engine
+    # method CheckedEngine replaces is a per-call contract the module
+    # docstring lists
+    classes = [value for value in globals().values()
+               if isinstance(value, type) and value.__module__ == __name__]
+    assert [f"{cls.__name__}.{name}" for cls in classes for name in vars(cls)
+            if name.startswith("_on_")] == []
+    overridden = {name for name, value in vars(CheckedEngine).items()
+                  if callable(value) and name in vars(Engine)}
+    items = re.findall(r"^- ((?:``\w+``,?\s*)+):",
+                       __doc__.split("Per-call contracts")[1], re.M)
+    assert overridden == {name for item in items
+                          for name in re.findall(r"``(\w+)``", item)}
 
 
 def _outputs(result):
@@ -781,27 +946,6 @@ def test_a_fault_clearing_later_in_the_same_instant_still_counts():
     assert engine.lagging > 0
 
 
-class _ProofLog(CheckedEngine):
-    """A CheckedEngine that records each vote round: its instant, app, the
-    proof flag it started with, and how many tasks it skipped by proof."""
-
-    def __init__(self, scenario):
-        super().__init__(scenario)
-        self.rounds = []
-
-    def _on_vote_round(self, app):
-        proof, by_proof = self._proof, self.proof_skips
-        super()._on_vote_round(app)
-        self.rounds.append((self.now, app.app_id, proof,
-                            self.proof_skips - by_proof))
-
-
-def _logged(scenario):
-    engine = _ProofLog(scenario)
-    assert _outputs(engine.run()) == _outputs(Engine(scenario).run())
-    return engine
-
-
 def _tasks_voted(engine, rounds):
     """How many task votes the rounds' applications hold."""
     counts = {app.app_id: len(app.tasks) for app in engine.model.applications}
@@ -813,7 +957,7 @@ def test_skipped_votes_on_the_mean_voter_scenario():
     # it on, through the transient fault at 85 ms and the agreeing copies
     # at 280 ms whose float mean misses them, each round votes every task
     # in full (CheckedEngine asserts the order)
-    engine = _logged(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
+    engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
     first = next(row.time_us for row in engine.trace
                  if row.kind == "FaultActivate")
     assert first == 70_000
@@ -830,10 +974,24 @@ def test_an_unproven_start_sets_no_proof_and_votes_every_round():
     # every round votes every task in full
     scenario = load_scenario(SCENARIOS / "overload_deadline_misses.json")
     assert not Engine(scenario)._proof
-    engine = _logged(scenario)
+    engine = _check(scenario)
     assert engine.rounds and engine.proof_skips == 0
     assert not any(proof for _, _, proof, _ in engine.rounds)
     assert engine.full_votes == _tasks_voted(engine, engine.rounds)
+
+
+def test_a_copy_takes_its_skew_from_the_first_fault_in_list_order():
+    # two byzantine faults on one processor, both active at the 60 ms
+    # round: the second in the list activates first and has the lower id,
+    # so an index kept in activation order, or ranked by fault id, hands
+    # the copy the other fault's skew
+    byzantine = [{"fault_id": fault_id, "at_ms": at_ms, "kind": "byzantine",
+                  "value_skew": skew,
+                  "target": {"kind": "processor", "lane": 0, "proc": 0}}
+                 for fault_id, at_ms, skew in ((1, 55, 3.0), (0, 51, 5.0))]
+    engine = _check(parse_scenario(scenario_doc(byzantine)))
+    assert any(row.time_us == 60_000 and row.kind == "Detection"
+               for row in engine.trace)
 
 
 class _VoteCount(Engine):
@@ -860,7 +1018,7 @@ def test_fault_free_benchmark_shapes_vote_no_task(seed, horizon_ms):
 
 def test_the_first_fault_ends_the_proof_even_on_a_sensor():
     # a sensor fault touches no copy, yet from it on the rounds vote
-    engine = _logged(parse_scenario(scenario_doc([
+    engine = _check(parse_scenario(scenario_doc([
         {"at_ms": 50, "kind": "permanent", "value_skew": 2.0,
          "target": {"kind": "sensor", "app": 1, "lane": 2}}])))
     assert not engine._proof
@@ -877,7 +1035,7 @@ def test_the_mean_voter_keeps_the_proof_to_the_horizon():
     # reference misses it by more than the tolerance, but the consensus
     # stays inside the values it averages, so every round is skipped by
     # proof and nothing is shut down
-    engine = _logged(load_scenario(SCENARIOS / "mean_voter_proof_exception.json"))
+    engine = _check(load_scenario(SCENARIOS / "mean_voter_proof_exception.json"))
     assert not engine.sc.faults and engine._proof
     for at in (60_000, 150_000):
         ref = engine.settings.reference.value(at)
@@ -896,7 +1054,7 @@ def test_an_admitted_run_pushes_no_deadline_check():
     # each skipped one is run beside the engine
     engine = _check(parse_scenario(generate_scenario(
         lanes=3, procs=4, apps=3, seed=5, faults=4, horizon_ms=60)))
-    assert engine._pushed_checks == 0 and engine.skipped_checks > 0
+    assert engine.deadline_checks == 0 and engine.skipped_checks > 0
 
 
 @pytest.mark.parametrize("name,spare", [
@@ -942,12 +1100,28 @@ def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
                   for place in ep.placements.values()) == [(1, 3), (2, 3)]
 
 
-class _WithdrawalSpy(Engine):
-    """An Engine that records every copy list it takes out of service."""
+class _Stopped(Exception):
+    """The run reached the event it was to stop before."""
 
-    def __init__(self, scenario):
+
+class _WithdrawalSpy(Engine):
+    """An Engine that records every copy list it takes out of service, and
+    stops its run before the first event past (at_us, rank)."""
+
+    def __init__(self, scenario, stop_after):
         super().__init__(scenario)
         self.withdrawals = []
+        self._stop_after = stop_after
+
+    def _handlers(self):
+        def stopping(rank, handler):
+            def handle(data):
+                if (self.now, rank) > self._stop_after:
+                    raise _Stopped
+                handler(data)
+            return handle
+        return tuple(stopping(rank, handler)
+                     for rank, handler in enumerate(super()._handlers()))
 
     def _withdraw(self, copies):
         self.withdrawals.append([rt.copy_id for rt in copies])
@@ -959,14 +1133,12 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
     # other, so the two directives are applied by hand: a permanent lane
     # fault and a permanent processor fault inside it, both active now
     engine = _WithdrawalSpy(parse_scenario(scenario_doc([
-        lane_fault(at_ms=50), proc_fault(at_ms=50, lane=0, proc=0)])))
+        lane_fault(at_ms=50), proc_fault(at_ms=50, lane=0, proc=0)])),
+        stop_after=(50_000, _ACTIVATE))
     start_load = engine.bus.current_load
-    engine._prime_events()
-    handlers, heap = engine._handlers(), engine._heap
-    while heap[0][:2] <= (50_000, EventKind.FAULT_ACTIVATE.rank):
-        at, rank, _key, _seq, _kind, data = heapq.heappop(heap)
-        engine.now = at
-        handlers[rank](data)
+    with pytest.raises(_Stopped):
+        engine.run()
+    engine.now = 50_000
     active = [f for f in engine.sc.faults if f.active_at(engine.now)]
     assert len(active) == 2
     engine._apply_directives([f.target for f in active])
