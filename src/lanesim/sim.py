@@ -12,13 +12,18 @@ its set's first member (below), since at one instant only the wake-up of
 the set's current generation acts and stale ones return before charging
 anything.
 
-``TaskRelease`` and ``DeadlineCheck`` act on a release group: the initial
+Releases and ``DeadlineCheck`` act on a release group: the initial
 copies of one ``(app, task)``, which share one spec and have consecutive
-copy ids, or one rebuilt copy alone, since it has a phase of its own. The
-event is keyed by the group's first copy id and handles the copies in copy
-id order. No two groups' id ranges overlap and a rebuilt copy's id is
-above every initial one, so the copies are handled in the order one event
-per copy would give.
+copy ids, or one rebuilt copy alone, since it has a phase of its own. A
+``DeadlineCheck`` is keyed by its group's first copy id. Releases go by
+instant: the release calendar maps an instant to the groups due then, and
+one ``TaskRelease`` event runs them all, in first copy id order, each one's
+copies in copy id order. No two groups' id ranges overlap and a rebuilt
+copy's id is above every initial one, so the copies are handled in the
+order one event per copy would give. A rebuilt copy is spawned by an event
+of a later rank than ``TaskRelease``, so its first instant's groups have
+run already: it gets a calendar entry and an event of its own, which pops
+next.
 
 Each event carries the object its handler acts on:
 
@@ -27,7 +32,7 @@ Each event carries the object its handler acts on:
     DeadlineCheck                 (copies released, release_us), pushed only
                                   where a job may miss (below)
     BITCheck                      None: one event a period tests every place
-    TaskRelease                   the group's copies still in service
+    TaskRelease                   None: the calendar holds the instant's groups
     VoteRound                     the ApplicationSpec
     Classify, SelectionDone       None: the work is the pending list
     InstallDone, StateTransferDone  the recovery episode (one handler for both)
@@ -364,6 +369,9 @@ class Engine:
         self.now = 0
         self._heap: list = []
         self._push = _event_pusher(self._heap)
+        # instant -> the release groups due then, while its TaskRelease
+        # event has not popped (_release_at)
+        self._calendar: dict = {}
 
         self.trace: list = []
         self.samples: list = []
@@ -569,8 +577,7 @@ class Engine:
     def _prime_events(self):
         for group in self.groups.values():
             for rts in group.copies.values():
-                copies = tuple(rts)
-                self._push(0, _TASK_RELEASE, copies[0].copy_id, copies)
+                self._release_at(0, tuple(rts))
         for app in self.model.applications:
             period = self._vote_period[app.app_id]
             if period <= self.horizon:
@@ -655,7 +662,25 @@ class Engine:
 
     # -- releases, completions, deadlines ---------------------------------------
 
-    def _on_release(self, copies: tuple):
+    def _release_at(self, at: int, copies: tuple):
+        """Schedule a release group at an instant: the one place a group is
+        scheduled. The instant's first group pushes its one ``TaskRelease``
+        event; later ones join its list."""
+        groups = self._calendar.get(at)
+        if groups is None:
+            self._calendar[at] = [copies]
+            self._push(at, _TASK_RELEASE, 0, None)
+        else:
+            groups.append(copies)
+
+    def _on_release(self, _data):
+        # in first copy id order, the order one event per group would pop in
+        groups = self._calendar.pop(self.now)
+        groups.sort(key=_first_id)
+        for copies in groups:
+            self._release_group(copies)
+
+    def _release_group(self, copies: tuple):
         # a withdrawn copy never serves again; the group's tuple is kept
         # while none is, so a release allocates no new group, and no group
         # is scanned before the first withdrawal
@@ -667,7 +692,7 @@ class Engine:
         now, spec = self.now, copies[0].spec
         nxt = now + spec.period_us
         if nxt <= self.horizon:
-            self._push(nxt, _TASK_RELEASE, copies[0].copy_id, copies)
+            self._release_at(nxt, copies)
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
         # whether all of them run. A job on a proven set cannot miss, so
@@ -1432,7 +1457,7 @@ class Engine:
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             # its own phase: a release group of one
-            self._push(self.now, _TASK_RELEASE, rt.copy_id, (rt,))
+            self._release_at(self.now, (rt,))
         if not ep.copies:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
@@ -1467,6 +1492,10 @@ def _lane_proc(rec: CompletionRecord) -> tuple:
 
 def _fault_id(f) -> int:
     return f.fault_id
+
+
+def _first_id(copies: tuple) -> int:
+    return copies[0].copy_id
 
 
 def _halts(faults) -> bool:

@@ -4,8 +4,9 @@
 ``lanesim.sim.classify``, and reads the kind of each popped event from the
 engine's heap entries. A refactor that moves such a name or reorders the
 entry breaks the traced benchmark run, so these checks keep that failure
-in the test suite. The tracer's pop count also pins how many events of a
-kind a run pops.
+in the test suite. The tracer's pop count also pins, on fault-free runs,
+how many ``TaskRelease`` and ``BITCheck`` events pop: one an instant that
+releases, and one a built-in test period.
 """
 
 import heapq
@@ -57,6 +58,20 @@ def test_the_event_heap_is_reachable_as_lanesim_sim_heapq():
     assert vars(lanesim.sim)["heapq"] is heapq
 
 
+def _fault_free_generated():
+    doc = generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=100)
+    doc["sim"]["bit_period_ms"] = 7     # the horizon is no multiple of it
+    return parse_scenario(doc)
+
+
+def _release_instants(scenario) -> int:
+    """How many distinct instants a fault-free run releases at: every
+    multiple of a task period, from 0 to the horizon."""
+    horizon = scenario.settings.horizon_us
+    return len({at for app in scenario.model.applications for task in app.tasks
+                for at in range(0, horizon + 1, task.period_us)})
+
+
 def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
     # the pop shim takes the kind from index 4 of every heap entry
     tracer = _tracer(monkeypatch)
@@ -64,17 +79,12 @@ def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
         run(scen([proc_fault(kind="transient", duration_ms=40)]))
     assert pops.counts
     assert all(isinstance(kind, EventKind) for kind in pops.counts)
-    # fault-free, one TaskRelease releases a task's copy on each of the
-    # three lanes
-    with tracer.counting_pops(lanesim.sim) as pops:
-        result = run(scen([]))
-    assert pops.counts[EventKind.TASK_RELEASE] * 3 == result.counters["releases"]
-
-
-def _fault_free_generated():
-    doc = generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=100)
-    doc["sim"]["bit_period_ms"] = 7     # the horizon is no multiple of it
-    return parse_scenario(doc)
+    # fault-free, one TaskRelease runs every release group due at its
+    # instant
+    for scenario in (scen([]), _fault_free_generated()):
+        with tracer.counting_pops(lanesim.sim) as pops:
+            run(scenario)
+        assert pops.counts[EventKind.TASK_RELEASE] == _release_instants(scenario)
 
 
 @pytest.mark.parametrize("scenario", [

@@ -83,6 +83,9 @@ Per-call contracts, one override each:
 - ``__init__``: capacity after set-up; each group holds its tasks in task
   id order; the start-up sets' proof, recounted.
 - ``_handlers``: the wrap above.
+- ``_release_group``: the first copy ids of an instant's release groups
+  rise across the whole instant, within one ``TaskRelease`` event and
+  across its events.
 - ``run``: the checks due by the horizon, and as many rounds as the vote
   periods give.
 - ``_silenced``, ``_halted``, ``_skew_for``, ``_directive_causes``,
@@ -207,6 +210,7 @@ class CheckedEngine(Engine):
         # the instant of the last event, and the copies it released so far
         self._instant, self._released, self._last_released = None, set(), 0
         self._release_open = None    # an instant whose releases are unchecked
+        self._last_group = 0     # the first copy id of the instant's last group
         self._releases_before = 0
         # instants a DeadlineCheck must still run at, and where one may
         self._checks_due, self._check_instants = set(), set()
@@ -347,6 +351,7 @@ class CheckedEngine(Engine):
         self._instant = now
         self._released, self._last_released = set(), 0
         self._release_open = now
+        self._last_group = 0
         self._due_apps = [app for app in self._app_order
                           if now and now % app.shortest_period_us == 0]
         self._vote_open = now
@@ -430,6 +435,15 @@ class CheckedEngine(Engine):
         # a copy spawned later in the instant releases after its rank
         self._release_open = now
         self.checks += 1
+
+    def _release_group(self, copies):
+        first = copies[0].copy_id
+        assert first > self._last_group, (
+            f"the group of copy {first} released at {self.now}us after "
+            f"the group of copy {self._last_group}")
+        self._last_group = first
+        self.checks += 1
+        super()._release_group(copies)
 
     def _check_released(self, at):
         """Every copy due at the instant, in service on a live processor
