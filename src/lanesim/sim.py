@@ -49,9 +49,11 @@ events carry the set's generation so a preempted or killed job's stale
 completion is simply dropped. ``initial_allocation`` mirrors every lane,
 so each processor index starts as one set of all its lanes' places, and a
 lane set in lockstep costs one lane's schedule. A set's release,
-completion and deadline act once and record once per member: a job is
-owned by the tuple of its members' copies, and each copy gets its own
-completion record and deadline miss, misses in copy id order.
+completion and deadline act once: a job is owned by the tuple of its
+members' copies, and each copy gets its own deadline miss, in copy id
+order. A completion keeps one entry per finished job, with its owner
+tuple; ``SimResult.completions``, one record per owning copy in
+``(finish, lane, proc)`` order, is built from these on first read.
 
 The first event that would treat a member differently splits it out into
 a set of its own, which gets a clone of every job (remaining work, start,
@@ -60,10 +62,10 @@ a place: a non-sensor fault activating over it (its clear finds the place
 split already), a shutdown that withdraws a copy from it or kills it, a
 spare admission on it, and a spawn or history replay on it. Sets never
 merge again, so the members of a set of more than one are places no fault
-or recovery has touched. The completion records of one instant are
-contiguous, since every wake-up of the instant pops before anything of a
-later rank; a block that more than one set wrote is put in ``(lane,
-proc)`` order when it closes, the order one schedule per place gives.
+or recovery has touched. No two records share ``(finish, lane, proc)``:
+a place has one set, a set finishes at most one job an instant, and a
+background job writes no record. So one sort gives the order one
+schedule per place would.
 
 A job on a set whose admitted set passes the response-time test
 (``ProcessorState.proven``) cannot miss its deadline, so a release pushes
@@ -105,6 +107,8 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 
 from . import coverage as cov
 from . import timebase
@@ -171,8 +175,9 @@ _ACTIVE = Health.ACTIVE
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
 # plain slotted dataclasses, not frozen ones: a frozen __init__ stores each
 # field through object.__setattr__, which made a row about four times as
-# dear to build, and a run builds one per completion and trace row. They
-# compare by value; being mutable, they are not hashable.
+# dear to build, and a run builds one per trace row (and, once read, one
+# per completion). They compare by value; being mutable, they are not
+# hashable.
 @dataclass(slots=True)
 class TraceEvent:
     """One row of the run trace; None fields render as '-'."""
@@ -216,9 +221,22 @@ class SimResult:
     samples: list = field(default_factory=list)
     risk: dict = field(default_factory=dict)
     deadline_misses: list = field(default_factory=list)
-    completions: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     final_coverage: dict = field(default_factory=dict)
+    # one (finish_us, start_us, release_us, owner) per finished task job
+    finished: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def completions(self) -> list:
+        """One CompletionRecord per copy that owned a finished job, in
+        (finish, lane, proc) order, built on first read: no report writer
+        reads them."""
+        recs = [CompletionRecord(finish, start, release, rt.lane, rt.proc,
+                                 rt.app_id, rt.task_id)
+                for finish, start, release, owner in self.finished
+                for rt in owner]
+        recs.sort(key=_finish_lane_proc)
+        return recs
 
     def outcome_counts(self) -> dict:
         counts = {o: 0 for o in Outcome}
@@ -376,10 +394,7 @@ class Engine:
         self.trace: list = []
         self.samples: list = []
         self.misses: list = []
-        self.completions: list = []
-        # the block of completions of one instant: its time and first index,
-        # and whether more than one set wrote it (_on_complete)
-        self._block_at, self._block_start, self._block_mixed = None, 0, False
+        self.finished: list = []        # see SimResult.finished
         self.counters: dict = {
             "releases": 0, "completions": 0, "deadline_misses": 0,
             "vote_rounds": 0, "detections": 0, "shutdowns": 0,
@@ -640,8 +655,6 @@ class Engine:
             if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
                 self._sample(ep.app_id)
-        self._close_block()
-        self.counters["completions"] = len(self.completions)
         self.counters["deadline_misses"] = len(self.misses)
         result = SimResult(
             seed=self.settings.seed,
@@ -651,8 +664,8 @@ class Engine:
             samples=self.samples,
             risk=cov.time_at_risk(self._episodes, self.horizon),
             deadline_misses=self.misses,
-            completions=self.completions,
             counters=dict(self.counters),
+            finished=self.finished,
         )
         stale, last = self._cov_stale, self._last_cov
         for app_id in self.groups:
@@ -745,26 +758,11 @@ class Engine:
                 self._row("ReplayDone", rt.lane, rt.proc, rt.app_id, rt.task_id,
                           "history backlog cleared")
             return
-        # the records of one instant are contiguous, since every wake-up of
-        # the instant pops before anything of a later rank; a block that
-        # more than one set wrote is put in (lane, proc) order when it closes
-        if now != self._block_at:
-            self._close_block()
-            self._block_at, self._block_start = now, len(self.completions)
-        else:
-            self._block_mixed = True
-        start, release = job.start_us, job.release_us
-        add = self.completions.append
-        for rt in job.owner:
+        owner = job.owner
+        for rt in owner:
             rt.completed_ever = True
-            add(CompletionRecord(now, start, release, rt.lane, rt.proc,
-                                 rt.app_id, rt.task_id))
-
-    def _close_block(self):
-        if self._block_mixed:
-            self._block_mixed = False
-            recs, start = self.completions, self._block_start
-            recs[start:] = sorted(recs[start:], key=_lane_proc)
+        self.finished.append((now, job.start_us, job.release_us, owner))
+        self.counters["completions"] += len(owner)
 
     def _on_deadline_check(self, data):
         copies, release_us = data
@@ -1486,8 +1484,7 @@ class Engine:
         self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
 
 
-def _lane_proc(rec: CompletionRecord) -> tuple:
-    return rec.lane, rec.proc
+_finish_lane_proc = attrgetter("finish_us", "lane", "proc")
 
 
 def _fault_id(f) -> int:

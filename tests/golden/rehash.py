@@ -78,16 +78,21 @@ def seed_digests(seeds, tmp) -> dict:
 
 
 def _rewrite(path, new: dict, what: str):
-    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    for name, files in new.items():
-        for file, digest in files.items():
-            if old.get(name, {}).get(file) != digest:
-                print(f"changed: {name} {file}")
-    for name in sorted(set(old) - set(new)):
-        print(f"removed: {name}")
+    """Write new to path, first printing each digest that differs from the
+    file there; a new file has nothing to differ from."""
+    note = ", new file"
+    if path.exists():
+        note = ""
+        old = json.loads(path.read_text(encoding="utf-8"))
+        for name, files in new.items():
+            for file, digest in files.items():
+                if old.get(name, {}).get(file) != digest:
+                    print(f"changed: {name} {file}")
+        for name in sorted(set(old) - set(new)):
+            print(f"removed: {name}")
     path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    print(f"wrote {path} ({len(new)} {what})")
+    print(f"wrote {path} ({len(new)} {what}{note})")
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from lanesim.scenario import parse_scenario
 
 from golden.generated import SEEDS, generated_scenario
 from golden.rehash import (GENERATED_HASHES, HASHES, RESULTS, SCENARIOS,
-                           output_digests, scenario_digests)
+                           _rewrite, output_digests, scenario_digests)
 
 EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
 GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
@@ -63,3 +63,15 @@ def test_the_customer_cap_refuses_a_spare_the_plain_bound_admits(tmp_path):
     plain = scenario_digests(parse_scenario(doc), tmp_path / "plain")
     assert capped == EXPECTED["customer_cap_refuses_spare"]
     assert all(capped[name] != plain[name] for name in capped)
+
+
+def test_a_sweep_into_a_new_file_lists_no_digest_as_changed(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    digests = {"0": {"trace.tsv": "a", RESULTS: "b"}, "1": {"trace.tsv": "c"}}
+    _rewrite(path, digests, "seeds")
+    assert capsys.readouterr().out == f"wrote {path} (2 seeds, new file)\n"
+    assert json.loads(path.read_text(encoding="utf-8")) == digests
+
+    _rewrite(path, {"0": {"trace.tsv": "a", RESULTS: "x"}}, "seeds")
+    assert capsys.readouterr().out == (
+        f"changed: 0 {RESULTS}\nremoved: 1\nwrote {path} (1 seeds)\n")

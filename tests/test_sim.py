@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lanesim.cli import metrics_document, trace_lines
+from lanesim.cli import metrics_document, trace_lines, write_outputs
 from lanesim.coverage import CoverageLevel, CoverageSample
 from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec, TimingConfig
@@ -1007,6 +1007,32 @@ def test_completions_are_in_finish_lane_proc_order():
         got = run(sc).completions
         assert got, sc
         assert got == sorted(got, key=lambda c: (c.finish_us, c.lane, c.proc))
+
+
+def test_no_two_completions_share_finish_lane_proc():
+    # a place has one set and a set finishes at most one job an instant, so
+    # the one sort that builds SimResult.completions is exact
+    scenarios = [load_scenario(p) for p in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += [generated_scenario(seed) for seed in SEEDS]
+    for sc in scenarios:
+        keys = [(c.finish_us, c.lane, c.proc) for c in run(sc).completions]
+        assert len(set(keys)) == len(keys), sc
+
+
+def test_completion_records_are_built_on_first_read(monkeypatch, tmp_path):
+    built = []
+
+    def counted(*values):
+        built.append(values)
+        return CompletionRecord(*values)
+
+    monkeypatch.setattr("lanesim.sim.CompletionRecord", counted)
+    result = Engine(load_scenario(SCENARIOS / "mirrored_split_edges.json")).run()
+    write_outputs(result, tmp_path)
+    assert built == []
+    got = result.completions
+    assert got is result.completions
+    assert len(got) == len(built) == result.counters["completions"] > 0
 
 
 def _garbage_left_by(scenario) -> int:
