@@ -14,7 +14,7 @@ from .model import (Architecture, ApplicationSpec, BusSpec, InvalidModel,
                     initial_allocation)
 from .reconfig import (Copy, FailedTask, Health, Outcome, PlacementPlan,
                        PoliceCounter, ReconfigRecord, ReplicaGroup,
-                       SpareCandidate, recovery_order, select_spare)
+                       recovery_order, select_spare)
 from .scenario import (Scenario, generate_scenario, load_scenario,
                        parse_scenario)
 from .sim import (Engine, InsufficientInstances, ScenarioInvalid, SimResult,

@@ -4,8 +4,12 @@ Fault targets and shutdown scopes are one type, :class:`FaultTarget`: a
 lane, a processor, a task copy or a sensor channel. A scope is its
 coordinate prefix ``key``: ``(lane,)``, ``(lane, proc)`` or ``(lane, proc,
 app, task)``; a sensor channel's key prefixes no other. Scopes nest as
-keys do, and ``contains``/``overlaps`` is the one rule for "does this fault
-or shutdown cover that element". ``classify`` turns vote evidence into the
+keys do, and ``contains``/``overlaps`` is the reference rule for "does this
+fault or shutdown cover that element": the one the tests' ``CheckedEngine``
+scans with. The engine calls neither. It answers the same questions by
+key prefix: it looks the prefixes of a key up in its index of active
+faults by target key, and reads a scope's copies from its index of copies
+by (lane, proc). ``classify`` turns vote evidence into the
 ``FaultTarget``s to shut down.
 
 Detection has two mechanisms. Built-in test (BIT) is local health

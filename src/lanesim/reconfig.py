@@ -107,13 +107,6 @@ class FailedTask:
 
 
 @dataclass
-class SpareCandidate:
-    lane: int
-    proc: int
-    state: ProcessorState    # what it admitted; occupied when not empty
-
-
-@dataclass
 class PlacementDecision:
     task_id: int
     lane: int
@@ -144,25 +137,24 @@ def recovery_order(apps) -> list[int]:
     return [a.app_id for a in sorted(apps, key=recovery_rank)]
 
 
-def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
+def select_spare(failed: list[FailedTask],
+                 spares: dict[tuple[int, int], ProcessorState],
                  bus: BusState, cfg, restricted: bool) -> PlacementPlan:
     """Plan placements for one application's failed tasks, in the order
     given: an earlier task's reservation is what a later one sees.
+    ``spares`` maps each spare's (lane, proc) to the ProcessorState it has
+    admitted; a spare is occupied when that state is not empty.
 
     Mutates nothing: capacity is reserved under the (app, task) key in new
     spare states and a new bus, which the plan carries back to the caller.
     """
     if not failed:
         raise ValueError("nothing to place")
-    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus,
-                         states={(s.lane, s.proc): s.state for s in spares})
+    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus, states=dict(spares))
     states = plan.states
-    # spares another application already claimed; our own reservations do
-    # not count, since restriction is one application per processor
-    taken = {(s.lane, s.proc) for s in spares if len(s.state) > 0}
 
     for f in failed:
-        ranked = _ranked_candidates(f, spares, states, taken, restricted)
+        ranked = _ranked_candidates(f, spares, states, restricted)
         placed = False
         for lane, proc in ranked:
             state = states[(lane, proc)]
@@ -186,16 +178,19 @@ def select_spare(failed: list[FailedTask], spares: list[SpareCandidate],
     return plan
 
 
-def _ranked_candidates(f: FailedTask, spares, states, taken, restricted):
-    def usable(s):
-        # a spare never takes a second copy of a task it already runs
-        if (f.app_id, f.task_id) in s.state:
+def _ranked_candidates(f: FailedTask, spares: dict, states, restricted):
+    def usable(state):
+        # a spare never takes a second copy of a task it already runs; a
+        # restricted one that another application claimed is taken. Both
+        # read the spare as given: the plan's own reservations do not count,
+        # since restriction is one application per processor.
+        if (f.app_id, f.task_id) in state:
             return False
-        return not (restricted and (s.lane, s.proc) in taken)
+        return not (restricted and len(state) > 0)
 
     # by the resulting utilization: the task adds the same to each, so rank
     # by the utilization now, as integer numerators over one denominator
-    places = [(s.lane, s.proc) for s in spares if usable(s)]
+    places = [place for place, state in spares.items() if usable(state)]
     ratios = [states[place].utilization_ratio for place in places]
     common = math.lcm(*(den for _, den in ratios))
     keys = [(num * (common // den), *place)

@@ -121,8 +121,8 @@ from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
 from .processor import Job, Processor
 from .processor import ProcSchedule, schedule_processor  # seed API, re-exported
 from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
-                       ReconfigRecord, ReplicaGroup, SpareCandidate,
-                       recovery_rank, select_spare)
+                       ReconfigRecord, ReplicaGroup, recovery_rank,
+                       select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
                      transfer_time)
 
@@ -418,12 +418,10 @@ class Engine:
         self._stall_traced = False      # the head's stall has a trace row
         self._bit_detected: set = set()
         self._any_withdrawn = False     # has any copy been shut down for good?
-        # app_id -> its last coverage sample's triple, which is its coverage
-        # now unless the app is in _cov_stale: one of its copies or channels
-        # changed since (_set_health, the channel handlers). An app not
-        # sampled yet has no entry.
+        # app_id -> its last coverage sample's triple: its coverage now,
+        # since each handler that changes a copy's health or a sensor
+        # channel samples the application before it returns
         self._last_cov: dict = {}
-        self._cov_stale: set = set()
 
         # each fault active now, held once by the activate and clear handlers
         # in one of two indexes, each keyed by what reads it; a fault's
@@ -576,9 +574,10 @@ class Engine:
 
     def _set_health(self, rt: _CopyRt, health: Health):
         """The one place a copy's health changes (readmit, restabilize,
-        withdraw). Coverage and the hosting index count active copies
-        alone, so a change into or out of ACTIVE updates the index, once
-        built, and marks the copy's application for a coverage recount."""
+        withdraw). The hosting index counts active copies alone, so a change
+        into or out of ACTIVE updates it, once built. Coverage counts them
+        too: the caller samples the copy's application before its handler
+        returns."""
         if (health is Health.ACTIVE) != (rt.health is Health.ACTIVE):
             index = self._hosting
             if index is not None:
@@ -586,7 +585,6 @@ class Engine:
                     index[rt.place].add(rt.key)
                 else:
                     index[rt.place].discard(rt.key)
-            self._cov_stale.add(rt.app_id)
         rt.health = health
 
     def _prime_events(self):
@@ -654,9 +652,10 @@ class Engine:
         for ep in self._episodes:
             if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
-                self._sample(ep.app_id)
+        self.counters["completions"] = sum(
+            len(owner) for *_, owner in self.finished)
         self.counters["deadline_misses"] = len(self.misses)
-        result = SimResult(
+        return SimResult(
             seed=self.settings.seed,
             horizon_us=self.horizon,
             records=self._episodes,
@@ -665,13 +664,9 @@ class Engine:
             risk=cov.time_at_risk(self._episodes, self.horizon),
             deadline_misses=self.misses,
             counters=dict(self.counters),
+            final_coverage=dict(self._last_cov),
             finished=self.finished,
         )
-        stale, last = self._cov_stale, self._last_cov
-        for app_id in self.groups:
-            result.final_coverage[app_id] = (
-                self._coverage(app_id) if app_id in stale else last[app_id])
-        return result
 
     # -- releases, completions, deadlines ---------------------------------------
 
@@ -708,13 +703,15 @@ class Engine:
             self._release_at(nxt, copies)
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
-        # whether all of them run. A job on a proven set cannot miss, so
-        # the group's deadline is checked only if a set it ran on is not.
+        # whether all of them run, and a copy in service never sits on a
+        # dead place, so only a halt stops one. A job on a proven set
+        # cannot miss, so the group's deadline is checked only if a set it
+        # ran on is not.
         key, wcet = copies[0].key, spec.wcet_us
         stopped = []
         unproven = False
         for ps, mine in self._by_set(copies):
-            if ps.dead or self._silenced(mine[0], ps):
+            if self._silenced(mine[0], ps):
                 stopped.append(ps)
                 continue
             ps.release(Job(tuple(mine), key, now, wcet), now)
@@ -762,7 +759,6 @@ class Engine:
         for rt in owner:
             rt.completed_ever = True
         self.finished.append((now, job.start_us, job.release_us, owner))
-        self.counters["completions"] += len(owner)
 
     def _on_deadline_check(self, data):
         copies, release_us = data
@@ -895,7 +891,6 @@ class Engine:
         if any(f.target.lane == lane for f in self._sensor_faults(app_id)):
             return      # still faulty; the last fault's clear restores it
         self.channels[app_id][lane] = True
-        self._cov_stale.add(app_id)
         self._row("Readmit", lane=lane, app=app_id, detail="sensor channel restored")
         self._sample(app_id)
 
@@ -956,11 +951,11 @@ class Engine:
 
     def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent.
-        ``byz`` is the copy's byzantine fault and ``ref`` the reference value."""
+        ``byz`` is the copy's byzantine fault and ``ref`` the reference value.
+        A copy in service sits on no dead place: only a halt silences it."""
         if rt.replay_left_us > 0 or not rt.completed_ever:
             return None
-        ps = self.sets[rt.place]
-        if ps.dead or self._silenced(rt, ps):
+        if self._silenced(rt, self.sets[rt.place]):
             return None
         value = ref
         if byz is not None:
@@ -995,7 +990,6 @@ class Engine:
             lane = f.target.lane
             if self.channels[app.app_id][lane]:
                 self.channels[app.app_id][lane] = False
-                self._cov_stale.add(app.app_id)
                 self.counters["detections"] += 1
                 self._row("Detection", lane=lane, app=app.app_id,
                           detail=f"input voting isolated sensor channel "
@@ -1173,6 +1167,7 @@ class Engine:
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
         abandoned: dict = {}    # record id -> open episode that lost a copy
         withdrawn: list = []    # every permanent victim, once
+        lost: set = set()       # apps that lost an active copy: to sample
         for d in directives:
             causes = self._directive_causes(d)
             transient = bool(causes) and all(
@@ -1183,6 +1178,7 @@ class Engine:
             self._bit_detected.update(
                 f.fault_id for f in causes if len(f.target.key) >= len(d.key))
             victims = self._directive_victims(d, transient)
+            lost.update(rt.app_id for rt in victims if rt.health is _ACTIVE)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
                       f"{d.kind.value} shutdown, "
@@ -1212,12 +1208,19 @@ class Engine:
         self._withdraw(withdrawn)
 
         # a recovery that loses a copy it was rebuilding ends here; the
-        # copy's replacement belongs to the new reconfiguration
+        # copy's replacement belongs to the new reconfiguration. Coverage is
+        # sampled once per app that lost an active copy: an abandoned
+        # recovery's app as it closes, in record id order, then by app.
         for record_id in sorted(abandoned):
-            self._close_episode(abandoned[record_id], Outcome.ABANDONED)
+            ep = abandoned[record_id]
+            self._close_episode(ep, Outcome.ABANDONED)
+            if ep.app_id in lost:
+                lost.remove(ep.app_id)
+                self._sample(ep.app_id)
+        for app_id in sorted(lost):
+            self._sample(app_id)
         # by application, the reconfiguration before the restabilization
         for app_id, transient in sorted(affected):
-            self._sample(app_id)
             self._open_episode(app_id, transient,
                                *affected[(app_id, transient)])
         # withdrawals may have freed bandwidth a stalled transfer was waiting
@@ -1325,8 +1328,9 @@ class Engine:
                 self._close_episode(ep, Outcome.ABANDONED)
                 return
 
-        spares = [SpareCandidate(*place, self.sets[place].admitted)
-                  for place in self._spares if self.sets[place].runnable()]
+        sets = self.sets
+        spares = {place: sets[place].admitted for place in self._spares
+                  if sets[place].runnable()}
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 
@@ -1463,7 +1467,6 @@ class Engine:
         ep.outcome = outcome
         self._row("RecoveryClosed", app=ep.app_id,
                   detail=f"record {ep.record_id}: {outcome.value}")
-        self._sample(ep.app_id)
 
     # -- coverage sampling ------------------------------------------------------------
 
@@ -1473,15 +1476,11 @@ class Engine:
                 cov.peripheral_coverage(self._healthy_channels(app_id)))
 
     def _sample(self, app_id):
-        stale, last = self._cov_stale, self._last_cov
-        if app_id not in stale and app_id in last:
-            return      # the last sample is its coverage still
-        stale.discard(app_id)
+        """Recount the application's coverage; a change is a new sample."""
         snap = self._coverage(app_id)
-        if last.get(app_id) == snap:
-            return
-        self._last_cov[app_id] = snap
-        self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
+        if self._last_cov.get(app_id) != snap:
+            self._last_cov[app_id] = snap
+            self.samples.append(cov.CoverageSample(self.now, app_id, *snap))
 
 
 _finish_lane_proc = attrgetter("finish_us", "lane", "proc")

@@ -26,16 +26,17 @@ event:
 - capacity: the bus load and each place's admitted set and utilization
   equal a recount of the copies in service and the placements not yet
   spawned, and the bus load stays at or below its start-up baseline;
-- service: no copy in service sits on a dead processor;
+- service: no copy in service sits on a dead processor, which is why
+  the engine's releases and emitted values test no dead flag;
 - placement order: every recovery's placements are in task id order;
 - records: each recovery record's timestamps are in order, and no
   application's coverage level exceeds the lane count;
 - kept facts: the causes of each restabilization not cleared yet, the
   (app, task) pairs of the active copies on each place once the engine
-  has built that index, and the coverage last sampled for each
-  application whose copies and channels have not changed since
-  (``functional_coverage``, ``zonal_coverage`` and
-  ``peripheral_coverage`` of it now);
+  has built that index, and the coverage last sampled for every
+  application (``functional_coverage``, ``zonal_coverage`` and
+  ``peripheral_coverage`` of it now): each handler samples what it
+  changed, so no application is left stale;
 - sets: places with one processor index share one schedule, their set,
   until an event treats them differently. Its members agree, by full
   scans of the copies, jobs and faults, on the admitted set, the jobs
@@ -588,7 +589,7 @@ class CheckedEngine(Engine):
 
     def _check_kept_facts(self):
         """The uncleared causes per restabilization, the hosting index and
-        the cached coverage equal full scans."""
+        the last coverage samples equal full scans."""
         settled = self._settled_faults()
         for ep in self._episodes:
             left = sum(f.fault_id in ep.cause_ids for f in settled)
@@ -603,13 +604,11 @@ class CheckedEngine(Engine):
             assert self._hosting == hosting, (
                 f"hosting index at {self.now}us differs from a scan")
         for app_id, group in self.groups.items():
-            if app_id in self._cov_stale or app_id not in self._last_cov:
-                continue
             healthy = sum(self.channels[app_id].values())
             want = (cov.functional_coverage(group), cov.zonal_coverage(group),
                     cov.peripheral_coverage(healthy))
             assert self._last_cov[app_id] == want, (
-                f"app {app_id} at {self.now}us: cached coverage "
+                f"app {app_id} at {self.now}us: last sampled coverage "
                 f"{self._last_cov[app_id]}, recounted {want}")
         self.checks += 1
 
@@ -843,7 +842,8 @@ class CheckedEngine(Engine):
             assert ids == sorted(set(ids)), (
                 f"record {ep.record_id} plans tasks {ids} at {self.now}us")
             plan = select_spare(failed, spares, *args)
-            again = select_spare(failed, spares[::-1], *args)
+            again = select_spare(failed, dict(reversed(spares.items())),
+                                 *args)
             assert _plan_view(again) == _plan_view(plan), (
                 f"record {ep.record_id} at {self.now}us: the plan depends on "
                 f"the order of the spares")

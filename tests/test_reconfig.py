@@ -11,7 +11,6 @@ from lanesim.reconfig import (
     Outcome,
     PoliceCounter,
     ReconfigRecord,
-    SpareCandidate,
     _ranked_candidates,
     recovery_order,
     select_spare,
@@ -44,13 +43,15 @@ def _failed(task, home_lane=0, app_id=1):
 
 
 def _spare(lane, proc, util_entries=(), occupied=False):
+    """One ((lane, proc), state) entry of the spare map select_spare
+    takes."""
     state = ProcessorState()
     for i, (wcet, period) in enumerate(util_entries):
         state = state.with_task(("bg", i), wcet, period, period)
     if occupied:
         # another application's task: a spare with anything admitted is taken
         state = state.with_task((9, 9), 1000, 100000, 100000)
-    return SpareCandidate(lane=lane, proc=proc, state=state)
+    return (lane, proc), state
 
 
 def test_recovery_order_is_criticality_then_id():
@@ -61,7 +62,7 @@ def test_recovery_order_is_criticality_then_id():
 def test_selection_prefers_the_home_lane():
     plan = select_spare(
         [_failed(_task(), home_lane=1)],
-        [_spare(0, 3), _spare(1, 3), _spare(2, 3)],
+        dict([_spare(0, 3), _spare(1, 3), _spare(2, 3)]),
         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == [(1, 1, 3)]
     assert plan.degraded == []
@@ -70,7 +71,7 @@ def test_selection_prefers_the_home_lane():
 def test_selection_falls_back_across_lanes():
     plan = select_spare(
         [_failed(_task(), home_lane=1)],
-        [_spare(0, 3), _spare(1, 3, occupied=True), _spare(2, 3)],
+        dict([_spare(0, 3), _spare(1, 3, occupied=True), _spare(2, 3)]),
         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == [(1, 0, 3)]
 
@@ -81,16 +82,16 @@ def test_selection_ranks_by_resulting_utilization():
     failed = [_failed(_task(), home_lane=9)]
     plan = select_spare(
         failed,
-        [_spare(1, 3, util_entries=[(40, 100)]),
-         _spare(2, 3, util_entries=[(20, 100)])],
+        dict([_spare(1, 3, util_entries=[(40, 100)]),
+              _spare(2, 3, util_entries=[(20, 100)])]),
         BusState(Fraction(10)), CFG, restricted=False)
     assert [(d.lane, d.proc) for d in plan.decisions] == [(2, 3)]
     assert plan.placements == [(1, 2, 3)]
     # swap the loads and the lower lane is the emptier one
     plan = select_spare(
         failed,
-        [_spare(1, 3, util_entries=[(20, 100)]),
-         _spare(2, 3, util_entries=[(40, 100)])],
+        dict([_spare(1, 3, util_entries=[(20, 100)]),
+              _spare(2, 3, util_entries=[(40, 100)])]),
         BusState(Fraction(10)), CFG, restricted=False)
     assert plan.placements == [(1, 1, 3)]
 
@@ -136,8 +137,8 @@ def test_integer_admission_and_ranking_equal_the_fraction_reference(
     failed = FailedTask(app_id=1, task_id=task_id, task=spec,
                         home_lane=home_lane)
     u = Fraction(wcet, min(period, deadline))
-    candidates, held = [], {}
-    for (lane, proc), ops in spares.items():
+    candidates, held = {}, {}
+    for place, ops in spares.items():
         state, entries = ProcessorState(), {}
         for op, key, *entry in ops:
             if op == "with":
@@ -148,29 +149,29 @@ def test_integer_admission_and_ranking_equal_the_fraction_reference(
                 state = state.without_tasks([(1, k) for k in key])
                 for k in key:
                     entries.pop((1, k), None)
-        candidates.append(SpareCandidate(lane, proc, state))
-        held[(lane, proc)] = entries
+        candidates[place] = state
+        held[place] = entries
 
         decision = admit_task(state, spec, cfg)
         resulting = _fresh(entries) + u
         assert decision.resulting_utilization == resulting
         assert decision.accepted == (resulting <= cfg.effective_bound)
 
-    states = {(s.lane, s.proc): s.state for s in candidates}
-    taken = {(s.lane, s.proc) for s in candidates if len(s.state) > 0}
-    usable = [s for s in candidates
-              if (1, task_id) not in held[(s.lane, s.proc)]
-              and not (restricted and (s.lane, s.proc) in taken)]
-    tiers = ([s for s in usable if s.lane == home_lane],
-             [s for s in usable if s.lane != home_lane])
-    want = [(s.lane, s.proc) for tier in tiers for s in sorted(
-        tier, key=lambda s: (_fresh(held[(s.lane, s.proc)]) + u, s.lane, s.proc))]
-    assert _ranked_candidates(failed, candidates, states, taken,
+    # taken: a spare that holds any entry, counted from the reference
+    taken = {place for place, entries in held.items() if entries}
+    usable = [place for place in candidates
+              if (1, task_id) not in held[place]
+              and not (restricted and place in taken)]
+    tiers = ([place for place in usable if place[0] == home_lane],
+             [place for place in usable if place[0] != home_lane])
+    want = [place for tier in tiers for place in sorted(
+        tier, key=lambda place: (_fresh(held[place]) + u, *place))]
+    assert _ranked_candidates(failed, candidates, dict(candidates),
                               restricted) == want
 
 
 def test_occupied_spares_are_skipped_only_in_restricted_mode():
-    spares = [_spare(0, 3, occupied=True)]
+    spares = dict([_spare(0, 3, occupied=True)])
     failed = [_failed(_task(), home_lane=0)]
     restricted = select_spare(failed, spares, BusState(Fraction(10)), CFG,
                               restricted=True)
@@ -183,15 +184,15 @@ def test_occupied_spares_are_skipped_only_in_restricted_mode():
 def test_a_spare_never_takes_a_second_copy_of_a_task_it_holds():
     # fully integrated: an occupied spare is usable, but not for a task
     # whose copy it already runs; the next spare takes it instead
-    holder = _spare(0, 3)
-    holder.state = holder.state.with_task((1, 1), 2000, 20000, 20000)
+    place, state = _spare(0, 3)
+    holder = (place, state.with_task((1, 1), 2000, 20000, 20000))
     failed = [_failed(_task(), home_lane=0)]
-    plan = select_spare(failed, [holder], BusState(Fraction(10)), CFG,
+    plan = select_spare(failed, dict([holder]), BusState(Fraction(10)), CFG,
                         restricted=False)
     assert plan.placements == [] and plan.degraded == [1]
     assert plan.decisions == []
-    plan = select_spare(failed, [holder, _spare(1, 3)], BusState(Fraction(10)),
-                        CFG, restricted=False)
+    plan = select_spare(failed, dict([holder, _spare(1, 3)]),
+                        BusState(Fraction(10)), CFG, restricted=False)
     assert plan.placements == [(1, 1, 3)]
 
 
@@ -199,7 +200,7 @@ def test_two_tasks_of_one_app_may_share_a_spare():
     tasks = [_task(task_id=1, wcet_ms=2), _task(task_id=2, wcet_ms=3)]
     plan = select_spare(
         [_failed(t, home_lane=0) for t in tasks],
-        [_spare(0, 3), _spare(1, 3)],
+        dict([_spare(0, 3), _spare(1, 3)]),
         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == [(1, 0, 3), (2, 0, 3)]
     # the second admission saw the first reservation
@@ -218,7 +219,7 @@ def test_capacity_overflow_spills_to_the_next_spare(order, placements):
     tasks = {1: _task(task_id=1, wcet_ms=12), 2: _task(task_id=2, wcet_ms=3)}
     plan = select_spare(
         [_failed(tasks[t], home_lane=0) for t in order],
-        [_spare(0, 3), _spare(1, 3)],
+        dict([_spare(0, 3), _spare(1, 3)]),
         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == placements
 
@@ -226,7 +227,7 @@ def test_capacity_overflow_spills_to_the_next_spare(order, placements):
 def test_admission_rejection_degrades_the_task():
     heavy = _task(wcet_ms=15)  # 0.75 > 0.69 everywhere
     plan = select_spare([_failed(heavy)],
-                        [_spare(0, 3), _spare(1, 3)],
+                        dict([_spare(0, 3), _spare(1, 3)]),
                         BusState(Fraction(10)), CFG, restricted=True)
     assert plan.placements == []
     assert plan.degraded == [1]
@@ -238,7 +239,7 @@ def test_admission_rejection_degrades_the_task():
 def test_bus_rejection_degrades_the_task():
     chatty = _task(size=100)  # 5 units/ms against a nearly full bus
     bus = BusState(Fraction(10)).with_demand(Fraction(8))
-    plan = select_spare([_failed(chatty)], [_spare(0, 3)], bus, CFG,
+    plan = select_spare([_failed(chatty)], dict([_spare(0, 3)]), bus, CFG,
                         restricted=True)
     assert plan.degraded == [1]
     rejected = [d for d in plan.decisions if d.comms is not None]
@@ -248,16 +249,26 @@ def test_bus_rejection_degrades_the_task():
 def test_plan_threads_bus_reservations():
     chatty = _task(size=40)  # 2 units/ms
     bus = BusState(Fraction(10))
-    plan = select_spare([_failed(chatty)], [_spare(0, 3)], bus, CFG,
-                        restricted=True)
+    spares = dict([_spare(0, 3), _spare(1, 3, util_entries=[(20, 100)])])
+    before = dict(spares)
+    held = {place: (len(state), state.utilization)
+            for place, state in spares.items()}
+    plan = select_spare([_failed(chatty)], spares, bus, CFG, restricted=True)
     assert plan.placements == [(1, 0, 3)]
     assert plan.bus.current_load == Fraction(2)
     assert bus.current_load == 0  # input state untouched
+    # the spare map given is untouched too: the same states, unchanged, and
+    # the plan's reservations sit in a map of its own
+    assert spares == before
+    assert {place: (len(state), state.utilization)
+            for place, state in spares.items()} == held
+    assert plan.states is not spares
+    assert len(plan.states[(0, 3)]) == 1 and len(spares[(0, 3)]) == 0
 
 
 def test_selection_with_nothing_to_place_is_an_error():
     with pytest.raises(ValueError):
-        select_spare([], [_spare(0, 3)], BusState(Fraction(10)), CFG,
+        select_spare([], dict([_spare(0, 3)]), BusState(Fraction(10)), CFG,
                      restricted=True)
 
 

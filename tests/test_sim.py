@@ -383,6 +383,21 @@ def test_processor_fault_coverage_dips_to_duplex():
                      (120000, CoverageLevel.TRIPLEX)]
 
 
+def test_one_shutdown_samples_an_abandoned_recovery_app_first():
+    # at 30 ms of generated seed 38 a vote round isolates a sensor channel
+    # of app 2, then one classification shuts down lane 1 and two
+    # processors, taking active copies of apps 1 and 2 and abandoning app
+    # 2's open record 1. Each app that lost an active copy is sampled once:
+    # an abandoned recovery's app as it closes, then the rest by app.
+    result = run(generated_scenario(38))
+    closed = [row.detail for row in result.trace
+              if row.time_us == 30_000 and row.kind == "RecoveryClosed"]
+    assert closed[0] == "record 1: abandoned"
+    assert result.records[0].app_id == 2
+    assert [s.app_id for s in result.samples
+            if s.time_us == 30_000] == [2, 2, 1]
+
+
 def test_lane_fault_recovers_by_criticality_and_shares_the_bus():
     result = run(scen([lane_fault()]))
     by_app = {rec.app_id: rec for rec in result.records}
