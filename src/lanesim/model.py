@@ -80,7 +80,7 @@ class TaskSpec:
         return ratio_sum([m.demand_ratio for m in self.messages])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateModel:
     """How a recovered copy of an application obtains current state.
 
@@ -100,7 +100,7 @@ class StateModel:
     convergence_rounds: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplicationSpec:
     app_id: int
     criticality: int
@@ -118,13 +118,13 @@ class ApplicationSpec:
         return min(t.period_us for t in self.tasks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessorSpec:
     proc_id: int
     role: ProcessorRole = ProcessorRole.ALLOCATED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaneSpec:
     lane_id: int
     processors: tuple[ProcessorSpec, ...]

@@ -46,6 +46,8 @@ class Processor:
     :meth:`wake` otherwise and narrow :meth:`runnable`.
     """
 
+    __slots__ = ("prios", "jobs", "running", "since", "gen", "wake_us")
+
     def __init__(self):
         self.prios = {}             # job key -> DM rank, keys in rank order
         self.jobs: dict = {}        # job key -> Job, background work too

@@ -54,7 +54,7 @@ class Copy:
     health: Health = Health.ACTIVE
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicaGroup:
     """All copies of one application: task id -> its copies by copy id.
 

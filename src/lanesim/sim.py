@@ -267,8 +267,10 @@ class _ProcSet(Processor):
     any of them, unless the set has one member. A set wakes under its first
     member's place. A split-out set starts from the admitted set and ranks of
     the set it left: both are values, which ``admit`` replaces and nothing
-    changes in place. ``proven`` is the admitted set's response-time test.
+    changes in place. ``proven`` holds the admitted set's proof, tested once.
     """
+
+    __slots__ = ("members", "failed", "dead", "admitted", "proven", "push")
 
     def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
         super().__init__()
@@ -327,35 +329,30 @@ class _CopyRt(Copy):
     record id, so the two form no reference cycle. ``place + key`` is the
     key of its task scope. Set-up builds one copy per task per lane, so a
     copy is built through a positional ``__init__``: the dataclass's
-    keyword one cost half of ``Engine.__init__``.
+    keyword one cost half of ``Engine.__init__``. Its phase starts where
+    it is filed: at 0 by set-up, at its spawn if rebuilt. Its history
+    replay is its background job, keyed by copy id (``Engine._replaying``).
     """
 
     spec: TaskSpec
-    origin_us: int
     completed_ever: bool
-    replay_left_us: int
     converge_left: int
     police: PoliceCounter | None
-    eligible_us: int | None
     episode: int | None                             # its episode's record id
     # (app, task) and (lane, proc), given by the caller: the copies of a
     # task share one key tuple, and a copy never moves
     key: tuple = field(repr=False)
     place: tuple = field(repr=False)
 
-    def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec,
-                 origin_us: int):
+    def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec):
         self.copy_id = copy_id
         self.app_id, self.task_id = self.key = key
         self.lane, self.proc = self.place = place
         self.health = _ACTIVE
         self.spec = spec
-        self.origin_us = origin_us
         self.completed_ever = False
-        self.replay_left_us = 0
         self.converge_left = 0
         self.police = None
-        self.eligible_us = None
         self.episode = None
 
 
@@ -366,11 +363,14 @@ class _Episode(ReconfigRecord):
     ``outcome`` stays None until the episode closes.
     """
 
-    origin: str                       # "reconfig" | "restabilize"
     cause_ids: tuple = ()
     uncleared: int = 0                # restabilize: causes not cleared yet
     copies: list = field(default_factory=list)    # _CopyRt awaiting readmission
     lost: list = field(default_factory=list)      # _CopyRt withdrawn at t_f
+
+    @property
+    def origin(self) -> str:        # only a reconfiguration loses copies
+        return "reconfig" if self.lost else "restabilize"
 
 
 class Engine:
@@ -485,7 +485,7 @@ class Engine:
                 key = (app.app_id, task.task_id)
                 rts = copies[task.task_id] = []
                 for place in sets[task.initial_proc].members:
-                    rt = _CopyRt(next(copy_ids), key, place, task, 0)
+                    rt = _CopyRt(next(copy_ids), key, place, task)
                     rts.append(rt)
                     self._proc_copies[place].append(rt)
         demand = timebase.ratio_sum(m.demand_ratio for _, tasks in apps
@@ -751,7 +751,6 @@ class Engine:
             return
         if job.background:
             for rt in job.owner:
-                rt.replay_left_us = 0
                 self._row("ReplayDone", rt.lane, rt.proc, rt.app_id, rt.task_id,
                           "history backlog cleared")
             return
@@ -953,7 +952,7 @@ class Engine:
         """Value the copy puts on the exchange this round, or None if silent.
         ``byz`` is the copy's byzantine fault and ``ref`` the reference value.
         A copy in service sits on no dead place: only a halt silences it."""
-        if rt.replay_left_us > 0 or not rt.completed_ever:
+        if not rt.completed_ever or self._replaying(rt):
             return None
         if self._silenced(rt, self.sets[rt.place]):
             return None
@@ -1007,8 +1006,9 @@ class Engine:
         faults_at, now = self._faults_at, self.now
         for rt in rts:
             if rt.health is _ACTIVE:
-                # expected from its first deadline on
-                if rt.completed_ever or now >= rt.origin_us + rt.spec.deadline_us:
+                # expected from its first deadline on: one never completed
+                # is set-up's, at phase 0 (readmission needs a completion)
+                if rt.completed_ever or now >= rt.spec.deadline_us:
                     byz = None
                     if faults_at:
                         byz = self._skew_for(rt)
@@ -1084,7 +1084,7 @@ class Engine:
     def _police(self, watched, consensus: float | None, ref: float):
         """Compare each watched copy's value with the active consensus."""
         for rt in watched:
-            if rt.replay_left_us > 0:
+            if self._replaying(rt):
                 self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
                           "replay outstanding")
                 continue
@@ -1096,13 +1096,17 @@ class Engine:
             matched = police_matches(value, consensus, self.cfg)
             if rt.converge_left > 0:
                 rt.converge_left -= 1
-            done = rt.police.update(matched)
+            rt.police.update(matched)
             self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
                       f"{'match' if matched else 'deviation'} "
                       f"{min(rt.police.count, rt.police.required)}/{rt.police.required}")
-            if done and rt.eligible_us is None:
-                rt.eligible_us = self.now
+            # queued once, on the round the streak reaches its length
+            if rt.police.count == rt.police.required:
                 self._maybe_readmit(rt)
+
+    def _replaying(self, rt: _CopyRt) -> bool:
+        """Is its history replay, background work until done, on its set?"""
+        return rt.copy_id in self.sets[rt.place].jobs
 
     def _maybe_readmit(self, rt: _CopyRt):
         # the pilot gates a copy restabilized in place, not a rebuilt one;
@@ -1125,7 +1129,6 @@ class Engine:
         if rt.health not in (Health.POLICED, Health.RESTABILIZING):
             return
         self._set_health(rt, Health.ACTIVE)
-        rt.eligible_us = None
         self.counters["readmissions"] += 1
         self._row("Readmit", rt.lane, rt.proc, rt.app_id, rt.task_id,
                   "copy readmitted to the active set")
@@ -1188,7 +1191,6 @@ class Engine:
                 for rt in victims:
                     self._set_health(rt, Health.RESTABILIZING)
                     rt.police = PoliceCounter(self.cfg.police_rounds)
-                    rt.eligible_us = None
             else:
                 self._mark_dead(d)
                 for rt in victims:
@@ -1281,7 +1283,6 @@ class Engine:
             strategy=self._apps[app_id].state_model.strategy,
             outcome=None,
             t_f_us=self.now,
-            origin="restabilize" if transient else "reconfig",
             cause_ids=tuple(sorted(causes)),
         )
         self._episodes.append(ep)
@@ -1445,17 +1446,17 @@ class Engine:
         for task_id, place in ep.placements.items():
             spec = app.task(task_id)
             rt = _CopyRt(next(self._copy_ids), (ep.app_id, task_id), place,
-                         spec, self.now)
+                         spec)
             rt.health = Health.POLICED
             rt.police = PoliceCounter(self.cfg.police_rounds)
             rt.episode = ep.record_id
             self._add_copy(rt)
             ep.copies.append(rt)
             if sm.strategy is StateStrategy.TRANSFER and sm.history_len > 0:
-                rt.replay_left_us = sm.history_len * spec.wcet_us
                 self._split(rt.place).release(
-                    Job((rt,), rt.copy_id, self.now, rt.replay_left_us,
-                        background=True), self.now)
+                    Job((rt,), rt.copy_id, self.now,
+                        sm.history_len * spec.wcet_us, background=True),
+                    self.now)
             if sm.strategy in (StateStrategy.CONVERGENCE, StateStrategy.HYBRID):
                 rt.converge_left = sm.convergence_rounds
             # its own phase: a release group of one

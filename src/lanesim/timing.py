@@ -131,10 +131,10 @@ class ProcessorState:
     and updated by ``with_task``/``without_task``/``without_tasks``;
     ``utilization`` gives it as an exact Fraction and
     ``utilization_ratio`` as the integer pair.
-    ``proven`` runs the response-time test at most once per state.
+    ``proven`` tests anew on each call; the set admitting it keeps the proof.
     """
 
-    __slots__ = ("_entries", "_num", "_den", "_proven")
+    __slots__ = ("_entries", "_num", "_den")
 
     def __init__(self, entries: Mapping | None = None):
         self._entries: dict = _dm_ordered(entries or {})
@@ -142,7 +142,6 @@ class ProcessorState:
         self._num, self._den = lcm_sum(
             (wcet, _window(period, deadline))
             for wcet, period, deadline in self._entries.values())
-        self._proven = None
 
     @classmethod
     def _of(cls, entries: dict, num: int, den: int) -> "ProcessorState":
@@ -150,7 +149,6 @@ class ProcessorState:
         state._entries = entries
         state._num = num
         state._den = den
-        state._proven = None
         return state
 
     @property
@@ -200,14 +198,10 @@ class ProcessorState:
     def proven(self) -> bool:
         """Does every task meet every deadline under the ranks of
         ``priorities``, whatever the phasing of its jobs and of the others'?
-        The exact response-time test, run once per state."""
-        proven = self._proven
-        if proven is None:
-            # Liu & Layland's sufficient test first
-            proven = self._proven = (
-                self._num * 100 <= 69 * self._den or _response_times_fit(
-                    self._entries.values()))
-        return proven
+        The exact response-time test, after Liu & Layland's sufficient one;
+        the set that admits the state keeps the proof."""
+        return self._num * 100 <= 69 * self._den or _response_times_fit(
+            self._entries.values())
 
     def __len__(self):
         return len(self._entries)

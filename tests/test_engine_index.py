@@ -27,7 +27,9 @@ event:
   equal a recount of the copies in service and the placements not yet
   spawned, and the bus load stays at or below its start-up baseline;
 - service: no copy in service sits on a dead processor, which is why
-  the engine's releases and emitted values test no dead flag;
+  the engine's releases and emitted values test no dead flag, and an
+  active copy that never completed is one set-up made, which is why a
+  vote expects such a copy from its first deadline after 0;
 - placement order: every recovery's placements are in task id order;
 - records: each recovery record's timestamps are in order, and no
   application's coverage level exceeds the lane count;
@@ -58,11 +60,13 @@ By rank:
   pending on a proven set that spare selection grew (the mode-change
   rule);
 - releases, after each ``TaskRelease`` and once an instant's release rank
-  is passed: every copy in service whose phase ``origin_us + k·period_us``
-  falls on the instant, on a live processor that no fault halts, has
-  exactly one job released there, owned by it on its place, and no other
-  copy has one. The releases counter rises by the copies released, and
-  across the instant's events their copy ids rise;
+  is passed: every copy in service whose phase ``origin + k·period_us``
+  falls on the instant (its origin is where it was filed: 0 for set-up's
+  copies, the instant ``_add_copy`` saw for a rebuilt one), on a live
+  processor that no fault halts, has exactly one job released there,
+  owned by it on its place, and no other copy has one. The releases
+  counter rises by the copies released, and across the instant's events
+  their copy ids rise;
 - fault events, after each: the index of active faults is empty exactly
   when no non-sensor fault is active, and every copy's ``_silenced``,
   every place's ``_halted`` and each set's failed flag answer as the scan
@@ -84,6 +88,8 @@ Per-call contracts, one override each:
 - ``__init__``: capacity after set-up; each group holds its tasks in task
   id order; the start-up sets' proof, recounted.
 - ``_handlers``: the wrap above.
+- ``_add_copy``: notes the instant a recovery files a copy at, its
+  phase's origin; set-up's copies start at 0.
 - ``_release_group``: the first copy ids of an instant's release groups
   rise across the whole instant, within one ``TaskRelease`` event and
   across its events.
@@ -182,9 +188,9 @@ def _exact_sum(values):
     return Fraction(num, den)
 
 
-def _due(rt, at):
-    """Does the copy's phase fall on instant at?"""
-    return at >= rt.origin_us and (at - rt.origin_us) % rt.spec.period_us == 0
+def _due(rt, origin, at):
+    """Does the copy's phase, from origin, fall on instant at?"""
+    return at >= origin and (at - origin) % rt.spec.period_us == 0
 
 
 class CheckedEngine(Engine):
@@ -213,6 +219,7 @@ class CheckedEngine(Engine):
         self._release_open = None    # an instant whose releases are unchecked
         self._last_group = 0     # the first copy id of the instant's last group
         self._releases_before = 0
+        self._filed = {}         # copy id -> the instant a recovery filed it
         # instants a DeadlineCheck must still run at, and where one may
         self._checks_due, self._check_instants = set(), set()
         self._earliest_deadline = None   # (deadline, job) over every task job
@@ -239,6 +246,14 @@ class CheckedEngine(Engine):
         # BIT-visible fault on a place
         self._every_task = {(app.app_id, t.task_id)
                             for app in self.model.applications for t in app.tasks}
+
+    def _add_copy(self, rt):
+        self._filed[rt.copy_id] = self.now
+        super()._add_copy(rt)
+
+    def _origin(self, rt):
+        """Where the copy's phase starts: where it was filed."""
+        return self._filed.get(rt.copy_id, 0)
 
     # -- the references -------------------------------------------------
 
@@ -339,9 +354,9 @@ class CheckedEngine(Engine):
         holders = self._holders()
         self._check_capacity(holders)
         self._check_sets(holders)
+        self._check_service()
         self._check_records()
         self._check_kept_facts()
-        self._check_service()
         self._check_placements()
         proof = self._proven_at_start and not self._activated
         assert self._proof == proof, (
@@ -416,10 +431,10 @@ class CheckedEngine(Engine):
         settled = self._settled_faults()
         for rt, job in new:
             ps = self.sets[rt.place]
-            assert (_due(rt, now) and not ps.dead
+            assert (_due(rt, self._origin(rt), now) and not ps.dead
                     and not _halting(settled, _copy_scope(rt))), (
                 f"copy {rt.copy_id} released at {now}us: phase "
-                f"{rt.origin_us}+k*{rt.spec.period_us}us, dead {ps.dead}")
+                f"{self._origin(rt)}+k*{rt.spec.period_us}us, dead {ps.dead}")
             assert [o for o in job.owner if o.place == rt.place] == [rt], (
                 f"copy {rt.copy_id}'s job at {now}us owned by "
                 f"{[o.copy_id for o in job.owner]}")
@@ -453,7 +468,8 @@ class CheckedEngine(Engine):
         missed = []
         for rt in self._all_copies():
             if (rt.health is Health.SHUTDOWN or rt.copy_id in self._released
-                    or not _due(rt, at) or self.sets[rt.place].dead):
+                    or not _due(rt, self._origin(rt), at)
+                    or self.sets[rt.place].dead):
                 continue
             if settled is None:
                 settled = self._settled_faults()
@@ -559,11 +575,16 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _check_service(self):
-        """No copy in service sits on a dead processor."""
+        """No copy in service sits on a dead processor, and an active copy
+        with no completion is one set-up made."""
         for rt in self._all_copies():
             assert rt.health is Health.SHUTDOWN or not self.sets[rt.place].dead, (
                 f"copy {rt.copy_id} is {rt.health.value} on dead processor "
                 f"{rt.place} at {self.now}us")
+            assert (rt.health is not Health.ACTIVE or rt.completed_ever
+                    or rt.copy_id not in self._filed), (
+                f"copy {rt.copy_id}, filed at {self._filed.get(rt.copy_id)}us, "
+                f"is active at {self.now}us with no completion")
         self.checks += 1
 
     def _check_placements(self):

@@ -554,6 +554,30 @@ def test_pilot_gate_does_not_touch_reconfigured_copies():
     assert rec.t_a_us == 120000
 
 
+def test_a_gated_readmission_is_queued_once():
+    # policing goes on while a restabilized copy waits for its approval, and
+    # its streak stays at or past its length: the readmission is queued on
+    # the round the streak reaches it, and pops once
+    popped = []
+
+    class Counting(Engine):
+        def _handlers(self):
+            handlers = list(super()._handlers())
+            readmit = handlers[EventKind.READMIT.rank]
+
+            def counted(data):
+                if not isinstance(data, tuple):     # a copy, not a channel
+                    popped.append(data.copy_id)
+                readmit(data)
+
+            handlers[EventKind.READMIT.rank] = counted
+            return tuple(handlers)
+
+    Counting(load_scenario(SCENARIOS / "pilot_gate_queued_readmits.json")).run()
+    assert {copy_id: popped.count(copy_id) for copy_id in popped} == {
+        5: 1, 9: 1, 10: 1, 11: 1}
+
+
 # --- detection variants ------------------------------------------------
 
 
