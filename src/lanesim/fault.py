@@ -72,7 +72,7 @@ TARGET_FIELDS = {
     TargetKind.SENSOR: ("app", "lane"),
 }
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FaultTarget:
     """A scope: what a fault strikes, and what a shutdown removes.
 
@@ -99,7 +99,7 @@ class FaultTarget:
         # and it prefixes no other
         if self.kind is TargetKind.SENSOR:
             key = (self.kind, *key)
-        object.__setattr__(self, "key", key)
+        self.key = key
 
     def contains(self, other: FaultTarget) -> bool:
         """Is ``other`` inside this scope (or equal to it)?"""
@@ -109,7 +109,7 @@ class FaultTarget:
         return self.contains(other) or other.contains(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FaultSpec:
     fault_id: int
     at_us: int

@@ -12,6 +12,11 @@ types, numbers that are not finite or pass float range, unknown enum
 strings) raise :class:`MalformedDocument`; semantic
 problems are collected and raised together as :class:`InvalidModel` so a
 caller sees the full list of violations at once.
+
+Specs built by the dozen per document are cheap: ``TaskSpec`` and
+``MessageSpec`` compare and hash by value but are not frozen (a frozen
+``__init__`` costs four times as much), and nothing assigns to one once
+built. An integral size is the one Fraction ``frac`` shares for its value.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class StateStrategy(Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MessageSpec:
     """A periodic message a task copy puts on the bus.
 
@@ -61,7 +66,7 @@ class MessageSpec:
                 self.size.denominator * self.period_us)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TaskSpec:
     """One task of an application."""
 
@@ -175,12 +180,9 @@ class SystemModel:
         raise KeyError(app_id)
 
     def spare_positions(self) -> list[tuple[int, int]]:
-        return [
-            (l.lane_id, p.proc_id)
-            for l in self.lanes
-            for p in l.processors
-            if p.role is ProcessorRole.SPARE
-        ]
+        spare = ProcessorRole.SPARE
+        return [(l.lane_id, p.proc_id) for l in self.lanes
+                for p in l.processors if p.role is spare]
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,8 @@ _read_processor = _reader(_PROCESSOR, "read_processor")
 
 
 def _parse_task(doc: dict, lane_count: int, path: tuple):
-    """A task's fields, its processor per lane, and its messages."""
+    """A task's fields, its processor per lane, its messages, and whether
+    any message has a negative size or a period that is not positive."""
     (period, task_id, wcet, deadline, code_size, raw_proc,
      msg_docs) = _read_task(doc, path)
     if raw_proc.__class__ is list:
@@ -370,12 +373,16 @@ def _parse_task(doc: dict, lane_count: int, path: tuple):
     else:
         procs = (raw_proc,)
     msgs = []
+    negative_size = bad_period = False
     for i, md in enumerate(msg_docs):
         msg_id, size, msg_period = _read_message(md, path + ("messages", i))
-        msgs.append(MessageSpec(msg_id, size,
-                                period if msg_period is None else msg_period))
+        if msg_period is None:
+            msg_period = period
+        negative_size |= size.numerator < 0     # a Fraction has its numerator's sign
+        bad_period |= msg_period <= 0
+        msgs.append(MessageSpec(msg_id, size, msg_period))
     return (task_id, wcet, period, period if deadline is None else deadline,
-            code_size, procs, tuple(msgs))
+            code_size, procs, tuple(msgs), negative_size, bad_period)
 
 
 def _parse_state_model(doc: dict, path: tuple) -> StateModel:
@@ -457,8 +464,9 @@ def build_system(doc: dict) -> SystemModel:
     # every lane, and only a task on another id walks the lanes
     lane_roles = [(l.lane_id, {p.proc_id: p.role for p in reversed(l.processors)})
                   for l in lanes]
+    allocated = ProcessorRole.ALLOCATED
     homes = set.intersection(*(
-        {p for p, role in roles.items() if role is ProcessorRole.ALLOCATED}
+        {p for p, role in roles.items() if role is allocated}
         for _, roles in lane_roles)) if lane_roles else set()
     lane_count = max(len(lanes), 1)
     apps = []
@@ -473,8 +481,8 @@ def build_system(doc: dict) -> SystemModel:
         task_ids = set()
         for j, td in enumerate(task_docs):
             task_at = app_at + ("tasks", j)
-            (task_id, wcet, period, deadline, code_size, procs,
-             msgs) = _parse_task(td, lane_count, task_at)
+            (task_id, wcet, period, deadline, code_size, procs, msgs,
+             negative_size, bad_period) = _parse_task(td, lane_count, task_at)
             if task_id in task_ids:
                 bad(Violation("DuplicateId",
                               f"duplicate task id {task_id} in app {app_id}"))
@@ -484,9 +492,9 @@ def build_system(doc: dict) -> SystemModel:
             if not 0 < wcet <= deadline <= period:
                 bad(Violation("MalformedDocument",
                               f"{_at(task_at)}: need 0 < wcet <= deadline <= period"))
-            if code_size.numerator < 0:     # a Fraction has its numerator's sign
+            if code_size.numerator < 0:
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative code_size"))
-            if any(m.size.numerator < 0 for m in msgs):
+            if negative_size:
                 bad(Violation("MalformedDocument", f"{_at(task_at)}: negative message size"))
             if len(set(procs)) > 1:
                 bad(Violation("AsymmetricLanes",
@@ -504,7 +512,7 @@ def build_system(doc: dict) -> SystemModel:
                         bad(Violation("SpareHasTasks",
                                       f"app {app_id} task {task_id} allocated to spare "
                                       f"processor {proc_id} (lane {lane_id})"))
-            if any(m.period_us <= 0 for m in msgs):
+            if bad_period:
                 # a message's bus demand divides by its period
                 bad(Violation("MalformedDocument",
                               f"{_at(task_at)}: message period must be positive"))

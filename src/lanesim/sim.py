@@ -450,48 +450,49 @@ class Engine:
         # lanes' places, with one admitted set, one ranking and one schedule.
         # Fraction sums are exact, so the admitted sets and the bus load
         # equal the totals of admitting the copies one at a time.
-        apps = [(app, sorted(app.tasks, key=lambda t: t.task_id))
-                for app in sorted(self.model.applications, key=lambda a: a.app_id)]
-        entries = {p.proc_id: {} for p in self.model.lanes[0].processors}
-        for app, tasks in apps:
-            for task in tasks:
-                entries[task.initial_proc][(app.app_id, task.task_id)] = (
-                    task.wcet_us, task.period_us, task.deadline_us)
-        members = {proc: [] for proc in entries}
-        for lane in self.model.lanes:
+        model = self.model
+        proc_copies = self._proc_copies
+        members = {p.proc_id: [] for p in model.lanes[0].processors}
+        for lane in model.lanes:
             places = self._lane_places[lane.lane_id] = [
                 (lane.lane_id, p.proc_id) for p in lane.processors]
-            for place, p in zip(places, lane.processors):
-                self._proc_copies[place] = []
-                members[p.proc_id].append(place)
-        self._spares = self.model.spare_positions()
-        sets = {}           # processor id -> the set of its lanes' places
-        for proc, held in entries.items():
-            state = ProcessorState(held)
-            sets[proc] = _ProcSet(sorted(members[proc]), self._push, state,
-                                  state.priorities())
-        self.sets = {place: sets[place[1]] for place in self._proc_copies}
+            for place in places:
+                proc_copies[place] = []
+                members[place[1]].append(place)
+        for places in members.values():
+            places.sort()       # lane order
+        self._spares = model.spare_positions()
 
         # a task's copies, one per member of its processor's set in lane
-        # order, share its key tuple, and each takes that member as place
+        # order, share its key tuple with its admission entry, and each
+        # takes that member as place
+        entries = {proc: {} for proc in members}
+        lane_ids = model.lane_ids
         copy_ids = self._copy_ids
-        for app, tasks in apps:
+        for app in sorted(model.applications, key=_app_id):
             copies = {}
             self._apps[app.app_id] = app
             self._vote_period[app.app_id] = app.shortest_period_us
             self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
-            self.channels[app.app_id] = {l: True for l in self.model.lane_ids}
-            for task in tasks:
+            self.channels[app.app_id] = dict.fromkeys(lane_ids, True)
+            for task in sorted(app.tasks, key=_task_id):
                 key = (app.app_id, task.task_id)
+                entries[task.initial_proc][key] = (
+                    task.wcet_us, task.period_us, task.deadline_us)
                 rts = copies[task.task_id] = []
-                for place in sets[task.initial_proc].members:
+                for place in members[task.initial_proc]:
                     rt = _CopyRt(next(copy_ids), key, place, task)
                     rts.append(rt)
-                    self._proc_copies[place].append(rt)
-        demand = timebase.ratio_sum(m.demand_ratio for _, tasks in apps
-                                    for t in tasks for m in t.messages)
-        self.bus = BusState(self.model.bus.max_load,
-                            demand * len(self.model.lanes))
+                    proc_copies[place].append(rt)
+        sets = {}           # processor id -> the set of its lanes' places
+        for proc, held in entries.items():
+            state = ProcessorState(held)
+            sets[proc] = _ProcSet(members[proc], self._push, state,
+                                  state.priorities())
+        self.sets = {place: sets[place[1]] for place in proc_copies}
+        demand = timebase.ratio_sum(m.demand_ratio for app in model.applications
+                                    for t in app.tasks for m in t.messages)
+        self.bus = BusState(model.bus.max_load, demand * len(model.lanes))
 
         violations = []
         if self.settings.enforce_admission:
@@ -1485,6 +1486,8 @@ class Engine:
 
 
 _finish_lane_proc = attrgetter("finish_us", "lane", "proc")
+_app_id = attrgetter("app_id")
+_task_id = attrgetter("task_id")
 
 
 def _fault_id(f) -> int:

@@ -17,10 +17,22 @@ _FAST_LIMIT = 1e15
 _FAST_SLACK = 0.25
 
 
+_SHARED_LIMIT = 1024     # frac shares one Fraction per int in [0, 1024)
+_shared: dict = {}
+
+
 def frac(value) -> Fraction:
-    """Exact rational from a JSON number; floats are read via their decimal text."""
+    """Exact rational from a JSON number; floats are read via their decimal
+    text. An int in [0, 1024) gives the one Fraction of its value, made on
+    first use and shared by every read since: it is immutable, and the
+    range bounds the table however long a batch runs."""
     if type(value) is int:
-        return Fraction(value)
+        shared = _shared.get(value)
+        if shared is None:
+            shared = Fraction(value)
+            if 0 <= value < _SHARED_LIMIT:
+                _shared[value] = shared
+        return shared
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -39,8 +51,11 @@ def lcm_sum(pairs) -> tuple[int, int]:
     pair whose denominator is the lcm of theirs (1 for no pairs)."""
     num, den = 0, 1
     for n, d in pairs:
-        lcm = den // math.gcd(den, d) * d
-        num, den = num * (lcm // den) + n * (lcm // d), lcm
+        if den % d:
+            lcm = den // math.gcd(den, d) * d
+            num, den = num * (lcm // den) + n * (lcm // d), lcm
+        else:       # d divides den, their lcm already
+            num += n * (den // d)
     return num, den
 
 

@@ -55,7 +55,9 @@ def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = Non
 
 def _window(period_us: int, deadline_us: int | None) -> int:
     """The C/min(D, T) test's denominator."""
-    return period_us if deadline_us is None else min(deadline_us, period_us)
+    if deadline_us is None or deadline_us > period_us:
+        return period_us
+    return deadline_us
 
 
 class AdmissionDecision:

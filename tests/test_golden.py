@@ -12,6 +12,8 @@ import pytest
 from lanesim.scenario import parse_scenario
 
 from golden.generated import SEEDS, generated_scenario
+from golden.refusals import HOSTILE, ROUNDS
+from golden.refusals import main as write_refusals
 from golden.rehash import (GENERATED_HASHES, HASHES, RESULTS, SCENARIOS,
                            _rewrite, output_digests, scenario_digests)
 
@@ -75,3 +77,16 @@ def test_a_sweep_into_a_new_file_lists_no_digest_as_changed(tmp_path, capsys):
     _rewrite(path, {"0": {"trace.tsv": "a", RESULTS: "x"}}, "seeds")
     assert capsys.readouterr().out == (
         f"changed: 0 {RESULTS}\nremoved: 1\nwrote {path} (1 seeds)\n")
+
+
+def test_the_refusal_sweep_is_fixed_and_every_answer_is_an_exit_code(tmp_path):
+    # CI compares the file this writes with its base's: one line per
+    # hostile document, the same on every run, and no answer uncaught
+    first, again = tmp_path / "first.tsv", tmp_path / "again.tsv"
+    write_refusals(["--out", str(first)])
+    write_refusals(["--out", str(again)])
+    assert first.read_bytes() == again.read_bytes()
+    lines = first.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(ROUNDS) * len(HOSTILE)
+    codes = {line.split("\t")[1] for line in lines}
+    assert codes == {"0", "1", "2"}

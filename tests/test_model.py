@@ -1,18 +1,24 @@
 """System document parsing and structural validation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from lanesim import timebase
+from lanesim.fault import FaultKind, FaultSpec, FaultTarget, TargetKind
 from lanesim.model import (
     Architecture,
     InvalidModel,
     MalformedDocument,
+    MessageSpec,
     ProcessorRole,
     StateStrategy,
+    TaskSpec,
     build_system,
     initial_allocation,
 )
+from lanesim.timebase import frac
 
 from scenario_builders import triplex_system
 
@@ -234,3 +240,81 @@ def test_a_negative_size_is_refused(field):
         build_system(doc)
     assert [v.message for v in err.value.violations] == [
         f"system.applications[0].tasks[0]: negative {field}"]
+
+
+def test_one_task_breaking_every_per_task_rule_refuses_in_rule_order():
+    # the violations of one task come out in the order build_system checks
+    # its rules; the zero period, the negative size and a valid message
+    # come in that order, so a read that stopped at the first bad message
+    # or kept the last one's sign alone would lose the negative size
+    doc = triplex_system(architecture="fully_integrated")
+    doc["applications"][0]["tasks"].append({
+        "task_id": 1, "wcet_ms": 30, "period_ms": 20, "deadline_ms": 20,
+        "initial_proc": 3, "code_size": -5,
+        "messages": [{"msg_id": 1, "size": 1, "period_ms": 0},
+                     {"msg_id": 1, "size": -2}, {"msg_id": 2, "size": 1}]})
+    with pytest.raises(InvalidModel) as err:
+        build_system(doc)
+    at = "system.applications[0].tasks[1]"
+    assert [(v.code, v.message) for v in err.value.violations] == [
+        ("DuplicateId", "duplicate task id 1 in app 1"),
+        ("DuplicateId", f"duplicate message ids in {at}"),
+        ("MalformedDocument", f"{at}: need 0 < wcet <= deadline <= period"),
+        ("MalformedDocument", f"{at}: negative code_size"),
+        ("MalformedDocument", f"{at}: negative message size"),
+        *(("SpareHasTasks",
+           f"app 1 task 1 allocated to spare processor 3 (lane {lane})")
+          for lane in range(3)),
+        ("MalformedDocument", f"{at}: message period must be positive"),
+    ]
+
+
+def _two_of_each_spec():
+    """Two equal, separately built specs of each kind that builds by the
+    dozen per document."""
+    def make():
+        msg = MessageSpec(1, frac(2), 20_000)
+        target = FaultTarget(TargetKind.PROCESSOR, lane=0, proc=1)
+        return (msg, TaskSpec(3, 2_000, 20_000, 20_000, 1, frac(40), (msg,)),
+                target, FaultSpec(7, 5_000, FaultKind.PERMANENT, target))
+    # a field each that tells two specs of the kind apart
+    other = ({"msg_id": 2}, {"task_id": 4}, {"proc": 2}, {"fault_id": 8})
+    return zip(make(), make(), other)
+
+
+@pytest.mark.parametrize("a, b, other", _two_of_each_spec(),
+                         ids=["message", "task", "target", "fault"])
+def test_equal_specs_compare_equal_and_hash_alike(a, b, other):
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != dataclasses.replace(a, **other)
+
+
+def test_an_integral_size_is_a_shared_fraction_of_its_value():
+    model = build_system(triplex_system())
+    sizes = [t.code_size for a in model.applications for t in a.tasks]
+    sizes += [m.size for a in model.applications for t in a.tasks
+              for m in t.messages]
+    assert [type(v) for v in sizes] == [Fraction] * 6
+    assert sizes == [Fraction(40)] * 3 + [Fraction(1)] * 3
+    assert sizes[0] is sizes[1] is sizes[2] is frac(40)
+    assert sizes[3] is sizes[4] is sizes[5] is frac(1)
+    assert model.application(2).state_model.snapshot_size is frac(80)
+    with pytest.raises(TypeError):
+        frac(True)
+
+
+def test_the_shared_fractions_stay_within_their_range():
+    doc = triplex_system(architecture="fully_integrated")
+    limit = timebase._SHARED_LIMIT
+    for task, size in zip((a["tasks"][0] for a in doc["applications"]),
+                          (limit, 10**20, -3)):
+        task["code_size"] = size
+        task["messages"][0]["size"] = size + 1
+    with pytest.raises(InvalidModel):      # the negative sizes
+        build_system(doc)
+    assert timebase._shared
+    assert all(0 <= value < limit for value in timebase._shared)
+    assert all(shared == value for value, shared in timebase._shared.items())
+    assert frac(limit) == limit and frac(limit) is not frac(limit)
+    assert frac(limit - 1) is frac(limit - 1)

@@ -11,7 +11,6 @@ for a record that is no object.
 
 import math
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from lanesim import model, scenario
 from lanesim.model import MalformedDocument, _NUMBER, _REQUIRED, _at, _field
+
+# what a hostile document may hold in a field; golden/refusals.py also
+# writes what the command line answers to documents that hold them
+from golden.refusals import ABSENT as _ABSENT, HOSTILE as _VALUES
 
 _FLOAT_MAX = sys.float_info.max
 _NUMBERS = frozenset(_NUMBER)
@@ -57,22 +60,6 @@ def _read(doc: dict, table: tuple, path: tuple) -> list:
         out.append(value if convert is None else convert(value))
     return out
 
-
-class _Int(int):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-_ABSENT = object()
-# what a hostile document may hold in a field, plus subclasses of the
-# kinds: an int or float subclass passes where its kind is asked for,
-# unchecked for range (a bool does not)
-_VALUES = (_ABSENT, None, True, False, 0, 7, -3, 1.5, "1", [], {}, [1, 2],
-           math.nan, math.inf, -math.inf, 10**400, -10**400, _FLOAT_MAX,
-           _Int(4), _Float(2.5), _Float(math.inf), OrderedDict())
 
 _TABLES = {
     "task": (model._TASK, model._read_task),
