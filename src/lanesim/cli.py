@@ -26,7 +26,7 @@ from .model import InvalidModel, MalformedDocument
 from .reconfig import Outcome
 from .scenario import (dump_json, dump_scenario, generate_scenario, load_scenario,
                        scenario_violations)
-from .sim import Engine, SimResult, run
+from .sim import Engine, SimResult, render, run
 from .timebase import US_PER_MS, ms_to_us
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def metrics_document(result: SimResult) -> dict:
             "degraded": counts[Outcome.DEGRADED_DUPLEX],
             "abandoned": counts[Outcome.ABANDONED],
             "records": len(result.records),
-            "deadline_misses": len(result.deadline_misses),
+            "deadline_misses": result.counters["deadline_misses"],
         },
         "records": records,
         "risk": risk,
@@ -113,16 +113,18 @@ def metrics_document(result: SimResult) -> dict:
 
 
 def trace_lines(result: SimResult):
+    """Each line rendered straight from its raw row: no TraceEvent is built."""
     yield TRACE_HEADER
     yield "time_us\tkind\tlane\tproc\tapp\ttask\tdetail"
-    for ev in result.trace:
+    for row in result.rows:
+        at, kind, lane, proc, app, task, detail = render(row)
         yield "\t".join([
-            str(ev.time_us), ev.kind,
-            "-" if ev.lane is None else str(ev.lane),
-            "-" if ev.proc is None else str(ev.proc),
-            "-" if ev.app is None else str(ev.app),
-            "-" if ev.task is None else str(ev.task),
-            ev.detail or "-",
+            str(at), kind,
+            "-" if lane is None else str(lane),
+            "-" if proc is None else str(proc),
+            "-" if app is None else str(app),
+            "-" if task is None else str(task),
+            detail or "-",
         ])
 
 

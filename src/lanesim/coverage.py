@@ -84,8 +84,9 @@ def peripheral_coverage(healthy_channels: int) -> CoverageLevel:
 
 @dataclass(slots=True)
 class CoverageSample:
-    """One step in the piecewise-constant coverage timeline. A value row
-    like the engine's (see ``lanesim.sim.TraceEvent``): slotted, not frozen."""
+    """One step in the piecewise-constant coverage timeline, built per change.
+    A value row like those a SimResult builds from its raw rows when they are
+    read (see ``lanesim.sim.TraceEvent``): slotted, not frozen."""
 
     time_us: int
     app_id: int

@@ -175,9 +175,9 @@ _ACTIVE = Health.ACTIVE
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
 # plain slotted dataclasses, not frozen ones: a frozen __init__ stores each
 # field through object.__setattr__, which made a row about four times as
-# dear to build, and a run builds one per trace row (and, once read, one
-# per completion). They compare by value; being mutable, they are not
-# hashable.
+# dear to build. A run builds a coverage sample per change; the others are
+# built from what the run keeps when they are first read. They compare by
+# value; being mutable, they are not hashable.
 @dataclass(slots=True)
 class TraceEvent:
     """One row of the run trace; None fields render as '-'."""
@@ -189,6 +189,59 @@ class TraceEvent:
     app: int | None = None
     task: int | None = None
     detail: str = ""
+
+
+def _places(places) -> str:
+    return ",".join([f"{lane}.{proc}" for lane, proc in sorted(places)])
+
+
+# Each row text by name, with the renderer of the facts that Engine._row
+# stores after the row's (time, text, lane, proc, app, task). A name is its
+# row's kind, then a variant after a dot where the kind has more than one
+# text. A fact is a snapshot (an int, an enum member, a Fraction or a
+# tuple), so a row renders the same detail whenever it is read.
+ROW_TEXTS = {
+    "ReplayDone": "history backlog cleared".format,
+    "DeadlineMiss": "released at {}us, {}us of work left".format,
+    "FaultActivate": "fault {}: {.value} {.value}".format,
+    "FaultClear": "fault {} cleared".format,
+    "Detection.bit": "bit caught {.value} fault {} ({.value} granularity)".format,
+    "Detection.sensor": ("input voting isolated sensor channel "
+                         "(fault {}, sensor granularity)").format,
+    "Detection.consensus": "cross-monitor consensus ({.value} granularity)".format,
+    "VoteRound": lambda silent, flagged, ambiguous: " ".join(filter(None, (
+        silent and "silent=" + _places(silent),
+        flagged and "flagged=" + _places(flagged),
+        ambiguous and "ambiguous"))),
+    "PoliceRound.replay": "replay outstanding".format,
+    "PoliceRound.vote": lambda matched, count, required: (
+        f"{'match' if matched else 'deviation'} {min(count, required)}/{required}"),
+    "PilotApproval": lambda sensor: "sensor scope" if sensor else "",
+    "Readmit.channel": "sensor channel restored".format,
+    "Readmit.copy": "copy readmitted to the active set".format,
+    "ShutdownApplied": lambda scope, transient, cause_ids: (
+        f"{scope.value} shutdown, "
+        f"{'restabilize in place' if transient else 'withdrawn'}"
+        + (f", faults {list(cause_ids)}" if cause_ids else "")),
+    "Abandoned": "no surviving active copy to recover from".format,
+    "SpareSelected": lambda u: f"resulting utilization {float(u):.4f}",
+    "DegradeToDuplex.no_spare": "no spare could admit the copy".format,
+    "DegradeToDuplex.spare_dead": "spare shut down before the copy started".format,
+    "TransferStall": lambda installing, payload: (
+        f"{'install' if installing else 'state'} transfer of {payload} units "
+        f"waits for bus bandwidth"),
+    "InstallDone": lambda task_ids: f"code image installed for tasks {list(task_ids)}",
+    "StateTransferDone": lambda strategy, starts: f"{strategy.value} state ready; " + (
+        "policing starts" if starts else
+        "no copy starts, every chosen spare is shut down"),
+    "RecoveryClosed": lambda record_id, outcome: f"record {record_id}: {outcome.value}",
+}
+
+
+def render(row: tuple) -> tuple:
+    """A raw row as its TraceEvent's fields: time, kind, scope, detail."""
+    at, text, lane, proc, app, task, *facts = row
+    return at, text.partition(".")[0], lane, proc, app, task, ROW_TEXTS[text](*facts)
 
 
 @dataclass(slots=True)
@@ -217,14 +270,25 @@ class SimResult:
     seed: int
     horizon_us: int
     records: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    # the trace as raw rows, in event order (ROW_TEXTS)
+    rows: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     risk: dict = field(default_factory=dict)
-    deadline_misses: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     final_coverage: dict = field(default_factory=dict)
     # one (finish_us, start_us, release_us, owner) per finished task job
     finished: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def trace(self) -> list:
+        """One TraceEvent per row, built on first read (not by the writer)."""
+        return [TraceEvent(*render(row)) for row in self.rows]
+
+    @cached_property
+    def deadline_misses(self) -> list:
+        """One DeadlineMissRecord per DeadlineMiss row, built on first read."""
+        return [DeadlineMissRecord(row[0], *row[2:7]) for row in self.rows
+                if row[1] == "DeadlineMiss"]
 
     @cached_property
     def completions(self) -> list:
@@ -249,8 +313,8 @@ class SimResult:
         return (f"{counts[Outcome.READMITTED]} readmitted, "
                 f"{counts[Outcome.DEGRADED_DUPLEX]} degraded, "
                 f"{counts[Outcome.ABANDONED]} abandoned; "
-                f"{len(self.deadline_misses)} deadline misses; "
-                f"{len(self.trace)} trace events over "
+                f"{sum(row[1] == 'DeadlineMiss' for row in self.rows)} "
+                f"deadline misses; {len(self.rows)} trace events over "
                 f"{self.horizon_us / timebase.US_PER_MS:g} ms")
 
 
@@ -382,7 +446,6 @@ class Engine:
         self.settings = scenario.settings
         self.policies = scenario.policies
         self.horizon = self.settings.horizon_us
-        self.rng = random.Random(self.settings.seed)
 
         self.now = 0
         self._heap: list = []
@@ -391,9 +454,8 @@ class Engine:
         # event has not popped (_release_at)
         self._calendar: dict = {}
 
-        self.trace: list = []
+        self.rows: list = []            # see SimResult.rows
         self.samples: list = []
-        self.misses: list = []
         self.finished: list = []        # see SimResult.finished
         self.counters: dict = {
             "releases": 0, "completions": 0, "deadline_misses": 0,
@@ -441,6 +503,11 @@ class Engine:
         # every set proven and no fault yet: no vote can flag
         # (_on_vote_round); the first FaultActivate ends it
         self._proof = all(ps.proven for ps in self.sets.values())
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """Built on first draw: only a BIT detection probability below 1 draws."""
+        return random.Random(self.settings.seed)
 
     # -- setup ---------------------------------------------------------------
 
@@ -614,9 +681,9 @@ class Engine:
 
     # -- event plumbing --------------------------------------------------------
 
-    def _row(self, kind: str, lane=None, proc=None, app=None, task=None,
-             detail: str = ""):
-        self.trace.append(TraceEvent(self.now, kind, lane, proc, app, task, detail))
+    def _row(self, text: str, lane=None, proc=None, app=None, task=None, *facts):
+        """Note a trace row: its ROW_TEXTS name, scope and facts."""
+        self.rows.append((self.now, text, lane, proc, app, task, *facts))
 
     def _handlers(self) -> tuple:
         """One bound handler per EventKind, in rank order: run dispatches
@@ -655,15 +722,13 @@ class Engine:
                 ep.outcome = Outcome.ABANDONED
         self.counters["completions"] = sum(
             len(owner) for *_, owner in self.finished)
-        self.counters["deadline_misses"] = len(self.misses)
         return SimResult(
             seed=self.settings.seed,
             horizon_us=self.horizon,
             records=self._episodes,
-            trace=self.trace,
+            rows=self.rows,
             samples=self.samples,
             risk=cov.time_at_risk(self._episodes, self.horizon),
-            deadline_misses=self.misses,
             counters=dict(self.counters),
             final_coverage=dict(self._last_cov),
             finished=self.finished,
@@ -752,8 +817,7 @@ class Engine:
             return
         if job.background:
             for rt in job.owner:
-                self._row("ReplayDone", rt.lane, rt.proc, rt.app_id, rt.task_id,
-                          "history backlog cleared")
+                self._row("ReplayDone", *rt.place, *rt.key)
             return
         owner = job.owner
         for rt in owner:
@@ -776,11 +840,9 @@ class Engine:
             job = missed.get(self.sets[rt.place])
             if job is None:
                 continue
-            self.misses.append(DeadlineMissRecord(
-                now, rt.lane, rt.proc, rt.app_id, rt.task_id, job.release_us))
-            self._row("DeadlineMiss", rt.lane, rt.proc, rt.app_id, rt.task_id,
-                      f"released at {job.release_us}us, "
-                      f"{job.remaining_us}us of work left")
+            self.counters["deadline_misses"] += 1
+            self._row("DeadlineMiss", *rt.place, *rt.key,
+                      job.release_us, job.remaining_us)
 
     # -- faults ------------------------------------------------------------------
 
@@ -821,7 +883,7 @@ class Engine:
         self._proof = False
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
-                  f"fault {f.fault_id}: {f.kind.value} {t.kind.value}")
+                  f.fault_id, f.kind, t.kind)
         rank = self._rank
         if t.kind is TargetKind.SENSOR:
             bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
@@ -844,8 +906,7 @@ class Engine:
 
     def _on_fault_clear(self, f):
         t = f.target
-        self._row("FaultClear", t.lane, t.proc, t.app, t.task,
-                  f"fault {f.fault_id} cleared")
+        self._row("FaultClear", t.lane, t.proc, t.app, t.task, f.fault_id)
         if t.kind is TargetKind.SENSOR:
             on = self._sensor_on[t.app]
             on.remove(f)
@@ -891,7 +952,7 @@ class Engine:
         if any(f.target.lane == lane for f in self._sensor_faults(app_id)):
             return      # still faulty; the last fault's clear restores it
         self.channels[app_id][lane] = True
-        self._row("Readmit", lane=lane, app=app_id, detail="sensor channel restored")
+        self._row("Readmit.channel", lane=lane, app=app_id)
         self._sample(app_id)
 
     def _healthy_channels(self, app_id) -> int:
@@ -929,9 +990,8 @@ class Engine:
             self._bit_detected.add(f.fault_id)
             t = f.target    # this processor or a copy it hosts: the shutdown
             self.counters["detections"] += 1
-            self._row("Detection", t.lane, t.proc, t.app, t.task,
-                      f"bit caught {f.kind.value} fault {f.fault_id} "
-                      f"({t.kind.value} granularity)")
+            self._row("Detection.bit", t.lane, t.proc, t.app, t.task,
+                      f.kind, f.fault_id, t.kind)
             self._apply_directives([t])
             return
 
@@ -991,9 +1051,7 @@ class Engine:
             if self.channels[app.app_id][lane]:
                 self.channels[app.app_id][lane] = False
                 self.counters["detections"] += 1
-                self._row("Detection", lane=lane, app=app.app_id,
-                          detail=f"input voting isolated sensor channel "
-                                 f"(fault {f.fault_id}, sensor granularity)")
+                self._row("Detection.sensor", lane, None, app.app_id, None, f.fault_id)
                 self._sample(app.app_id)
 
     def _vote_task(self, app_id, task_id, rts, ref: float):
@@ -1037,8 +1095,8 @@ class Engine:
                 implicated.update(place for place in flagged if place in emitting)
 
         if implicated or flagged or ambiguous:
-            self._row("VoteRound", app=app_id, task=task_id,
-                      detail=self._vote_detail(silent, flagged, ambiguous))
+            self._row("VoteRound", None, None, app_id, task_id,
+                      tuple(silent), tuple(flagged), ambiguous)
         if implicated:
             if not self._pending_implicated:
                 self._push(self.now, _CLASSIFY, app_id, None)
@@ -1048,19 +1106,6 @@ class Engine:
         if watched:
             self._police(watched, statistics.median(emitting.values())
                          if emitting else None, ref)
-
-    @staticmethod
-    def _vote_detail(silent, flagged, ambiguous) -> str:
-        parts = []
-        if silent:
-            parts.append("silent=" + ",".join(
-                f"{l}.{p}" for l, p in sorted(silent)))
-        if flagged:
-            parts.append("flagged=" + ",".join(
-                f"{l}.{p}" for l, p in sorted(flagged)))
-        if ambiguous:
-            parts.append("ambiguous")
-        return " ".join(parts)
 
     def _exchange_matrix(self, expected, ref: float):
         """Build receiver x sender claims from this round's emitted values,
@@ -1086,8 +1131,7 @@ class Engine:
         """Compare each watched copy's value with the active consensus."""
         for rt in watched:
             if self._replaying(rt):
-                self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
-                          "replay outstanding")
+                self._row("PoliceRound.replay", *rt.place, *rt.key)
                 continue
             if consensus is None:
                 continue
@@ -1098,9 +1142,8 @@ class Engine:
             if rt.converge_left > 0:
                 rt.converge_left -= 1
             rt.police.update(matched)
-            self._row("PoliceRound", rt.lane, rt.proc, rt.app_id, rt.task_id,
-                      f"{'match' if matched else 'deviation'} "
-                      f"{min(rt.police.count, rt.police.required)}/{rt.police.required}")
+            self._row("PoliceRound.vote", *rt.place, *rt.key,
+                      matched, rt.police.count, rt.police.required)
             # queued once, on the round the streak reaches its length
             if rt.police.count == rt.police.required:
                 self._maybe_readmit(rt)
@@ -1120,8 +1163,7 @@ class Engine:
 
     def _on_pilot_approval(self, a):
         # each readmission it gates was queued at its earliest approval
-        self._row("PilotApproval", a.lane, a.proc, a.app, a.task,
-                  "sensor scope" if a.sensor else "")
+        self._row("PilotApproval", a.lane, a.proc, a.app, a.task, a.sensor)
 
     def _on_readmit(self, rt):
         if isinstance(rt, tuple):
@@ -1131,8 +1173,7 @@ class Engine:
             return
         self._set_health(rt, Health.ACTIVE)
         self.counters["readmissions"] += 1
-        self._row("Readmit", rt.lane, rt.proc, rt.app_id, rt.task_id,
-                  "copy readmitted to the active set")
+        self._row("Readmit.copy", *rt.place, *rt.key)
         self._sample(rt.app_id)
         ep = self._episodes[rt.episode - 1]     # it is policed or restabilizing
         if ep.outcome is None and all(c.health is Health.ACTIVE for c in ep.copies):
@@ -1148,8 +1189,7 @@ class Engine:
         directives = classify(implicated, self._hosting_index())
         for d in directives:
             self.counters["detections"] += 1
-            self._row("Detection", d.lane, d.proc, d.app, d.task,
-                      f"cross-monitor consensus ({d.kind.value} granularity)")
+            self._row("Detection.consensus", d.lane, d.proc, d.app, d.task, d.kind)
         self._apply_directives(directives)
 
     def _directive_causes(self, d: FaultTarget):
@@ -1185,9 +1225,7 @@ class Engine:
             lost.update(rt.app_id for rt in victims if rt.health is _ACTIVE)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
-                      f"{d.kind.value} shutdown, "
-                      f"{'restabilize in place' if transient else 'withdrawn'}"
-                      + (f", faults {list(cause_ids)}" if cause_ids else ""))
+                      d.kind, transient, cause_ids)
             if transient:
                 for rt in victims:
                     self._set_health(rt, Health.RESTABILIZING)
@@ -1325,8 +1363,7 @@ class Engine:
         for f in failed:
             if not any(rt.health is _ACTIVE for rt in copies[f.task_id]):
                 ep.t_r_us = self.now
-                self._row("Abandoned", app=ep.app_id, task=f.task_id,
-                          detail="no surviving active copy to recover from")
+                self._row("Abandoned", app=ep.app_id, task=f.task_id)
                 self._close_episode(ep, Outcome.ABANDONED)
                 return
 
@@ -1351,12 +1388,10 @@ class Engine:
             ps.admit(plan.states[place])
             ep.placements[d.task_id] = place
             self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
-                      f"resulting utilization "
-                      f"{float(d.admission.resulting_utilization):.4f}")
+                      d.admission.resulting_utilization)
         ep.degraded_tasks = tuple(plan.degraded)
         for task_id in plan.degraded:
-            self._row("DegradeToDuplex", app=ep.app_id, task=task_id,
-                      detail="no spare could admit the copy")
+            self._row("DegradeToDuplex.no_spare", app=ep.app_id, task=task_id)
 
         if ep.placements:
             self._bus_queue.append(ep)
@@ -1388,10 +1423,8 @@ class Engine:
             if avail <= 0:
                 if not self._stall_traced:
                     self._stall_traced = True
-                    self._row("TransferStall", app=ep.app_id,
-                              detail=f"{'install' if installing else 'state'} "
-                                     f"transfer of {payload} units waits "
-                                     f"for bus bandwidth")
+                    self._row("TransferStall", None, None, ep.app_id, None,
+                              installing, payload)
                 return
             self._stall_traced = False
             if installing:
@@ -1419,9 +1452,9 @@ class Engine:
     def _on_transfer_done(self, ep: _Episode):
         self._bus_busy = False
         if ep.t_s_us is None:
-            self._row("InstallDone", app=ep.app_id,
-                      detail=f"code image installed for tasks "
-                             f"{list(ep.placements)}")
+            # a tuple: _spawn_copies pops a dead spare's task from the dict
+            self._row("InstallDone", None, None, ep.app_id, None,
+                      tuple(ep.placements))
         self._finish_transfer(ep)
         self._pump_bus()
 
@@ -1432,18 +1465,15 @@ class Engine:
         # spare dies in here, so the row can say whether any copy starts
         dead = [task_id for task_id, place in ep.placements.items()
                 if self.sets[place].dead]
-        self._row("StateTransferDone", app=ep.app_id,
-                  detail=f"{sm.strategy.value} state ready; "
-                  + ("policing starts" if len(dead) < len(ep.placements)
-                     else "no copy starts, every chosen spare is shut down"))
+        self._row("StateTransferDone", None, None, ep.app_id, None,
+                  sm.strategy, len(dead) < len(ep.placements))
         if dead:
             self._give_back([(ep.placements[task_id], (ep.app_id, task_id),
                               app.task(task_id)) for task_id in dead])
         for task_id in dead:
             place = ep.placements.pop(task_id)
             ep.degraded_tasks += (task_id,)
-            self._row("DegradeToDuplex", *place, ep.app_id, task_id,
-                      "spare shut down before the copy started")
+            self._row("DegradeToDuplex.spare_dead", *place, ep.app_id, task_id)
         for task_id, place in ep.placements.items():
             spec = app.task(task_id)
             rt = _CopyRt(next(self._copy_ids), (ep.app_id, task_id), place,
@@ -1467,8 +1497,7 @@ class Engine:
 
     def _close_episode(self, ep: _Episode, outcome: Outcome):
         ep.outcome = outcome
-        self._row("RecoveryClosed", app=ep.app_id,
-                  detail=f"record {ep.record_id}: {outcome.value}")
+        self._row("RecoveryClosed", None, None, ep.app_id, None, ep.record_id, outcome)
 
     # -- coverage sampling ------------------------------------------------------------
 

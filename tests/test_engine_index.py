@@ -504,7 +504,7 @@ class CheckedEngine(Engine):
 
     def _effects(self):
         """What a vote can write: rows, implicated copies, events, policing."""
-        return (len(self.trace), frozenset(self._pending_implicated),
+        return (len(self.rows), frozenset(self._pending_implicated),
                 len(self._heap), self._policed)
 
     def _check_rounds(self):
@@ -918,6 +918,11 @@ def _check(scenario):
     return engine
 
 
+def _kinds(engine) -> list:
+    """(time_us, kind) of each trace row the engine has noted."""
+    return [sim.render(row)[:2] for row in engine.rows]
+
+
 def _with_reversed_fault_ids(path):
     """The document with fault ids that run against its list order."""
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -993,8 +998,7 @@ def test_skipped_votes_on_the_mean_voter_scenario():
     # at 280 ms whose float mean misses them, each round votes every task
     # in full (CheckedEngine asserts the order)
     engine = _check(load_scenario(SCENARIOS / "mean_voter_quiet_marks.json"))
-    first = next(row.time_us for row in engine.trace
-                 if row.kind == "FaultActivate")
+    first = next(at for at, kind in _kinds(engine) if kind == "FaultActivate")
     assert first == 70_000
     early = [row for row in engine.rounds if row[0] < first]
     late = [row for row in engine.rounds if row[0] >= first]
@@ -1025,8 +1029,7 @@ def test_a_copy_takes_its_skew_from_the_first_fault_in_list_order():
                   "target": {"kind": "processor", "lane": 0, "proc": 0}}
                  for fault_id, at_ms, skew in ((1, 55, 3.0), (0, 51, 5.0))]
     engine = _check(parse_scenario(scenario_doc(byzantine)))
-    assert any(row.time_us == 60_000 and row.kind == "Detection"
-               for row in engine.trace)
+    assert (60_000, "Detection") in _kinds(engine)
 
 
 class _VoteCount(Engine):
@@ -1079,8 +1082,8 @@ def test_the_mean_voter_keeps_the_proof_to_the_horizon():
         proof and by_proof == 1 for _, _, proof, by_proof in engine.rounds)
     assert {at for at, _, _, _ in engine.rounds} >= {60_000, 150_000}
     assert engine.full_votes == 0
-    assert not [row for row in engine.trace
-                if row.kind in ("Detection", "ShutdownApplied")]
+    assert not [kind for _, kind in _kinds(engine)
+                if kind in ("Detection", "ShutdownApplied")]
     assert engine._episodes == []
 
 
@@ -1102,8 +1105,9 @@ def test_a_growing_spare_checks_the_jobs_it_released_unchecked(name, spare):
     # then, and misses
     engine = _check(load_scenario(SCENARIOS / f"{name}.json"))
     assert engine.skipped_checks > 0
-    first = engine.misses[0]
-    assert (first.lane, first.proc, first.app) == (*spare, 1)
+    # a raw row: (time_us, text, lane, proc, app, task, *facts)
+    first = next(row for row in engine.rows if row[1] == "DeadlineMiss")
+    assert first[2:5] == (*spare, 1)
 
 
 def test_a_fault_free_run_never_builds_the_hosting_index():
@@ -1231,7 +1235,7 @@ def test_skipped_votes_match_full_votes_on_any_reference(lanes, base, slope,
     engine = _check(parse_scenario(doc))
     assert engine.proof_skips > 0
     if not faults:
-        assert not [row for row in engine.trace if row.kind == "Detection"]
+        assert "Detection" not in [kind for _, kind in _kinds(engine)]
 
 
 _APPROVAL_SCOPES = ("lane", "processor", "app", "task", "sensor")

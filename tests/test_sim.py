@@ -9,6 +9,10 @@ import dataclasses
 import gc
 import json
 import math
+import random
+from enum import Enum
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +30,12 @@ from lanesim.sim import (
     Engine,
     EventKind,
     InsufficientInstances,
+    ROW_TEXTS,
     ScenarioInvalid,
+    SimResult,
     TraceEvent,
     measure_jitter,
+    render,
     run,
     schedule_processor,
 )
@@ -1074,6 +1081,71 @@ def test_completion_records_are_built_on_first_read(monkeypatch, tmp_path):
     assert len(got) == len(built) == result.counters["completions"] > 0
 
 
+def _golden_results(tmp_path=None) -> dict:
+    """Each hand-written golden's result, its outputs written under
+    tmp_path when one is given."""
+    results = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        results[path.stem] = result = Engine(load_scenario(path)).run()
+        if tmp_path is not None:
+            write_outputs(result, tmp_path / path.stem)
+    return results
+
+
+def test_trace_and_misses_are_built_on_first_read(monkeypatch, tmp_path):
+    # a run keeps raw rows, and the writer renders them: no TraceEvent and
+    # no DeadlineMissRecord until the result's lists are read
+    built = []
+    monkeypatch.setattr("lanesim.sim.TraceEvent",
+                        lambda *values: built.append(values))
+    monkeypatch.setattr("lanesim.sim.DeadlineMissRecord",
+                        lambda *values: built.append(values))
+    results = _golden_results(tmp_path)
+    assert built == []
+    monkeypatch.undo()
+    result = results["overload_deadline_misses"]
+    trace = result.trace
+    assert trace is result.trace and result.deadline_misses is result.deadline_misses
+    assert len(trace) == len(result.rows) > 0
+    assert len(result.deadline_misses) == result.counters["deadline_misses"] > 0
+
+
+def test_misses_and_trace_are_read_from_the_rows_alone():
+    # a result holds its trace once, as rows; the misses are its
+    # DeadlineMiss rows
+    names = {f.name for f in dataclasses.fields(SimResult)}
+    assert "rows" in names and not {"trace", "deadline_misses"} & names
+    rows = [(5, "FaultClear", 0, 1, None, None, 3),
+            (9, "DeadlineMiss", 0, 2, 1, 4, 1, 250)]
+    result = SimResult(seed=0, horizon_us=10, rows=rows)
+    assert result.deadline_misses == [DeadlineMissRecord(9, 0, 2, 1, 4, 1)]
+    assert result.trace == [
+        TraceEvent(5, "FaultClear", 0, 1, None, None, "fault 3 cleared"),
+        TraceEvent(9, "DeadlineMiss", 0, 2, 1, 4,
+                   "released at 1us, 250us of work left")]
+
+
+def _snapshot(fact) -> bool:
+    """Is the fact an immutable value: an int, an enum member, a Fraction,
+    or a tuple of such?"""
+    if isinstance(fact, tuple):
+        return all(map(_snapshot, fact))
+    return type(fact) in (int, bool, Fraction) or isinstance(fact, Enum)
+
+
+def test_every_row_fact_is_a_snapshot_and_every_text_is_reached():
+    # a fact kept by reference (a copy's police counter, a recovery's live
+    # placements) would render what it holds when read, not what it held;
+    # and a text that no golden reaches is checked by nothing
+    reached, kinds = set(), set()
+    for name, result in _golden_results().items():
+        for row in result.rows:
+            reached.add(row[1])
+            kinds.add(render(row)[1])
+            assert all(map(_snapshot, row[6:])), (name, row)
+    assert reached == set(ROW_TEXTS) and (len(reached), len(kinds)) == (22, 17)
+
+
 def _garbage_left_by(scenario) -> int:
     """How many unreachable objects a run leaves, its result dropped, with
     the collector off while it runs."""
@@ -1114,6 +1186,25 @@ def test_engine_set_up_builds_no_fault_target(monkeypatch):
     monkeypatch.setattr(FaultTarget, "__post_init__", counted)
     Engine(scenario)
     assert built == []
+
+
+@pytest.mark.parametrize("name, draws", [("triplex_quiet", 0),
+                                         ("spare_dies_in_transfer", 0),
+                                         ("bit_sweep_draw_order", 1)])
+def test_the_seeded_generator_is_built_on_its_first_draw(monkeypatch, name,
+                                                         draws):
+    # only built-in test below full detection probability draws: a
+    # fault-free run and a catch at probability 1 build no generator
+    built = []
+
+    def counted(seed):
+        built.append(seed)
+        return random.Random(seed)
+
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    monkeypatch.setattr("lanesim.sim.random", SimpleNamespace(Random=counted))
+    Engine(scenario).run()
+    assert built == [scenario.settings.seed] * draws
 
 
 # --- the rows a result lists -------------------------------------------
