@@ -306,13 +306,14 @@ def classify(implicated, hosted) -> list[FaultTarget]:
 
     ``implicated`` is a set of (lane, proc, app, task) copies that deviated
     or fell silent this round; ``hosted`` maps (lane, proc) to the set of
-    (app, task) copies the processor currently hosts. A lane scope needs
-    every hosting processor of the lane implicated in full, and at least two
-    of them (voting cannot implicate an empty spare, and single-processor
-    evidence only supports a processor scope). A processor scope needs all
-    of its hosted copies implicated; anything less is per-task. Lane scopes
-    come first, then processor scopes, then task scopes, each in coordinate
-    order.
+    (app, task) copies the processor currently hosts. Only the places in
+    the implicated copies' lanes are read, so a map of those is enough. A
+    lane scope needs every hosting processor of the lane implicated in
+    full, and at least two of them (voting cannot implicate an empty spare,
+    and single-processor evidence only supports a processor scope). A
+    processor scope needs all of its hosted copies implicated; anything
+    less is per-task. Lane scopes come first, then processor scopes, then
+    task scopes, each in coordinate order.
     """
     by_proc: dict = {}
     for (lane, proc, app, task) in implicated:

@@ -56,10 +56,11 @@ class Copy:
 
 @dataclass(slots=True)
 class ReplicaGroup:
-    """All copies of one application: task id -> its copies by copy id.
+    """The copies in service of one application: task id -> its copies
+    by copy id. A withdrawn copy leaves its task's list.
 
-    Every task of the application has an entry, so the keys are its task
-    universe.
+    Every task of the application has an entry, even one with no copy
+    left, so the keys are its task universe.
     """
 
     app_id: int

@@ -313,8 +313,8 @@ class SimResult:
         return (f"{counts[Outcome.READMITTED]} readmitted, "
                 f"{counts[Outcome.DEGRADED_DUPLEX]} degraded, "
                 f"{counts[Outcome.ABANDONED]} abandoned; "
-                f"{sum(row[1] == 'DeadlineMiss' for row in self.rows)} "
-                f"deadline misses; {len(self.rows)} trace events over "
+                f"{self.counters['deadline_misses']} deadline misses; "
+                f"{len(self.rows)} trace events over "
                 f"{self.horizon_us / timebase.US_PER_MS:g} ms")
 
 
@@ -465,13 +465,13 @@ class Engine:
 
         self.sets: dict = {}            # (lane, proc) -> the _ProcSet that runs it
         self._lane_places: dict = {}    # lane -> [(lane, proc)] in spec order
+        # the copies in service: _set_health takes a withdrawn one out
         self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
         self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
         self.bus = None                 # BusState, set by _init_topology
 
         self._copy_ids = itertools.count(1)
-        self._record_ids = itertools.count(1)
         self._episodes: list = []       # by record id; they are the records
         self._pending_implicated: set = set()
         self._pending_selection: list = []
@@ -493,9 +493,6 @@ class Engine:
                                         # faults on it, in scenario order
         self._sensor_on: dict = {}      # app_id -> its active sensor faults,
                                         # in scenario order (none: no entry)
-        # (lane, proc) -> (app, task) of its active copies, kept by
-        # _set_health once _hosting_index builds it on first need
-        self._hosting: dict | None = None
 
         self._apps: dict = {}           # app_id -> ApplicationSpec
         self._vote_period: dict = {}    # app_id -> its shortest task period
@@ -608,7 +605,7 @@ class Engine:
         return owners.items()
 
     def _copies_in(self, scope: FaultTarget) -> list:
-        """Every copy ever placed inside a lane, processor or task scope:
+        """Every copy in service inside a lane, processor or task scope:
         place by place in the lane's spec order, in copy id order within
         a place."""
         key = scope.key
@@ -627,33 +624,18 @@ class Engine:
 
     def _hosted(self, place) -> set:
         """(app, task) of the active copies on one processor."""
-        return self._hosting_index()[place]
-
-    def _hosting_index(self) -> dict:
-        """(lane, proc) -> (app, task) of its active copies, for every
-        place. Built on first need, since a fault-free run never asks, then
-        kept by _set_health; callers only read it."""
-        index = self._hosting
-        if index is None:
-            index = self._hosting = {
-                place: {rt.key for rt in rts if rt.health is Health.ACTIVE}
-                for place, rts in self._proc_copies.items()}
-        return index
+        return {rt.key for rt in self._proc_copies[place] if rt.health is _ACTIVE}
 
     def _set_health(self, rt: _CopyRt, health: Health):
         """The one place a copy's health changes (readmit, restabilize,
-        withdraw). The hosting index counts active copies alone, so a change
-        into or out of ACTIVE updates it, once built. Coverage counts them
-        too: the caller samples the copy's application before its handler
-        returns."""
-        if (health is Health.ACTIVE) != (rt.health is Health.ACTIVE):
-            index = self._hosting
-            if index is not None:
-                if health is Health.ACTIVE:
-                    index[rt.place].add(rt.key)
-                else:
-                    index[rt.place].discard(rt.key)
+        withdraw). A withdrawn copy leaves its group's list and its place's
+        at once, so that the lists hold the copies in service alone and no
+        later scope takes it again. Coverage counts the active copies: the
+        caller samples the copy's application before its handler returns."""
         rt.health = health
+        if health is Health.SHUTDOWN:
+            self.groups[rt.app_id].copies[rt.task_id].remove(rt)
+            self._proc_copies[rt.place].remove(rt)
 
     def _prime_events(self):
         for group in self.groups.values():
@@ -1079,7 +1061,7 @@ class Engine:
                         silent.append(rt.place)
                     else:
                         emitting[rt.place] = value
-            elif rt.health is not Health.SHUTDOWN:
+            else:
                 watched.append(rt)
         implicated = set(silent)
 
@@ -1186,7 +1168,11 @@ class Engine:
     def _on_classify(self, _):
         implicated = self._pending_implicated
         self._pending_implicated = set()
-        directives = classify(implicated, self._hosting_index())
+        # classify reads the places of the implicated copies' lanes alone
+        hosted = {place: self._hosted(place)
+                  for lane in {copy[0] for copy in implicated}
+                  for place in self._lane_places[lane]}
+        directives = classify(implicated, hosted)
         for d in directives:
             self.counters["detections"] += 1
             self._row("Detection.consensus", d.lane, d.proc, d.app, d.task, d.kind)
@@ -1238,7 +1224,7 @@ class Engine:
                         ep = self._episodes[rt.episode - 1]
                         if ep.outcome is None:
                             abandoned[ep.record_id] = ep
-                    # shut down now, so that no later scope takes it again
+                    # out of the lists now: no later scope takes it again
                     self._set_health(rt, Health.SHUTDOWN)
                 withdrawn += victims
             for rt in victims:
@@ -1272,11 +1258,11 @@ class Engine:
 
     def _directive_victims(self, d: FaultTarget, transient: bool):
         """The copies a shutdown acts on: a transient one restabilizes the
-        active copies in scope, a permanent one withdraws every copy still
-        in service there, rebuilt or restabilizing ones too."""
+        active copies in scope, a permanent one withdraws every copy in
+        service there, rebuilt or restabilizing ones too."""
         if transient:
             return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
-        return [rt for rt in self._copies_in(d) if rt.health is not Health.SHUTDOWN]
+        return self._copies_in(d)
 
     def _mark_dead(self, d: FaultTarget):
         for place in self._places_in(d):
@@ -1316,7 +1302,7 @@ class Engine:
             # stands, and only the coverage timeline records it
             return
         ep = _Episode(
-            record_id=next(self._record_ids),
+            record_id=len(self._episodes) + 1,
             app_id=app_id,
             failed_copy_ids=tuple(sorted(rt.copy_id for rt in copies)),
             strategy=self._apps[app_id].state_model.strategy,

@@ -5,9 +5,10 @@ document with two faults or more also with fault ids reversed against its
 list order), generated scenarios with faults and fuzzed documents, and
 checks it against full scans: of every fault in ``scenario.faults``,
 through ``FaultSpec.active_at`` and ``FaultTarget.contains``, and of every
-copy ever made. It reads what the engine holds and the events as they
-run. No check reads a heap entry or a release's payload, and none names a
-handler.
+copy in service: the copies its lists hold, which the kept facts below
+check against every copy ever made. It reads what the engine holds and
+the events as they run. No check reads a heap entry or a release's
+payload, and none names a handler.
 
 Faults are compared through the answers they give, against the settled
 scan: the faults ``active_at`` the current instant, less what the fault
@@ -34,9 +35,10 @@ event:
 - records: each recovery record's timestamps are in order, and no
   application's coverage level exceeds the lane count;
 - kept facts: the causes of each restabilization not cleared yet, the
-  (app, task) pairs of the active copies on each place once the engine
-  has built that index, and the coverage last sampled for every
-  application (``functional_coverage``, ``zonal_coverage`` and
+  copy lists (each task's list in its group and each place's list hold
+  exactly the copies ever made there that are not ``SHUTDOWN``, in copy
+  id order), and the coverage last sampled for every application
+  (``functional_coverage``, ``zonal_coverage`` and
   ``peripheral_coverage`` of it now): each handler samples what it
   changed, so no application is left stale;
 - sets: places with one processor index share one schedule, their set,
@@ -220,6 +222,7 @@ class CheckedEngine(Engine):
         self._last_group = 0     # the first copy id of the instant's last group
         self._releases_before = 0
         self._filed = {}         # copy id -> the instant a recovery filed it
+        self._made = self._copies_by_id()   # every copy ever made, by copy id
         # instants a DeadlineCheck must still run at, and where one may
         self._checks_due, self._check_instants = set(), set()
         self._earliest_deadline = None   # (deadline, job) over every task job
@@ -249,6 +252,7 @@ class CheckedEngine(Engine):
 
     def _add_copy(self, rt):
         self._filed[rt.copy_id] = self.now
+        self._made.append(rt)
         super()._add_copy(rt)
 
     def _origin(self, rt):
@@ -609,7 +613,7 @@ class CheckedEngine(Engine):
         self.checks += 1
 
     def _check_kept_facts(self):
-        """The uncleared causes per restabilization, the hosting index and
+        """The uncleared causes per restabilization, the copy lists and
         the last coverage samples equal full scans."""
         settled = self._settled_faults()
         for ep in self._episodes:
@@ -617,13 +621,27 @@ class CheckedEngine(Engine):
             assert ep.uncleared == (left if ep.origin == "restabilize" else 0), (
                 f"record {ep.record_id} at {self.now}us counts {ep.uncleared} "
                 f"causes not cleared, scanned {left}")
-        if self._hosting is not None:
-            hosting = {place: set() for place in self.sets}
-            for rt in self._all_copies():
-                if rt.health is Health.ACTIVE:
-                    hosting[rt.place].add(rt.key)
-            assert self._hosting == hosting, (
-                f"hosting index at {self.now}us differs from a scan")
+        # the lists hold every copy made that is not withdrawn, and no
+        # other, in copy id order
+        by_key, by_place = {}, {place: [] for place in self.sets}
+        for rt in self._made:
+            if rt.health is not Health.SHUTDOWN:
+                by_key.setdefault(rt.key, []).append(rt)
+                by_place[rt.place].append(rt)
+        for app_id, group in self.groups.items():
+            for task_id, rts in group.copies.items():
+                want = by_key.pop((app_id, task_id), [])
+                assert rts == want, (
+                    f"task {(app_id, task_id)} at {self.now}us lists copies "
+                    f"{[rt.copy_id for rt in rts]}, in service "
+                    f"{[rt.copy_id for rt in want]}")
+        assert not by_key, f"copies in service at {self.now}us in no group: {by_key}"
+        for place, want in by_place.items():
+            rts = self._proc_copies[place]
+            assert rts == want, (
+                f"{place} at {self.now}us lists copies "
+                f"{[rt.copy_id for rt in rts]}, in service "
+                f"{[rt.copy_id for rt in want]}")
         for app_id, group in self.groups.items():
             healthy = sum(self.channels[app_id].values())
             want = (cov.functional_coverage(group), cov.zonal_coverage(group),
@@ -1110,22 +1128,6 @@ def test_a_growing_spare_checks_the_jobs_it_released_unchecked(name, spare):
     assert first[2:5] == (*spare, 1)
 
 
-def test_a_fault_free_run_never_builds_the_hosting_index():
-    # the index is built on first need: a BIT sweep that finds a fault on
-    # a live place, or a classification; a fault-free run has neither
-    docs = [scenario_doc([]),
-            generate_scenario(lanes=4, procs=6, apps=3, seed=3, horizon_ms=40)]
-    for doc in docs:
-        engine = Engine(parse_scenario(doc))
-        engine.run()
-        assert engine._hosting is None
-    # a BIT-visible fault makes the next sweep build it
-    engine = Engine(parse_scenario(scenario_doc([
-        proc_fault(at_ms=50, bit_detectable=True)])))
-    result = engine.run()
-    assert engine._hosting is not None and result.counters["detections"] == 1
-
-
 def test_a_lane_shutdown_kills_its_own_spare_and_no_other():
     # permanent faults on the three workers of lane 0 implicate the whole
     # lane, and its shutdown kills lane 0's spare too; the spares of lanes
@@ -1180,11 +1182,14 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
     engine.now = 50_000
     active = [f for f in engine.sc.faults if f.active_at(engine.now)]
     assert len(active) == 2
-    engine._apply_directives([f.target for f in active])
-
+    # read before the shutdown, which takes them out of the lists
     lane0 = [rt for rts in engine._proc_copies.values() for rt in rts
              if rt.lane == 0]
+    engine._apply_directives([f.target for f in active])
+
     assert lane0 and all(rt.health is Health.SHUTDOWN for rt in lane0)
+    assert not any(rts for place, rts in engine._proc_copies.items()
+                   if place[0] == 0)
     assert engine.withdrawals == [[rt.copy_id for rt in lane0]]
     assert sorted(i for ep in engine._episodes for i in ep.failed_copy_ids) == (
         sorted(rt.copy_id for rt in lane0))

@@ -432,6 +432,25 @@ def test_classify_orders_lane_then_processor_then_task_scopes():
     ]
 
 
+_places = [(lane, proc) for lane in range(3) for proc in range(3)]
+_hosted_maps = st.fixed_dictionaries({place: st.sets(
+    st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=3)
+    for place in _places})
+
+
+@given(_hosted_maps, st.data())
+def test_classify_reads_only_the_implicated_lanes(hosted, data):
+    # the engine hands classify the places of the implicated copies'
+    # lanes alone: the scopes must be those of the full map
+    copies = sorted((*place, *key) for place, keys in hosted.items()
+                    for key in keys)
+    implicated = data.draw(st.sets(st.sampled_from(copies)) if copies
+                           else st.just(set()))
+    lanes = {copy[0] for copy in implicated}
+    assert classify(implicated, hosted) == classify(implicated, {
+        place: keys for place, keys in hosted.items() if place[0] in lanes})
+
+
 # --- scopes ------------------------------------------------
 
 _coord = st.integers(min_value=0, max_value=1)
