@@ -12,8 +12,7 @@ from .model import (Architecture, ApplicationSpec, BusSpec, InvalidModel,
                     ProcessorSpec, StateModel, StateStrategy, SystemModel,
                     TaskSpec, TimingConfig, Violation, build_system,
                     initial_allocation)
-from .reconfig import (Copy, FailedTask, Health, Outcome, PlacementPlan,
-                       PoliceCounter, ReconfigRecord, ReplicaGroup,
+from .reconfig import (Copy, Health, Outcome, PlacementPlan, ReconfigRecord,
                        recovery_order, select_spare)
 from .scenario import (Scenario, generate_scenario, load_scenario,
                        parse_scenario)

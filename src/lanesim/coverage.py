@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .reconfig import Health, Outcome, ReconfigRecord, ReplicaGroup
+from .reconfig import Copy, Health, Outcome, ReconfigRecord
 
 
 class CoverageLevel(IntEnum):
@@ -49,14 +49,15 @@ def _level(count: int) -> CoverageLevel:
     return _LEVELS[min(count, 4)]
 
 
-def coverage(group: ReplicaGroup) -> tuple[CoverageLevel, CoverageLevel]:
-    """Functional and zonal coverage from one pass over the copies: the
-    minimum over tasks of active copies and of the distinct lanes they sit
-    in. An application with no tasks has none of either."""
-    if not group.copies:
+def coverage(group: dict[int, list[Copy]]) -> tuple[CoverageLevel, CoverageLevel]:
+    """Functional and zonal coverage from one pass over an application's
+    copies, task id -> its copies: the minimum over tasks of active copies
+    and of the distinct lanes they sit in. An application with no tasks has
+    none of either."""
+    if not group:
         return CoverageLevel.NONE, CoverageLevel.NONE
     functional = zonal = 4      # _level caps a count here anyway
-    for copies in group.copies.values():
+    for copies in group.values():
         lanes = [c.lane for c in copies if c.health is Health.ACTIVE]
         count = len(lanes)
         if count < functional:
@@ -68,12 +69,12 @@ def coverage(group: ReplicaGroup) -> tuple[CoverageLevel, CoverageLevel]:
     return _level(functional), _level(zonal)
 
 
-def functional_coverage(group: ReplicaGroup) -> CoverageLevel:
+def functional_coverage(group: dict[int, list[Copy]]) -> CoverageLevel:
     """Minimum over the application's tasks of its active copy count."""
     return coverage(group)[0]
 
 
-def zonal_coverage(group: ReplicaGroup) -> CoverageLevel:
+def zonal_coverage(group: dict[int, list[Copy]]) -> CoverageLevel:
     """Minimum over tasks of distinct lanes holding an active copy."""
     return coverage(group)[1]
 

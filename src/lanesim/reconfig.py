@@ -1,4 +1,4 @@
-"""Reconfiguration domain: replica groups, spare selection, recovery records.
+"""Reconfiguration domain: task copies, spare selection, recovery records.
 
 A recovery episode runs through a fixed phase order. The timestamps only
 promise ordering, never spacing:
@@ -21,7 +21,8 @@ application. When nothing fits the task degrades: the application simply
 continues one level weaker.
 
 The discrete-event engine (:mod:`lanesim.sim`) drives the episode through
-these phases; this module holds the pure pieces it leans on.
+these phases. Its run-time state lives in the types here: a ``Copy`` and
+the ``ReconfigRecord`` of its episode. Spare selection is pure.
 """
 
 from __future__ import annotations
@@ -42,29 +43,49 @@ class Health(Enum):
     SHUTDOWN = "shutdown"
 
 
-@dataclass(slots=True)
+@dataclass(eq=False, init=False, slots=True)
 class Copy:
-    """One replica of one task, living on (lane, proc)."""
+    """One replica of one task, living on (lane, proc), together with the
+    engine's run-time state of it.
+
+    Recovery records keep their lost and rebuilt copies through report
+    writing, so a copy keeps its fields in slots. It names its episode by
+    record id, so the two form no reference cycle. ``place + key`` is the
+    key of its task scope. Set-up builds one copy per task per lane, so a
+    copy is built through a positional ``__init__``: the dataclass's
+    keyword one cost half of ``Engine.__init__``. Its phase starts where
+    it is filed: at 0 by set-up, at its spawn if rebuilt. Its history
+    replay is its background job, keyed by copy id (``Engine._replaying``).
+    ``streak`` counts its consecutive in-tolerance police rounds; any
+    deviation resets it.
+    """
 
     copy_id: int
     app_id: int
     task_id: int
     lane: int
     proc: int
-    health: Health = Health.ACTIVE
+    health: Health
+    spec: TaskSpec
+    completed_ever: bool
+    converge_left: int
+    streak: int
+    episode: int | None                             # its episode's record id
+    # (app, task) and (lane, proc), given by the caller: the copies of a
+    # task share one key tuple, and a copy never moves
+    key: tuple = field(repr=False)
+    place: tuple = field(repr=False)
 
-
-@dataclass(slots=True)
-class ReplicaGroup:
-    """The copies in service of one application: task id -> its copies
-    by copy id. A withdrawn copy leaves its task's list.
-
-    Every task of the application has an entry, even one with no copy
-    left, so the keys are its task universe.
-    """
-
-    app_id: int
-    copies: dict[int, list[Copy]] = field(default_factory=dict)
+    def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec):
+        self.copy_id = copy_id
+        self.app_id, self.task_id = self.key = key
+        self.lane, self.proc = self.place = place
+        self.health = Health.ACTIVE
+        self.spec = spec
+        self.completed_ever = False
+        self.converge_left = 0
+        self.streak = 0
+        self.episode = None
 
 
 class Outcome(Enum):
@@ -75,6 +96,13 @@ class Outcome(Enum):
 
 @dataclass
 class ReconfigRecord:
+    """One recovery: in flight while the engine runs it, then its record.
+
+    ``outcome`` stays None until the episode closes. The engine's
+    bookkeeping fields, from ``cause_ids`` on, take no part in comparison:
+    two records are equal by what they report.
+    """
+
     record_id: int
     app_id: int
     failed_copy_ids: tuple[int, ...]
@@ -88,6 +116,14 @@ class ReconfigRecord:
     t_a_us: int | None = None
     placements: dict = field(default_factory=dict)   # task_id -> (lane, proc)
     degraded_tasks: tuple[int, ...] = ()
+    cause_ids: tuple = field(default=(), compare=False)
+    uncleared: int = field(default=0, compare=False)    # restabilize: causes not cleared
+    copies: list = field(default_factory=list, compare=False)   # Copy awaiting readmission
+    lost: list = field(default_factory=list, compare=False)     # Copy withdrawn at t_f
+
+    @property
+    def origin(self) -> str:        # only a reconfiguration loses copies
+        return "reconfig" if self.lost else "restabilize"
 
     def timestamps(self) -> list[int]:
         stamps = [self.t_f_us, self.t_r_us, self.t_i_us,
@@ -97,14 +133,6 @@ class ReconfigRecord:
     def ordering_ok(self) -> bool:
         stamps = self.timestamps()
         return all(a <= b for a, b in zip(stamps, stamps[1:]))
-
-
-@dataclass
-class FailedTask:
-    app_id: int
-    task_id: int
-    task: TaskSpec
-    home_lane: int
 
 
 @dataclass
@@ -138,7 +166,7 @@ def recovery_order(apps) -> list[int]:
     return [a.app_id for a in sorted(apps, key=recovery_rank)]
 
 
-def select_spare(failed: list[FailedTask],
+def select_spare(failed: list[Copy],
                  spares: dict[tuple[int, int], ProcessorState],
                  bus: BusState, cfg, restricted: bool) -> PlacementPlan:
     """Plan placements for one application's failed tasks, in the order
@@ -159,18 +187,18 @@ def select_spare(failed: list[FailedTask],
         placed = False
         for lane, proc in ranked:
             state = states[(lane, proc)]
-            admission = admit_task(state, f.task, cfg)
+            admission = admit_task(state, f.spec, cfg)
             comms = None
             if admission.accepted:
-                comms = check_comms(plan.bus, f.task.message_demand)
+                comms = check_comms(plan.bus, f.spec.message_demand)
             chosen = admission.accepted and comms is not None and comms.accepted
             plan.decisions.append(PlacementDecision(
                 f.task_id, lane, proc, admission, comms, chosen))
             if chosen:
                 states[(lane, proc)] = state.with_task(
                     (f.app_id, f.task_id),
-                    f.task.wcet_us, f.task.period_us, f.task.deadline_us)
-                plan.bus = plan.bus.with_demand(f.task.message_demand)
+                    f.spec.wcet_us, f.spec.period_us, f.spec.deadline_us)
+                plan.bus = plan.bus.with_demand(f.spec.message_demand)
                 plan.placements.append((f.task_id, lane, proc))
                 placed = True
                 break
@@ -179,7 +207,7 @@ def select_spare(failed: list[FailedTask],
     return plan
 
 
-def _ranked_candidates(f: FailedTask, spares: dict, states, restricted):
+def _ranked_candidates(f: Copy, spares: dict, states, restricted):
     def usable(state):
         # a spare never takes a second copy of a task it already runs; a
         # restricted one that another application claimed is taken. Both
@@ -196,18 +224,6 @@ def _ranked_candidates(f: FailedTask, spares: dict, states, restricted):
     common = math.lcm(*(den for _, den in ratios))
     keys = [(num * (common // den), *place)
             for (num, den), place in zip(ratios, places)]
-    same = sorted(k for k in keys if k[1] == f.home_lane)
-    other = sorted(k for k in keys if k[1] != f.home_lane)
+    same = sorted(k for k in keys if k[1] == f.lane)
+    other = sorted(k for k in keys if k[1] != f.lane)
     return [(lane, proc) for _, lane, proc in same + other]
-
-
-class PoliceCounter:
-    """Counts consecutive in-tolerance rounds; any deviation resets it."""
-
-    def __init__(self, required: int):
-        self.required = required
-        self.count = 0
-
-    def update(self, matched: bool) -> bool:
-        self.count = self.count + 1 if matched else 0
-        return self.count >= self.required

@@ -373,8 +373,10 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("the fault count cannot be negative")
     if not infeasible and not 0.0 <= target_utilization <= 1.0:
         raise ValueError("target utilization must be within [0, 1]")
-    if horizon_ms is not None and not (math.isfinite(horizon_ms)
-                                       and 0 < ms_to_us(horizon_ms) <= _FLOAT_MAX):
+    # an int or a Fraction is finite, even one past the largest float
+    if horizon_ms is not None and not (
+            (not isinstance(horizon_ms, float) or math.isfinite(horizon_ms))
+            and 0 < ms_to_us(horizon_ms) <= _FLOAT_MAX):
         raise ValueError("horizon must be finite and from 1 us up to the largest float in us")
 
     rng = random.Random(seed)

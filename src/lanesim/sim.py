@@ -117,11 +117,10 @@ from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects,
                     police_matches)
 from .jitter import InsufficientInstances, measure_jitter  # seed API, re-exported
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
-                    SystemModel, TaskSpec, Violation)
+                    SystemModel, Violation)
 from .processor import Job, Processor
 from .processor import ProcSchedule, schedule_processor  # seed API, re-exported
-from .reconfig import (Copy, FailedTask, Health, Outcome, PoliceCounter,
-                       ReconfigRecord, ReplicaGroup, recovery_rank,
+from .reconfig import (Copy, Health, Outcome, ReconfigRecord, recovery_rank,
                        select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
                      transfer_time)
@@ -384,59 +383,6 @@ class _ProcSet(Processor):
         return own
 
 
-@dataclass(eq=False, init=False, slots=True)
-class _CopyRt(Copy):
-    """A task copy together with the engine's run-time state of it.
-
-    Recovery records keep their lost and rebuilt copies through report
-    writing, so a copy keeps its fields in slots. It names its episode by
-    record id, so the two form no reference cycle. ``place + key`` is the
-    key of its task scope. Set-up builds one copy per task per lane, so a
-    copy is built through a positional ``__init__``: the dataclass's
-    keyword one cost half of ``Engine.__init__``. Its phase starts where
-    it is filed: at 0 by set-up, at its spawn if rebuilt. Its history
-    replay is its background job, keyed by copy id (``Engine._replaying``).
-    """
-
-    spec: TaskSpec
-    completed_ever: bool
-    converge_left: int
-    police: PoliceCounter | None
-    episode: int | None                             # its episode's record id
-    # (app, task) and (lane, proc), given by the caller: the copies of a
-    # task share one key tuple, and a copy never moves
-    key: tuple = field(repr=False)
-    place: tuple = field(repr=False)
-
-    def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec):
-        self.copy_id = copy_id
-        self.app_id, self.task_id = self.key = key
-        self.lane, self.proc = self.place = place
-        self.health = _ACTIVE
-        self.spec = spec
-        self.completed_ever = False
-        self.converge_left = 0
-        self.police = None
-        self.episode = None
-
-
-@dataclass(eq=False, kw_only=True)
-class _Episode(ReconfigRecord):
-    """A recovery in flight; once closed it is its own record.
-
-    ``outcome`` stays None until the episode closes.
-    """
-
-    cause_ids: tuple = ()
-    uncleared: int = 0                # restabilize: causes not cleared yet
-    copies: list = field(default_factory=list)    # _CopyRt awaiting readmission
-    lost: list = field(default_factory=list)      # _CopyRt withdrawn at t_f
-
-    @property
-    def origin(self) -> str:        # only a reconfiguration loses copies
-        return "reconfig" if self.lost else "restabilize"
-
-
 class Engine:
     def __init__(self, scenario):
         self.sc = scenario
@@ -466,8 +412,10 @@ class Engine:
         self.sets: dict = {}            # (lane, proc) -> the _ProcSet that runs it
         self._lane_places: dict = {}    # lane -> [(lane, proc)] in spec order
         # the copies in service: _set_health takes a withdrawn one out
-        self.groups: dict = {}          # app_id -> ReplicaGroup of _CopyRt
-        self._proc_copies: dict = {}    # (lane, proc) -> [_CopyRt] by copy id
+        # app_id -> task id -> [Copy] by copy id; every task of the app has
+        # an entry, even one with no copy left, so the keys are its tasks
+        self.groups: dict = {}
+        self._proc_copies: dict = {}    # (lane, proc) -> [Copy] by copy id
         self.channels: dict = {}        # app_id -> {lane: healthy}
         self.bus = None                 # BusState, set by _init_topology
 
@@ -537,7 +485,7 @@ class Engine:
             copies = {}
             self._apps[app.app_id] = app
             self._vote_period[app.app_id] = app.shortest_period_us
-            self.groups[app.app_id] = ReplicaGroup(app.app_id, copies)
+            self.groups[app.app_id] = copies
             self.channels[app.app_id] = dict.fromkeys(lane_ids, True)
             for task in sorted(app.tasks, key=_task_id):
                 key = (app.app_id, task.task_id)
@@ -545,7 +493,7 @@ class Engine:
                     task.wcet_us, task.period_us, task.deadline_us)
                 rts = copies[task.task_id] = []
                 for place in members[task.initial_proc]:
-                    rt = _CopyRt(next(copy_ids), key, place, task)
+                    rt = Copy(next(copy_ids), key, place, task)
                     rts.append(rt)
                     proc_copies[place].append(rt)
         sets = {}           # processor id -> the set of its lanes' places
@@ -578,8 +526,8 @@ class Engine:
         if violations:
             raise ScenarioInvalid(violations)
 
-    def _add_copy(self, rt: _CopyRt):
-        self.groups[rt.app_id].copies[rt.task_id].append(rt)
+    def _add_copy(self, rt: Copy):
+        self.groups[rt.app_id][rt.task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
 
     def _split(self, place: tuple) -> _ProcSet:
@@ -626,7 +574,7 @@ class Engine:
         """(app, task) of the active copies on one processor."""
         return {rt.key for rt in self._proc_copies[place] if rt.health is _ACTIVE}
 
-    def _set_health(self, rt: _CopyRt, health: Health):
+    def _set_health(self, rt: Copy, health: Health):
         """The one place a copy's health changes (readmit, restabilize,
         withdraw). A withdrawn copy leaves its group's list and its place's
         at once, so that the lists hold the copies in service alone and no
@@ -634,12 +582,12 @@ class Engine:
         caller samples the copy's application before its handler returns."""
         rt.health = health
         if health is Health.SHUTDOWN:
-            self.groups[rt.app_id].copies[rt.task_id].remove(rt)
+            self.groups[rt.app_id][rt.task_id].remove(rt)
             self._proc_copies[rt.place].remove(rt)
 
     def _prime_events(self):
         for group in self.groups.values():
-            for rts in group.copies.values():
+            for rts in group.values():
                 self._release_at(0, tuple(rts))
         for app in self.model.applications:
             period = self._vote_period[app.app_id]
@@ -833,7 +781,7 @@ class Engine:
     # copy or processor is halted iff a halting fault targets its own scope
     # or one around it: iff _faults_at holds one on a prefix of its key.
 
-    def _silenced(self, rt: _CopyRt, ps: _ProcSet) -> bool:
+    def _silenced(self, rt: Copy, ps: _ProcSet) -> bool:
         """Is the copy, run by ps, halted (not just skewed) by an active
         fault? The fault handlers keep ps.failed equal to _halted of each
         member."""
@@ -979,7 +927,7 @@ class Engine:
 
     # -- voting ---------------------------------------------------------------------
 
-    def _skew_for(self, rt: _CopyRt):
+    def _skew_for(self, rt: Copy):
         """First active byzantine fault hitting this copy, if any: the first
         in scenario order of those on its lane, its processor and itself."""
         at, skew = self._faults_at, None
@@ -991,7 +939,7 @@ class Engine:
                     break
         return skew
 
-    def _emitted(self, rt: _CopyRt, byz, ref: float) -> float | None:
+    def _emitted(self, rt: Copy, byz, ref: float) -> float | None:
         """Value the copy puts on the exchange this round, or None if silent.
         ``byz`` is the copy's byzantine fault and ``ref`` the reference value.
         A copy in service sits on no dead place: only a halt silences it."""
@@ -1019,7 +967,7 @@ class Engine:
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
         # the group holds its tasks in task id order
-        for task_id, rts in self.groups[app.app_id].copies.items():
+        for task_id, rts in self.groups[app.app_id].items():
             self._vote_task(app.app_id, task_id, rts, ref)
 
     def _sensor_faults(self, app_id) -> list:
@@ -1123,18 +1071,18 @@ class Engine:
             matched = police_matches(value, consensus, self.cfg)
             if rt.converge_left > 0:
                 rt.converge_left -= 1
-            rt.police.update(matched)
+            rt.streak = rt.streak + 1 if matched else 0     # a deviation resets it
             self._row("PoliceRound.vote", *rt.place, *rt.key,
-                      matched, rt.police.count, rt.police.required)
+                      matched, rt.streak, self.cfg.police_rounds)
             # queued once, on the round the streak reaches its length
-            if rt.police.count == rt.police.required:
+            if rt.streak == self.cfg.police_rounds:
                 self._maybe_readmit(rt)
 
-    def _replaying(self, rt: _CopyRt) -> bool:
+    def _replaying(self, rt: Copy) -> bool:
         """Is its history replay, background work until done, on its set?"""
         return rt.copy_id in self.sets[rt.place].jobs
 
-    def _maybe_readmit(self, rt: _CopyRt):
+    def _maybe_readmit(self, rt: Copy):
         # the pilot gates a copy restabilized in place, not a rebuilt one;
         # a copy withdrawn before its approval comes is not readmitted
         at = (self._approved_at(lane=rt.lane, proc=rt.proc, app=rt.app_id,
@@ -1215,7 +1163,7 @@ class Engine:
             if transient:
                 for rt in victims:
                     self._set_health(rt, Health.RESTABILIZING)
-                    rt.police = PoliceCounter(self.cfg.police_rounds)
+                    rt.streak = 0
             else:
                 self._mark_dead(d)
                 for rt in victims:
@@ -1301,7 +1249,7 @@ class Engine:
             # a federated lane set has nowhere to move work: the loss simply
             # stands, and only the coverage timeline records it
             return
-        ep = _Episode(
+        ep = ReconfigRecord(
             record_id=len(self._episodes) + 1,
             app_id=app_id,
             failed_copy_ids=tuple(sorted(rt.copy_id for rt in copies)),
@@ -1336,16 +1284,15 @@ class Engine:
         # its bandwidth, so durations never depend on processing order
         self._pump_bus()
 
-    def _select_for(self, ep: _Episode):
+    def _select_for(self, ep: ReconfigRecord):
         lost = {}
         for rt in ep.lost:
             lost.setdefault(rt.task_id, rt)
         # task id order, the one order select_spare plans in and
         # ep.placements keeps
-        failed = [FailedTask(ep.app_id, task_id, rt.spec, home_lane=rt.lane)
-                  for task_id, rt in sorted(lost.items())]
+        failed = [rt for _, rt in sorted(lost.items())]
 
-        copies = self.groups[ep.app_id].copies
+        copies = self.groups[ep.app_id]
         for f in failed:
             if not any(rt.health is _ACTIVE for rt in copies[f.task_id]):
                 ep.t_r_us = self.now
@@ -1384,7 +1331,7 @@ class Engine:
         else:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
-    def _transfer_payload(self, ep: _Episode):
+    def _transfer_payload(self, ep: ReconfigRecord):
         """What the episode moves next: its code images while it installs,
         then its state."""
         app = self._apps[ep.app_id]
@@ -1424,7 +1371,7 @@ class Engine:
             self._push(self.now + duration, kind, ep.record_id, ep)
             return
 
-    def _finish_transfer(self, ep: _Episode):
+    def _finish_transfer(self, ep: ReconfigRecord):
         """The queue head's install or state transfer is done."""
         if ep.t_s_us is None:
             if ep.t_i_us is None:
@@ -1435,7 +1382,7 @@ class Engine:
             self._bus_queue.pop(0)
             self._spawn_copies(ep)
 
-    def _on_transfer_done(self, ep: _Episode):
+    def _on_transfer_done(self, ep: ReconfigRecord):
         self._bus_busy = False
         if ep.t_s_us is None:
             # a tuple: _spawn_copies pops a dead spare's task from the dict
@@ -1444,7 +1391,7 @@ class Engine:
         self._finish_transfer(ep)
         self._pump_bus()
 
-    def _spawn_copies(self, ep: _Episode):
+    def _spawn_copies(self, ep: ReconfigRecord):
         app = self._apps[ep.app_id]
         sm = app.state_model
         # a spare shut down while its copy was in transfer gets no copy; no
@@ -1462,10 +1409,8 @@ class Engine:
             self._row("DegradeToDuplex.spare_dead", *place, ep.app_id, task_id)
         for task_id, place in ep.placements.items():
             spec = app.task(task_id)
-            rt = _CopyRt(next(self._copy_ids), (ep.app_id, task_id), place,
-                         spec)
+            rt = Copy(next(self._copy_ids), (ep.app_id, task_id), place, spec)
             rt.health = Health.POLICED
-            rt.police = PoliceCounter(self.cfg.police_rounds)
             rt.episode = ep.record_id
             self._add_copy(rt)
             ep.copies.append(rt)
@@ -1481,7 +1426,7 @@ class Engine:
         if not ep.copies:
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX)
 
-    def _close_episode(self, ep: _Episode, outcome: Outcome):
+    def _close_episode(self, ep: ReconfigRecord, outcome: Outcome):
         ep.outcome = outcome
         self._row("RecoveryClosed", None, None, ep.app_id, None, ep.record_id, outcome)
 
@@ -1519,7 +1464,7 @@ def _halts(faults) -> bool:
         f.kind is not FaultKind.BYZANTINE for f in faults)
 
 
-def _two_faced_sign(toward: _CopyRt, fault) -> int:
+def _two_faced_sign(toward: Copy, fault) -> int:
     """Which way a two-faced fault bends what it tells the copy ``toward``."""
     return 1 if (toward.lane + fault.fault_id) % 2 == 0 else -1
 

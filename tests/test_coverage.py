@@ -11,16 +11,18 @@ from lanesim.coverage import (
     zonal_coverage,
 )
 from lanesim.model import StateStrategy
-from lanesim.reconfig import Copy, Health, Outcome, ReconfigRecord, ReplicaGroup
+from lanesim.reconfig import Copy, Health, Outcome, ReconfigRecord
 
 
 def _group(placements, task_ids=(1,)):
-    """placements: iterable of (task_id, lane, proc, health)."""
+    """App 1's copies as the engine keeps them, task id -> its copies, from
+    placements: an iterable of (task_id, lane, proc, health)."""
     copies = {task_id: [] for task_id in task_ids}
     for i, (t, lane, proc, health) in enumerate(placements, start=1):
-        copies[t].append(Copy(copy_id=i, app_id=1, task_id=t, lane=lane,
-                              proc=proc, health=health))
-    return ReplicaGroup(app_id=1, copies=copies)
+        copy = Copy(i, (1, t), (lane, proc), None)     # coverage reads no spec
+        copy.health = health
+        copies[t].append(copy)
+    return copies
 
 
 def _record(record_id, app_id, outcome, t_f, t_a=None):
@@ -86,9 +88,9 @@ def _two_scan_levels(group):
         return CoverageLevel(min(min(counts), 4)) if counts else CoverageLevel.NONE
     return (
         level([sum(1 for c in copies if c.health is Health.ACTIVE)
-               for copies in group.copies.values()]),
+               for copies in group.values()]),
         level([len({c.lane for c in copies if c.health is Health.ACTIVE})
-               for copies in group.copies.values()]))
+               for copies in group.values()]))
 
 
 # per task, its copies as (lane, health): up to seven copies over four

@@ -233,7 +233,7 @@ class CheckedEngine(Engine):
         self._voted_beside = False
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
-            assert list(self.groups[app.app_id].copies) == sorted(
+            assert list(self.groups[app.app_id]) == sorted(
                 t.task_id for t in app.tasks)
         # the start-up sets, recounted from each place's copies
         by_place = {}
@@ -282,7 +282,7 @@ class CheckedEngine(Engine):
 
     def _all_copies(self):
         return [rt for group in self.groups.values()
-                for rts in group.copies.values() for rt in rts]
+                for rts in group.values() for rt in rts]
 
     def _copies_by_id(self):
         return sorted(self._all_copies(), key=lambda rt: rt.copy_id)
@@ -421,7 +421,7 @@ class CheckedEngine(Engine):
         now = self.now
         new = []
         for rt in self._all_copies():
-            if rt.health is Health.SHUTDOWN or rt.copy_id in self._released:
+            if rt.copy_id in self._released:
                 continue
             job = self.sets[rt.place].jobs.get(rt.key)
             if job is not None and job.release_us == now and rt in job.owner:
@@ -471,7 +471,7 @@ class CheckedEngine(Engine):
         settled = None
         missed = []
         for rt in self._all_copies():
-            if (rt.health is Health.SHUTDOWN or rt.copy_id in self._released
+            if (rt.copy_id in self._released
                     or not _due(rt, self._origin(rt), at)
                     or self.sets[rt.place].dead):
                 continue
@@ -496,7 +496,7 @@ class CheckedEngine(Engine):
                 f"{n} copies of the reference {ref!r} flagged at "
                 f"{self.now}us under {self.voter}")
         for app in self._due_apps:
-            for task_id, rts in self.groups[app.app_id].copies.items():
+            for task_id, rts in self.groups[app.app_id].items():
                 before = self._effects()
                 self._vote_task(app.app_id, task_id, rts, ref)
                 emitted = [v for _, v in self._emissions.values()]
@@ -543,8 +543,7 @@ class CheckedEngine(Engine):
         placement there not yet spawned."""
         holders = {place: [] for place in self.sets}
         for rt in self._all_copies():
-            if rt.health is not Health.SHUTDOWN:
-                holders[rt.place].append((rt.key, rt.spec))
+            holders[rt.place].append((rt.key, rt.spec))
         for ep in self._bus_queue:      # placed, not yet spawned
             app = self.model.application(ep.app_id)
             for task_id, place in ep.placements.items():
@@ -582,7 +581,7 @@ class CheckedEngine(Engine):
         """No copy in service sits on a dead processor, and an active copy
         with no completion is one set-up made."""
         for rt in self._all_copies():
-            assert rt.health is Health.SHUTDOWN or not self.sets[rt.place].dead, (
+            assert not self.sets[rt.place].dead, (
                 f"copy {rt.copy_id} is {rt.health.value} on dead processor "
                 f"{rt.place} at {self.now}us")
             assert (rt.health is not Health.ACTIVE or rt.completed_ever
@@ -629,7 +628,7 @@ class CheckedEngine(Engine):
                 by_key.setdefault(rt.key, []).append(rt)
                 by_place[rt.place].append(rt)
         for app_id, group in self.groups.items():
-            for task_id, rts in group.copies.items():
+            for task_id, rts in group.items():
                 want = by_key.pop((app_id, task_id), [])
                 assert rts == want, (
                     f"task {(app_id, task_id)} at {self.now}us lists copies "
@@ -810,7 +809,7 @@ class CheckedEngine(Engine):
         return got
 
     def _vote_task(self, app_id, task_id, rts, ref):
-        assert rts is self.groups[app_id].copies[task_id]
+        assert rts is self.groups[app_id][task_id]
         assert rts == [rt for rt in self._copies_by_id()
                        if rt.key == (app_id, task_id)]
         assert ref == self.settings.reference.value(self.now)
@@ -859,8 +858,7 @@ class CheckedEngine(Engine):
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service, and kills its places
         assert got == [rt for rt in self._copies_by_place() if d.contains(_copy_scope(rt))
-                       and (rt.health is Health.ACTIVE if transient
-                            else rt.health is not Health.SHUTDOWN)]
+                       and (not transient or rt.health is Health.ACTIVE)]
         if not transient:
             self._killed.append(d)
         self.checks += 1
@@ -1196,7 +1194,7 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
     for place, rts in engine._proc_copies.items():
         left = ProcessorState({
             rt.key: (rt.spec.wcet_us, rt.spec.period_us, rt.spec.deadline_us)
-            for rt in rts if rt.health is not Health.SHUTDOWN})
+            for rt in rts})
         ps = engine.sets[place]
         assert len(ps.admitted) == len(left)
         assert ps.admitted.utilization == left.utilization

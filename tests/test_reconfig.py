@@ -1,4 +1,4 @@
-"""Spare selection, recovery bookkeeping, and policing counters."""
+"""Spare selection and recovery bookkeeping."""
 
 from fractions import Fraction
 
@@ -7,9 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from lanesim.model import MessageSpec, StateStrategy, TaskSpec, TimingConfig
 from lanesim.reconfig import (
-    FailedTask,
+    Copy,
     Outcome,
-    PoliceCounter,
     ReconfigRecord,
     _ranked_candidates,
     recovery_order,
@@ -38,8 +37,8 @@ def _task(task_id=1, wcet_ms=2, period_ms=20, size=0):
 
 
 def _failed(task, home_lane=0, app_id=1):
-    return FailedTask(app_id=app_id, task_id=task.task_id, task=task,
-                      home_lane=home_lane)
+    """The lost copy of the task on its home lane, as the engine passes it."""
+    return Copy(1, (app_id, task.task_id), (home_lane, 0), task)
 
 
 def _spare(lane, proc, util_entries=(), occupied=False):
@@ -134,8 +133,7 @@ def test_integer_admission_and_ranking_equal_the_fraction_reference(
     spec = TaskSpec(task_id=task_id, wcet_us=wcet, period_us=period,
                     deadline_us=deadline, initial_proc=0,
                     code_size=Fraction(0), messages=())
-    failed = FailedTask(app_id=1, task_id=task_id, task=spec,
-                        home_lane=home_lane)
+    failed = _failed(spec, home_lane)
     u = Fraction(wcet, min(period, deadline))
     candidates, held = {}, {}
     for place, ops in spares.items():
@@ -291,12 +289,3 @@ def test_record_ordering_check():
     assert sparse.timestamps() == [10, 10]
     assert sparse.ordering_ok()
 
-
-def test_police_counter_requires_consecutive_matches():
-    counter = PoliceCounter(3)
-    assert not counter.update(True)
-    assert not counter.update(True)
-    assert not counter.update(False)   # deviation resets the streak
-    assert not counter.update(True)
-    assert not counter.update(True)
-    assert counter.update(True)

@@ -364,7 +364,7 @@ def test_generated_documents_parse_cleanly():
         assert scenario_violations(sc) == []
 
 
-@pytest.mark.parametrize("horizon_ms", [-5, 0, float("inf"), float("nan")])
+@pytest.mark.parametrize("horizon_ms", [-5, 0, float("inf"), float("nan"), 10**400])
 def test_generator_rejects_a_horizon_that_is_not_positive_and_finite(horizon_ms):
     with pytest.raises(ValueError, match="horizon"):
         generate_scenario(seed=1, horizon_ms=horizon_ms)
