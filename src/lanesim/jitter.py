@@ -13,7 +13,7 @@ def measure_jitter(result, *, app=None, task=None, lane=None, proc=None,
 
     kind 'output' measures completion minus release, 'input' measures first
     dispatch minus release, and 'release' measures drift of release times
-    against the periodic grid (which needs period_us).
+    against the periodic grid (which needs period_us, a positive int).
     """
     completions = result.completions if hasattr(result, "completions") else result
     picked = [
@@ -29,7 +29,9 @@ def measure_jitter(result, *, app=None, task=None, lane=None, proc=None,
     elif kind == "input":
         offsets = [c.start_us - c.release_us for c in picked]
     elif kind == "release":
-        if not period_us:
+        # a grid needs a whole, positive period: a bool is no period
+        if (isinstance(period_us, bool) or not isinstance(period_us, int)
+                or period_us <= 0):
             raise ValueError("release jitter needs period_us")
         offsets = [c.release_us % period_us for c in picked]
     else:

@@ -135,7 +135,7 @@ class ReconfigRecord:
         return all(a <= b for a, b in zip(stamps, stamps[1:]))
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacementDecision:
     task_id: int
     lane: int
@@ -147,7 +147,6 @@ class PlacementDecision:
 
 @dataclass
 class PlacementPlan:
-    app_id: int
     placements: list = field(default_factory=list)   # (task_id, lane, proc)
     degraded: list = field(default_factory=list)     # task_ids with no home
     decisions: list = field(default_factory=list)    # every PlacementDecision tried
@@ -172,37 +171,40 @@ def select_spare(failed: list[Copy],
     """Plan placements for one application's failed tasks, in the order
     given: an earlier task's reservation is what a later one sees.
     ``spares`` maps each spare's (lane, proc) to the ProcessorState it has
-    admitted; a spare is occupied when that state is not empty.
+    admitted; a spare is occupied when that state is not empty. A task's
+    message demand is read, and its bus test made, once: at its first
+    spare that passes admission.
 
     Mutates nothing: capacity is reserved under the (app, task) key in new
     spare states and a new bus, which the plan carries back to the caller.
     """
     if not failed:
         raise ValueError("nothing to place")
-    plan = PlacementPlan(app_id=failed[0].app_id, bus=bus, states=dict(spares))
-    states = plan.states
+    plan = PlacementPlan(bus=bus, states=dict(spares))
+    states, decisions = plan.states, plan.decisions
 
     for f in failed:
-        ranked = _ranked_candidates(f, spares, states, restricted)
-        placed = False
-        for lane, proc in ranked:
+        spec = f.spec
+        comms = None
+        for lane, proc in _ranked_candidates(f, spares, states, restricted):
             state = states[(lane, proc)]
-            admission = admit_task(state, f.spec, cfg)
-            comms = None
-            if admission.accepted:
-                comms = check_comms(plan.bus, f.spec.message_demand)
-            chosen = admission.accepted and comms is not None and comms.accepted
-            plan.decisions.append(PlacementDecision(
-                f.task_id, lane, proc, admission, comms, chosen))
+            admission = admit_task(state, spec, cfg)
+            # the plan's bus moves only when a spare is chosen, which ends
+            # the task's loop: its first bus test serves every later spare
+            if admission.accepted and comms is None:
+                demand = spec.message_demand
+                comms = check_comms(plan.bus, demand)
+            chosen = admission.accepted and comms.accepted
+            decisions.append(PlacementDecision(
+                f.task_id, lane, proc, admission,
+                comms if admission.accepted else None, chosen))
             if chosen:
                 states[(lane, proc)] = state.with_task(
-                    (f.app_id, f.task_id),
-                    f.spec.wcet_us, f.spec.period_us, f.spec.deadline_us)
-                plan.bus = plan.bus.with_demand(f.spec.message_demand)
+                    f.key, spec.wcet_us, spec.period_us, spec.deadline_us)
+                plan.bus = plan.bus.with_demand(demand)
                 plan.placements.append((f.task_id, lane, proc))
-                placed = True
                 break
-        if not placed:
+        else:
             plan.degraded.append(f.task_id)
     return plan
 
@@ -213,7 +215,7 @@ def _ranked_candidates(f: Copy, spares: dict, states, restricted):
         # restricted one that another application claimed is taken. Both
         # read the spare as given: the plan's own reservations do not count,
         # since restriction is one application per processor.
-        if (f.app_id, f.task_id) in state:
+        if f.key in state:
             return False
         return not (restricted and len(state) > 0)
 
@@ -222,8 +224,6 @@ def _ranked_candidates(f: Copy, spares: dict, states, restricted):
     places = [place for place, state in spares.items() if usable(state)]
     ratios = [states[place].utilization_ratio for place in places]
     common = math.lcm(*(den for _, den in ratios))
-    keys = [(num * (common // den), *place)
-            for (num, den), place in zip(ratios, places)]
-    same = sorted(k for k in keys if k[1] == f.lane)
-    other = sorted(k for k in keys if k[1] != f.lane)
-    return [(lane, proc) for _, lane, proc in same + other]
+    keys = sorted((lane != f.lane, num * (common // den), lane, proc)
+                  for (num, den), (lane, proc) in zip(ratios, places))
+    return [(lane, proc) for _, _, lane, proc in keys]

@@ -363,6 +363,18 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
     deadline misses). ``faults`` > 0 adds that many seeded random fault
     scripts. The output always round-trips through validation.
     """
+    # a wrong type is refused before anything is drawn: its document would
+    # fail validation, and a bool would draw as 0 or 1
+    for name, value in (("lanes", lanes), ("procs", procs), ("apps", apps),
+                        ("faults", faults), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+    numbers = [("target utilization", target_utilization)]
+    if horizon_ms is not None:
+        numbers.append(("horizon", horizon_ms))
+    for name, value in numbers:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be an int or a float, not {value!r}")
     if not 2 <= lanes <= 4:
         raise ValueError("lanes must be 2..4")
     if procs < 2:
@@ -373,7 +385,7 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
         raise ValueError("the fault count cannot be negative")
     if not infeasible and not 0.0 <= target_utilization <= 1.0:
         raise ValueError("target utilization must be within [0, 1]")
-    # an int or a Fraction is finite, even one past the largest float
+    # an int is finite, even one past the largest float
     if horizon_ms is not None and not (
             (not isinstance(horizon_ms, float) or math.isfinite(horizon_ms))
             and 0 < ms_to_us(horizon_ms) <= _FLOAT_MAX):

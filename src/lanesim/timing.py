@@ -38,6 +38,7 @@ decisions and transfer times are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -60,65 +61,20 @@ def _window(period_us: int, deadline_us: int | None) -> int:
     return deadline_us
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class AdmissionDecision:
-    """Outcome of an admission test, a read-only value.
+    """Outcome of an admission test.
 
     For processor admission ``resulting_utilization`` is the utilization the
     processor would have; for bus admission it carries the resulting load in
     data units per millisecond. ``reason`` is set on rejection.
-    ``admit_task`` and ``check_comms`` keep the value as an integer pair and
-    a refusal as its text's template and limit; the Fraction and the text
-    are built when read, since spare selection tries many candidates and
-    the engine reads the chosen ones alone. Two decisions are equal when
-    all three read equal.
+    ``admit_task`` and ``check_comms`` build the exact Fraction and the
+    refusal text when they decide.
     """
 
-    __slots__ = ("_accepted", "_num", "_den", "_why")
-
-    def __init__(self, accepted: bool, resulting_utilization: Fraction,
-                 reason: str | None = None):
-        value = Fraction(resulting_utilization)
-        self._accepted, self._why = accepted, reason
-        self._num, self._den = value.numerator, value.denominator
-
-    @classmethod
-    def _of(cls, accepted: bool, num: int, den: int, why=None):
-        """A decision on num/den; ``why`` is None or (template, limit)."""
-        decision = cls.__new__(cls)
-        decision._accepted, decision._why = accepted, why
-        decision._num, decision._den = num, den
-        return decision
-
-    @property
-    def accepted(self) -> bool:
-        return self._accepted
-
-    @property
-    def resulting_utilization(self) -> Fraction:
-        return Fraction(self._num, self._den)
-
-    @property
-    def reason(self) -> str | None:
-        why = self._why
-        if why is None or type(why) is str:
-            return why
-        template, limit = why
-        return template.format(self._num / self._den, float(limit))
-
-    def _key(self) -> tuple:
-        return self._accepted, self.resulting_utilization, self.reason
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("AdmissionDecision(accepted={!r}, resulting_utilization={!r}, "
-                "reason={!r})".format(*self._key()))
+    accepted: bool
+    resulting_utilization: Fraction
+    reason: str | None = None
 
 
 class ProcessorState:
@@ -245,9 +201,9 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
     num, den = num * window + task.wcet_us * den, den * window
     bound = cfg.effective_bound
     if num * bound.denominator <= bound.numerator * den:
-        return AdmissionDecision._of(True, num, den)
-    return AdmissionDecision._of(
-        False, num, den, ("utilization {:.6f} exceeds bound {:.2f}", bound))
+        return AdmissionDecision(True, Fraction(num, den))
+    return AdmissionDecision(False, Fraction(num, den), (
+        f"utilization {num / den:.6f} exceeds bound {float(bound):.2f}"))
 
 
 class BusState:
@@ -281,12 +237,11 @@ class BusState:
 def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:
     """Bus admission of extra message demand (data units per ms)."""
     resulting = bus.current_load + demand
-    num, den = resulting.numerator, resulting.denominator
     if resulting <= bus.max_load:
-        return AdmissionDecision._of(True, num, den)
-    return AdmissionDecision._of(
-        False, num, den,
-        ("bus demand {:.6f}/ms exceeds max load {:.6f}/ms", bus.max_load))
+        return AdmissionDecision(True, resulting)
+    return AdmissionDecision(False, resulting, (
+        f"bus demand {resulting.numerator / resulting.denominator:.6f}/ms "
+        f"exceeds max load {float(bus.max_load):.6f}/ms"))
 
 
 def available_transfer_bandwidth(bus: BusState) -> Fraction:

@@ -107,6 +107,46 @@ def test_initial_proc_must_exist_on_every_lane():
     assert codes  # missing processor is a structural violation
 
 
+@pytest.mark.parametrize("procs", [[0, 0], [0, True, 0], [0, 0, 0, 0], [],
+                                   [0, 0.0, 0]])
+def test_per_lane_initial_proc_lists_one_int_per_lane(procs):
+    doc = triplex_system()
+    doc["applications"][0]["tasks"][0]["initial_proc"] = procs
+    with pytest.raises(MalformedDocument, match=(
+            r"^system\.applications\[0\]\.tasks\[0\]: per-lane "
+            r"initial_proc must list one int per lane$")):
+        build_system(doc)
+
+
+def test_per_lane_initial_proc_names_one_processor_on_every_lane():
+    doc = triplex_system()
+    doc["applications"][0]["tasks"][0]["initial_proc"] = [0, 1, 0]
+    with pytest.raises(InvalidModel) as err:
+        build_system(doc)
+    assert [(v.code, v.message) for v in err.value.violations] == [
+        ("AsymmetricLanes", "system.applications[0].tasks[0]: initial_proc "
+                            "differs between lanes (0, 1, 0)")]
+    assert str(err.value) == ("AsymmetricLanes: system.applications[0]"
+                              ".tasks[0]: initial_proc differs between lanes "
+                              "(0, 1, 0)")
+
+
+def test_a_convergence_state_model_ships_no_snapshot():
+    doc = triplex_system()
+    doc["applications"][0]["state_model"] = {
+        "strategy": "convergence", "convergence_rounds": 3, "snapshot_size": 5}
+    with pytest.raises(InvalidModel) as err:
+        build_system(doc)
+    assert [(v.code, v.message) for v in err.value.violations] == [
+        ("MalformedDocument", "app 1: convergence strategy ships no snapshot")]
+
+
+def test_the_system_section_must_be_an_object():
+    with pytest.raises(MalformedDocument,
+                       match="^system section must be an object$"):
+        build_system([])
+
+
 def test_spare_cannot_host_initial_tasks():
     doc = triplex_system()
     doc["applications"][0]["tasks"][0]["initial_proc"] = 3

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,6 +167,36 @@ def test_a_negative_time_or_size_is_refused(tmp_path, capsys, doc, message):
     (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
     code, err = _refusals(tmp_path, capsys, "bad.json")
     assert code == 1 and message in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (scenario_doc([{"at_ms": 10, "kind": "permanent",
+                    "target": {"kind": "sensor", "app": 1, "lane": 0}}]),
+     "fault 0: sensor faults need value_skew"),
+    (dict(scenario_doc([]), voter={"tolerance": 0}),
+     "voter tolerance must be positive"),
+    (scenario_doc([], sim={"bit_period_ms": 0}),
+     "bit_period_ms must be positive"),
+], ids=["sensor skew", "voter tolerance", "bit period"])
+def test_a_setting_the_run_cannot_use_is_refused(tmp_path, capsys, doc,
+                                                  message):
+    assert _violations(doc) == [("MalformedDocument", message)]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _refusals(tmp_path, capsys, "bad.json")
+    assert code == 1 and message in err
+
+
+def test_a_scenario_must_be_a_json_object():
+    with pytest.raises(MalformedDocument,
+                       match="^scenario must be a JSON object$"):
+        parse_scenario([])
+
+
+def test_initial_proc_listed_once_per_lane_runs_as_one_proc():
+    doc = scenario_doc([proc_fault()])
+    listed = scenario_doc([proc_fault()])
+    listed["system"]["applications"][0]["tasks"][0]["initial_proc"] = [0, 0, 0]
+    assert run(parse_scenario(listed)) == run(parse_scenario(doc))
 
 
 @pytest.mark.parametrize("target, problem", [
@@ -364,7 +395,8 @@ def test_generated_documents_parse_cleanly():
         assert scenario_violations(sc) == []
 
 
-@pytest.mark.parametrize("horizon_ms", [-5, 0, float("inf"), float("nan"), 10**400])
+@pytest.mark.parametrize("horizon_ms", [-5, 0, float("inf"), float("nan"), 10**400,
+                                        "100", Fraction(100), True])
 def test_generator_rejects_a_horizon_that_is_not_positive_and_finite(horizon_ms):
     with pytest.raises(ValueError, match="horizon"):
         generate_scenario(seed=1, horizon_ms=horizon_ms)
@@ -450,6 +482,19 @@ def test_generator_validates_its_arguments():
         generate_scenario(apps=0)
     with pytest.raises(ValueError, match="fault count"):
         generate_scenario(faults=-1)
+
+    # a wrong type is refused with the same ValueError, before any draw: a
+    # string or a Fraction would give a document that fails validation,
+    # and a bool would draw as 0 or 1
+    for name, value in [("seed", "7"), ("seed", 1.5), ("seed", True),
+                        ("lanes", 3.0), ("lanes", True), ("procs", 3.0),
+                        ("apps", "2"), ("faults", 2.0), ("faults", True)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an int,"):
+            generate_scenario(**{name: value})
+    for value in ["0.5", None, True, Fraction(1, 2)]:
+        with pytest.raises(ValueError,
+                           match="^target utilization must be an int or a float"):
+            generate_scenario(target_utilization=value)
 
 
 def test_requested_fault_count_is_honoured():
@@ -578,6 +623,47 @@ def test_generate_refuses_a_negative_fault_count(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "fault count" in captured.err
     assert cli.main(["generate", "--apps", "0"]) == 2
+    capsys.readouterr()
+    assert cli.main(["generate", "--util", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: target utilization must be within "
+                            "[0, 1]\n")
+
+
+def _cannot_write(capsys, argv, what):
+    """Run the command, which must exit 3 with one `cannot write` line."""
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {what}: ")
+    assert len(captured.err.splitlines()) == 1
+    return captured.out
+
+
+def test_run_to_an_out_dir_that_is_a_file_exits_3(tmp_path, capsys):
+    path = _write_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = _cannot_write(capsys, ["run", str(path), "--out-dir", str(taken)],
+                        "outputs")
+    assert "wrote" not in out
+
+
+def test_generate_to_a_directory_exits_3(tmp_path, capsys):
+    out = _cannot_write(capsys, ["generate", "-o", str(tmp_path)],
+                        str(tmp_path))
+    assert out == ""
+
+
+def test_batch_to_an_out_dir_that_is_a_file_stops_at_once(tmp_path, capsys):
+    _write_scenario(tmp_path, name="a.json")
+    _write_scenario(tmp_path, name="b.json")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = _cannot_write(capsys, ["batch", str(tmp_path), "--out-dir",
+                                 str(taken)], "outputs for a.json")
+    # the first failure to write ends the batch: b.json never runs
+    assert out == ""
 
 
 def test_generate_to_stdout(capsys):

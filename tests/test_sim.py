@@ -103,6 +103,11 @@ def test_processor_schedule_matches_tick_oracle(tasks, window):
     assert sorted(got.misses) == sorted(want_miss)
 
 
+def test_processor_schedule_refuses_two_tasks_with_one_id():
+    with pytest.raises(ValueError, match="task ids must be distinct"):
+        schedule_processor([_spec(1, 2, 5), _spec(1, 1, 3)], 30)
+
+
 @st.composite
 def _small_task_sets(draw):
     """One to four tasks with distinct ids and C <= D <= T <= 30 us."""
@@ -339,6 +344,16 @@ def test_release_jitter_of_a_periodic_task_is_zero():
     result = _jitter_result()
     assert measure_jitter(result, app=1, task=1, lane=0, kind="release",
                           period_us=10000) == 0
+
+
+@pytest.mark.parametrize("period_us", [None, 0, -10000, 0.5, 10000.0, True,
+                                       "10000"])
+def test_release_jitter_refuses_a_period_that_is_not_a_positive_int(
+        period_us):
+    result = _jitter_result()
+    with pytest.raises(ValueError, match="release jitter needs period_us"):
+        measure_jitter(result, app=1, task=1, lane=0, kind="release",
+                       period_us=period_us)
 
 
 def test_jitter_needs_two_instances():

@@ -141,6 +141,11 @@ def test_transfer_time_with_no_bandwidth_raises():
         transfer_time(Fraction(10), Fraction(-1))
 
 
+def test_transfer_time_refuses_a_negative_payload():
+    with pytest.raises(ValueError, match="negative payload"):
+        transfer_time(Fraction(-1), Fraction(10))
+
+
 def test_catchup_time_on_an_idle_processor_is_the_backlog():
     task = _task(wcet_us=2000, period_us=20000)
     assert catchup_time(5, task, ProcessorState(), CFG) == 10000
@@ -255,6 +260,16 @@ def test_comms_decision_is_pinned(max_load, load, demand):
     decision = check_comms(bus, demand)
     _pin_decision(decision, accepted, resulting, reason)
     assert check_comms(bus, demand) == decision
+
+
+def test_a_refusal_past_float_range_raises_when_it_is_made():
+    # the refusal text gives the load as a float: a decision is built, text
+    # and all, when it is made, so a load no float holds raises there.
+    # Utilizations and the baseline bus load of a document are finite.
+    huge = Fraction(10**400)
+    with pytest.raises(OverflowError):
+        check_comms(BusState(huge), 2 * huge)
+    assert check_comms(BusState(2 * huge), huge).accepted
 
 
 # The totals are kept as running sums, and the rank order as the entries'
