@@ -5,19 +5,18 @@ from .coverage import (CoverageLevel, CoverageSample, RiskReport,
                        zonal_coverage)
 from .fault import (Consensus, FaultKind, FaultSpec, FaultTarget,
                     InsufficientLanes, TargetKind, VoteOutcome, VoterConfig,
-                    bit_detects, can_identify_byzantine, classify,
-                    cross_monitor, exchange_vote)
+                    bit_detects, classify, cross_monitor, exchange_vote)
+from .jitter import InsufficientInstances, measure_jitter
 from .model import (Architecture, ApplicationSpec, BusSpec, InvalidModel,
                     LaneSpec, MalformedDocument, MessageSpec, ProcessorRole,
                     ProcessorSpec, StateModel, StateStrategy, SystemModel,
-                    TaskSpec, TimingConfig, Violation, build_system,
-                    initial_allocation)
+                    TaskSpec, TimingConfig, Violation, build_system)
+from .processor import schedule_processor
 from .reconfig import (Copy, Health, Outcome, PlacementPlan, ReconfigRecord,
-                       recovery_order, select_spare)
+                       select_spare)
 from .scenario import (Scenario, generate_scenario, load_scenario,
                        parse_scenario)
-from .sim import (Engine, InsufficientInstances, ScenarioInvalid, SimResult,
-                  TraceEvent, measure_jitter, run, schedule_processor)
+from .sim import Engine, ScenarioInvalid, SimResult, TraceEvent, run
 from .timing import (AdmissionDecision, BusState, NoBandwidth, ProcessorState,
                      admit_task, available_transfer_bandwidth, catchup_time,
                      check_comms, task_utilization, transfer_time)

@@ -209,11 +209,6 @@ def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
     return VoteOutcome(flagged)
 
 
-def can_identify_byzantine(lane_count: int) -> bool:
-    """A single Byzantine lane is uniquely identifiable only with >= 4 lanes."""
-    return lane_count >= 4
-
-
 _EQUIVOCAL = object()
 _SILENT = object()
 

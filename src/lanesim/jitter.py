@@ -13,8 +13,15 @@ def measure_jitter(result, *, app=None, task=None, lane=None, proc=None,
 
     kind 'output' measures completion minus release, 'input' measures first
     dispatch minus release, and 'release' measures drift of release times
-    against the periodic grid (which needs period_us, a positive int).
+    against the periodic grid (which needs period_us, a positive int). The
+    arguments are checked before any instance is counted.
     """
+    if kind not in ("output", "input", "release"):
+        raise ValueError(f"unknown jitter kind {kind!r}")
+    # a grid needs a whole, positive period: a bool is no period
+    if kind == "release" and (isinstance(period_us, bool)
+                              or not isinstance(period_us, int) or period_us <= 0):
+        raise ValueError("release jitter needs period_us")
     completions = result.completions if hasattr(result, "completions") else result
     picked = [
         c for c in completions
@@ -28,12 +35,6 @@ def measure_jitter(result, *, app=None, task=None, lane=None, proc=None,
         offsets = [c.finish_us - c.release_us for c in picked]
     elif kind == "input":
         offsets = [c.start_us - c.release_us for c in picked]
-    elif kind == "release":
-        # a grid needs a whole, positive period: a bool is no period
-        if (isinstance(period_us, bool) or not isinstance(period_us, int)
-                or period_us <= 0):
-            raise ValueError("release jitter needs period_us")
-        offsets = [c.release_us % period_us for c in picked]
     else:
-        raise ValueError(f"unknown jitter kind {kind!r}")
+        offsets = [c.release_us % period_us for c in picked]
     return max(offsets) - min(offsets)

@@ -134,12 +134,6 @@ class LaneSpec:
     lane_id: int
     processors: tuple[ProcessorSpec, ...]
 
-    def processor(self, proc_id: int) -> ProcessorSpec:
-        for p in self.processors:
-            if p.proc_id == proc_id:
-                return p
-        raise KeyError(proc_id)
-
 
 @dataclass(frozen=True)
 class BusSpec:
@@ -172,12 +166,6 @@ class SystemModel:
     @property
     def lane_ids(self) -> tuple[int, ...]:
         return tuple(l.lane_id for l in self.lanes)
-
-    def application(self, app_id: int) -> ApplicationSpec:
-        for a in self.applications:
-            if a.app_id == app_id:
-                return a
-        raise KeyError(app_id)
 
     def spare_positions(self) -> list[tuple[int, int]]:
         spare = ProcessorRole.SPARE
@@ -459,9 +447,10 @@ def build_system(doc: dict) -> SystemModel:
                     f"lane {l.lane_id} does not mirror lane {lanes[0].lane_id}'s processors",
                 ))
 
-    # each lane's processor roles by id, first listed wins, as in
-    # LaneSpec.processor; a task may start on a processor id allocated in
-    # every lane, and only a task on another id walks the lanes
+    # each lane's processor roles by id, the first listed winning where a
+    # lane repeats an id (a DuplicateId above); a task may start on a
+    # processor id allocated in every lane, and only a task on another id
+    # walks the lanes
     lane_roles = [(l.lane_id, {p.proc_id: p.role for p in reversed(l.processors)})
                   for l in lanes]
     allocated = ProcessorRole.ALLOCATED
@@ -589,15 +578,3 @@ def _architecture_violations(model: SystemModel) -> list[Violation]:
                                      f"lane {l.lane_id} has no spare processor"))
     return out
 
-
-def initial_allocation(model: SystemModel) -> dict[tuple[int, int, int], tuple[int, int]]:
-    """Map every (app_id, task_id, lane_id) copy to its (lane, processor) home.
-
-    One copy of every task per lane, mirrored across lanes; spares are empty.
-    """
-    placing = {}
-    for app in model.applications:
-        for task in app.tasks:
-            for lane in model.lanes:
-                placing[(app.app_id, task.task_id, lane.lane_id)] = (lane.lane_id, task.initial_proc)
-    return placing

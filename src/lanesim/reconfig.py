@@ -121,10 +121,6 @@ class ReconfigRecord:
     copies: list = field(default_factory=list, compare=False)   # Copy awaiting readmission
     lost: list = field(default_factory=list, compare=False)     # Copy withdrawn at t_f
 
-    @property
-    def origin(self) -> str:        # only a reconfiguration loses copies
-        return "reconfig" if self.lost else "restabilize"
-
     def timestamps(self) -> list[int]:
         stamps = [self.t_f_us, self.t_r_us, self.t_i_us,
                   self.t_s_us, self.t_e_us, self.t_a_us]
@@ -158,11 +154,6 @@ def recovery_rank(app) -> tuple:
     """An application's place in the recovery order: ascending criticality
     ordinal, then id."""
     return (app.criticality, app.app_id)
-
-
-def recovery_order(apps) -> list[int]:
-    """App ids, most critical first (by ``recovery_rank``)."""
-    return [a.app_id for a in sorted(apps, key=recovery_rank)]
 
 
 def select_spare(failed: list[Copy],

@@ -375,6 +375,9 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
     for name, value in numbers:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be an int or a float, not {value!r}")
+    # any other value would pick the overloaded draw by its truth
+    if not isinstance(infeasible, bool):
+        raise ValueError(f"infeasible must be a bool, not {infeasible!r}")
     if not 2 <= lanes <= 4:
         raise ValueError("lanes must be 2..4")
     if procs < 2:

@@ -46,12 +46,12 @@ set and ranks, one job table with background work in it, what runs,
 failed and dead) that the set's members share.
 Time is charged lazily whenever an event touches the set, and completion
 events carry the set's generation so a preempted or killed job's stale
-completion is simply dropped. ``initial_allocation`` mirrors every lane,
-so each processor index starts as one set of all its lanes' places, and a
-lane set in lockstep costs one lane's schedule. A set's release,
-completion and deadline act once: a job is owned by the tuple of its
-members' copies, and each copy gets its own deadline miss, in copy id
-order. A completion keeps one entry per finished job, with its owner
+completion is simply dropped. Every lane starts with one copy of each
+task on the task's ``initial_proc``, so each processor index starts as one
+set of all its lanes' places, and a lane set in lockstep costs one lane's
+schedule. A set's release, completion and deadline act once: a job is
+owned by the tuple of its members' copies, and each copy gets its own
+deadline miss, in copy id order. A completion keeps one entry per finished job, with its owner
 tuple; ``SimResult.completions``, one record per owning copy in
 ``(finish, lane, proc)`` order, is built from these on first read.
 
@@ -115,11 +115,9 @@ from . import timebase
 from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects,
                     bit_visible, classify, cross_monitor, exchange_vote,
                     police_matches)
-from .jitter import InsufficientInstances, measure_jitter  # seed API, re-exported
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, Violation)
 from .processor import Job, Processor
-from .processor import ProcSchedule, schedule_processor  # seed API, re-exported
 from .reconfig import (Copy, Health, Outcome, ReconfigRecord, recovery_rank,
                        select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
@@ -457,8 +455,8 @@ class Engine:
     # -- setup ---------------------------------------------------------------
 
     def _init_topology(self):
-        # initial_allocation mirrors every lane: each task's copies share
-        # one processor id, so each processor id starts as one set of its
+        # every lane starts mirrored: each task's copies share its
+        # initial_proc, so each processor id starts as one set of its
         # lanes' places, with one admitted set, one ranking and one schedule.
         # Fraction sums are exact, so the admitted sets and the bus load
         # equal the totals of admitting the copies one at a time.

@@ -27,9 +27,10 @@ from fractions import Fraction
 from lanesim.cli import metrics_document, trace_lines
 from lanesim.coverage import CoverageLevel
 from lanesim.model import TaskSpec, build_system
+from lanesim.processor import schedule_processor
 from lanesim.reconfig import Outcome
 from lanesim.scenario import generate_scenario, parse_scenario
-from lanesim.sim import run, schedule_processor
+from lanesim.sim import run
 from lanesim.timing import (ProcessorState, TimingConfig, catchup_time,
                             transfer_time)
 

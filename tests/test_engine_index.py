@@ -545,7 +545,8 @@ class CheckedEngine(Engine):
         for rt in self._all_copies():
             holders[rt.place].append((rt.key, rt.spec))
         for ep in self._bus_queue:      # placed, not yet spawned
-            app = self.model.application(ep.app_id)
+            app = next(a for a in self.model.applications
+                       if a.app_id == ep.app_id)
             for task_id, place in ep.placements.items():
                 holders[place].append(((ep.app_id, task_id), app.task(task_id)))
         return holders
@@ -617,7 +618,8 @@ class CheckedEngine(Engine):
         settled = self._settled_faults()
         for ep in self._episodes:
             left = sum(f.fault_id in ep.cause_ids for f in settled)
-            assert ep.uncleared == (left if ep.origin == "restabilize" else 0), (
+            # only a reconfiguration loses copies; a restabilization counts
+            assert ep.uncleared == (0 if ep.lost else left), (
                 f"record {ep.record_id} at {self.now}us counts {ep.uncleared} "
                 f"causes not cleared, scanned {left}")
         # the lists hold every copy made that is not withdrawn, and no

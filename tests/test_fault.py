@@ -17,7 +17,6 @@ from lanesim.fault import (
     VoterConfig,
     bit_detects,
     bit_visible,
-    can_identify_byzantine,
     classify,
     cross_monitor,
     exchange_vote,
@@ -256,6 +255,8 @@ def test_exchange_vote_isolates_per_receiver_liar_with_four_lanes():
 
 
 def test_exchange_vote_triplex_liar_stays_ambiguous():
+    # a single Byzantine lane is identifiable only with four lanes: the
+    # same lie that four lanes isolate (above) leaves three undecided
     lanes = [0, 1, 2]
     received = _honest_matrix(lanes)
     received[1][0] = 15.0
@@ -265,8 +266,6 @@ def test_exchange_vote_triplex_liar_stays_ambiguous():
     received[0][2] = 12.0
     outcome = exchange_vote(received, CFG)
     assert outcome.ambiguous
-    assert not can_identify_byzantine(3)
-    assert can_identify_byzantine(4)
 
 
 def test_exchange_vote_majority_silence_is_confident():

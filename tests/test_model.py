@@ -16,11 +16,15 @@ from lanesim.model import (
     StateStrategy,
     TaskSpec,
     build_system,
-    initial_allocation,
 )
+from lanesim.sim import Engine
 from lanesim.timebase import frac
 
-from scenario_builders import triplex_system
+from scenario_builders import scen, triplex_system
+
+
+def _app(model, app_id):
+    return next(a for a in model.applications if a.app_id == app_id)
 
 
 def test_build_system_parses_reference_layout():
@@ -28,9 +32,10 @@ def test_build_system_parses_reference_layout():
     assert model.architecture is Architecture.RESTRICTED_INTEGRATED
     assert model.lane_ids == (0, 1, 2)
     assert len(model.lanes[0].processors) == 4
-    assert model.lanes[1].processor(3).role is ProcessorRole.SPARE
+    roles = {p.proc_id: p.role for p in model.lanes[1].processors}
+    assert roles[3] is ProcessorRole.SPARE
     assert model.spare_positions() == [(0, 3), (1, 3), (2, 3)]
-    app = model.application(2)
+    app = _app(model, 2)
     assert app.criticality == 1
     assert app.state_model.strategy is StateStrategy.TRANSFER
     assert app.state_model.snapshot_size == 80
@@ -44,7 +49,7 @@ def test_durations_become_integer_microseconds():
     task["deadline_ms"] = 12.5
     task["messages"][0]["period_ms"] = 12.5
     model = build_system(doc)
-    spec = model.application(1).task(1)
+    spec = _app(model, 1).task(1)
     assert spec.wcet_us == 2500
     assert spec.period_us == 12500
     assert spec.deadline_us == 12500
@@ -54,7 +59,7 @@ def test_durations_become_integer_microseconds():
 
 def test_task_and_message_sizes_are_fractions():
     model = build_system(triplex_system())
-    spec = model.application(1).task(1)
+    spec = _app(model, 1).task(1)
     assert spec.code_size == Fraction(40)
     assert spec.message_demand == Fraction(1, 20)
 
@@ -236,15 +241,19 @@ def test_customer_cap_mode_halves_the_bound():
     assert plain.timing.effective_bound == Fraction(69, 100)
 
 
-def test_initial_allocation_mirrors_copies_across_lanes():
-    model = build_system(triplex_system())
-    placing = initial_allocation(model)
+def test_every_lane_starts_with_a_copy_of_each_task_on_its_initial_proc():
+    engine = Engine(scen([]))
+    model = engine.model
     # one copy of each of 3 tasks on each of 3 lanes
-    assert len(placing) == 9
-    for (app_id, task_id, lane_id), (lane, proc) in placing.items():
-        assert lane == lane_id
-        assert proc == app_id - 1
-        assert task_id == app_id
+    assert sum(len(copies) for tasks in engine.groups.values()
+               for copies in tasks.values()) == 9
+    for app in model.applications:
+        for task in app.tasks:
+            copies = engine.groups[app.app_id][task.task_id]
+            assert [c.place for c in copies] == [
+                (lane, task.initial_proc) for lane in model.lane_ids]
+            assert task.initial_proc == app.app_id - 1
+            assert task.task_id == app.app_id
 
 
 @pytest.mark.parametrize("where", ["message", "task"])
@@ -339,7 +348,7 @@ def test_an_integral_size_is_a_shared_fraction_of_its_value():
     assert sizes == [Fraction(40)] * 3 + [Fraction(1)] * 3
     assert sizes[0] is sizes[1] is sizes[2] is frac(40)
     assert sizes[3] is sizes[4] is sizes[5] is frac(1)
-    assert model.application(2).state_model.snapshot_size is frac(80)
+    assert _app(model, 2).state_model.snapshot_size is frac(80)
     with pytest.raises(TypeError):
         frac(True)
 

@@ -11,7 +11,7 @@ from lanesim.reconfig import (
     Outcome,
     ReconfigRecord,
     _ranked_candidates,
-    recovery_order,
+    recovery_rank,
     select_spare,
 )
 from lanesim.timing import BusState, ProcessorState, admit_task
@@ -55,7 +55,7 @@ def _spare(lane, proc, util_entries=(), occupied=False):
 
 def test_recovery_order_is_criticality_then_id():
     apps = [_App(5, 2), _App(3, 0), _App(4, 0), _App(1, 1)]
-    assert recovery_order(apps) == [3, 4, 1, 5]
+    assert [a.app_id for a in sorted(apps, key=recovery_rank)] == [3, 4, 1, 5]
 
 
 def test_selection_prefers_the_home_lane():

@@ -495,6 +495,10 @@ def test_generator_validates_its_arguments():
         with pytest.raises(ValueError,
                            match="^target utilization must be an int or a float"):
             generate_scenario(target_utilization=value)
+    # "no" is true, so it drew an overloaded document without admission
+    for value in ["no", 1, 0, None]:
+        with pytest.raises(ValueError, match="^infeasible must be a bool,"):
+            generate_scenario(infeasible=value, seed=1)
 
 
 def test_requested_fault_count_is_honoured():

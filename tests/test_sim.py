@@ -29,16 +29,15 @@ from lanesim.sim import (
     DeadlineMissRecord,
     Engine,
     EventKind,
-    InsufficientInstances,
     ROW_TEXTS,
     ScenarioInvalid,
     SimResult,
     TraceEvent,
-    measure_jitter,
     render,
     run,
-    schedule_processor,
 )
+from lanesim.jitter import InsufficientInstances, measure_jitter
+from lanesim.processor import schedule_processor
 
 from scenario_builders import (
     lane_fault,
@@ -134,13 +133,12 @@ def test_processor_schedule_matches_tick_oracle_on_any_small_set(
 
 
 def test_the_reference_scheduler_lives_beside_processor():
-    # the seed API keeps exporting it from lanesim and lanesim.sim
+    # lanesim exports it from lanesim.processor, its one home
     import lanesim
     import lanesim.processor
     import lanesim.sim
-    assert (lanesim.schedule_processor is lanesim.sim.schedule_processor
-            is lanesim.processor.schedule_processor)
-    assert lanesim.sim.ProcSchedule is lanesim.processor.ProcSchedule
+    assert lanesim.schedule_processor is lanesim.processor.schedule_processor
+    assert not {"schedule_processor", "ProcSchedule"} & vars(lanesim.sim).keys()
 
 
 def test_background_work_soaks_idle_time_exactly():
@@ -362,15 +360,22 @@ def test_jitter_needs_two_instances():
         measure_jitter(result, app=1, task=1, lane=0, proc=9)
 
 
+def test_jitter_checks_its_arguments_before_counting_instances():
+    # with no instance at all, a wrong kind or period is still named as such
+    with pytest.raises(ValueError, match="unknown jitter kind 'bogus'"):
+        measure_jitter([], kind="bogus")
+    with pytest.raises(ValueError, match="release jitter needs period_us"):
+        measure_jitter([], kind="release", period_us=0)
+
+
 def test_jitter_lives_outside_the_engine():
-    # the seed API keeps exporting it from lanesim and lanesim.sim
+    # lanesim exports it from lanesim.jitter, its one home
     import lanesim
     import lanesim.jitter
     import lanesim.sim
-    assert (lanesim.measure_jitter is lanesim.sim.measure_jitter
-            is lanesim.jitter.measure_jitter)
-    assert (lanesim.InsufficientInstances is lanesim.sim.InsufficientInstances
-            is lanesim.jitter.InsufficientInstances)
+    assert lanesim.measure_jitter is lanesim.jitter.measure_jitter
+    assert lanesim.InsufficientInstances is lanesim.jitter.InsufficientInstances
+    assert not {"measure_jitter", "InsufficientInstances"} & vars(lanesim.sim).keys()
 
 
 # --- recovery timelines ------------------------------------------------
@@ -474,7 +479,8 @@ def test_a_restabilization_ends_when_its_last_cause_clears():
     result = run(scen([proc_fault(kind="transient", duration_ms=20),
                        proc_fault(kind="transient", duration_ms=60)]))
     rec = result.records[0]
-    assert (rec.record_id, rec.origin, rec.cause_ids) == (1, "restabilize", (0, 1))
+    # a restabilization loses no copy
+    assert (rec.record_id, bool(rec.lost), rec.cause_ids) == (1, False, (0, 1))
     assert rec.t_e_us == 110000
     assert rec.outcome is Outcome.READMITTED and rec.t_a_us > rec.t_e_us
 
@@ -487,8 +493,9 @@ def test_same_instant_transient_and_permanent_shutdowns_open_two_episodes():
                                   duration_ms=30),
                        proc_fault(at_ms=50, lane=1)]))
     recs = [r for r in result.records if r.app_id == 1]
-    assert [(r.record_id, r.origin, r.t_f_us) for r in recs] == [
-        (1, "reconfig", 60000), (2, "restabilize", 60000)]
+    # a reconfiguration loses its copies; a restabilization loses none
+    assert [(r.record_id, bool(r.lost), r.t_f_us) for r in recs] == [
+        (1, True, 60000), (2, False, 60000)]
     reconfig, restabilize = recs
     assert reconfig.failed_copy_ids == (2,) and restabilize.failed_copy_ids == (1,)
     assert reconfig.placements == {1: (1, 3)}
@@ -510,9 +517,9 @@ def test_a_permanent_shutdown_withdraws_a_restabilizing_copy():
     assert closed == [(70000, "record 1: abandoned"),
                       (140000, "record 2: readmitted")]
     restabilize, reconfig = result.records
-    assert (restabilize.origin, restabilize.failed_copy_ids) == ("restabilize", (1,))
+    assert (bool(restabilize.lost), restabilize.failed_copy_ids) == (False, (1,))
     assert restabilize.outcome is Outcome.ABANDONED
-    assert (reconfig.origin, reconfig.failed_copy_ids) == ("reconfig", (1,))
+    assert (bool(reconfig.lost), reconfig.failed_copy_ids) == (True, (1,))
     assert reconfig.t_f_us == 70000
     assert reconfig.placements == {1: (0, 3)}
     assert reconfig.outcome is Outcome.READMITTED
@@ -1041,7 +1048,7 @@ def test_proven_sets_never_miss_over_a_hyperperiod(draws):
 
 
 def test_start_up_admitted_sets_are_shared_values():
-    # initial_allocation mirrors every lane, so one processor id's places
+    # every lane starts mirrored, so one processor id's places
     # start as one set with one admitted set and one ranking; admitting on
     # one place splits that place out and leaves the other lanes' set alone
     engine = Engine(scen([]))
