@@ -20,13 +20,14 @@ import dataclasses
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
+from .coverage import CoverageLevel
 from .model import InvalidModel, MalformedDocument
 from .reconfig import Outcome
-from .scenario import (dump_json, dump_scenario, generate_scenario, load_scenario,
-                       scenario_violations)
-from .sim import Engine, SimResult, render, run
+from .scenario import dump_scenario, generate_scenario, load_scenario, scenario_violations
+from .sim import ROW_TEXTS, Engine, SimResult, run
 from .timebase import US_PER_MS, ms_to_us
 
 EXIT_OK = 0
@@ -36,6 +37,8 @@ EXIT_IO = 3
 
 OUT_DIR_ENV = "LANESIM_OUT_DIR"
 TRACE_HEADER = "# format_version=1"
+_LABELS = tuple(level.label for level in CoverageLevel)    # by the level's int
+_KINDS = {text: text.partition(".")[0] for text in ROW_TEXTS}   # as render gives it
 
 # A scenario that cannot be read, checked or run: its exit code, and what
 # `main` and `batch` call the failure. InvalidModel includes ScenarioInvalid,
@@ -53,102 +56,114 @@ def _failure(exc: Exception) -> tuple[int, str, str]:
     return next(row for kind, row in _FAILURES.items() if isinstance(exc, kind))
 
 
-def _ms(us: int | None):
-    return None if us is None else us / US_PER_MS
+def _ms(us: int | None) -> str:
+    """json's text of a time in µs as the float ms metrics.json holds."""
+    return "null" if us is None else repr(us / US_PER_MS)
 
 
-def metrics_document(result: SimResult) -> dict:
+def _block(parts: list, pad: str, brackets: str = "[]") -> str:
+    """json's indented text of a container of parts closed at pad."""
+    if not parts:
+        return brackets
+    return f"{brackets[0]}\n  {pad}" + f",\n  {pad}".join(parts) + f"\n{pad}{brackets[1]}"
+
+
+def _stream(texts, brackets: str):
+    """_block of a member of the top level, one part at a time."""
+    opened = False
+    for text in texts:
+        yield (",\n" if opened else brackets[0] + "\n") + text
+        opened = True
+    yield "\n  " + brackets[1] if opened else brackets
+
+
+def _by_text(items) -> list:
+    """(key, value) pairs keyed by an id, in the order of the id's text."""
+    return sorted([(str(key), value) for key, value in items])
+
+
+def _record(rec) -> str:
+    places = [f'"{task}": [\n          {lane},\n          {proc}\n        ]'
+              for task, (lane, proc) in _by_text(rec.placements.items())]
+    return (f'    {{\n      "app": {rec.app_id},\n'
+            f'      "degraded_tasks": {_block([*map(str, rec.degraded_tasks)], "      ")},\n'
+            f'      "failed_copies": {_block([*map(str, rec.failed_copy_ids)], "      ")},\n'
+            f'      "outcome": "{rec.outcome._value_}",\n'
+            f'      "placements": {_block(places, "      ", "{}")},\n'
+            f'      "record_id": {rec.record_id},\n'
+            f'      "strategy": "{rec.strategy._value_}",\n'
+            f'      "t_a_ms": {_ms(rec.t_a_us)},\n      "t_e_ms": {_ms(rec.t_e_us)},\n'
+            f'      "t_f_ms": {_ms(rec.t_f_us)},\n      "t_i_ms": {_ms(rec.t_i_us)},\n'
+            f'      "t_r_ms": {_ms(rec.t_r_us)},\n      "t_s_ms": {_ms(rec.t_s_us)}\n    }}')
+
+
+def _risk(app: str, report) -> str:
+    intervals = [f'{{\n          "closed": {"true" if closed else "false"},\n'
+                 f'          "end_ms": {_ms(end)},\n          "start_ms": {_ms(start)}\n        }}'
+                 for start, end, closed in report.intervals]
+    hits = [f'{{\n          "at_ms": {_ms(at)},\n          "record_id": {record}\n        }}'
+            for record, at in report.secondary_hits]
+    return (f'    "{app}": {{\n      "intervals": {_block(intervals, "      ")},\n'
+            f'      "secondary_hits": {_block(hits, "      ")},\n'
+            f'      "total_ms": {_ms(report.total_us)}\n    }}')
+
+
+def metrics_chunks(result: SimResult):
+    """metrics.json a record or risk entry at a time: ``json.dumps(doc,
+    indent=2, sort_keys=True)`` of the document the result describes,
+    written from its fixed shape. Ids are keys as text, so "10" comes
+    before "9"; an enum's value is a bare word json would not escape."""
+    counters = [f"{_quote(name)}: {n}" for name, n in sorted(result.counters.items())]
+    coverage = [f'"{app}": {{\n      "functional": "{_LABELS[f]}",\n'
+                f'      "peripheral": "{_LABELS[p]}",\n      "zonal": "{_LABELS[z]}"\n    }}'
+                for app, (f, z, p) in _by_text(result.final_coverage.items())]
+    yield (f'{{\n  "counters": {_block(counters, "  ", "{}")},\n'
+           f'  "coverage_final": {_block(coverage, "  ", "{}")},\n'
+           f'  "format_version": 1,\n  "horizon_ms": {_ms(result.horizon_us)},\n'
+           '  "records": ')
+    yield from _stream(map(_record, result.records), "[]")
+    yield ',\n  "risk": '
+    yield from _stream((_risk(*entry) for entry in _by_text(result.risk.items())), "{}")
     counts = result.outcome_counts()
-    records = []
-    for rec in result.records:
-        records.append({
-            "record_id": rec.record_id,
-            "app": rec.app_id,
-            "outcome": rec.outcome.value,
-            "strategy": rec.strategy.value,
-            "failed_copies": list(rec.failed_copy_ids),
-            "t_f_ms": _ms(rec.t_f_us),
-            "t_r_ms": _ms(rec.t_r_us),
-            "t_i_ms": _ms(rec.t_i_us),
-            "t_s_ms": _ms(rec.t_s_us),
-            "t_e_ms": _ms(rec.t_e_us),
-            "t_a_ms": _ms(rec.t_a_us),
-            "placements": {str(t): [lane, proc]
-                           for t, (lane, proc) in rec.placements.items()},
-            "degraded_tasks": list(rec.degraded_tasks),
-        })
-    risk = {}
-    for app_id, report in result.risk.items():
-        risk[str(app_id)] = {
-            "total_ms": _ms(report.total_us),
-            "intervals": [
-                {"start_ms": _ms(s), "end_ms": _ms(e), "closed": closed}
-                for s, e, closed in report.intervals
-            ],
-            "secondary_hits": [
-                {"record_id": rid, "at_ms": _ms(at)}
-                for rid, at in report.secondary_hits
-            ],
-        }
-    coverage_final = {
-        str(app_id): {"functional": f.label, "zonal": z.label, "peripheral": p.label}
-        for app_id, (f, z, p) in result.final_coverage.items()
-    }
-    return {
-        "format_version": 1,
-        "seed": result.seed,
-        "horizon_ms": _ms(result.horizon_us),
-        "summary": {
-            "readmitted": counts[Outcome.READMITTED],
-            "degraded": counts[Outcome.DEGRADED_DUPLEX],
-            "abandoned": counts[Outcome.ABANDONED],
-            "records": len(result.records),
-            "deadline_misses": result.counters["deadline_misses"],
-        },
-        "records": records,
-        "risk": risk,
-        "coverage_final": coverage_final,
-        "counters": dict(result.counters),
-    }
+    yield (f',\n  "seed": {result.seed},\n  "summary": {{\n'
+           f'    "abandoned": {counts[Outcome.ABANDONED]},\n'
+           f'    "deadline_misses": {result.counters["deadline_misses"]},\n'
+           f'    "degraded": {counts[Outcome.DEGRADED_DUPLEX]},\n'
+           f'    "readmitted": {counts[Outcome.READMITTED]},\n'
+           f'    "records": {len(result.records)}\n  }}\n}}\n')
 
 
 def trace_lines(result: SimResult):
-    """Each line rendered straight from its raw row: no TraceEvent is built."""
-    yield TRACE_HEADER
-    yield "time_us\tkind\tlane\tproc\tapp\ttask\tdetail"
+    """trace.tsv a line at a time, each rendered in one step from its raw
+    row: the kind and detail as ``render`` gives them, and the four scope
+    cells ("-" for None) made once per distinct scope."""
+    yield f"{TRACE_HEADER}\ntime_us\tkind\tlane\tproc\tapp\ttask\tdetail\n"
+    cells = {}
     for row in result.rows:
-        at, kind, lane, proc, app, task, detail = render(row)
-        yield "\t".join([
-            str(at), kind,
-            "-" if lane is None else str(lane),
-            "-" if proc is None else str(proc),
-            "-" if app is None else str(app),
-            "-" if task is None else str(task),
-            detail or "-",
-        ])
+        scope = cells.get(key := row[2:6])
+        if scope is None:
+            scope = cells[key] = "\t".join(["-" if c is None else str(c) for c in key])
+        text = row[1]
+        yield f"{row[0]}\t{_KINDS[text]}\t{scope}\t{ROW_TEXTS[text](*row[6:]) or '-'}\n"
 
 
 def coverage_lines(result: SimResult):
-    yield "time_us,app,functional,zonal,peripheral"
+    yield "time_us,app,functional,zonal,peripheral\n"
     for s in result.samples:
-        yield (f"{s.time_us},{s.app_id},{s.functional.label},"
-               f"{s.zonal.label},{s.peripheral.label}")
+        yield (f"{s.time_us},{s.app_id},{_LABELS[s.functional]},"
+               f"{_LABELS[s.zonal]},{_LABELS[s.peripheral]}\n")
 
 
 def write_outputs(result: SimResult, out_dir) -> list:
+    """Stream each report to its file as it is made; the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    metrics = out / "metrics.json"
-    metrics.write_text(dump_json(metrics_document(result)) + "\n",
-                       encoding="utf-8")
-    written.append(metrics)
-    trace = out / "trace.tsv"
-    trace.write_text("\n".join(trace_lines(result)) + "\n", encoding="utf-8")
-    written.append(trace)
-    coverage = out / "coverage.csv"
-    coverage.write_text("\n".join(coverage_lines(result)) + "\n", encoding="utf-8")
-    written.append(coverage)
+    for name, chunks in (("metrics.json", metrics_chunks), ("trace.tsv", trace_lines),
+                         ("coverage.csv", coverage_lines)):
+        written.append(out / name)
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            fh.writelines(chunks(result))
     return written
 
 

@@ -188,38 +188,40 @@ class TraceEvent:
     detail: str = ""
 
 
-def _places(places) -> str:
-    return ",".join([f"{lane}.{proc}" for lane, proc in sorted(places)])
+def _vote_round(silent, flagged, ambiguous) -> str:
+    text = ""       # each word after a space
+    for word, places in ((" silent=", silent), (" flagged=", flagged)):
+        if places:
+            text += word + ",".join([f"{lane}.{proc}" for lane, proc in sorted(places)])
+    return (text + " ambiguous" if ambiguous else text)[1:]
 
 
 # Each row text by name, with the renderer of the facts that Engine._row
 # stores after the row's (time, text, lane, proc, app, task). A name is its
 # row's kind, then a variant after a dot where the kind has more than one
 # text. A fact is a snapshot (an int, an enum member, a Fraction or a
-# tuple), so a row renders the same detail whenever it is read.
+# tuple), so a row renders the same detail whenever it is read. An enum
+# reads as its plain attribute ``_value_``: ``.value`` is a dearer property.
 ROW_TEXTS = {
     "ReplayDone": "history backlog cleared".format,
     "DeadlineMiss": "released at {}us, {}us of work left".format,
-    "FaultActivate": "fault {}: {.value} {.value}".format,
+    "FaultActivate": lambda fault_id, kind, t: f"fault {fault_id}: {kind._value_} {t._value_}",
     "FaultClear": "fault {} cleared".format,
-    "Detection.bit": "bit caught {.value} fault {} ({.value} granularity)".format,
+    "Detection.bit": lambda kind, fault_id, target: (
+        f"bit caught {kind._value_} fault {fault_id} ({target._value_} granularity)"),
     "Detection.sensor": ("input voting isolated sensor channel "
                          "(fault {}, sensor granularity)").format,
-    "Detection.consensus": "cross-monitor consensus ({.value} granularity)".format,
-    "VoteRound": lambda silent, flagged, ambiguous: " ".join(filter(None, (
-        silent and "silent=" + _places(silent),
-        flagged and "flagged=" + _places(flagged),
-        ambiguous and "ambiguous"))),
+    "Detection.consensus": lambda t: f"cross-monitor consensus ({t._value_} granularity)",
+    "VoteRound": _vote_round,
     "PoliceRound.replay": "replay outstanding".format,
     "PoliceRound.vote": lambda matched, count, required: (
         f"{'match' if matched else 'deviation'} {min(count, required)}/{required}"),
     "PilotApproval": lambda sensor: "sensor scope" if sensor else "",
     "Readmit.channel": "sensor channel restored".format,
     "Readmit.copy": "copy readmitted to the active set".format,
-    "ShutdownApplied": lambda scope, transient, cause_ids: (
-        f"{scope.value} shutdown, "
-        f"{'restabilize in place' if transient else 'withdrawn'}"
-        + (f", faults {list(cause_ids)}" if cause_ids else "")),
+    "ShutdownApplied": lambda scope, transient, cause_ids: scope._value_ + (
+        " shutdown, restabilize in place" if transient else " shutdown, withdrawn") + (
+        f", faults {list(cause_ids)}" if cause_ids else ""),
     "Abandoned": "no surviving active copy to recover from".format,
     "SpareSelected": lambda u: f"resulting utilization {float(u):.4f}",
     "DegradeToDuplex.no_spare": "no spare could admit the copy".format,
@@ -228,10 +230,9 @@ ROW_TEXTS = {
         f"{'install' if installing else 'state'} transfer of {payload} units "
         f"waits for bus bandwidth"),
     "InstallDone": lambda task_ids: f"code image installed for tasks {list(task_ids)}",
-    "StateTransferDone": lambda strategy, starts: f"{strategy.value} state ready; " + (
-        "policing starts" if starts else
-        "no copy starts, every chosen spare is shut down"),
-    "RecoveryClosed": lambda record_id, outcome: f"record {record_id}: {outcome.value}",
+    "StateTransferDone": lambda strategy, starts: f"{strategy._value_} state ready; " + (
+        "policing starts" if starts else "no copy starts, every chosen spare is shut down"),
+    "RecoveryClosed": lambda record_id, outcome: f"record {record_id}: {outcome._value_}",
 }
 
 

@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from lanesim.cli import metrics_document, trace_lines
+from lanesim.cli import trace_lines
 from lanesim.coverage import CoverageLevel
 from lanesim.model import TaskSpec, build_system
 from lanesim.processor import schedule_processor
@@ -34,6 +34,7 @@ from lanesim.sim import run
 from lanesim.timing import (ProcessorState, TimingConfig, catchup_time,
                             transfer_time)
 
+from metrics_oracle import metrics_document
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system, triplex_system)
 
@@ -60,7 +61,7 @@ def criterion(num, title, capsys):
 
 def _document_bytes(result):
     metrics = json.dumps(metrics_document(result), indent=2, sort_keys=True)
-    return (metrics + "\n" + "\n".join(trace_lines(result)) + "\n").encode()
+    return (metrics + "\n" + "".join(trace_lines(result))).encode()
 
 
 def _run_twice(doc, label):

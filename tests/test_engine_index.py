@@ -133,7 +133,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanesim import coverage as cov, sim
-from lanesim.cli import metrics_document, trace_lines
+from lanesim.cli import trace_lines
 from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
                            bit_detects, cross_monitor)
 from lanesim.reconfig import Health
@@ -141,6 +141,7 @@ from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
 from lanesim.timing import ProcessorState, task_utilization
 
+from metrics_oracle import metrics_document
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system)
 from golden.generated import SEEDS, generated_scenario

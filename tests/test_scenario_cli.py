@@ -24,6 +24,7 @@ from lanesim.timing import ProcessorState
 
 from lanesim.sim import run
 
+from metrics_oracle import metrics_document
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system, triplex_system)
 from golden.rehash import SCENARIOS
@@ -359,7 +360,7 @@ def test_dump_json_holds_one_container_at_a_time():
     # keeps about seven times the text alive, one chunk list for all of it
     doc = generate_scenario(lanes=4, procs=10, apps=8, seed=1003, faults=40,
                             horizon_ms=100)
-    metrics = cli.metrics_document(run(parse_scenario(doc)))
+    metrics = metrics_document(run(parse_scenario(doc)))
     text = json.dumps(metrics, indent=2, sort_keys=True)
     assert dump_json(metrics) == text
     tracemalloc.start()
@@ -372,7 +373,7 @@ def test_dump_json_holds_one_container_at_a_time():
 
 
 def test_metrics_json_does_not_depend_on_dict_insertion_order(tmp_path):
-    # dump_json alone orders metrics.json's keys: the same result with its
+    # the writer alone orders metrics.json's keys: the same result with its
     # dicts filled in reverse writes the same bytes
     result = run(load_scenario(SCENARIOS / "generated_s23_f10.json"))
     assert max(len(rec.placements) for rec in result.records) >= 2

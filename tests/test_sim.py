@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lanesim.cli import metrics_document, trace_lines, write_outputs
+from lanesim.cli import trace_lines, write_outputs
 from lanesim.coverage import CoverageLevel, CoverageSample
 from lanesim.fault import FaultTarget, TargetKind
 from lanesim.model import TaskSpec, TimingConfig
@@ -39,6 +39,7 @@ from lanesim.sim import (
 from lanesim.jitter import InsufficientInstances, measure_jitter
 from lanesim.processor import schedule_processor
 
+from metrics_oracle import metrics_document
 from scenario_builders import (
     lane_fault,
     proc_fault,
@@ -903,7 +904,7 @@ def test_freed_bandwidth_wakes_a_stalled_transfer():
 def _document_bytes(scenario):
     result = run(scenario)
     doc = json.dumps(metrics_document(result), sort_keys=True)
-    trace = "\n".join(trace_lines(result))
+    trace = "".join(trace_lines(result))
     return doc + "\n" + trace
 
 
