@@ -18,7 +18,7 @@ from .scenario import (Scenario, generate_scenario, load_scenario,
                        parse_scenario)
 from .sim import Engine, ScenarioInvalid, SimResult, TraceEvent, run
 from .timing import (AdmissionDecision, BusState, NoBandwidth, ProcessorState,
-                     admit_task, available_transfer_bandwidth, catchup_time,
-                     check_comms, task_utilization, transfer_time)
+                     admit_task, available_transfer_bandwidth, check_comms,
+                     transfer_time)
 
 __version__ = "0.1.0"

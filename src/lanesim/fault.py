@@ -4,13 +4,11 @@ Fault targets and shutdown scopes are one type, :class:`FaultTarget`: a
 lane, a processor, a task copy or a sensor channel. A scope is its
 coordinate prefix ``key``: ``(lane,)``, ``(lane, proc)`` or ``(lane, proc,
 app, task)``; a sensor channel's key prefixes no other. Scopes nest as
-keys do, and ``contains``/``overlaps`` is the reference rule for "does this
-fault or shutdown cover that element": the one the tests' ``CheckedEngine``
-scans with. The engine calls neither. It answers the same questions by
-key prefix: it looks the prefixes of a key up in its index of active
-faults by target key, and reads a scope's copies from its index of copies
-by (lane, proc). ``classify`` turns vote evidence into the
-``FaultTarget``s to shut down.
+keys do: a fault or shutdown covers an element when its key prefixes the
+element's. The engine answers that question by key prefix: it looks the
+prefixes of a key up in its index of active faults by target key, and
+reads a scope's copies from its index of copies by (lane, proc).
+``classify`` turns vote evidence into the ``FaultTarget``s to shut down.
 
 Detection has two mechanisms. Built-in test (BIT) is local health
 monitoring: it catches permanent and transient hardware faults on the
@@ -100,13 +98,6 @@ class FaultTarget:
         if self.kind is TargetKind.SENSOR:
             key = (self.kind, *key)
         self.key = key
-
-    def contains(self, other: FaultTarget) -> bool:
-        """Is ``other`` inside this scope (or equal to it)?"""
-        return other.key[:len(self.key)] == self.key
-
-    def overlaps(self, other: FaultTarget) -> bool:
-        return self.contains(other) or other.contains(self)
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -42,11 +42,13 @@ class Processor:
     """The one job table of one processor, and what runs now.
 
     Background work is keyed outside ``prios``, so it ranks below every
-    task and runs only when no task job is ready. A subclass may deliver
-    :meth:`wake` otherwise and narrow :meth:`runnable`.
+    task and runs only when no task job is ready. A processor that is
+    ``failed`` (halted by an active fault) or ``dead`` (withdrawn from
+    service) runs nothing. A subclass may deliver :meth:`wake` otherwise.
     """
 
-    __slots__ = ("prios", "jobs", "running", "since", "gen", "wake_us")
+    __slots__ = ("prios", "jobs", "running", "since", "gen", "wake_us",
+                 "failed", "dead")
 
     def __init__(self):
         self.prios = {}             # job key -> DM rank, keys in rank order
@@ -55,10 +57,8 @@ class Processor:
         self.since = 0
         self.gen = 0
         self.wake_us: int | None = None   # when the running job finishes
-
-    def runnable(self) -> bool:
-        """May the processor run anything at all right now?"""
-        return True
+        self.failed = False
+        self.dead = False
 
     def wake(self, at_us: int):
         """Note that the job now running finishes at at_us, under ``gen``
@@ -82,7 +82,7 @@ class Processor:
         """Choose what runs next; the processor must be charged up to now."""
         chosen = None
         jobs = self.jobs
-        if jobs and self.runnable():
+        if jobs and not (self.failed or self.dead):
             for key in self.prios:
                 job = jobs.get(key)
                 if job is not None and job.remaining_us > 0:

@@ -332,20 +332,15 @@ class _ProcSet(Processor):
     changes in place. ``proven`` holds the admitted set's proof, tested once.
     """
 
-    __slots__ = ("members", "failed", "dead", "admitted", "proven", "push")
+    __slots__ = ("members", "admitted", "proven", "push")
 
     def __init__(self, members: list, push, admitted: ProcessorState, prios: dict):
         super().__init__()
         self.members = members
-        self.failed = False     # halted by an active fault
-        self.dead = False       # permanently withdrawn from service
         self.admitted = admitted
         self.prios = prios
         self.proven = admitted.proven()   # no job of the set can miss
         self.push = push        # the engine's event push
-
-    def runnable(self) -> bool:
-        return not (self.failed or self.dead)
 
     def wake(self, at_us: int):
         self.push(at_us, _TASK_COMPLETE, self.members[0],
@@ -1301,7 +1296,7 @@ class Engine:
 
         sets = self.sets
         spares = {place: sets[place].admitted for place in self._spares
-                  if sets[place].runnable()}
+                  if not (sets[place].failed or sets[place].dead)}
         restricted = self.model.architecture is Architecture.RESTRICTED_INTEGRATED
         plan = select_spare(failed, spares, self.bus, self.cfg, restricted)
 

@@ -50,10 +50,6 @@ class NoBandwidth(Exception):
     """A transfer was requested while the bus has no residual bandwidth."""
 
 
-def task_utilization(wcet_us: int, period_us: int, deadline_us: int | None = None) -> Fraction:
-    return Fraction(wcet_us, _window(period_us, deadline_us))
-
-
 def _window(period_us: int, deadline_us: int | None) -> int:
     """The C/min(D, T) test's denominator."""
     if deadline_us is None or deadline_us > period_us:
@@ -265,20 +261,3 @@ def transfer_time(payload, bandwidth) -> int:
         raise NoBandwidth(f"no residual bus bandwidth for payload {payload}")
     return math.ceil(payload / bandwidth * 1000)
 
-
-def catchup_time(history_len: int, task: TaskSpec, proc: ProcessorState,
-                 cfg: TimingConfig) -> int:
-    """Worst-case microseconds for a new copy to replay its history backlog.
-
-    The replay runs in the processor's spare capacity, so the bound is
-    (H * C) / (1 - U). With the utilization bound at 0.69 at least 31% of
-    the processor is spare, which caps the replay at roughly 3.23 * H * C.
-    """
-    if history_len < 0:
-        raise ValueError("negative history length")
-    if history_len == 0:
-        return 0
-    spare = 1 - proc.utilization
-    if spare <= 0:
-        raise ValueError("no spare capacity to replay history")
-    return math.ceil(Fraction(history_len * task.wcet_us) / spare)

@@ -22,7 +22,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from lanesim.cli import trace_lines
 from lanesim.coverage import CoverageLevel
@@ -31,15 +30,12 @@ from lanesim.processor import schedule_processor
 from lanesim.reconfig import Outcome
 from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.sim import run
-from lanesim.timing import (ProcessorState, TimingConfig, catchup_time,
-                            transfer_time)
+from lanesim.timing import transfer_time
 
 from metrics_oracle import metrics_document
+from oracles import catchup_time, task_utilization
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system, triplex_system)
-
-CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
-                   tolerance=0.5)
 
 _DETERMINISM = []   # (label, rerun bytes identical)
 _RECORD_POOL = []   # every ReconfigRecord produced by any run in this gate
@@ -268,8 +264,6 @@ def test_criterion_6_catchup_bound(capsys):
         for combo in range(50):
             history = rng.randint(5, 40)
             wcet = rng.randint(500, 3000)
-            new_copy = TaskSpec(task_id=99, wcet_us=wcet, period_us=100_000,
-                                deadline_us=100_000, initial_proc=0)
             if combo % 3 == 0:
                 # the admission ceiling itself: exactly 31% spare capacity
                 t = rng.choice(periods)
@@ -288,11 +282,9 @@ def test_criterion_6_catchup_bound(capsys):
                     interferers.append(
                         TaskSpec(task_id=1 + i, wcet_us=max(1, int(share * t)),
                                  period_us=t, deadline_us=t, initial_proc=0))
-            state = ProcessorState()
-            for t in interferers:
-                state = state.with_task((1, t.task_id), t.wcet_us,
-                                        t.period_us, t.deadline_us)
-            analytic = catchup_time(history, new_copy, state, CFG)
+            utilization = sum(task_utilization(t.wcet_us, t.period_us, t.deadline_us)
+                              for t in interferers)
+            analytic = catchup_time(history, wcet, utilization)
             slack = max(t.period_us for t in interferers)
             window = analytic + 2 * slack + 200_000
             report = schedule_processor(interferers, window,

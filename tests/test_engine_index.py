@@ -4,7 +4,7 @@
 document with two faults or more also with fault ids reversed against its
 list order), generated scenarios with faults and fuzzed documents, and
 checks it against full scans: of every fault in ``scenario.faults``,
-through ``FaultSpec.active_at`` and ``FaultTarget.contains``, and of every
+through ``FaultSpec.active_at`` and ``oracles.contains``, and of every
 copy in service: the copies its lists hold, which the kept facts below
 check against every copy ever made. It reads what the engine holds and
 the events as they run. No check reads a heap entry or a release's
@@ -139,9 +139,10 @@ from lanesim.fault import (Consensus, FaultKind, FaultTarget, TargetKind,
 from lanesim.reconfig import Health
 from lanesim.scenario import generate_scenario, load_scenario, parse_scenario
 from lanesim.sim import Engine, EventKind
-from lanesim.timing import ProcessorState, task_utilization
+from lanesim.timing import ProcessorState
 
 from metrics_oracle import metrics_document
+from oracles import contains, overlaps, task_utilization
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system)
 from golden.generated import SEEDS, generated_scenario
@@ -160,7 +161,7 @@ _PAST_ALL = len(_RANK)      # after every rank of an instant
 
 
 def _halting(faults, scope):
-    return any(f.kind is not FaultKind.BYZANTINE and f.target.contains(scope)
+    return any(f.kind is not FaultKind.BYZANTINE and contains(f.target, scope)
                for f in faults)
 
 
@@ -704,14 +705,14 @@ class CheckedEngine(Engine):
             f"its set runs {sorted(jobs)}")
         running = ps.running
         assert running is None or running in jobs.values()
-        assert ps.dead == any(d.contains(_place_scope(place)) for d in self._killed), (
+        assert ps.dead == any(contains(d, _place_scope(place)) for d in self._killed), (
             f"{place} at {self.now}us: dead {ps.dead}")
         # failed is recounted from the faults by _sweep after every fault
         # event, the only events that change it
         exposure = None if len(ps.members) == 1 else [
             f.fault_id for f in self._activated
             if f.target.kind is not TargetKind.SENSOR
-            and f.target.overlaps(_place_scope(place))]
+            and overlaps(f.target, _place_scope(place))]
         return (frozenset(key for key, _ in held),
                 sorted((job.background, job.key, job.release_us,
                         job.remaining_us, job.start_us) for job in owned.values()),
@@ -766,14 +767,14 @@ class CheckedEngine(Engine):
         got = super()._skew_for(rt)
         self._agree("skew", got, lambda fs: next(
             (f for f in fs if f.kind is FaultKind.BYZANTINE
-             and f.target.contains(_copy_scope(rt))), None))
+             and contains(f.target, _copy_scope(rt))), None))
         return got
 
     def _directive_causes(self, d):
         # the engine promises no order here: compare in fault id order
         got = super()._directive_causes(d)
         self._agree("causes", sorted(got, key=lambda f: f.fault_id),
-                    lambda fs: sorted((f for f in fs if f.target.overlaps(d)),
+                    lambda fs: sorted((f for f in fs if overlaps(f.target, d)),
                                       key=lambda f: f.fault_id))
         return got
 
@@ -850,7 +851,7 @@ class CheckedEngine(Engine):
     def _copies_in(self, scope):
         got = super()._copies_in(scope)
         assert got == [rt for rt in self._copies_by_place()
-                       if scope.contains(_copy_scope(rt))]
+                       if contains(scope, _copy_scope(rt))]
         self.checks += 1
         return got
 
@@ -860,7 +861,7 @@ class CheckedEngine(Engine):
         got = super()._directive_victims(d, transient)
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service, and kills its places
-        assert got == [rt for rt in self._copies_by_place() if d.contains(_copy_scope(rt))
+        assert got == [rt for rt in self._copies_by_place() if contains(d, _copy_scope(rt))
                        and (not transient or rt.health is Health.ACTIVE)]
         if not transient:
             self._killed.append(d)

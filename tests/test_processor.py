@@ -29,17 +29,14 @@ _BACKGROUND_KEYS = (10, 11)     # outside the ranks, as the engine's copy ids
 
 
 class _Recorder(Processor):
-    """A processor that records each wake-up and may be halted."""
+    """A processor that records each wake-up and may be halted, as the
+    engine halts one: by setting ``failed``."""
 
     def __init__(self, prios):
         super().__init__()
         self.prios = prios
-        self.up = True
         self.wakes = []         # (at, generation, job) in call order
         self.pending = []       # heap of (at, index into wakes) undelivered
-
-    def runnable(self):
-        return self.up
 
     def wake(self, at_us):
         heapq.heappush(self.pending, (at_us, len(self.wakes)))
@@ -61,7 +58,7 @@ def _job_view(job):
 
 
 def _view(cpu):
-    return (_job_view(cpu.running), cpu.gen, cpu.since, cpu.up,
+    return (_job_view(cpu.running), cpu.gen, cpu.since, cpu.failed,
             {key: _job_view(job) for key, job in cpu.jobs.items()},
             [(at, gen, _job_view(job)) for at, gen, job in cpu.wakes])
 
@@ -130,9 +127,9 @@ def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
                     assert cpu.finish(cpu.gen - 1, now) is None
             elif op == "halt":
                 cpu.halt(now)
-                cpu.up = False
-            elif cpu.up is False:       # resume
-                cpu.up = True
+                cpu.failed = True
+            elif cpu.failed:            # resume
+                cpu.failed = False
                 cpu.dispatch(now)
         assert _view(cpus[0]) == _view(cpus[1]), (now, op, args)
 

@@ -40,6 +40,7 @@ from lanesim.jitter import InsufficientInstances, measure_jitter
 from lanesim.processor import schedule_processor
 
 from metrics_oracle import metrics_document
+from oracles import contains
 from scenario_builders import (
     lane_fault,
     proc_fault,
@@ -715,7 +716,7 @@ def test_one_two_faced_fault_never_shuts_down_a_healthy_place(
     scope = sc.faults[0].target
     for e in run(sc).trace:
         if e.kind in ("Detection", "ShutdownApplied"):
-            assert scope.contains(_row_scope(e)), (
+            assert contains(scope, _row_scope(e)), (
                 f"{e.kind} at {e.time_us}us names {_row_scope(e)} "
                 f"outside the fault's {scope}")
 

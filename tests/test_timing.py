@@ -20,12 +20,11 @@ from lanesim.timing import (
     _response_times_fit,
     admit_task,
     available_transfer_bandwidth,
-    catchup_time,
     check_comms,
-    task_utilization,
     transfer_time,
 )
 
+from oracles import catchup_time, task_utilization
 from scenario_builders import scenario_doc, single_app_system, triplex_system
 
 CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
@@ -42,12 +41,16 @@ def _task(task_id=1, wcet_us=2000, period_us=20000, deadline_us=None,
 def test_task_utilization_is_exact():
     assert task_utilization(2000, 20000) == Fraction(1, 10)
     assert task_utilization(1, 3) == Fraction(1, 3)
+    assert ProcessorState().with_task("a", 1, 3, 3).utilization == Fraction(1, 3)
 
 
 def test_constrained_deadline_tightens_utilization():
     # with D < T the demand window is the deadline
     assert task_utilization(2000, 20000, 10000) == Fraction(1, 5)
     assert task_utilization(2000, 20000, 30000) == Fraction(1, 10)
+    for deadline, share in ((10000, Fraction(1, 5)), (30000, Fraction(1, 10))):
+        assert ProcessorState().with_task("a", 2000, 20000, deadline).utilization == share
+        assert ProcessorState({"a": (2000, 20000, deadline)}).utilization == share
 
 
 def test_processor_state_is_value_like():
@@ -147,25 +150,20 @@ def test_transfer_time_refuses_a_negative_payload():
 
 
 def test_catchup_time_on_an_idle_processor_is_the_backlog():
-    task = _task(wcet_us=2000, period_us=20000)
-    assert catchup_time(5, task, ProcessorState(), CFG) == 10000
-    assert catchup_time(0, task, ProcessorState(), CFG) == 0
+    assert catchup_time(5, 2000, Fraction(0)) == 10000
+    assert catchup_time(0, 2000, Fraction(0)) == 0
 
 
 def test_catchup_time_scales_with_spare_capacity():
-    task = _task(wcet_us=2000, period_us=20000)
-    proc = ProcessorState().with_task("load", 69, 100, 100)
     # 10 ms of backlog in 31% spare capacity
-    assert catchup_time(5, task, proc, CFG) == -(-10000 * 100 // 31)
+    assert catchup_time(5, 2000, Fraction(69, 100)) == -(-10000 * 100 // 31)
 
 
 def test_catchup_time_needs_spare_capacity():
-    task = _task(wcet_us=1000, period_us=1000)
-    saturated = ProcessorState().with_task("all", 1, 1, 1)
     with pytest.raises(ValueError):
-        catchup_time(1, task, saturated, CFG)
+        catchup_time(1, 1000, Fraction(1))
     with pytest.raises(ValueError):
-        catchup_time(-1, task, ProcessorState(), CFG)
+        catchup_time(-1, 1000, Fraction(0))
 
 
 def test_reference_layout_column_utilization():
