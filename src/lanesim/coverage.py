@@ -58,7 +58,7 @@ def coverage(group: dict[int, list[Copy]]) -> tuple[CoverageLevel, CoverageLevel
         return CoverageLevel.NONE, CoverageLevel.NONE
     functional = zonal = 4      # _level caps a count here anyway
     for copies in group.values():
-        lanes = [c.lane for c in copies if c.health is Health.ACTIVE]
+        lanes = [c.place[0] for c in copies if c.health is Health.ACTIVE]
         count = len(lanes)
         if count < functional:
             functional = count

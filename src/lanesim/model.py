@@ -145,14 +145,8 @@ class BusSpec:
 @dataclass(frozen=True)
 class TimingConfig:
     utilization_bound: Fraction = Fraction(69, 100)
-    customer_cap_mode: bool = False
     police_rounds: int = 3
     tolerance: float = 0.5
-
-    @property
-    def effective_bound(self) -> Fraction:
-        # The contractual customer cap overrides the engineering bound.
-        return Fraction(1, 2) if self.customer_cap_mode else self.utilization_bound
 
 
 @dataclass(frozen=True)
@@ -381,9 +375,12 @@ def _parse_state_model(doc: dict, path: tuple) -> StateModel:
 
 def _parse_timing(doc: dict) -> TimingConfig:
     path = ("system", "timing")
+    bound = frac(_number(doc, "utilization_bound", path, 0.69))
+    # the contractual customer cap overrides the engineering bound
+    if _field(doc, "customer_cap_mode", bool, path, False):
+        bound = Fraction(1, 2)
     return TimingConfig(
-        utilization_bound=frac(_number(doc, "utilization_bound", path, 0.69)),
-        customer_cap_mode=_field(doc, "customer_cap_mode", bool, path, False),
+        utilization_bound=bound,
         police_rounds=_field(doc, "police_rounds", int, path, 3),
         tolerance=float(_number(doc, "tolerance", path, 0.5)),
     )
@@ -528,7 +525,7 @@ def build_system(doc: dict) -> SystemModel:
             state_model=sm,
         ))
 
-    if not 0 < timing.effective_bound <= 1:
+    if not 0 < timing.utilization_bound <= 1:
         bad(Violation("MalformedDocument", "utilization bound must be in (0, 1]"))
     if timing.police_rounds < 1:
         bad(Violation("MalformedDocument", "police_rounds must be at least 1"))

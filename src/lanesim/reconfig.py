@@ -21,8 +21,9 @@ application. When nothing fits the task degrades: the application simply
 continues one level weaker.
 
 The discrete-event engine (:mod:`lanesim.sim`) drives the episode through
-these phases. Its run-time state lives in the types here: a ``Copy`` and
-the ``ReconfigRecord`` of its episode. Spare selection is pure.
+these phases. Its run-time state lives in the types here: a ``Copy``,
+named by its ``key`` (app, task) and its ``place`` (lane, proc), and the
+``ReconfigRecord`` of its episode. Spare selection is pure.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class Health(Enum):
 
 @dataclass(eq=False, init=False, slots=True)
 class Copy:
-    """One replica of one task, living on (lane, proc), together with the
-    engine's run-time state of it.
+    """One replica of one task, named by its ``key`` (app, task) and its
+    ``place`` (lane, proc), together with the engine's run-time state of it.
 
     Recovery records keep their lost and rebuilt copies through report
     writing, so a copy keeps its fields in slots. It names its episode by
@@ -61,10 +62,6 @@ class Copy:
     """
 
     copy_id: int
-    app_id: int
-    task_id: int
-    lane: int
-    proc: int
     health: Health
     spec: TaskSpec
     completed_ever: bool
@@ -73,13 +70,13 @@ class Copy:
     episode: int | None                             # its episode's record id
     # (app, task) and (lane, proc), given by the caller: the copies of a
     # task share one key tuple, and a copy never moves
-    key: tuple = field(repr=False)
-    place: tuple = field(repr=False)
+    key: tuple
+    place: tuple
 
     def __init__(self, copy_id: int, key: tuple, place: tuple, spec: TaskSpec):
         self.copy_id = copy_id
-        self.app_id, self.task_id = self.key = key
-        self.lane, self.proc = self.place = place
+        self.key = key
+        self.place = place
         self.health = Health.ACTIVE
         self.spec = spec
         self.completed_ever = False
@@ -175,10 +172,10 @@ def select_spare(failed: list[Copy],
     states, decisions = plan.states, plan.decisions
 
     for f in failed:
-        spec = f.spec
+        spec, task_id = f.spec, f.key[1]
         comms = None
-        for lane, proc in _ranked_candidates(f, spares, states, restricted):
-            state = states[(lane, proc)]
+        for place in _ranked_candidates(f, spares, states, restricted):
+            state = states[place]
             admission = admit_task(state, spec, cfg)
             # the plan's bus moves only when a spare is chosen, which ends
             # the task's loop: its first bus test serves every later spare
@@ -187,16 +184,16 @@ def select_spare(failed: list[Copy],
                 comms = check_comms(plan.bus, demand)
             chosen = admission.accepted and comms.accepted
             decisions.append(PlacementDecision(
-                f.task_id, lane, proc, admission,
+                task_id, *place, admission,
                 comms if admission.accepted else None, chosen))
             if chosen:
-                states[(lane, proc)] = state.with_task(
+                states[place] = state.with_task(
                     f.key, spec.wcet_us, spec.period_us, spec.deadline_us)
                 plan.bus = plan.bus.with_demand(demand)
-                plan.placements.append((f.task_id, lane, proc))
+                plan.placements.append((task_id, *place))
                 break
         else:
-            plan.degraded.append(f.task_id)
+            plan.degraded.append(task_id)
     return plan
 
 
@@ -215,6 +212,7 @@ def _ranked_candidates(f: Copy, spares: dict, states, restricted):
     places = [place for place, state in spares.items() if usable(state)]
     ratios = [states[place].utilization_ratio for place in places]
     common = math.lcm(*(den for _, den in ratios))
-    keys = sorted((lane != f.lane, num * (common // den), lane, proc)
-                  for (num, den), (lane, proc) in zip(ratios, places))
-    return [(lane, proc) for _, _, lane, proc in keys]
+    home = f.place[0]
+    keys = sorted((place[0] != home, num * (common // den), place)
+                  for (num, den), place in zip(ratios, places))
+    return [place for _, _, place in keys]

@@ -293,8 +293,7 @@ class SimResult:
         """One CompletionRecord per copy that owned a finished job, in
         (finish, lane, proc) order, built on first read: no report writer
         reads them."""
-        recs = [CompletionRecord(finish, start, release, rt.lane, rt.proc,
-                                 rt.app_id, rt.task_id)
+        recs = [CompletionRecord(finish, start, release, *rt.place, *rt.key)
                 for finish, start, release, owner in self.finished
                 for rt in owner]
         recs.sort(key=_finish_lane_proc)
@@ -502,7 +501,7 @@ class Engine:
 
         violations = []
         if self.settings.enforce_admission:
-            bound = self.cfg.effective_bound
+            bound = self.cfg.utilization_bound
             over = {proc: float(u) for proc, ps in sets.items()
                     if (u := ps.admitted.utilization) > bound}
             for lane, proc in self.sets:
@@ -521,7 +520,8 @@ class Engine:
             raise ScenarioInvalid(violations)
 
     def _add_copy(self, rt: Copy):
-        self.groups[rt.app_id][rt.task_id].append(rt)
+        app_id, task_id = rt.key
+        self.groups[app_id][task_id].append(rt)
         self._proc_copies[rt.place].append(rt)
 
     def _split(self, place: tuple) -> _ProcSet:
@@ -576,7 +576,8 @@ class Engine:
         caller samples the copy's application before its handler returns."""
         rt.health = health
         if health is Health.SHUTDOWN:
-            self.groups[rt.app_id][rt.task_id].remove(rt)
+            app_id, task_id = rt.key
+            self.groups[app_id][task_id].remove(rt)
             self._proc_copies[rt.place].remove(rt)
 
     def _prime_events(self):
@@ -924,8 +925,8 @@ class Engine:
     def _skew_for(self, rt: Copy):
         """First active byzantine fault hitting this copy, if any: the first
         in scenario order of those on its lane, its processor and itself."""
-        at, skew = self._faults_at, None
-        for key in ((rt.lane,), rt.place, rt.place + rt.key):
+        at, skew, place = self._faults_at, None, rt.place
+        for key in (place[:1], place, place + rt.key):
             for f in at.get(key, ()):     # in scenario order
                 if f.kind is FaultKind.BYZANTINE:
                     if skew is None or self._rank(f) < self._rank(skew):
@@ -1079,8 +1080,8 @@ class Engine:
     def _maybe_readmit(self, rt: Copy):
         # the pilot gates a copy restabilized in place, not a rebuilt one;
         # a copy withdrawn before its approval comes is not readmitted
-        at = (self._approved_at(lane=rt.lane, proc=rt.proc, app=rt.app_id,
-                                task=rt.task_id)
+        (lane, proc), (app, task) = rt.place, rt.key
+        at = (self._approved_at(lane=lane, proc=proc, app=app, task=task)
               if rt.health is Health.RESTABILIZING else self.now)
         if at is not None:      # else it waits forever
             self._push(at, _READMIT, (0, rt.copy_id), rt)
@@ -1098,7 +1099,7 @@ class Engine:
         self._set_health(rt, Health.ACTIVE)
         self.counters["readmissions"] += 1
         self._row("Readmit.copy", *rt.place, *rt.key)
-        self._sample(rt.app_id)
+        self._sample(rt.key[0])
         ep = self._episodes[rt.episode - 1]     # it is policed or restabilizing
         if ep.outcome is None and all(c.health is Health.ACTIVE for c in ep.copies):
             ep.t_a_us = self.now
@@ -1150,7 +1151,7 @@ class Engine:
             self._bit_detected.update(
                 f.fault_id for f in causes if len(f.target.key) >= len(d.key))
             victims = self._directive_victims(d, transient)
-            lost.update(rt.app_id for rt in victims if rt.health is _ACTIVE)
+            lost.update(rt.key[0] for rt in victims if rt.health is _ACTIVE)
             self.counters["shutdowns"] += 1
             self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
                       d.kind, transient, cause_ids)
@@ -1171,7 +1172,7 @@ class Engine:
                 withdrawn += victims
             for rt in victims:
                 copies, causes = affected.setdefault(
-                    (rt.app_id, transient), ([], set()))
+                    (rt.key[0], transient), ([], set()))
                 copies.append(rt)
                 causes.update(cause_ids)
         self._withdraw(withdrawn)
@@ -1281,16 +1282,16 @@ class Engine:
     def _select_for(self, ep: ReconfigRecord):
         lost = {}
         for rt in ep.lost:
-            lost.setdefault(rt.task_id, rt)
+            lost.setdefault(rt.key[1], rt)
         # task id order, the one order select_spare plans in and
         # ep.placements keeps
         failed = [rt for _, rt in sorted(lost.items())]
 
         copies = self.groups[ep.app_id]
         for f in failed:
-            if not any(rt.health is _ACTIVE for rt in copies[f.task_id]):
+            if not any(rt.health is _ACTIVE for rt in copies[f.key[1]]):
                 ep.t_r_us = self.now
-                self._row("Abandoned", app=ep.app_id, task=f.task_id)
+                self._row("Abandoned", app=ep.app_id, task=f.key[1])
                 self._close_episode(ep, Outcome.ABANDONED)
                 return
 
@@ -1460,7 +1461,7 @@ def _halts(faults) -> bool:
 
 def _two_faced_sign(toward: Copy, fault) -> int:
     """Which way a two-faced fault bends what it tells the copy ``toward``."""
-    return 1 if (toward.lane + fault.fault_id) % 2 == 0 else -1
+    return 1 if (toward.place[0] + fault.fault_id) % 2 == 0 else -1
 
 
 def _event_pusher(heap: list):

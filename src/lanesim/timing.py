@@ -195,7 +195,7 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
     window = _window(task.period_us, task.deadline_us)
     num, den = proc.utilization_ratio
     num, den = num * window + task.wcet_us * den, den * window
-    bound = cfg.effective_bound
+    bound = cfg.utilization_bound
     if num * bound.denominator <= bound.numerator * den:
         return AdmissionDecision(True, Fraction(num, den))
     return AdmissionDecision(False, Fraction(num, den), (

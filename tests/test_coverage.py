@@ -89,7 +89,7 @@ def _two_scan_levels(group):
     return (
         level([sum(1 for c in copies if c.health is Health.ACTIVE)
                for copies in group.values()]),
-        level([len({c.lane for c in copies if c.health is Health.ACTIVE})
+        level([len({c.place[0] for c in copies if c.health is Health.ACTIVE})
                for copies in group.values()]))
 
 

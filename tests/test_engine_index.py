@@ -167,7 +167,7 @@ def _halting(faults, scope):
 
 def _copy_scope(rt):
     """The task scope of a copy, built from its coordinates."""
-    return _task_scope(rt.lane, rt.proc, rt.app_id, rt.task_id)
+    return _task_scope(*rt.place, *rt.key)
 
 
 @functools.cache
@@ -879,7 +879,7 @@ class CheckedEngine(Engine):
         select_spare = sim.select_spare
 
         def checked(failed, spares, *args):
-            ids = [f.task_id for f in failed]
+            ids = [f.key[1] for f in failed]
             assert ids == sorted(set(ids)), (
                 f"record {ep.record_id} plans tasks {ids} at {self.now}us")
             plan = select_spare(failed, spares, *args)
@@ -1186,7 +1186,7 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
     assert len(active) == 2
     # read before the shutdown, which takes them out of the lists
     lane0 = [rt for rts in engine._proc_copies.values() for rt in rts
-             if rt.lane == 0]
+             if rt.place[0] == 0]
     engine._apply_directives([f.target for f in active])
 
     assert lane0 and all(rt.health is Health.SHUTDOWN for rt in lane0)

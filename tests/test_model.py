@@ -15,6 +15,7 @@ from lanesim.model import (
     ProcessorRole,
     StateStrategy,
     TaskSpec,
+    TimingConfig,
     build_system,
 )
 from lanesim.sim import Engine
@@ -236,9 +237,12 @@ def test_customer_cap_mode_halves_the_bound():
     doc = triplex_system()
     doc["timing"]["customer_cap_mode"] = True
     model = build_system(doc)
-    assert model.timing.effective_bound == Fraction(1, 2)
+    assert model.timing.utilization_bound == Fraction(1, 2)
     plain = build_system(triplex_system())
-    assert plain.timing.effective_bound == Fraction(69, 100)
+    assert plain.timing.utilization_bound == Fraction(69, 100)
+    # the flag only picks the bound: the config keeps no second value
+    assert "customer_cap_mode" not in {
+        f.name for f in dataclasses.fields(TimingConfig)}
 
 
 def test_every_lane_starts_with_a_copy_of_each_task_on_its_initial_proc():

@@ -1,5 +1,6 @@
 """Spare selection and recovery bookkeeping."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,18 @@ def _spare(lane, proc, util_entries=(), occupied=False):
         # another application's task: a spare with anything admitted is taken
         state = state.with_task((9, 9), 1000, 100000, 100000)
     return (lane, proc), state
+
+
+def test_a_copy_names_its_task_and_place_once():
+    # key (app, task) and place (lane, proc) are its one record of what it
+    # replicates and where: no field restates either
+    copy = Copy(7, (3, 5), (2, 4), _task(task_id=5))
+    assert [f.name for f in fields(Copy)] == [
+        "copy_id", "health", "spec", "completed_ever", "converge_left",
+        "streak", "episode", "key", "place"]
+    assert Copy.__slots__ == tuple(f.name for f in fields(Copy))
+    assert (copy.key, copy.place) == ((3, 5), (2, 4))
+    assert "key=(3, 5)" in repr(copy) and "place=(2, 4)" in repr(copy)
 
 
 def test_recovery_order_is_criticality_then_id():
@@ -127,8 +140,8 @@ def _fresh(entries) -> Fraction:
          restricted=False)
 def test_integer_admission_and_ranking_equal_the_fraction_reference(
         spares, task, task_id, home_lane, bound, capped, restricted):
-    cfg = TimingConfig(utilization_bound=bound, police_rounds=3, tolerance=0.5,
-                       customer_cap_mode=capped)
+    cfg = TimingConfig(utilization_bound=Fraction(1, 2) if capped else bound,
+                       police_rounds=3, tolerance=0.5)
     wcet, period, deadline = task
     spec = TaskSpec(task_id=task_id, wcet_us=wcet, period_us=period,
                     deadline_us=deadline, initial_proc=0,
@@ -153,7 +166,7 @@ def test_integer_admission_and_ranking_equal_the_fraction_reference(
         decision = admit_task(state, spec, cfg)
         resulting = _fresh(entries) + u
         assert decision.resulting_utilization == resulting
-        assert decision.accepted == (resulting <= cfg.effective_bound)
+        assert decision.accepted == (resulting <= cfg.utilization_bound)
 
     # taken: a spare that holds any entry, counted from the reference
     taken = {place for place, entries in held.items() if entries}

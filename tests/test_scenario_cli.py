@@ -448,7 +448,7 @@ def test_generated_utilization_respects_the_target():
                 task.deadline_us)
     assert per_proc
     for state in per_proc.values():
-        assert state.utilization <= model.timing.effective_bound
+        assert state.utilization <= model.timing.utilization_bound
 
 
 def test_infeasible_generation_overloads_and_disables_admission():
@@ -817,7 +817,9 @@ def test_a_flag_reads_a_json_boolean_and_null_as_its_default(key):
         doc = _every_number_doc()
         _owner(doc, _FLAGS[key])[key] = value
         sc = parse_scenario(doc)
-        return {"customer_cap_mode": sc.model.timing.customer_cap_mode,
+        # the flag is read into the bound it gives
+        return {"customer_cap_mode":
+                sc.model.timing.utilization_bound == Fraction(1, 2),
                 "enforce_admission": sc.settings.enforce_admission,
                 "pilot_gate": sc.policies.pilot_gate,
                 "per_receiver": sc.faults[0].per_receiver,

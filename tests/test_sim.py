@@ -1008,8 +1008,9 @@ def test_admitted_sets_meet_every_deadline(draws, customer_cap):
     # n(2^(1/n) - 1) >= ln 2 meets every deadline under rate (here deadline)
     # monotonic priorities, so both admission bounds admit no set that the
     # response-time analysis rejects
-    cfg = TimingConfig(customer_cap_mode=customer_cap)
-    assert cfg.effective_bound <= math.log(2)
+    cfg = (TimingConfig(utilization_bound=Fraction(1, 2)) if customer_cap
+           else TimingConfig())
+    assert cfg.utilization_bound <= math.log(2)
     state = ProcessorState()
     admitted = []
     for task_id, (period, deadline_pct, wcet_pct) in enumerate(draws):

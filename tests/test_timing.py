@@ -97,9 +97,8 @@ def test_admission_accepts_exactly_at_the_bound():
 
 
 def test_admission_respects_customer_cap():
-    capped = TimingConfig(utilization_bound=Fraction(69, 100),
-                          police_rounds=3, tolerance=0.5,
-                          customer_cap_mode=True)
+    capped = TimingConfig(utilization_bound=Fraction(1, 2),
+                          police_rounds=3, tolerance=0.5)
     proc = ProcessorState().with_task("base", 45, 100, 100)
     assert not admit_task(proc, _task(wcet_us=10, period_us=100), capped).accepted
     assert admit_task(proc, _task(wcet_us=5, period_us=100), capped).accepted
@@ -204,7 +203,7 @@ def test_admission_agrees_with_direct_fraction_sum(entries, wcet, period):
 
 # AdmissionDecision is public API: pin what a decision reads as, its exact
 # Fraction, both refusal texts and its value equality, whatever it keeps
-_BOUNDS = st.sampled_from([CFG, TimingConfig(customer_cap_mode=True),
+_BOUNDS = st.sampled_from([CFG, TimingConfig(utilization_bound=Fraction(1, 2)),
                            TimingConfig(utilization_bound=Fraction(1))])
 
 
@@ -233,7 +232,7 @@ def test_admission_decision_is_pinned(entries, wcet, period, deadline, cfg):
     task = _task(wcet_us=wcet, period_us=period, deadline_us=deadline)
     resulting = sum((Fraction(c, min(t, d)) for c, t, d in entries),
                     Fraction(wcet, min(period, deadline)))
-    bound = cfg.effective_bound
+    bound = cfg.utilization_bound
     accepted = resulting <= bound
     reason = None if accepted else (
         f"utilization {float(resulting):.6f} exceeds bound {float(bound):.2f}")
