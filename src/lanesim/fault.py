@@ -1,14 +1,16 @@
 """Fault model, cross-monitoring voters, and detection classification.
 
-Fault targets and shutdown scopes are one type, :class:`FaultTarget`: a
-lane, a processor, a task copy or a sensor channel. A scope is its
-coordinate prefix ``key``: ``(lane,)``, ``(lane, proc)`` or ``(lane, proc,
-app, task)``; a sensor channel's key prefixes no other. Scopes nest as
-keys do: a fault or shutdown covers an element when its key prefixes the
-element's. The engine answers that question by key prefix: it looks the
-prefixes of a key up in its index of active faults by target key, and
-reads a scope's copies from its index of copies by (lane, proc).
-``classify`` turns vote evidence into the ``FaultTarget``s to shut down.
+Faults strike :class:`FaultTarget`s: a lane, a processor, a task copy or
+a sensor channel. A target's ``key`` is its coordinate prefix: ``(lane,)``,
+``(lane, proc)`` or ``(lane, proc, app, task)``; a sensor channel's key
+prefixes no other. Shutdown scopes are such keys themselves, with no
+target built around them: ``classify`` returns them, and built-in test
+hands on the key of the target it caught. Scopes nest as keys do: a fault
+or shutdown covers an element when its key prefixes the element's. The
+engine answers that question by key prefix: it looks the prefixes of a
+key up in its index of active faults by target key, and reads a scope's
+copies from its index of copies by (lane, proc). A scope's kind is its
+key's length (``SCOPE_KINDS``).
 
 Detection has two mechanisms. Built-in test (BIT) is local health
 monitoring: it catches permanent and transient hardware faults on the
@@ -31,17 +33,18 @@ silent, which only ``exchange_vote`` can find.
 
 ``exchange_vote``
     The full received-values matrix (what each receiver claims every sender
-    sent it). Senders are flagged for equivocation (no majority-coherent
-    story about what they sent) or for a majority-agreed value outside
-    tolerance. A single Byzantine lane needs at least four lanes to be
-    identified uniquely: with three, its asymmetric values and lying relays
-    leave no healthy majority and the outcome is ambiguous.
+    sent it), read per sender as the plain list of the values its receivers
+    report and a count of those that heard nothing. Senders are flagged
+    for equivocation (no majority-coherent story about what they sent) or
+    for a majority-agreed value outside tolerance. A single Byzantine
+    lane needs at least four lanes to be identified uniquely: with three,
+    its asymmetric values and lying relays leave no healthy majority and
+    the outcome is ambiguous.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -70,9 +73,13 @@ TARGET_FIELDS = {
     TargetKind.SENSOR: ("app", "lane"),
 }
 
+# The kind of a shutdown scope, by the length of its key.
+SCOPE_KINDS = {1: TargetKind.LANE, 2: TargetKind.PROCESSOR, 4: TargetKind.TASK}
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class FaultTarget:
-    """A scope: what a fault strikes, and what a shutdown removes.
+    """What a fault strikes.
 
     A lane contains its processors and a processor the task copies it
     runs; a sensor channel (app, lane) is a scope of its own. Only the
@@ -147,25 +154,32 @@ class VoteOutcome:
 _QUIET = VoteOutcome(frozenset())     # what every quiet vote returns
 
 
+def _median(values: list) -> float:
+    """The median of a non-empty list, as ``statistics.median`` takes it:
+    the middle value, or the mean of the middle two. Sorts the list."""
+    values.sort()
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return (values[mid - 1] + values[mid]) / 2
+
+
 def _consensus_value(values: list, cfg: VoterConfig) -> float:
     if cfg.consensus is Consensus.MEAN_OF_OTHERS:
         # the exact mean lies in [min, max]; the float one need not:
         # (0.1 + 0.1 + 0.1) / 3 > 0.1
         return min(max(sum(values) / len(values), min(values)), max(values))
-    return statistics.median(values)
+    return _median(values)
 
 
-def _largest_clique(items: list, tol: float):
-    """Largest pairwise-agreeing subset; deterministic on ties (first anchor).
-
-    items: list of (key, value) with comparable float values.
-    """
+def _largest_clique(values: list, tol: float) -> list:
+    """Largest pairwise-agreeing sublist of the values, in their order;
+    deterministic on ties (first anchor)."""
     best = []
-    for _, anchor in items:
-        clique = [(k, v) for k, v in items if abs(v - anchor) <= tol]
+    for anchor in values:
+        clique = [v for v in values if abs(v - anchor) <= tol]
         # pairwise coherence, not just anchor distance
-        vals = [v for _, v in clique]
-        if max(vals) - min(vals) <= tol and len(clique) > len(best):
+        if max(clique) - min(clique) <= tol and len(clique) > len(best):
             best = clique
     return best
 
@@ -192,16 +206,15 @@ def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
     # value is further from it than the spread, and none is flagged.
     if max(vals) - min(vals) <= tol and math.isfinite(sum(vals)):
         return _QUIET
-    clique = _largest_clique(items, tol)
+    clique = _largest_clique(vals, tol)
     if 2 * len(clique) <= len(items):
         return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
-    consensus = _consensus_value([v for _, v in clique], cfg)
+    consensus = _consensus_value(clique, cfg)
     flagged = frozenset(k for k, v in items if abs(v - consensus) > tol)
     return VoteOutcome(flagged)
 
 
 _EQUIVOCAL = object()
-_SILENT = object()
 
 
 def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
@@ -213,51 +226,65 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
     majority of reports is a confident implication on its own; value
     disagreements fall back to majority rule and come back ambiguous when
     the coherent lanes cannot out-vote the flagged ones.
+
+    Each sender's reports, what the other receivers claim of it, are read
+    as the list of the values in receiver order and the count of silences.
+    A majority of silences establishes it silent, a majority value clique
+    its median, and anything else leaves it equivocal. The two cannot both
+    be majorities, so silence winning a tie with the clique never shows: a
+    tie leaves neither one.
     """
     receivers = sorted(received)
-    senders = sorted({s for r in receivers for s in received[r]})
+    senders = sorted({s for claims in received.values() for s in claims})
     if len(senders) < 2:
         raise InsufficientLanes(f"need at least 2 participants, got {len(senders)}")
     tol = cfg.tolerance
 
+    heard: dict = {}        # sender -> the values reported, in receiver order
+    hushed: dict = {}       # sender -> how many receivers heard nothing
+    for r in receivers:
+        for s, v in received[r].items():
+            if s == r:
+                continue
+            if v is None:
+                hushed[s] = hushed.get(s, 0) + 1
+            else:
+                heard.setdefault(s, []).append(v)
+
     established: dict = {}
+    silent = []
     for s in senders:
-        reports = [(r, received[r][s]) for r in receivers if r != s and s in received[r]]
+        values = heard.get(s)
+        quiet = hushed.get(s, 0)
+        reports = quiet + (len(values) if values else 0)
         if not reports:
             # s is the only receiver left; its own claim is all there is.
             established[s] = received[s][s] if s in received and s in received[s] else _EQUIVOCAL
-            continue
-        none_cluster = [(r, v) for r, v in reports if v is None]
-        value_cluster = _largest_clique([(r, v) for r, v in reports if v is not None], tol)
-        cluster = none_cluster if len(none_cluster) >= len(value_cluster) else value_cluster
-        if 2 * len(cluster) > len(reports):
-            if cluster and cluster[0][1] is None:
-                established[s] = _SILENT
-            else:
-                established[s] = statistics.median(v for _, v in cluster)
+        elif 2 * quiet > reports:
+            silent.append(s)
+        elif values and 2 * len(clique := _largest_clique(values, tol)) > reports:
+            established[s] = _median(clique)
         else:
             established[s] = _EQUIVOCAL
 
-    silent = frozenset(s for s, e in established.items() if e is _SILENT)
-    present = [s for s in senders if s not in silent]
-    numeric = {s: established[s] for s in present if established[s] is not _EQUIVOCAL}
+    silent = frozenset(silent)
+    numeric = {s: e for s, e in established.items() if e is not _EQUIVOCAL}
 
     if not numeric:
-        return VoteOutcome(frozenset(present), ambiguous=bool(present),
+        return VoteOutcome(frozenset(established), ambiguous=bool(established),
                            silent=silent)
 
-    if len(present) == 2 and len(numeric) == 2:
-        a, b = numeric
-        if abs(numeric[a] - numeric[b]) > tol:
-            return VoteOutcome(frozenset(present), ambiguous=True, silent=silent)
+    if len(established) == 2 and len(numeric) == 2:
+        a, b = numeric.values()
+        if abs(a - b) > tol:
+            return VoteOutcome(frozenset(established), ambiguous=True, silent=silent)
 
-    consensus = statistics.median(numeric.values())
-    flagged = {s for s in present
-               if established[s] is _EQUIVOCAL or abs(numeric[s] - consensus) > tol}
-    unflagged = [s for s in present if s not in flagged]
-    if flagged and len(unflagged) <= len(flagged):
-        return VoteOutcome(frozenset(flagged), ambiguous=True, silent=silent)
-    return VoteOutcome(frozenset(flagged), silent=silent)
+    consensus = _median(list(numeric.values()))
+    flagged = frozenset(s for s, e in established.items()
+                        if e is _EQUIVOCAL or abs(e - consensus) > tol)
+    if flagged and len(established) - len(flagged) <= len(flagged):
+        return VoteOutcome(flagged, ambiguous=True, silent=silent)
+    return VoteOutcome(flagged, silent=silent)
 
 
 def bit_visible(fault: FaultSpec) -> bool:
@@ -287,52 +314,46 @@ def bit_detects(fault: FaultSpec, place: tuple,
     return key[:2] == place and (len(key) == 2 or key[2:] in hosted_tasks)
 
 
-def classify(implicated, hosted) -> list[FaultTarget]:
-    """Fold implicated copies into lane, processor or task shutdown scopes.
+def classify(implicated, hosted, hosting) -> list[tuple]:
+    """Fold implicated copies into the keys of lane, processor or task
+    shutdown scopes: ``(lane,)``, ``(lane, proc)`` or ``(lane, proc, app,
+    task)``.
 
     ``implicated`` is a set of (lane, proc, app, task) copies that deviated
-    or fell silent this round; ``hosted`` maps (lane, proc) to the set of
-    (app, task) copies the processor currently hosts. Only the places in
-    the implicated copies' lanes are read, so a map of those is enough. A
-    lane scope needs every hosting processor of the lane implicated in
-    full, and at least two of them (voting cannot implicate an empty spare,
-    and single-processor evidence only supports a processor scope). A
-    processor scope needs all of its hosted copies implicated; anything
-    less is per-task. Lane scopes come first, then processor scopes, then
-    task scopes, each in coordinate order.
+    or fell silent this round. ``hosted`` maps the (lane, proc) of each
+    implicated copy to the set of (app, task) copies that processor hosts
+    now, and ``hosting`` maps each implicated copy's lane to the number of
+    its processors that host any copy. A lane scope needs every hosting
+    processor of the lane implicated in full, and at least two of them
+    (voting cannot implicate an empty spare, and single-processor evidence
+    only supports a processor scope). A processor scope needs all of its
+    hosted copies implicated; anything less is per-task. Lane scopes come
+    first, then processor scopes, then task scopes, each in coordinate
+    order.
     """
     by_proc: dict = {}
-    for (lane, proc, app, task) in implicated:
-        by_proc.setdefault((lane, proc), set()).add((app, task))
-
-    lane_scopes: list[FaultTarget] = []
-    proc_scopes: list[FaultTarget] = []
-    task_scopes: list[FaultTarget] = []
-    consumed = set()
-
-    full_procs = {
-        key for key, tasks in by_proc.items()
-        if hosted.get(key) and tasks >= hosted[key]
-    }
-    lanes = {lane for lane, _ in by_proc}
-    for lane in sorted(lanes):
-        hosting = {key for key in hosted if key[0] == lane and hosted[key]}
-        lane_full = {key for key in full_procs if key[0] == lane}
-        if hosting and lane_full >= hosting and len(lane_full) >= 2:
-            lane_scopes.append(FaultTarget(TargetKind.LANE, lane=lane))
-            consumed.update(key for key in by_proc if key[0] == lane)
-
-    for key in sorted(by_proc):
-        if key in consumed:
-            continue
-        lane, proc = key
-        if key in full_procs:
-            proc_scopes.append(FaultTarget(TargetKind.PROCESSOR, lane=lane, proc=proc))
+    for copy in implicated:
+        tasks = by_proc.get(copy[:2])
+        if tasks is None:
+            by_proc[copy[:2]] = {copy[2:]}
         else:
-            for app, task in sorted(by_proc[key]):
-                task_scopes.append(FaultTarget(
-                    TargetKind.TASK, lane=lane, proc=proc, app=app, task=task))
-    return lane_scopes + proc_scopes + task_scopes
+            tasks.add(copy[2:])
+
+    full = set()            # the processors implicated in full
+    per_lane: dict = {}     # lane -> how many of its processors those are
+    for place, tasks in by_proc.items():
+        held = hosted[place]
+        if held and tasks >= held:
+            full.add(place)
+            per_lane[place[0]] = per_lane.get(place[0], 0) + 1
+    # a processor implicated in full hosts a copy, so the lane's count of
+    # them reaches its count of hosting processors only when it covers them
+    lanes = {lane for lane, n in per_lane.items() if 2 <= n == hosting[lane]}
+    scopes = [(lane,) for lane in sorted(lanes)]
+    scopes += sorted(place for place in full if place[0] not in lanes)
+    scopes += sorted(copy for copy in implicated
+                     if copy[0] not in lanes and copy[:2] not in full)
+    return scopes
 
 
 def police_matches(value: float, consensus: float, cfg: TimingConfig) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .timebase import frac, ms_to_us, ratio_sum
+from .timebase import frac, ms_to_us
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -77,12 +77,6 @@ class TaskSpec:
     initial_proc: int
     code_size: Fraction = Fraction(0)
     messages: tuple[MessageSpec, ...] = ()
-
-    @property
-    def message_demand(self) -> Fraction:
-        """The bus demand of its messages, summed from their ``demand_ratio``
-        pairs on every read; set-up and withdrawal sum many tasks' at once."""
-        return ratio_sum([m.demand_ratio for m in self.messages])
 
 
 @dataclass(frozen=True, slots=True)

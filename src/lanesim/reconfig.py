@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import StateStrategy, TaskSpec
+from .timebase import lcm_sum
 from .timing import (AdmissionDecision, BusState, ProcessorState, admit_task,
                      check_comms)
 
@@ -161,7 +162,7 @@ def select_spare(failed: list[Copy],
     ``spares`` maps each spare's (lane, proc) to the ProcessorState it has
     admitted; a spare is occupied when that state is not empty. A task's
     message demand is read, and its bus test made, once: at its first
-    spare that passes admission.
+    spare that passes admission, as an integer pair.
 
     Mutates nothing: capacity is reserved under the (app, task) key in new
     spare states and a new bus, which the plan carries back to the caller.
@@ -180,7 +181,8 @@ def select_spare(failed: list[Copy],
             # the plan's bus moves only when a spare is chosen, which ends
             # the task's loop: its first bus test serves every later spare
             if admission.accepted and comms is None:
-                demand = spec.message_demand
+                # its messages' demand as one integer pair
+                demand = lcm_sum([m.demand_ratio for m in spec.messages])
                 comms = check_comms(plan.bus, demand)
             chosen = admission.accepted and comms.accepted
             decisions.append(PlacementDecision(

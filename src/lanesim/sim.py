@@ -112,7 +112,7 @@ from operator import attrgetter
 
 from . import coverage as cov
 from . import timebase
-from .fault import (FaultKind, FaultTarget, TargetKind, bit_detects,
+from .fault import (SCOPE_KINDS, FaultKind, TargetKind, bit_detects,
                     bit_visible, classify, cross_monitor, exchange_vote,
                     police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
@@ -167,6 +167,7 @@ _STATE_TRANSFER_DONE = EventKind.STATE_TRANSFER_DONE
 _PILOT_APPROVAL = EventKind.PILOT_APPROVAL
 _READMIT = EventKind.READMIT
 _ACTIVE = Health.ACTIVE
+_TRANSIENT = FaultKind.TRANSIENT
 
 
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
@@ -202,6 +203,8 @@ def _vote_round(silent, flagged, ambiguous) -> str:
 # text. A fact is a snapshot (an int, an enum member, a Fraction or a
 # tuple), so a row renders the same detail whenever it is read. An enum
 # reads as its plain attribute ``_value_``: ``.value`` is a dearer property.
+# A shutdown scope is a key, and its rows keep the key's length, which
+# names the scope's kind (fault.SCOPE_KINDS).
 ROW_TEXTS = {
     "ReplayDone": "history backlog cleared".format,
     "DeadlineMiss": "released at {}us, {}us of work left".format,
@@ -211,7 +214,8 @@ ROW_TEXTS = {
         f"bit caught {kind._value_} fault {fault_id} ({target._value_} granularity)"),
     "Detection.sensor": ("input voting isolated sensor channel "
                          "(fault {}, sensor granularity)").format,
-    "Detection.consensus": lambda t: f"cross-monitor consensus ({t._value_} granularity)",
+    "Detection.consensus": lambda size: (
+        f"cross-monitor consensus ({SCOPE_KINDS[size]._value_} granularity)"),
     "VoteRound": _vote_round,
     "PoliceRound.replay": "replay outstanding".format,
     "PoliceRound.vote": lambda matched, count, required: (
@@ -219,7 +223,7 @@ ROW_TEXTS = {
     "PilotApproval": lambda sensor: "sensor scope" if sensor else "",
     "Readmit.channel": "sensor channel restored".format,
     "Readmit.copy": "copy readmitted to the active set".format,
-    "ShutdownApplied": lambda scope, transient, cause_ids: scope._value_ + (
+    "ShutdownApplied": lambda size, transient, cause_ids: SCOPE_KINDS[size]._value_ + (
         " shutdown, restabilize in place" if transient else " shutdown, withdrawn") + (
         f", faults {list(cause_ids)}" if cause_ids else ""),
     "Abandoned": "no surviving active copy to recover from".format,
@@ -546,20 +550,19 @@ class Engine:
             owners.setdefault(sets[rt.place], []).append(rt)
         return owners.items()
 
-    def _copies_in(self, scope: FaultTarget) -> list:
-        """Every copy in service inside a lane, processor or task scope:
-        place by place in the lane's spec order, in copy id order within
-        a place."""
-        key = scope.key
+    def _copies_in(self, key: tuple) -> list:
+        """Every copy in service inside a lane, processor or task scope,
+        given by its key: place by place in the lane's spec order, in copy
+        id order within a place."""
         if len(key) == 1:
             return [rt for place in self._lane_places[key[0]]
                     for rt in self._proc_copies[place]]
         return [rt for rt in self._proc_copies.get(key[:2], ())
                 if len(key) == 2 or rt.key == key[2:]]
 
-    def _places_in(self, scope: FaultTarget) -> list:
-        """The places inside a lane or processor scope, in spec order."""
-        key = scope.key
+    def _places_in(self, key: tuple) -> list:
+        """The places inside a lane or processor scope, given by its key,
+        in spec order."""
         if len(key) == 1:
             return self._lane_places[key[0]]
         return [key] if len(key) == 2 else []
@@ -798,9 +801,8 @@ class Engine:
             ps.failed = False
             ps.dispatch(self.now)
 
-    def _split_covered(self, t: FaultTarget):
+    def _split_covered(self, key: tuple):
         """Split out each place a lane, processor or task scope covers."""
-        key = t.key
         for place in self._lane_places[key[0]] if len(key) == 1 else [key[:2]]:
             self._split(place)
 
@@ -813,16 +815,17 @@ class Engine:
         if t.kind is TargetKind.SENSOR:
             bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
             return
-        bisect.insort(self._faults_at.setdefault(t.key, []), f, key=rank)
-        self._split_covered(t)
+        key = t.key
+        bisect.insort(self._faults_at.setdefault(key, []), f, key=rank)
+        self._split_covered(key)
         if f.kind is FaultKind.BYZANTINE:
             return
         if t.kind is TargetKind.TASK:
             # the copy's executable halts; the processor carries on
-            for rt in self._copies_in(t):
+            for rt in self._copies_in(key):
                 self.sets[rt.place].drop(rt.key, self.now)
             return
-        for place in self._places_in(t):
+        for place in self._places_in(key):
             self._refresh_proc_failure(place)
 
     def _rank(self, f) -> int:
@@ -845,7 +848,7 @@ class Engine:
             del self._faults_at[t.key]
         # only a transient fault clears, and a transient fault halts; its
         # activation split out every place it covers
-        for place in self._places_in(t):
+        for place in self._places_in(t.key):
             self._refresh_proc_failure(place)
         # a restabilizing copy runs again once the last of its causes clears
         for ep in self._episodes:
@@ -917,7 +920,7 @@ class Engine:
             self.counters["detections"] += 1
             self._row("Detection.bit", t.lane, t.proc, t.app, t.task,
                       f.kind, f.fault_id, t.kind)
-            self._apply_directives([t])
+            self._apply_directives([t.key])
             return
 
     # -- voting ---------------------------------------------------------------------
@@ -1111,22 +1114,29 @@ class Engine:
     def _on_classify(self, _):
         implicated = self._pending_implicated
         self._pending_implicated = set()
-        # classify reads the places of the implicated copies' lanes alone
-        hosted = {place: self._hosted(place)
-                  for lane in {copy[0] for copy in implicated}
-                  for place in self._lane_places[lane]}
-        directives = classify(implicated, hosted)
-        for d in directives:
+        # classify reads the active copies of the implicated places, and of
+        # the other places of their lanes only whether they host any
+        hosted = {}
+        for copy in implicated:
+            place = copy[:2]
+            if place not in hosted:
+                hosted[place] = self._hosted(place)
+        proc_copies = self._proc_copies
+        hosting = {lane: sum(_hosts(proc_copies[place])
+                             for place in self._lane_places[lane])
+                   for lane in {place[0] for place in hosted}}
+        scopes = classify(implicated, hosted, hosting)
+        for key in scopes:
             self.counters["detections"] += 1
-            self._row("Detection.consensus", d.lane, d.proc, d.app, d.task, d.kind)
-        self._apply_directives(directives)
+            self._row("Detection.consensus", *_scope_fields(key), len(key))
+        self._apply_directives(scopes)
 
-    def _directive_causes(self, d: FaultTarget):
-        """Active faults that explain a shutdown scope: inside it or around
-        it, in an order no caller reads. One key prefixes the other: a task
-        scope's are on its lane, its processor and itself; a wider scope's
-        are on the keys it prefixes or that prefix it."""
-        key = d.key
+    def _directive_causes(self, key: tuple):
+        """Active faults that explain a shutdown scope, given by its key:
+        inside it or around it, in an order no caller reads. One key
+        prefixes the other: a task scope's are on its lane, its processor
+        and itself; a wider scope's are on the keys it prefixes or that
+        prefix it."""
         at = self._faults_at
         if len(key) == 4:
             keys = (key[:1], key[:2], key)
@@ -1134,33 +1144,42 @@ class Engine:
             keys = [k for k in at if k[:len(key)] == key or key[:len(k)] == k]
         return [f for k in keys for f in at.get(k, ())]
 
-    def _apply_directives(self, directives):
+    def _apply_directives(self, scopes):
+        """Shut down each scope, given by its key, in order."""
         # one episode per application and origin: a copy restabilized in
         # place is not also replaced by a spare
         affected: dict = {}     # (app_id, transient) -> ([copies], {cause ids})
         abandoned: dict = {}    # record id -> open episode that lost a copy
         withdrawn: list = []    # every permanent victim, once
         lost: set = set()       # apps that lost an active copy: to sample
-        for d in directives:
-            causes = self._directive_causes(d)
-            transient = bool(causes) and all(
-                f.kind is FaultKind.TRANSIENT for f in causes)
-            cause_ids = tuple(sorted(f.fault_id for f in causes))
-            # a fault inside the scope is handled; one around it, whose key
-            # is shorter, is not
-            self._bit_detected.update(
-                f.fault_id for f in causes if len(f.target.key) >= len(d.key))
-            victims = self._directive_victims(d, transient)
+        handled = self._bit_detected
+        for key in scopes:
+            size = len(key)
+            # in one pass: whether every cause is transient, their ids, and
+            # which are handled: a fault inside the scope is; one around
+            # it, whose key is shorter, is not
+            causes = self._directive_causes(key)
+            transient = bool(causes)
+            ids = []
+            for f in causes:
+                if f.kind is not _TRANSIENT:
+                    transient = False
+                ids.append(f.fault_id)
+                if len(f.target.key) >= size:
+                    handled.add(f.fault_id)
+            ids.sort()
+            cause_ids = tuple(ids)
+            victims = self._directive_victims(key, transient)
             lost.update(rt.key[0] for rt in victims if rt.health is _ACTIVE)
             self.counters["shutdowns"] += 1
-            self._row("ShutdownApplied", d.lane, d.proc, d.app, d.task,
-                      d.kind, transient, cause_ids)
+            self._row("ShutdownApplied", *_scope_fields(key), size,
+                      transient, cause_ids)
             if transient:
                 for rt in victims:
                     self._set_health(rt, Health.RESTABILIZING)
                     rt.streak = 0
             else:
-                self._mark_dead(d)
+                self._mark_dead(key)
                 for rt in victims:
                     # a restabilizing or policed copy belongs to an episode
                     if rt.health is not Health.ACTIVE:
@@ -1199,16 +1218,16 @@ class Engine:
         if not self._pending_selection:
             self._pump_bus()
 
-    def _directive_victims(self, d: FaultTarget, transient: bool):
-        """The copies a shutdown acts on: a transient one restabilizes the
-        active copies in scope, a permanent one withdraws every copy in
-        service there, rebuilt or restabilizing ones too."""
+    def _directive_victims(self, key: tuple, transient: bool):
+        """The copies a shutdown of the scope key acts on: a transient one
+        restabilizes the active copies in scope, a permanent one withdraws
+        every copy in service there, rebuilt or restabilizing ones too."""
         if transient:
-            return [rt for rt in self._copies_in(d) if rt.health is Health.ACTIVE]
-        return self._copies_in(d)
+            return [rt for rt in self._copies_in(key) if rt.health is _ACTIVE]
+        return self._copies_in(key)
 
-    def _mark_dead(self, d: FaultTarget):
-        for place in self._places_in(d):
+    def _mark_dead(self, key: tuple):
+        for place in self._places_in(key):
             ps = self._split(place)
             if not ps.dead:
                 ps.dead = True
@@ -1225,7 +1244,7 @@ class Engine:
     def _give_back(self, held: list):
         """Give back what (place, key, spec) triples hold: each place is
         split out once, drops the keys' jobs and is admitted once without
-        them, and the bus gives back one ``ratio_sum`` of their messages'
+        them, and the bus gives back one ``lcm_sum`` of their messages'
         demand pairs. The sums are exact, so this equals one by one."""
         by_place: dict = {}
         for place, key, _spec in held:
@@ -1235,7 +1254,7 @@ class Engine:
             for key in keys:
                 ps.drop(key, self.now)
             ps.admit(ps.admitted.without_tasks(keys))
-        self.bus = self.bus.without_demand(timebase.ratio_sum(
+        self.bus = self.bus.without_demand(timebase.lcm_sum(
             m.demand_ratio for _place, _key, spec in held for m in spec.messages))
 
     def _open_episode(self, app_id, transient: bool, copies: list, causes: set):
@@ -1451,6 +1470,22 @@ def _fault_id(f) -> int:
 
 def _first_id(copies: tuple) -> int:
     return copies[0].copy_id
+
+
+def _hosts(copies) -> bool:
+    """Do any of a place's copies serve actively?"""
+    for rt in copies:
+        if rt.health is _ACTIVE:
+            return True
+    return False
+
+
+# the row fields (lane, proc, app, task) of a scope key, by its length
+_PADDING = {1: (None, None, None), 2: (None, None), 4: ()}
+
+
+def _scope_fields(key: tuple) -> tuple:
+    return key + _PADDING[len(key)]
 
 
 def _halts(faults) -> bool:

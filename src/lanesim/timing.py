@@ -30,20 +30,23 @@ Bus admission is the same shape: current_load plus the new messages' demand
 reserved by message traffic is the transfer bandwidth available to code
 installation and state snapshots.
 
-All arithmetic is exact (integer microseconds, processor utilization as an
-integer numerator over a common denominator, Fraction bus loads) so
-decisions and transfer times are reproducible bit for bit.
+All arithmetic is exact and stays in integers: microseconds, and the
+processor utilization and the bus load each as an integer numerator over a
+common denominator. A demand is an integer (numerator, denominator) pair,
+as ``MessageSpec.demand_ratio`` and ``lcm_sum`` give it. A ``Fraction`` is
+built only where a value is handed back: ``utilization``,
+``current_load``, a decision's resulting figure and the residual bandwidth.
+So decisions and transfer times are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .model import TaskSpec, TimingConfig
-from .timebase import lcm_sum
+from .timebase import frac, lcm_sum
 
 
 class NoBandwidth(Exception):
@@ -204,44 +207,56 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
 
 class BusState:
     """Reserved message demand on the shared bus: one exact running load,
-    updated by ``with_demand``/``without_demand``."""
+    kept as an integer (numerator, denominator) pair over the lcm of every
+    demand it has seen, and updated by ``with_demand``/``without_demand``,
+    which take a demand as such a pair. ``max_load`` is an exact Fraction;
+    a float for it, or for the start-up load, is read via its decimal
+    text, as ``frac`` reads a document."""
 
-    __slots__ = ("max_load", "_load")
+    __slots__ = ("max_load", "_num", "_den")
 
-    def __init__(self, max_load: Fraction, load: Fraction = Fraction(0)):
-        self.max_load = Fraction(max_load)
-        self._load = Fraction(load)
+    def __init__(self, max_load, load=0):
+        self.max_load = frac(max_load)
+        load = frac(load)
+        self._num, self._den = load.numerator, load.denominator
 
     @property
     def current_load(self) -> Fraction:
-        return self._load
+        return Fraction(self._num, self._den)
 
-    def with_demand(self, demand: Fraction) -> "BusState":
-        return self._at(self._load + demand)
+    def with_demand(self, demand: tuple[int, int]) -> "BusState":
+        return self._at(*lcm_sum(((self._num, self._den), demand)))
 
-    def without_demand(self, demand: Fraction) -> "BusState":
-        return self._at(self._load - demand)
+    def without_demand(self, demand: tuple[int, int]) -> "BusState":
+        num, den = demand
+        return self._at(*lcm_sum(((self._num, self._den), (-num, den))))
 
-    def _at(self, load: Fraction) -> "BusState":
-        # a derived state: both values are Fractions already
+    def _at(self, num: int, den: int) -> "BusState":
         bus = object.__new__(BusState)
         bus.max_load = self.max_load
-        bus._load = load
+        bus._num = num
+        bus._den = den
         return bus
 
 
-def check_comms(bus: BusState, demand: Fraction) -> AdmissionDecision:
-    """Bus admission of extra message demand (data units per ms)."""
-    resulting = bus.current_load + demand
-    if resulting <= bus.max_load:
+def check_comms(bus: BusState, demand: tuple[int, int]) -> AdmissionDecision:
+    """Bus admission of extra message demand (data units per ms), given as
+    an integer (numerator, denominator) pair."""
+    num, den = lcm_sum(((bus._num, bus._den), demand))
+    cap = bus.max_load
+    resulting = Fraction(num, den)
+    if num * cap.denominator <= cap.numerator * den:
         return AdmissionDecision(True, resulting)
     return AdmissionDecision(False, resulting, (
-        f"bus demand {resulting.numerator / resulting.denominator:.6f}/ms "
-        f"exceeds max load {float(bus.max_load):.6f}/ms"))
+        f"bus demand {num / den:.6f}/ms "
+        f"exceeds max load {float(cap):.6f}/ms"))
 
 
 def available_transfer_bandwidth(bus: BusState) -> Fraction:
-    return max(bus.max_load - bus.current_load, Fraction(0))
+    """What max_load leaves unreserved, never below 0."""
+    cap = bus.max_load
+    free = cap.numerator * bus._den - bus._num * cap.denominator
+    return Fraction(max(free, 0), cap.denominator * bus._den)
 
 
 def transfer_time(payload, bandwidth) -> int:
@@ -249,15 +264,17 @@ def transfer_time(payload, bandwidth) -> int:
 
     Rounded up to the clock quantum. Zero payload takes zero time; a
     positive payload with zero bandwidth raises NoBandwidth (the caller
-    stalls the transfer until bandwidth frees up).
+    stalls the transfer until bandwidth frees up). A float is read via its
+    decimal text, as ``frac`` reads a document.
     """
-    payload = Fraction(payload)
+    payload = frac(payload)
     if payload < 0:
         raise ValueError("negative payload")
     if payload == 0:
         return 0
-    bandwidth = Fraction(bandwidth)
+    bandwidth = frac(bandwidth)
     if bandwidth <= 0:
         raise NoBandwidth(f"no residual bus bandwidth for payload {payload}")
-    return math.ceil(payload / bandwidth * 1000)
-
+    # ceil(payload / bandwidth * 1000), in integers
+    return -(-(payload.numerator * bandwidth.denominator * 1000)
+             // (payload.denominator * bandwidth.numerator))

@@ -8,13 +8,20 @@ engine merely because both run the same code:
   it runs; a sensor channel (app, lane) is a scope of its own;
 - utilization: a task's share of its processor is C/min(D, T);
 - catch-up: a backlog of H jobs of C microseconds replays in the spare
-  capacity 1 - U of its processor, within (H * C) / (1 - U).
+  capacity 1 - U of its processor, within (H * C) / (1 - U);
+- the bus: the load is the sum of size/period over the messages it
+  carries, a demand d is admitted when load + d <= max_load, and a
+  transfer takes ceil(payload / (max_load - load) * 1000) microseconds;
+- the exchange vote: ``exchange_vote`` as it read each sender's reports
+  as (receiver, value) pairs and took ``statistics.median``, kept as the
+  reference its list kernel is held to.
 """
 
 import math
+import statistics
 from fractions import Fraction
 
-from lanesim.fault import TargetKind
+from lanesim.fault import InsufficientLanes, TargetKind, VoteOutcome
 
 
 def contains(scope, other) -> bool:
@@ -57,3 +64,95 @@ def catchup_time(history_len: int, wcet_us: int, utilization: Fraction) -> int:
     if spare <= 0:
         raise ValueError("no spare capacity to replay history")
     return math.ceil(history_len * wcet_us / spare)
+
+
+def message_demand(spec) -> Fraction:
+    """A task's bus demand, data units per ms: the sum of size/period over
+    its messages, periods taken in ms."""
+    return sum((Fraction(m.size) / Fraction(m.period_us, 1000)
+                for m in spec.messages), Fraction(0))
+
+
+def bus_admits(load, demand, max_load) -> bool:
+    """Does the bus take demand on top of load?"""
+    return load + demand <= max_load
+
+
+def bus_transfer_us(payload, load, max_load) -> int:
+    """Microseconds to move payload units in what max_load leaves free of
+    load, rounded up; the residual must be positive. Each is exact: an
+    int or a Fraction."""
+    residual = Fraction(max_load) - Fraction(load)
+    if residual <= 0:
+        raise ValueError("no residual bandwidth")
+    return math.ceil(Fraction(payload) / residual * 1000)
+
+
+_EQUIVOCAL = object()
+_SILENT = object()
+
+
+def _largest_clique(items: list, tol: float):
+    """Largest pairwise-agreeing subset of (key, value) items;
+    deterministic on ties (first anchor)."""
+    best = []
+    for _, anchor in items:
+        clique = [(k, v) for k, v in items if abs(v - anchor) <= tol]
+        vals = [v for _, v in clique]
+        if max(vals) - min(vals) <= tol and len(clique) > len(best):
+            best = clique
+    return best
+
+
+def exchange_vote(received, cfg) -> VoteOutcome:
+    """The exchange vote over the received-values matrix, by its rules:
+    each sender's reports from the other receivers establish it silent (a
+    majority of silences, which win a tie with the largest agreeing value
+    clique), at the median of a majority clique, or else equivocal; a lone
+    receiver's own claim stands for itself. Present senders whose value is
+    equivocal or more than the tolerance from the median of the
+    established values are flagged; two present senders that disagree, or
+    a flagged set the rest cannot out-vote, leave the outcome ambiguous."""
+    receivers = sorted(received)
+    senders = sorted({s for r in receivers for s in received[r]})
+    if len(senders) < 2:
+        raise InsufficientLanes(f"need at least 2 participants, got {len(senders)}")
+    tol = cfg.tolerance
+
+    established: dict = {}
+    for s in senders:
+        reports = [(r, received[r][s]) for r in receivers if r != s and s in received[r]]
+        if not reports:
+            established[s] = received[s][s] if s in received and s in received[s] else _EQUIVOCAL
+            continue
+        none_cluster = [(r, v) for r, v in reports if v is None]
+        value_cluster = _largest_clique([(r, v) for r, v in reports if v is not None], tol)
+        cluster = none_cluster if len(none_cluster) >= len(value_cluster) else value_cluster
+        if 2 * len(cluster) > len(reports):
+            if cluster and cluster[0][1] is None:
+                established[s] = _SILENT
+            else:
+                established[s] = statistics.median(v for _, v in cluster)
+        else:
+            established[s] = _EQUIVOCAL
+
+    silent = frozenset(s for s, e in established.items() if e is _SILENT)
+    present = [s for s in senders if s not in silent]
+    numeric = {s: established[s] for s in present if established[s] is not _EQUIVOCAL}
+
+    if not numeric:
+        return VoteOutcome(frozenset(present), ambiguous=bool(present),
+                           silent=silent)
+
+    if len(present) == 2 and len(numeric) == 2:
+        a, b = numeric
+        if abs(numeric[a] - numeric[b]) > tol:
+            return VoteOutcome(frozenset(present), ambiguous=True, silent=silent)
+
+    consensus = statistics.median(numeric.values())
+    flagged = {s for s in present
+               if established[s] is _EQUIVOCAL or abs(numeric[s] - consensus) > tol}
+    unflagged = [s for s in present if s not in flagged]
+    if flagged and len(unflagged) <= len(flagged):
+        return VoteOutcome(frozenset(flagged), ambiguous=True, silent=silent)
+    return VoteOutcome(frozenset(flagged), silent=silent)

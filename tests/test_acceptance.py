@@ -33,7 +33,7 @@ from lanesim.sim import run
 from lanesim.timing import transfer_time
 
 from metrics_oracle import metrics_document
-from oracles import catchup_time, task_utilization
+from oracles import catchup_time, message_demand, task_utilization
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system, triplex_system)
 
@@ -316,7 +316,7 @@ def test_criterion_7_transfer_arithmetic(capsys):
             rec = result.records[0]
 
             model = build_system(system)
-            baseline = 3 * sum(t.message_demand
+            baseline = 3 * sum(message_demand(t)
                                for app in model.applications
                                for t in app.tasks)
             avail = model.bus.max_load - baseline

@@ -99,13 +99,17 @@ Per-call contracts, one override each:
   periods give.
 - ``_silenced``, ``_halted``, ``_skew_for``, ``_directive_causes``,
   ``_sensor_faults``: each answer is the settled scan's. A shutdown's
-  causes are compared in fault id order, since the engine promises no
-  order there, and a copy asks for its skew at most once a task vote.
-- ``_hosted``, ``_copies_in``: each answer is a full scan of the copies. A
-  scope's copies come place by place, in the lanes' spec order, and in
-  copy id order within a place.
-- ``_directive_victims``: a transient shutdown restabilizes the active
-  copies in scope, a permanent one withdraws every copy still in service
+  causes, ``_directive_causes(key)`` of a scope's key, are compared in
+  fault id order, since the engine promises no order there, with the
+  faults whose target overlaps the scope the key names by coordinates;
+  a copy asks for its skew at most once a task vote.
+- ``_hosted``, ``_copies_in``: each answer is a full scan of the copies.
+  ``_copies_in(key)`` gives the copies inside the scope the key names by
+  coordinates, place by place, in the lanes' spec order, and in copy id
+  order within a place.
+- ``_directive_victims``: ``_directive_victims(key, transient)`` of a
+  shutdown: a transient one restabilizes the active copies in the scope
+  the key names, a permanent one withdraws every copy still in service
   there, and none applies while the proof holds.
 - ``_bit_check``: a place is offered the faults the sweep's scan found,
   and the engine asks ``bit_detects`` of those alone.
@@ -142,7 +146,7 @@ from lanesim.sim import Engine, EventKind
 from lanesim.timing import ProcessorState
 
 from metrics_oracle import metrics_document
-from oracles import contains, overlaps, task_utilization
+from oracles import contains, message_demand, overlaps, task_utilization
 from scenario_builders import (lane_fault, proc_fault, scenario_doc,
                                single_app_system)
 from golden.generated import SEEDS, generated_scenario
@@ -173,6 +177,14 @@ def _copy_scope(rt):
 @functools.cache
 def _task_scope(lane, proc, app, task):
     return FaultTarget(TargetKind.TASK, lane=lane, proc=proc, app=app, task=task)
+
+
+@functools.cache
+def _scope(key):
+    """The shutdown scope a key names, built from its coordinates: a
+    lane's, a processor's or a task copy's."""
+    kind = {1: TargetKind.LANE, 2: TargetKind.PROCESSOR, 4: TargetKind.TASK}[len(key)]
+    return FaultTarget(kind, **dict(zip(("lane", "proc", "app", "task"), key)))
 
 
 @functools.cache
@@ -302,7 +314,7 @@ class CheckedEngine(Engine):
         is the model's, which outlives the run."""
         got = self._figures.get(id(spec))
         if got is None:
-            got = self._figures[id(spec)] = (spec.message_demand, task_utilization(
+            got = self._figures[id(spec)] = (message_demand(spec), task_utilization(
                 spec.wcet_us, spec.period_us, spec.deadline_us))
         return got
 
@@ -770,11 +782,12 @@ class CheckedEngine(Engine):
              and contains(f.target, _copy_scope(rt))), None))
         return got
 
-    def _directive_causes(self, d):
+    def _directive_causes(self, key):
         # the engine promises no order here: compare in fault id order
-        got = super()._directive_causes(d)
+        got = super()._directive_causes(key)
+        scope = _scope(key)
         self._agree("causes", sorted(got, key=lambda f: f.fault_id),
-                    lambda fs: sorted((f for f in fs if overlaps(f.target, d)),
+                    lambda fs: sorted((f for f in fs if overlaps(f.target, scope)),
                                       key=lambda f: f.fault_id))
         return got
 
@@ -848,17 +861,18 @@ class CheckedEngine(Engine):
         self.checks += 1
         super()._police(watched, consensus, ref)
 
-    def _copies_in(self, scope):
-        got = super()._copies_in(scope)
+    def _copies_in(self, key):
+        got = super()._copies_in(key)
         assert got == [rt for rt in self._copies_by_place()
-                       if contains(scope, _copy_scope(rt))]
+                       if contains(_scope(key), _copy_scope(rt))]
         self.checks += 1
         return got
 
-    def _directive_victims(self, d, transient):
+    def _directive_victims(self, key, transient):
         # called once for each ShutdownApplied, before its row
-        assert not self._proof, f"{d} shut down at {self.now}us under the proof"
-        got = super()._directive_victims(d, transient)
+        assert not self._proof, f"{key} shut down at {self.now}us under the proof"
+        got = super()._directive_victims(key, transient)
+        d = _scope(key)
         # a transient shutdown restabilizes the active copies; a permanent
         # one withdraws every copy still in service, and kills its places
         assert got == [rt for rt in self._copies_by_place() if contains(d, _copy_scope(rt))
@@ -1187,7 +1201,7 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
     # read before the shutdown, which takes them out of the lists
     lane0 = [rt for rts in engine._proc_copies.values() for rt in rts
              if rt.place[0] == 0]
-    engine._apply_directives([f.target for f in active])
+    engine._apply_directives([f.target.key for f in active])
 
     assert lane0 and all(rt.health is Health.SHUTDOWN for rt in lane0)
     assert not any(rts for place, rts in engine._proc_copies.items()
@@ -1204,7 +1218,7 @@ def test_overlapping_permanent_scopes_withdraw_each_copy_once():
         assert ps.admitted.utilization == left.utilization
         assert ps.admitted.priorities() == ps.prios == left.priorities()
     assert engine.bus.current_load == start_load - sum(
-        rt.spec.message_demand for rt in lane0)
+        message_demand(rt.spec) for rt in lane0)
 
 
 def _two_task_system(lanes):

@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lanesim.fault import (
     Consensus,
@@ -24,6 +24,7 @@ from lanesim.fault import (
 )
 from lanesim.model import TimingConfig
 
+import oracles
 from oracles import contains, overlaps
 
 CFG = VoterConfig(tolerance=0.5)
@@ -309,6 +310,59 @@ def test_exchange_vote_needs_two_participants():
         exchange_vote({0: {0: 1.0}}, CFG)
 
 
+_CLAIMS = st.one_of(
+    st.none(),                                      # heard nothing
+    st.sampled_from([9.5, 9.75, 10.0, 10.25, 10.5, 11.0]),   # 0.25 apart, exact
+    st.floats(-100, 100))
+_VOTERS = st.builds(VoterConfig, tolerance=st.sampled_from([0.25, 0.5, 1.0]),
+                    consensus=st.sampled_from(list(Consensus)))
+
+
+@st.composite
+def _matrices(draw):
+    """A received-values matrix over 2-4 lanes: each receiver's claim of
+    each sender absent, silent or a value, its own included now and then;
+    one receiver alone at times."""
+    lanes = list(range(draw(st.integers(2, 4))))
+    receivers = draw(st.lists(st.sampled_from(lanes), min_size=1,
+                              max_size=len(lanes), unique=True))
+    received = {}
+    for r in receivers:
+        claims = {}
+        for s in lanes:
+            if draw(st.integers(0, 9)) < (1 if s == r else 8):
+                claims[s] = draw(_CLAIMS)
+        received[r] = claims
+    return received
+
+
+def _outcome(vote, received, cfg):
+    """The vote's outcome, or the type of what it raised: fewer than two
+    participants, or a lone receiver's own claim of silence, which both
+    votes take as its value."""
+    try:
+        return vote(received, cfg)
+    except (InsufficientLanes, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=1000)
+@given(_matrices(), _VOTERS)
+@example({0: {1: 10.0, 2: 10.0}, 1: {0: None, 2: 10.0}, 2: {0: 10.0, 1: 10.0}},
+         VoterConfig())                             # silence ties a value
+@example({0: {1: None, 2: None}, 1: {0: 10.5, 2: 10.0}, 2: {0: 10.0, 1: None}},
+         VoterConfig())                             # values tolerance apart
+@example({0: {1: 10.0, 2: 12.0}}, VoterConfig())    # a lone receiver
+@example({0: {1: 10.5, 2: 10.5, 3: 10.5}, 1: {0: 9.5, 2: 10.5, 3: 10.5},
+          2: {0: 10.0, 1: 10.5, 3: 10.5}, 3: {0: 10.5, 1: 10.5, 2: 10.5}},
+         VoterConfig())                             # a clique agrees pairwise
+def test_the_exchange_kernel_agrees_with_the_reference_vote(received, cfg):
+    # the kernel reads each sender's reports as a list of floats and a
+    # count of silences; the reference reads (receiver, value) pairs
+    assert (_outcome(exchange_vote, received, cfg)
+            == _outcome(oracles.exchange_vote, received, cfg))
+
+
 # --- BIT visibility ------------------------------------------------
 
 
@@ -378,36 +432,47 @@ def test_bit_detects_only_visible_faults_and_each_on_its_own_place(
 # --- classification ------------------------------------------------
 
 
+def _classify(implicated, hosted):
+    """classify handed what the engine hands it, from a map of every
+    place's hosted copies: each implicated place's copies, and for each
+    implicated lane how many of its places host any."""
+    lanes = {copy[0] for copy in implicated}
+    return classify(
+        implicated,
+        {copy[:2]: hosted.get(copy[:2], set()) for copy in implicated},
+        {lane: sum(1 for place, keys in hosted.items() if place[0] == lane and keys)
+         for lane in lanes})
+
+
 def test_classify_single_copy_is_task_granularity():
     hosted = {(0, 0): {(1, 1), (2, 2)}}
-    directives = classify({(0, 0, 1, 1)}, hosted)
-    assert directives == [
-        FaultTarget(TargetKind.TASK, 0, 0, 1, 1)]
+    directives = _classify({(0, 0, 1, 1)}, hosted)
+    assert directives == [(0, 0, 1, 1)]
 
 
 def test_classify_full_processor():
     hosted = {(0, 0): {(1, 1), (2, 2)}, (0, 1): {(3, 3)}}
-    directives = classify({(0, 0, 1, 1), (0, 0, 2, 2)}, hosted)
-    assert directives == [FaultTarget(TargetKind.PROCESSOR, 0, 0)]
+    directives = _classify({(0, 0, 1, 1), (0, 0, 2, 2)}, hosted)
+    assert directives == [(0, 0)]
 
 
 def test_classify_whole_lane_needs_two_full_processors():
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2)}, (1, 0): {(1, 1)}}
-    directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert directives == [FaultTarget(TargetKind.LANE, 0)]
+    directives = _classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
+    assert directives == [(0,)]
 
 
 def test_classify_single_processor_lane_stays_processor_granularity():
     hosted = {(0, 0): {(1, 1)}, (1, 0): {(1, 1)}}
-    directives = classify({(0, 0, 1, 1)}, hosted)
-    assert directives == [FaultTarget(TargetKind.PROCESSOR, 0, 0)]
+    directives = _classify({(0, 0, 1, 1)}, hosted)
+    assert directives == [(0, 0)]
 
 
 def test_classify_partial_lane_yields_mixed_directives():
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2), (3, 3)}}
-    directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert FaultTarget(TargetKind.PROCESSOR, 0, 0) in directives
-    assert FaultTarget(TargetKind.TASK, 0, 1, 2, 2) in directives
+    directives = _classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
+    assert (0, 0) in directives
+    assert (0, 1, 2, 2) in directives
     assert len(directives) == 2
 
 
@@ -416,8 +481,8 @@ def test_classify_empty_spares_do_not_block_lane_escalation():
     # processors that host copies
     hosted = {(0, 0): {(1, 1)}, (0, 1): {(2, 2)}, (0, 2): set(),
               (1, 0): {(1, 1)}}
-    directives = classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
-    assert directives == [FaultTarget(TargetKind.LANE, 0)]
+    directives = _classify({(0, 0, 1, 1), (0, 1, 2, 2)}, hosted)
+    assert directives == [(0,)]
 
 
 def test_classify_orders_lane_then_processor_then_task_scopes():
@@ -425,31 +490,47 @@ def test_classify_orders_lane_then_processor_then_task_scopes():
               (1, 0): {(1, 1)}, (1, 1): {(2, 2)}, (2, 0): {(1, 1)}}
     implicated = {(0, 1, 3, 3), (0, 0, 1, 1), (1, 0, 1, 1), (1, 1, 2, 2),
                   (2, 0, 1, 1)}
-    assert classify(implicated, hosted) == [
-        FaultTarget(TargetKind.LANE, lane=1),
-        FaultTarget(TargetKind.PROCESSOR, lane=0, proc=0),
-        FaultTarget(TargetKind.PROCESSOR, lane=2, proc=0),
-        FaultTarget(TargetKind.TASK, lane=0, proc=1, app=3, task=3),
+    assert _classify(implicated, hosted) == [
+        (1,),
+        (0, 0),
+        (2, 0),
+        (0, 1, 3, 3),
     ]
 
 
+def _scopes_by_rule(implicated, hosted):
+    """The scopes README's rule gives, read off the full map of hosted
+    copies: a processor is taken whole when it hosts a copy and every
+    copy it hosts is implicated; a lane is taken whole when at least two
+    of its processors host copies and every one of them is taken whole.
+    Lanes first, then processors, then task copies, each sorted."""
+    whole = {place for place, keys in hosted.items()
+             if keys and all((*place, *key) in implicated for key in keys)}
+    lanes = set()
+    for lane in {copy[0] for copy in implicated}:
+        hosting = [p for p, keys in hosted.items() if p[0] == lane and keys]
+        if len(hosting) >= 2 and all(p in whole for p in hosting):
+            lanes.add(lane)
+    procs = {copy[:2] for copy in implicated} & whole
+    return ([(lane,) for lane in sorted(lanes)]
+            + sorted(p for p in procs if p[0] not in lanes)
+            + sorted(c for c in implicated
+                     if c[0] not in lanes and c[:2] not in procs))
+
+
 _places = [(lane, proc) for lane in range(3) for proc in range(3)]
+_task_keys = [(app, task) for app in (1, 2) for task in (1, 2)]
 _hosted_maps = st.fixed_dictionaries({place: st.sets(
-    st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=3)
-    for place in _places})
+    st.sampled_from(_task_keys), max_size=3) for place in _places})
 
 
-@given(_hosted_maps, st.data())
-def test_classify_reads_only_the_implicated_lanes(hosted, data):
-    # the engine hands classify the places of the implicated copies'
-    # lanes alone: the scopes must be those of the full map
-    copies = sorted((*place, *key) for place, keys in hosted.items()
-                    for key in keys)
-    implicated = data.draw(st.sets(st.sampled_from(copies)) if copies
-                           else st.just(set()))
-    lanes = {copy[0] for copy in implicated}
-    assert classify(implicated, hosted) == classify(implicated, {
-        place: keys for place, keys in hosted.items() if place[0] in lanes})
+@given(_hosted_maps, st.sets(st.sampled_from(
+    [(*place, *key) for place in _places for key in _task_keys])))
+def test_classify_reads_only_the_implicated_lanes(hosted, implicated):
+    # the engine hands classify the implicated places' copies and a count
+    # per implicated lane: the scopes must be those the rule reads off
+    # every place's copies, implicated copies a place no longer hosts too
+    assert _classify(implicated, hosted) == _scopes_by_rule(implicated, hosted)
 
 
 # --- scopes ------------------------------------------------

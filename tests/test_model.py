@@ -21,6 +21,7 @@ from lanesim.model import (
 from lanesim.sim import Engine
 from lanesim.timebase import frac
 
+from oracles import message_demand
 from scenario_builders import scen, triplex_system
 
 
@@ -55,14 +56,16 @@ def test_durations_become_integer_microseconds():
     assert spec.period_us == 12500
     assert spec.deadline_us == 12500
     # message demand is exact: 1 unit / 12.5 ms
-    assert spec.message_demand == Fraction(1000, 12500)
+    assert spec.messages[0].demand_ratio == (1000, 12500)
+    assert message_demand(spec) == Fraction(1000, 12500)
 
 
 def test_task_and_message_sizes_are_fractions():
     model = build_system(triplex_system())
     spec = _app(model, 1).task(1)
     assert spec.code_size == Fraction(40)
-    assert spec.message_demand == Fraction(1, 20)
+    assert spec.messages[0].size == Fraction(1)
+    assert message_demand(spec) == Fraction(1, 20)
 
 
 def test_unknown_architecture_is_malformed():

@@ -249,7 +249,7 @@ def test_admission_rejection_degrades_the_task():
 
 def test_bus_rejection_degrades_the_task():
     chatty = _task(size=100)  # 5 units/ms against a nearly full bus
-    bus = BusState(Fraction(10)).with_demand(Fraction(8))
+    bus = BusState(Fraction(10)).with_demand((8, 1))
     plan = select_spare([_failed(chatty)], dict([_spare(0, 3)]), bus, CFG,
                         restricted=True)
     assert plan.degraded == [1]

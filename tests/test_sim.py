@@ -40,7 +40,7 @@ from lanesim.jitter import InsufficientInstances, measure_jitter
 from lanesim.processor import schedule_processor
 
 from metrics_oracle import metrics_document
-from oracles import contains
+from oracles import contains, message_demand
 from scenario_builders import (
     lane_fault,
     proc_fault,
@@ -550,7 +550,7 @@ def test_a_spare_shut_down_during_transfer_gets_no_copy():
     assert sorted(rt.place for rt in in_service) == [(1, 0), (2, 0)]
     assert len(engine.sets[(0, 3)].admitted) == 0
     assert engine.bus.current_load == sum(
-        rt.spec.message_demand for group in engine.groups.values()
+        message_demand(rt.spec) for group in engine.groups.values()
         for rts in group.values() for rt in rts)
     assert result.final_coverage[1][0] is CoverageLevel.DUPLEX
 

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lanesim.model import TaskSpec, TimingConfig, build_system
+from lanesim.model import MessageSpec, TaskSpec, TimingConfig, build_system
 from lanesim.scenario import parse_scenario
 from lanesim.sim import Engine
+from lanesim.timebase import frac, lcm_sum, ms_to_us
 from lanesim.timing import (
     AdmissionDecision,
     BusState,
@@ -24,7 +25,8 @@ from lanesim.timing import (
     transfer_time,
 )
 
-from oracles import catchup_time, task_utilization
+from oracles import (bus_admits, bus_transfer_us, catchup_time, message_demand,
+                     task_utilization)
 from scenario_builders import scenario_doc, single_app_system, triplex_system
 
 CFG = TimingConfig(utilization_bound=Fraction(69, 100), police_rounds=3,
@@ -111,22 +113,36 @@ def test_admit_task_uses_the_spec_fields():
     assert decision.resulting_utilization == Fraction(69, 100)
 
 
+def _pair(demand: Fraction) -> tuple[int, int]:
+    """A demand as the integer pair the bus takes."""
+    return demand.numerator, demand.denominator
+
+
 def test_bus_state_keeps_one_load():
     bus = BusState(Fraction(10))
-    bus = bus.with_demand(Fraction(3))
-    bus = bus.with_demand(Fraction(4))
+    bus = bus.with_demand((3, 1))
+    bus = bus.with_demand((8, 2))
     assert bus.current_load == 7
-    assert bus.without_demand(Fraction(3)).current_load == 4
+    assert bus.without_demand((3, 1)).current_load == 4
     assert bus.current_load == 7      # a state is a value
     assert available_transfer_bandwidth(bus) == 3
+    assert available_transfer_bandwidth(bus.with_demand((3, 1))) == 0
 
 
 def test_check_comms_boundary():
-    bus = BusState(Fraction(10)).with_demand(Fraction(9))
-    fits = check_comms(bus, Fraction(1))
+    bus = BusState(Fraction(10)).with_demand((9, 1))
+    fits = check_comms(bus, (1, 1))
     assert fits.accepted and fits.resulting_utilization == 10
-    over = check_comms(bus, Fraction(2))
+    over = check_comms(bus, (2, 1))
     assert not over.accepted
+
+
+def test_the_bus_helpers_read_a_float_as_its_decimal_text():
+    # as a document's numbers are read (timebase.frac), not by the float's
+    # binary value: 0.1 units at 1 unit/ms take 100 us, not 101
+    assert transfer_time(0.1, 1) == 100
+    assert BusState(0.3).max_load == Fraction(3, 10)
+    assert BusState(10, 0.3).current_load == Fraction(3, 10)
 
 
 def test_transfer_time_rounds_up_to_whole_microseconds():
@@ -248,15 +264,15 @@ _LOADS = st.fractions(min_value=0, max_value=50, max_denominator=10**6)
                     max_denominator=10**6), _LOADS, _LOADS)
 @example(Fraction(10), Fraction(9), Fraction(1))   # exactly at the cap
 def test_comms_decision_is_pinned(max_load, load, demand):
-    bus = BusState(max_load).with_demand(load)
+    bus = BusState(max_load).with_demand(_pair(load))
     resulting = load + demand
     accepted = resulting <= max_load
     reason = None if accepted else (
         f"bus demand {float(resulting):.6f}/ms exceeds max load "
         f"{float(max_load):.6f}/ms")
-    decision = check_comms(bus, demand)
+    decision = check_comms(bus, _pair(demand))
     _pin_decision(decision, accepted, resulting, reason)
-    assert check_comms(bus, demand) == decision
+    assert check_comms(bus, _pair(demand)) == decision
 
 
 def test_a_refusal_past_float_range_raises_when_it_is_made():
@@ -265,8 +281,8 @@ def test_a_refusal_past_float_range_raises_when_it_is_made():
     # Utilizations and the baseline bus load of a document are finite.
     huge = Fraction(10**400)
     with pytest.raises(OverflowError):
-        check_comms(BusState(huge), 2 * huge)
-    assert check_comms(BusState(2 * huge), huge).accepted
+        check_comms(BusState(huge), _pair(2 * huge))
+    assert check_comms(BusState(2 * huge), _pair(huge)).accepted
 
 
 # The totals are kept as running sums, and the rank order as the entries'
@@ -323,14 +339,14 @@ def test_bus_load_total_equals_a_fresh_sum(start, ops):
     held = list(start)
     bus = BusState(Fraction(100))
     for demand in held:
-        bus = bus.with_demand(demand)
+        bus = bus.with_demand(_pair(demand))
     for op, arg in ops:
         before, before_load = bus, bus.current_load
         if op == "with":
-            bus = bus.with_demand(arg)
+            bus = bus.with_demand(_pair(arg))
             held.append(arg)
         elif held:
-            bus = bus.without_demand(held.pop(arg % len(held)))
+            bus = bus.without_demand(_pair(held.pop(arg % len(held))))
         assert before.current_load == before_load    # states are values
         assert bus.current_load == sum(held, Fraction(0))
         assert isinstance(bus.current_load, Fraction)
@@ -419,11 +435,69 @@ def test_the_bus_baseline_is_the_exact_sum(messages, lanes):
                        Fraction(0))
     chain = BusState(Fraction(10**9))
     for task in engine.model.applications[0].tasks:
-        demands = [Fraction(m.size) * 1000 / m.period_us for m in task.messages]
-        assert task.message_demand == sum(demands, Fraction(0))
+        demands = [m.demand_ratio for m in task.messages]
+        assert Fraction(*lcm_sum(demands)) == message_demand(task)
         for _ in range(lanes):
             for demand in demands:
                 chain = chain.with_demand(demand)
     load = engine.bus.current_load
     assert load == want == chain.current_load
     assert type(load) is Fraction
+
+
+# The bus keeps its load as an integer pair, and the engine's reservations
+# (lcm_sum of a task's message pairs), give-backs and transfers run on it.
+# Every generated document has integral message, code and snapshot sizes,
+# so no sweep reaches a non-integral demand or payload: these sizes,
+# periods and capacities are drawn here, against the rule stated with
+# Fractions in tests/oracles.py.
+
+_BUS_SIZES = st.sampled_from([0.1, 2.5, 0.3, 1, 7, 0.125, 3.3])
+_BUS_PERIODS_MS = st.sampled_from([0.3, 1, 2.5, 12.5, 0.7])
+_MESSAGES = st.lists(st.tuples(_BUS_SIZES, _BUS_PERIODS_MS), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2.5, 7.3, 10.1, 0.9, Fraction(31, 3)]),
+       st.lists(st.one_of(
+           st.tuples(st.just("reserve"), _MESSAGES),
+           st.tuples(st.just("give back"), st.integers(0, 30)),
+           st.tuples(st.just("transfer"), st.sampled_from(
+               [0.1, 2.5, 40, 0.3, 1000, Fraction(7, 3)]))),
+           max_size=30))
+@example(2.5, [("reserve", [(2.5, 1)]), ("transfer", 0.1)])   # exactly full
+@example(0.9, [("reserve", [(0.1, 0.3), (0.3, 0.7)]), ("transfer", 2.5),
+               ("give back", 0), ("transfer", 0.1)])
+def test_the_integer_bus_follows_the_fraction_rule(max_load, ops):
+    bus = BusState(max_load)
+    cap = frac(max_load)
+    held = []           # the reserved tasks' messages
+    load = Fraction(0)
+    for op, arg in ops:
+        if op == "reserve":
+            task = _task(messages=[MessageSpec(i, frac(size), ms_to_us(period))
+                                   for i, (size, period) in enumerate(arg)])
+            demand = message_demand(task)
+            pair = lcm_sum([m.demand_ratio for m in task.messages])
+            decision = check_comms(bus, pair)
+            assert decision.accepted == bus_admits(load, demand, cap)
+            assert decision.resulting_utilization == load + demand
+            if decision.accepted:
+                bus = bus.with_demand(pair)
+                held.append(task)
+                load += demand
+        elif op == "give back":
+            if held:
+                task = held.pop(arg % len(held))
+                bus = bus.without_demand(lcm_sum(
+                    [m.demand_ratio for m in task.messages]))
+                load -= message_demand(task)
+        elif cap > load:
+            assert transfer_time(arg, available_transfer_bandwidth(bus)) == (
+                bus_transfer_us(frac(arg), load, cap))
+        else:
+            assert available_transfer_bandwidth(bus) == 0
+            with pytest.raises(NoBandwidth):
+                transfer_time(arg, available_transfer_bandwidth(bus))
+        assert bus.current_load == load
+        assert bus.max_load == cap
