@@ -10,9 +10,13 @@ rank order, since the admitted set is held in that order: a dispatch walks
 copy's history replay) is keyed outside those ranks, so it ranks below
 every task and takes the time no task job wants, lowest key first.
 Time is charged lazily, when the caller touches the processor.
-What runs is always the best ready job, so a release chooses again only
-when the new job can win: nothing runs, it replaces the running job, or it
-outranks it. Each change of what runs moves the generation on and tells
+What runs is always the best ready job, so a new job needs a choice only
+when it can win: nothing runs, it replaces the running job, or it
+outranks it. ``file`` adds a job and answers whether it can; ``release``
+chooses again when it can. The engine files every job of a release
+instant and then chooses once, which ends on the job that releasing them
+one at a time would: a job that cannot beat the running one cannot beat
+one that does. Each change of what runs moves the generation on and tells
 ``wake`` when the job that now runs will finish. The base ``wake`` records
 that instant in ``wake_us``; the engine's sets push an event instead. A
 wake-up is stale when its generation is old, and ``finish`` then returns
@@ -101,19 +105,24 @@ class Processor:
         if chosen is not None:
             self.wake(now + chosen.remaining_us)
 
-    def release(self, job: Job, now: int):
-        """Make a job ready, replacing any earlier job under its key."""
+    def file(self, job: Job, now: int) -> bool:
+        """Make a job ready without choosing again, replacing any earlier
+        job under its key, and tell whether it can change what runs."""
         self.charge(now)
         self.jobs[job.key] = job
         # what runs is the best ready job; only a job that replaces it (an
         # equal key) or outranks it by (rank, key) changes the choice
         running = self.running
-        if running is not None:
-            prios, last = self.prios, len(self.prios)
-            if (prios.get(running.key, last), running.key) < (
-                    prios.get(job.key, last), job.key):
-                return
-        self.dispatch(now)
+        if running is None:
+            return True
+        prios, last = self.prios, len(self.prios)
+        return (prios.get(job.key, last), job.key) <= (
+            prios.get(running.key, last), running.key)
+
+    def release(self, job: Job, now: int):
+        """Make a job ready, replacing any earlier job under its key."""
+        if self.file(job, now):
+            self.dispatch(now)
 
     def finish(self, gen: int, now: int) -> Job | None:
         """Finish and return the job the wake-up of generation gen was for,

@@ -20,10 +20,13 @@ instant: the release calendar maps an instant to the groups due then, and
 one ``TaskRelease`` event runs them all, in first copy id order, each one's
 copies in copy id order. No two groups' id ranges overlap and a rebuilt
 copy's id is above every initial one, so the copies are handled in the
-order one event per copy would give. A rebuilt copy is spawned by an event
-of a later rank than ``TaskRelease``, so its first instant's groups have
-run already: it gets a calendar entry and an event of its own, which pops
-next.
+order one event per copy would give. The event files every job first and
+then lets each set that a filed job can change choose once: choosing after
+each group ends on the same best ready job and start, but pushes a wake-up
+that a later group of the instant may replace. A rebuilt copy is spawned
+by an event of a later rank than ``TaskRelease``, so its first instant's
+groups have run already: it gets a calendar entry and an event of its own,
+which pops next.
 
 Each event carries the object its handler acts on:
 
@@ -604,8 +607,14 @@ class Engine:
             for i, a in enumerate(self.policies.approvals):
                 if a.at_us <= self.horizon:
                     self._push(a.at_us, _PILOT_APPROVAL, i, a)
+        # set-up gave every task one active copy per lane, and every sensor
+        # channel starts healthy: each level is the lane count, with no
+        # recount (model validation allows 2..4 lanes)
+        level = cov.CoverageLevel(len(self.model.lanes))
+        start = (level, level, level)
         for app_id in self.groups:
-            self._sample(app_id)
+            self._last_cov[app_id] = start
+            self.samples.append(cov.CoverageSample(0, app_id, *start))
 
     # -- event plumbing --------------------------------------------------------
 
@@ -676,13 +685,19 @@ class Engine:
             groups.append(copies)
 
     def _on_release(self, _data):
-        # in first copy id order, the order one event per group would pop in
+        # in first copy id order, the order one event per group would pop in;
+        # every job is filed first, then each set that a job can change
+        # chooses once, so a set pushes one wake-up for the instant
         groups = self._calendar.pop(self.now)
         groups.sort(key=_first_id)
+        touched: dict = {}
         for copies in groups:
-            self._release_group(copies)
+            self._release_group(copies, touched)
+        now = self.now
+        for ps in touched:
+            ps.dispatch(now)
 
-    def _release_group(self, copies: tuple):
+    def _release_group(self, copies: tuple, touched: dict):
         # a withdrawn copy never serves again; the group's tuple is kept
         # while none is, so a release allocates no new group, and no group
         # is scanned before the first withdrawal
@@ -708,7 +723,8 @@ class Engine:
             if self._silenced(mine[0], ps):
                 stopped.append(ps)
                 continue
-            ps.release(Job(tuple(mine), key, now, wcet), now)
+            if ps.file(Job(tuple(mine), key, now, wcet), now):
+                touched[ps] = None
             if not ps.proven:
                 unproven = True
         released = copies if not stopped else tuple(

@@ -68,7 +68,11 @@ By rank:
   processor that no fault halts, has exactly one job released there,
   owned by it on its place, and no other copy has one. The releases
   counter rises by the copies released, and across the instant's events
-  their copy ids rise;
+  their copy ids rise. After each ``TaskRelease``, every set it released
+  on runs its best ready job, as a scan of its job table finds it, and
+  holds exactly one live wake-up, at the instant that job finishes, or
+  none when nothing runs; every wake-up the event pushed is still live,
+  so no set replaced a wake-up within the event;
 - fault events, after each: the index of active faults is empty exactly
   when no non-sensor fault is active, and every copy's ``_silenced``,
   every place's ``_halted`` and each set's failed flag answer as the scan
@@ -88,7 +92,11 @@ By rank:
 Per-call contracts, one override each:
 
 - ``__init__``: capacity after set-up; each group holds its tasks in task
-  id order; the start-up sets' proof, recounted.
+  id order; the start-up sets' proof, recounted. It wraps the push every
+  set wakes through, to note each wake-up's instant and generation.
+- ``_prime_events``: each application's starting coverage sample, and
+  the coverage it keeps as last sampled, equal a recount of what set-up
+  built.
 - ``_handlers``: the wrap above.
 - ``_add_copy``: notes the instant a recovery files a copy at, its
   phase's origin; set-up's copies start at 0.
@@ -204,6 +212,23 @@ def _exact_sum(values):
     return Fraction(num, den)
 
 
+def _best_ready(ps):
+    """The job a set should run, by a scan of its job table: none on a
+    failed or dead set; else the ready task job of the lowest rank, else
+    the ready background job of the lowest key."""
+    if ps.failed or ps.dead:
+        return None
+    ready = [job for job in ps.jobs.values() if job.remaining_us > 0]
+    tasks = [job for job in ready if not job.background]
+    if tasks:
+        return min(tasks, key=lambda job: ps.prios[job.key])
+    return min(ready, key=lambda job: job.key, default=None)
+
+
+def _job_key(job):
+    return None if job is None else job.key
+
+
 def _due(rt, origin, at):
     """Does the copy's phase, from origin, fall on instant at?"""
     return at >= origin and (at - origin) % rt.spec.period_us == 0
@@ -237,6 +262,21 @@ class CheckedEngine(Engine):
         self._releases_before = 0
         self._filed = {}         # copy id -> the instant a recovery filed it
         self._made = self._copies_by_id()   # every copy ever made, by copy id
+        # set -> its wake-ups (instant, generation), pruned to the live ones
+        # when checked; and (set, generation) of those the current event
+        # pushed. Split-out sets take their parent's push, so wrapping
+        # set-up's sets reaches every set.
+        self._wakes, self._event_wakes = {}, []
+        push = self._push
+
+        def push_wake(at_us, kind, key, data):
+            ps, gen = data
+            self._wakes.setdefault(ps, []).append((at_us, gen))
+            self._event_wakes.append(data)
+            push(at_us, kind, key, data)
+
+        for ps in self.sets.values():
+            ps.push = push_wake
         # instants a DeadlineCheck must still run at, and where one may
         self._checks_due, self._check_instants = set(), set()
         self._earliest_deadline = None   # (deadline, job) over every task job
@@ -263,6 +303,20 @@ class CheckedEngine(Engine):
         # BIT-visible fault on a place
         self._every_task = {(app.app_id, t.task_id)
                             for app in self.model.applications for t in app.tasks}
+
+    def _prime_events(self):
+        super()._prime_events()
+        want = []
+        for app_id, group in self.groups.items():
+            healthy = sum(self.channels[app_id].values())
+            want.append(cov.CoverageSample(
+                0, app_id, cov.functional_coverage(group),
+                cov.zonal_coverage(group), cov.peripheral_coverage(healthy)))
+        assert self.samples == want, (
+            f"starting samples {self.samples}, recounted {want}")
+        assert self._last_cov == {
+            s.app_id: (s.functional, s.zonal, s.peripheral) for s in want}
+        self.checks += 1
 
     def _add_copy(self, rt):
         self._filed[rt.copy_id] = self.now
@@ -334,6 +388,7 @@ class CheckedEngine(Engine):
 
     def _before(self, rank, data):
         now = self.now
+        self._event_wakes = []
         self._pass(now, rank)
         if now != self._instant:
             self._arrive(now)
@@ -466,18 +521,40 @@ class CheckedEngine(Engine):
                 self._check_instants.add(deadline)
         self._released.update(ids)
         self._last_released = max(ids, default=self._last_released)
+        self._check_wakes({self.sets[rt.place]: None for rt, _ in new})
         # a copy spawned later in the instant releases after its rank
         self._release_open = now
         self.checks += 1
 
-    def _release_group(self, copies):
+    def _check_wakes(self, released_on):
+        """After a release event: each set it released on runs its best
+        ready job and holds one live wake-up, when that job finishes (none
+        if nothing runs); no wake-up the event pushed has gone stale."""
+        for ps, gen in self._event_wakes:
+            assert gen == ps.gen, (
+                f"set of {ps.members} replaced a wake-up it pushed in the "
+                f"release event at {self.now}us")
+        for ps in released_on:
+            best = _best_ready(ps)
+            assert ps.running is best, (
+                f"set of {ps.members} runs {_job_key(ps.running)} at "
+                f"{self.now}us, its best ready job is {_job_key(best)}")
+            live = self._wakes[ps] = [
+                wake for wake in self._wakes.get(ps, ()) if wake[1] == ps.gen]
+            want = [] if best is None else [(ps.since + best.remaining_us, ps.gen)]
+            assert live == want, (
+                f"set of {ps.members} at {self.now}us holds live wake-ups "
+                f"{live}, wants {want}")
+        self.checks += 1
+
+    def _release_group(self, copies, touched):
         first = copies[0].copy_id
         assert first > self._last_group, (
             f"the group of copy {first} released at {self.now}us after "
             f"the group of copy {self._last_group}")
         self._last_group = first
         self.checks += 1
-        super()._release_group(copies)
+        super()._release_group(copies, touched)
 
     def _check_released(self, at):
         """Every copy due at the instant, in service on a live processor

@@ -16,6 +16,7 @@ from golden.refusals import HOSTILE, ROUNDS
 from golden.refusals import main as write_refusals
 from golden.rehash import (GENERATED_HASHES, HASHES, RESULTS, SCENARIOS,
                            _rewrite, output_digests, scenario_digests)
+from golden.same import first_refusal_difference, first_seed_difference
 
 EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
 GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
@@ -90,3 +91,21 @@ def test_the_refusal_sweep_is_fixed_and_every_answer_is_an_exit_code(tmp_path):
     assert len(lines) == len(ROUNDS) * len(HOSTILE)
     codes = {line.split("\t")[1] for line in lines}
     assert codes == {"0", "1", "2"}
+
+
+def test_the_same_behaviour_command_names_the_first_difference():
+    # same.py compares a base's sweeps with the head's: the first seed in
+    # seed order, not in text order, and the first refused document
+    base = {"2": {"trace.tsv": "a"}, "10": {"trace.tsv": "b", RESULTS: "c"}}
+    assert first_seed_difference(base, base) is None
+    head = {"2": {"trace.tsv": "a"}, "10": {"trace.tsv": "x", RESULTS: "y"},
+            "9": {"trace.tsv": "z"}}
+    assert first_seed_difference(base, head) == "seed 9 (trace.tsv)"
+    del head["9"]
+    assert first_seed_difference(base, head) == f"seed 10 ({RESULTS}, trace.tsv)"
+    lines = "0 a 1\t0\tOK\n0 b 2\t2\tbad\n"
+    assert first_refusal_difference(lines, lines) is None
+    assert first_refusal_difference(lines, lines.replace("bad", "worse")) == (
+        "document '0 b 2'")
+    assert first_refusal_difference(lines, lines + "1 c 3\t0\tOK\n") == (
+        "2 documents against 3")

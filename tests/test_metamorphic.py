@@ -21,13 +21,23 @@ is then k times the original: completions, deadline misses, trace rows and
 the microsecond figures inside a row's detail. Faults are left out because
 ``transfer_time`` rounds each transfer up to a whole microsecond, so a
 scaled transfer may end a microsecond before k times the original.
+
+Idle processors: ``allocated`` processors that host nothing, added to
+every lane under fresh ids at drawn positions (before the spare too),
+change no byte of any output and not the ``results`` digest. No task
+starts on them, so they only widen what a lane holds: the places a lane
+fault halts, the places built-in test sweeps and the places classification
+counts for hosting. Each run is compared with the digests the golden
+corpus pins, of a hand-written golden or a generated one.
 """
 
 import copy
 import functools
 import json
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +46,9 @@ from lanesim.scenario import generate_scenario, parse_scenario
 from lanesim.sim import run
 from lanesim.timebase import ms_to_us
 
-from golden.rehash import SCENARIOS
+from golden.generated import SEEDS, generated_document
+from golden.rehash import (GENERATED_HASHES, HASHES, SCENARIOS,
+                           scenario_digests)
 
 _HORIZON_MS = 100
 _H1_MS = 60
@@ -140,3 +152,44 @@ def test_scaling_every_duration_scales_every_time_stamp(seed, apps, load,
     scaled = run(parse_scenario(_scaled(doc, _K)))
     assert scaled.horizon_us == _K * original.horizon_us
     assert _stamps(scaled) == _stamps(original, _K)
+
+
+_PINNED = json.loads(HASHES.read_text(encoding="utf-8"))
+_PINNED_GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
+
+
+def _with_idle(doc, positions):
+    """The document with one idle ``allocated`` processor per position
+    inserted into every lane's list there, under ids above every other."""
+    doc = copy.deepcopy(doc)
+    lanes = doc["system"]["lanes"]
+    fresh = 1 + max(p["proc_id"] for lane in lanes for p in lane["processors"])
+    for lane in lanes:
+        procs = lane["processors"]
+        for i, at in enumerate(positions):
+            procs.insert(min(at, len(procs)),
+                         {"proc_id": fresh + i, "role": "allocated"})
+    return doc
+
+
+# a golden by name, or a generated golden by seed
+_SOURCES = st.one_of(st.sampled_from(sorted(_PINNED)), st.sampled_from(SEEDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SOURCES, st.lists(st.integers(0, 6), min_size=1, max_size=3))
+# before the spare, after it, and between allocated processors
+@example("triplex_lane_permanent", [3])
+@example("triplex_lane_transient", [4, 4])
+@example("same_instant_faults", [0, 2, 5])
+@example(23, [9])
+def test_idle_processors_change_no_output(source, positions):
+    if isinstance(source, str):
+        doc = json.loads((SCENARIOS / f"{source}.json").read_text())
+        pinned = _PINNED[source]
+    else:
+        doc, pinned = generated_document(source), _PINNED_GENERATED[str(source)]
+    with tempfile.TemporaryDirectory() as tmp:
+        got = scenario_digests(parse_scenario(_with_idle(doc, positions)),
+                               Path(tmp))
+    assert got == pinned

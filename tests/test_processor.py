@@ -11,6 +11,13 @@ each step. Wake-ups are delivered as the engine delivers them: every one
 due by an instant before anything else at that instant. Each delivery also
 checks that the generation alone tells a stale wake-up: one of the current
 generation finishes exactly the job it was made for, an older one nothing.
+
+A burst is the engine's release instant: several jobs filed at once, then
+one ``dispatch`` if any of them can change what runs. A third processor
+takes each burst so, while the other two release its jobs one at a time.
+Its generation and stale wake-ups differ, so it is compared with the
+first, generation aside, by what runs, the job table and its live wake-up;
+the burst itself pushes at most one wake-up, which is live.
 A second property checks that an engine set, fresh, split out or grown,
 dispatches by the ranks its admitted set's ``priorities`` gives, which are
 taken in their key order with no second sort.
@@ -52,6 +59,15 @@ class _AlwaysDispatch(_Recorder):
         self.dispatch(now)
 
 
+class _Burst(_Recorder):
+    """The engine's way: a burst files every job, then chooses once."""
+
+    def burst(self, jobs, now):
+        # a list, not a generator: every job is filed, whatever any says
+        if any([self.file(job, now) for job in jobs]):
+            self.dispatch(now)
+
+
 def _job_view(job):
     return None if job is None else (
         job.key, job.release_us, job.remaining_us, job.start_us, job.background)
@@ -61,6 +77,15 @@ def _view(cpu):
     return (_job_view(cpu.running), cpu.gen, cpu.since, cpu.failed,
             {key: _job_view(job) for key, job in cpu.jobs.items()},
             [(at, gen, _job_view(job)) for at, gen, job in cpu.wakes])
+
+
+def _choice_view(cpu):
+    """What a processor runs and holds, generation aside: its live wake-up
+    stands for the generation."""
+    return (_job_view(cpu.running), cpu.since, cpu.failed,
+            {key: _job_view(job) for key, job in cpu.jobs.items()},
+            [(at, _job_view(job)) for at, gen, job in cpu.wakes
+             if gen == cpu.gen])
 
 
 def _deliver(cpu, until):
@@ -90,6 +115,9 @@ _OPS = st.one_of(
     st.tuples(st.just("stale"), st.sampled_from(_TASK_KEYS + _BACKGROUND_KEYS)),
     st.tuples(st.just("halt")),
     st.tuples(st.just("resume")),
+    st.tuples(st.just("burst"), st.lists(
+        st.tuples(st.sampled_from(_TASK_KEYS + _BACKGROUND_KEYS),
+                  st.integers(1, 6)), min_size=2, max_size=5)),
 )
 
 
@@ -102,19 +130,35 @@ _OPS = st.one_of(
 @example([0, 1, 2, 3], [(0, ("release", 2, 5)), (1, ("release", 2, 5))])
 @example([0, 1, 2, 3], [(0, ("release", 11, 5)), (1, ("release", 10, 5)),
                         (0, ("release", 1, 2))])
+# bursts: each later key outranks the earlier ones; one replaces a pending
+# job under its key; one replaces the running job and files a job below it
+@example([0, 1, 2, 3], [(0, ("release", 3, 9)),
+                        (1, ("burst", [(3, 2), (2, 2), (1, 2), (0, 2)]))])
+@example([0, 1, 2, 3], [(0, ("burst", [(1, 5), (2, 3), (1, 3), (10, 4)]))])
+@example([2, 0, 3, 1], [(0, ("release", 2, 6)),
+                        (2, ("burst", [(2, 4), (3, 1), (11, 2)]))])
 def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
     # keys listed in rank order, as ProcessorState.priorities lists them
     prios = dict(sorted(zip(_TASK_KEYS, ranks), key=lambda kr: kr[1]))
-    cpus = [_Recorder(prios), _AlwaysDispatch(prios)]
+    cpus = [_Recorder(prios), _AlwaysDispatch(prios), _Burst(prios)]
     now = 0
     for dt, (op, *args) in steps:
         now += dt
+        filed = [args] if op == "release" else args[0] if op == "burst" else []
         for cpu in cpus:
             _deliver(cpu, now)
-            if op == "release":
-                key, wcet = args
-                cpu.release(Job(None, key, now, wcet,
-                                background=key in _BACKGROUND_KEYS), now)
+            if filed:
+                jobs = [Job(None, key, now, wcet,
+                            background=key in _BACKGROUND_KEYS)
+                        for key, wcet in filed]
+                if isinstance(cpu, _Burst):
+                    pushed = len(cpu.wakes)
+                    cpu.burst(jobs, now)
+                    assert all(gen == cpu.gen for _, gen, _ in cpu.wakes[pushed:])
+                    assert len(cpu.wakes) - pushed <= 1
+                else:
+                    for job in jobs:
+                        cpu.release(job, now)
             elif op == "drop":
                 cpu.drop(args[0], now)
             elif op == "expire":
@@ -132,6 +176,7 @@ def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
                 cpu.failed = False
                 cpu.dispatch(now)
         assert _view(cpus[0]) == _view(cpus[1]), (now, op, args)
+        assert _choice_view(cpus[2]) == _choice_view(cpus[0]), (now, op, args)
 
 
 # (app, task) keys as the engine's, and few deadlines, so that ranks tie
