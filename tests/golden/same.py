@@ -87,10 +87,6 @@ def first_refusal_difference(base: str, head: str) -> str | None:
     return None
 
 
-def _md5(path: Path) -> str:
-    return hashlib.md5(path.read_bytes()).hexdigest()[:8]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the commit to compare with")
@@ -115,7 +111,8 @@ def main(argv=None) -> int:
                     ("refusals", first_refusal_difference(old[1], new[1]),
                      head / "refusals.tsv")):
                 if diff is None:
-                    print(f"{python}: {what}: equal (md5 {_md5(written)})")
+                    md5 = hashlib.md5(written.read_bytes()).hexdigest()[:8]
+                    print(f"{python}: {what}: equal (md5 {md5})")
                 else:
                     print(f"{python}: {what}: DIFFERS at {diff}")
                     failed.append(f"{python} {what}")
