@@ -18,23 +18,24 @@ processor it runs on, and is structurally blind to Byzantine behaviour. The
 cross-monitor compares replicated output values across lanes every voting
 round; silence and wrong values both show up there.
 
-Two voters are provided. Both return a :class:`VoteOutcome`: the lanes
-flagged, whether the verdict is ambiguous, and the lanes established as
-silent, which only ``exchange_vote`` can find.
+Two voters are provided. Both return a :class:`VoteOutcome`: the places
+flagged, and whether the verdict is ambiguous. Silence is not theirs to
+find: the engine implicates every copy that emits nothing before it votes.
 
 ``cross_monitor``
-    One value per lane. A lane is flagged when its value sits more than the
-    tolerance away from the consensus of the agreeing majority among the
-    other lanes (median or mean per config). The mean is taken within the
-    range of the values it averages, where the exact mean always lies.
-    Two lanes that disagree cannot out-vote each other, and three-plus
+    One value per place (lane, proc). A place is flagged when its value
+    sits more than the tolerance away from the consensus of the agreeing
+    majority among the other places (median or mean per config; the mean
+    is clamped to the values' range, where the exact mean lies). Two
+    places that disagree cannot out-vote each other, and three-plus
     mutually divergent values have no majority; both cases come back
     ambiguous rather than flagged.
 
 ``exchange_vote``
     The full received-values matrix (what each receiver claims every sender
     sent it), read per sender as the plain list of the values its receivers
-    report and a count of those that heard nothing. Senders are flagged
+    report and a count of those that heard nothing. A sender that a
+    majority reports silent is left out of the vote. The others are flagged
     for equivocation (no majority-coherent story about what they sent) or
     for a majority-agreed value outside tolerance. A single Byzantine
     lane needs at least four lanes to be identified uniquely: with three,
@@ -148,13 +149,12 @@ class InsufficientLanes(Exception):
 class VoteOutcome:
     flagged: frozenset
     ambiguous: bool = False
-    silent: frozenset = frozenset()     # exchange_vote's silent senders
 
 
 _QUIET = VoteOutcome(frozenset())     # what every quiet vote returns
 
 
-def _median(values: list) -> float:
+def median(values: list) -> float:
     """The median of a non-empty list, as ``statistics.median`` takes it:
     the middle value, or the mean of the middle two. Sorts the list."""
     values.sort()
@@ -169,7 +169,7 @@ def _consensus_value(values: list, cfg: VoterConfig) -> float:
         # the exact mean lies in [min, max]; the float one need not:
         # (0.1 + 0.1 + 0.1) / 3 > 0.1
         return min(max(sum(values) / len(values), min(values)), max(values))
-    return _median(values)
+    return median(values)
 
 
 def _largest_clique(values: list, tol: float) -> list:
@@ -184,8 +184,9 @@ def _largest_clique(values: list, tol: float) -> list:
     return best
 
 
-def cross_monitor(values: Mapping[int, float], cfg: VoterConfig) -> VoteOutcome:
-    """Flag lanes whose value deviates from the agreeing majority of the rest."""
+def cross_monitor(values: Mapping, cfg: VoterConfig) -> VoteOutcome:
+    """Flag the places whose value deviates from the agreeing majority of
+    the rest. ``values`` maps each emitting place to its value."""
     if len(values) < 2:
         raise InsufficientLanes(f"need at least 2 lane values, got {len(values)}")
     items = sorted(values.items())
@@ -222,17 +223,18 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
 
     ``received[r][s]`` is the value receiver r claims sender s delivered
     (None for nothing received). Receivers are the participants still
-    executing; senders may include silent ones. Silence established by a
-    majority of reports is a confident implication on its own; value
+    executing; senders may include silent ones. A sender a majority of
+    reports find silent is left out of the vote, neither flagged nor
+    counted: the caller implicates its silent copies itself. Value
     disagreements fall back to majority rule and come back ambiguous when
     the coherent lanes cannot out-vote the flagged ones.
 
     Each sender's reports, what the other receivers claim of it, are read
     as the list of the values in receiver order and the count of silences.
-    A majority of silences establishes it silent, a majority value clique
-    its median, and anything else leaves it equivocal. The two cannot both
-    be majorities, so silence winning a tie with the clique never shows: a
-    tie leaves neither one.
+    A majority of silences leaves it out, a majority value clique
+    establishes its median, and anything else leaves it equivocal. The two
+    cannot both be majorities, so silence winning a tie with the clique
+    never shows: a tie leaves neither one.
     """
     receivers = sorted(received)
     senders = sorted({s for claims in received.values() for s in claims})
@@ -252,7 +254,6 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
                 heard.setdefault(s, []).append(v)
 
     established: dict = {}
-    silent = []
     for s in senders:
         values = heard.get(s)
         quiet = hushed.get(s, 0)
@@ -261,30 +262,28 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
             # s is the only receiver left; its own claim is all there is.
             established[s] = received[s][s] if s in received and s in received[s] else _EQUIVOCAL
         elif 2 * quiet > reports:
-            silent.append(s)
+            continue        # silent: out of the vote
         elif values and 2 * len(clique := _largest_clique(values, tol)) > reports:
-            established[s] = _median(clique)
+            established[s] = median(clique)
         else:
             established[s] = _EQUIVOCAL
 
-    silent = frozenset(silent)
     numeric = {s: e for s, e in established.items() if e is not _EQUIVOCAL}
 
     if not numeric:
-        return VoteOutcome(frozenset(established), ambiguous=bool(established),
-                           silent=silent)
+        return VoteOutcome(frozenset(established), ambiguous=bool(established))
 
     if len(established) == 2 and len(numeric) == 2:
         a, b = numeric.values()
         if abs(a - b) > tol:
-            return VoteOutcome(frozenset(established), ambiguous=True, silent=silent)
+            return VoteOutcome(frozenset(established), ambiguous=True)
 
-    consensus = _median(list(numeric.values()))
+    consensus = median(list(numeric.values()))
     flagged = frozenset(s for s, e in established.items()
                         if e is _EQUIVOCAL or abs(e - consensus) > tol)
     if flagged and len(established) - len(flagged) <= len(flagged):
-        return VoteOutcome(flagged, ambiguous=True, silent=silent)
-    return VoteOutcome(flagged, silent=silent)
+        return VoteOutcome(flagged, ambiguous=True)
+    return VoteOutcome(flagged)
 
 
 def bit_visible(fault: FaultSpec) -> bool:

@@ -23,7 +23,8 @@ continues one level weaker.
 The discrete-event engine (:mod:`lanesim.sim`) drives the episode through
 these phases. Its run-time state lives in the types here: a ``Copy``,
 named by its ``key`` (app, task) and its ``place`` (lane, proc), and the
-``ReconfigRecord`` of its episode. Spare selection is pure.
+``ReconfigRecord`` of its episode. Spare selection is pure; its plan's
+placements are the decisions it chose.
 """
 
 from __future__ import annotations
@@ -131,17 +132,19 @@ class ReconfigRecord:
 
 @dataclass(slots=True)
 class PlacementDecision:
+    """One spare tried for one task: its admission test and, once a spare
+    admitted the task, the bus test. It is chosen when both accept, and
+    then it is the task's placement in its plan."""
+
     task_id: int
-    lane: int
-    proc: int
+    place: tuple                        # (lane, proc)
     admission: AdmissionDecision
     comms: AdmissionDecision | None
-    chosen: bool
 
 
 @dataclass
 class PlacementPlan:
-    placements: list = field(default_factory=list)   # (task_id, lane, proc)
+    placements: list = field(default_factory=list)   # the chosen decisions, in task order
     degraded: list = field(default_factory=list)     # task_ids with no home
     decisions: list = field(default_factory=list)    # every PlacementDecision tried
     bus: BusState | None = None                      # after the plan's reservations
@@ -162,7 +165,8 @@ def select_spare(failed: list[Copy],
     ``spares`` maps each spare's (lane, proc) to the ProcessorState it has
     admitted; a spare is occupied when that state is not empty. A task's
     message demand is read, and its bus test made, once: at its first
-    spare that passes admission, as an integer pair.
+    spare that passes admission, as an integer pair. The first spare that
+    passes both tests is chosen: its decision is the task's placement.
 
     Mutates nothing: capacity is reserved under the (app, task) key in new
     spare states and a new bus, which the plan carries back to the caller.
@@ -184,15 +188,15 @@ def select_spare(failed: list[Copy],
                 # its messages' demand as one integer pair
                 demand = lcm_sum([m.demand_ratio for m in spec.messages])
                 comms = check_comms(plan.bus, demand)
-            chosen = admission.accepted and comms.accepted
-            decisions.append(PlacementDecision(
-                task_id, *place, admission,
-                comms if admission.accepted else None, chosen))
-            if chosen:
+            decision = PlacementDecision(
+                task_id, place, admission,
+                comms if admission.accepted else None)
+            decisions.append(decision)
+            if admission.accepted and comms.accepted:
                 states[place] = state.with_task(
                     f.key, spec.wcet_us, spec.period_us, spec.deadline_us)
                 plan.bus = plan.bus.with_demand(demand)
-                plan.placements.append((task_id, *place))
+                plan.placements.append(decision)
                 break
         else:
             plan.degraded.append(task_id)

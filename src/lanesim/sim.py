@@ -107,7 +107,6 @@ import bisect
 import heapq
 import itertools
 import random
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -117,7 +116,7 @@ from . import coverage as cov
 from . import timebase
 from .fault import (SCOPE_KINDS, FaultKind, TargetKind, bit_detects,
                     bit_visible, classify, cross_monitor, exchange_vote,
-                    police_matches)
+                    median, police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, Violation)
 from .processor import Job, Processor
@@ -817,11 +816,6 @@ class Engine:
             ps.failed = False
             ps.dispatch(self.now)
 
-    def _split_covered(self, key: tuple):
-        """Split out each place a lane, processor or task scope covers."""
-        for place in self._lane_places[key[0]] if len(key) == 1 else [key[:2]]:
-            self._split(place)
-
     def _on_fault_activate(self, f):
         self._proof = False
         t = f.target
@@ -833,7 +827,9 @@ class Engine:
             return
         key = t.key
         bisect.insort(self._faults_at.setdefault(key, []), f, key=rank)
-        self._split_covered(key)
+        # a task key's first two coordinates are its place
+        for place in self._places_in(key[:2]):
+            self._split(place)
         if f.kind is FaultKind.BYZANTINE:
             return
         if t.kind is TargetKind.TASK:
@@ -1048,7 +1044,7 @@ class Engine:
                 (lane, proc, app_id, task_id) for lane, proc in implicated)
 
         if watched:
-            self._police(watched, statistics.median(emitting.values())
+            self._police(watched, median([*emitting.values()])
                          if emitting else None, ref)
 
     def _exchange_matrix(self, expected, ref: float):
@@ -1339,18 +1335,15 @@ class Engine:
         # the plan already holds the reservations: adopt them
         ep.t_r_us = self.now
         self.bus = plan.bus
-        for d in plan.decisions:
-            if not d.chosen:
-                continue
-            place = (d.lane, d.proc)
-            ps = self._split(place)
+        for d in plan.placements:
+            ps = self._split(d.place)
             # the mode-change rule: a proven set that grows checks the jobs
             # it released unchecked (see the module docstring)
             if ps.proven:
                 self._check_pending(ps)
-            ps.admit(plan.states[place])
-            ep.placements[d.task_id] = place
-            self._row("SpareSelected", d.lane, d.proc, ep.app_id, d.task_id,
+            ps.admit(plan.states[d.place])
+            ep.placements[d.task_id] = d.place
+            self._row("SpareSelected", *d.place, ep.app_id, d.task_id,
                       d.admission.resulting_utilization)
         ep.degraded_tasks = tuple(plan.degraded)
         for task_id in plan.degraded:

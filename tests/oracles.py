@@ -12,6 +12,9 @@ engine merely because both run the same code:
 - the bus: the load is the sum of size/period over the messages it
   carries, a demand d is admitted when load + d <= max_load, and a
   transfer takes ceil(payload / (max_load - load) * 1000) microseconds;
+- spare selection: ``plan_spares`` plans failed tasks in the order given,
+  each at the first spare, by tier, utilization and (lane, proc), that
+  admits it, while the plan's bus admits its demand;
 - the exchange vote: ``exchange_vote`` as it read each sender's reports
   as (receiver, value) pairs and took ``statistics.median``, kept as the
   reference its list kernel is held to.
@@ -88,6 +91,42 @@ def bus_transfer_us(payload, load, max_load) -> int:
     return math.ceil(Fraction(payload) / residual * 1000)
 
 
+def plan_spares(failed, spares, bound, load, max_load, restricted):
+    """Spare selection by README's rule, in exact Fractions.
+
+    ``failed`` lists (key, home lane, utilization, demand) of each failed
+    task, key (app, task); ``spares`` maps each spare's (lane, proc) to
+    the {key: utilization} it holds. Tasks are planned in the order given.
+    A spare is usable unless it already holds the task, or, restricted, it
+    holds anything; both are read from the spares as given. The usable
+    spares rank by tier (the home lane first), then by their utilization
+    under the plan so far, then by (lane, proc). The task goes to the first
+    whose utilization plus the task's stays within the bound, provided the
+    bus load plus its demand stays within max_load; otherwise it degrades.
+
+    Returns the placements as (task id, place), the degraded task ids, the
+    bus load after the plan, and each spare's utilization after it.
+    """
+    held = {place: dict(entries) for place, entries in spares.items()}
+
+    def load_of(place):
+        return sum(held[place].values(), Fraction(0))
+
+    placements, degraded = [], []
+    for key, home, u, demand in failed:
+        usable = [place for place, entries in spares.items()
+                  if key not in entries and not (restricted and entries)]
+        ranked = sorted(usable, key=lambda p: (p[0] != home, load_of(p), p))
+        fits = [place for place in ranked if load_of(place) + u <= bound]
+        if fits and bus_admits(load, demand, max_load):
+            held[fits[0]][key] = u
+            load += demand
+            placements.append((key[1], fits[0]))
+        else:
+            degraded.append(key[1])
+    return placements, degraded, load, {place: load_of(place) for place in held}
+
+
 _EQUIVOCAL = object()
 _SILENT = object()
 
@@ -112,7 +151,8 @@ def exchange_vote(received, cfg) -> VoteOutcome:
     receiver's own claim stands for itself. Present senders whose value is
     equivocal or more than the tolerance from the median of the
     established values are flagged; two present senders that disagree, or
-    a flagged set the rest cannot out-vote, leave the outcome ambiguous."""
+    a flagged set the rest cannot out-vote, leave the outcome ambiguous.
+    A silent sender is left out: neither flagged nor counted."""
     receivers = sorted(received)
     senders = sorted({s for r in receivers for s in received[r]})
     if len(senders) < 2:
@@ -141,18 +181,17 @@ def exchange_vote(received, cfg) -> VoteOutcome:
     numeric = {s: established[s] for s in present if established[s] is not _EQUIVOCAL}
 
     if not numeric:
-        return VoteOutcome(frozenset(present), ambiguous=bool(present),
-                           silent=silent)
+        return VoteOutcome(frozenset(present), ambiguous=bool(present))
 
     if len(present) == 2 and len(numeric) == 2:
         a, b = numeric
         if abs(numeric[a] - numeric[b]) > tol:
-            return VoteOutcome(frozenset(present), ambiguous=True, silent=silent)
+            return VoteOutcome(frozenset(present), ambiguous=True)
 
     consensus = statistics.median(numeric.values())
     flagged = {s for s in present
                if established[s] is _EQUIVOCAL or abs(numeric[s] - consensus) > tol}
     unflagged = [s for s in present if s not in flagged]
     if flagged and len(unflagged) <= len(flagged):
-        return VoteOutcome(frozenset(flagged), ambiguous=True, silent=silent)
-    return VoteOutcome(frozenset(flagged), silent=silent)
+        return VoteOutcome(frozenset(flagged), ambiguous=True)
+    return VoteOutcome(frozenset(flagged))

@@ -103,6 +103,28 @@ def test_bit_runs_as_one_event_per_period(monkeypatch, scenario):
         settings.horizon_us // settings.bit_period_us)
 
 
+def test_the_tracer_counts_one_placement_a_spare_selected(monkeypatch):
+    # reconfig.placed_ratio reads Tracer.placed, the length of each plan's
+    # placements; installed under the benchmark's own names, so that its
+    # observers attach, it must count the SpareSelected rows
+    tracer = _tracer(monkeypatch).Tracer()
+    ls = SimpleNamespace(cli=lanesim.cli, coverage=lanesim.coverage,
+                         fault=lanesim.fault, scenario=lanesim.scenario,
+                         sim=lanesim.sim, timing=lanesim.timing)
+    selected = 0
+    tracer.install(ls)
+    try:
+        # the four goldens test_every_traced_probe_counts_a_call runs
+        for name in ("triplex_bit_detection", "quadruplex_byzantine_per_receiver",
+                     "spare_dies_in_transfer", "triplex_processor_permanent"):
+            scenario = ls.scenario.load_scenario(GOLDEN / f"{name}.json")
+            result = ls.sim.Engine(scenario).run()
+            selected += sum(row[1] == "SpareSelected" for row in result.rows)
+    finally:
+        tracer.remove()
+    assert selected and tracer.placed == selected
+
+
 def test_every_traced_probe_counts_a_call(monkeypatch, tmp_path):
     # a probe that exists but is called around the patched module attribute
     # (fault.cross_monitor in place of lanesim.sim.cross_monitor) reads

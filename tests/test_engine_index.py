@@ -130,8 +130,11 @@ Per-call contracts, one override each:
   order, and a plan made again with the spares offered reversed is equal:
   the same decisions, placements, degraded tasks and bus load, and each
   spare the same entries and utilization. Ranking by (utilization, lane,
-  proc) is a total order, so the order of the spares must never show. It
-  notes the jobs pending on each proven set, for the mode-change rule.
+  proc) is a total order, so the order of the spares must never show.
+  Each adopted placement is a decision of its plan with both tests
+  accepted, and its ``SpareSelected`` row gives that decision's
+  ``admission.resulting_utilization``. It notes the jobs pending on each
+  proven set, for the mode-change rule.
 """
 
 import functools
@@ -968,6 +971,7 @@ class CheckedEngine(Engine):
                            for job in ps.jobs.values() if not job.background]
                    for place, ps in self.sets.items() if ps.proven}
         select_spare = sim.select_spare
+        plans = []
 
         def checked(failed, spares, *args):
             ids = [f.key[1] for f in failed]
@@ -980,13 +984,28 @@ class CheckedEngine(Engine):
                 f"record {ep.record_id} at {self.now}us: the plan depends on "
                 f"the order of the spares")
             self.checks += 1
+            plans.append(plan)
             return plan
 
+        rows = len(self.rows)
         sim.select_spare = checked
         try:
             super()._select_for(ep)
         finally:
             sim.select_spare = select_spare
+        # each adopted placement is a chosen decision of the plan, and its
+        # row gives the utilization that decision's admission found
+        chosen = [d for plan in plans for d in plan.placements]
+        assert all(any(d is tried for tried in plan.decisions)
+                   and d.admission.accepted and d.comms.accepted
+                   for plan in plans for d in plan.placements)
+        assert [(d.task_id, d.place) for d in chosen] == list(ep.placements.items())
+        assert [(row[5], row[2:4], row[6]) for row in self.rows[rows:]
+                if row[1] == "SpareSelected"] == [
+            (d.task_id, d.place, d.admission.resulting_utilization)
+            for d in chosen], (
+            f"record {ep.record_id} at {self.now}us: SpareSelected rows "
+            f"differ from the plan's placements")
         for place in ep.placements.values():
             self._check_instants.update(pending.get(place, ()))
 

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from lanesim.fault import (
     classify,
     cross_monitor,
     exchange_vote,
+    median,
     police_matches,
 )
 from lanesim.model import TimingConfig
@@ -111,7 +113,6 @@ def test_agreeing_lanes_are_never_flagged(offsets, base):
     outcome = cross_monitor(values, CFG)
     assert outcome.flagged == frozenset()
     assert not outcome.ambiguous
-    assert outcome.silent == frozenset()
 
 
 @given(st.integers(min_value=3, max_value=8), st.integers(0, 7),
@@ -123,7 +124,6 @@ def test_single_far_outlier_is_always_isolated(n, outlier_seed, base):
     outcome = cross_monitor(values, CFG)
     assert outcome.flagged == frozenset({outlier})
     assert not outcome.ambiguous
-    assert outcome.silent == frozenset()
 
 
 def _full_search_cross_monitor(values, cfg):
@@ -253,7 +253,6 @@ def test_exchange_vote_isolates_per_receiver_liar_with_four_lanes():
     received[3][0] = 15.0
     outcome = exchange_vote(received, CFG)
     assert outcome.flagged == frozenset({0})
-    assert outcome.silent == frozenset()
     assert not outcome.ambiguous
 
 
@@ -272,16 +271,32 @@ def test_exchange_vote_triplex_liar_stays_ambiguous():
 
 
 def test_exchange_vote_majority_silence_is_confident():
+    # a sender a majority reports silent is left out of the vote: neither
+    # flagged nor counted, so the two lanes left agree and nothing is
+    # ambiguous (the engine implicates the silent copy itself)
     lanes = [0, 1, 2]
     received = _honest_matrix(lanes)
     for r in (1, 2):
         received[r][0] = None
     del received[0]  # the silent lane reports nothing
     outcome = exchange_vote(received, CFG)
-    assert outcome == VoteOutcome(frozenset(), silent=frozenset({0}))
-    assert outcome.silent == frozenset({0})
+    assert outcome == VoteOutcome(frozenset())
     assert outcome.flagged == frozenset()
     assert not outcome.ambiguous
+    # taken as equivocal, the silent sender would be flagged above; two
+    # silent senders of four would make the vote ambiguous
+    received = _honest_matrix([0, 1, 2, 3])
+    for r in (2, 3):
+        for s in (0, 1):
+            received[r][s] = None
+    del received[0], received[1]
+    assert exchange_vote(received, CFG) == VoteOutcome(frozenset())
+
+
+def test_a_vote_outcome_is_what_was_flagged_and_whether_it_is_ambiguous():
+    # silence is the engine's verdict, made before it votes: no outcome
+    # restates it
+    assert [f.name for f in fields(VoteOutcome)] == ["flagged", "ambiguous"]
 
 
 def test_exchange_vote_two_presents_disagreeing_is_ambiguous():
@@ -291,8 +306,6 @@ def test_exchange_vote_two_presents_disagreeing_is_ambiguous():
 
 
 def test_both_voters_return_a_vote_outcome():
-    # exchange_vote sets silent; cross_monitor sees only emitted values,
-    # so every outcome of it has silent empty
     received = _honest_matrix([0, 1, 2, 3])
     received[1][0] = 15.0
     received[2][0] = 5.0
@@ -300,9 +313,19 @@ def test_both_voters_return_a_vote_outcome():
     assert exchange_vote(received, CFG) == VoteOutcome(frozenset({0}))
     for values in ({0: 5.0, 1: 5.1, 2: 4.9}, {0: 1.0, 1: 7.0},
                    {0: 10.0, 1: 10.2, 2: 100.0}, {0: 1.0, 1: 5.0, 2: 9.0}):
-        outcome = cross_monitor(values, CFG)
-        assert type(outcome) is VoteOutcome
-        assert outcome.silent == frozenset()
+        assert type(cross_monitor(values, CFG)) is VoteOutcome
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.one_of(_FINITE, st.sampled_from([-1.5, 0.0, 2.0, 2.5])),
+                min_size=1, max_size=9))
+@example([1.0, 3.0])                    # even: the mean of the middle two
+@example([2.0, 2.0, 2.0, 5.0])          # ties
+@example([1e308, 1e308])                # the sum overflows, as in statistics
+def test_the_one_median_is_statistics_median(values):
+    assert median(list(values)) == statistics.median(values)
 
 
 def test_exchange_vote_needs_two_participants():
