@@ -174,12 +174,13 @@ def _consensus_value(values: list, cfg: VoterConfig) -> float:
 
 def _largest_clique(values: list, tol: float) -> list:
     """Largest pairwise-agreeing sublist of the values, in their order;
-    deterministic on ties (first anchor)."""
+    deterministic on ties (first anchor). A non-finite value agrees with
+    nothing, itself included: its clique is empty, and no clique holds it."""
     best = []
     for anchor in values:
         clique = [v for v in values if abs(v - anchor) <= tol]
         # pairwise coherence, not just anchor distance
-        if max(clique) - min(clique) <= tol and len(clique) > len(best):
+        if clique and max(clique) - min(clique) <= tol and len(clique) > len(best):
             best = clique
     return best
 
@@ -211,7 +212,8 @@ def cross_monitor(values: Mapping, cfg: VoterConfig) -> VoteOutcome:
     if 2 * len(clique) <= len(items):
         return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
     consensus = _consensus_value(clique, cfg)
-    flagged = frozenset(k for k, v in items if abs(v - consensus) > tol)
+    # a NaN is no nearer than the tolerance: flagged
+    flagged = frozenset(k for k, v in items if not abs(v - consensus) <= tol)
     return VoteOutcome(flagged)
 
 
@@ -275,12 +277,12 @@ def exchange_vote(received: Mapping, cfg: VoterConfig) -> VoteOutcome:
 
     if len(established) == 2 and len(numeric) == 2:
         a, b = numeric.values()
-        if abs(a - b) > tol:
+        if not abs(a - b) <= tol:
             return VoteOutcome(frozenset(established), ambiguous=True)
 
     consensus = median(list(numeric.values()))
     flagged = frozenset(s for s, e in established.items()
-                        if e is _EQUIVOCAL or abs(e - consensus) > tol)
+                        if e is _EQUIVOCAL or not abs(e - consensus) <= tol)
     if flagged and len(established) - len(flagged) <= len(flagged):
         return VoteOutcome(flagged, ambiguous=True)
     return VoteOutcome(flagged)

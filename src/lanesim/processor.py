@@ -17,11 +17,12 @@ chooses again when it can. The engine files every job of a release
 instant and then chooses once, which ends on the job that releasing them
 one at a time would: a job that cannot beat the running one cannot beat
 one that does. Each change of what runs moves the generation on and tells
-``wake`` when the job that now runs will finish. The base ``wake`` records
-that instant in ``wake_us``; the engine's sets push an event instead. A
-wake-up is stale when its generation is old, and ``finish`` then returns
-None: the generation alone decides, since every change of ``running``
-moves it.
+``wake`` when the job that now runs will finish: ``since`` plus its
+``remaining_us``, a sum that charging leaves as it is. The base ``wake``
+does nothing, and the engine's sets push an event; ``schedule_processor``
+reads the sum itself. A wake-up is stale when its generation is old, and
+``finish`` then returns None: the generation alone decides, since every
+change of ``running`` moves it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class Processor:
     service) runs nothing. A subclass may deliver :meth:`wake` otherwise.
     """
 
-    __slots__ = ("prios", "jobs", "running", "since", "gen", "wake_us",
-                 "failed", "dead")
+    __slots__ = ("prios", "jobs", "running", "since", "gen", "failed", "dead")
 
     def __init__(self):
         self.prios = {}             # job key -> DM rank, keys in rank order
@@ -60,14 +60,12 @@ class Processor:
         self.running: Job | None = None
         self.since = 0
         self.gen = 0
-        self.wake_us: int | None = None   # when the running job finishes
         self.failed = False
         self.dead = False
 
     def wake(self, at_us: int):
         """Note that the job now running finishes at at_us, under ``gen``
         as it is now."""
-        self.wake_us = at_us
 
     def charge(self, now: int):
         """Charge the running work for the time since it was last charged."""
@@ -210,8 +208,9 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
     report = ProcSchedule()
     now = 0
     while now <= window_us:
-        if cpu.running is not None and cpu.wake_us == now:
-            job = cpu.finish(cpu.gen, now)
+        job = cpu.running
+        if job is not None and cpu.since + job.remaining_us == now:
+            cpu.finish(cpu.gen, now)
             if job.background:
                 report.background_done_us = now
             else:
@@ -232,6 +231,6 @@ def schedule_processor(tasks, window_us: int, background_us: int = 0) -> ProcSch
         if checks:
             due.append(checks[0][0])
         if cpu.running is not None:
-            due.append(cpu.wake_us)
+            due.append(cpu.since + cpu.running.remaining_us)
         now = min(due, default=window_us + 1)
     return report

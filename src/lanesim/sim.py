@@ -1,10 +1,13 @@
 """Deterministic discrete-event engine for replicated lane sets.
 
 The engine advances an integer microsecond clock over a heap of typed
-events. Ties at one instant resolve by a fixed kind order (activations
-before completions before releases before votes before the recovery
-machinery), then by payload key, then by insertion order, so a scenario
-replays byte-identically on every run. Within one kind every key is an
+events. Nothing is scheduled after the horizon: the event pusher, the one
+place that compares an instant with it, refuses such an event, so the run
+pops every event pushed and ends when the heap drains. Ties at one
+instant resolve by a fixed kind order (activations before completions
+before releases before votes before the recovery machinery), then by
+payload key, then by insertion order, so a scenario replays
+byte-identically on every run. Within one kind every key is an
 int or a tuple of ints, comparable as pushed. ``Readmit`` is keyed
 ``(0, copy_id)`` for a copy and ``(1, app, lane)`` for a sensor channel,
 so copies go first; ``TaskComplete`` is keyed by the ``(lane, proc)`` of
@@ -394,7 +397,7 @@ class Engine:
 
         self.now = 0
         self._heap: list = []
-        self._push = _event_pusher(self._heap)
+        self._push = _event_pusher(self._heap, self.horizon)
         # instant -> the release groups due then, while its TaskRelease
         # event has not popped (_release_at)
         self._calendar: dict = {}
@@ -590,22 +593,17 @@ class Engine:
             for rts in group.values():
                 self._release_at(0, tuple(rts))
         for app in self.model.applications:
-            period = self._vote_period[app.app_id]
-            if period <= self.horizon:
-                self._push(period, _VOTE_ROUND, app.app_id, app)
-        bitp = self.settings.bit_period_us
-        if bitp <= self.horizon:
-            self._push(bitp, _BIT_CHECK, 0, None)
+            self._push(self._vote_period[app.app_id], _VOTE_ROUND, app.app_id, app)
+        self._push(self.settings.bit_period_us, _BIT_CHECK, 0, None)
         # fault ids are distinct, so pop order does not depend on push order
         for f in self.sc.faults:
             self._push(f.at_us, _FAULT_ACTIVATE, f.fault_id, f)
             clears = f.clears_at_us
-            if clears is not None and clears <= self.horizon:
+            if clears is not None:
                 self._push(clears, _FAULT_CLEAR, f.fault_id, f)
         if self.policies.pilot_gate:
             for i, a in enumerate(self.policies.approvals):
-                if a.at_us <= self.horizon:
-                    self._push(a.at_us, _PILOT_APPROVAL, i, a)
+                self._push(a.at_us, _PILOT_APPROVAL, i, a)
         # set-up gave every task one active copy per lane, and every sensor
         # channel starts healthy: each level is the lane count, with no
         # recount (model validation allows 2..4 lanes)
@@ -643,13 +641,13 @@ class Engine:
     def run(self) -> SimResult:
         self._prime_events()
         handlers = self._handlers()
-        heap, horizon, pop = self._heap, self.horizon, heapq.heappop
-        while heap and heap[0][0] <= horizon:
+        heap, pop = self._heap, heapq.heappop
+        # the pusher refuses what falls after the horizon: the heap drains
+        while heap:
             at, rank, _key, _seq, _kind, data = pop(heap)
             self.now = at
             handlers[rank](data)
         self.now = self.horizon
-        self._heap.clear()      # see _event_pusher
         return self._wrap_up()
 
     def _wrap_up(self) -> SimResult:
@@ -675,13 +673,13 @@ class Engine:
     def _release_at(self, at: int, copies: tuple):
         """Schedule a release group at an instant: the one place a group is
         scheduled. The instant's first group pushes its one ``TaskRelease``
-        event; later ones join its list."""
+        event, and is filed only if the push is taken, so the calendar holds
+        no instant after the horizon; later ones join its list."""
         groups = self._calendar.get(at)
-        if groups is None:
-            self._calendar[at] = [copies]
-            self._push(at, _TASK_RELEASE, 0, None)
-        else:
+        if groups is not None:
             groups.append(copies)
+        elif self._push(at, _TASK_RELEASE, 0, None):
+            self._calendar[at] = [copies]
 
     def _on_release(self, _data):
         # in first copy id order, the order one event per group would pop in;
@@ -706,9 +704,7 @@ class Engine:
             if not copies:
                 return
         now, spec = self.now, copies[0].spec
-        nxt = now + spec.period_us
-        if nxt <= self.horizon:
-            self._release_at(nxt, copies)
+        self._release_at(now + spec.period_us, copies)
         # one job per set, owned by the set's copies; the members of a set
         # of more than one are untouched by faults, so one copy answers
         # whether all of them run, and a copy in service never sits on a
@@ -731,10 +727,9 @@ class Engine:
         if not released:
             return
         self.counters["releases"] += len(released)
-        deadline = now + spec.deadline_us
-        if unproven and deadline <= self.horizon:
-            self._push(deadline, _DEADLINE_CHECK, released[0].copy_id,
-                       (released, now))
+        if unproven:
+            self._push(now + spec.deadline_us, _DEADLINE_CHECK,
+                       released[0].copy_id, (released, now))
 
     def _check_pending(self, ps: _ProcSet):
         """Push the deadline check of each task job pending on ps, a proven
@@ -742,15 +737,12 @@ class Engine:
         may miss once it has grown (one that has a check gets a second,
         which finds nothing). One check per job, for the copies that own
         it, keyed by the first, so misses stay in copy id order."""
-        horizon = self.horizon
         for job in ps.jobs.values():
             if job.background:
                 continue
             first = job.owner[0]
-            deadline = job.release_us + first.spec.deadline_us
-            if deadline <= horizon:
-                self._push(deadline, _DEADLINE_CHECK, first.copy_id,
-                           (job.owner, job.release_us))
+            self._push(job.release_us + first.spec.deadline_us, _DEADLINE_CHECK,
+                       first.copy_id, (job.owner, job.release_us))
 
     def _on_complete(self, data):
         ps, gen = data
@@ -903,9 +895,7 @@ class Engine:
     def _on_bit_check(self, _):
         """Every processor's built-in test: each live place with an active
         BIT-visible fault, in (lane, proc) order, one place after another."""
-        nxt = self.now + self.settings.bit_period_us
-        if nxt <= self.horizon:
-            self._push(nxt, _BIT_CHECK, 0, None)
+        self._push(self.now + self.settings.bit_period_us, _BIT_CHECK, 0, None)
         by_place: dict = {}
         for key, faults in self._faults_at.items():
             for f in faults:
@@ -966,9 +956,8 @@ class Engine:
 
     def _on_vote_round(self, app: ApplicationSpec):
         self.counters["vote_rounds"] += 1
-        nxt = self.now + self._vote_period[app.app_id]
-        if nxt <= self.horizon:
-            self._push(nxt, _VOTE_ROUND, app.app_id, app)
+        self._push(self.now + self._vote_period[app.app_id], _VOTE_ROUND,
+                   app.app_id, app)
 
         # while _proof holds no fault is active, and every copy emits the
         # reference: equal values, which no voter flags
@@ -1032,7 +1021,9 @@ class Engine:
                 outcome = cross_monitor(emitting, self.voter)
             flagged, ambiguous = outcome.flagged, outcome.ambiguous
             if not ambiguous:
-                implicated.update(place for place in flagged if place in emitting)
+                # either voter flags only places that emit: a silent copy
+                # is reported silent to every receiver, so it is out
+                implicated.update(flagged)
 
         if implicated or flagged or ambiguous:
             self._row("VoteRound", None, None, app_id, task_id,
@@ -1044,8 +1035,7 @@ class Engine:
                 (lane, proc, app_id, task_id) for lane, proc in implicated)
 
         if watched:
-            self._police(watched, median([*emitting.values()])
-                         if emitting else None, ref)
+            self._police(watched, emitting, ref)
 
     def _exchange_matrix(self, expected, ref: float):
         """Build receiver x sender claims from this round's emitted values,
@@ -1067,17 +1057,22 @@ class Engine:
             received[r.place] = claims
         return received
 
-    def _police(self, watched, consensus: float | None, ref: float):
-        """Compare each watched copy's value with the active consensus."""
+    def _police(self, watched, emitting: dict, ref: float):
+        """Compare each watched copy's value with the active consensus: the
+        median of ``emitting``, the active copies' values by place, taken at
+        the first copy that has a value to compare."""
+        consensus = None
         for rt in watched:
             if self._replaying(rt):
                 self._row("PoliceRound.replay", *rt.place, *rt.key)
                 continue
-            if consensus is None:
+            if not emitting:
                 continue
             value = self._emitted(rt, self._skew_for(rt), ref)
             if value is None:
                 continue
+            if consensus is None:
+                consensus = median([*emitting.values()])
             matched = police_matches(value, consensus, self.cfg)
             if rt.converge_left > 0:
                 rt.converge_left -= 1
@@ -1508,15 +1503,18 @@ def _two_faced_sign(toward: Copy, fault) -> int:
     return 1 if (toward.place[0] + fault.fault_id) % 2 == 0 else -1
 
 
-def _event_pusher(heap: list):
-    """Push (at, rank, key, seq, kind, data) onto heap. It closes over the
-    heap, not the engine. A TaskComplete entry holds its set, which holds
-    this push, so a heap left with entries is a reference cycle that only
-    the garbage collector frees: clear the heap when the run ends."""
+def _event_pusher(heap: list, horizon: int):
+    """Push (at, rank, key, seq, kind, data) onto heap, and tell whether
+    it did: the one test of the horizon. An event after the horizon is
+    refused, so nothing is scheduled that the run would not pop, and the
+    heap drains. It closes over the heap, not the engine."""
     seq = itertools.count()
 
-    def push(at_us: int, kind: EventKind, key, data):
+    def push(at_us: int, kind: EventKind, key, data) -> bool:
+        if at_us > horizon:
+            return False
         heapq.heappush(heap, (at_us, kind.rank, key, next(seq), kind, data))
+        return True
 
     return push
 

@@ -66,14 +66,12 @@ class AdmissionDecision:
 
     For processor admission ``resulting_utilization`` is the utilization the
     processor would have; for bus admission it carries the resulting load in
-    data units per millisecond. ``reason`` is set on rejection.
-    ``admit_task`` and ``check_comms`` build the exact Fraction and the
-    refusal text when they decide.
+    data units per millisecond. ``admit_task`` and ``check_comms`` build the
+    exact Fraction when they decide.
     """
 
     accepted: bool
     resulting_utilization: Fraction
-    reason: str | None = None
 
 
 class ProcessorState:
@@ -199,10 +197,8 @@ def admit_task(proc: ProcessorState, task: TaskSpec, cfg: TimingConfig) -> Admis
     num, den = proc.utilization_ratio
     num, den = num * window + task.wcet_us * den, den * window
     bound = cfg.utilization_bound
-    if num * bound.denominator <= bound.numerator * den:
-        return AdmissionDecision(True, Fraction(num, den))
-    return AdmissionDecision(False, Fraction(num, den), (
-        f"utilization {num / den:.6f} exceeds bound {float(bound):.2f}"))
+    return AdmissionDecision(num * bound.denominator <= bound.numerator * den,
+                             Fraction(num, den))
 
 
 class BusState:
@@ -244,12 +240,8 @@ def check_comms(bus: BusState, demand: tuple[int, int]) -> AdmissionDecision:
     an integer (numerator, denominator) pair."""
     num, den = lcm_sum(((bus._num, bus._den), demand))
     cap = bus.max_load
-    resulting = Fraction(num, den)
-    if num * cap.denominator <= cap.numerator * den:
-        return AdmissionDecision(True, resulting)
-    return AdmissionDecision(False, resulting, (
-        f"bus demand {num / den:.6f}/ms "
-        f"exceeds max load {float(cap):.6f}/ms"))
+    return AdmissionDecision(num * cap.denominator <= cap.numerator * den,
+                             Fraction(num, den))
 
 
 def available_transfer_bandwidth(bus: BusState) -> Fraction:

@@ -18,6 +18,13 @@ naming an interpreter that is not installed. The interpreters are the
 pyenv builds of 3.10, 3.11, 3.12 and 3.13 under ``$PYENV_ROOT`` (default
 ``~/.pyenv``), each called by full path: pyenv's shims answer only for
 its global version.
+
+Two files one sweep wrote, such as CI's, are compared alone with
+
+    python3 tests/golden/same.py --compare BASE HEAD
+
+Two digest files (``.json``) are compared by seed, two refusal files by
+document. It prints ``equal`` or the first difference, and exits 0 or 1.
 """
 
 import argparse
@@ -87,10 +94,26 @@ def first_refusal_difference(base: str, head: str) -> str | None:
     return None
 
 
+def compare(base: Path, head: Path) -> str | None:
+    """The first difference between two digest files (``.json``), by
+    seed, or between two refusal files, by document."""
+    old, new = (p.read_text(encoding="utf-8") for p in (base, head))
+    if base.suffix == ".json":
+        return first_seed_difference(json.loads(old), json.loads(new))
+    return first_refusal_difference(old, new)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="the commit to compare with")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--base", help="the commit to compare with")
+    what.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"),
+                      help="two digest or refusal files to compare")
     args = parser.parse_args(argv)
+    if args.compare:
+        diff = compare(*args.compare)
+        print("equal" if diff is None else diff)
+        return 0 if diff is None else 1
     pythons = interpreters()
     missing = [str(p) for p in pythons if not p.is_file()]
     if missing:

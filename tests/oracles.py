@@ -133,12 +133,13 @@ _SILENT = object()
 
 def _largest_clique(items: list, tol: float):
     """Largest pairwise-agreeing subset of (key, value) items;
-    deterministic on ties (first anchor)."""
+    deterministic on ties (first anchor). A non-finite value agrees with
+    nothing."""
     best = []
     for _, anchor in items:
         clique = [(k, v) for k, v in items if abs(v - anchor) <= tol]
         vals = [v for _, v in clique]
-        if max(vals) - min(vals) <= tol and len(clique) > len(best):
+        if vals and max(vals) - min(vals) <= tol and len(clique) > len(best):
             best = clique
     return best
 
@@ -185,12 +186,12 @@ def exchange_vote(received, cfg) -> VoteOutcome:
 
     if len(present) == 2 and len(numeric) == 2:
         a, b = numeric
-        if abs(numeric[a] - numeric[b]) > tol:
+        if not abs(numeric[a] - numeric[b]) <= tol:
             return VoteOutcome(frozenset(present), ambiguous=True)
 
     consensus = statistics.median(numeric.values())
     flagged = {s for s in present
-               if established[s] is _EQUIVOCAL or abs(numeric[s] - consensus) > tol}
+               if established[s] is _EQUIVOCAL or not abs(numeric[s] - consensus) <= tol}
     unflagged = [s for s in present if s not in flagged]
     if flagged and len(unflagged) <= len(flagged):
         return VoteOutcome(frozenset(flagged), ambiguous=True)

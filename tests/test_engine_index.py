@@ -125,7 +125,9 @@ Per-call contracts, one override each:
   now; with no fault active, only policing looks up a skew.
 - ``_emitted``: a copy emits at most once a task vote.
 - ``_police``: the watched copies are the task's policed and restabilizing
-  ones, and the consensus is the median of the active copies' values.
+  ones, the emitted values are the active copies' by place, and each
+  ``PoliceRound.vote`` row the call writes matches exactly when its copy's
+  emission is within tolerance of the median of those values.
 - ``_select_for``: the failed tasks reach ``select_spare`` in task id
   order, and a plan made again with the spares offered reversed is equal:
   the same decisions, placements, degraded tasks and bus load, and each
@@ -929,17 +931,31 @@ class CheckedEngine(Engine):
         self._emissions[rt.copy_id] = (rt, got)
         return got
 
-    def _police(self, watched, consensus, ref):
+    def _police(self, watched, emitting, ref):
         key = watched[0].key
         assert watched == [rt for rt in self._copies_by_id() if rt.key == key
                            and rt.health in (Health.POLICED, Health.RESTABILIZING)]
         # the consensus takes every emitter's value: each is an active copy
-        values = [v for rt, v in self._emissions.values()
-                  if rt.health is Health.ACTIVE and v is not None]
-        assert consensus == (statistics.median(values) if values else None)
+        values = {rt.place: v for rt, v in self._emissions.values()
+                  if rt.health is Health.ACTIVE and v is not None}
+        assert emitting == values
+        rows = len(self.rows)
         self._policed += 1
         self.checks += 1
-        super()._police(watched, consensus, ref)
+        super()._police(watched, emitting, ref)
+        # a row for each watched copy that emitted, in watched order
+        votes = [row for row in self.rows[rows:] if row[1] == "PoliceRound.vote"]
+        assert [row[2:4] for row in votes] == [
+            rt.place for rt in watched
+            if self._emissions.get(rt.copy_id, (rt, None))[1] is not None]
+        by_place = {rt.place: rt for rt in watched}
+        for row in votes:
+            rt = by_place[row[2:4]]
+            value = self._emissions[rt.copy_id][1]
+            consensus = statistics.median(values.values())
+            assert row[6] == (abs(value - consensus) <= self.cfg.tolerance), (
+                f"copy {rt.copy_id} emitted {value} at {self.now}us against "
+                f"the median {consensus} of {values}, row says {row[6]}")
 
     def _copies_in(self, key):
         got = super()._copies_in(key)

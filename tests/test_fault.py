@@ -139,7 +139,7 @@ def _full_search_cross_monitor(values, cfg):
     for _, anchor in items:
         clique = [(k, v) for k, v in items if abs(v - anchor) <= tol]
         vals = [v for _, v in clique]
-        if max(vals) - min(vals) <= tol and len(clique) > len(best):
+        if vals and max(vals) - min(vals) <= tol and len(clique) > len(best):
             best = clique
     if 2 * len(best) <= len(items):
         return VoteOutcome(frozenset(k for k, _ in items), ambiguous=True)
@@ -148,15 +148,8 @@ def _full_search_cross_monitor(values, cfg):
         consensus = min(max(sum(vals) / len(vals), min(vals)), max(vals))
     else:
         consensus = statistics.median(vals)
-    return VoteOutcome(frozenset(k for k, v in items if abs(v - consensus) > tol))
-
-
-def _verdict(voter, values, cfg):
-    """The voter's outcome, or the type of what it raised."""
-    try:
-        return voter(values, cfg)
-    except ValueError as exc:
-        return type(exc)
+    return VoteOutcome(frozenset(k for k, v in items
+                                 if not abs(v - consensus) <= tol))
 
 
 @st.composite
@@ -182,8 +175,7 @@ def _rounds_at_the_tolerance_edge(draw):
 @given(_rounds_at_the_tolerance_edge())
 def test_cross_monitor_equals_the_full_clique_search(round_):
     values, cfg = round_
-    assert (_verdict(cross_monitor, values, cfg)
-            == _verdict(_full_search_cross_monitor, values, cfg))
+    assert cross_monitor(values, cfg) == _full_search_cross_monitor(values, cfg)
 
 
 # the spread is the tolerance, yet the float mean of lo, hi, lo falls below
@@ -230,11 +222,9 @@ def test_a_quiet_round_flags_nothing(base, tol, offsets, lanes, consensus):
        st.sampled_from(list(Consensus)))
 def test_cross_monitor_equals_the_full_clique_search_on_any_floats(values, tol,
                                                                    consensus):
-    # NaN and infinities included: there the full search decides, and a
-    # NaN makes both raise alike
+    # NaN and infinities included: there the full search decides
     cfg = VoterConfig(tolerance=tol, consensus=consensus)
-    assert (_verdict(cross_monitor, values, cfg)
-            == _verdict(_full_search_cross_monitor, values, cfg))
+    assert cross_monitor(values, cfg) == _full_search_cross_monitor(values, cfg)
 
 
 # --- exchange (interactive) voting ------------------------------------------------
@@ -336,7 +326,8 @@ def test_exchange_vote_needs_two_participants():
 _CLAIMS = st.one_of(
     st.none(),                                      # heard nothing
     st.sampled_from([9.5, 9.75, 10.0, 10.25, 10.5, 11.0]),   # 0.25 apart, exact
-    st.floats(-100, 100))
+    st.floats(-100, 100),
+    st.sampled_from([math.nan, math.inf, -math.inf]))   # agrees with nothing
 _VOTERS = st.builds(VoterConfig, tolerance=st.sampled_from([0.25, 0.5, 1.0]),
                     consensus=st.sampled_from(list(Consensus)))
 
@@ -384,6 +375,61 @@ def test_the_exchange_kernel_agrees_with_the_reference_vote(received, cfg):
     # count of silences; the reference reads (receiver, value) pairs
     assert (_outcome(exchange_vote, received, cfg)
             == _outcome(oracles.exchange_vote, received, cfg))
+
+
+@given(_matrices(), _VOTERS, st.integers(0, 3))
+def test_exchange_vote_never_flags_a_sender_every_receiver_finds_silent(
+        received, cfg, pick):
+    # the engine relies on it: it implicates each flagged place as it is,
+    # and a silent copy is reported None to every receiver
+    lanes = sorted({s for claims in received.values() for s in claims}
+                   | set(received))
+    silent = lanes[pick % len(lanes)]
+    assume(any(r != silent for r in received))
+    for r, claims in received.items():
+        if r != silent:
+            claims[silent] = None
+    outcome = _outcome(exchange_vote, received, cfg)
+    if isinstance(outcome, VoteOutcome):
+        assert silent not in outcome.flagged
+
+
+# --- a non-finite value agrees with nothing ---------------------------------
+
+_NON_FINITE = pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("places", [3, 4])
+@pytest.mark.parametrize("consensus", list(Consensus))
+def test_cross_monitor_flags_a_non_finite_value(bad, places, consensus):
+    values = dict.fromkeys(range(places), 1.0)
+    values[1] = bad
+    cfg = VoterConfig(consensus=consensus)
+    assert cross_monitor(values, cfg) == VoteOutcome(frozenset({1}))
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("places", [3, 4])
+def test_exchange_vote_flags_a_non_finite_sender(bad, places):
+    received = _honest_matrix(range(places), 1.0)
+    for claims in received.values():
+        claims[1] = bad
+    assert exchange_vote(received, CFG) == VoteOutcome(frozenset({1}))
+
+
+@pytest.mark.parametrize("bads", [
+    [math.nan] * 4, [math.inf] * 4, [-math.inf] * 4,
+    [math.nan, math.inf, -math.inf, math.nan]], ids=["nan", "+inf", "-inf", "mixed"])
+@pytest.mark.parametrize("places", [3, 4])
+def test_a_vote_over_non_finite_values_alone_is_ambiguous(bads, places):
+    values = dict(zip(range(places), bads))
+    everyone = VoteOutcome(frozenset(values), ambiguous=True)
+    for consensus in Consensus:
+        assert cross_monitor(values, VoterConfig(consensus=consensus)) == everyone
+    received = {r: dict(values) for r in values}
+    assert exchange_vote(received, CFG) == everyone
 
 
 # --- BIT visibility ------------------------------------------------

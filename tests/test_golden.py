@@ -17,6 +17,7 @@ from golden.refusals import main as write_refusals
 from golden.rehash import (GENERATED_HASHES, HASHES, RESULTS, SCENARIOS,
                            _rewrite, output_digests, scenario_digests)
 from golden.same import first_refusal_difference, first_seed_difference
+from golden.same import main as same
 
 EXPECTED = json.loads(HASHES.read_text(encoding="utf-8"))
 GENERATED = json.loads(GENERATED_HASHES.read_text(encoding="utf-8"))
@@ -109,3 +110,30 @@ def test_the_same_behaviour_command_names_the_first_difference():
         "document '0 b 2'")
     assert first_refusal_difference(lines, lines + "1 c 3\t0\tOK\n") == (
         "2 documents against 3")
+
+
+def test_same_compares_two_sweep_files(tmp_path, capsys):
+    # CI's one line for each pair of sweeps: equal, or the first difference
+    def written(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def verdict(base, head):
+        code = same(["--compare", base, head])
+        return code, capsys.readouterr().out
+
+    seeds = {"2": {"trace.tsv": "a"}, "10": {"trace.tsv": "b"}}
+    base = written("base.json", json.dumps(seeds))
+    assert verdict(base, written("head.json", json.dumps(seeds))) == (0, "equal\n")
+    seeds["10"]["trace.tsv"] = "x"
+    assert verdict(base, written("moved.json", json.dumps(seeds))) == (
+        1, "seed 10 (trace.tsv)\n")
+
+    lines = "0 a 1\t0\tOK\n0 b 2\t2\tbad\n"
+    base = written("base.tsv", lines)
+    assert verdict(base, written("head.tsv", lines)) == (0, "equal\n")
+    assert verdict(base, written("worse.tsv", lines.replace("bad", "worse"))) == (
+        1, "document '0 b 2'\n")
+    assert verdict(base, written("short.tsv", lines.splitlines(True)[0])) == (
+        1, "2 documents against 1\n")

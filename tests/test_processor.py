@@ -18,6 +18,9 @@ takes each burst so, while the other two release its jobs one at a time.
 Its generation and stale wake-ups differ, so it is compared with the
 first, generation aside, by what runs, the job table and its live wake-up;
 the burst itself pushes at most one wake-up, which is live.
+A plain ``Processor`` driven the same way is told, at each wake-up, the
+instant ``since`` plus the running job's remaining work, and that sum
+holds for as long as the job runs: ``schedule_processor`` reads it.
 A second property checks that an engine set, fresh, split out or grown,
 dispatches by the ranks its admitted set's ``priorities`` gives, which are
 taken in their key order with no second sort.
@@ -177,6 +180,55 @@ def test_release_chooses_as_a_full_dispatch_would(ranks, steps):
                 cpu.dispatch(now)
         assert _view(cpus[0]) == _view(cpus[1]), (now, op, args)
         assert _choice_view(cpus[2]) == _choice_view(cpus[0]), (now, op, args)
+
+
+class _Sums(Processor):
+    """A plain processor that checks each wake-up against the sum it
+    restates: ``since`` plus the running job's remaining work."""
+
+    def __init__(self, prios):
+        super().__init__()
+        self.prios = prios
+        self.live = None        # (at, job) of the wake-up of this generation
+
+    def wake(self, at_us):
+        assert at_us == self.since + self.running.remaining_us
+        self.live = (at_us, self.running)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(_TASK_KEYS),
+       st.lists(st.tuples(st.integers(0, 4), _OPS), max_size=40))
+def test_a_wake_up_is_since_plus_the_remaining_work(ranks, steps):
+    # the instant each wake names stays since + running.remaining_us for as
+    # long as the same job runs: charging moves both terms alike
+    prios = dict(sorted(zip(_TASK_KEYS, ranks), key=lambda kr: kr[1]))
+    cpu = _Sums(prios)
+    now = 0
+    for dt, (op, *args) in steps:
+        now += dt
+        while cpu.running is not None and cpu.live[0] <= now:
+            cpu.finish(cpu.gen, cpu.live[0])
+        filed = [args] if op == "release" else args[0] if op == "burst" else []
+        for key, wcet in filed:
+            cpu.release(Job(None, key, now, wcet,
+                            background=key in _BACKGROUND_KEYS), now)
+        if op == "drop":
+            cpu.drop(args[0], now)
+        elif op == "expire":
+            job = cpu.jobs.get(args[0])
+            if job is not None:
+                cpu.expire(args[0], job.release_us, now)
+        elif op == "stale":
+            cpu.charge(now)
+        elif op == "halt":
+            cpu.halt(now)
+            cpu.failed = True
+        elif op == "resume" and cpu.failed:
+            cpu.failed = False
+            cpu.dispatch(now)
+        if cpu.running is not None:
+            assert cpu.live == (cpu.since + cpu.running.remaining_us, cpu.running)
 
 
 # (app, task) keys as the engine's, and few deadlines, so that ranks tie

@@ -7,6 +7,7 @@ paths can be checked against it on small task sets.
 
 import dataclasses
 import gc
+import heapq
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lanesim import sim
 from lanesim.cli import trace_lines, write_outputs
 from lanesim.coverage import CoverageLevel, CoverageSample
 from lanesim.fault import FaultTarget, TargetKind
@@ -1205,6 +1207,35 @@ def test_a_fault_storm_run_frees_itself_without_the_collector():
     scenario = parse_scenario(generate_scenario(
         lanes=4, procs=10, apps=8, seed=1003, faults=40, horizon_ms=100))
     assert _garbage_left_by(scenario) == 0
+
+
+class _PushSpy:
+    """Stands in for the heapq module inside lanesim.sim, keeping each
+    entry pushed."""
+
+    def __init__(self):
+        self.pushed = []
+        self.heappop = heapq.heappop
+
+    def heappush(self, heap, entry):
+        self.pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+
+def test_nothing_is_pushed_after_the_horizon_and_the_run_drains(monkeypatch):
+    # the event pusher alone refuses what falls after the horizon, so a run
+    # pops every entry it pushed and leaves no release instant filed
+    spy = _PushSpy()
+    monkeypatch.setattr(sim, "heapq", spy)
+    scenarios = [(p.stem, load_scenario(p)) for p in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += [(f"seed {seed}", generated_scenario(seed)) for seed in SEEDS]
+    for name, scenario in scenarios:
+        spy.pushed = []
+        engine = Engine(scenario)
+        engine.run()
+        late = [entry[:2] for entry in spy.pushed if entry[0] > engine.horizon]
+        assert not late, f"{name}: (instant, rank) pushed after the horizon: {late[:5]}"
+        assert spy.pushed and engine._heap == [] and engine._calendar == {}, name
 
 
 def test_engine_set_up_builds_no_fault_target(monkeypatch):
