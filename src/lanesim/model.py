@@ -293,12 +293,13 @@ def _enum(cls, text, path: tuple):
 # -- document -> model -------------------------------------------------------
 
 # Records read by table, in the order their refusals are checked. A task's
-# deadline and a message's period default to the task's period (None here).
+# deadline and a message's period default to the task's period (None
+# here); _parse_task converts each, unless it repeats that period.
 _TASK = (
     ("period_ms", _NUMBER, _REQUIRED, ms_to_us),
     ("task_id", int, _REQUIRED, None),
     ("wcet_ms", _NUMBER, _REQUIRED, ms_to_us),
-    ("deadline_ms", _NUMBER, None, ms_to_us),
+    ("deadline_ms", _NUMBER, None, None),
     ("code_size", _NUMBER, _ZERO, frac),
     ("initial_proc", (int, list), _REQUIRED, None),
     ("messages", list, (), None),
@@ -306,7 +307,7 @@ _TASK = (
 _MESSAGE = (
     ("msg_id", int, _REQUIRED, None),
     ("size", _NUMBER, _REQUIRED, frac),
-    ("period_ms", _NUMBER, None, ms_to_us),
+    ("period_ms", _NUMBER, None, None),
 )
 _APPLICATION = (
     ("app_id", int, _REQUIRED, None),
@@ -348,17 +349,29 @@ def _parse_task(doc: dict, lane_count: int, path: tuple):
         procs = tuple(raw_proc)
     else:
         procs = (raw_proc,)
+    # read after the fields pass: the task's period as the document holds it
+    period_ms = doc["period_ms"]
+    deadline = _or_period(deadline, period_ms, period)
     msgs = []
     negative_size = bad_period = False
     for i, md in enumerate(msg_docs):
         msg_id, size, msg_period = _read_message(md, path + ("messages", i))
-        if msg_period is None:
-            msg_period = period
+        msg_period = _or_period(msg_period, period_ms, period)
         negative_size |= size.numerator < 0     # a Fraction has its numerator's sign
         bad_period |= msg_period <= 0
         msgs.append(MessageSpec(msg_id, size, msg_period))
-    return (task_id, wcet, period, period if deadline is None else deadline,
-            code_size, procs, tuple(msgs), negative_size, bad_period)
+    return (task_id, wcet, period, deadline, code_size, procs, tuple(msgs),
+            negative_size, bad_period)
+
+
+def _or_period(ms, period_ms, period_us: int) -> int:
+    """A duration in microseconds that defaults to the task's period: the
+    task's own ``period_us`` when absent (None) or when it repeats
+    ``period_ms``, the same value of the same class; else converted. An
+    int and a float can be equal and convert apart (2**60 and 2.0**60)."""
+    if ms is None or ms.__class__ is period_ms.__class__ and ms == period_ms:
+        return period_us
+    return ms_to_us(ms)
 
 
 def _parse_state_model(doc: dict, path: tuple) -> StateModel:

@@ -37,9 +37,11 @@ Each event carries the object its handler acts on:
     TaskComplete                  (set, generation)
     DeadlineCheck                 (copies released, release_us), pushed only
                                   where a job may miss (below)
-    BITCheck                      None: one event a period tests every place
+    BITCheck                      None: one event a period tests every place,
+                                  pushed only once the proof ends (below)
     TaskRelease                   None: the calendar holds the instant's groups
-    VoteRound                     the ApplicationSpec
+    VoteRound                     the ApplicationSpec, pushed only once the
+                                  proof ends (below)
     Classify, SelectionDone       None: the work is the pending list
     InstallDone, StateTransferDone  the recovery episode (one handler for both)
     PilotApproval                 the Approval
@@ -86,12 +88,19 @@ withdrawn and placed again releases on two phases).
 Before any fault, with every set proven, no vote can flag: every copy is
 active and emits the reference, a proven copy completes its first job by
 its deadline, and ``cross_monitor`` flags no equal values under either
-consensus, so a round votes no task at all. While that proof holds nothing
-implicates a copy: no round votes and built-in test finds no fault. So no
-shutdown comes first, and the first fault is the proof's one end. From it
-on, every round
-votes every task in full: a per-task cache of quiet votes skipped only 7.7%
-of the ``fault_storm`` benchmark's task votes, for no measured gain.
+consensus, so a round would vote no task at all. While that proof holds
+nothing implicates a copy: no round votes and built-in test finds no
+fault. So no shutdown comes first, and the first fault is the proof's one
+end. A proven start therefore schedules no ``VoteRound`` and no
+``BITCheck``: the first ``FaultActivate`` counts each application's rounds
+before its instant as run, and pushes each application's next round and
+the next sweep at or after it, which pop after the fault events of that
+instant by their rank. A run the proof holds to the horizon counts its
+rounds at wrap-up, so ``vote_rounds`` always counts every period's round.
+An unproven start schedules both from the first period. From the first
+fault on, every round votes every task in full: a per-task cache of quiet
+votes skipped only 7.7% of the ``fault_storm`` benchmark's task votes, for
+no measured gain.
 
 The recovery pipeline is driven end to end by events: a vote round (or a
 built-in test) implicates copies, one classification per instant folds
@@ -447,8 +456,9 @@ class Engine:
         self._apps: dict = {}           # app_id -> ApplicationSpec
         self._vote_period: dict = {}    # app_id -> its shortest task period
         self._init_topology()
-        # every set proven and no fault yet: no vote can flag
-        # (_on_vote_round); the first FaultActivate ends it
+        # every set proven and no fault yet: no vote can flag and no sweep
+        # can find a fault, so neither is scheduled; the first
+        # FaultActivate ends it and starts them (_start_checks)
         self._proof = all(ps.proven for ps in self.sets.values())
 
     @cached_property
@@ -510,9 +520,13 @@ class Engine:
 
         violations = []
         if self.settings.enforce_admission:
+            # U > bound in integers; a float only for a refusal's text
             bound = self.cfg.utilization_bound
-            over = {proc: float(u) for proc, ps in sets.items()
-                    if (u := ps.admitted.utilization) > bound}
+            over = {}
+            for proc, ps in sets.items():
+                num, den = ps.admitted.utilization_ratio
+                if num * bound.denominator > bound.numerator * den:
+                    over[proc] = num / den
             for lane, proc in self.sets:
                 if proc in over:
                     violations.append(Violation(
@@ -592,9 +606,10 @@ class Engine:
         for group in self.groups.values():
             for rts in group.values():
                 self._release_at(0, tuple(rts))
-        for app in self.model.applications:
-            self._push(self._vote_period[app.app_id], _VOTE_ROUND, app.app_id, app)
-        self._push(self.settings.bit_period_us, _BIT_CHECK, 0, None)
+        # under the proof a round votes nothing and a sweep finds nothing:
+        # the first fault starts them (_on_fault_activate)
+        if not self._proof:
+            self._start_checks()
         # fault ids are distinct, so pop order does not depend on push order
         for f in self.sc.faults:
             self._push(f.at_us, _FAULT_ACTIVATE, f.fault_id, f)
@@ -612,6 +627,20 @@ class Engine:
         for app_id in self.groups:
             self._last_cov[app_id] = start
             self.samples.append(cov.CoverageSample(0, app_id, *start))
+
+    def _start_checks(self):
+        """Start the vote rounds and the BIT sweeps: push each application's
+        first round and the first sweep at or after now on its period's
+        grid, never at 0, and count each round before now as run, since
+        the proof held it quiet. One at now pops after the instant's fault
+        events, by its rank."""
+        now = self.now
+        for app_id, period in self._vote_period.items():
+            k = max(1, -(-now // period))     # the first round at or after now
+            self.counters["vote_rounds"] += k - 1
+            self._push(k * period, _VOTE_ROUND, app_id, self._apps[app_id])
+        period = self.settings.bit_period_us
+        self._push(max(1, -(-now // period)) * period, _BIT_CHECK, 0, None)
 
     # -- event plumbing --------------------------------------------------------
 
@@ -651,6 +680,10 @@ class Engine:
         return self._wrap_up()
 
     def _wrap_up(self) -> SimResult:
+        if self._proof:
+            # no fault came: every round due by the horizon was quiet
+            self.counters["vote_rounds"] += sum(
+                self.horizon // period for period in self._vote_period.values())
         for ep in self._episodes:
             if ep.outcome is None:
                 ep.outcome = Outcome.ABANDONED
@@ -712,17 +745,21 @@ class Engine:
         # cannot miss, so the group's deadline is checked only if a set it
         # ran on is not.
         key, wcet = copies[0].key, spec.wcet_us
-        stopped = []
+        faults_at = self._faults_at
+        stopped = None
         unproven = False
         for ps, mine in self._by_set(copies):
-            if self._silenced(mine[0], ps):
+            # halted as _silenced tells, asked of the set's first copy
+            if ps.failed or faults_at and _halts(faults_at.get(mine[0].place + key)):
+                if stopped is None:
+                    stopped = []
                 stopped.append(ps)
                 continue
             if ps.file(Job(tuple(mine), key, now, wcet), now):
                 touched[ps] = None
             if not ps.proven:
                 unproven = True
-        released = copies if not stopped else tuple(
+        released = copies if stopped is None else tuple(
             rt for rt in copies if self.sets[rt.place] not in stopped)
         if not released:
             return
@@ -809,7 +846,9 @@ class Engine:
             ps.dispatch(self.now)
 
     def _on_fault_activate(self, f):
-        self._proof = False
+        if self._proof:
+            self._proof = False
+            self._start_checks()
         t = f.target
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f.fault_id, f.kind, t.kind)
@@ -958,11 +997,6 @@ class Engine:
         self.counters["vote_rounds"] += 1
         self._push(self.now + self._vote_period[app.app_id], _VOTE_ROUND,
                    app.app_id, app)
-
-        # while _proof holds no fault is active, and every copy emits the
-        # reference: equal values, which no voter flags
-        if self._proof:
-            return
         self._check_sensors(app)
         ref = self.settings.reference.value(self.now)
         # the group holds its tasks in task id order

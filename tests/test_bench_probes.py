@@ -4,9 +4,10 @@
 ``lanesim.sim.classify``, and reads the kind of each popped event from the
 engine's heap entries. A refactor that moves such a name or reorders the
 entry breaks the traced benchmark run, so these checks keep that failure
-in the test suite. The tracer's pop count also pins, on fault-free runs,
-how many ``TaskRelease`` and ``BITCheck`` events pop: one an instant that
-releases, and one a built-in test period.
+in the test suite. The tracer's pop count also pins how many
+``TaskRelease`` events pop on fault-free runs, one an instant that
+releases, and how many ``BITCheck`` events pop: one a built-in test
+period, from the first fault on a start every set proves.
 """
 
 import heapq
@@ -88,19 +89,34 @@ def test_the_tracer_reads_each_popped_event_kind(monkeypatch):
         assert pops.counts[EventKind.TASK_RELEASE] == _release_instants(scenario)
 
 
-@pytest.mark.parametrize("scenario", [
-    pytest.param(_fault_free_generated, id="fault_free_generated"),
-    pytest.param(lambda: load_scenario(GOLDEN / "triplex_bit_detection.json"),
-                 id="triplex_bit_detection")])
-def test_bit_runs_as_one_event_per_period(monkeypatch, scenario):
-    # one BITCheck tests every place, from the first period to the
-    # horizon, whatever the places hold and whether they are dead
+def _golden(name):
+    return lambda: load_scenario(GOLDEN / f"{name}.json")
+
+
+@pytest.mark.parametrize("scenario, first", [
+    pytest.param(_fault_free_generated, None, id="fault_free_generated"),
+    *(pytest.param(_golden(name), first, id=name) for name, first in (
+        ("customer_cap_refuses_spare", 25_000),
+        ("triplex_bit_detection", 50_000),
+        ("round_and_sweep_at_first_fault", 40_000),
+        ("overload_deadline_misses", 25_000)))])
+def test_bit_runs_as_one_event_per_period(monkeypatch, scenario, first):
+    # one BITCheck tests every place, one a period from the first sweep to
+    # the horizon, whatever the places hold and whether they are dead. On
+    # a start every set proves, BIT starts at the first period at or after
+    # the first fault: none on a fault-free run, the next period after a
+    # fault between two (customer_cap_refuses_spare: 10 ms, every 25 ms),
+    # the fault's own instant when it falls on one (triplex_bit_detection:
+    # 50 ms, every 25; round_and_sweep_at_first_fault: 40 ms, every 20).
+    # An unproven start (overload_deadline_misses) sweeps from the first
+    # period
     scenario = scenario()
     with _tracer(monkeypatch).counting_pops(lanesim.sim) as pops:
         run(scenario)
     settings = scenario.settings
-    assert pops.counts[EventKind.BIT_CHECK] == (
-        settings.horizon_us // settings.bit_period_us)
+    want = 0 if first is None else len(
+        range(first, settings.horizon_us + 1, settings.bit_period_us))
+    assert pops.counts.get(EventKind.BIT_CHECK, 0) == want
 
 
 def test_the_tracer_counts_one_placement_a_spare_selected(monkeypatch):

@@ -80,14 +80,19 @@ By rank:
 - built-in test, around each ``BITCheck``: the sweep offers exactly the
   live places that ``bit_detects`` finds an active fault on, in (lane,
   proc) order, each with those faults in fault id order;
-- vote rounds, around each ``VoteRound``: an instant holds one round of
-  each application whose vote period divides it, in app id order. While
-  the proof holds, ``cross_monitor`` flags no count of equal copies of the
-  reference from two to the lane count, the full vote of every task of
-  the instant's rounds, run beside them, changes nothing (no trace row, no
-  implicated copy, no event, no policing) and has every due copy emit the
-  reference, and no task is voted. Otherwise each round votes every task
-  of its application in full, in task id order.
+- vote rounds: an instant holds one round of each application whose
+  vote period divides it, in app id order. While the proof holds no round
+  is served and none is counted. Each such instant is then a
+  ``TaskRelease`` instant that releases every copy of the application's
+  shortest-period task, and after that release ``cross_monitor`` flags no
+  count of equal copies of the reference from two to the lane count, and
+  the full vote of every task of the instant's due applications, run
+  beside the engine, changes nothing (no trace row, no implicated copy,
+  no event, no policing) and has every due copy emit the reference. The
+  instants so voted are every round instant before the proof's end. Right
+  after the first fault ends the proof, ``vote_rounds`` counts each
+  round before its instant. From then on, around each ``VoteRound``, each
+  round votes every task of its application in full, in task id order.
 
 Per-call contracts, one override each:
 
@@ -103,8 +108,9 @@ Per-call contracts, one override each:
 - ``_release_group``: the first copy ids of an instant's release groups
   rise across the whole instant, within one ``TaskRelease`` event and
   across its events.
-- ``run``: the checks due by the horizon, and as many rounds as the vote
-  periods give.
+- ``_wrap_up``: the checks due by the horizon, before it counts the
+  rounds of a run the proof held to its end.
+- ``run``: as many rounds as the vote periods give.
 - ``_silenced``, ``_halted``, ``_skew_for``, ``_directive_causes``,
   ``_sensor_faults``: each answer is the settled scan's. A shutdown's
   causes, ``_directive_causes(key)`` of a scope's key, are compared in
@@ -289,7 +295,7 @@ class CheckedEngine(Engine):
         self._app_order = sorted(self.model.applications, key=lambda a: a.app_id)
         self._due_apps, self._served, self._rounds_before = [], 0, 0
         self._vote_open = None       # an instant whose rounds are unchecked
-        self._voted_beside = False
+        self._voted_beside = False   # the instant's due rounds, under the proof
         # a vote round walks the groups' tasks as kept: in task id order
         for app in self.model.applications:
             assert list(self.groups[app.app_id]) == sorted(
@@ -412,14 +418,12 @@ class CheckedEngine(Engine):
             self._scan_bit()
         elif rank == _RELEASE:
             self._releases_before = self.counters["releases"]
-        elif rank == _VOTE and not self._voted_beside:
-            self._voted_beside = True
-            if self._proven_at_start and not self._activated:
-                self._vote_beside()
 
     def _after(self, rank):
         if rank in (_ACTIVATE, _CLEAR):
             self._sweep()
+            if rank == _ACTIVATE and self._proven_at_start and len(self._activated) == 1:
+                self._proof_ended()
         elif rank == _BIT:
             assert self._offered == list(self._bit_scan), (
                 f"BIT sweep at {self.now}us offered {self._offered}, "
@@ -427,6 +431,9 @@ class CheckedEngine(Engine):
             self.checks += 1
         elif rank == _RELEASE:
             self._note_releases()
+            if self._proof_holds() and self._due_apps and not self._voted_beside:
+                self._voted_beside = True
+                self._vote_beside()
         elif rank == _VOTE:
             self._check_rounds()
         holders = self._holders()
@@ -436,9 +443,13 @@ class CheckedEngine(Engine):
         self._check_records()
         self._check_kept_facts()
         self._check_placements()
-        proof = self._proven_at_start and not self._activated
+        proof = self._proof_holds()
         assert self._proof == proof, (
             f"proof flag {self._proof} at {self.now}us, recounted {proof}")
+
+    def _proof_holds(self):
+        """The proof, recounted: every start-up set proven, no activation."""
+        return self._proven_at_start and not self._activated
 
     def _arrive(self, now):
         """The first event of an instant: what it must release and vote."""
@@ -463,8 +474,14 @@ class CheckedEngine(Engine):
         if self._vote_open is not None and (self._vote_open, _VOTE) < here:
             due = [app.app_id for app in self._due_apps]
             rounds = self.counters["vote_rounds"] - self._rounds_before
-            assert self._served == rounds == len(due), (
-                f"{rounds} vote rounds at {self._vote_open}us, apps {due} due")
+            if self._proof_holds():
+                # none served; each due one voted beside the release
+                assert rounds == 0 and (self._voted_beside or not due), (
+                    f"{rounds} vote rounds at {self._vote_open}us under the "
+                    f"proof, apps {due} due, voted beside {self._voted_beside}")
+            else:
+                assert self._served == rounds == len(due), (
+                    f"{rounds} vote rounds at {self._vote_open}us, apps {due} due")
             self._vote_open = None
         late = sorted(t for t in self._checks_due if (t, _DEADLINE) < here)
         assert not late, (
@@ -476,9 +493,14 @@ class CheckedEngine(Engine):
                 f"job {job.key} released at {job.release_us}us is pending at "
                 f"{at}us, past its deadline {deadline}us")
 
+    def _wrap_up(self):
+        self._pass(self.horizon, _PAST_ALL)
+        if self._proof_holds():
+            self._check_beside(self.horizon + 1)
+        return super()._wrap_up()
+
     def run(self):
         result = super().run()
-        self._pass(self.horizon, _PAST_ALL)
         rounds = sum(self.horizon // app.shortest_period_us for app in self._app_order)
         assert result.counters["vote_rounds"] == rounds, (
             f"{result.counters['vote_rounds']} vote rounds, the periods give {rounds}")
@@ -581,10 +603,18 @@ class CheckedEngine(Engine):
     # -- vote rounds ----------------------------------------------------
 
     def _vote_beside(self):
-        """Under the proof, before the instant's rounds: no count of equal
-        copies of the reference may flag, and beside each task of the
-        due applications the full vote changes nothing and every due copy
-        emits the reference."""
+        """Under the proof, after the instant's release: it released every
+        copy of each due application's shortest-period task, no count of
+        equal copies of the reference may flag, and beside each task of
+        the due applications the full vote changes nothing and every due
+        copy emits the reference."""
+        for app in self._due_apps:
+            unreleased = [rt.copy_id for rts in self.groups[app.app_id].values()
+                          for rt in rts if rt.spec.period_us == app.shortest_period_us
+                          and rt.copy_id not in self._released]
+            assert not unreleased, (
+                f"app {app.app_id}'s round at {self.now}us is no release of its "
+                f"shortest-period copies {unreleased}")
         ref = self.settings.reference.value(self.now)
         for n in range(2, len(self.model.lanes) + 1):
             assert not cross_monitor(dict.fromkeys(range(n), ref),
@@ -600,7 +630,33 @@ class CheckedEngine(Engine):
                     v == ref for v in emitted), (
                     f"task {(app.app_id, task_id)} skipped by proof at "
                     f"{self.now}us, but its full vote emitted {emitted}")
+            self.proof_skips += len(app.tasks)
+            self.rounds.append((self.now, app.app_id, True, len(app.tasks)))
         self._voted = []
+
+    def _check_beside(self, end):
+        """The rounds voted beside the engine are every round before end."""
+        want = sorted((at, app.app_id) for app in self._app_order
+                      for at in range(app.shortest_period_us, end,
+                                      app.shortest_period_us))
+        got = [(at, app_id) for at, app_id, proof, _ in self.rounds if proof]
+        assert got == want, (
+            f"rounds voted beside the engine before {end}us: {got}, due {want}")
+        self.checks += 1
+
+    def _proof_ended(self):
+        """Right after the first activation: every round before it was
+        voted beside the engine and counts; the instant's rounds count on
+        from here."""
+        now = self.now
+        self._check_beside(now)
+        before = sum(len(range(app.shortest_period_us, now, app.shortest_period_us))
+                     for app in self._app_order)
+        assert self.counters["vote_rounds"] == before, (
+            f"{self.counters['vote_rounds']} vote rounds counted as the proof "
+            f"ends at {now}us, the periods give {before} before it")
+        self._rounds_before = before
+        self.checks += 1
 
     def _effects(self):
         """What a vote can write: rows, implicated copies, events, policing."""
@@ -609,26 +665,22 @@ class CheckedEngine(Engine):
 
     def _check_rounds(self):
         """The rounds run so far this instant are the first due ones, in
-        app id order: under the proof they vote nothing, else every task
-        of each, in task id order."""
+        app id order, none under the proof, and each votes every task of
+        its application, in task id order."""
+        assert not self._proof_holds(), f"a round served at {self.now}us under the proof"
         rounds = self.counters["vote_rounds"] - self._rounds_before
         due = self._due_apps
         assert self._served < rounds <= len(due), (
             f"{rounds} vote rounds at {self.now}us, apps "
             f"{[app.app_id for app in due]} due")
-        proof = self._proven_at_start and not self._activated
         for app in due[self._served:rounds]:
-            tasks = len(app.tasks)
-            if proof:
-                self.proof_skips += tasks
-            else:
-                self.full_votes += tasks
-            self.rounds.append((self.now, app.app_id, proof, tasks if proof else 0))
-        want = [] if proof else [(app.app_id, t.task_id) for app in due[:rounds]
-                                 for t in sorted(app.tasks, key=lambda t: t.task_id)]
+            self.full_votes += len(app.tasks)
+            self.rounds.append((self.now, app.app_id, False, 0))
+        want = [(app.app_id, t.task_id) for app in due[:rounds]
+                for t in sorted(app.tasks, key=lambda t: t.task_id)]
         assert self._voted == want, (
             f"apps {[app.app_id for app in due[:rounds]]} at {self.now}us: "
-            f"proof {proof}, voted {self._voted}")
+            f"voted {self._voted}")
         self._served = rounds
         self.checks += 1
 

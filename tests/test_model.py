@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lanesim import timebase
 from lanesim.fault import FaultKind, FaultSpec, FaultTarget, TargetKind
@@ -19,7 +20,7 @@ from lanesim.model import (
     build_system,
 )
 from lanesim.sim import Engine
-from lanesim.timebase import frac
+from lanesim.timebase import frac, ms_to_us
 
 from oracles import message_demand
 from scenario_builders import scen, triplex_system
@@ -58,6 +59,76 @@ def test_durations_become_integer_microseconds():
     # message demand is exact: 1 unit / 12.5 ms
     assert spec.messages[0].demand_ratio == (1000, 12500)
     assert message_demand(spec) == Fraction(1000, 12500)
+
+
+# a duration a document may hold: an int, a float equal to an int (both
+# past 2**53, where an int and its equal float convert apart), or any float
+_MS = st.one_of(st.integers(1, 2**70), st.integers(1, 2**70).map(float),
+                st.floats(0.002, 2.0**70))
+_ABSENT = object()      # a field the document leaves out
+
+
+def _twins(value) -> list:
+    """The values equal to value that a document can hold: itself, and the
+    int or float of the other class where one is equal to it."""
+    if type(value) is float and value.is_integer():
+        return [value, int(value)]
+    if type(value) is int and float(value) == value:
+        return [value, float(value)]
+    return [value]
+
+
+@st.composite
+def _defaulted(draw, period, below):
+    """A field that defaults to the task's period: absent, null, equal to
+    it in either class, or another value (at most the period if below)."""
+    how = draw(st.sampled_from(("absent", "null", "equal", "differs")))
+    if how == "absent":
+        return _ABSENT
+    if how == "null":
+        return None
+    if how == "equal":
+        return draw(st.sampled_from(_twins(period)))
+    value = draw((st.floats(0.002, period) | st.integers(1, max(1, int(period))))
+                 if below else _MS)
+    assume(value != period and (not below or value < period))
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_duration_that_defaults_to_the_period_converts_its_own_value(data):
+    # each task's deadline_us and each message's period_us is ms_to_us of
+    # the document's own value, else of the task's period_ms; where the
+    # document repeats that period in its class, it is the task's own int
+    doc = triplex_system()
+    drawn = []
+    for app in doc["applications"]:
+        task = app["tasks"][0]
+        period = data.draw(_MS)
+        deadline = data.draw(_defaulted(period, below=True))
+        message = data.draw(_defaulted(period, below=False))
+        task.update(period_ms=period, wcet_ms=0.001)
+        for record, key, value in ((task, "deadline_ms", deadline),
+                                   (task["messages"][0], "period_ms", message)):
+            if value is _ABSENT:
+                del record[key]
+            else:
+                record[key] = value
+        drawn.append((period, deadline, message))
+        # an equal int and float can convert apart: the model then refuses
+        # a deadline past the period, which is no case of this test
+        assume(deadline in (_ABSENT, None) or ms_to_us(deadline) <= ms_to_us(period))
+    model = build_system(doc)
+    for app, (period, deadline, message) in zip(model.applications, drawn):
+        spec = app.tasks[0]
+        assert spec.period_us == ms_to_us(period)
+        for got, value in ((spec.deadline_us, deadline),
+                           (spec.messages[0].period_us, message)):
+            own = value in (_ABSENT, None)
+            assert got == ms_to_us(period if own else value), (period, value)
+            if own or type(value) is type(period) and value == period:
+                assert got is spec.period_us, (period, value)
 
 
 def test_task_and_message_sizes_are_fractions():
