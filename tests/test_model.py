@@ -89,7 +89,7 @@ def _defaulted(draw, period, below):
         return None
     if how == "equal":
         return draw(st.sampled_from(_twins(period)))
-    value = draw((st.floats(0.002, period) | st.integers(1, max(1, int(period))))
+    value = draw((st.floats(0.002, float(period)) | st.integers(1, max(1, int(period))))
                  if below else _MS)
     assume(value != period and (not below or value < period))
     return value
