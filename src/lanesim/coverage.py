@@ -41,6 +41,7 @@ class CoverageLevel(IntEnum):
 # the levels by count: a recount looks its levels up, not through the
 # enum's constructor
 _LEVELS = tuple(CoverageLevel)
+_ACTIVE = Health.ACTIVE     # read once (lanesim.sim states the rule)
 
 
 def _level(count: int) -> CoverageLevel:
@@ -58,7 +59,7 @@ def coverage(group: dict[int, list[Copy]]) -> tuple[CoverageLevel, CoverageLevel
         return CoverageLevel.NONE, CoverageLevel.NONE
     functional = zonal = 4      # _level caps a count here anyway
     for copies in group.values():
-        lanes = [c.place[0] for c in copies if c.health is Health.ACTIVE]
+        lanes = [c.place[0] for c in copies if c.health is _ACTIVE]
         count = len(lanes)
         if count < functional:
             functional = count

@@ -66,6 +66,12 @@ class TargetKind(Enum):
     SENSOR = "sensor"
 
 
+# Members read by functions, each once (lanesim.sim states the rule).
+_TRANSIENT = FaultKind.TRANSIENT
+_BYZANTINE = FaultKind.BYZANTINE
+_SENSOR = TargetKind.SENSOR
+_BIT_TARGETS = (TargetKind.PROCESSOR, TargetKind.TASK)
+
 # The coordinates each kind of scope names; a FaultTarget sets exactly these.
 TARGET_FIELDS = {
     TargetKind.LANE: ("lane",),
@@ -103,7 +109,7 @@ class FaultTarget:
                              f"{', '.join(TARGET_FIELDS[self.kind])}")
         # a sensor key starts with its kind, not a lane: no key prefixes it
         # and it prefixes no other
-        if self.kind is TargetKind.SENSOR:
+        if self.kind is _SENSOR:
             key = (self.kind, *key)
         self.key = key
 
@@ -125,7 +131,7 @@ class FaultSpec:
 
     @property
     def clears_at_us(self) -> int | None:
-        if self.kind is FaultKind.TRANSIENT and self.duration_us is not None:
+        if self.kind is _TRANSIENT and self.duration_us is not None:
             return self.at_us + self.duration_us
         return None
 
@@ -295,8 +301,8 @@ def bit_visible(fault: FaultSpec) -> bool:
     A lane fault takes the monitor down with everything else, and Byzantine
     behaviour passes every local check.
     """
-    return (fault.bit_detectable and fault.kind is not FaultKind.BYZANTINE
-            and fault.target.kind in (TargetKind.PROCESSOR, TargetKind.TASK))
+    return (fault.bit_detectable and fault.kind is not _BYZANTINE
+            and fault.target.kind in _BIT_TARGETS)
 
 
 def bit_detects(fault: FaultSpec, place: tuple,
@@ -323,11 +329,12 @@ def classify(implicated, hosted, hosting) -> list[tuple]:
     ``implicated`` is a set of (lane, proc, app, task) copies that deviated
     or fell silent this round. ``hosted`` maps the (lane, proc) of each
     implicated copy to the set of (app, task) copies that processor hosts
-    now, and ``hosting`` maps each implicated copy's lane to the number of
-    its processors that host any copy. A lane scope needs every hosting
-    processor of the lane implicated in full, and at least two of them
-    (voting cannot implicate an empty spare, and single-processor evidence
-    only supports a processor scope). A processor scope needs all of its
+    now, and ``hosting`` maps each lane with two implicated processors or
+    more, the only lanes it is read for, to the number of its processors
+    that host any copy. A lane scope needs every hosting processor of the
+    lane implicated in full, and at least two of them (voting cannot
+    implicate an empty spare, and single-processor evidence only supports
+    a processor scope). A processor scope needs all of its
     hosted copies implicated; anything less is per-task. Lane scopes come
     first, then processor scopes, then task scopes, each in coordinate
     order.

@@ -230,8 +230,8 @@ def _field_lines(n: int, key, kinds, default, convert, ns: dict) -> list:
     """The source lines that read field ``key`` of ``doc`` into ``vn`` by
     ``_rule``, with its kinds, default and conversion bound in ns. A value
     whose class is one of the kinds themselves (a number only inside float
-    range) passes the rule as it is, so it is taken in line; any other
-    value goes to the rule."""
+    range) passes the rule as it is, so it is taken in line, and so is an
+    absent or null field's default; any other value goes to the rule."""
     exact = kinds if type(kinds) is tuple else (kinds,)
     ns.update((k.__name__, k) for k in exact)
     ns[f"t{n}"], ns[f"d{n}"], ns[f"c{n}"] = kinds, default, convert
@@ -239,7 +239,10 @@ def _field_lines(n: int, key, kinds, default, convert, ns: dict) -> list:
     fast = " or ".join(
         ([f"({numbers}) and -_FLOAT_MAX <= v{n} <= _FLOAT_MAX"] if numbers else [])
         + [f"c is {k.__name__}" for k in exact if k not in _NUMBER])
-    rule = f"v{n} = _rule(doc, {key!r}, t{n}, d{n}, c{n}, path)"
+    rule = f"_rule(doc, {key!r}, t{n}, d{n}, c{n}, path)"
+    if default is not _REQUIRED:
+        rule = f"d{n} if v{n} is None else {rule}"
+    rule = f"v{n} = {rule}"
     lines = [f"v{n} = get({key!r})", f"c = v{n}.__class__"]
     if convert is None:
         return lines + [f"if not ({fast}):", f"    {rule}"]
@@ -281,13 +284,15 @@ def _number(doc: dict, key: str, path: tuple, default=_REQUIRED):
     return _field(doc, key, _NUMBER, path, default)
 
 
-def _enum(cls, text, path: tuple):
-    try:
-        return cls(text)
-    except ValueError:
-        names = ", ".join(e.value for e in cls)
+_MEMBERS: dict = {}     # Enum class -> its members by value, built once
+
+
+def _enum(cls, text: str, path: tuple):
+    members = _MEMBERS.get(cls) or _MEMBERS.setdefault(cls, {e.value: e for e in cls})
+    if text not in members:
         raise MalformedDocument(
-            f"{_at(path)}: expected one of [{names}], got {text!r}") from None
+            f"{_at(path)}: expected one of [{', '.join(members)}], got {text!r}")
+    return members[text]
 
 
 # -- document -> model -------------------------------------------------------

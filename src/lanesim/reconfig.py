@@ -46,6 +46,9 @@ class Health(Enum):
     SHUTDOWN = "shutdown"
 
 
+_ACTIVE = Health.ACTIVE     # read once (lanesim.sim states the rule)
+
+
 @dataclass(eq=False, init=False, slots=True)
 class Copy:
     """One replica of one task, named by its ``key`` (app, task) and its
@@ -79,7 +82,7 @@ class Copy:
         self.copy_id = copy_id
         self.key = key
         self.place = place
-        self.health = Health.ACTIVE
+        self.health = _ACTIVE
         self.spec = spec
         self.completed_ever = False
         self.converge_left = 0

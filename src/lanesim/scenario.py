@@ -22,13 +22,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .fault import (TARGET_FIELDS, Consensus, FaultKind, FaultSpec, FaultTarget,
                     TargetKind, VoterConfig)
 from .model import (_FLOAT_MAX, _NUMBER, _REQUIRED, Architecture, InvalidModel,
                     MalformedDocument, SystemModel, Violation, build_system,
                     _enum, _field, _number, _reader)
-from .timebase import ms_to_us
+from .timebase import frac, ms_to_us
 
 FORMAT_VERSION = 1
 
@@ -337,6 +338,7 @@ def load_scenario(path) -> Scenario:
 
 # Divisor-friendly periods (ms) keep one hyperperiod short: lcm = 200 ms.
 _PERIODS_MS = (10, 20, 25, 40, 50, 100)
+_BOUND = 0.69       # the utilization bound every generated document states
 
 
 def _uunifast(rng: random.Random, n: int, total: float) -> list[float]:
@@ -408,14 +410,25 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
             # wcet <= period, so redraw rather than let one share pass 1
             while infeasible and max(shares) > 0.95:
                 shares = _uunifast(rng, n, target)
+            # [wcet_us, period_us] of the processor's tasks, and what lifting
+            # a WCET to 1 us added to its utilization
+            drawn, lift = [], 0
             for share in shares:
-                period_ms = rng.choice(_PERIODS_MS)
-                period_us = period_ms * 1000
+                period_us = rng.choice(_PERIODS_MS) * 1000
                 # flooring keeps a feasible draw's sum at or under the target
-                wcet_us = max(1, math.floor(share * period_us))
+                wcet_us = math.floor(share * period_us)
+                if wcet_us < 1:
+                    wcet_us, lift = 1, lift + Fraction(1, period_us)
                 if not infeasible:
                     wcet_us = min(wcet_us, period_us)
-                tasks.append((proc, wcet_us, period_us))
+                drawn.append([wcet_us, period_us])
+            # a lift that carries a floored draw within the bound past it
+            # comes off the largest WCET
+            excess = lift and sum(Fraction(*t) for t in drawn) - frac(_BOUND)
+            if not infeasible and 0 < excess <= lift:
+                largest = max(drawn, key=lambda t: t[0])
+                largest[0] -= math.ceil(excess * largest[1])
+            tasks += [(proc, *t) for t in drawn]
 
     app_docs = []
     if tasks:
@@ -461,7 +474,7 @@ def generate_scenario(lanes: int = 3, procs: int = 3, apps: int = 2,
             ],
             "bus": {"max_load": 50},
             "applications": app_docs,
-            "timing": {"utilization_bound": 0.69},
+            "timing": {"utilization_bound": _BOUND},
         },
         "faults": [],
         "policies": {"pilot_gate": False, "pilot_approvals": []},

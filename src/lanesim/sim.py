@@ -165,8 +165,9 @@ for _rank, _kind in enumerate(EventKind):
 del _rank, _kind
 
 # Each member read once: reading one off its Enum class costs about ten
-# times a global's read, and a run reads a kind on every push. The same
-# holds for the health every copy starts in.
+# times a global's read, and a run reads a kind on every push. The rule
+# holds for every Health, FaultKind and TargetKind member that a function
+# here or in coverage, reconfig and fault reads (tests/test_enum_reads.py).
 _FAULT_ACTIVATE = EventKind.FAULT_ACTIVATE
 _FAULT_CLEAR = EventKind.FAULT_CLEAR
 _TASK_COMPLETE = EventKind.TASK_COMPLETE
@@ -181,7 +182,13 @@ _STATE_TRANSFER_DONE = EventKind.STATE_TRANSFER_DONE
 _PILOT_APPROVAL = EventKind.PILOT_APPROVAL
 _READMIT = EventKind.READMIT
 _ACTIVE = Health.ACTIVE
+_POLICED = Health.POLICED
+_RESTABILIZING = Health.RESTABILIZING
+_SHUTDOWN = Health.SHUTDOWN
 _TRANSIENT = FaultKind.TRANSIENT
+_BYZANTINE = FaultKind.BYZANTINE
+_TASK_TARGET = TargetKind.TASK
+_SENSOR = TargetKind.SENSOR
 
 
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
@@ -472,8 +479,8 @@ class Engine:
         # every lane starts mirrored: each task's copies share its
         # initial_proc, so each processor id starts as one set of its
         # lanes' places, with one admitted set, one ranking and one schedule.
-        # Fraction sums are exact, so the admitted sets and the bus load
-        # equal the totals of admitting the copies one at a time.
+        # The sums are exact, so the admitted sets and the bus load equal
+        # the totals of admitting the copies one at a time.
         model = self.model
         proc_copies = self._proc_copies
         members = {p.proc_id: [] for p in model.lanes[0].processors}
@@ -514,13 +521,15 @@ class Engine:
             sets[proc] = _ProcSet(members[proc], self._push, state,
                                   state.priorities())
         self.sets = {place: sets[place[1]] for place in proc_copies}
-        demand = timebase.ratio_sum(m.demand_ratio for app in model.applications
-                                    for t in app.tasks for m in t.messages)
-        self.bus = BusState(model.bus.max_load, demand * len(model.lanes))
-
+        # each lane sends every message: the load is load/per, a pair
+        load, per = timebase.lcm_sum(m.demand_ratio for app in model.applications
+                                     for t in app.tasks for m in t.messages)
+        load *= len(model.lanes)
+        self.bus = BusState(model.bus.max_load, (load, per))
+        # U > bound and load > max_load in integers; a float only for a
+        # refusal's text
         violations = []
         if self.settings.enforce_admission:
-            # U > bound in integers; a float only for a refusal's text
             bound = self.cfg.utilization_bound
             over = {}
             for proc, ps in sets.items():
@@ -533,12 +542,12 @@ class Engine:
                         "AdmissionExceeded",
                         f"lane {lane} processor {proc} starts at utilization "
                         f"{over[proc]:.4f} over the bound {float(bound):.2f}"))
-        load = self.bus.current_load
-        if load > self.bus.max_load:
+        cap = self.bus.max_load
+        if load * cap.denominator > cap.numerator * per:
             violations.append(Violation(
                 "BusOverload",
-                f"baseline message load {float(load):.4f} exceeds "
-                f"bus capacity {float(self.bus.max_load):.4f}"))
+                f"baseline message load {load / per:.4f} exceeds "
+                f"bus capacity {float(cap):.4f}"))
         if violations:
             raise ScenarioInvalid(violations)
 
@@ -597,7 +606,7 @@ class Engine:
         later scope takes it again. Coverage counts the active copies: the
         caller samples the copy's application before its handler returns."""
         rt.health = health
-        if health is Health.SHUTDOWN:
+        if health is _SHUTDOWN:
             app_id, task_id = rt.key
             self.groups[app_id][task_id].remove(rt)
             self._proc_copies[rt.place].remove(rt)
@@ -732,8 +741,8 @@ class Engine:
         # while none is, so a release allocates no new group, and no group
         # is scanned before the first withdrawal
         if self._any_withdrawn and any(
-                rt.health is Health.SHUTDOWN for rt in copies):
-            copies = tuple(rt for rt in copies if rt.health is not Health.SHUTDOWN)
+                rt.health is _SHUTDOWN for rt in copies):
+            copies = tuple(rt for rt in copies if rt.health is not _SHUTDOWN)
             if not copies:
                 return
         now, spec = self.now, copies[0].spec
@@ -749,7 +758,7 @@ class Engine:
         stopped = None
         unproven = False
         for ps, mine in self._by_set(copies):
-            # halted as _silenced tells, asked of the set's first copy
+            # halted as _emission tells, asked of the set's first copy
             if ps.failed or faults_at and _halts(faults_at.get(mine[0].place + key)):
                 if stopped is None:
                     stopped = []
@@ -822,13 +831,8 @@ class Engine:
     # stops what it targets. Lane, processor and task scopes nest, so the
     # copy or processor is halted iff a halting fault targets its own scope
     # or one around it: iff _faults_at holds one on a prefix of its key.
-
-    def _silenced(self, rt: Copy, ps: _ProcSet) -> bool:
-        """Is the copy, run by ps, halted (not just skewed) by an active
-        fault? The fault handlers keep ps.failed equal to _halted of each
-        member."""
-        return ps.failed or bool(self._faults_at) and _halts(
-            self._faults_at.get(rt.place + rt.key))
+    # The fault handlers keep a set's failed flag equal to _halted of each
+    # member, so a copy is halted iff its set has failed or its task is.
 
     def _halted(self, place: tuple) -> bool:
         """Is the processor at place halted by an active fault?"""
@@ -853,7 +857,7 @@ class Engine:
         self._row("FaultActivate", t.lane, t.proc, t.app, t.task,
                   f.fault_id, f.kind, t.kind)
         rank = self._rank
-        if t.kind is TargetKind.SENSOR:
+        if t.kind is _SENSOR:
             bisect.insort(self._sensor_on.setdefault(t.app, []), f, key=rank)
             return
         key = t.key
@@ -861,9 +865,9 @@ class Engine:
         # a task key's first two coordinates are its place
         for place in self._places_in(key[:2]):
             self._split(place)
-        if f.kind is FaultKind.BYZANTINE:
+        if f.kind is _BYZANTINE:
             return
-        if t.kind is TargetKind.TASK:
+        if t.kind is _TASK_TARGET:
             # the copy's executable halts; the processor carries on
             for rt in self._copies_in(key):
                 self.sets[rt.place].drop(rt.key, self.now)
@@ -878,7 +882,7 @@ class Engine:
     def _on_fault_clear(self, f):
         t = f.target
         self._row("FaultClear", t.lane, t.proc, t.app, t.task, f.fault_id)
-        if t.kind is TargetKind.SENSOR:
+        if t.kind is _SENSOR:
             on = self._sensor_on[t.app]
             on.remove(f)
             if not on:
@@ -926,9 +930,6 @@ class Engine:
         self._row("Readmit.channel", lane=lane, app=app_id)
         self._sample(app_id)
 
-    def _healthy_channels(self, app_id) -> int:
-        return sum(self.channels[app_id].values())
-
     # -- built-in test -------------------------------------------------------------
 
     def _on_bit_check(self, _):
@@ -966,32 +967,31 @@ class Engine:
 
     # -- voting ---------------------------------------------------------------------
 
-    def _skew_for(self, rt: Copy):
-        """First active byzantine fault hitting this copy, if any: the first
-        in scenario order of those on its lane, its processor and itself."""
-        at, skew, place = self._faults_at, None, rt.place
-        for key in (place[:1], place, place + rt.key):
-            for f in at.get(key, ()):     # in scenario order
-                if f.kind is FaultKind.BYZANTINE:
-                    if skew is None or self._rank(f) < self._rank(skew):
-                        skew = f
-                    break
-        return skew
-
-    def _emitted(self, rt: Copy, byz, ref: float) -> float | None:
-        """Value the copy puts on the exchange this round, or None if silent.
-        ``byz`` is the copy's byzantine fault and ``ref`` the reference value.
-        A copy in service sits on no dead place: only a halt silences it."""
-        if not rt.completed_ever or self._replaying(rt):
-            return None
-        if self._silenced(rt, self.sets[rt.place]):
-            return None
-        value = ref
-        if byz is not None:
-            value += byz.value_skew
+    def _emission(self, rt: Copy, ref: float) -> tuple:
+        """The copy's byzantine fault, the first in scenario order of those
+        on its lane, its processor and itself, and the value it puts on the
+        exchange, or None for either: it is silent until it completes, while
+        it replays (``_replaying``) and while halted. One look at each list
+        finds both. A copy in service sits on no dead place."""
+        byz, halted = None, False
+        at = self._faults_at
+        if at:
+            place, rank = rt.place, self._fault_rank
+            own = at.get(place + rt.key, ())
+            for faults in (at.get(place[:1], ()), at.get(place, ()), own):
+                for f in faults:        # in scenario order
+                    if f.kind is _BYZANTINE:
+                        if byz is None or rank[id(f)] < rank[id(byz)]:
+                            byz = f
+                        break
+            halted = _halts(own)
+        ps = self.sets[rt.place]
+        if halted or ps.failed or not rt.completed_ever or rt.copy_id in ps.jobs:
+            return byz, None
+        value = ref if byz is None else ref + byz.value_skew
         if rt.converge_left > 0:
             value += 2.0 * self.voter.tolerance * rt.converge_left
-        return value
+        return byz, value
 
     def _on_vote_round(self, app: ApplicationSpec):
         self.counters["vote_rounds"] += 1
@@ -1025,18 +1025,15 @@ class Engine:
         silent = []         # places of the expected copies that do not
         two_faced = False   # is a two-faced fault among the expected copies'?
         watched = []        # rebuilt copies policed against the consensus
-        faults_at, now = self._faults_at, self.now
+        now = self.now
         for rt in rts:
             if rt.health is _ACTIVE:
                 # expected from its first deadline on: one never completed
                 # is set-up's, at phase 0 (readmission needs a completion)
                 if rt.completed_ever or now >= rt.spec.deadline_us:
-                    byz = None
-                    if faults_at:
-                        byz = self._skew_for(rt)
-                        two_faced = two_faced or (
-                            byz is not None and byz.per_receiver)
-                    value = self._emitted(rt, byz, ref)
+                    byz, value = self._emission(rt, ref)
+                    if byz is not None and byz.per_receiver:
+                        two_faced = True
                     expected.append((rt, byz, value))
                     if value is None:
                         silent.append(rt.place)
@@ -1102,7 +1099,7 @@ class Engine:
                 continue
             if not emitting:
                 continue
-            value = self._emitted(rt, self._skew_for(rt), ref)
+            value = self._emission(rt, ref)[1]
             if value is None:
                 continue
             if consensus is None:
@@ -1126,7 +1123,7 @@ class Engine:
         # a copy withdrawn before its approval comes is not readmitted
         (lane, proc), (app, task) = rt.place, rt.key
         at = (self._approved_at(lane=lane, proc=proc, app=app, task=task)
-              if rt.health is Health.RESTABILIZING else self.now)
+              if rt.health is _RESTABILIZING else self.now)
         if at is not None:      # else it waits forever
             self._push(at, _READMIT, (0, rt.copy_id), rt)
 
@@ -1138,14 +1135,14 @@ class Engine:
         if isinstance(rt, tuple):
             self._readmit_channel(*rt)     # an (app, lane) sensor channel
             return
-        if rt.health not in (Health.POLICED, Health.RESTABILIZING):
+        if rt.health is not _POLICED and rt.health is not _RESTABILIZING:
             return
-        self._set_health(rt, Health.ACTIVE)
+        self._set_health(rt, _ACTIVE)
         self.counters["readmissions"] += 1
         self._row("Readmit.copy", *rt.place, *rt.key)
         self._sample(rt.key[0])
         ep = self._episodes[rt.episode - 1]     # it is policed or restabilizing
-        if ep.outcome is None and all(c.health is Health.ACTIVE for c in ep.copies):
+        if ep.outcome is None and all(c.health is _ACTIVE for c in ep.copies):
             ep.t_a_us = self.now
             self._close_episode(ep, Outcome.DEGRADED_DUPLEX
                                 if ep.degraded_tasks else Outcome.READMITTED)
@@ -1156,16 +1153,18 @@ class Engine:
         implicated = self._pending_implicated
         self._pending_implicated = set()
         # classify reads the active copies of the implicated places, and of
-        # the other places of their lanes only whether they host any
-        hosted = {}
+        # the other places of a lane only whether they host any, and that
+        # only for a lane with two implicated places or more
+        hosted, places_on = {}, {}
         for copy in implicated:
             place = copy[:2]
             if place not in hosted:
                 hosted[place] = self._hosted(place)
+                places_on[place[0]] = places_on.get(place[0], 0) + 1
         proc_copies = self._proc_copies
         hosting = {lane: sum(_hosts(proc_copies[place])
                              for place in self._lane_places[lane])
-                   for lane in {place[0] for place in hosted}}
+                   for lane, n in places_on.items() if n >= 2}
         scopes = classify(implicated, hosted, hosting)
         for key in scopes:
             self.counters["detections"] += 1
@@ -1176,13 +1175,14 @@ class Engine:
         """Active faults that explain a shutdown scope, given by its key:
         inside it or around it, in an order no caller reads. One key
         prefixes the other: a task scope's are on its lane, its processor
-        and itself; a wider scope's are on the keys it prefixes or that
-        prefix it."""
+        and itself; a wider scope's are its lane's and those it prefixes,
+        which are on its lane too."""
         at = self._faults_at
         if len(key) == 4:
             keys = (key[:1], key[:2], key)
         else:
-            keys = [k for k in at if k[:len(key)] == key or key[:len(k)] == k]
+            lane = key[0]
+            keys = [k for k in at if k[0] == lane and (len(k) == 1 or k[:len(key)] == key)]
         return [f for k in keys for f in at.get(k, ())]
 
     def _apply_directives(self, scopes):
@@ -1217,18 +1217,18 @@ class Engine:
                       transient, cause_ids)
             if transient:
                 for rt in victims:
-                    self._set_health(rt, Health.RESTABILIZING)
+                    self._set_health(rt, _RESTABILIZING)
                     rt.streak = 0
             else:
                 self._mark_dead(key)
                 for rt in victims:
                     # a restabilizing or policed copy belongs to an episode
-                    if rt.health is not Health.ACTIVE:
+                    if rt.health is not _ACTIVE:
                         ep = self._episodes[rt.episode - 1]
                         if ep.outcome is None:
                             abandoned[ep.record_id] = ep
                     # out of the lists now: no later scope takes it again
-                    self._set_health(rt, Health.SHUTDOWN)
+                    self._set_health(rt, _SHUTDOWN)
                 withdrawn += victims
             for rt in victims:
                 copies, causes = affected.setdefault(
@@ -1462,7 +1462,7 @@ class Engine:
         for task_id, place in ep.placements.items():
             spec = app.task(task_id)
             rt = Copy(next(self._copy_ids), (ep.app_id, task_id), place, spec)
-            rt.health = Health.POLICED
+            rt.health = _POLICED
             rt.episode = ep.record_id
             self._add_copy(rt)
             ep.copies.append(rt)
@@ -1487,7 +1487,7 @@ class Engine:
     def _coverage(self, app_id) -> tuple:
         """The application's functional, zonal and peripheral coverage now."""
         return (*cov.coverage(self.groups[app_id]),
-                cov.peripheral_coverage(self._healthy_channels(app_id)))
+                cov.peripheral_coverage(sum(self.channels[app_id].values())))
 
     def _sample(self, app_id):
         """Recount the application's coverage; a change is a new sample."""
@@ -1500,10 +1500,7 @@ class Engine:
 _finish_lane_proc = attrgetter("finish_us", "lane", "proc")
 _app_id = attrgetter("app_id")
 _task_id = attrgetter("task_id")
-
-
-def _fault_id(f) -> int:
-    return f.fault_id
+_fault_id = attrgetter("fault_id")
 
 
 def _first_id(copies: tuple) -> int:
@@ -1528,8 +1525,10 @@ def _scope_fields(key: tuple) -> tuple:
 
 def _halts(faults) -> bool:
     """Does any of these faults (None: no fault) halt what it targets?"""
-    return faults is not None and any(
-        f.kind is not FaultKind.BYZANTINE for f in faults)
+    for f in faults or ():
+        if f.kind is not _BYZANTINE:
+            return True
+    return False
 
 
 def _two_faced_sign(toward: Copy, fault) -> int:

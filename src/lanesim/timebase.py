@@ -40,12 +40,6 @@ def frac(value) -> Fraction:
     return Fraction(str(value))
 
 
-def ratio_sum(pairs) -> Fraction:
-    """The exact sum of (numerator, denominator) integer pairs, summed
-    over their lcm into one Fraction: no Fraction per term or partial sum."""
-    return Fraction(*lcm_sum(pairs))
-
-
 def lcm_sum(pairs) -> tuple[int, int]:
     """The sum of (numerator, denominator) integer pairs as one unreduced
     pair whose denominator is the lcm of theirs (1 for no pairs)."""

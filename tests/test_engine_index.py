@@ -74,7 +74,7 @@ By rank:
   none when nothing runs; every wake-up the event pushed is still live,
   so no set replaced a wake-up within the event;
 - fault events, after each: the index of active faults is empty exactly
-  when no non-sensor fault is active, and every copy's ``_silenced``,
+  when no non-sensor fault is active, and every copy's ``_emission``,
   every place's ``_halted`` and each set's failed flag answer as the scan
   does;
 - built-in test, around each ``BITCheck``: the sweep offers exactly the
@@ -111,12 +111,17 @@ Per-call contracts, one override each:
 - ``_wrap_up``: the checks due by the horizon, before it counts the
   rounds of a run the proof held to its end.
 - ``run``: as many rounds as the vote periods give.
-- ``_silenced``, ``_halted``, ``_skew_for``, ``_directive_causes``,
-  ``_sensor_faults``: each answer is the settled scan's. A shutdown's
-  causes, ``_directive_causes(key)`` of a scope's key, are compared in
-  fault id order, since the engine promises no order there, with the
-  faults whose target overlaps the scope the key names by coordinates;
-  a copy asks for its skew at most once a task vote.
+- ``_halted``, ``_directive_causes``, ``_sensor_faults``: each answer is
+  the settled scan's. A shutdown's causes, ``_directive_causes(key)`` of
+  a scope's key, are compared in fault id order, since the engine
+  promises no order there, with the faults whose target overlaps the
+  scope the key names by coordinates.
+- ``_emission``: a copy asks at most once a task vote. Its skew is the
+  settled scan's first byzantine fault that contains the copy's scope,
+  and so none while no fault is active. A copy that has completed and
+  does not replay is silent exactly when the settled scan finds a
+  halting fault that contains its scope (which its set's failed flag
+  follows).
 - ``_hosted``, ``_copies_in``: each answer is a full scan of the copies.
   ``_copies_in(key)`` gives the copies inside the scope the key names by
   coordinates, place by place, in the lanes' spec order, and in copy id
@@ -128,8 +133,7 @@ Per-call contracts, one override each:
 - ``_bit_check``: a place is offered the faults the sweep's scan found,
   and the engine asks ``bit_detects`` of those alone.
 - ``_vote_task``: the task's copies in copy id order and the reference
-  now; with no fault active, only policing looks up a skew.
-- ``_emitted``: a copy emits at most once a task vote.
+  now.
 - ``_police``: the watched copies are the task's policed and restabilizing
   ones, the emitted values are the active copies' by place, and each
   ``PoliceRound.vote`` row the call writes matches exactly when its copy's
@@ -258,7 +262,7 @@ class CheckedEngine(Engine):
         self.proof_skips = 0     # task votes the proof skips, each checked
         self.full_votes = 0      # task votes run in full outside the proof
         self.rounds = []         # (instant, app, proof, tasks it skipped)
-        self._skews, self._emissions = set(), {}
+        self._emissions = {}     # copy id -> (copy, value), this task vote
         self._voted, self._policed = [], 0
         self._fault_events = set()   # (id(fault), rank) of each fault event run
         self._activated = []     # the faults whose activation has run
@@ -874,9 +878,10 @@ class CheckedEngine(Engine):
             for f in self._settled_faults()), (
             f"fault index {self._faults_at} at {self.now}us")
         # the engine asks about a copy only while its processor runs, so
-        # ask about every copy and processor here as well
+        # ask about every copy and processor here as well, with no vote
+        ref = self.settings.reference.value(self.now)
         for rt in self._all_copies():
-            self._silenced(rt, self.sets[rt.place])
+            self._check_emission(rt, super()._emission(rt, ref))
         for place, ps in self.sets.items():
             assert ps.failed == self._halted(place)
 
@@ -896,25 +901,31 @@ class CheckedEngine(Engine):
 
     # -- the indexed answers --------------------------------------------
 
-    def _silenced(self, rt, pr):
-        got = super()._silenced(rt, pr)
-        self._agree("silenced", got, lambda fs: _halting(fs, _copy_scope(rt)))
-        return got
-
     def _halted(self, place):
         got = super()._halted(place)
         self._agree("halted", got, lambda fs: _halting(fs, _place_scope(place)))
         return got
 
-    def _skew_for(self, rt):
-        assert rt.copy_id not in self._skews, (
-            f"copy {rt.copy_id} asked for its skew twice at {self.now}us")
-        self._skews.add(rt.copy_id)
-        got = super()._skew_for(rt)
-        self._agree("skew", got, lambda fs: next(
+    def _emission(self, rt, ref):
+        assert rt.copy_id not in self._emissions, (
+            f"copy {rt.copy_id} asked for its emission twice at {self.now}us")
+        got = super()._emission(rt, ref)
+        assert self._faults_at or got[0] is None, (
+            f"copy {rt.copy_id} skewed at {self.now}us with no fault active")
+        self._check_emission(rt, got)
+        self._emissions[rt.copy_id] = (rt, got[1])
+        return got
+
+    def _check_emission(self, rt, got):
+        """The copy's skew and silence, as ``_emission`` gives them, are
+        the settled scan's."""
+        skew, value = got
+        self._agree("skew", skew, lambda fs: next(
             (f for f in fs if f.kind is FaultKind.BYZANTINE
              and contains(f.target, _copy_scope(rt))), None))
-        return got
+        if rt.completed_ever and not self._replaying(rt):
+            self._agree("silenced", value is None,
+                        lambda fs: _halting(fs, _copy_scope(rt)))
 
     def _directive_causes(self, key):
         # the engine promises no order here: compare in fault id order
@@ -964,24 +975,11 @@ class CheckedEngine(Engine):
         assert rts == [rt for rt in self._copies_by_id()
                        if rt.key == (app_id, task_id)]
         assert ref == self.settings.reference.value(self.now)
-        # what this task's copies asked and emitted, each at most once
-        self._skews, self._emissions = set(), {}
+        # what this task's copies emitted, each asked at most once
+        self._emissions = {}
         self._voted.append((app_id, task_id))
-        # while no fault is active, only policing asks for a skew
-        unasked = set() if self._faults_at else {
-            rt.copy_id for rt in rts if rt.health is Health.ACTIVE}
         assert super()._vote_task(app_id, task_id, rts, ref) is None
-        assert not unasked & self._skews, (
-            f"task {(app_id, task_id)} at {self.now}us looked up skews of "
-            f"{sorted(unasked & self._skews)} with no fault active")
         self.checks += 1
-
-    def _emitted(self, rt, byz, ref):
-        assert rt.copy_id not in self._emissions, (
-            f"copy {rt.copy_id} emitted twice at {self.now}us")
-        got = super()._emitted(rt, byz, ref)
-        self._emissions[rt.copy_id] = (rt, got)
-        return got
 
     def _police(self, watched, emitting, ref):
         key = watched[0].key

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import lanesim.timebase
 from lanesim.scenario import generate_scenario, parse_scenario
-from lanesim.timebase import frac, lcm_sum, ms_to_us, ratio_sum
+from lanesim.timebase import frac, lcm_sum, ms_to_us
 
 
 def _reference_us(ms) -> int:
@@ -147,11 +147,11 @@ _PAIRS = st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(1, 10**6)),
 @given(_PAIRS)
 @example([])
 @example([(2, 4), (-3, 6)])     # unreduced terms that sum to zero
-def test_ratio_sum_equals_the_running_fraction_sum(pairs):
-    got = ratio_sum(pairs)
-    assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
-    assert type(got) is Fraction
-    assert ratio_sum(iter(pairs)) == got
+def test_lcm_sum_equals_the_running_fraction_sum(pairs):
+    num, den = lcm_sum(pairs)
+    assert Fraction(num, den) == sum((Fraction(n, d) for n, d in pairs),
+                                     Fraction(0))
+    assert lcm_sum(iter(pairs)) == (num, den)
 
 
 @given(_PAIRS)
@@ -160,5 +160,4 @@ def test_ratio_sum_equals_the_running_fraction_sum(pairs):
 def test_lcm_sum_keeps_the_lcm_of_the_denominators(pairs):
     num, den = lcm_sum(pairs)
     assert den == math.lcm(*(d for _, d in pairs))      # math.lcm() is 1
-    assert Fraction(num, den) == ratio_sum(pairs)
     assert lcm_sum([]) == (0, 1)
