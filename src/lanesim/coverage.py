@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .reconfig import Copy, Health, Outcome, ReconfigRecord
+from .reconfig import _ACTIVE, Copy, Outcome, ReconfigRecord
 
 
 class CoverageLevel(IntEnum):
@@ -41,7 +41,6 @@ class CoverageLevel(IntEnum):
 # the levels by count: a recount looks its levels up, not through the
 # enum's constructor
 _LEVELS = tuple(CoverageLevel)
-_ACTIVE = Health.ACTIVE     # read once (lanesim.sim states the rule)
 
 
 def _level(count: int) -> CoverageLevel:

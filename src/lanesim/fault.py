@@ -66,11 +66,12 @@ class TargetKind(Enum):
     SENSOR = "sensor"
 
 
-# Members read by functions, each once (lanesim.sim states the rule).
+# Read once, for the functions here and in sim (see lanesim.sim).
 _TRANSIENT = FaultKind.TRANSIENT
 _BYZANTINE = FaultKind.BYZANTINE
+_TASK_TARGET = TargetKind.TASK
 _SENSOR = TargetKind.SENSOR
-_BIT_TARGETS = (TargetKind.PROCESSOR, TargetKind.TASK)
+_BIT_TARGETS = (TargetKind.PROCESSOR, _TASK_TARGET)
 
 # The coordinates each kind of scope names; a FaultTarget sets exactly these.
 TARGET_FIELDS = {

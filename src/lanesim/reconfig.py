@@ -46,7 +46,11 @@ class Health(Enum):
     SHUTDOWN = "shutdown"
 
 
-_ACTIVE = Health.ACTIVE     # read once (lanesim.sim states the rule)
+# Read once, for the functions here, in coverage and in sim (see lanesim.sim).
+_ACTIVE = Health.ACTIVE
+_POLICED = Health.POLICED
+_RESTABILIZING = Health.RESTABILIZING
+_SHUTDOWN = Health.SHUTDOWN
 
 
 @dataclass(eq=False, init=False, slots=True)

@@ -126,13 +126,14 @@ from operator import attrgetter
 
 from . import coverage as cov
 from . import timebase
-from .fault import (SCOPE_KINDS, FaultKind, TargetKind, bit_detects,
-                    bit_visible, classify, cross_monitor, exchange_vote,
-                    median, police_matches)
+from .fault import (_BYZANTINE, _SENSOR, _TASK_TARGET, _TRANSIENT, SCOPE_KINDS,
+                    bit_detects, bit_visible, classify, cross_monitor,
+                    exchange_vote, median, police_matches)
 from .model import (Architecture, ApplicationSpec, InvalidModel, StateStrategy,
                     SystemModel, Violation)
 from .processor import Job, Processor
-from .reconfig import (Copy, Health, Outcome, ReconfigRecord, recovery_rank,
+from .reconfig import (_ACTIVE, _POLICED, _RESTABILIZING, _SHUTDOWN, Copy,
+                       Health, Outcome, ReconfigRecord, recovery_rank,
                        select_spare)
 from .timing import (BusState, ProcessorState, available_transfer_bandwidth,
                      transfer_time)
@@ -165,9 +166,9 @@ for _rank, _kind in enumerate(EventKind):
 del _rank, _kind
 
 # Each member read once: reading one off its Enum class costs about ten
-# times a global's read, and a run reads a kind on every push. The rule
-# holds for every Health, FaultKind and TargetKind member that a function
-# here or in coverage, reconfig and fault reads (tests/test_enum_reads.py).
+# times a global's read, and a run reads a kind on every push. So does each
+# Health, FaultKind and TargetKind member a function in sim, coverage,
+# reconfig or fault reads, beside its Enum (tests/test_enum_reads.py).
 _FAULT_ACTIVATE = EventKind.FAULT_ACTIVATE
 _FAULT_CLEAR = EventKind.FAULT_CLEAR
 _TASK_COMPLETE = EventKind.TASK_COMPLETE
@@ -181,14 +182,6 @@ _INSTALL_DONE = EventKind.INSTALL_DONE
 _STATE_TRANSFER_DONE = EventKind.STATE_TRANSFER_DONE
 _PILOT_APPROVAL = EventKind.PILOT_APPROVAL
 _READMIT = EventKind.READMIT
-_ACTIVE = Health.ACTIVE
-_POLICED = Health.POLICED
-_RESTABILIZING = Health.RESTABILIZING
-_SHUTDOWN = Health.SHUTDOWN
-_TRANSIENT = FaultKind.TRANSIENT
-_BYZANTINE = FaultKind.BYZANTINE
-_TASK_TARGET = TargetKind.TASK
-_SENSOR = TargetKind.SENSOR
 
 
 # The rows a SimResult lists (these three and coverage.CoverageSample) are
@@ -521,11 +514,11 @@ class Engine:
             sets[proc] = _ProcSet(members[proc], self._push, state,
                                   state.priorities())
         self.sets = {place: sets[place[1]] for place in proc_copies}
-        # each lane sends every message: the load is load/per, a pair
+        # every lane sends every message; the bus keeps the pair load/per
         load, per = timebase.lcm_sum(m.demand_ratio for app in model.applications
                                      for t in app.tasks for m in t.messages)
         load *= len(model.lanes)
-        self.bus = BusState(model.bus.max_load, (load, per))
+        self.bus = BusState(model.bus.max_load)._at(load, per)
         # U > bound and load > max_load in integers; a float only for a
         # refusal's text
         violations = []

@@ -205,15 +205,16 @@ class BusState:
     """Reserved message demand on the shared bus: one exact running load,
     kept as an integer (numerator, denominator) pair over the lcm of every
     demand it has seen, and updated by ``with_demand``/``without_demand``,
-    which take a demand as such a pair, as the start-up ``load`` is given.
-    ``max_load`` is an exact Fraction; a float for it is read via its
-    decimal text, as ``frac`` reads a document."""
+    which take a demand as such a pair. ``max_load`` is an exact Fraction;
+    a float for it, or for the start-up load, is read via its decimal
+    text, as ``frac`` reads a document."""
 
     __slots__ = ("max_load", "_num", "_den")
 
-    def __init__(self, max_load, load: tuple[int, int] = (0, 1)):
+    def __init__(self, max_load, load=0):
         self.max_load = frac(max_load)
-        self._num, self._den = load
+        load = frac(load)
+        self._num, self._den = load.numerator, load.denominator
 
     @property
     def current_load(self) -> Fraction:

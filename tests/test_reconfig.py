@@ -226,8 +226,7 @@ def _selection(tasks, held, max_load, load, bound, restricted):
             state = state.with_task(key, *entry)
         spares[place] = state
     cfg = TimingConfig(utilization_bound=bound, police_rounds=3, tolerance=0.5)
-    return (failed, spares, BusState(max_load, Fraction(load).as_integer_ratio()), cfg,
-            restricted), held
+    return (failed, spares, BusState(max_load, load), cfg, restricted), held
 
 
 @st.composite

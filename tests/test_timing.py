@@ -142,6 +142,7 @@ def test_the_bus_helpers_read_a_float_as_its_decimal_text():
     # binary value: 0.1 units at 1 unit/ms take 100 us, not 101
     assert transfer_time(0.1, 1) == 100
     assert BusState(0.3).max_load == Fraction(3, 10)
+    assert BusState(10, 0.3).current_load == Fraction(3, 10)
 
 
 def test_transfer_time_rounds_up_to_whole_microseconds():
